@@ -48,14 +48,17 @@ def cmd_run(args):
         emit_traces(trace_rows, args.traces)
         print(f"wrote {len(trace_rows)} trace rows to {args.traces}")
     print(f"{'scheme':<24}{'gamma_dB':>9}{'d_dB':>7}{'P_max':>8}"
-          f"{'theta':>8}{'mean objective':>16}{'n':>4}{'excl':>6}")
+          f"{'theta':>8}{'mean objective':>16}{'n':>4}{'infeas':>7}"
+          f"{'indet':>6}{'gr-fail':>8}")
     for row in summarize(records):
         mean = "-" if row["mean_objective"] is None \
             else f"{row['mean_objective']:.6g}"
         theta = "-" if row["theta_cap"] is None else f"{row['theta_cap']:g}"
         print(f"{row['scheme']:<24}{row['gamma_db']:>9g}{row['d_db']:>7g}"
               f"{row['p_max']:>8g}{theta:>8}{mean:>16}{row['trials']:>4}"
-              f"{row['infeasible_excluded']:>6}")
+              f"{row['infeasible_excluded']:>7}"
+              f"{row['indeterminate_excluded']:>6}"
+              f"{row['randomization_excluded']:>8}")
     return 0
 
 

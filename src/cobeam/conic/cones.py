@@ -4,14 +4,21 @@ A point of the cone ``S+^{d_1} x ... x S+^{d_k} x R+^n`` is stored as one
 flat vector: each PSD block is packed with :func:`svec` (scaled upper
 triangle, so that the packed inner product equals the trace inner
 product) followed by the entries of the nonnegative block.
+
+Consecutive PSD blocks of equal dimension form a *run*.  The kernel
+unpacks a run into one ``(..., k, d, d)`` stack with a single gather and
+applies every operation (congruence, Cholesky, SVD, eigenvalues) to the
+whole stack at once; a leading batch axis on the flat vector carries
+through, so the m constraint rows are scaled by one stacked product.
 """
 
+import itertools
+
 import numpy as np
-import scipy.linalg as sla
 
 _SQRT2 = float(np.sqrt(2.0))
 
-# cached (rows, cols, pack-scale, unpack-scale) per dimension
+# cached (rows, cols, pack-scale, gather map, unpack-scale) per dimension
 _SVEC_CACHE = {}
 
 
@@ -21,7 +28,11 @@ def _svec_index(dim):
     except KeyError:
         rows, cols = np.triu_indices(dim)
         pack = np.where(rows == cols, 1.0, _SQRT2)
-        _SVEC_CACHE[dim] = (rows, cols, pack)
+        # (dim, dim) map from a matrix entry to its svec position
+        where = np.empty((dim, dim), dtype=np.intp)
+        where[rows, cols] = np.arange(len(rows))
+        where[cols, rows] = np.arange(len(rows))
+        _SVEC_CACHE[dim] = (rows, cols, pack, where, pack[where])
         return _SVEC_CACHE[dim]
 
 
@@ -30,19 +41,51 @@ def svec_len(dim):
 
 
 def svec(mat):
-    """Pack a symmetric matrix so that svec(A) @ svec(B) == Tr(A B)."""
-    dim = mat.shape[0]
-    rows, cols, pack = _svec_index(dim)
-    return mat[rows, cols] * pack
+    """Pack symmetric matrices (the last two axes) so that
+    svec(A) @ svec(B) == Tr(A B)."""
+    rows, cols, pack = _svec_index(mat.shape[-1])[:3]
+    return mat[..., rows, cols] * pack
 
 
 def smat(vec, dim):
-    """Inverse of :func:`svec`."""
-    rows, cols, pack = _svec_index(dim)
-    out = np.zeros((dim, dim))
-    out[rows, cols] = vec / pack
-    out.T[rows, cols] = out[rows, cols]
-    return out
+    """Inverse of :func:`svec` on the last axis."""
+    where, scale = _svec_index(dim)[3:]
+    return vec[..., where] / scale
+
+
+def _T(stack):
+    return np.swapaxes(stack, -1, -2)
+
+
+class Run:
+    """``count`` consecutive PSD blocks of dimension ``dim``, the first
+    being block ``first``, packed contiguously in ``span``.
+
+    Converting between the packed span and the (count, dim, dim) stack
+    is one precomputed gather each way.
+    """
+
+    def __init__(self, dim, first, count, start):
+        self.dim, self.first, self.count = dim, first, count
+        length = svec_len(dim)
+        self.span = slice(start, start + count * length)
+        rows, cols, pack, where, scale = _svec_index(dim)
+        blocks = np.arange(count)
+        self._gather = blocks[:, None, None] * length + where
+        self._unscale = scale
+        self._scatter = (blocks[:, None] * dim * dim
+                         + rows * dim + cols).ravel()
+        self._scale = np.tile(pack, count)
+
+    def unpack(self, seg):
+        """(..., count, dim, dim) stack of a packed (..., span) segment."""
+        return np.take(seg, self._gather, axis=-1) / self._unscale
+
+    def pack(self, stack):
+        """Inverse of :meth:`unpack`."""
+        flat = stack.reshape(stack.shape[:-3]
+                             + (self.count * self.dim * self.dim,))
+        return np.take(flat, self._scatter, axis=-1) * self._scale
 
 
 class ConeLayout:
@@ -58,13 +101,45 @@ class ConeLayout:
         self.size = self.nn_offset + self.nonneg
         # barrier degree: d per PSD block, 1 per orthant entry
         self.degree = sum(self.psd_dims) + self.nonneg
+        self.runs = []
+        first = 0
+        for dim, group in itertools.groupby(self.psd_dims):
+            count = len(list(group))
+            self.runs.append(Run(dim, first, count, int(offs[first])))
+            first += count
+        # packed positions of every diagonal entry, block by block
+        self._diag_pos = np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [off + np.diagonal(_svec_index(d)[3])
+               for d, off in zip(self.psd_dims, self.psd_offsets)])
+        self._identity = self.diag(
+            [np.ones((r.count, r.dim)) for r in self.runs],
+            np.ones(self.nonneg))
 
     def identity(self):
-        e = np.zeros(self.size)
-        for dim, off in zip(self.psd_dims, self.psd_offsets):
-            e[off:off + svec_len(dim)] = svec(np.eye(dim))
-        e[self.nn_offset:] = 1.0
-        return e
+        return self._identity.copy()
+
+    def diag(self, psd, nn):
+        """Packed point with diagonal PSD blocks; ``psd`` holds one
+        (k, d) array of diagonals per run."""
+        out = np.zeros(self.size)
+        out[self._diag_pos] = np.concatenate(
+            [np.zeros(0)] + [s.ravel() for s in psd])
+        out[self.nn_offset:] = nn
+        return out
+
+    def unpack(self, vec):
+        """One (..., k, d, d) stack per run of a flat (..., n) vector."""
+        return [r.unpack(vec[..., r.span]) for r in self.runs]
+
+    def pack(self, stacks, nn):
+        """Inverse of :meth:`unpack`; ``nn`` (..., nonneg) carries the
+        batch shape and the orthant entries."""
+        out = np.empty(np.shape(nn)[:-1] + (self.size,))
+        for r, stack in zip(self.runs, stacks):
+            out[..., r.span] = r.pack(stack)
+        out[..., self.nn_offset:] = nn
+        return out
 
     def psd_block(self, vec, i):
         dim = self.psd_dims[i]
@@ -72,22 +147,7 @@ class ConeLayout:
         return smat(vec[off:off + svec_len(dim)], dim)
 
     def nn_block(self, vec):
-        return vec[self.nn_offset:]
-
-    def pack(self, mats, nn):
-        out = np.empty(self.size)
-        for i, (dim, off) in enumerate(zip(self.psd_dims, self.psd_offsets)):
-            out[off:off + svec_len(dim)] = svec(mats[i])
-        out[self.nn_offset:] = nn
-        return out
-
-    def min_eigs(self, vec):
-        """Smallest eigenvalue per PSD block and smallest orthant entry."""
-        vals = [sla.eigvalsh(self.psd_block(vec, i))[0]
-                for i in range(len(self.psd_dims))]
-        if self.nonneg:
-            vals.append(float(self.nn_block(vec).min()))
-        return vals
+        return vec[..., self.nn_offset:]
 
 
 class NTScaling:
@@ -95,129 +155,129 @@ class NTScaling:
 
     For each PSD block the factor R satisfies ``X = R L R^T`` and
     ``Z = R^{-T} L R^{-1}`` with a common diagonal scaled point L; for
-    the orthant ``w = sqrt(x/z)`` and ``lam = sqrt(x z)``.
+    the orthant ``w = sqrt(x/z)`` and ``lam = sqrt(x z)``.  ``R``,
+    ``Rinv`` and ``lam_psd`` hold one stack per run of the layout;
+    ``jitters`` counts the blocks whose Cholesky factor needed jitter.
     """
 
     def __init__(self, layout, x, z):
         self.layout = layout
+        self.jitters = 0
         self.R = []
         self.Rinv = []
         self.lam_psd = []
-        for i, dim in enumerate(layout.psd_dims):
-            X = layout.psd_block(x, i)
-            Z = layout.psd_block(z, i)
-            Lx = _chol(X)
-            Lz = _chol(Z)
-            U, s, Vt = sla.svd(Lz.T @ Lx)
+        for X, Z in zip(layout.unpack(x), layout.unpack(z)):
+            Lx = self._cholesky(X)
+            Lz = self._cholesky(Z)
+            U, s, Vt = np.linalg.svd(_T(Lz) @ Lx)
             s = np.maximum(s, 1e-300)
-            sq = np.sqrt(s)
-            self.R.append(Lx @ (Vt.T / sq))
-            self.Rinv.append((U / sq).T @ Lz.T)
+            sq = np.sqrt(s)[..., None, :]
+            self.R.append(Lx @ (_T(Vt) / sq))
+            self.Rinv.append(_T(U / sq) @ _T(Lz))
             self.lam_psd.append(s)
         xn = layout.nn_block(x)
         zn = layout.nn_block(z)
-        self.w_nn = np.sqrt(xn / zn) if layout.nonneg else np.zeros(0)
-        self.lam_nn = np.sqrt(xn * zn) if layout.nonneg else np.zeros(0)
+        self.w_nn = np.sqrt(xn / zn)
+        self.lam_nn = np.sqrt(xn * zn)
+        # lam o v is elementwise on packed entries: (s_r + s_c)/2 at
+        # entry (r, c) of a PSD block, lam on the orthant
+        pair = [np.zeros(0)]
+        for r, s in zip(layout.runs, self.lam_psd):
+            rows, cols = _svec_index(r.dim)[:2]
+            pair.append((0.5 * (s[:, rows] + s[:, cols])).ravel())
+        pair.append(self.lam_nn)
+        self._lam_pair = np.concatenate(pair)
 
-    # -- maps between original and scaled coordinates (flat in, flat out) --
+    def _cholesky(self, stack):
+        try:
+            return np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            out = np.empty_like(stack)
+            for b, mat in enumerate(stack):
+                out[b], jittered = _chol(mat)
+                self.jitters += jittered
+            return out
 
-    def scale_primal(self, dx):
-        """W^{-1} dx: primal direction into scaled space."""
-        lay = self.layout
-        mats = [self.Rinv[i] @ lay.psd_block(dx, i) @ self.Rinv[i].T
-                for i in range(len(lay.psd_dims))]
-        return lay.pack(mats, lay.nn_block(dx) / self.w_nn) \
-            if lay.nonneg else lay.pack(mats, np.zeros(0))
+    # -- maps between original and scaled coordinates (flat in, flat out;
+    #    any leading batch axes carry through) --
 
     def scale_dual(self, dz):
         """W^T dz: dual direction into scaled space."""
         lay = self.layout
-        mats = [self.R[i].T @ lay.psd_block(dz, i) @ self.R[i]
-                for i in range(len(lay.psd_dims))]
-        return lay.pack(mats, lay.nn_block(dz) * self.w_nn) \
-            if lay.nonneg else lay.pack(mats, np.zeros(0))
+        return self.scale_dual_blocks(lay.unpack(dz), lay.nn_block(dz))
+
+    def scale_dual_blocks(self, stacks, nn):
+        """W^T on data already unpacked into per-run stacks."""
+        return self.layout.pack([_T(R) @ D @ R for R, D in
+                                 zip(self.R, stacks)], nn * self.w_nn)
 
     def unscale_dual(self, g):
         """W^{-T} g: scaled-space vector back to a dual-space vector."""
         lay = self.layout
-        mats = [self.Rinv[i].T @ lay.psd_block(g, i) @ self.Rinv[i]
-                for i in range(len(lay.psd_dims))]
-        return lay.pack(mats, lay.nn_block(g) / self.w_nn) \
-            if lay.nonneg else lay.pack(mats, np.zeros(0))
+        return lay.pack([_T(Ri) @ G @ Ri for Ri, G in
+                         zip(self.Rinv, lay.unpack(g))],
+                        lay.nn_block(g) / self.w_nn)
 
     def unscale_primal(self, u):
         """W u: scaled-space vector back to a primal-space vector."""
         lay = self.layout
-        mats = [self.R[i] @ lay.psd_block(u, i) @ self.R[i].T
-                for i in range(len(lay.psd_dims))]
-        return lay.pack(mats, lay.nn_block(u) * self.w_nn) \
-            if lay.nonneg else lay.pack(mats, np.zeros(0))
+        return lay.pack([R @ U @ _T(R) for R, U in
+                         zip(self.R, lay.unpack(u))],
+                        lay.nn_block(u) * self.w_nn)
 
     # -- Jordan algebra on scaled-space vectors --
 
-    def lam_vec(self):
-        """The scaled point itself (diagonal per PSD block)."""
-        lay = self.layout
-        mats = [np.diag(s) for s in self.lam_psd]
-        return lay.pack(mats, self.lam_nn)
-
     def lambda_sq(self):
-        lay = self.layout
-        mats = [np.diag(s * s) for s in self.lam_psd]
-        return lay.pack(mats, self.lam_nn * self.lam_nn)
+        return self.layout.diag([s * s for s in self.lam_psd],
+                                self.lam_nn * self.lam_nn)
+
+    def lam_prod(self, v):
+        """lam o v (lam is the scaled point, diagonal per PSD block)."""
+        return v * self._lam_pair
 
     def jordan_div(self, rhs):
-        """Solve lam o g = rhs for g (lam is the scaled point)."""
-        lay = self.layout
-        mats = []
-        for i, s in enumerate(self.lam_psd):
-            denom = 0.5 * (s[:, None] + s[None, :])
-            mats.append(lay.psd_block(rhs, i) / denom)
-        nn = lay.nn_block(rhs) / self.lam_nn if lay.nonneg else np.zeros(0)
-        return lay.pack(mats, nn)
+        """Solve lam o g = rhs for g."""
+        return rhs / self._lam_pair
 
     def jordan_prod(self, u, v):
         """u o v = (UV + VU)/2 per PSD block, elementwise on the orthant."""
         lay = self.layout
         mats = []
-        for i in range(len(lay.psd_dims)):
-            U = lay.psd_block(u, i)
-            V = lay.psd_block(v, i)
+        for U, V in zip(lay.unpack(u), lay.unpack(v)):
             UV = U @ V
-            mats.append(0.5 * (UV + UV.T))
-        nn = lay.nn_block(u) * lay.nn_block(v) if lay.nonneg else np.zeros(0)
-        return lay.pack(mats, nn)
+            mats.append(0.5 * (UV + _T(UV)))
+        return lay.pack(mats, lay.nn_block(u) * lay.nn_block(v))
 
     def max_step(self, du_scaled, dv_scaled):
         """Largest a <= 1e12 keeping lam + a*du and lam + a*dv in the cone."""
         lay = self.layout
+        both = np.stack([du_scaled, dv_scaled])
         bound = 1e12
-        for i, s in enumerate(self.lam_psd):
+        for D, s in zip(lay.unpack(both), self.lam_psd):
             sq = np.sqrt(s)
-            for d in (du_scaled, dv_scaled):
-                D = lay.psd_block(d, i)
-                M = D / sq[:, None] / sq[None, :]
-                lo = sla.eigvalsh(M)[0]
-                if lo < 0:
-                    bound = min(bound, -1.0 / lo)
-        if lay.nonneg:
-            for d in (du_scaled, dv_scaled):
-                dn = lay.nn_block(d)
-                neg = dn < 0
-                if np.any(neg):
-                    bound = min(bound, float(
-                        np.min(-self.lam_nn[neg] / dn[neg])))
+            lo = np.linalg.eigvalsh(
+                D / sq[..., :, None] / sq[..., None, :])[..., 0]
+            if np.any(lo < 0):
+                bound = min(bound, float(-1.0 / lo.min()))
+        dn = lay.nn_block(both)
+        if dn.size:
+            steps = np.divide(-self.lam_nn, dn, out=np.full(dn.shape, np.inf),
+                              where=dn < 0)
+            bound = min(bound, float(steps.min()))
         return bound
 
 
 def _chol(mat):
-    """Cholesky with a graded jitter fallback for nearly singular blocks."""
+    """Cholesky with a graded jitter fallback for nearly singular blocks.
+
+    Returns the factor and whether jitter was needed.
+    """
     scale = max(np.trace(mat) / mat.shape[0], 1e-300)
     jitter = 0.0
     for _ in range(8):
         try:
-            return sla.cholesky(mat + jitter * np.eye(mat.shape[0]),
-                                lower=True)
-        except sla.LinAlgError:
+            return (np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0])),
+                    jitter > 0)
+        except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
-    raise sla.LinAlgError("cone block lost positive definiteness")
+    raise np.linalg.LinAlgError("cone block lost positive definiteness")

@@ -51,15 +51,14 @@ class _KktSolver:
     contractive far below the current gap.
     """
 
-    def __init__(self, A, b, c, scaling, qdiag=None, tau=None, kappa=None):
+    def __init__(self, compiled, scaling, qdiag=None, tau=None, kappa=None):
+        A, b, c = compiled.A, compiled.b, compiled.c
         self.A, self.b, self.c = A, b, c
         self.scaling = scaling
-        self.lam = scaling.lam_vec()
-        m = A.shape[0]
-        n = A.shape[1]
-        self.at_scaled = np.empty((m, n))
-        for k in range(m):
-            self.at_scaled[k] = scaling.scale_dual(A[k])
+        m, n = A.shape
+        # all m scaled rows W'a_k from one stacked congruence per run
+        self.at_scaled = scaling.scale_dual_blocks(
+            compiled.A_blocks, scaling.layout.nn_block(A))
         self.c_scaled = scaling.scale_dual(c)
         # NT Hessian in scaled space: identity + quadratic diagonal
         if qdiag is not None:
@@ -85,6 +84,7 @@ class _KktSolver:
         self.M = M
         self._factor = None
         self._pinv = None
+        self.fallback = None        # "schur_ridge" or "schur_pinv"
         if m == 0:
             return
         ridge = 0.0
@@ -93,10 +93,13 @@ class _KktSolver:
             try:
                 self._factor = sla.cho_factor(M + ridge * np.eye(m),
                                               lower=True)
+                if ridge > 0:
+                    self.fallback = "schur_ridge"
                 return
             except sla.LinAlgError:
                 ridge = max(ridge * 100.0, 1e-14 * base)
         self._pinv = np.linalg.pinv(M)
+        self.fallback = "schur_pinv"
 
     def _schur_solve(self, rhs):
         if self.M.shape[0] == 0:
@@ -158,7 +161,7 @@ class _KktSolver:
         r2 = f2 - (-at_dy + self.c * sol.dtau - sol.dz)
         r1 = f1 - (self.A @ sol.dx - self.b * sol.dtau)
         r3 = f3 - (float(self.b @ sol.dy - self.c @ sol.dx) - sol.dkappa)
-        rs = fs - self.scaling.jordan_prod(self.lam, sol.dxs + sol.dzs)
+        rs = fs - self.scaling.lam_prod(sol.dxs + sol.dzs)
         rt = ft - (self.tau * sol.dkappa + self.kappa * sol.dtau)
         return r2, r1, r3, rs, rt
 
@@ -198,7 +201,7 @@ class _KktSolver:
             qdx[off:] = self.qdiag * sol.dx[off:]
         r2 = f2 - (qdx - at_dy - sol.dz)
         r1 = f1 - self.A @ sol.dx
-        rs = fs - self.scaling.jordan_prod(self.lam, sol.dxs + sol.dzs)
+        rs = fs - self.scaling.lam_prod(sol.dxs + sol.dzs)
         return r2, r1, rs
 
 
@@ -240,8 +243,18 @@ def _max_step_scalar(v, dv):
     return 1e12 if dv >= 0 else -v / dv
 
 
+def _new_stats():
+    return {"chol_jitter": 0, "schur_ridge": 0, "schur_pinv": 0}
+
+
+def _count_fallbacks(stats, scaling, kkt):
+    stats["chol_jitter"] += scaling.jitters
+    if kkt.fallback:
+        stats[kkt.fallback] += 1
+
+
 def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
-          max_iter=MAX_ITER, record_trace=False):
+          max_iter=MAX_ITER):
     """Solve a :class:`ConicProblem`, returning a :class:`ConicSolution`.
 
     Problems with quadratic scalar terms go through the infeasible-start
@@ -251,8 +264,8 @@ def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
         raise ValueError("problem has no variables")
     compiled = CompiledProblem(problem)
     if problem.has_quadratic():
-        return _solve_qp(compiled, tol, accept_tol, max_iter, record_trace)
-    return _solve_hsd(compiled, tol, accept_tol, max_iter, record_trace)
+        return _solve_qp(compiled, tol, accept_tol, max_iter)
+    return _solve_hsd(compiled, tol, accept_tol, max_iter)
 
 
 def check_feasibility(problem, tol=DEFAULT_TOL, return_solution=False):
@@ -357,7 +370,7 @@ def verify_infeasibility_certificate(problem, weights, margin=1e-8,
             "signs_ok": sign_ok}
 
 
-def _solve_hsd(compiled, tol, accept_tol, max_iter, record_trace):
+def _solve_hsd(compiled, tol, accept_tol, max_iter):
     lay = compiled.layout
     A, b, c = compiled.A, compiled.b, compiled.c
     nb = 1.0 + np.linalg.norm(b)
@@ -371,7 +384,7 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter, record_trace):
 
     best = None
     best_err = np.inf
-    trace = []
+    stats = _new_stats()
     stall = 0
     status = SolveStatus.MAX_ITER
     it = 0
@@ -385,14 +398,9 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter, record_trace):
         pres = np.linalg.norm(r1) / (tau * nb)
         dres = np.linalg.norm(r2) / (tau * nc)
         pobj = float(c @ x) / tau
-        dobj = float(b @ y) / tau
         gap = float(x @ z) / tau ** 2
         relgap = gap / max(1.0, abs(pobj))
         err = max(pres, dres, relgap)
-        if record_trace:
-            trace.append({"iter": it, "pobj": pobj, "dobj": dobj,
-                          "pres": pres, "dres": dres, "relgap": relgap,
-                          "mu": mu})
         if err < best_err:
             best_err = err
             best = (x.copy(), y.copy(), tau, (pres, dres, relgap))
@@ -408,18 +416,20 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter, record_trace):
             ny = np.linalg.norm(y)
             if bty > 0 and ny > 0:
                 if np.linalg.norm(A.T @ y + z) <= accept_tol * bty:
-                    return _infeasible_solution(compiled, y, it, trace)
+                    return _infeasible_solution(compiled, y, it, stats)
             ctx = float(c @ x)
             if ctx < 0:
                 if np.linalg.norm(A @ x) <= accept_tol * (-ctx):
-                    return _unbounded_solution(compiled, x, -ctx, it, trace)
+                    return _unbounded_solution(compiled, x, -ctx, it,
+                                               stats)
 
         if stall >= 12:
             it += 1
             break
 
         scaling = NTScaling(lay, x, z)
-        kkt = _KktSolver(A, b, c, scaling, tau=tau, kappa=kappa)
+        kkt = _KktSolver(compiled, scaling, tau=tau, kappa=kappa)
+        _count_fallbacks(stats, scaling, kkt)
 
         lam_sq = scaling.lambda_sq()
         aff = kkt.solve_hsd(-r2, -r1, -r3, -lam_sq, -tau * kappa)
@@ -458,16 +468,16 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter, record_trace):
     x, y, tau, (pres, dres, relgap) = best
     if status is SolveStatus.OPTIMAL:
         return _optimal_solution(compiled, x / tau, y / tau,
-                                 (pres, dres, relgap), it + 1, trace)
+                                 (pres, dres, relgap), it + 1, stats)
     mats, scalars = compiled.extract_point(x / tau)
     return ConicSolution(
         status=SolveStatus.MAX_ITER, matrix_values=mats,
         scalar_values=scalars, duals=compiled.user_duals(y / tau),
         objective=None, iterations=it + 1,
-        kkt={"primal": pres, "dual": dres, "gap": relgap}, trace=trace)
+        kkt={"primal": pres, "dual": dres, "gap": relgap}, stats=stats)
 
 
-def _optimal_solution(compiled, x, y, residuals, iterations, trace):
+def _optimal_solution(compiled, x, y, residuals, iterations, stats):
     mats, scalars = compiled.extract_point(x)
     pres, dres, relgap = residuals
     return ConicSolution(
@@ -475,10 +485,10 @@ def _optimal_solution(compiled, x, y, residuals, iterations, trace):
         scalar_values=scalars, duals=compiled.user_duals(y),
         objective=compiled.source.evaluate_objective(mats, scalars),
         iterations=iterations,
-        kkt={"primal": pres, "dual": dres, "gap": relgap}, trace=trace)
+        kkt={"primal": pres, "dual": dres, "gap": relgap}, stats=stats)
 
 
-def _infeasible_solution(compiled, y, iterations, trace):
+def _infeasible_solution(compiled, y, iterations, stats):
     weights = compiled.user_duals_signed(y)
     scale = max(np.abs(weights).max(), 1e-300)
     weights = weights / scale
@@ -486,18 +496,18 @@ def _infeasible_solution(compiled, y, iterations, trace):
                      zip(weights, compiled.source.constraints)))
     return ConicSolution(
         status=SolveStatus.INFEASIBLE, iterations=iterations,
-        certificate={"weights": weights, "violation": viol}, trace=trace)
+        certificate={"weights": weights, "violation": viol}, stats=stats)
 
 
-def _unbounded_solution(compiled, x, norm, iterations, trace):
+def _unbounded_solution(compiled, x, norm, iterations, stats):
     mats, scalars = compiled.extract_point(x / norm)
     return ConicSolution(
         status=SolveStatus.UNBOUNDED, iterations=iterations,
         certificate={"ray_matrix_values": mats, "ray_scalar_values": scalars},
-        trace=trace)
+        stats=stats)
 
 
-def _solve_qp(compiled, tol, accept_tol, max_iter, record_trace):
+def _solve_qp(compiled, tol, accept_tol, max_iter):
     lay = compiled.layout
     A, b, c = compiled.A, compiled.b, compiled.c
     qdiag = compiled.qdiag
@@ -516,7 +526,7 @@ def _solve_qp(compiled, tol, accept_tol, max_iter, record_trace):
 
     best = None
     best_err = np.inf
-    trace = []
+    stats = _new_stats()
     stall = 0
     status = SolveStatus.MAX_ITER
     it = 0
@@ -533,9 +543,6 @@ def _solve_qp(compiled, tol, accept_tol, max_iter, record_trace):
         gap = float(x @ z)
         relgap = gap / max(1.0, abs(pobj))
         err = max(pres, dres, relgap)
-        if record_trace:
-            trace.append({"iter": it, "pobj": pobj, "pres": pres,
-                          "dres": dres, "relgap": relgap, "mu": mu})
         if err < best_err:
             best_err = err
             best = (x.copy(), y.copy(), (pres, dres, relgap))
@@ -550,7 +557,8 @@ def _solve_qp(compiled, tol, accept_tol, max_iter, record_trace):
             break
 
         scaling = NTScaling(lay, x, z)
-        kkt = _KktSolver(A, b, c, scaling, qdiag=qdiag)
+        kkt = _KktSolver(compiled, scaling, qdiag=qdiag)
+        _count_fallbacks(stats, scaling, kkt)
 
         lam_sq = scaling.lambda_sq()
         aff = kkt.solve_plain(-r2, -r1, -lam_sq)
@@ -579,10 +587,10 @@ def _solve_qp(compiled, tol, accept_tol, max_iter, record_trace):
     x, y, (pres, dres, relgap) = best
     if status is SolveStatus.OPTIMAL:
         return _optimal_solution(compiled, x, y, (pres, dres, relgap),
-                                 it + 1, trace)
+                                 it + 1, stats)
     mats, scalars = compiled.extract_point(x)
     return ConicSolution(
         status=SolveStatus.MAX_ITER, matrix_values=mats,
         scalar_values=scalars, duals=compiled.user_duals(y), objective=None,
         iterations=it + 1,
-        kkt={"primal": pres, "dual": dres, "gap": relgap}, trace=trace)
+        kkt={"primal": pres, "dual": dres, "gap": relgap}, stats=stats)

@@ -40,7 +40,8 @@ def _as_hermitian(mat, dim, what):
 
 
 def embed_matrix(mat):
-    """Real symmetric 2d x 2d embedding of a Hermitian matrix."""
+    """Real symmetric 2d x 2d embedding of a Hermitian matrix (or of each
+    matrix in a stack)."""
     re, im = np.real(mat), np.imag(mat)
     return np.block([[re, -im], [im, re]])
 
@@ -190,11 +191,19 @@ class ConicSolution:
     kkt: dict = field(default_factory=dict)
     certificate: dict = None
     iterations: int = 0
-    trace: list = field(default_factory=list)
+    # how often each silent numerical fallback fired during the solve:
+    # chol_jitter (cone blocks factored with jitter), schur_ridge and
+    # schur_pinv (Schur complements factored with a ridge / pseudo-inverse)
+    stats: dict = field(default_factory=dict)
 
     @property
     def optimal(self):
         return self.status is SolveStatus.OPTIMAL
+
+
+def _lower(var, H):
+    """Real coefficient(s) of a matrix variable; H may be a stack."""
+    return 0.5 * embed_matrix(H) if var.complex else np.real(H)
 
 
 def embed_hermitian(problem):
@@ -214,9 +223,7 @@ def embed_hermitian(problem):
     out.scalar_names = list(problem.scalar_names)
 
     def lower(i, H):
-        if problem.matrix_vars[i].complex:
-            return 0.5 * embed_matrix(H)
-        return np.real(H)
+        return _lower(problem.matrix_vars[i], H)
 
     out.obj_matrix = {i: lower(i, C) for i, C in problem.obj_matrix.items()}
     out.obj_scalar = dict(problem.obj_scalar)
@@ -233,56 +240,70 @@ class CompiledProblem:
 
     Inequalities get one orthant slack each; rows are scaled by the
     inverse max-abs coefficient.  ``row_scale`` maps internal equality
-    multipliers back to user-space duals.
+    multipliers back to user-space duals.  ``A_blocks`` holds the PSD
+    part of the scaled rows as one (m, k, d, d) stack per run of the
+    layout; the PSD columns of ``A`` are its packing.
     """
 
     def __init__(self, problem):
-        real = embed_hermitian(problem) if any(
-            v.complex for v in problem.matrix_vars) else problem
         self.source = problem
-        self.real = real
-
-        dims = [v.dim for v in real.matrix_vars]
-        n_con = len(real.constraints)
-        self.n_slack = sum(1 for c in real.constraints if c.relation != "==")
-        self.layout = ConeLayout(dims, real.num_scalars + self.n_slack)
+        cons = problem.constraints
+        dims = [2 * v.dim if v.complex else v.dim
+                for v in problem.matrix_vars]
+        m = len(cons)
+        self.n_slack = sum(1 for c in cons if c.relation != "==")
+        self.layout = ConeLayout(dims, problem.num_scalars + self.n_slack)
         lay = self.layout
         self.scalar_off = lay.nn_offset
-        self.slack_off = lay.nn_offset + real.num_scalars
+        self.slack_off = lay.nn_offset + problem.num_scalars
 
-        n = lay.size
-        self.c = np.zeros(n)
-        for i, C in real.obj_matrix.items():
-            off = lay.psd_offsets[i]
-            self.c[off:off + len(svec(C))] = svec(C)
-        for j, v in real.obj_scalar.items():
-            self.c[self.scalar_off + j] = v
-        self.qdiag = np.zeros(real.num_scalars + self.n_slack)
-        for j, q in real.obj_scalar_quad.items():
+        c_rows, _ = self._rows([problem.obj_matrix], [problem.obj_scalar])
+        self.c = c_rows[0]
+        self.qdiag = np.zeros(problem.num_scalars + self.n_slack)
+        for j, q in problem.obj_scalar_quad.items():
             self.qdiag[j] = 2.0 * q  # objective carries q*y^2 = (1/2) x'Qx
 
-        self.A = np.zeros((n_con, n))
-        self.b = np.zeros(n_con)
-        self.row_scale = np.ones(n_con)
-        self.slack_col = [-1] * n_con
+        rows, blocks = self._rows([con.matrix_coeffs for con in cons],
+                                   [con.scalar_coeffs for con in cons])
+        rhs = np.array([con.rhs for con in cons], dtype=float)
+        norm = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
+        scale = np.where(norm > 1.0, 1.0 / norm, 1.0)
+        self.A = rows * scale[:, None]
+        self.A_blocks = [blk * scale[:, None, None, None] for blk in blocks]
+        self.b = rhs * scale
+        self.row_scale = scale
+        self.slack_col = [-1] * m
         slack = self.slack_off
-        for k, con in enumerate(real.constraints):
-            row = self.A[k]
-            for i, F in con.matrix_coeffs.items():
-                off = lay.psd_offsets[i]
-                sv = svec(F)
-                row[off:off + len(sv)] = sv
-            for j, a in con.scalar_coeffs.items():
-                row[self.scalar_off + j] = a
-            norm = max(np.abs(row).max(), abs(con.rhs))
-            s = 1.0 / norm if norm > 1.0 else 1.0
-            row *= s
-            self.b[k] = con.rhs * s
-            self.row_scale[k] = s
+        for k, con in enumerate(cons):
             if con.relation != "==":
-                row[slack] = -1.0 if con.relation == ">=" else 1.0
+                self.A[k, slack] = -1.0 if con.relation == ">=" else 1.0
                 self.slack_col[k] = slack
                 slack += 1
+
+    def _rows(self, matrix_coeffs, scalar_coeffs):
+        """Real standard-form rows of the given coefficient dicts (no
+        slacks), and their PSD part as one (m, k, d, d) stack per run."""
+        lay = self.layout
+        m = len(matrix_coeffs)
+        rows = np.zeros((m, lay.size))
+        stacks = []
+        for run in lay.runs:
+            stack = np.zeros((m, run.count, run.dim, run.dim))
+            for j in range(run.count):
+                i = run.first + j
+                have = [k for k, coeffs in enumerate(matrix_coeffs)
+                        if i in coeffs]
+                if have:
+                    stack[have, j] = _lower(
+                        self.source.matrix_vars[i],
+                        np.array([matrix_coeffs[k][i] for k in have]))
+            rows[:, run.span] = svec(stack).reshape(
+                m, run.span.stop - run.span.start)
+            stacks.append(stack)
+        for k, coeffs in enumerate(scalar_coeffs):
+            for j, a in coeffs.items():
+                rows[k, self.scalar_off + j] = a
+        return rows, stacks
 
     def user_duals(self, y_internal):
         """Map internal equality multipliers to per-constraint duals.
@@ -291,8 +312,8 @@ class CompiledProblem:
         report the nonnegative multiplier whose sensitivity is
         -d(optimum)/d(rhs).
         """
-        duals = np.empty(len(self.real.constraints))
-        for k, con in enumerate(self.real.constraints):
+        duals = np.empty(len(self.source.constraints))
+        for k, con in enumerate(self.source.constraints):
             v = y_internal[k] * self.row_scale[k]
             duals[k] = -v if con.relation == "<=" else v
         return duals

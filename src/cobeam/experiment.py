@@ -10,6 +10,7 @@ import csv
 import json
 import re
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -41,6 +42,7 @@ RECORD_COLUMNS = [
     "sigma2", "p_max", "theta_cap", "objective", "objective_kind",
     "sdr_bound", "feasible", "used_randomization", "all_rank_one",
     "avg_rank", "iterations", "scalars_exchanged", "wall_time_s",
+    "failure_kind",
 ]
 
 TRACE_COLUMNS = ["scheme", "trial", "gamma_db", "d_db", "p_max",
@@ -241,10 +243,11 @@ class _SweepPoint:
                         traces.extend(self._trace_rows(scheme, trace))
                     start = time.perf_counter()
             except (InfeasibleTargetsError, RandomizationFailureError,
-                    IndeterminateError):
+                    IndeterminateError) as err:
                 records.append(self._finish(
                     {"objective": None, "feasible": False,
-                     "wall_time_s": time.perf_counter() - start}, scheme))
+                     "wall_time_s": time.perf_counter() - start,
+                     "failure_kind": type(err).__name__}, scheme))
         return records, traces
 
     def _finish(self, rec, scheme):
@@ -256,7 +259,7 @@ class _SweepPoint:
             "U": self.topology.U, "A": self.topology.A,
             "gamma_db": self.gamma_db, "d_db": self.d_db,
             "sigma2": self.config.sigma2, "p_max": self.p_max,
-            "feasible": True,
+            "feasible": True, "failure_kind": "",
         })
         base.update(rec)
         return base
@@ -448,7 +451,12 @@ def emit_traces(trace_rows, path):
 
 
 def summarize(records):
-    """Per (scheme, sweep point) means with explicit exclusion counts."""
+    """Per (scheme, sweep point) means with explicit exclusion counts.
+
+    Failed trials are excluded from the mean and counted by kind:
+    infeasible targets, solver stalls (indeterminate) and randomization
+    that found no feasible candidate.
+    """
     groups = {}
     for rec in records:
         key = (rec["scheme"], rec["gamma_db"], rec["d_db"], rec["p_max"],
@@ -458,12 +466,15 @@ def summarize(records):
     for key in sorted(groups, key=str):
         recs = groups[key]
         values = [r["objective"] for r in recs if r["feasible"]]
+        kinds = Counter(r["failure_kind"] for r in recs
+                        if not r["feasible"])
         rows.append({
             "scheme": key[0], "gamma_db": key[1], "d_db": key[2],
             "p_max": key[3], "theta_cap": key[4],
             "mean_objective": float(np.mean(values)) if values else None,
             "trials": len(recs),
-            "infeasible_excluded": sum(1 for r in recs
-                                       if not r["feasible"]),
+            "infeasible_excluded": kinds["InfeasibleTargetsError"],
+            "indeterminate_excluded": kinds["IndeterminateError"],
+            "randomization_excluded": kinds["RandomizationFailureError"],
         })
     return rows

@@ -269,6 +269,9 @@ class TestSolverInvariants:
         sol = solve(self.qos_instance(1))
         assert set(sol.kkt) == {"primal", "dual", "gap"}
         assert max(sol.kkt.values()) <= 1e-7
+        # a well-posed instance needs no numerical fallback
+        assert sol.stats == {"chol_jitter": 0, "schur_ridge": 0,
+                             "schur_pinv": 0}
 
 
 class TestQuadraticObjective:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from cobeam import experiment
 from cobeam.cli import main
-from cobeam.errors import ConfigurationError
+from cobeam.errors import ConfigurationError, IndeterminateError
 from cobeam.experiment import (RECORD_COLUMNS, ScenarioConfig, emit_results,
                                emit_traces, expand_sweep, load_results,
                                parse_scenario, run_sweep, solve_orthogonal,
@@ -143,9 +144,28 @@ class TestSweep:
         records, _ = run_sweep(cfg)
         assert len(records) == 2
         assert all(rec["feasible"] is False for rec in records)
+        assert all(rec["failure_kind"] == "InfeasibleTargetsError"
+                   for rec in records)
         summary = summarize(records)
         assert summary[0]["infeasible_excluded"] == 2
+        assert summary[0]["indeterminate_excluded"] == 0
         assert summary[0]["mean_objective"] is None
+
+    def test_solver_stall_not_counted_infeasible(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise IndeterminateError("iteration limit")
+
+        monkeypatch.setattr(experiment, "solve_nulling", stall)
+        cfg = self.small_config(schemes=["centralized", "nulling"])
+        records, _ = run_sweep(cfg)
+        kinds = {rec["scheme"]: rec["failure_kind"] for rec in records}
+        assert kinds == {"centralized": "", "nulling": "IndeterminateError"}
+        rows = {row["scheme"]: row for row in summarize(records)}
+        assert rows["nulling"]["infeasible_excluded"] == 0
+        assert rows["nulling"]["indeterminate_excluded"] == 2
+        assert rows["nulling"]["randomization_excluded"] == 0
+        assert rows["centralized"]["indeterminate_excluded"] == 0
+        assert rows["centralized"]["mean_objective"] is not None
 
     def test_balancing_as_theta_grid_rows(self):
         cfg = ScenarioConfig(B=2, G=2, U=4, A=4,
