@@ -31,6 +31,16 @@ MAX_ITER = 200
 STEP_FRACTION = 0.99
 REFINE_STEPS = 2
 
+# LAPACK Cholesky pair for the Schur complement, looked up once: scipy's
+# cho_factor/cho_solve wrappers re-check finiteness on every call
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"),
+                                      (np.empty(0),))
+
+
+def _require_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
 
 class _KktSolver:
     """Solves of the KKT system at the current iterate, in scaled space.
@@ -87,17 +97,17 @@ class _KktSolver:
         self.fallback = None        # "schur_ridge" or "schur_pinv"
         if m == 0:
             return
+        _require_finite(M)
         ridge = 0.0
         base = max(np.abs(np.diag(M)).max(), 1.0)
         for _ in range(8):
-            try:
-                self._factor = sla.cho_factor(M + ridge * np.eye(m),
-                                              lower=True)
+            factor, info = _POTRF(M + ridge * np.eye(m), lower=1)
+            if info == 0:
+                self._factor = factor
                 if ridge > 0:
                     self.fallback = "schur_ridge"
                 return
-            except sla.LinAlgError:
-                ridge = max(ridge * 100.0, 1e-14 * base)
+            ridge = max(ridge * 100.0, 1e-14 * base)
         self._pinv = np.linalg.pinv(M)
         self.fallback = "schur_pinv"
 
@@ -105,8 +115,9 @@ class _KktSolver:
         if self.M.shape[0] == 0:
             return np.zeros(0)
         if self._factor is not None:
-            sol = sla.cho_solve(self._factor, rhs)
-            sol += sla.cho_solve(self._factor, rhs - self.M @ sol)
+            _require_finite(rhs)
+            sol = _POTRS(self._factor, rhs, lower=1)[0]
+            sol += _POTRS(self._factor, rhs - self.M @ sol, lower=1)[0]
             return sol
         return self._pinv @ rhs
 

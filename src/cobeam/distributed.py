@@ -26,11 +26,15 @@ from .conic import ConicProblem, SolveStatus
 from .errors import (CobeamError, InfeasibleTargetsError,
                      RandomizationFailureError)
 from .network import BeamformingSolution, evaluate_sinr
-from .power_min import (RANK_ONE_TOL, extract_rank_one, gaussian_candidates)
+from .power_min import (RANK_ONE_TOL, direction_gains, extract_rank_one,
+                        gaussian_candidates, least_powers)
 
 THETA_FLOOR = 1e-10
 DEFAULT_RHO = 2.0
 DEFAULT_STEP = 0.3
+# ICI values come out of conic solves whose rows hold to about this
+# relative accuracy, so GR candidates meet the outgoing caps to it too
+CAP_RTOL = 1e-7
 
 
 class IciIndex:
@@ -599,36 +603,46 @@ def local_randomization_lp(b, channels, topology, candidates_b, theta):
     targets under the caps.
     """
     groups = topology.groups_of_bs(b)
-    prob = ConicProblem()
-    pvar = {g: prob.add_scalar_var(name=f"p{g}") for g in groups}
-    prob.set_objective(scalar={pvar[g]: 1.0 for g in groups})
-    for u in topology.users_of_bs(b):
-        g_u = topology.group_of_user[u]
-        gamma = topology.gamma[u]
-        incoming = sum(theta[(j, u)] for j in range(topology.B) if j != b)
-        coeffs = {}
-        for g in groups:
-            gain = abs(np.vdot(channels.vec(b, u), candidates_b[g])) ** 2
-            coeffs[pvar[g]] = gain if g == g_u else -gamma * gain
-        prob.add_constraint(scalars=coeffs, rel=">=",
-                            rhs=gamma * (topology.sigma2[u] + incoming))
-    for u in topology.out_of_cell_users(b):
-        coeffs = {pvar[g]: abs(np.vdot(channels.vec(b, u),
-                                       candidates_b[g])) ** 2
-                  for g in groups}
-        prob.add_constraint(scalars=coeffs, rel="<=", rhs=theta[(b, u)])
-    sol = conic.solve(prob)
-    if sol.status is not SolveStatus.OPTIMAL:
+    V = np.stack([candidates_b[g] for g in groups])
+    p = _local_least_powers(b, channels, topology, V[None], theta)[0]
+    if not np.isfinite(p).all():
         return None
-    return {g: float(sol.scalar_values[pvar[g]]) for g in groups}
+    return {g: float(p[i]) for i, g in enumerate(groups)}
+
+
+def _local_least_powers(b, channels, topology, V, theta):
+    """Least powers (C, G_b) of BS b's power LPs for candidate sets V.
+
+    In-cell users see their noise raised by the incoming ICI values.
+    The outgoing caps rise with every power, so a candidate is feasible
+    exactly when its least point also meets them (to ``CAP_RTOL``);
+    rows that are not are ``inf``.
+    """
+    groups = topology.groups_of_bs(b)
+    users = topology.users_of_bs(b)
+    others = topology.out_of_cell_users(b)
+    slot = {g: i for i, g in enumerate(groups)}
+    incoming = [sum(theta[(j, u)] for j in range(topology.B) if j != b)
+                for u in users]
+    h = channels.h[b]
+    p = least_powers(direction_gains(h[users], V),
+                     [slot[topology.group_of_user[u]] for u in users],
+                     topology.gamma[users],
+                     topology.sigma2[users] + incoming)
+    ok = np.isfinite(p).all(axis=1)
+    load = np.einsum("cug,cg->cu", direction_gains(h[others], V),
+                     np.where(ok[:, None], p, 0.0))
+    caps = np.array([theta[(b, u)] for u in others])
+    p[(load > caps * (1 + CAP_RTOL)).any(axis=1)] = np.inf
+    return p
 
 
 def distributed_gaussian_randomization(channels, topology, W_star, theta,
                                        count, rng, bus=None):
     """Network-wide randomization with only per-candidate power exchange.
 
-    Each BS draws candidates from its own covariances, runs the local
-    power LP per candidate, and broadcasts its per-candidate totals; all
+    Each BS draws candidates from its own covariances, gives each its
+    least local powers, and broadcasts its per-candidate totals; all
     BSs then pick the same globally cheapest index.
     """
     if bus is None:
@@ -640,20 +654,16 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     totals = np.zeros((topology.B, count))
     for b in range(topology.B):
         groups = topology.groups_of_bs(b)
-        draws = {g: gaussian_candidates(W_star[g], count, seeds[b])
-                 for g in groups}
-        rows = []
-        for c in range(count):
-            cand = {g: draws[g][c] for g in groups}
-            powers = local_randomization_lp(b, channels, topology, cand,
-                                            theta)
-            rows.append((cand, powers))
-            totals[b, c] = np.inf if powers is None \
-                else sum(powers.values())
-        if not any(p is not None for _, p in rows):
+        V = np.stack([np.reshape(gaussian_candidates(W_star[g], count,
+                                                     seeds[b]),
+                                 (count, len(W_star[g]))) for g in groups],
+                     axis=1)
+        powers = _local_least_powers(b, channels, topology, V, theta)
+        totals[b] = powers.sum(axis=1)
+        if not np.isfinite(totals[b]).any():
             raise RandomizationFailureError(
                 f"all {count} candidates infeasible at BS {b}")
-        per_bs[b] = rows
+        per_bs[b] = (V, powers)
         bus.post(b, None, "gr-power",
                  np.where(np.isfinite(totals[b]), totals[b], 1e300))
     bus.deliver()
@@ -666,10 +676,10 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     solution = BeamformingSolution(objective=float(network[pick]),
                                    used_randomization=True)
     for b in range(topology.B):
-        cand, powers = per_bs[b][pick]
-        for g in topology.groups_of_bs(b):
-            solution.w[g] = np.sqrt(powers[g]) * cand[g]
-            solution.p[g] = powers[g]
+        V, powers = per_bs[b]
+        for i, g in enumerate(topology.groups_of_bs(b)):
+            solution.w[g] = np.sqrt(powers[pick, i]) * V[pick, i]
+            solution.p[g] = float(powers[pick, i])
             solution.W[g] = np.outer(solution.w[g], solution.w[g].conj())
             solution.rank[g] = 1
     solution.gr_totals = network

@@ -309,6 +309,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             solve(ConicProblem())
 
+    def test_nan_right_hand_side(self):
+        prob = ConicProblem()
+        js = prob.add_scalar_vars(2)
+        prob.set_objective(scalar={j: 1.0 for j in js})
+        prob.add_constraint(scalars={j: 1.0 for j in js}, rel=">=",
+                            rhs=float("nan"))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(prob)
+
     def test_dump_is_self_describing(self):
         prob = single_user_qos(np.array([1.0, 1j]), 2.0, 1.0)
         text = dump_problem(prob)

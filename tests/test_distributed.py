@@ -6,7 +6,7 @@ import pytest
 from cobeam import conic
 from cobeam.errors import CobeamError
 from cobeam.network import (build_topology, evaluate_sinr, sample_channels)
-from cobeam.power_min import solve_centralized
+from cobeam.power_min import gaussian_candidates, solve_centralized
 from cobeam.distributed import (IciIndex, admm_feasibility_restore,
                                 admm_global_update, admm_dual_update,
                                 admm_pair_dual_update, assemble_admm_local,
@@ -378,6 +378,48 @@ class TestDistributedRandomization:
                                            bus=bus)
         assert bus.log.scalars_in_round(0, tags=("gr-power",)) \
             == 17 * topo.B
+
+    def test_pick_matches_highs_reference(self, highs_powers):
+        topo, chans = small_scenario(26, G=4, U=8, A=4, gamma=0.5,
+                                     cell_separation=10.0)
+        rng = np.random.default_rng(27)
+        theta = {pair: float(10 ** rng.uniform(-1, 1))
+                 for pair in topo.ici_pairs()}
+        # full-rank covariances leaning toward each group's own users
+        W = {g: sum(chans.mat(topo.bs_of_group[g], u)
+                    for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
+             for g in range(topo.G)}
+        count = 40
+        gr = distributed_gaussian_randomization(
+            chans, topo, W, theta, count, np.random.default_rng(28))
+        seeds = np.random.default_rng(28).spawn(topo.B)
+        network = np.zeros(count)
+        draws = {}
+        for b in range(topo.B):
+            groups = topo.groups_of_bs(b)
+            users, others = topo.users_of_bs(b), topo.out_of_cell_users(b)
+            draws.update({g: gaussian_candidates(W[g], count, seeds[b])
+                          for g in groups})
+            noise = topo.sigma2[users] + [
+                sum(theta[(j, u)] for j in range(topo.B) if j != b)
+                for u in users]
+            for c in range(count):
+                def rows(us):
+                    return [[abs(np.vdot(chans.vec(b, u), draws[g][c])) ** 2
+                             for g in groups] for u in us]
+
+                x = highs_powers(
+                    rows(users),
+                    [groups.index(topo.group_of_user[u]) for u in users],
+                    topo.gamma[users], noise, cap_gains=rows(others),
+                    caps=[theta[(b, u)] for u in others])
+                network[c] += np.inf if x is None else x.sum()
+        assert 0 < np.isfinite(network).sum() < count
+        pick = int(np.argmin(network))
+        assert gr.objective == pytest.approx(network[pick], rel=1e-7)
+        for g in range(topo.G):
+            unit = gr.w[g] / np.sqrt(gr.p[g])
+            assert np.linalg.norm(unit - draws[g][pick]) < 1e-12
 
 
 class TestSpecialCases:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cobeam import conic
-from cobeam.network import (build_topology, evaluate_sinr,
+from cobeam.errors import RandomizationFailureError
+from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
                             sample_channels, sum_power)
 from cobeam.power_min import (assemble_qos_sdp, candidate_power_lp,
                               gaussian_candidates, randomize_from_covariances,
@@ -124,6 +125,32 @@ class TestGaussianCandidates:
         rng = np.random.default_rng(10)
         assert gaussian_candidates(np.eye(2), 0, rng) == []
 
+    def test_matches_per_candidate_loop(self):
+        # the per-candidate loop the block draw replaced
+        def loop(W, count, rng):
+            L = conic.psd_sqrt(W)
+            out = []
+            for _ in range(count):
+                z = (rng.standard_normal(W.shape[0])
+                     + 1j * rng.standard_normal(W.shape[0])) / np.sqrt(2.0)
+                cand = L @ z
+                out.append(cand / np.linalg.norm(cand))
+            return out
+
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3, 8):
+            q = rng.standard_normal((dim, dim)) \
+                + 1j * rng.standard_normal((dim, dim))
+            W = q @ q.conj().T
+            old_rng, new_rng = (np.random.default_rng(12) for _ in range(2))
+            old = loop(W, 50, old_rng)
+            new = gaussian_candidates(W, 50, new_rng)
+            # the same stream of normals consumed
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            assert len(new) == 50
+            # the batched norm sums in another order than BLAS's ddot
+            np.testing.assert_allclose(new, old, rtol=0, atol=4e-16)
+
 
 class TestCandidatePowerLp:
     def test_matched_filter_direction(self):
@@ -194,6 +221,46 @@ class TestRandomizationSoundness:
         for u in range(topo.U):
             sinr = evaluate_sinr(chans, sol, u, topo)
             assert sinr >= topo.gamma[u] * (1 - 1e-5)
+
+    def test_pick_matches_highs_loop(self, highs_powers):
+        topo, chans, W_star, sdr_obj = self.higher_rank_instance()
+        sol = randomize_from_covariances(chans, topo, W_star, 100,
+                                         np.random.default_rng(102))
+        rng = np.random.default_rng(102)
+        draws = {g: gaussian_candidates(W_star[g], 100, rng)
+                 for g in range(topo.G)}
+        totals = []
+        for c in range(100):
+            gains = [[abs(np.vdot(chans.vec(topo.bs_of_group[g], u),
+                                  draws[g][c])) ** 2 for g in range(topo.G)]
+                     for u in range(topo.U)]
+            x = highs_powers(gains, topo.group_of_user, topo.gamma,
+                             topo.sigma2)
+            totals.append(np.inf if x is None else x.sum())
+        pick = int(np.argmin(totals))
+        assert sol.objective == pytest.approx(totals[pick], rel=1e-7)
+        for g in range(topo.G):
+            unit = sol.w[g] / np.sqrt(sol.p[g])
+            dist = [np.linalg.norm(unit - d) for d in draws[g]]
+            assert int(np.argmin(dist)) == pick
+            assert dist[pick] < 1e-12
+
+    def test_all_candidates_infeasible(self):
+        # each group's covariance spans exactly the null space of its own
+        # users' channels, so every draw is orthogonal to them
+        topo = build_topology(B=1, G=2, U=4, A=4)
+        e = np.eye(4, dtype=complex)
+        h = np.stack([e[0] + e[1], e[2], e[0] - 2j * e[1], e[3]])[None]
+        chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
+                                                h.conj()))
+        W = {0: np.diag([0, 0, 1.0, 1.0]), 1: np.diag([1.0, 1.0, 0, 0])}
+        with pytest.raises(RandomizationFailureError) as err:
+            randomize_from_covariances(chans, topo, W, 20,
+                                       np.random.default_rng(103),
+                                       sdr_objective=2.5)
+        assert err.value.sdr_solution.objective == 2.5
+        assert set(err.value.sdr_solution.W) == {0, 1}
+        np.testing.assert_array_equal(err.value.sdr_solution.W[0], W[0])
 
     def test_sum_power_consistency(self):
         topo, chans, W_star, sdr_obj = self.higher_rank_instance()
