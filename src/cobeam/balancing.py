@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
-from .conic import ConicProblem, SolveStatus
+from .conic import SolveStatus
 from .errors import ConfigurationError, IndeterminateError, StateError
 from .network import BeamformingSolution, evaluate_sinr
-from .power_min import RANK_ONE_TOL, extract_rank_one, gaussian_candidates
+from .power_min import (RANK_ONE_TOL, capped_least_powers,
+                        direction_system, finalize, gaussian_candidates,
+                        randomized_solution, sinr_system)
 
 DEFAULT_EPSILON = 1e-3
 EXPANSION_LIMIT = 60
@@ -85,26 +87,12 @@ def bisect(lower, upper, epsilon, probe):
 
 
 def assemble_feasibility(channels, topology, t):
-    """Relaxed balancing feasibility problem at a fixed SINR level."""
+    """Relaxed balancing feasibility problem at a fixed SINR level: the
+    SINR system at level t under per-BS budgets (:func:`sinr_system`)."""
     if t < 0:
         raise ConfigurationError("SINR level t must be nonnegative")
-    prob = ConicProblem()
-    for g in range(topology.G):
-        prob.add_psd_var(topology.A, name=f"W{g}")
-    for u in range(topology.U):
-        g_u = topology.group_of_user[u]
-        mats = {}
-        for g in range(topology.G):
-            H = channels.mat(topology.bs_of_group[g], u)
-            mats[g] = H if g == g_u else -t * H
-        prob.add_constraint(matrix=mats, rel=">=",
-                            rhs=t * topology.sigma2[u], label=("sinr", u))
-    for b in range(topology.B):
-        mats = {g: np.eye(topology.A) for g in topology.groups_of_bs(b)}
-        prob.add_constraint(matrix=mats, rel="<=",
-                            rhs=float(topology.p_max[b]),
-                            label=("power", b))
-    return prob
+    return sinr_system(channels, topology, level=t, budget=True,
+                       objective=False)[0]
 
 
 def single_user_upper_bound(channels, topology, users=None):
@@ -166,15 +154,45 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON, bounds=None,
     result = bisect(lower, upper, epsilon, probe)
     result.extra_calls += extra
     if polish:
-        prob = assemble_feasibility(channels, topology, result.lower)
-        prob.set_objective(matrix={g: np.eye(topology.A)
-                                   for g in range(topology.G)})
-        sol = conic.solve(prob)
+        sol = conic.solve(sinr_system(channels, topology, level=result.lower,
+                                      budget=True)[0])
         result.extra_calls += 1
         if sol.status is SolveStatus.OPTIMAL:
             result.payload = {g: sol.matrix_values[g]
                               for g in range(topology.G)}
     return result
+
+
+def _best_level(system, groups, upper, epsilon):
+    """Best balanced level of fixed direction sets: (t, powers, index).
+
+    ``system`` is a :func:`direction_system`.  Each set is scored by a
+    bisection whose probe at level t asks for its least powers at
+    targets t: feasible exactly when they exist and meet the caps (no
+    slack: the caps are inputs, not solver output).  The payload is that
+    least point; ties go to the lowest index.
+    """
+    users, gains, own, noise, cap_gains, caps = system
+    best = (0.0, None, -1)
+    for c in range(len(gains)):
+        def probe(t, c=c):
+            p = capped_least_powers(gains[c:c + 1], own,
+                                    np.full(len(users), t), noise,
+                                    cap_gains[c:c + 1], caps)[0]
+            if not np.isfinite(p).all():
+                return False, None
+            return True, dict(zip(groups, p.tolist()))
+
+        res = bisect(0.0, upper, epsilon, probe)
+        if res.t > best[0] or best[2] < 0:
+            best = (res.t, res.payload, c)
+    return best
+
+
+def _directions(candidates, groups, A):
+    """(C, G, A) stack of direction sets given as group -> unit vector."""
+    return np.reshape([[cand[g] for g in groups] for cand in candidates],
+                      (len(candidates), len(groups), A))
 
 
 def balance_gaussian_randomization(channels, topology, candidates,
@@ -183,72 +201,48 @@ def balance_gaussian_randomization(channels, topology, candidates,
 
     ``candidates`` is a list of full direction sets (group -> unit
     vector).  Each set is scored by a bisection whose feasibility test
-    is a power-allocation LP; the best (t, powers, index) wins.
+    is its power allocation under the per-BS budgets; the best
+    (t, powers, index) wins.
     """
-    best = (0.0, None, -1)
-    for idx, cand in enumerate(candidates):
-        gains = np.empty((topology.U, topology.G))
-        for u in range(topology.U):
-            for g in range(topology.G):
-                h = channels.vec(topology.bs_of_group[g], u)
-                gains[u, g] = abs(np.vdot(h, cand[g])) ** 2
-
-        def probe(t):
-            prob = ConicProblem()
-            pvars = prob.add_scalar_vars(topology.G, name="p")
-            for u in range(topology.U):
-                g_u = topology.group_of_user[u]
-                coeffs = {}
-                for g in range(topology.G):
-                    coeffs[pvars[g]] = gains[u, g] if g == g_u \
-                        else -t * gains[u, g]
-                prob.add_constraint(scalars=coeffs, rel=">=",
-                                    rhs=t * topology.sigma2[u])
-            for b in range(topology.B):
-                prob.add_constraint(
-                    scalars={pvars[g]: 1.0
-                             for g in topology.groups_of_bs(b)},
-                    rel="<=", rhs=float(topology.p_max[b]))
-            feasible, sol = conic.check_feasibility(prob,
-                                                    return_solution=True)
-            if not feasible:
-                return False, None
-            return True, {g: float(sol.scalar_values[pvars[g]])
-                          for g in range(topology.G)}
-
-        upper = single_user_upper_bound(channels, topology)
-        res = bisect(0.0, upper, epsilon, probe)
-        if res.t > best[0] or best[2] < 0:
-            best = (res.t, res.payload, idx)
+    groups = range(topology.G)
+    V = _directions(candidates, groups, topology.A)
+    best = _best_level(
+        direction_system(channels, topology, V, budget=True), groups,
+        single_user_upper_bound(channels, topology), epsilon)
     if best[0] <= epsilon:
         warnings.warn("every candidate balances essentially to zero; "
                       "returning the least bad one", stacklevel=2)
     return best
 
 
-def _per_cell_bisect(b, channels, topology, build, epsilon, polish=True):
-    """Bisection plus extreme-face polish for one cell's problems."""
-    groups = topology.groups_of_bs(b)
+def _cell_caps(topology, theta_cap):
+    """ICI values per directed pair from a scalar cap or a pair dict."""
+    if hasattr(theta_cap, "__getitem__"):
+        return theta_cap
+    return dict.fromkeys(topology.ici_pairs(), float(theta_cap))
+
+
+def _per_cell_bisect(b, channels, topology, epsilon, theta=None):
+    """Bisection plus extreme-face polish for one cell's SINR system."""
+    def system(t, objective=False):
+        return sinr_system(channels, topology, cell=b, level=t, theta=theta,
+                           budget=True, objective=objective)
 
     def probe(t):
-        prob, slot = build(t)
+        prob, slot, _ = system(t)
         feasible, sol = conic.check_feasibility(prob, return_solution=True)
         if not feasible:
             return False, None
-        return True, {g: sol.matrix_values[slot[g]] for g in groups}
+        return True, {g: sol.matrix_values[k] for g, k in slot.items()}
 
     upper = single_user_upper_bound(channels, topology,
                                     topology.users_of_bs(b))
     result = bisect(0.0, upper, epsilon, probe)
-    if polish:
-        prob, slot = build(result.lower)
-        prob.set_objective(matrix={slot[g]: np.eye(topology.A)
-                                   for g in groups})
-        sol = conic.solve(prob)
-        result.extra_calls += 1
-        if sol.status is SolveStatus.OPTIMAL:
-            result.payload = {g: sol.matrix_values[slot[g]]
-                              for g in groups}
+    prob, slot, _ = system(result.lower, objective=True)
+    sol = conic.solve(prob)
+    result.extra_calls += 1
+    if sol.status is SolveStatus.OPTIMAL:
+        result.payload = {g: sol.matrix_values[k] for g, k in slot.items()}
     return result
 
 
@@ -260,38 +254,8 @@ def local_balance(b, channels, topology, theta_cap,
     interference is constrained below it.  ``theta_cap`` is a scalar or
     a dict over directed pairs.
     """
-    def cap(pair):
-        return theta_cap[pair] if hasattr(theta_cap, "__getitem__") \
-            else float(theta_cap)
-
-    groups = topology.groups_of_bs(b)
-
-    def build(t):
-        prob = ConicProblem()
-        slot = {g: prob.add_psd_var(topology.A, name=f"W{g}")
-                for g in groups}
-        for u in topology.users_of_bs(b):
-            g_u = topology.group_of_user[u]
-            incoming = sum(cap((j, u)) for j in range(topology.B)
-                           if j != b)
-            mats = {}
-            for g in groups:
-                H = channels.mat(b, u)
-                mats[slot[g]] = H if g == g_u else -t * H
-            prob.add_constraint(matrix=mats, rel=">=",
-                                rhs=t * (topology.sigma2[u] + incoming),
-                                label=("sinr", u))
-        for u in topology.out_of_cell_users(b):
-            mats = {slot[g]: channels.mat(b, u) for g in groups}
-            prob.add_constraint(matrix=mats, rel="<=", rhs=cap((b, u)),
-                                label=("cap", (b, u)))
-        prob.add_constraint(matrix={slot[g]: np.eye(topology.A)
-                                    for g in groups},
-                            rel="<=", rhs=float(topology.p_max[b]),
-                            label=("power", b))
-        return prob, slot
-
-    return _per_cell_bisect(b, channels, topology, build, epsilon)
+    return _per_cell_bisect(b, channels, topology, epsilon,
+                            theta=_cell_caps(topology, theta_cap))
 
 
 def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
@@ -301,75 +265,20 @@ def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
     ``candidates_b`` is a list of direction sets for this cell's groups;
     scoring mirrors :func:`local_balance` with fixed directions.
     """
-    def cap(pair):
-        return theta_cap[pair] if hasattr(theta_cap, "__getitem__") \
-            else float(theta_cap)
-
     groups = topology.groups_of_bs(b)
-    best = (0.0, None, -1)
-    for idx, cand in enumerate(candidates_b):
-        own_gain = {(u, g): abs(np.vdot(channels.vec(b, u), cand[g])) ** 2
-                    for u in topology.users_of_bs(b) for g in groups}
-        out_gain = {(u, g): abs(np.vdot(channels.vec(b, u), cand[g])) ** 2
-                    for u in topology.out_of_cell_users(b) for g in groups}
-
-        def probe(t):
-            prob = ConicProblem()
-            pvar = {g: prob.add_scalar_var(name=f"p{g}") for g in groups}
-            for u in topology.users_of_bs(b):
-                g_u = topology.group_of_user[u]
-                incoming = sum(cap((j, u)) for j in range(topology.B)
-                               if j != b)
-                coeffs = {}
-                for g in groups:
-                    coeffs[pvar[g]] = own_gain[(u, g)] if g == g_u \
-                        else -t * own_gain[(u, g)]
-                prob.add_constraint(scalars=coeffs, rel=">=",
-                                    rhs=t * (topology.sigma2[u] + incoming))
-            for u in topology.out_of_cell_users(b):
-                prob.add_constraint(
-                    scalars={pvar[g]: out_gain[(u, g)] for g in groups},
-                    rel="<=", rhs=cap((b, u)))
-            prob.add_constraint(scalars={pvar[g]: 1.0 for g in groups},
-                                rel="<=", rhs=float(topology.p_max[b]))
-            feasible, sol = conic.check_feasibility(prob,
-                                                    return_solution=True)
-            if not feasible:
-                return False, None
-            return True, {g: float(sol.scalar_values[pvar[g]])
-                          for g in groups}
-
-        upper = single_user_upper_bound(channels, topology,
-                                        topology.users_of_bs(b))
-        res = bisect(0.0, upper, epsilon, probe)
-        if res.t > best[0] or best[2] < 0:
-            best = (res.t, res.payload, idx)
-    return best
+    V = _directions(candidates_b, groups, topology.A)
+    system = direction_system(channels, topology, V, cell=b,
+                              theta=_cell_caps(topology, theta_cap),
+                              budget=True)
+    upper = single_user_upper_bound(channels, topology,
+                                    topology.users_of_bs(b))
+    return _best_level(system, groups, upper, epsilon)
 
 
 def uncoordinated_balance(b, channels, topology, epsilon=DEFAULT_EPSILON):
     """Interference-blind per-cell balancing (the non-coordinating
     baseline); its optimistic level must be re-checked with true ICI."""
-    groups = topology.groups_of_bs(b)
-
-    def build(t):
-        prob = ConicProblem()
-        slot = {g: prob.add_psd_var(topology.A, name=f"W{g}")
-                for g in groups}
-        for u in topology.users_of_bs(b):
-            g_u = topology.group_of_user[u]
-            mats = {}
-            for g in groups:
-                H = channels.mat(b, u)
-                mats[slot[g]] = H if g == g_u else -t * H
-            prob.add_constraint(matrix=mats, rel=">=",
-                                rhs=t * topology.sigma2[u])
-        prob.add_constraint(matrix={slot[g]: np.eye(topology.A)
-                                    for g in groups},
-                            rel="<=", rhs=float(topology.p_max[b]))
-        return prob, slot
-
-    return _per_cell_bisect(b, channels, topology, build, epsilon)
+    return _per_cell_bisect(b, channels, topology, epsilon)
 
 
 def achieved_min_sinr(channels, solution, topology):
@@ -400,40 +309,28 @@ class BalanceOutcome:
     per_cell_t: dict = None
 
 
-def _extract_or_randomize(channels, topology, W_by_group, epsilon, gr_count,
-                          rng, rank_tol):
-    ranks = {g: conic.numerical_rank(W, rank_tol)
-             for g, W in W_by_group.items()}
-    if all(r == 1 for r in ranks.values()):
-        sol = BeamformingSolution(W=dict(W_by_group), rank=ranks)
-        for g, W in W_by_group.items():
-            sol.w[g] = extract_rank_one(W, rank_tol)
-            sol.p[g] = float(np.linalg.norm(sol.w[g]) ** 2)
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        draws = {g: gaussian_candidates(W_by_group[g], gr_count, rng)
-                 for g in W_by_group}
-        sets = [{g: draws[g][c] for g in W_by_group}
-                for c in range(gr_count)]
-        t_gr, powers, idx = balance_gaussian_randomization(
-            channels, topology, sets, epsilon)
-        sol = BeamformingSolution(used_randomization=True)
-        for g in W_by_group:
-            sol.w[g] = np.sqrt(powers[g]) * sets[idx][g]
-            sol.p[g] = powers[g]
-            sol.W[g] = np.outer(sol.w[g], sol.w[g].conj())
-            sol.rank[g] = 1
-    sol.sdr_rank = ranks
-    return sol
+def _randomize(W, gr_count, rng, score):
+    """Balancing GR: ``gr_count`` direction sets drawn from the
+    covariances W, the one ``score`` ranks best, at its powers; also
+    returns its level."""
+    draws = {g: gaussian_candidates(W[g], gr_count, rng) for g in W}
+    sets = [{g: draws[g][c] for g in W} for c in range(gr_count)]
+    t, powers, idx = score(sets)
+    return randomized_solution(sets[idx], powers), t
 
 
 def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
                         gr_count=100, rng=None, rank_tol=RANK_ONE_TOL):
     """Full centralized balancing pipeline."""
     res = bisect_balance(channels, topology, epsilon)
-    sol = _extract_or_randomize(channels, topology, res.payload, epsilon,
-                                gr_count, rng, rank_tol)
+    rng = np.random.default_rng() if rng is None else rng
+
+    def randomize(W):
+        return _randomize(W, gr_count, rng, lambda sets:
+                          balance_gaussian_randomization(
+                              channels, topology, sets, epsilon))[0]
+
+    sol = finalize(res.payload, randomize, rank_tol)
     achieved = achieved_min_sinr(channels, sol, topology)
     return BalanceOutcome(t_relaxed=res.t, solution=sol, achieved=achieved,
                           bisection=res)
@@ -442,39 +339,23 @@ def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
 def _per_cell_pipeline(channels, topology, solver, epsilon, gr_count, rng,
                        rank_tol, gr_builder):
     """Shared shell of the distributed and uncoordinated baselines."""
-    combined = BeamformingSolution()
+    combined = BeamformingSolution(sdr_rank={})
     per_cell_t = {}
-    ranks = {}
+    rng = np.random.default_rng() if rng is None else rng
     for b in range(topology.B):
         res = solver(b)
         per_cell_t[b] = res.t
-        W_b = res.payload
-        cell_ranks = {g: conic.numerical_rank(W, rank_tol)
-                      for g, W in W_b.items()}
-        ranks.update(cell_ranks)
-        if all(r == 1 for r in cell_ranks.values()):
-            for g, W in W_b.items():
-                combined.w[g] = extract_rank_one(W, rank_tol)
-                combined.p[g] = float(np.linalg.norm(combined.w[g]) ** 2)
-                combined.W[g] = W
-                combined.rank[g] = 1
-        else:
-            local_rng = rng if rng is not None else np.random.default_rng()
-            groups = topology.groups_of_bs(b)
-            draws = {g: gaussian_candidates(W_b[g], gr_count, local_rng)
-                     for g in groups}
-            sets = [{g: draws[g][c] for g in groups}
-                    for c in range(gr_count)]
-            t_b, powers, idx = gr_builder(b, sets)
-            combined.used_randomization = True
+
+        def randomize(W):
+            sol, t_b = _randomize(W, gr_count, rng,
+                                  lambda sets: gr_builder(b, sets))
             per_cell_t[b] = min(per_cell_t[b], t_b)
-            for g in groups:
-                combined.w[g] = np.sqrt(powers[g]) * sets[idx][g]
-                combined.p[g] = powers[g]
-                combined.W[g] = np.outer(combined.w[g],
-                                         combined.w[g].conj())
-                combined.rank[g] = 1
-    combined.sdr_rank = ranks
+            return sol
+
+        cell = finalize(res.payload, randomize, rank_tol)
+        combined.used_randomization |= cell.used_randomization
+        for part in ("w", "p", "W", "rank", "sdr_rank"):
+            getattr(combined, part).update(getattr(cell, part))
     achieved = achieved_min_sinr(channels, combined, topology)
     return BalanceOutcome(t_relaxed=min(per_cell_t.values()),
                           solution=combined, achieved=achieved,

@@ -34,10 +34,11 @@ def numerical_rank(mat, rel_tol=1e-6):
 def psd_sqrt(mat):
     """Factor L with L L^H = mat, via eigendecomposition.
 
-    Robust for rank-deficient inputs: negative eigenvalues from roundoff
-    are clipped to zero.
+    Robust for rank-deficient inputs: eigenvalues at or below the
+    roundoff level dim * eps * lambda_max, negative ones included, are
+    clipped to zero, so L has no column along a direction mat excludes.
     """
     herm = 0.5 * (np.asarray(mat) + np.asarray(mat).conj().T)
     vals, vecs = sla.eigh(herm)
-    vals = np.maximum(vals, 0.0)
-    return vecs * np.sqrt(vals)
+    floor = len(vals) * np.finfo(float).eps * max(vals[-1], 0.0)
+    return vecs * np.sqrt(np.where(vals > floor, vals, 0.0))

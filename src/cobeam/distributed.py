@@ -11,8 +11,8 @@ Two coordination schemes over per-BS subproblems:
 
 Both exchange scalars only through the backhaul bus, so logged counts
 are the algorithm's real signaling load.  The special-case designs
-(common cap, fixed caps, interference nulling) and the distributed
-Gaussian randomization live here too.
+(common cap, fixed caps, interference nulling, orthogonal access) and
+the distributed Gaussian randomization live here too.
 """
 
 import csv
@@ -22,12 +22,15 @@ import numpy as np
 
 from . import conic
 from .backhaul import MessageBus
-from .conic import ConicProblem, SolveStatus
+from .conic import SolveStatus
 from .errors import (CobeamError, InfeasibleTargetsError,
                      RandomizationFailureError)
-from .network import BeamformingSolution, evaluate_sinr
-from .power_min import (RANK_ONE_TOL, direction_gains, extract_rank_one,
-                        gaussian_candidates, least_powers)
+from .network import (BeamformingSolution, build_topology, evaluate_sinr,
+                      orthogonal_equivalent_target)
+from .power_min import (RANK_ONE_TOL, capped_least_powers,
+                        direction_system, extract_rank_one, finalize,
+                        gaussian_candidates, randomized_solution,
+                        sinr_system)
 
 THETA_FLOOR = 1e-10
 DEFAULT_RHO = 2.0
@@ -58,12 +61,6 @@ class IciIndex:
         """Pair indices BS b participates in (either side)."""
         return [i for i in range(len(self.pairs))
                 if self.interferer(i) == b or self.server(i) == b]
-
-    def outgoing(self, b):
-        return [i for i, (j, _) in enumerate(self.pairs) if j == b]
-
-    def incoming(self, b):
-        return [i for i in range(len(self.pairs)) if self.server(i) == b]
 
 
 @dataclass
@@ -107,9 +104,6 @@ class ConvergenceTrace:
     def iterations(self):
         return len(self.rows)
 
-    def final_power(self):
-        return self.rows[-1]["sum_power"] if self.rows else None
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=[
@@ -127,27 +121,9 @@ def assemble_subproblem(b, channels, topology, theta):
 
     ``theta`` maps directed pairs (j, u) to watts, covering at least the
     pairs that touch cell b.  Incoming values enter the SINR right-hand
-    sides, outgoing ones cap this BS's interference.
+    sides, outgoing ones cap this BS's interference (:func:`sinr_system`).
     """
-    groups = topology.groups_of_bs(b)
-    prob = ConicProblem()
-    slot = {g: prob.add_psd_var(topology.A, name=f"W{g}") for g in groups}
-    prob.set_objective(matrix={slot[g]: np.eye(topology.A) for g in groups})
-    for u in topology.users_of_bs(b):
-        g_u = topology.group_of_user[u]
-        gamma = topology.gamma[u]
-        incoming = sum(theta[(j, u)] for j in range(topology.B) if j != b)
-        mats = {}
-        for g in groups:
-            H = channels.mat(b, u)
-            mats[slot[g]] = H if g == g_u else -gamma * H
-        prob.add_constraint(matrix=mats, rel=">=",
-                            rhs=gamma * (topology.sigma2[u] + incoming),
-                            label=("sinr", u))
-    for u in topology.out_of_cell_users(b):
-        mats = {slot[g]: channels.mat(b, u) for g in groups}
-        prob.add_constraint(matrix=mats, rel="<=", rhs=theta[(b, u)],
-                            label=("cap", (b, u)))
+    prob, slot, _ = sinr_system(channels, topology, cell=b, theta=theta)
     return prob, slot
 
 
@@ -333,7 +309,7 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                          lam=best.get("lam"), mu=best.get("mu"))
     theta_map = {index.pairs[i]: best["theta"][i] for i in range(npairs)}
     trace.solution = _finalize(channels, topology, best["W"], theta_map,
-                               bus, gr_count, rng, rank_tol)
+                               gr_count, rng, rank_tol, bus=bus)
     trace.log = bus.log
     return trace
 
@@ -342,40 +318,34 @@ def _rank_one_margin(channels, topology, W_by_group, rank_tol):
     """min_u SINR(u)/gamma_u - 1 for eigen-extracted beams, or None."""
     if W_by_group is None:
         return None
-    beams = {}
+    sol = BeamformingSolution()
     for g, W in W_by_group.items():
         if conic.numerical_rank(W, rank_tol) > 1:
             return None
-        beams[g] = extract_rank_one(W, rank_tol)
-    sol = BeamformingSolution(w=beams)
+        sol.w[g] = extract_rank_one(W, rank_tol)
     margins = [evaluate_sinr(channels, sol, u, topology) / topology.gamma[u]
                - 1.0 for u in range(topology.U)]
     return float(min(margins))
 
 
-def _finalize(channels, topology, W_by_group, theta_map, bus, gr_count,
-              rng, rank_tol):
-    """Rank check with one-bit exchange, then extraction or local GR."""
-    ranks = {g: conic.numerical_rank(W, rank_tol)
-             for g, W in W_by_group.items()}
-    for b in range(topology.B):
-        all_one = all(ranks[g] == 1 for g in topology.groups_of_bs(b))
-        bus.post(b, None, "rank-bit", [1.0 if all_one else 0.0])
-    bus.deliver()
-    if all(r == 1 for r in ranks.values()):
-        solution = BeamformingSolution(W=dict(W_by_group), rank=ranks)
-        for g, W in W_by_group.items():
-            vec = extract_rank_one(W, rank_tol)
-            solution.w[g] = vec
-            solution.p[g] = float(np.linalg.norm(vec) ** 2)
+def _finalize(channels, topology, W, theta, gr_count, rng, rank_tol,
+              bus=None):
+    """Rank-one extraction, else distributed GR at ICI values ``theta``.
+
+    With a bus, every BS first broadcasts one bit: whether all of its
+    covariances are rank one.  An extracted design reports its sum power.
+    """
+    if bus is not None:
+        for b in range(topology.B):
+            all_one = all(conic.numerical_rank(W[g], rank_tol) == 1
+                          for g in topology.groups_of_bs(b))
+            bus.post(b, None, "rank-bit", [1.0 if all_one else 0.0])
+        bus.deliver()
+    rng = np.random.default_rng() if rng is None else rng
+    solution = finalize(W, lambda W: distributed_gaussian_randomization(
+        channels, topology, W, theta, gr_count, rng, bus=bus), rank_tol)
+    if not solution.used_randomization:
         solution.objective = sum(solution.p.values())
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        solution = distributed_gaussian_randomization(
-            channels, topology, W_by_group, theta_map, gr_count, rng,
-            bus=bus)
-    solution.sdr_rank = ranks
     return solution
 
 
@@ -390,42 +360,17 @@ def assemble_admm_local(b, channels, topology, theta_global, nu_b, rho,
     Variables: this BS's covariances plus one nonnegative local copy per
     ICI pair touching the cell (both directions).  The disagreement
     penalty contributes rho/2 per squared copy on the quadratic diagonal
-    and nu - rho * theta_global on the linear part.
+    and nu - rho * theta_global on the linear part.  Copy variables are
+    keyed by pair index.
     """
     if index is None:
         index = IciIndex(topology)
-    groups = topology.groups_of_bs(b)
-    pairs_b = index.touching(b)
-    prob = ConicProblem()
-    slot = {g: prob.add_psd_var(topology.A, name=f"W{g}") for g in groups}
-    copy_slot = {i: prob.add_scalar_var(name=f"theta~{index.pairs[i]}")
-                 for i in pairs_b}
-    lin = {}
-    quad = {}
-    for i in pairs_b:
-        lin[copy_slot[i]] = float(nu_b[i] - rho * theta_global[i])
-        quad[copy_slot[i]] = rho / 2.0
-    prob.set_objective(
-        matrix={slot[g]: np.eye(topology.A) for g in groups},
-        scalar=lin, scalar_quad=quad)
-    for u in topology.users_of_bs(b):
-        g_u = topology.group_of_user[u]
-        gamma = topology.gamma[u]
-        mats = {}
-        for g in groups:
-            H = channels.mat(b, u)
-            mats[slot[g]] = H if g == g_u else -gamma * H
-        scalars = {copy_slot[index.index[(j, u)]]: -gamma
-                   for j in range(topology.B) if j != b}
-        prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
-                            rhs=gamma * topology.sigma2[u],
-                            label=("sinr", u))
-    for u in topology.out_of_cell_users(b):
-        mats = {slot[g]: channels.mat(b, u) for g in groups}
-        prob.add_constraint(matrix=mats,
-                            scalars={copy_slot[index.index[(b, u)]]: -1.0},
-                            rel="<=", rhs=0.0, label=("cap", (b, u)))
-    return prob, slot, copy_slot
+    copies = {index.pairs[i]: (float(nu_b[i] - rho * theta_global[i]),
+                               rho / 2.0) for i in index.touching(b)}
+    prob, slot, copy_slot = sinr_system(channels, topology, cell=b,
+                                        copies=copies)
+    return prob, slot, {index.index[pair]: j
+                        for pair, j in copy_slot.items()}
 
 
 def admm_global_update(theta_local_pair):
@@ -567,7 +512,7 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
     trace.ici = IciState(index=index, theta=theta.copy(),
                          theta_local=copies.copy(), nu=nu.copy())
     trace.solution = _finalize(channels, topology, restored, restore_map,
-                               bus, gr_count, rng, rank_tol)
+                               gr_count, rng, rank_tol, bus=bus)
     trace.log = bus.log
     trace.best_power = trace.solution.objective
     return trace
@@ -613,28 +558,14 @@ def local_randomization_lp(b, channels, topology, candidates_b, theta):
 def _local_least_powers(b, channels, topology, V, theta):
     """Least powers (C, G_b) of BS b's power LPs for candidate sets V.
 
-    In-cell users see their noise raised by the incoming ICI values.
-    The outgoing caps rise with every power, so a candidate is feasible
-    exactly when its least point also meets them (to ``CAP_RTOL``);
-    rows that are not are ``inf``.
+    In-cell users see their noise raised by the incoming ICI values; a
+    candidate whose least point breaks an outgoing cap by more than
+    ``CAP_RTOL`` is ``inf``.
     """
-    groups = topology.groups_of_bs(b)
-    users = topology.users_of_bs(b)
-    others = topology.out_of_cell_users(b)
-    slot = {g: i for i, g in enumerate(groups)}
-    incoming = [sum(theta[(j, u)] for j in range(topology.B) if j != b)
-                for u in users]
-    h = channels.h[b]
-    p = least_powers(direction_gains(h[users], V),
-                     [slot[topology.group_of_user[u]] for u in users],
-                     topology.gamma[users],
-                     topology.sigma2[users] + incoming)
-    ok = np.isfinite(p).all(axis=1)
-    load = np.einsum("cug,cg->cu", direction_gains(h[others], V),
-                     np.where(ok[:, None], p, 0.0))
-    caps = np.array([theta[(b, u)] for u in others])
-    p[(load > caps * (1 + CAP_RTOL)).any(axis=1)] = np.inf
-    return p
+    users, gains, own, noise, cap_gains, caps = direction_system(
+        channels, topology, V, cell=b, theta=theta)
+    return capped_least_powers(gains, own, topology.gamma[users], noise,
+                               cap_gains, caps, CAP_RTOL)
 
 
 def distributed_gaussian_randomization(channels, topology, W_star, theta,
@@ -673,28 +604,25 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
         raise RandomizationFailureError(
             f"no candidate index feasible at every BS ({count} drawn)")
     pick = int(np.argmin(network))
-    solution = BeamformingSolution(objective=float(network[pick]),
-                                   used_randomization=True)
+    directions, powers = {}, {}
     for b in range(topology.B):
-        V, powers = per_bs[b]
+        V, P = per_bs[b]
         for i, g in enumerate(topology.groups_of_bs(b)):
-            solution.w[g] = np.sqrt(powers[pick, i]) * V[pick, i]
-            solution.p[g] = float(powers[pick, i])
-            solution.W[g] = np.outer(solution.w[g], solution.w[g].conj())
-            solution.rank[g] = 1
+            directions[g], powers[g] = V[pick, i], P[pick, i]
+    solution = randomized_solution(directions, powers,
+                                   objective=float(network[pick]))
     solution.gr_totals = network
     return solution
 
 
 # ---------------------------------------------------------------------------
-# special-case designs (fixed caps, nulling)
+# special-case designs (fixed caps, nulling, orthogonal access)
 
 
 def solve_fixed_ici(channels, topology, theta_value, gr_count=100, rng=None,
                     rank_tol=RANK_ONE_TOL):
     """One-shot per-cell design with predefined ICI caps, no signaling."""
-    index = IciIndex(topology)
-    theta = {pair: float(theta_value) for pair in index.pairs}
+    theta = dict.fromkeys(topology.ici_pairs(), float(theta_value))
     combined = {}
     for b in range(topology.B):
         prob, slot = assemble_subproblem(b, channels, topology, theta)
@@ -704,21 +632,8 @@ def solve_fixed_ici(channels, topology, theta_value, gr_count=100, rng=None,
                 f"fixed-cap subproblem of BS {b} infeasible at "
                 f"theta={theta_value}")
         combined.update({g: sol.matrix_values[k] for g, k in slot.items()})
-    ranks = {g: conic.numerical_rank(W, rank_tol)
-             for g, W in combined.items()}
-    if all(r == 1 for r in ranks.values()):
-        solution = BeamformingSolution(W=combined, rank=ranks)
-        for g, W in combined.items():
-            solution.w[g] = extract_rank_one(W, rank_tol)
-            solution.p[g] = float(np.linalg.norm(solution.w[g]) ** 2)
-        solution.objective = sum(solution.p.values())
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        solution = distributed_gaussian_randomization(
-            channels, topology, combined, theta, gr_count, rng)
-    solution.sdr_rank = ranks
-    return solution
+    return _finalize(channels, topology, combined, theta, gr_count, rng,
+                     rank_tol)
 
 
 def _null_space_basis(channels, topology, b):
@@ -750,41 +665,44 @@ def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
         if basis.shape[1] == 0:
             raise InfeasibleTargetsError(
                 f"BS {b} lacks antennas to null all out-of-cell users")
-        groups = topology.groups_of_bs(b)
-        dim = basis.shape[1]
-        prob = ConicProblem()
-        slot = {g: prob.add_psd_var(dim, name=f"M{g}") for g in groups}
-        prob.set_objective(matrix={slot[g]: np.eye(dim) for g in groups})
-        for u in topology.users_of_bs(b):
-            g_u = topology.group_of_user[u]
-            gamma = topology.gamma[u]
-            h_red = basis.conj().T @ channels.vec(b, u)
-            H_red = np.outer(h_red, h_red.conj())
-            mats = {slot[g]: (H_red if g == g_u else -gamma * H_red)
-                    for g in groups}
-            prob.add_constraint(matrix=mats, rel=">=",
-                                rhs=gamma * topology.sigma2[u],
-                                label=("sinr", u))
+        prob, slot, _ = sinr_system(channels, topology, cell=b, basis=basis)
         sol = conic.solve(prob)
         if sol.status is not SolveStatus.OPTIMAL:
             raise InfeasibleTargetsError(
                 f"nulling design infeasible at BS {b}")
         for g, k in slot.items():
             combined[g] = basis @ sol.matrix_values[k] @ basis.conj().T
-    ranks = {g: conic.numerical_rank(W, rank_tol)
-             for g, W in combined.items()}
-    if all(r == 1 for r in ranks.values()):
-        solution = BeamformingSolution(W=combined, rank=ranks)
-        for g, W in combined.items():
-            solution.w[g] = extract_rank_one(W, rank_tol)
-            solution.p[g] = float(np.linalg.norm(solution.w[g]) ** 2)
-        solution.objective = sum(solution.p.values())
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        index = IciIndex(topology)
-        theta = {pair: 0.0 for pair in index.pairs}
-        solution = distributed_gaussian_randomization(
-            channels, topology, combined, theta, gr_count, rng)
-    solution.sdr_rank = ranks
-    return solution
+    return _finalize(channels, topology, combined,
+                     dict.fromkeys(topology.ici_pairs(), 0.0), gr_count, rng,
+                     rank_tol)
+
+
+def solve_orthogonal(channels, topology, gr_count=100, rng=None):
+    """Per-cell design with orthogonal (time/frequency) access.
+
+    Each cell optimizes alone with no inter-cell interference, but the
+    SINR targets rise to (1 + gamma)^B - 1 to deliver the same rates in
+    a 1/B share of the resources.  The reported objective is the sum of
+    the per-slot transmit powers.
+    """
+    gamma_orth = orthogonal_equivalent_target(topology.gamma, topology.B)
+    topo_orth = build_topology(
+        B=topology.B, G=topology.G, U=topology.U, A=topology.A,
+        gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
+        cell_separation=topology.cell_separation)
+    combined = {}
+    for b in range(topology.B):
+        # no incoming interference, outgoing interference unbounded
+        theta = {(j, u): 0.0 for u in topo_orth.users_of_bs(b)
+                 for j in range(topo_orth.B) if j != b}
+        theta.update({(b, u): 1e9 for u in topo_orth.out_of_cell_users(b)})
+        prob, slot = assemble_subproblem(b, channels, topo_orth, theta)
+        sol = conic.solve(prob)
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise InfeasibleTargetsError(
+                f"orthogonal-access design infeasible at BS {b} "
+                f"(raised target {float(np.max(gamma_orth)):.3g})")
+        combined.update({g: sol.matrix_values[k] for g, k in slot.items()})
+    return _finalize(channels, topo_orth, combined,
+                     dict.fromkeys(topo_orth.ici_pairs(), 1e9), gr_count,
+                     rng, RANK_ONE_TOL)

@@ -7,6 +7,7 @@ Infeasible trials are recorded, never silently dropped.
 """
 
 import csv
+import functools
 import json
 import re
 import time
@@ -14,24 +15,15 @@ from collections import Counter
 
 import numpy as np
 
-from . import conic
 from .balancing import (balance_centralized, balance_distributed,
                         balance_uncoordinated)
 from .distributed import (diminishing_step, run_admm,
                           run_primal_decomposition, solve_fixed_ici,
-                          solve_nulling)
+                          solve_nulling, solve_orthogonal)
 from .errors import (ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
-from .network import (build_topology, orthogonal_equivalent_target,
-                      sample_channels)
-from .power_min import extract_rank_one, solve_centralized
-from .conic import SolveStatus
-
-SCHEMES = (
-    "centralized", "primal-decomp", "admm", "nulling", "fixed-theta",
-    "common-theta", "orthogonal", "balance-centralized",
-    "balance-distributed", "balance-uncoordinated",
-)
+from .network import build_topology, sample_channels
+from .power_min import solve_centralized
 
 # unicode spellings map onto the ascii scheme names
 _SCHEME_ALIASES = {"fixed-θ": "fixed-theta",
@@ -236,7 +228,7 @@ class _SweepPoint:
             rng = self._scheme_rng(k)
             start = time.perf_counter()
             try:
-                for rec, trace in self._run_scheme(scheme, rng):
+                for rec, trace in _RUNNERS[scheme](self, self.config, rng):
                     rec["wall_time_s"] = time.perf_counter() - start
                     records.append(self._finish(rec, scheme))
                     if trace is not None:
@@ -274,67 +266,6 @@ class _SweepPoint:
             rows.append(out)
         return rows
 
-    def _run_scheme(self, scheme, rng):
-        cfg = self.config
-        topo, chans = self.topology, self.channels
-        if scheme == "centralized":
-            sol = solve_centralized(chans, topo, gr_count=cfg.gr_budget,
-                                    rng=rng)
-            yield self._power_record(sol, sol.sdr_objective), None
-        elif scheme == "primal-decomp":
-            trace = run_primal_decomposition(
-                chans, topo, max_iters=cfg.iters, step=cfg.step(),
-                gr_count=cfg.gr_budget, rng=rng)
-            rec = self._power_record(trace.solution, trace.best_power)
-            rec["iterations"] = trace.iterations
-            rec["scalars_exchanged"] = trace.log.total_scalars()
-            yield rec, trace
-        elif scheme == "common-theta":
-            trace = run_primal_decomposition(
-                chans, topo, max_iters=cfg.iters, step=cfg.step(),
-                gr_count=cfg.gr_budget, rng=rng, common_theta=True)
-            rec = self._power_record(trace.solution, trace.best_power)
-            rec["iterations"] = trace.iterations
-            rec["scalars_exchanged"] = trace.log.total_scalars()
-            yield rec, trace
-        elif scheme == "admm":
-            trace = run_admm(chans, topo, max_iters=cfg.iters, rho=cfg.rho,
-                             gr_count=cfg.gr_budget, rng=rng)
-            rec = self._power_record(trace.solution, trace.best_power)
-            rec["iterations"] = trace.iterations
-            rec["scalars_exchanged"] = trace.log.total_scalars()
-            yield rec, trace
-        elif scheme == "nulling":
-            sol = solve_nulling(chans, topo, gr_count=cfg.gr_budget,
-                                rng=rng)
-            yield self._power_record(sol, None), None
-        elif scheme == "fixed-theta":
-            sol = solve_fixed_ici(chans, topo, cfg.theta_fixed,
-                                  gr_count=cfg.gr_budget, rng=rng)
-            rec = self._power_record(sol, None)
-            rec["theta_cap"] = cfg.theta_fixed
-            yield rec, None
-        elif scheme == "orthogonal":
-            sol = solve_orthogonal(chans, topo, gr_count=cfg.gr_budget,
-                                   rng=rng)
-            yield self._power_record(sol, None), None
-        elif scheme == "balance-centralized":
-            out = balance_centralized(chans, topo, epsilon=cfg.epsilon,
-                                      gr_count=cfg.gr_budget, rng=rng)
-            yield self._balance_record(out, None), None
-        elif scheme == "balance-distributed":
-            for cap in cfg.theta_grid:
-                out = balance_distributed(chans, topo, cap,
-                                          epsilon=cfg.epsilon,
-                                          gr_count=cfg.gr_budget, rng=rng)
-                yield self._balance_record(out, cap), None
-        elif scheme == "balance-uncoordinated":
-            out = balance_uncoordinated(chans, topo, epsilon=cfg.epsilon,
-                                        gr_count=cfg.gr_budget, rng=rng)
-            yield self._balance_record(out, None), None
-        else:  # pragma: no cover - guarded by config validation
-            raise ConfigurationError(f"unhandled scheme {scheme}")
-
     def _power_record(self, solution, sdr_bound):
         all_one, avg = _rank_stats(solution, self.topology.G)
         return {"objective": solution.objective,
@@ -342,6 +273,13 @@ class _SweepPoint:
                 "sdr_bound": sdr_bound,
                 "used_randomization": solution.used_randomization,
                 "all_rank_one": all_one, "avg_rank": avg}
+
+    def _trace_record(self, trace):
+        """Record of an iterative scheme, with its trace."""
+        rec = self._power_record(trace.solution, trace.best_power)
+        rec["iterations"] = trace.iterations
+        rec["scalars_exchanged"] = trace.log.total_scalars()
+        return rec, trace
 
     def _balance_record(self, outcome, cap):
         all_one, avg = _rank_stats(outcome.solution, self.topology.G)
@@ -353,55 +291,83 @@ class _SweepPoint:
                 "all_rank_one": all_one, "avg_rank": avg}
 
 
-def solve_orthogonal(channels, topology, gr_count=100, rng=None):
-    """Per-cell design with orthogonal (time/frequency) access.
+# scheme registry: every runner yields (record, trace) pairs and looks its
+# solver up among this module's globals when it runs
 
-    Each cell optimizes alone with no inter-cell interference, but the
-    SINR targets rise to (1 + gamma)^B - 1 to deliver the same rates in
-    a 1/B share of the resources.  The reported objective is the sum of
-    the per-slot transmit powers.
-    """
-    from .distributed import assemble_subproblem
-    from .network import BeamformingSolution
 
-    gamma_orth = orthogonal_equivalent_target(topology.gamma, topology.B)
-    topo_orth = build_topology(
-        B=topology.B, G=topology.G, U=topology.U, A=topology.A,
-        gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
-        cell_separation=topology.cell_separation)
-    combined = {}
-    for b in range(topology.B):
-        theta = {}
-        for u in topo_orth.users_of_bs(b):
-            for j in range(topo_orth.B):
-                if j != b:
-                    theta[(j, u)] = 0.0
-        for u in topo_orth.out_of_cell_users(b):
-            theta[(b, u)] = 1e9
-        prob, slot = assemble_subproblem(b, channels, topo_orth, theta)
-        sol = conic.solve(prob)
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise InfeasibleTargetsError(
-                f"orthogonal-access design infeasible at BS {b} "
-                f"(raised target {float(np.max(gamma_orth)):.3g})")
-        combined.update({g: sol.matrix_values[k] for g, k in slot.items()})
-    ranks = {g: conic.numerical_rank(W) for g, W in combined.items()}
-    solution = BeamformingSolution(W=combined, rank=ranks)
-    if all(r == 1 for r in ranks.values()):
-        for g, W in combined.items():
-            solution.w[g] = extract_rank_one(W)
-            solution.p[g] = float(np.linalg.norm(solution.w[g]) ** 2)
-        solution.objective = sum(solution.p.values())
-    else:
-        from .distributed import distributed_gaussian_randomization, IciIndex
-        if rng is None:
-            rng = np.random.default_rng()
-        index = IciIndex(topo_orth)
-        theta = {p: 1e9 for p in index.pairs}
-        solution = distributed_gaussian_randomization(
-            channels, topo_orth, combined, theta, gr_count, rng)
-    solution.sdr_rank = ranks
-    return solution
+def _centralized(pt, cfg, rng):
+    sol = solve_centralized(pt.channels, pt.topology,
+                            gr_count=cfg.gr_budget, rng=rng)
+    yield pt._power_record(sol, sol.sdr_objective), None
+
+
+def _primal_decomposition(pt, cfg, rng, common_theta=False):
+    yield pt._trace_record(run_primal_decomposition(
+        pt.channels, pt.topology, max_iters=cfg.iters, step=cfg.step(),
+        gr_count=cfg.gr_budget, rng=rng, common_theta=common_theta))
+
+
+def _admm(pt, cfg, rng):
+    yield pt._trace_record(run_admm(
+        pt.channels, pt.topology, max_iters=cfg.iters, rho=cfg.rho,
+        gr_count=cfg.gr_budget, rng=rng))
+
+
+def _nulling(pt, cfg, rng):
+    sol = solve_nulling(pt.channels, pt.topology, gr_count=cfg.gr_budget,
+                        rng=rng)
+    yield pt._power_record(sol, None), None
+
+
+def _fixed_theta(pt, cfg, rng):
+    rec = pt._power_record(solve_fixed_ici(
+        pt.channels, pt.topology, cfg.theta_fixed, gr_count=cfg.gr_budget,
+        rng=rng), None)
+    rec["theta_cap"] = cfg.theta_fixed
+    yield rec, None
+
+
+def _orthogonal(pt, cfg, rng):
+    sol = solve_orthogonal(pt.channels, pt.topology,
+                           gr_count=cfg.gr_budget, rng=rng)
+    yield pt._power_record(sol, None), None
+
+
+def _balance_centralized(pt, cfg, rng):
+    out = balance_centralized(pt.channels, pt.topology, epsilon=cfg.epsilon,
+                              gr_count=cfg.gr_budget, rng=rng)
+    yield pt._balance_record(out, None), None
+
+
+def _balance_distributed(pt, cfg, rng):
+    for cap in cfg.theta_grid:
+        out = balance_distributed(pt.channels, pt.topology, cap,
+                                  epsilon=cfg.epsilon,
+                                  gr_count=cfg.gr_budget, rng=rng)
+        yield pt._balance_record(out, cap), None
+
+
+def _balance_uncoordinated(pt, cfg, rng):
+    out = balance_uncoordinated(pt.channels, pt.topology,
+                                epsilon=cfg.epsilon,
+                                gr_count=cfg.gr_budget, rng=rng)
+    yield pt._balance_record(out, None), None
+
+
+_RUNNERS = {
+    "centralized": _centralized,
+    "primal-decomp": _primal_decomposition,
+    "admm": _admm,
+    "nulling": _nulling,
+    "fixed-theta": _fixed_theta,
+    "common-theta": functools.partial(_primal_decomposition,
+                                      common_theta=True),
+    "orthogonal": _orthogonal,
+    "balance-centralized": _balance_centralized,
+    "balance-distributed": _balance_distributed,
+    "balance-uncoordinated": _balance_uncoordinated,
+}
+SCHEMES = tuple(_RUNNERS)
 
 
 def emit_results(records, path, format="csv", columns=None):

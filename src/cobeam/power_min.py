@@ -1,9 +1,13 @@
-"""Centralized sum-power minimization.
+"""Centralized sum-power minimization and the pieces every design shares.
 
 Pipeline: relax each beamformer outer product to a PSD covariance, solve
 the QoS SDP, then either extract rank-one beamformers directly or fall
 back to Gaussian randomization, where each candidate direction set gets
 its least feasible powers (the exact optimum of its power-allocation LP).
+The relaxed SINR system (:func:`sinr_system`), the fixed-direction power
+kernel (:func:`least_powers`, :func:`capped_least_powers`) and the
+rank-one-or-randomize tail (:func:`finalize`) serve the distributed and
+balancing designs too.
 """
 
 import numpy as np
@@ -20,29 +24,86 @@ POLICY_RTOL = 1e-12        # demand margin that switches a binding user
 SINR_RTOL = 1e-9           # slack of the closing SINR check
 
 
-def assemble_qos_sdp(channels, topology):
-    """QoS power-minimization SDP over all groups.
+def sinr_system(channels, topology, cell=None, level=None, theta=None,
+                copies=None, budget=False, objective=True, basis=None):
+    """The relaxed SINR system every covariance design is built from.
 
-    One A x A Hermitian PSD variable per group; per-user constraint
-    Tr(H_{b,u} W_g) - gamma_u * sum of interfering traces >= gamma_u
-    sigma_u^2; objective sum of traces.
+    One PSD covariance W_g per group and one row per user u, served by
+    group g_u at target t_u:
+
+        Tr(H_u W_{g_u}) - t_u sum_{g != g_u} Tr(H_u W_g)
+            >= t_u (sigma_u^2 + incoming ICI of u)
+
+    ``cell`` None spans the network, each group seen through its own BS;
+    ``cell`` b keeps BS b's groups and users.  ``level`` replaces every
+    target gamma_u by one balancing level.  For a cell, ``theta`` maps
+    directed pairs (j, u) to ICI values: incoming ones raise the noise,
+    outgoing ones cap Tr(H_{b,u} sum_g W_g) <= theta_{b,u}.  ``copies``
+    maps the same pairs to ADMM (linear, quadratic) objective weights and
+    makes their ICI values local scalar variables instead.  ``budget``
+    adds sum_g Tr(W_g) <= p_max per BS; ``objective`` minimizes the sum
+    of traces (else the problem is a feasibility check); ``basis``
+    confines a cell's covariances to span(basis) by projecting channels.
+    Rows come in the order SINR, cap, budget.  Returns the problem,
+    group -> matrix variable and pair -> copy variable.
     """
+    groups = range(topology.G) if cell is None \
+        else topology.groups_of_bs(cell)
+    users = range(topology.U) if cell is None else topology.users_of_bs(cell)
+    dim = topology.A if basis is None else basis.shape[1]
     prob = ConicProblem()
-    for g in range(topology.G):
-        prob.add_psd_var(topology.A, name=f"W{g}")
-    prob.set_objective(
-        matrix={g: np.eye(topology.A) for g in range(topology.G)})
-    for u in range(topology.U):
-        g_u = topology.group_of_user[u]
-        gamma = topology.gamma[u]
+    slot = {g: prob.add_psd_var(dim, name=f"W{g}") for g in groups}
+    copies = copies or {}
+    copy_slot = {pair: prob.add_scalar_var(name=f"theta~{pair}")
+                 for pair in copies}
+    if objective:
+        prob.set_objective(
+            matrix={slot[g]: np.eye(dim) for g in groups},
+            scalar={copy_slot[pair]: w[0] for pair, w in copies.items()},
+            scalar_quad={copy_slot[pair]: w[1]
+                         for pair, w in copies.items()})
+
+    def channel(b, u):
+        if basis is None:
+            return channels.mat(b, u)
+        h = basis.conj().T @ channels.vec(b, u)
+        return np.outer(h, h.conj())
+
+    ici = cell is not None and (theta is not None or bool(copies))
+    for u in users:
+        t = topology.gamma[u] if level is None else level
+        into = [(j, u) for j in range(topology.B) if j != cell] if ici else []
         mats = {}
-        for g in range(topology.G):
-            H = channels.mat(topology.bs_of_group[g], u)
-            mats[g] = H if g == g_u else -gamma * H
-        prob.add_constraint(matrix=mats, rel=">=",
-                            rhs=gamma * topology.sigma2[u],
+        for g in groups:
+            H = channel(topology.bs_of_group[g], u)
+            mats[slot[g]] = H if g == topology.group_of_user[u] else -t * H
+        if copies:
+            scalars, incoming = {copy_slot[pair]: -t for pair in into}, 0
+        else:
+            scalars, incoming = None, sum(theta[pair] for pair in into)
+        prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
+                            rhs=t * (topology.sigma2[u] + incoming),
                             label=("sinr", u))
-    return prob
+    if ici:
+        for u in topology.out_of_cell_users(cell):
+            pair = (cell, u)
+            scalars, cap = ({copy_slot[pair]: -1.0}, 0.0) if copies \
+                else (None, theta[pair])
+            prob.add_constraint(
+                matrix={slot[g]: channel(cell, u) for g in groups},
+                scalars=scalars, rel="<=", rhs=cap, label=("cap", pair))
+    if budget:
+        for b in range(topology.B) if cell is None else [cell]:
+            prob.add_constraint(
+                matrix={slot[g]: np.eye(dim)
+                        for g in topology.groups_of_bs(b)},
+                rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
+    return prob, slot, copy_slot
+
+
+def assemble_qos_sdp(channels, topology):
+    """QoS power-minimization SDP over all groups (:func:`sinr_system`)."""
+    return sinr_system(channels, topology)[0]
 
 
 def extract_rank_one(W, rank_tol=RANK_ONE_TOL):
@@ -96,8 +157,9 @@ def least_powers(gains, own, gamma, noise):
     the feasible powers have a least element, the exact optimum of the
     sum-power LP.  Policy iteration from p = 0 rises to it: each round
     solves (I - D) p = c for every group's binding user.  A solution that
-    is not strictly positive, a singular I - D or a zero own gain proves
-    infeasibility (Collatz-Wielandt).  Returns (C, G) powers with a row
+    is not strictly positive where c is, a singular I - D or a zero own
+    gain proves infeasibility (Collatz-Wielandt); a zero target asks for
+    nothing, even of a zero gain.  Returns (C, G) powers with a row
     of ``inf`` where a candidate is infeasible, unsettled after
     ``MAX_POLICY_ROUNDS`` or short of a target in the closing check.
     """
@@ -105,7 +167,7 @@ def least_powers(gains, own, gamma, noise):
     C, U, G = gains.shape
     users, own = np.arange(U), np.asarray(own)
     own_gain = gains[:, users, own]
-    dead = (own_gain <= 0).any(axis=1)
+    dead = ((own_gain <= 0) & (np.asarray(gamma) > 0)).any(axis=1)
     # user u's demand on its group's power is R[u] . p + q[u]
     scale = np.asarray(gamma) / np.where(own_gain > 0, own_gain, 1.0)
     R = scale[..., None] * gains
@@ -130,9 +192,11 @@ def least_powers(gains, own, gamma, noise):
         M = np.eye(G) - R[live[:, None], policy[live]]
         singular = np.linalg.det(M) == 0    # spectral radius one
         M[singular] = np.eye(G)
-        p_live = np.linalg.solve(
-            M, q[live[:, None], policy[live]][..., None])[..., 0]
-        bad = singular | ~(p_live > 0).all(axis=1)
+        c = q[live[:, None], policy[live]]
+        p_live = np.linalg.solve(M, c[..., None])[..., 0]
+        # a group nobody asks anything of solves to an exact zero
+        bad = singular | ~((p_live > 0) | ((p_live == 0) & (c == 0))).all(
+            axis=1)
         dead[live[bad]] = settled[live[bad]] = True
         p[live] = np.where(bad[:, None], 0.0, p_live)
     else:
@@ -141,6 +205,58 @@ def least_powers(gains, own, gamma, noise):
     dead |= (p[:, own] < demand * (1 - SINR_RTOL)).any(axis=1)
     p[dead] = np.inf
     return p
+
+
+def capped_least_powers(gains, own, gamma, noise, cap_gains, caps,
+                        rtol=0.0):
+    """:func:`least_powers` under extra caps sum_g cap_gains[c, k, g] p_g
+    <= caps[k] (1 + rtol), such as outgoing ICI caps or power budgets.
+
+    Every cap rises with every power, so a candidate meets its caps at
+    some feasible point exactly when its least point meets them; rows
+    whose least point does not are ``inf``.
+    """
+    p = least_powers(gains, own, gamma, noise)
+    ok = np.isfinite(p).all(axis=1)
+    load = np.einsum("ckg,cg->ck", cap_gains, np.where(ok[:, None], p, 0.0))
+    p[(load > np.asarray(caps) * (1 + rtol)).any(axis=1)] = np.inf
+    return p
+
+
+def direction_system(channels, topology, V, cell=None, theta=None,
+                     budget=False):
+    """Fixed-direction counterpart of :func:`sinr_system`.
+
+    For candidate direction sets ``V`` (C, G, A) of the network's groups,
+    or of BS ``cell``'s groups, returns the users, their gains (C, U, G),
+    served-group columns and noise, and the cap rows, the arguments of
+    :func:`capped_least_powers` bar the targets.  A cell's noise rises by
+    its incoming ``theta`` and its outgoing ``theta`` values cap it;
+    ``budget`` adds one row sum_g p_g <= p_max per BS.
+    """
+    if cell is None:
+        groups, users = range(topology.G), list(range(topology.U))
+        bss, own = range(topology.B), topology.group_of_user
+        gains = direction_gains(channels.h[list(topology.bs_of_group)], V)
+        noise = topology.sigma2
+        cap_gains, caps = np.zeros((len(V), 0, topology.G)), []
+    else:
+        groups, users = topology.groups_of_bs(cell), topology.users_of_bs(cell)
+        others, bss = topology.out_of_cell_users(cell), [cell]
+        own = [groups.index(topology.group_of_user[u]) for u in users]
+        h = channels.h[cell]
+        gains = direction_gains(h[users], V)
+        noise = topology.sigma2[users] + [
+            sum(theta[(j, u)] for j in range(topology.B) if j != cell)
+            for u in users]
+        cap_gains = direction_gains(h[others], V)
+        caps = [theta[(cell, u)] for u in others]
+    if budget:
+        member = [[topology.bs_of_group[g] == b for g in groups] for b in bss]
+        cap_gains = np.concatenate([cap_gains, np.broadcast_to(
+            member, (len(V), len(bss), len(groups)))], axis=1)
+        caps = caps + [topology.p_max[b] for b in bss]
+    return users, gains, own, noise, cap_gains, caps
 
 
 def candidate_power_lp(channels, topology, candidates):
@@ -158,9 +274,22 @@ def candidate_power_lp(channels, topology, candidates):
 
 def _network_least_powers(channels, topology, V):
     """Least powers (C, G) of the full network for candidate sets V."""
-    H = channels.h[list(topology.bs_of_group)]
-    return least_powers(direction_gains(H, V), topology.group_of_user,
-                        topology.gamma, topology.sigma2)
+    _, gains, own, noise, cap_gains, caps = direction_system(
+        channels, topology, V)
+    return capped_least_powers(gains, own, topology.gamma, noise, cap_gains,
+                               caps)
+
+
+def randomized_solution(directions, powers, **fields):
+    """Rank-one solution sqrt(p_g) v_g from group -> unit direction and
+    group -> power, as Gaussian randomization picks it."""
+    solution = BeamformingSolution(used_randomization=True, **fields)
+    for g, v in directions.items():
+        solution.w[g] = np.sqrt(powers[g]) * v
+        solution.p[g] = float(powers[g])
+        solution.W[g] = np.outer(solution.w[g], solution.w[g].conj())
+        solution.rank[g] = 1
+    return solution
 
 
 def randomize_from_covariances(channels, topology, W_star, count, rng,
@@ -184,13 +313,28 @@ def randomize_from_covariances(channels, topology, W_star, count, rng,
             sdr_solution=BeamformingSolution(
                 W=dict(W_star), objective=sdr_objective))
     pick = int(np.argmin(totals))
-    solution = BeamformingSolution(objective=float(totals[pick]),
-                                   used_randomization=True)
-    for g in groups:
-        solution.w[g] = np.sqrt(powers[pick, g]) * V[pick, g]
-        solution.p[g] = float(powers[pick, g])
-        solution.W[g] = np.outer(solution.w[g], solution.w[g].conj())
-        solution.rank[g] = 1
+    return randomized_solution(dict(zip(groups, V[pick])),
+                               dict(zip(groups, powers[pick])),
+                               objective=float(totals[pick]))
+
+
+def finalize(W, randomize, rank_tol=RANK_ONE_TOL):
+    """Beamformers from relaxed covariances: principal components when
+    every covariance is rank one, else the caller's Gaussian
+    randomization step ``randomize(W)``.
+
+    Every design ends here.  The extracted solution carries no
+    objective; the caller states what its design reports.
+    """
+    ranks = {g: conic.numerical_rank(M, rank_tol) for g, M in W.items()}
+    if all(r == 1 for r in ranks.values()):
+        solution = BeamformingSolution(W=dict(W), rank=ranks)
+        for g, M in W.items():
+            solution.w[g] = extract_rank_one(M, rank_tol)
+            solution.p[g] = float(np.linalg.norm(solution.w[g]) ** 2)
+    else:
+        solution = randomize(W)
+    solution.sdr_rank = ranks
     return solution
 
 
@@ -211,22 +355,14 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
     if sol.status is not SolveStatus.OPTIMAL:
         raise InfeasibleTargetsError(
             f"relaxation solve failed with status {sol.status}")
-    W_star = {g: sol.matrix_values[g] for g in range(topology.G)}
-    ranks = {g: conic.numerical_rank(W_star[g], rank_tol)
-             for g in W_star}
-    if all(r <= 1 for r in ranks.values()):
-        solution = BeamformingSolution(W=W_star, rank=ranks,
-                                       objective=sol.objective)
-        for g, W in W_star.items():
-            vec = extract_rank_one(W, rank_tol)
-            solution.w[g] = vec
-            solution.p[g] = float(np.linalg.norm(vec) ** 2)
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        solution = randomize_from_covariances(
-            channels, topology, W_star, gr_count, rng,
-            sdr_objective=sol.objective)
+    rng = np.random.default_rng() if rng is None else rng
+    solution = finalize(
+        {g: sol.matrix_values[g] for g in range(topology.G)},
+        lambda W: randomize_from_covariances(
+            channels, topology, W, gr_count, rng,
+            sdr_objective=sol.objective),
+        rank_tol)
+    if not solution.used_randomization:
+        solution.objective = sol.objective
     solution.sdr_objective = sol.objective
-    solution.sdr_rank = ranks
     return solution

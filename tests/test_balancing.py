@@ -13,7 +13,8 @@ from cobeam.balancing import (achieved_min_sinr, assemble_feasibility,
                               local_balance, local_balance_gr,
                               single_user_upper_bound,
                               uncoordinated_balance)
-from cobeam.power_min import gaussian_candidates
+from cobeam.power_min import (capped_least_powers, direction_system,
+                              gaussian_candidates)
 
 
 def two_cell(seed, **overrides):
@@ -154,6 +155,124 @@ class TestBalanceRandomization:
         t, powers, idx = balance_gaussian_randomization(chans, topo, sets,
                                                         epsilon=1e-3)
         assert t <= res.t + 1e-3
+
+
+def aimed_directions(rng, chans, topo, groups, count, b=None):
+    """Random unit directions per group, tilted toward its users."""
+    sets = []
+    for _ in range(count):
+        cand = {}
+        for g in groups:
+            v = rng.standard_normal(topo.A) + 1j * rng.standard_normal(topo.A)
+            for u in topo.users_of_group(g):
+                v = v + chans.vec(topo.bs_of_group[g], u)
+            cand[g] = v / np.linalg.norm(v)
+        sets.append(cand)
+    return sets
+
+
+def highs_rows(chans, topo, cand, b=None, theta=None):
+    """The fixed-direction LP of one direction set, built with np.vdot:
+    users, gains, served columns, noise, cap rows (outgoing caps of cell
+    b, then the power budgets) and caps."""
+    groups = range(topo.G) if b is None else topo.groups_of_bs(b)
+    users = range(topo.U) if b is None else topo.users_of_bs(b)
+    bss = range(topo.B) if b is None else [b]
+
+    def gain_rows(us):
+        return np.array([[abs(np.vdot(chans.vec(topo.bs_of_group[g], u),
+                                      cand[g])) ** 2
+                          for g in groups] for u in us]).reshape(-1,
+                                                                 len(groups))
+
+    noise = [topo.sigma2[u] + (0.0 if b is None else sum(
+        theta[(j, u)] for j in range(topo.B) if j != b)) for u in users]
+    others = [] if b is None else topo.out_of_cell_users(b)
+    caps = [theta[(b, u)] for u in others] + [topo.p_max[j] for j in bss]
+    cap_rows = np.vstack([gain_rows(others), [
+        [float(topo.bs_of_group[g] == j) for g in groups] for j in bss]])
+    own = [list(groups).index(topo.group_of_user[u]) for u in users]
+    return list(users), gain_rows(users), own, noise, cap_rows, caps
+
+
+class TestBalancingProbesAgainstHighs:
+    """A balancing GR probe at level t is the least point at targets t,
+    feasible exactly when it meets the budgets and caps."""
+
+    def check_probes(self, highs_powers, b=None, make_theta=None):
+        rng = np.random.default_rng(40 if b is None else 41)
+        outcomes = set()
+        for trial in range(12):
+            topo, chans = two_cell(200 + trial, G=4, U=8,
+                                   p_max=float(rng.uniform(1, 20)))
+            theta = make_theta(rng, topo) if make_theta else None
+            groups = range(topo.G) if b is None else topo.groups_of_bs(b)
+            sets = aimed_directions(rng, chans, topo, groups, 4)
+            V = np.array([[cand[g] for g in groups] for cand in sets])
+            system = direction_system(chans, topo, V, cell=b, theta=theta,
+                                      budget=True)
+            users, gains, own, noise, cap_gains, caps = system
+            for c, cand in enumerate(sets):
+                rows = highs_rows(chans, topo, cand, b, theta)
+                for t in 10 ** rng.uniform(-1.5, 1.0, size=4):
+                    target = np.full(len(users), t)
+                    p = capped_least_powers(gains[c:c + 1], own, target,
+                                            noise, cap_gains[c:c + 1],
+                                            caps)[0]
+                    x = highs_powers(rows[1], rows[2], target, rows[3],
+                                     cap_gains=rows[4], caps=rows[5])
+                    if x is None:
+                        assert np.isinf(p).all()
+                        bare = highs_powers(rows[1], rows[2], target,
+                                            rows[3])
+                        outcomes.add("sinr" if bare is None else "caps")
+                    else:
+                        np.testing.assert_allclose(p, x, rtol=1e-7)
+                        outcomes.add("feasible")
+        assert outcomes == {"sinr", "caps", "feasible"}
+
+    def test_network_form(self, highs_powers):
+        self.check_probes(highs_powers)
+
+    def test_per_cell_form(self, highs_powers):
+        def theta(rng, topo):
+            # incoming ICI assumed into cell 0, outgoing caps out of it
+            return {(j, u): float(10 ** rng.uniform(-2, 0.5))
+                    for (j, u) in topo.ici_pairs()}
+
+        self.check_probes(highs_powers, b=0, make_theta=theta)
+
+    @pytest.mark.parametrize("cell", [None, 1])
+    def test_pick_matches_highs_bisection(self, highs_powers, cell):
+        topo, chans = two_cell(230, G=4, U=8)
+        rng = np.random.default_rng(42)
+        theta = {pair: 0.3 for pair in topo.ici_pairs()}
+        groups = range(topo.G) if cell is None else topo.groups_of_bs(cell)
+        sets = aimed_directions(rng, chans, topo, groups, 12)
+        if cell is None:
+            got = balance_gaussian_randomization(chans, topo, sets, 1e-3)
+            upper = single_user_upper_bound(chans, topo)
+        else:
+            got = local_balance_gr(cell, chans, topo, sets, 0.3, 1e-3)
+            upper = single_user_upper_bound(chans, topo,
+                                            topo.users_of_bs(cell))
+        best = (0.0, None, -1)
+        for idx, cand in enumerate(sets):
+            _, gains, own, noise, cap_rows, caps = highs_rows(
+                chans, topo, cand, cell, theta)
+
+            def probe(t):
+                x = highs_powers(gains, own, np.full(len(own), t), noise,
+                                 cap_gains=cap_rows, caps=caps)
+                return x is not None, x
+
+            res = bisect(0.0, upper, 1e-3, probe)
+            if res.t > best[0] or best[2] < 0:
+                best = (res.t, res.payload, idx)
+        assert got[2] == best[2]
+        assert got[0] == best[0]
+        np.testing.assert_allclose([got[1][g] for g in groups], best[1],
+                                   rtol=1e-7)
 
 
 class TestLocalBalance:

@@ -97,6 +97,17 @@ class TestAgainstHighs:
             assert (x is None) == (factor > 1)
             assert_agree(p, x)
 
+    def test_zero_target_asks_nothing(self, highs_powers):
+        # a user at target zero needs no power, even with no own gain
+        rng = np.random.default_rng(37)
+        gains, own, gamma, noise = random_instance(rng, 1, 2, 2)
+        gains[0, 1, own[1]] = 0.0
+        gamma[1] = 0.0
+        p = least_powers(gains, own, gamma, noise)
+        assert_agree(p[0], highs_powers(gains[0], own, gamma, noise))
+        zero = least_powers(gains, own, np.zeros(4), noise)
+        np.testing.assert_array_equal(zero, 0.0)
+
     def test_singular_policy_system(self, highs_powers):
         # gamma exactly at the threshold: I - D is singular
         gains = np.ones((1, 2, 2))

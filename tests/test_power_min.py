@@ -125,6 +125,20 @@ class TestGaussianCandidates:
         rng = np.random.default_rng(10)
         assert gaussian_candidates(np.eye(2), 0, rng) == []
 
+    def test_excluded_direction_stays_out(self):
+        # a covariance built orthogonal to h: its roundoff-sized
+        # eigenvalue along h must not turn into a 1e-8 leak toward h
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for _ in range(5):
+            h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            X = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+            X -= np.outer(h, h.conj() @ X) / np.vdot(h, h)
+            W = X @ X.conj().T
+            for v in gaussian_candidates(W, 200, rng):
+                worst = max(worst, abs(np.vdot(h, v)) / np.linalg.norm(h))
+        assert worst < 1e-13
+
     def test_matches_per_candidate_loop(self):
         # the per-candidate loop the block draw replaced
         def loop(W, count, rng):
