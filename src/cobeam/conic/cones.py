@@ -1,117 +1,186 @@
 """Symmetric-cone kernel shared by the interior-point solvers.
 
 A point of the cone ``S+^{d_1} x ... x S+^{d_k} x R+^n`` is stored as one
-flat vector: each PSD block is packed with :func:`svec` (scaled upper
-triangle, so that the packed inner product equals the trace inner
-product) followed by the entries of the nonnegative block.
+flat real vector: each PSD block is packed with :func:`svec` so that the
+packed inner product equals the trace inner product, followed by the
+entries of the nonnegative block.
 
-Consecutive PSD blocks of equal dimension form a *run*.  The kernel
-unpacks a run into one ``(..., k, d, d)`` stack with a single gather and
-applies every operation (congruence, Cholesky, SVD, eigenvalues) to the
-whole stack at once; a leading batch axis on the flat vector carries
-through, so the m constraint rows are scaled by one stacked product.
+A block is real symmetric or complex Hermitian.  A real block packs its
+scaled upper triangle (``d(d+1)/2`` reals).  A Hermitian block packs
+``d^2`` reals: the diagonal, then the real and then the imaginary parts
+of the strict upper triangle, scaled by sqrt(2) and 2, so that packed
+vectors have the inner product ``2 Re Tr(U V) = Tr(embed(U) embed(V))``
+of the real ``2d x 2d`` embedding ``[[Re, -Im], [Im, Re]]``.  A Hermitian
+block is thus an isometric image of its embedding and has barrier
+degree 2d, and the interior-point method takes the same path on either
+form while factoring d x d complex matrices instead of 2d x 2d real ones.
+
+Consecutive PSD blocks of equal dimension and kind form a *run*.  The
+kernel unpacks a run into one ``(..., k, d, d)`` stack with a single
+gather and applies every operation (congruence, Cholesky, SVD,
+eigenvalues) to the whole stack at once; a leading batch axis on the
+flat vector carries through, so the m constraint rows are scaled by one
+stacked product.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
 _SQRT2 = float(np.sqrt(2.0))
 
-# cached (rows, cols, pack-scale, gather map, unpack-scale) per dimension
+# Packing maps of one block.  Per packed entry: its matrix ``rows`` and
+# ``cols``, its ``pack`` scale and its ``flat`` index into the block's
+# float view (the interleaved re/im view of a complex block).  Per matrix
+# entry (and re/im part): ``where`` it sits in the packing and the
+# ``unscale`` dividing it out; the diagonal's imaginary part divides by
+# inf to read as zero.
+_Index = namedtuple("_Index", "rows cols pack flat where unscale")
 _SVEC_CACHE = {}
 
 
-def _svec_index(dim):
+def _svec_index(dim, complex=False):
     try:
-        return _SVEC_CACHE[dim]
+        return _SVEC_CACHE[dim, complex]
     except KeyError:
-        rows, cols = np.triu_indices(dim)
+        pass
+    rows, cols = np.triu_indices(dim)
+    if not complex:
         pack = np.where(rows == cols, 1.0, _SQRT2)
-        # (dim, dim) map from a matrix entry to its svec position
         where = np.empty((dim, dim), dtype=np.intp)
         where[rows, cols] = np.arange(len(rows))
         where[cols, rows] = np.arange(len(rows))
-        _SVEC_CACHE[dim] = (rows, cols, pack, where, pack[where])
-        return _SVEC_CACHE[dim]
+        index = _Index(rows, cols, pack, rows * dim + cols, where,
+                       pack[where])
+    else:
+        diag = np.arange(dim)
+        up_r, up_c = np.triu_indices(dim, 1)
+        n_up = len(up_r)
+        rows = np.concatenate([diag, up_r, up_r])
+        cols = np.concatenate([diag, up_c, up_c])
+        part = np.repeat([0, 0, 1], [dim, n_up, n_up])
+        pack = np.where(rows == cols, _SQRT2, 2.0)
+        where = np.empty((dim, dim, 2), dtype=np.intp)
+        unscale = np.empty((dim, dim, 2))
+        where[diag, diag] = diag[:, None]
+        unscale[diag, diag] = [_SQRT2, np.inf]
+        re = dim + np.arange(n_up)
+        for r, c, sign in ((up_r, up_c, 2.0), (up_c, up_r, -2.0)):
+            where[r, c, 0], where[r, c, 1] = re, re + n_up
+            unscale[r, c, 0], unscale[r, c, 1] = 2.0, sign
+        index = _Index(rows, cols, pack, 2 * (rows * dim + cols) + part,
+                       where, unscale)
+    _SVEC_CACHE[dim, complex] = index
+    return index
 
 
-def svec_len(dim):
-    return dim * (dim + 1) // 2
+def svec_len(dim, complex=False):
+    return dim * dim if complex else dim * (dim + 1) // 2
 
 
 def svec(mat):
-    """Pack symmetric matrices (the last two axes) so that
-    svec(A) @ svec(B) == Tr(A B)."""
-    rows, cols, pack = _svec_index(mat.shape[-1])[:3]
-    return mat[..., rows, cols] * pack
+    """Pack symmetric or Hermitian matrices (the last two axes) so that
+    svec(A) @ svec(B) == Tr(A B) (twice Re Tr(A B) if Hermitian)."""
+    mat = np.asarray(mat)
+    herm = np.iscomplexobj(mat)
+    index = _svec_index(mat.shape[-1], herm)
+    flat = mat.reshape(mat.shape[:-2] + (mat.shape[-1] ** 2,))
+    if herm:
+        # re/im interleaved
+        flat = np.ascontiguousarray(flat).view(np.float64)
+    return np.take(flat, index.flat, axis=-1) * index.pack
 
 
-def smat(vec, dim):
+def smat(vec, dim, complex=False):
     """Inverse of :func:`svec` on the last axis."""
-    where, scale = _svec_index(dim)[3:]
-    return vec[..., where] / scale
+    index = _svec_index(dim, complex)
+    out = vec[..., index.where] / index.unscale
+    return out.view(np.complex128)[..., 0] if complex else out
 
 
-def _T(stack):
-    return np.swapaxes(stack, -1, -2)
+def _H(stack):
+    """Conjugate transpose of the last two axes (a plain transpose of a
+    real stack)."""
+    out = np.swapaxes(stack, -1, -2)
+    return out.conj() if np.iscomplexobj(out) else out
 
 
 class Run:
-    """``count`` consecutive PSD blocks of dimension ``dim``, the first
-    being block ``first``, packed contiguously in ``span``.
+    """``count`` consecutive PSD blocks of dimension ``dim``, all real or
+    all Hermitian (``complex``), the first being block ``first``, packed
+    contiguously in ``span``.
 
     Converting between the packed span and the (count, dim, dim) stack
     is one precomputed gather each way.
     """
 
-    def __init__(self, dim, first, count, start):
-        self.dim, self.first, self.count = dim, first, count
-        length = svec_len(dim)
+    def __init__(self, dim, complex, first, count, start):
+        self.dim, self.complex = dim, complex
+        self.first, self.count = first, count
+        self.dtype = np.complex128 if complex else np.float64
+        length = svec_len(dim, complex)
         self.span = slice(start, start + count * length)
-        rows, cols, pack, where, scale = _svec_index(dim)
+        index = _svec_index(dim, complex)
         blocks = np.arange(count)
-        self._gather = blocks[:, None, None] * length + where
-        self._unscale = scale
-        self._scatter = (blocks[:, None] * dim * dim
-                         + rows * dim + cols).ravel()
-        self._scale = np.tile(pack, count)
+        self._gather = (blocks.reshape((count,) + (1,) * index.where.ndim)
+                        * length + index.where)
+        self._unscale = index.unscale
+        self._entries = count * dim * dim
+        floats = dim * dim * (2 if complex else 1)
+        self._scatter = (blocks[:, None] * floats + index.flat).ravel()
+        self._scale = np.tile(index.pack, count)
 
     def unpack(self, seg):
         """(..., count, dim, dim) stack of a packed (..., span) segment."""
-        return np.take(seg, self._gather, axis=-1) / self._unscale
+        out = np.take(seg, self._gather, axis=-1) / self._unscale
+        return out.view(np.complex128)[..., 0] if self.complex else out
 
     def pack(self, stack):
         """Inverse of :meth:`unpack`."""
-        flat = stack.reshape(stack.shape[:-3]
-                             + (self.count * self.dim * self.dim,))
+        flat = stack.reshape(stack.shape[:-3] + (self._entries,))
+        if self.complex:
+            flat = flat.view(np.float64)
         return np.take(flat, self._scatter, axis=-1) * self._scale
 
 
 class ConeLayout:
-    """Block structure of the cone: PSD dimensions then a nonnegative tail."""
+    """Block structure of the cone: PSD blocks then a nonnegative tail.
 
-    def __init__(self, psd_dims, nonneg):
+    ``psd_complex`` marks the Hermitian blocks (default: all real).
+    """
+
+    def __init__(self, psd_dims, nonneg, psd_complex=None):
         self.psd_dims = tuple(int(d) for d in psd_dims)
+        self.psd_complex = tuple(bool(c) for c in psd_complex) \
+            if psd_complex is not None else (False,) * len(self.psd_dims)
+        blocks = list(zip(self.psd_dims, self.psd_complex))
         self.nonneg = int(nonneg)
-        self.svec_lens = [svec_len(d) for d in self.psd_dims]
+        self.svec_lens = [svec_len(d, c) for d, c in blocks]
         offs = np.cumsum([0] + self.svec_lens)
         self.psd_offsets = offs[:-1]
         self.nn_offset = int(offs[-1])
         self.size = self.nn_offset + self.nonneg
-        # barrier degree: d per PSD block, 1 per orthant entry
-        self.degree = sum(self.psd_dims) + self.nonneg
+        # barrier degree: d per real block and 2d per Hermitian one (as
+        # its embedding), 1 per orthant entry
+        self.degree = sum(2 * d if c else d for d, c in blocks) \
+            + self.nonneg
         self.runs = []
         first = 0
-        for dim, group in itertools.groupby(self.psd_dims):
+        for (dim, cplx), group in itertools.groupby(blocks):
             count = len(list(group))
-            self.runs.append(Run(dim, first, count, int(offs[first])))
+            self.runs.append(Run(dim, cplx, first, count, int(offs[first])))
             first += count
-        # packed positions of every diagonal entry, block by block
-        self._diag_pos = np.concatenate(
-            [np.zeros(0, dtype=np.intp)]
-            + [off + np.diagonal(_svec_index(d)[3])
-               for d, off in zip(self.psd_dims, self.psd_offsets)])
+        # packed positions and scales of every diagonal entry, block by
+        # block
+        pos, scale = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        for (d, c), off in zip(blocks, self.psd_offsets):
+            index = _svec_index(d, c)
+            diag = np.flatnonzero(index.rows == index.cols)
+            pos.append(off + diag)
+            scale.append(index.pack[diag])
+        self._diag_pos = np.concatenate(pos)
+        self._diag_scale = np.concatenate(scale)
         self._identity = self.diag(
             [np.ones((r.count, r.dim)) for r in self.runs],
             np.ones(self.nonneg))
@@ -124,7 +193,7 @@ class ConeLayout:
         (k, d) array of diagonals per run."""
         out = np.zeros(self.size)
         out[self._diag_pos] = np.concatenate(
-            [np.zeros(0)] + [s.ravel() for s in psd])
+            [np.zeros(0)] + [s.ravel() for s in psd]) * self._diag_scale
         out[self.nn_offset:] = nn
         return out
 
@@ -142,9 +211,9 @@ class ConeLayout:
         return out
 
     def psd_block(self, vec, i):
-        dim = self.psd_dims[i]
         off = self.psd_offsets[i]
-        return smat(vec[off:off + svec_len(dim)], dim)
+        return smat(vec[off:off + self.svec_lens[i]], self.psd_dims[i],
+                    self.psd_complex[i])
 
     def nn_block(self, vec):
         return vec[..., self.nn_offset:]
@@ -153,11 +222,13 @@ class ConeLayout:
 class NTScaling:
     """Nesterov-Todd scaling of a strictly feasible primal/dual pair.
 
-    For each PSD block the factor R satisfies ``X = R L R^T`` and
-    ``Z = R^{-T} L R^{-1}`` with a common diagonal scaled point L; for
-    the orthant ``w = sqrt(x/z)`` and ``lam = sqrt(x z)``.  ``R``,
-    ``Rinv`` and ``lam_psd`` hold one stack per run of the layout;
-    ``jitters`` counts the blocks whose Cholesky factor needed jitter.
+    For each PSD block the factor R satisfies ``X = R L R^H`` and
+    ``Z = R^{-H} L R^{-1}`` with a common diagonal scaled point L (^H is
+    the plain transpose on a real block); for the orthant
+    ``w = sqrt(x/z)`` and ``lam = sqrt(x z)``.  ``R``, ``Rinv``, their
+    adjoints ``Rh``, ``Rinvh`` and ``lam_psd`` hold one stack per run of
+    the layout; ``jitters`` counts the blocks whose Cholesky factor
+    needed jitter.
     """
 
     def __init__(self, layout, x, z):
@@ -169,12 +240,14 @@ class NTScaling:
         for X, Z in zip(layout.unpack(x), layout.unpack(z)):
             Lx = self._cholesky(X)
             Lz = self._cholesky(Z)
-            U, s, Vt = np.linalg.svd(_T(Lz) @ Lx)
+            U, s, Vh = np.linalg.svd(_H(Lz) @ Lx)
             s = np.maximum(s, 1e-300)
             sq = np.sqrt(s)[..., None, :]
-            self.R.append(Lx @ (_T(Vt) / sq))
-            self.Rinv.append(_T(U / sq) @ _T(Lz))
+            self.R.append(Lx @ (_H(Vh) / sq))
+            self.Rinv.append(_H(U / sq) @ _H(Lz))
             self.lam_psd.append(s)
+        self.Rh = [_H(R) for R in self.R]
+        self.Rinvh = [_H(Ri) for Ri in self.Rinv]
         xn = layout.nn_block(x)
         zn = layout.nn_block(z)
         self.w_nn = np.sqrt(xn / zn)
@@ -183,8 +256,9 @@ class NTScaling:
         # entry (r, c) of a PSD block, lam on the orthant
         pair = [np.zeros(0)]
         for r, s in zip(layout.runs, self.lam_psd):
-            rows, cols = _svec_index(r.dim)[:2]
-            pair.append((0.5 * (s[:, rows] + s[:, cols])).ravel())
+            index = _svec_index(r.dim, r.complex)
+            pair.append((0.5 * (s[:, index.rows]
+                                + s[:, index.cols])).ravel())
         pair.append(self.lam_nn)
         self._lam_pair = np.concatenate(pair)
 
@@ -202,27 +276,28 @@ class NTScaling:
     #    any leading batch axes carry through) --
 
     def scale_dual(self, dz):
-        """W^T dz: dual direction into scaled space."""
+        """W^H dz: dual direction into scaled space."""
         lay = self.layout
         return self.scale_dual_blocks(lay.unpack(dz), lay.nn_block(dz))
 
     def scale_dual_blocks(self, stacks, nn):
-        """W^T on data already unpacked into per-run stacks."""
-        return self.layout.pack([_T(R) @ D @ R for R, D in
-                                 zip(self.R, stacks)], nn * self.w_nn)
+        """W^H on data already unpacked into per-run stacks."""
+        return self.layout.pack([Rh @ D @ R for Rh, R, D in
+                                 zip(self.Rh, self.R, stacks)],
+                                nn * self.w_nn)
 
     def unscale_dual(self, g):
-        """W^{-T} g: scaled-space vector back to a dual-space vector."""
+        """W^{-H} g: scaled-space vector back to a dual-space vector."""
         lay = self.layout
-        return lay.pack([_T(Ri) @ G @ Ri for Ri, G in
-                         zip(self.Rinv, lay.unpack(g))],
+        return lay.pack([Rih @ G @ Ri for Rih, Ri, G in
+                         zip(self.Rinvh, self.Rinv, lay.unpack(g))],
                         lay.nn_block(g) / self.w_nn)
 
     def unscale_primal(self, u):
         """W u: scaled-space vector back to a primal-space vector."""
         lay = self.layout
-        return lay.pack([R @ U @ _T(R) for R, U in
-                         zip(self.R, lay.unpack(u))],
+        return lay.pack([R @ U @ Rh for R, Rh, U in
+                         zip(self.R, self.Rh, lay.unpack(u))],
                         lay.nn_block(u) * self.w_nn)
 
     # -- Jordan algebra on scaled-space vectors --
@@ -245,7 +320,7 @@ class NTScaling:
         mats = []
         for U, V in zip(lay.unpack(u), lay.unpack(v)):
             UV = U @ V
-            mats.append(0.5 * (UV + _T(UV)))
+            mats.append(0.5 * (UV + _H(UV)))
         return lay.pack(mats, lay.nn_block(u) * lay.nn_block(v))
 
     def max_step(self, du_scaled, dv_scaled):
@@ -272,7 +347,7 @@ def _chol(mat):
 
     Returns the factor and whether jitter was needed.
     """
-    scale = max(np.trace(mat) / mat.shape[0], 1e-300)
+    scale = max(np.real(np.trace(mat)) / mat.shape[0], 1e-300)
     jitter = 0.0
     for _ in range(8):
         try:

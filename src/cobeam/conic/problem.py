@@ -5,10 +5,11 @@ scalar variables, a linear objective over trace terms and scalars with
 optional nonnegative diagonal quadratic terms on the scalars, and linear
 trace-form constraints with relation <=, >= or ==.
 
-Complex Hermitian data is lowered to real symmetric form through the
-standard 2d x 2d embedding ``[[Re, -Im], [Im, Re]]``; coefficient
-matrices are halved so objective and constraint values are preserved
-exactly (:func:`embed_hermitian`).
+A complex Hermitian variable stays one d x d Hermitian cone block through
+compilation and the solve (see :mod:`.cones`).  The real 2d x 2d
+embedding ``[[Re, -Im], [Im, Re]]`` of :func:`embed_hermitian` rewrites a
+problem into an equivalent all-real one; the solver does not use it, and
+it serves as an independent check of the Hermitian blocks.
 """
 
 from dataclasses import dataclass, field
@@ -201,11 +202,6 @@ class ConicSolution:
         return self.status is SolveStatus.OPTIMAL
 
 
-def _lower(var, H):
-    """Real coefficient(s) of a matrix variable; H may be a stack."""
-    return 0.5 * embed_matrix(H) if var.complex else np.real(H)
-
-
 def embed_hermitian(problem):
     """Rewrite complex-Hermitian matrix variables as real 2d x 2d blocks.
 
@@ -223,7 +219,8 @@ def embed_hermitian(problem):
     out.scalar_names = list(problem.scalar_names)
 
     def lower(i, H):
-        return _lower(problem.matrix_vars[i], H)
+        return 0.5 * embed_matrix(H) if problem.matrix_vars[i].complex \
+            else np.real(H)
 
     out.obj_matrix = {i: lower(i, C) for i, C in problem.obj_matrix.items()}
     out.obj_scalar = dict(problem.obj_scalar)
@@ -236,23 +233,29 @@ def embed_hermitian(problem):
 
 
 class CompiledProblem:
-    """Standard form min c'x + x'Qx/2 s.t. Ax = b, x in K (real data).
+    """Standard form min c'x + x'Qx/2 s.t. Ax = b, x in K (real packed
+    data).
 
-    Inequalities get one orthant slack each; rows are scaled by the
-    inverse max-abs coefficient.  ``row_scale`` maps internal equality
-    multipliers back to user-space duals.  ``A_blocks`` holds the PSD
-    part of the scaled rows as one (m, k, d, d) stack per run of the
-    layout; the PSD columns of ``A`` are its packing.
+    Each complex variable is one Hermitian block carrying its
+    coefficients halved, so that packed inner products (twice the real
+    trace) keep objective and constraint values.  Inequalities get one
+    orthant slack each; rows are scaled by the inverse max-abs
+    coefficient of the row as it reads under the real embedding of
+    :func:`embed_hermitian`, so both forms take the same path.
+    ``row_scale`` maps internal equality multipliers back to user-space
+    duals.  ``A_blocks`` holds the PSD part of the scaled rows as one
+    (m, k, d, d) stack per run of the layout; the PSD columns of ``A``
+    are its packing.
     """
 
     def __init__(self, problem):
         self.source = problem
         cons = problem.constraints
-        dims = [2 * v.dim if v.complex else v.dim
-                for v in problem.matrix_vars]
         m = len(cons)
         self.n_slack = sum(1 for c in cons if c.relation != "==")
-        self.layout = ConeLayout(dims, problem.num_scalars + self.n_slack)
+        self.layout = ConeLayout([v.dim for v in problem.matrix_vars],
+                                 problem.num_scalars + self.n_slack,
+                                 [v.complex for v in problem.matrix_vars])
         lay = self.layout
         self.scalar_off = lay.nn_offset
         self.slack_off = lay.nn_offset + problem.num_scalars
@@ -266,7 +269,14 @@ class CompiledProblem:
         rows, blocks = self._rows([con.matrix_coeffs for con in cons],
                                    [con.scalar_coeffs for con in cons])
         rhs = np.array([con.rhs for con in cons], dtype=float)
-        norm = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
+        # a Hermitian block's packed entries are sqrt(2) times those of
+        # its embedding
+        embedded = np.ones(lay.size)
+        for run in lay.runs:
+            if run.complex:
+                embedded[run.span] = 1.0 / np.sqrt(2.0)
+        norm = np.maximum((np.abs(rows) * embedded).max(axis=1),
+                          np.abs(rhs))
         scale = np.where(norm > 1.0, 1.0 / norm, 1.0)
         self.A = rows * scale[:, None]
         self.A_blocks = [blk * scale[:, None, None, None] for blk in blocks]
@@ -288,15 +298,15 @@ class CompiledProblem:
         rows = np.zeros((m, lay.size))
         stacks = []
         for run in lay.runs:
-            stack = np.zeros((m, run.count, run.dim, run.dim))
+            stack = np.zeros((m, run.count, run.dim, run.dim), run.dtype)
             for j in range(run.count):
                 i = run.first + j
                 have = [k for k, coeffs in enumerate(matrix_coeffs)
                         if i in coeffs]
                 if have:
-                    stack[have, j] = _lower(
-                        self.source.matrix_vars[i],
-                        np.array([matrix_coeffs[k][i] for k in have]))
+                    coeffs = np.array([matrix_coeffs[k][i] for k in have])
+                    stack[have, j] = 0.5 * coeffs if run.complex \
+                        else np.real(coeffs)
             rows[:, run.span] = svec(stack).reshape(
                 m, run.span.stop - run.span.start)
             stacks.append(stack)
@@ -324,11 +334,8 @@ class CompiledProblem:
 
     def extract_point(self, x):
         """Split an internal point into user matrix/scalar values."""
-        lay = self.layout
-        mats = []
-        for i, var in enumerate(self.source.matrix_vars):
-            block = lay.psd_block(x, i)
-            mats.append(unembed_matrix(block) if var.complex else block)
+        mats = [self.layout.psd_block(x, i)
+                for i in range(len(self.source.matrix_vars))]
         scalars = x[self.scalar_off:self.scalar_off +
                     self.source.num_scalars].copy()
         return mats, scalars

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from cobeam.conic import ConicProblem, SolveStatus, solve
+from cobeam.conic import ConicProblem, SolveStatus, embed_matrix, solve
 from cobeam.conic.cones import ConeLayout, NTScaling, _chol
 
 EPS = np.finfo(float).eps
@@ -270,3 +270,185 @@ def test_duplicated_equality_row_counts_schur_ridge():
     # ratio Tr(W)/Tr(FW) = 1/lambda_max(F), or on t at ratio 1
     want = 3.0 / np.linalg.eigvalsh(F)[-1]
     assert sol.objective == pytest.approx(want, rel=1e-6)
+
+
+# -- Hermitian blocks against the real kernel on their embedding -------------
+#
+# A Hermitian block must be an isometric image of its real 2d x 2d
+# embedding, so each operation is checked against the all-real kernel
+# applied to the embedded point.  NT factors R are unique only up to a
+# unitary (the embedding doubles every eigenvalue), so scaled-space
+# results are compared through compositions that do not depend on it:
+# Gram matrices, W a W, and Jordan products mapped back by W^{-H}.
+
+HERMITIAN = ([3, 3, 4, 4, 1, 2], [False, False, True, True, True, False], 3)
+
+
+def ref_hvec(mat):
+    """Per-block reference packing of a Hermitian block."""
+    r, c = np.triu_indices(mat.shape[0], 1)
+    return np.concatenate([np.sqrt(2.0) * mat.diagonal().real,
+                           2.0 * mat[r, c].real, 2.0 * mat[r, c].imag])
+
+
+def ref_hmat(vec, dim):
+    r, c = np.triu_indices(dim, 1)
+    n = len(r)
+    out = np.diag(vec[:dim] / np.sqrt(2.0)).astype(complex)
+    out[r, c] = (vec[dim:dim + n] + 1j * vec[dim + n:]) / 2.0
+    out[c, r] = out[r, c].conj()
+    return out
+
+
+class Hermitian:
+    """The mixed layout, its all-real embedded twin, and maps between
+    packed points of the two."""
+
+    def __init__(self):
+        dims, cplx, nonneg = HERMITIAN
+        self.lay = ConeLayout(dims, nonneg, cplx)
+        self.emb = ConeLayout([2 * d if c else d for d, c in zip(dims, cplx)],
+                              nonneg)
+        self.rng = np.random.default_rng(17)
+
+    def pack(self, mats, nn):
+        return np.concatenate(
+            [ref_hvec(M) if c else ref_svec(M)
+             for M, c in zip(mats, self.lay.psd_complex)] + [np.asarray(nn)])
+
+    def blocks(self, vec):
+        lay = self.lay
+        return [(ref_hmat if c else ref_smat)(vec[off:off + n], d)
+                for d, c, off, n in zip(lay.psd_dims, lay.psd_complex,
+                                        lay.psd_offsets, lay.svec_lens)]
+
+    def embed(self, vec):
+        """Embedded packed point of a native one (rows along axis 0)."""
+        if vec.ndim == 2:
+            return np.stack([self.embed(v) for v in vec])
+        mats = [embed_matrix(M) if c else M for M, c in
+                zip(self.blocks(vec), self.lay.psd_complex)]
+        return ref_pack(self.emb, mats, vec[self.lay.nn_offset:])
+
+    def random_mats(self, interior):
+        mats = []
+        for d, c in zip(self.lay.psd_dims, self.lay.psd_complex):
+            G = self.rng.standard_normal((d, d))
+            if c:
+                G = G + 1j * self.rng.standard_normal((d, d))
+            mats.append(G @ G.conj().T / d + np.eye(d) if interior
+                        else 0.5 * (G + G.conj().T))
+        return mats
+
+    def interior(self):
+        return self.pack(self.random_mats(True),
+                         self.rng.uniform(0.5, 2.0, self.lay.nonneg))
+
+    def vec(self, *batch):
+        if batch:
+            return np.stack([self.vec() for _ in range(batch[0])])
+        return self.pack(self.random_mats(False),
+                         self.rng.standard_normal(self.lay.nonneg))
+
+
+@pytest.fixture
+def herm():
+    h = Hermitian()
+    x, z = h.interior(), h.interior()
+    return (h, NTScaling(h.lay, x, z), NTScaling(h.emb, h.embed(x),
+                                                 h.embed(z)), x, z)
+
+
+def test_hermitian_runs_and_degree(herm):
+    h = herm[0]
+    assert [(r.dim, r.complex, r.count) for r in h.lay.runs] == \
+        [(3, False, 2), (4, True, 2), (1, True, 1), (2, False, 1)]
+    assert h.lay.svec_lens == [6, 6, 16, 16, 1, 3]
+    assert h.lay.degree == h.emb.degree
+    assert h.lay.size < h.emb.size
+
+
+def test_hermitian_pack_round_trip(herm):
+    h = herm[0]
+    mats = h.random_mats(False)
+    nn = h.rng.standard_normal(h.lay.nonneg)
+    vec = h.pack(mats, nn)
+    blocks = per_block(h.lay.unpack(vec))
+    for got, want, i in zip(blocks, mats, range(len(mats))):
+        close(got, want)
+        close(h.lay.psd_block(vec, i), want)
+    close(h.lay.pack(h.lay.unpack(vec), h.lay.nn_block(vec)), vec)
+    close(h.lay.identity(),
+          h.pack([np.eye(d) for d in h.lay.psd_dims], np.ones(h.lay.nonneg)))
+    rows = h.vec(3)
+    back = h.lay.pack(h.lay.unpack(rows), h.lay.nn_block(rows))
+    for k in range(3):
+        close(back[k], rows[k])
+    # an empty batch (a problem without constraint rows) packs too
+    none = rows[:0]
+    assert h.lay.pack(h.lay.unpack(none), h.lay.nn_block(none)).shape == \
+        (0, h.lay.size)
+
+
+def test_hermitian_inner_product(herm):
+    h = herm[0]
+    u, v = h.vec(), h.vec()
+    close(u @ v, h.embed(u) @ h.embed(v))
+    want = sum((2.0 if c else 1.0) * np.real(np.trace(U @ V)) for U, V, c in
+               zip(h.blocks(u), h.blocks(v), h.lay.psd_complex))
+    close(u @ v, want + h.lay.nn_block(u) @ h.lay.nn_block(v))
+    close(h.lay.identity() @ h.lay.identity(), h.lay.degree)
+
+
+def test_hermitian_lam_psd_listed_twice(herm):
+    h, sc, ref, x, z = herm
+    for s, s_ref, c in zip(per_block(sc.lam_psd), per_block(ref.lam_psd),
+                           h.lay.psd_complex):
+        close(np.sort(np.repeat(s, 2) if c else s), np.sort(s_ref))
+    close(sc.lam_nn, ref.lam_nn)
+    # the NT scaling matrix W = R R^H is unique, and embeds
+    W = [R @ R.conj().T for R in per_block(sc.R)]
+    W_ref = [R @ R.T for R in per_block(ref.R)]
+    for Wn, We, c in zip(W, W_ref, h.lay.psd_complex):
+        close(embed_matrix(Wn) if c else Wn, We)
+    # and it maps z onto lam and lam onto x
+    lam = h.lay.diag(sc.lam_psd, sc.lam_nn)
+    close(sc.scale_dual(z), lam)
+    close(sc.unscale_primal(lam), x)
+    assert sc.jitters == 0
+
+
+def test_hermitian_max_step(herm):
+    h, sc, ref = herm[:3]
+    for scale in (0.1, 1.0, 10.0):
+        dz1, dz2 = scale * h.vec(), scale * h.vec()
+        got = sc.max_step(sc.scale_dual(dz1), sc.scale_dual(dz2))
+        want = ref.max_step(ref.scale_dual(h.embed(dz1)),
+                            ref.scale_dual(h.embed(dz2)))
+        assert got == pytest.approx(want, rel=RTOL)
+    assert sc.max_step(h.lay.identity(), sc.lambda_sq()) == 1e12
+
+
+def test_hermitian_scaling_maps(herm):
+    h, sc, ref = herm[:3]
+    rows = h.vec(5)
+    rows_e = h.embed(rows)
+    scaled, scaled_e = sc.scale_dual(rows), ref.scale_dual(rows_e)
+    # Schur Gram matrix of the scaled rows
+    close(scaled @ scaled.T, scaled_e @ scaled_e.T)
+    close(sc.scale_dual_blocks(h.lay.unpack(rows), h.lay.nn_block(rows)),
+          scaled)
+    # W a W, and W^{-H} inverting W^H
+    close(h.embed(sc.unscale_primal(scaled)), ref.unscale_primal(scaled_e))
+    close(sc.unscale_dual(scaled), rows)
+    # (A W B + B W A)/2 from the scaled-space Jordan product
+    a, b = scaled[0], scaled[1]
+    a_e, b_e = scaled_e[0], scaled_e[1]
+    close(h.embed(sc.unscale_dual(sc.jordan_prod(a, b))),
+          ref.unscale_dual(ref.jordan_prod(a_e, b_e)))
+    # lam o v and its inverse
+    lam = h.lay.diag(sc.lam_psd, sc.lam_nn)
+    close(sc.lam_prod(a), sc.jordan_prod(lam, a))
+    close(sc.jordan_prod(lam, sc.jordan_div(a)), a)
+    close(h.embed(sc.lambda_sq()) @ h.embed(a),
+          ref.lambda_sq() @ ref.jordan_div(ref.lam_prod(a_e)))

@@ -8,6 +8,10 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           numerical_rank, principal_eigenpair, psd_sqrt,
                           solve, unembed_matrix,
                           verify_infeasibility_certificate)
+from cobeam.balancing import assemble_feasibility, single_user_upper_bound
+from cobeam.distributed import IciIndex, assemble_admm_local
+from cobeam.network import build_topology, sample_channels
+from cobeam.power_min import assemble_qos_sdp
 
 
 def rand_channel(rng, dim):
@@ -220,6 +224,54 @@ class TestHermitianEmbedding:
         s1 = solve(prob)
         s2 = solve(emb)
         assert s2.objective == pytest.approx(s1.objective, abs=1e-9)
+
+
+class TestHermitianMirror:
+    """Hermitian cone blocks against the real embedding of the same
+    problem: the embedding is an isometry, so both take the same path."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qos_matches_embedding(self, seed):
+        topo = build_topology(B=2, G=6, U=12, A=12, gamma=10 ** 0.1)
+        prob = assemble_qos_sdp(sample_channels(topo, seed), topo)
+        native, emb = solve(prob), solve(embed_hermitian(prob))
+        assert native.status is emb.status is SolveStatus.OPTIMAL
+        assert native.iterations == emb.iterations
+        assert native.objective == pytest.approx(emb.objective, rel=1e-9)
+        np.testing.assert_allclose(native.duals, emb.duals, rtol=0,
+                                   atol=1e-7)
+        for W, W_emb in zip(native.matrix_values, emb.matrix_values):
+            np.testing.assert_allclose(W, unembed_matrix(W_emb), rtol=0,
+                                       atol=1e-7 * np.abs(W).max())
+
+    def test_infeasible_matches_embedding(self):
+        topo = build_topology(B=2, G=2, U=4, A=4)
+        chans = sample_channels(topo, 0)
+        prob = assemble_feasibility(
+            chans, topo, 1.5 * single_user_upper_bound(chans, topo))
+        for sol in (solve(prob), solve(embed_hermitian(prob))):
+            assert sol.status is SolveStatus.INFEASIBLE
+            assert verify_infeasibility_certificate(
+                prob, sol.certificate["weights"])["ok"]
+
+    def test_quadratic_matches_embedding(self):
+        # an ADMM local step: rho/2 theta^2 terms take the QP variant
+        topo = build_topology(B=2, G=2, U=4, A=6)
+        index = IciIndex(topo)
+        rng = np.random.default_rng(3)
+        prob = assemble_admm_local(
+            0, sample_channels(topo, 3), topo,
+            rng.uniform(0.1, 1.0, len(index)),
+            rng.uniform(-0.5, 0.5, len(index)), 1.0, index)[0]
+        assert prob.has_quadratic()
+        native, emb = solve(prob), solve(embed_hermitian(prob))
+        assert native.status is emb.status is SolveStatus.OPTIMAL
+        assert native.iterations == emb.iterations
+        assert native.objective == pytest.approx(emb.objective, rel=1e-9)
+        np.testing.assert_allclose(native.duals, emb.duals, rtol=0,
+                                   atol=1e-7)
+        np.testing.assert_allclose(native.scalar_values, emb.scalar_values,
+                                   rtol=0, atol=1e-7)
 
 
 class TestSolverInvariants:
