@@ -14,6 +14,11 @@ goes through a dense Schur complement; directions are polished by
 iterative refinement at the full KKT level, where residuals only need
 matrix-vector products and single scaling applications, so they stay
 accurate far below the current duality gap.
+
+A problem whose objective is identically zero only asks whether its
+constraints are feasible, so the homogeneous embedding stops at the
+first iterate that yields a feasible point or a Farkas certificate
+confirmed by direct evaluation.
 """
 
 from dataclasses import dataclass
@@ -27,6 +32,13 @@ from .problem import CompiledProblem, ConicProblem, ConicSolution, SolveStatus
 
 DEFAULT_TOL = 1e-8
 ACCEPT_TOL = 1e-7
+FARKAS_MARGIN = 1e-8
+# a Farkas aggregate counts as nonpositive on the cone when its top
+# eigenvalue (or scalar value) is at most this multiple of
+# sum_k |w_k| ||F_k||_F, the rounding error of forming and factoring it:
+# an exactly semidefinite, rank-deficient aggregate computes to +1e-17
+# as often as to -1e-17
+AGGREGATE_ROUNDOFF = 100 * np.finfo(float).eps
 MAX_ITER = 200
 STEP_FRACTION = 0.99
 REFINE_STEPS = 2
@@ -282,10 +294,10 @@ def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
 def check_feasibility(problem, tol=DEFAULT_TOL, return_solution=False):
     """Decide feasibility of the constraint system, ignoring objectives.
 
-    A stalled solve can still settle the question when its best iterate
-    satisfies every constraint directly (the point is its own
-    certificate); otherwise the check raises
-    :class:`IndeterminateError`.
+    The solve of the objective-free system screens every iterate for a
+    feasible point and for a Farkas certificate, each confirmed by
+    direct evaluation, and stops at the first; when it ends without
+    either, the check raises :class:`IndeterminateError`.
     """
     stripped = ConicProblem(
         matrix_vars=problem.matrix_vars,
@@ -297,23 +309,6 @@ def check_feasibility(problem, tol=DEFAULT_TOL, return_solution=False):
         return (True, sol) if return_solution else True
     if sol.status is SolveStatus.INFEASIBLE:
         return (False, sol) if return_solution else False
-    if sol.matrix_values is not None \
-            and point_violation(stripped, sol) <= ACCEPT_TOL:
-        return (True, sol) if return_solution else True
-    # stalled: the dual iterate may still aggregate into a verifiable
-    # Farkas combination even without a clean detector hit
-    if sol.duals is not None:
-        weights = np.array([(-d if con.relation == "<=" else d)
-                            for d, con in zip(sol.duals,
-                                              stripped.constraints)])
-        if np.abs(weights).max() > 0:
-            check = verify_infeasibility_certificate(stripped, weights)
-            if check["ok"]:
-                sol.certificate = {
-                    "weights": weights / np.abs(weights).max(),
-                    "violation": check["violation"]}
-                sol.status = SolveStatus.INFEASIBLE
-                return (False, sol) if return_solution else False
     raise IndeterminateError(
         f"feasibility check inconclusive after {sol.iterations} iterations "
         f"(residuals {sol.kkt})")
@@ -341,44 +336,134 @@ def point_violation(problem, solution):
     return worst
 
 
-def verify_infeasibility_certificate(problem, weights, margin=1e-8,
+def verify_infeasibility_certificate(problem, weights, margin=FARKAS_MARGIN,
                                      tol=1e-6):
     """Check a Farkas certificate by direct evaluation.
 
     ``weights`` holds one signed multiplier per constraint (>= rows
-    nonnegative, <= rows nonpositive).  The certificate is valid when
-    the aggregated functional is nonpositive on the cone while the
-    aggregated right-hand side is strictly positive.
+    nonnegative, <= rows nonpositive); a weight of the wrong sign by at
+    most ``tol`` (relative to the largest) counts as zero, a larger one
+    fails the check.  The certificate is valid when the aggregated
+    functional is nonpositive on the cone (no aggregated block has a
+    positive eigenvalue, no scalar aggregate is positive, each up to the
+    rounding error of forming it, see :data:`AGGREGATE_ROUNDOFF`) while
+    the aggregated right-hand side is at least ``margin``.  A functional
+    that is positive on the cone certifies nothing, however small it is,
+    since a large enough feasible point outweighs it.
     """
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
     sign_ok = True
-    viol = 0.0
     for k, con in enumerate(problem.constraints):
-        if con.relation == ">=" and w[k] < -tol:
-            sign_ok = False
-        if con.relation == "<=" and w[k] > tol:
-            sign_ok = False
-        viol += w[k] * con.rhs
+        wrong = (con.relation == ">=" and w[k] < 0) \
+            or (con.relation == "<=" and w[k] > 0)
+        if wrong:
+            sign_ok = sign_ok and abs(w[k]) <= tol
+            w[k] = 0.0
+    viol = float(sum(w[k] * con.rhs
+                     for k, con in enumerate(problem.constraints)))
+    cone_ok = True
     max_cone = -np.inf
     for i, var in enumerate(problem.matrix_vars):
         P = np.zeros((var.dim, var.dim), dtype=complex)
-        norm = 0.0
+        norm = size = 0.0
         for k, con in enumerate(problem.constraints):
             F = con.matrix_coeffs.get(i)
             if F is not None:
                 P = P + w[k] * F
                 norm = max(norm, np.abs(F).max())
+                size += abs(w[k]) * np.linalg.norm(F)
         top = float(sla.eigvalsh(0.5 * (P + P.conj().T))[-1])
+        cone_ok = cone_ok and top <= AGGREGATE_ROUNDOFF * size
         max_cone = max(max_cone, top / max(1.0, norm))
     for j in range(problem.num_scalars):
-        a = sum(w[k] * con.scalar_coeffs.get(j, 0.0)
-                for k, con in enumerate(problem.constraints))
+        terms = [w[k] * con.scalar_coeffs.get(j, 0.0)
+                 for k, con in enumerate(problem.constraints)]
+        a = sum(terms)
+        cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, terms))
         max_cone = max(max_cone, a)
-    ok = sign_ok and viol >= margin and max_cone <= tol
+    ok = sign_ok and viol >= margin and cone_ok
     return {"ok": ok, "violation": viol, "max_cone_value": max_cone,
             "signs_ok": sign_ok}
+
+
+class _FeasibilityScreens:
+    """Early exits of a solve whose objective is identically zero.
+
+    With nothing to optimize, any feasible point is optimal and any
+    Farkas combination settles infeasibility, so each homogeneous
+    iterate is screened for both on the compiled rows: the point x/tau
+    for its normalized row gaps, the dual iterate y (wrong-sign entries
+    clipped to zero) for an aggregate that is nonpositive on the cone
+    with a positive right-hand side.  A screen that passes is confirmed
+    once on the source problem by :func:`point_violation` or
+    :func:`verify_infeasibility_certificate` before the solve stops.
+    """
+
+    def __init__(self, compiled):
+        self.compiled = compiled
+        rel = [con.relation for con in compiled.source.constraints]
+        # +1 on >= rows, -1 on <= rows, 0 on == rows: the sign a row's
+        # gap b - a'x and a Farkas weight must carry
+        self.sense = np.array([{">=": 1.0, "<=": -1.0, "==": 0.0}[r]
+                               for r in rel])
+        self.A_user = compiled.A[:, :compiled.slack_off]
+        self.A_scalar = compiled.A[:, compiled.scalar_off:compiled.slack_off]
+        # (m, k) Frobenius norms of every row's blocks, per run
+        self.block_norms = [np.linalg.norm(blocks, axis=(-2, -1))
+                            for blocks in compiled.A_blocks]
+
+    def point(self, x, tau):
+        """OPTIMAL solution at x/tau if it satisfies every row, else None.
+
+        The row gaps are those of :func:`point_violation` in compiled
+        units: a row scaled by s has its gap and its normalizer
+        max(1, |rhs|, |value|) scaled by s.
+        """
+        comp = self.compiled
+        val = self.A_user @ (x[:comp.slack_off] / tau)
+        diff = comp.b - val
+        gap = np.where(self.sense == 0.0, np.abs(diff), self.sense * diff)
+        norm = np.maximum(np.maximum(comp.row_scale, np.abs(comp.b)),
+                          np.abs(val))
+        if np.max(gap / norm, initial=0.0) > ACCEPT_TOL:
+            return None
+        mats, scalars = comp.extract_point(x / tau)
+        sol = ConicSolution(
+            status=SolveStatus.OPTIMAL, matrix_values=mats,
+            scalar_values=scalars, duals=np.zeros(len(self.sense)),
+            objective=0.0)
+        if point_violation(comp.source, sol) > ACCEPT_TOL:
+            return None
+        return sol
+
+    def farkas(self, y):
+        """INFEASIBLE solution certified by the clipped weights of y, else
+        None.  Only called when b'y > 0."""
+        comp = self.compiled
+        y = np.where(self.sense * y < 0.0, 0.0, y)
+        w = comp.user_duals_signed(y)
+        scale = np.abs(w).max()
+        # b'y = sum_k w_k rhs_k, the certificate's violation
+        if scale == 0.0 or float(comp.b @ y) < FARKAS_MARGIN * scale:
+            return None
+        # the verifier's rule on the compiled rows, which are the source
+        # rows times positive scales
+        if np.any(self.A_scalar.T @ y > AGGREGATE_ROUNDOFF
+                  * (np.abs(self.A_scalar.T) @ np.abs(y))):
+            return None
+        for blocks, norms in zip(comp.A_blocks, self.block_norms):
+            top = np.linalg.eigvalsh(np.tensordot(y, blocks, axes=1))[..., -1]
+            if np.any(top > AGGREGATE_ROUNDOFF * (np.abs(y) @ norms)):
+                return None
+        weights = w / scale
+        check = verify_infeasibility_certificate(comp.source, weights)
+        if not check["ok"]:
+            return None
+        return ConicSolution(
+            status=SolveStatus.INFEASIBLE,
+            certificate={"weights": weights, "violation": check["violation"]})
 
 
 def _solve_hsd(compiled, tol, accept_tol, max_iter):
@@ -396,6 +481,9 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
     best = None
     best_err = np.inf
     stats = _new_stats()
+    screens = None if c.any() else _FeasibilityScreens(compiled)
+    if screens is not None:
+        stats.update(point_stop=0, farkas_stop=0)
     stall = 0
     status = SolveStatus.MAX_ITER
     it = 0
@@ -421,6 +509,21 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
         if pres <= tol and dres <= tol and relgap <= tol:
             status = SolveStatus.OPTIMAL
             break
+
+        if screens is not None:
+            # iterations are counted as on the OPTIMAL and Farkas exits
+            # below
+            early = screens.point(x, tau)
+            if early is not None:
+                stats["point_stop"], early.iterations = 1, it + 1
+            elif b @ y > 0:
+                early = screens.farkas(y)
+                if early is not None:
+                    stats["farkas_stop"], early.iterations = 1, it
+            if early is not None:
+                early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
+                early.stats = stats
+                return early
 
         if kappa >= tau and it > 0:
             bty = float(b @ y)

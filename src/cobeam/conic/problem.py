@@ -194,7 +194,10 @@ class ConicSolution:
     iterations: int = 0
     # how often each silent numerical fallback fired during the solve:
     # chol_jitter (cone blocks factored with jitter), schur_ridge and
-    # schur_pinv (Schur complements factored with a ridge / pseudo-inverse)
+    # schur_pinv (Schur complements factored with a ridge / pseudo-inverse);
+    # a solve with an identically zero objective also reports point_stop
+    # and farkas_stop, 1 when a verified feasible point or Farkas
+    # certificate ended it early
     stats: dict = field(default_factory=dict)
 
     @property

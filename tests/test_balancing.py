@@ -396,3 +396,61 @@ class TestAchievedMinSinr:
                 used = sum(out.solution.p[g]
                            for g in topo.groups_of_bs(b))
                 assert used <= topo.p_max[b] + 1e-6
+
+
+# (t, feasible, iterations) of every probe of bisect_balance and of
+# local_balance at cap 0.5 for cells 0 and 1 on c08's topology (seed
+# 200, epsilon 1e-3), as recorded when every probe still ran to full
+# optimality
+C08_PROBES = [[
+    (34.559883, False, 6), (17.279942, False, 6), (8.639971, False, 7),
+    (4.319985, True, 9), (6.479978, True, 9), (7.559974, False, 8),
+    (7.019976, True, 10), (7.289975, True, 11), (7.424975, False, 8),
+    (7.357475, False, 9), (7.323725, False, 9), (7.306850, True, 11),
+    (7.315288, True, 11), (7.319507, False, 10), (7.317397, False, 10),
+    (7.316342, True, 11), (7.316870, True, 14),
+], [
+    (34.559883, False, 6), (17.279942, True, 8), (25.919912, False, 6),
+    (21.599927, False, 6), (19.439934, False, 7), (18.359938, True, 9),
+    (18.899936, True, 9), (19.169935, False, 8), (19.034936, True, 9),
+    (19.102436, True, 9), (19.136185, True, 9), (19.153060, False, 8),
+    (19.144623, True, 9), (19.148842, True, 10), (19.150951, False, 9),
+    (19.149896, True, 10), (19.150424, False, 10),
+], [
+    (8.083191, False, 6), (4.041596, False, 6), (2.020798, True, 8),
+    (3.031197, True, 9), (3.536396, False, 6), (3.283796, False, 7),
+    (3.157497, True, 10), (3.220646, False, 7), (3.189072, False, 8),
+    (3.173284, False, 9), (3.165390, True, 10), (3.169337, True, 10),
+    (3.171311, True, 10), (3.172297, True, 10),
+]]
+
+
+class TestProbeEarlyStop:
+    def test_c08_probes_decide_alike_in_fewer_iterations(self, monkeypatch):
+        # a zero-objective probe stops at its first verified point or
+        # certificate; the iterates up to that stop are the full solve's,
+        # so no probe may change its answer or take more iterations
+        iterations = []
+        full = conic.ipm.solve
+
+        def recording(problem, tol):
+            sol = full(problem, tol)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(conic.ipm, "solve", recording)
+        topo, chans = two_cell(200)
+        runs = [bisect_balance(chans, topo, epsilon=1e-3)]
+        runs += [local_balance(b, chans, topo, 0.5, epsilon=1e-3)
+                 for b in range(topo.B)]
+        probes = [(t, f) for res in runs for t, f in res.probes]
+        pinned = [p for run in C08_PROBES for p in run]
+        assert [len(res.probes) for res in runs] == \
+            [len(run) for run in C08_PROBES]
+        assert len(iterations) == len(pinned)
+        for (t, feasible), its, (t0, feasible0, its0) in zip(
+                probes, iterations, pinned):
+            assert t == pytest.approx(t0, abs=1e-6)
+            assert feasible is feasible0
+            assert its <= its0
+        assert sum(iterations) < sum(p[2] for p in pinned)

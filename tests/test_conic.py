@@ -8,6 +8,7 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           numerical_rank, principal_eigenpair, psd_sqrt,
                           solve, unembed_matrix,
                           verify_infeasibility_certificate)
+from cobeam.conic.ipm import point_violation
 from cobeam.balancing import assemble_feasibility, single_user_upper_bound
 from cobeam.distributed import IciIndex, assemble_admm_local
 from cobeam.network import build_topology, sample_channels
@@ -119,6 +120,79 @@ class TestFeasibility:
         prob = ConicProblem()
         prob.add_scalar_var()
         assert check_feasibility(prob) is True
+
+
+class TestZeroObjectiveStop:
+    """A solve with nothing to optimize stops at its first verified
+    feasible point or Farkas certificate and says which one."""
+
+    def bounded_probe(self, target):
+        rng = np.random.default_rng(4)
+        h = rand_channel(rng, 3)
+        prob = ConicProblem()
+        i = prob.add_psd_var(3)
+        prob.add_constraint(matrix={i: np.outer(h, h.conj())}, rel=">=",
+                            rhs=target * np.linalg.norm(h) ** 2)
+        prob.add_constraint(matrix={i: np.eye(3)}, rel="<=", rhs=2.0)
+        return prob
+
+    def test_feasible_stops_at_point(self):
+        prob = self.bounded_probe(1.5)
+        sol = solve(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.stats["point_stop"] == 1
+        assert sol.stats["farkas_stop"] == 0
+        assert point_violation(prob, sol) <= 1e-7
+        # zero duals are the exact dual optimum of a zero objective
+        assert sol.objective == 0.0
+        assert not sol.duals.any()
+        assert set(sol.kkt) == {"primal", "dual", "gap"}
+
+    def test_infeasible_stops_at_certificate(self):
+        prob = self.bounded_probe(2.5)
+        sol = solve(prob)
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert sol.stats["point_stop"] == 0
+        assert sol.stats["farkas_stop"] == 1
+        assert verify_infeasibility_certificate(
+            prob, sol.certificate["weights"])["ok"]
+        assert set(sol.kkt) == {"primal", "dual", "gap"}
+
+    def test_objective_runs_to_optimality(self):
+        prob = self.bounded_probe(1.5)
+        prob.set_objective(matrix={0: np.eye(3)})
+        sol = solve(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert "point_stop" not in sol.stats
+        assert max(sol.kkt.values()) <= 1e-7
+
+
+class TestFarkasVerifier:
+    def test_positive_aggregate_rejected(self):
+        # x = 1 satisfies 1e-7 x >= 1e-7: an aggregate that is positive
+        # on the cone certifies nothing, however small it is
+        prob = ConicProblem()
+        i = prob.add_psd_var(1, complex=False)
+        prob.add_constraint(matrix={i: np.array([[1e-7]])}, rel=">=",
+                            rhs=1e-7)
+        report = verify_infeasibility_certificate(prob, [1.0])
+        assert not report["ok"]
+        assert report["max_cone_value"] > 0
+
+    def test_wrong_sign_weights(self):
+        # x >= 1 and -x >= 0 conflict; the <= row is not needed
+        prob = ConicProblem()
+        j = prob.add_scalar_var()
+        prob.add_constraint(scalars={j: 1.0}, rel=">=", rhs=1.0)
+        prob.add_constraint(scalars={j: -1.0}, rel=">=", rhs=0.0)
+        prob.add_constraint(scalars={j: 1.0}, rel="<=", rhs=5.0)
+        # a wrong-sign weight within tol counts as zero
+        clipped = verify_infeasibility_certificate(prob, [1.0, 1.0, 1e-9])
+        assert clipped["ok"] and clipped["signs_ok"]
+        assert clipped["violation"] == pytest.approx(1.0)
+        # a larger one fails the check
+        assert not verify_infeasibility_certificate(
+            prob, [1.0, 1.0, 1e-3])["ok"]
 
 
 def jacobi_eigenvalues(sym, sweeps=30):

@@ -163,3 +163,23 @@ def test_stalled_check_raises(case):
         else:
             with pytest.raises(IndeterminateError):
                 check_feasibility(case.problem)
+
+
+@SETTINGS
+@given(cases())
+def test_zero_objective_answers_check_out(case):
+    # without an objective the solve may stop at its first verified
+    # point or certificate; either must still check out
+    stripped = ConicProblem(
+        matrix_vars=case.problem.matrix_vars,
+        num_scalars=case.problem.num_scalars,
+        scalar_names=case.problem.scalar_names,
+        constraints=case.problem.constraints)
+    sol = solve(stripped)
+    assert sol.status is (SolveStatus.OPTIMAL if case.feasible
+                          else SolveStatus.INFEASIBLE)
+    if sol.status is SolveStatus.OPTIMAL:
+        assert point_violation(stripped, sol) <= 1e-7
+    else:
+        assert verify_infeasibility_certificate(
+            stripped, sol.certificate["weights"])["ok"]
