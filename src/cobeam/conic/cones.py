@@ -102,8 +102,13 @@ def smat(vec, dim, complex=False):
 def _H(stack):
     """Conjugate transpose of the last two axes (a plain transpose of a
     real stack)."""
-    out = np.swapaxes(stack, -1, -2)
-    return out.conj() if np.iscomplexobj(out) else out
+    out = stack.swapaxes(-1, -2)
+    return out.conj() if out.dtype.kind == "c" else out
+
+
+def _pair(u, v):
+    """u and v stacked along a new leading axis, in one copy."""
+    return np.concatenate((u[None], v[None]))
 
 
 class Run:
@@ -122,6 +127,7 @@ class Run:
         length = svec_len(dim, complex)
         self.span = slice(start, start + count * length)
         index = _svec_index(dim, complex)
+        self.rows, self.cols = index.rows, index.cols
         blocks = np.arange(count)
         self._gather = (blocks.reshape((count,) + (1,) * index.where.ndim)
                         * length + index.where)
@@ -133,15 +139,16 @@ class Run:
 
     def unpack(self, seg):
         """(..., count, dim, dim) stack of a packed (..., span) segment."""
-        out = np.take(seg, self._gather, axis=-1) / self._unscale
+        out = seg.take(self._gather, axis=-1) / self._unscale
         return out.view(np.complex128)[..., 0] if self.complex else out
 
-    def pack(self, stack):
-        """Inverse of :meth:`unpack`."""
+    def pack(self, stack, out=None):
+        """Inverse of :meth:`unpack`, written to ``out`` if given."""
         flat = stack.reshape(stack.shape[:-3] + (self._entries,))
         if self.complex:
             flat = flat.view(np.float64)
-        return np.take(flat, self._scatter, axis=-1) * self._scale
+        return np.multiply(flat.take(self._scatter, axis=-1), self._scale,
+                           out=out)
 
 
 class ConeLayout:
@@ -204,9 +211,9 @@ class ConeLayout:
     def pack(self, stacks, nn):
         """Inverse of :meth:`unpack`; ``nn`` (..., nonneg) carries the
         batch shape and the orthant entries."""
-        out = np.empty(np.shape(nn)[:-1] + (self.size,))
+        out = np.empty(nn.shape[:-1] + (self.size,))
         for r, stack in zip(self.runs, stacks):
-            out[..., r.span] = r.pack(stack)
+            r.pack(stack, out[..., r.span])
         out[..., self.nn_offset:] = nn
         return out
 
@@ -237,28 +244,35 @@ class NTScaling:
         self.R = []
         self.Rinv = []
         self.lam_psd = []
-        for X, Z in zip(layout.unpack(x), layout.unpack(z)):
-            Lx = self._cholesky(X)
-            Lz = self._cholesky(Z)
-            U, s, Vh = np.linalg.svd(_H(Lz) @ Lx)
+        # sqrt(lam) per run as a column and as a row, for max_step
+        self._root = []
+        # lam o v is elementwise on packed entries: (s_r + s_c)/2 at
+        # entry (r, c) of a PSD block, lam on the orthant
+        pair = [np.zeros(0)]
+        # x and z go through one gather and one stacked Cholesky; a
+        # singular block sends each side through its own jitter fallback
+        for r, XZ in zip(layout.runs, layout.unpack(_pair(x, z))):
+            try:
+                Lx, Lz = np.linalg.cholesky(XZ)
+            except np.linalg.LinAlgError:
+                Lx = self._cholesky(XZ[0])
+                Lz = self._cholesky(XZ[1])
+            Lzh = _H(Lz)
+            U, s, Vh = np.linalg.svd(Lzh @ Lx)
             s = np.maximum(s, 1e-300)
-            sq = np.sqrt(s)[..., None, :]
+            root = np.sqrt(s)
+            sq = root[..., None, :]
             self.R.append(Lx @ (_H(Vh) / sq))
-            self.Rinv.append(_H(U / sq) @ _H(Lz))
+            self.Rinv.append(_H(U / sq) @ Lzh)
             self.lam_psd.append(s)
+            self._root.append((root[..., :, None], sq))
+            pair.append((0.5 * (s[:, r.rows] + s[:, r.cols])).ravel())
         self.Rh = [_H(R) for R in self.R]
         self.Rinvh = [_H(Ri) for Ri in self.Rinv]
         xn = layout.nn_block(x)
         zn = layout.nn_block(z)
         self.w_nn = np.sqrt(xn / zn)
         self.lam_nn = np.sqrt(xn * zn)
-        # lam o v is elementwise on packed entries: (s_r + s_c)/2 at
-        # entry (r, c) of a PSD block, lam on the orthant
-        pair = [np.zeros(0)]
-        for r, s in zip(layout.runs, self.lam_psd):
-            index = _svec_index(r.dim, r.complex)
-            pair.append((0.5 * (s[:, index.rows]
-                                + s[:, index.cols])).ravel())
         pair.append(self.lam_nn)
         self._lam_pair = np.concatenate(pair)
 
@@ -286,19 +300,31 @@ class NTScaling:
                                  zip(self.Rh, self.R, stacks)],
                                 nn * self.w_nn)
 
-    def unscale_dual(self, g):
-        """W^{-H} g: scaled-space vector back to a dual-space vector."""
+    def unscale(self, u, g):
+        """(W u, W^{-H} g): scaled-space vectors back to a primal- and a
+        dual-space vector, through one gather and one scatter."""
         lay = self.layout
-        return lay.pack([Rih @ G @ Ri for Rih, Ri, G in
-                         zip(self.Rinvh, self.Rinv, lay.unpack(g))],
-                        lay.nn_block(g) / self.w_nn)
+        mats = []
+        for R, Rh, Ri, Rih, UG in zip(self.R, self.Rh, self.Rinv,
+                                      self.Rinvh, lay.unpack(_pair(u, g))):
+            out = np.empty_like(UG)
+            np.matmul(R @ UG[0], Rh, out=out[0])
+            np.matmul(Rih @ UG[1], Ri, out=out[1])
+            mats.append(out)
+        nn = np.empty((2,) + u.shape[:-1] + (lay.nonneg,))
+        np.multiply(lay.nn_block(u), self.w_nn, out=nn[0])
+        np.divide(lay.nn_block(g), self.w_nn, out=nn[1])
+        return lay.pack(mats, nn)
 
+    # the solver always needs both maps, so the single ones run through
+    # the pair
     def unscale_primal(self, u):
         """W u: scaled-space vector back to a primal-space vector."""
-        lay = self.layout
-        return lay.pack([R @ U @ Rh for R, Rh, U in
-                         zip(self.R, self.Rh, lay.unpack(u))],
-                        lay.nn_block(u) * self.w_nn)
+        return self.unscale(u, u)[0]
+
+    def unscale_dual(self, g):
+        """W^{-H} g: scaled-space vector back to a dual-space vector."""
+        return self.unscale(g, g)[1]
 
     # -- Jordan algebra on scaled-space vectors --
 
@@ -318,7 +344,7 @@ class NTScaling:
         """u o v = (UV + VU)/2 per PSD block, elementwise on the orthant."""
         lay = self.layout
         mats = []
-        for U, V in zip(lay.unpack(u), lay.unpack(v)):
+        for U, V in lay.unpack(_pair(u, v)):
             UV = U @ V
             mats.append(0.5 * (UV + _H(UV)))
         return lay.pack(mats, lay.nn_block(u) * lay.nn_block(v))
@@ -326,14 +352,12 @@ class NTScaling:
     def max_step(self, du_scaled, dv_scaled):
         """Largest a <= 1e12 keeping lam + a*du and lam + a*dv in the cone."""
         lay = self.layout
-        both = np.stack([du_scaled, dv_scaled])
+        both = _pair(du_scaled, dv_scaled)
         bound = 1e12
-        for D, s in zip(lay.unpack(both), self.lam_psd):
-            sq = np.sqrt(s)
-            lo = np.linalg.eigvalsh(
-                D / sq[..., :, None] / sq[..., None, :])[..., 0]
-            if np.any(lo < 0):
-                bound = min(bound, float(-1.0 / lo.min()))
+        for D, (col, row) in zip(lay.unpack(both), self._root):
+            lo = np.linalg.eigvalsh(D / col / row)[..., 0].min()
+            if lo < 0:
+                bound = min(bound, float(-1.0 / lo))
         dn = lay.nn_block(both)
         if dn.size:
             steps = np.divide(-self.lam_nn, dn, out=np.full(dn.shape, np.inf),

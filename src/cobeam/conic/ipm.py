@@ -19,8 +19,15 @@ A problem whose objective is identically zero only asks whether its
 constraints are feasible, so the homogeneous embedding stops at the
 first iterate that yields a feasible point or a Farkas certificate
 confirmed by direct evaluation.
+
+The iterations' floating-point operations, their operands and their
+order are fixed; the loops only trim the numpy calls around them.  A
+rewrite that keeps the answers keeps them bit for bit, as
+``tools/solve_digest.py`` and the frozen kernel in
+``tests/test_cones.py`` check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +118,16 @@ class _KktSolver:
             return
         _require_finite(M)
         ridge = 0.0
-        base = max(np.abs(np.diag(M)).max(), 1.0)
         for _ in range(8):
-            factor, info = _POTRF(M + ridge * np.eye(m), lower=1)
+            factor, info = _POTRF(M + ridge * np.eye(m) if ridge else M,
+                                  lower=1)
             if info == 0:
                 self._factor = factor
                 if ridge > 0:
                     self.fallback = "schur_ridge"
                 return
-            ridge = max(ridge * 100.0, 1e-14 * base)
+            ridge = max(ridge * 100.0,
+                        1e-14 * max(np.abs(np.diag(M)).max(), 1.0))
         self._pinv = np.linalg.pinv(M)
         self.fallback = "schur_pinv"
 
@@ -147,14 +155,14 @@ class _KktSolver:
     def solve_hsd(self, f2, f1, f3, fs, ft, refine=REFINE_STEPS):
         sol = self._solve_hsd_once(f2, f1, f3, fs, ft)
         res = self._residual_hsd(sol, f2, f1, f3, fs, ft)
-        best, best_norm = sol, _res_norm(res)
+        best, best_norm = sol, _hsd_res_norm(res)
         for _ in range(refine):
             if best_norm < 1e-14:
                 break
             corr = self._solve_hsd_once(*res)
             cand = best.plus(corr)
             res = self._residual_hsd(cand, f2, f1, f3, fs, ft)
-            norm = _res_norm(res)
+            norm = _hsd_res_norm(res)
             if norm >= best_norm:
                 break
             best, best_norm = cand, norm
@@ -175,8 +183,7 @@ class _KktSolver:
         dy = u1 + dtau * self.u2
         dzs = g - dxs
         dkappa = (ft - self.kappa * dtau) / self.tau
-        dx = sc.unscale_primal(dxs)
-        dz = sc.unscale_dual(dzs)
+        dx, dz = sc.unscale(dxs, dzs)
         return _HsdDir(dx, dy, dz, dtau, dkappa, dxs, dzs)
 
     def _residual_hsd(self, sol, f2, f1, f3, fs, ft):
@@ -212,8 +219,7 @@ class _KktSolver:
         fd_scaled = sc.scale_dual(f2) + g
         dxs, dy = self._saddle(fd_scaled, f1)
         dzs = g - dxs
-        dx = sc.unscale_primal(dxs)
-        dz = sc.unscale_dual(dzs)
+        dx, dz = sc.unscale(dxs, dzs)
         return _PlainDir(dx, dy, dz, dxs, dzs)
 
     def _residual_plain(self, sol, f2, f1, fs):
@@ -257,9 +263,15 @@ class _PlainDir:
                          self.dxs + o.dxs, self.dzs + o.dzs)
 
 
-def _res_norm(res):
-    return max(float(np.max(np.abs(np.atleast_1d(r)))) if np.size(r) else 0.0
-               for r in res)
+def _res_norm(vectors, scalars=()):
+    """Largest absolute entry over residual vectors and scalars."""
+    return max([float(np.abs(np.concatenate(vectors)).max()),
+                *map(abs, scalars)])
+
+
+def _hsd_res_norm(res):
+    r2, r1, r3, rs, rt = res
+    return _res_norm((r2, r1, rs), (r3, rt))
 
 
 def _max_step_scalar(v, dv):
@@ -408,8 +420,12 @@ class _FeasibilityScreens:
         # gap b - a'x and a Farkas weight must carry
         self.sense = np.array([{">=": 1.0, "<=": -1.0, "==": 0.0}[r]
                                for r in rel])
+        self.equality = self.sense == 0.0
+        # the part of each row's gap normalizer that no iterate changes
+        self.row_norm = np.maximum(compiled.row_scale, np.abs(compiled.b))
         self.A_user = compiled.A[:, :compiled.slack_off]
         self.A_scalar = compiled.A[:, compiled.scalar_off:compiled.slack_off]
+        self.abs_scalar_t = np.abs(self.A_scalar.T)
         # (m, k) Frobenius norms of every row's blocks, per run
         self.block_norms = [np.linalg.norm(blocks, axis=(-2, -1))
                             for blocks in compiled.A_blocks]
@@ -424,10 +440,9 @@ class _FeasibilityScreens:
         comp = self.compiled
         val = self.A_user @ (x[:comp.slack_off] / tau)
         diff = comp.b - val
-        gap = np.where(self.sense == 0.0, np.abs(diff), self.sense * diff)
-        norm = np.maximum(np.maximum(comp.row_scale, np.abs(comp.b)),
-                          np.abs(val))
-        if np.max(gap / norm, initial=0.0) > ACCEPT_TOL:
+        gap = np.where(self.equality, np.abs(diff), self.sense * diff)
+        norm = np.maximum(self.row_norm, np.abs(val))
+        if (gap / norm).max(initial=0.0) > ACCEPT_TOL:
             return None
         mats, scalars = comp.extract_point(x / tau)
         sol = ConicSolution(
@@ -450,12 +465,16 @@ class _FeasibilityScreens:
             return None
         # the verifier's rule on the compiled rows, which are the source
         # rows times positive scales
-        if np.any(self.A_scalar.T @ y > AGGREGATE_ROUNDOFF
-                  * (np.abs(self.A_scalar.T) @ np.abs(y))):
+        abs_y = np.abs(y)
+        if (self.A_scalar.T @ y > AGGREGATE_ROUNDOFF
+                * (self.abs_scalar_t @ abs_y)).any():
             return None
+        row = y.reshape(1, -1)
         for blocks, norms in zip(comp.A_blocks, self.block_norms):
-            top = np.linalg.eigvalsh(np.tensordot(y, blocks, axes=1))[..., -1]
-            if np.any(top > AGGREGATE_ROUNDOFF * (np.abs(y) @ norms)):
+            # the aggregate sum_k y_k F_k, formed as np.tensordot forms it
+            agg = np.dot(row, blocks.reshape(len(y), -1))
+            top = np.linalg.eigvalsh(agg.reshape(blocks.shape[1:]))[..., -1]
+            if (top > AGGREGATE_ROUNDOFF * (abs_y @ norms)).any():
                 return None
         weights = w / scale
         check = verify_infeasibility_certificate(comp.source, weights)
@@ -473,8 +492,8 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
     nc = 1.0 + np.linalg.norm(c)
     deg = lay.degree + 1
 
-    x = lay.identity()
-    z = lay.identity()
+    ident = lay.identity()
+    x = z = ident
     y = np.zeros(A.shape[0])
     tau, kappa = 1.0, 1.0
 
@@ -489,20 +508,22 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
     it = 0
 
     for it in range(max_iter):
+        bty, ctx, xtz = b @ y, c @ x, x @ z
         r1 = A @ x - b * tau
         r2 = c * tau - (A.T @ y if y.size else 0.0) - z
-        r3 = float(b @ y - c @ x - kappa)
-        mu = (x @ z + tau * kappa) / deg
+        r3 = float(bty - ctx - kappa)
+        mu = (xtz + tau * kappa) / deg
 
-        pres = np.linalg.norm(r1) / (tau * nb)
-        dres = np.linalg.norm(r2) / (tau * nc)
-        pobj = float(c @ x) / tau
-        gap = float(x @ z) / tau ** 2
+        pres = math.sqrt(r1.dot(r1)) / (tau * nb)
+        dres = math.sqrt(r2.dot(r2)) / (tau * nc)
+        pobj = float(ctx) / tau
+        gap = float(xtz) / tau ** 2
         relgap = gap / max(1.0, abs(pobj))
         err = max(pres, dres, relgap)
         if err < best_err:
             best_err = err
-            best = (x.copy(), y.copy(), tau, (pres, dres, relgap))
+            # iterates are rebound, never updated in place
+            best = (x, y, tau, (pres, dres, relgap))
             stall = 0
         else:
             stall += 1
@@ -516,7 +537,7 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
             early = screens.point(x, tau)
             if early is not None:
                 stats["point_stop"], early.iterations = 1, it + 1
-            elif b @ y > 0:
+            elif bty > 0:
                 early = screens.farkas(y)
                 if early is not None:
                     stats["farkas_stop"], early.iterations = 1, it
@@ -526,12 +547,11 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
                 return early
 
         if kappa >= tau and it > 0:
-            bty = float(b @ y)
+            bty, ctx = float(bty), float(ctx)
             ny = np.linalg.norm(y)
             if bty > 0 and ny > 0:
                 if np.linalg.norm(A.T @ y + z) <= accept_tol * bty:
                     return _infeasible_solution(compiled, y, it, stats)
-            ctx = float(c @ x)
             if ctx < 0:
                 if np.linalg.norm(A @ x) <= accept_tol * (-ctx):
                     return _unbounded_solution(compiled, x, -ctx, it,
@@ -557,7 +577,7 @@ def _solve_hsd(compiled, tol, accept_tol, max_iter):
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         eta = 1.0 - sigma
-        rhs_s = sigma * mu * lay.identity() - lam_sq \
+        rhs_s = sigma * mu * ident - lam_sq \
             - scaling.jordan_prod(aff.dxs, aff.dzs)
         rhs_t = sigma * mu - tau * kappa - aff.dtau * aff.dkappa
         step = kkt.solve_hsd(-eta * r2, -eta * r1, -eta * r3, rhs_s, rhs_t)
@@ -634,8 +654,8 @@ def _solve_qp(compiled, tol, accept_tol, max_iter):
         out[lay.nn_offset:] = qdiag * v[lay.nn_offset:]
         return out
 
-    x = lay.identity()
-    z = lay.identity()
+    ident = lay.identity()
+    x = z = ident
     y = np.zeros(A.shape[0])
 
     best = None
@@ -649,17 +669,18 @@ def _solve_qp(compiled, tol, accept_tol, max_iter):
         qx = q_apply(x)
         r1 = A @ x - b
         r2 = c + qx - (A.T @ y if y.size else 0.0) - z
-        mu = (x @ z) / deg
+        xtz = x @ z
+        mu = xtz / deg
 
-        pres = np.linalg.norm(r1) / nb
-        dres = np.linalg.norm(r2) / nc
+        pres = math.sqrt(r1.dot(r1)) / nb
+        dres = math.sqrt(r2.dot(r2)) / nc
         pobj = float(c @ x + 0.5 * x @ qx)
-        gap = float(x @ z)
+        gap = float(xtz)
         relgap = gap / max(1.0, abs(pobj))
         err = max(pres, dres, relgap)
         if err < best_err:
             best_err = err
-            best = (x.copy(), y.copy(), (pres, dres, relgap))
+            best = (x, y, (pres, dres, relgap))
             stall = 0
         else:
             stall += 1
@@ -681,7 +702,7 @@ def _solve_qp(compiled, tol, accept_tol, max_iter):
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         eta = 1.0 - sigma
-        rhs_s = sigma * mu * lay.identity() - lam_sq \
+        rhs_s = sigma * mu * ident - lam_sq \
             - scaling.jordan_prod(aff.dxs, aff.dzs)
         step = kkt.solve_plain(-eta * r2, -eta * r1, rhs_s)
 

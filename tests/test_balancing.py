@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cobeam import conic
-from cobeam.errors import ConfigurationError, StateError
+from cobeam.errors import ConfigurationError, IndeterminateError, StateError
 from cobeam.network import build_topology, sample_channels
 from cobeam.balancing import (achieved_min_sinr, assemble_feasibility,
                               balance_centralized, balance_distributed,
@@ -47,6 +47,22 @@ class TestBisectHelper:
         infeas_ts = [t for t, f in res.probes if not f]
         if feas_ts and infeas_ts:
             assert max(feas_ts) < min(infeas_ts)
+
+    def test_indeterminate_probe_counted_infeasible(self):
+        # the first probe (t = 5) is feasible but undecided: counted as
+        # infeasible, it costs the level its whole step
+        def oracle(t):
+            if t == 5.0:
+                raise IndeterminateError("knife edge")
+            return t <= 7.0, None
+
+        res = bisect(0.0, 10.0, 0.01, oracle)
+        assert res.indeterminate == 1
+        assert res.probes[0] == (5.0, False)
+        assert res.upper == 5.0 and res.lower > 4.98
+        assert res.calls == int(np.ceil(np.log2(10.0 / 0.01)))
+        assert bisect(0.0, 10.0, 0.01, lambda t: (t <= 7.0, None)) \
+            .indeterminate == 0
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,9 @@ import pytest
 import scipy.linalg as sla
 
 from cobeam.conic import ConicProblem, SolveStatus, embed_matrix, solve
-from cobeam.conic.cones import ConeLayout, NTScaling, _chol
+from cobeam.conic import cones, ipm
+from cobeam.conic.cones import (ConeLayout, NTScaling, _chol, _svec_index,
+                                svec_len)
 
 EPS = np.finfo(float).eps
 RTOL = 1e4 * EPS        # products of well-conditioned 2..5-dim blocks
@@ -452,3 +454,242 @@ def test_hermitian_scaling_maps(herm):
     close(sc.jordan_prod(lam, sc.jordan_div(a)), a)
     close(h.embed(sc.lambda_sq()) @ h.embed(a),
           ref.lambda_sq() @ ref.jordan_div(ref.lam_prod(a_e)))
+
+
+# -- the iteration's arithmetic, bit for bit ----------------------------------
+#
+# A frozen copy of the kernel maps and the refinement norm as they were
+# before the iteration was rewritten to make fewer numpy calls: one
+# np.take per gather, x and z factored one side at a time, sqrt(lam)
+# recomputed per step length, one reduction per residual block.  The
+# kernel may change how it dispatches its work, never its floating-point
+# operations, so every result must equal the frozen one exactly.
+
+def frozen_H(stack):
+    out = np.swapaxes(stack, -1, -2)
+    return out.conj() if np.iscomplexobj(out) else out
+
+
+class FrozenRun:
+    def __init__(self, run):
+        dim, complex, count = run.dim, run.complex, run.count
+        self.complex = complex
+        length = svec_len(dim, complex)
+        self.span = slice(run.span.start, run.span.start + count * length)
+        index = _svec_index(dim, complex)
+        self.rows, self.cols = index.rows, index.cols
+        blocks = np.arange(count)
+        self._gather = (blocks.reshape((count,) + (1,) * index.where.ndim)
+                        * length + index.where)
+        self._unscale = index.unscale
+        self._entries = count * dim * dim
+        floats = dim * dim * (2 if complex else 1)
+        self._scatter = (blocks[:, None] * floats + index.flat).ravel()
+        self._scale = np.tile(index.pack, count)
+
+    def unpack(self, seg):
+        out = np.take(seg, self._gather, axis=-1) / self._unscale
+        return out.view(np.complex128)[..., 0] if self.complex else out
+
+    def pack(self, stack):
+        flat = stack.reshape(stack.shape[:-3] + (self._entries,))
+        if self.complex:
+            flat = flat.view(np.float64)
+        return np.take(flat, self._scatter, axis=-1) * self._scale
+
+
+class FrozenLayout:
+    def __init__(self, lay):
+        self.runs = [FrozenRun(r) for r in lay.runs]
+        self.size, self.nn_offset = lay.size, lay.nn_offset
+
+    def unpack(self, vec):
+        return [r.unpack(vec[..., r.span]) for r in self.runs]
+
+    def pack(self, stacks, nn):
+        out = np.empty(np.shape(nn)[:-1] + (self.size,))
+        for r, stack in zip(self.runs, stacks):
+            out[..., r.span] = r.pack(stack)
+        out[..., self.nn_offset:] = nn
+        return out
+
+    def nn_block(self, vec):
+        return vec[..., self.nn_offset:]
+
+
+class FrozenScaling:
+    def __init__(self, lay, x, z):
+        layout = self.layout = FrozenLayout(lay)
+        self.jitters = 0
+        self.R = []
+        self.Rinv = []
+        self.lam_psd = []
+        for X, Z in zip(layout.unpack(x), layout.unpack(z)):
+            Lx = self._cholesky(X)
+            Lz = self._cholesky(Z)
+            U, s, Vh = np.linalg.svd(frozen_H(Lz) @ Lx)
+            s = np.maximum(s, 1e-300)
+            sq = np.sqrt(s)[..., None, :]
+            self.R.append(Lx @ (frozen_H(Vh) / sq))
+            self.Rinv.append(frozen_H(U / sq) @ frozen_H(Lz))
+            self.lam_psd.append(s)
+        self.Rh = [frozen_H(R) for R in self.R]
+        self.Rinvh = [frozen_H(Ri) for Ri in self.Rinv]
+        xn = layout.nn_block(x)
+        zn = layout.nn_block(z)
+        self.w_nn = np.sqrt(xn / zn)
+        self.lam_nn = np.sqrt(xn * zn)
+
+    def _cholesky(self, stack):
+        try:
+            return np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            out = np.empty_like(stack)
+            for b, mat in enumerate(stack):
+                out[b], jittered = _chol(mat)
+                self.jitters += jittered
+            return out
+
+    def scale_dual(self, dz):
+        lay = self.layout
+        return lay.pack([Rh @ D @ R for Rh, R, D in
+                         zip(self.Rh, self.R, lay.unpack(dz))],
+                        lay.nn_block(dz) * self.w_nn)
+
+    def unscale_dual(self, g):
+        lay = self.layout
+        return lay.pack([Rih @ G @ Ri for Rih, Ri, G in
+                         zip(self.Rinvh, self.Rinv, lay.unpack(g))],
+                        lay.nn_block(g) / self.w_nn)
+
+    def unscale_primal(self, u):
+        lay = self.layout
+        return lay.pack([R @ U @ Rh for R, Rh, U in
+                         zip(self.R, self.Rh, lay.unpack(u))],
+                        lay.nn_block(u) * self.w_nn)
+
+    def jordan_prod(self, u, v):
+        lay = self.layout
+        mats = []
+        for U, V in zip(lay.unpack(u), lay.unpack(v)):
+            UV = U @ V
+            mats.append(0.5 * (UV + frozen_H(UV)))
+        return lay.pack(mats, lay.nn_block(u) * lay.nn_block(v))
+
+    def max_step(self, du_scaled, dv_scaled):
+        lay = self.layout
+        both = np.stack([du_scaled, dv_scaled])
+        bound = 1e12
+        for D, s in zip(lay.unpack(both), self.lam_psd):
+            sq = np.sqrt(s)
+            lo = np.linalg.eigvalsh(
+                D / sq[..., :, None] / sq[..., None, :])[..., 0]
+            if np.any(lo < 0):
+                bound = min(bound, float(-1.0 / lo.min()))
+        dn = lay.nn_block(both)
+        if dn.size:
+            steps = np.divide(-self.lam_nn, dn, out=np.full(dn.shape, np.inf),
+                              where=dn < 0)
+            bound = min(bound, float(steps.min()))
+        return bound
+
+
+def frozen_res_norm(res):
+    return max(float(np.max(np.abs(np.atleast_1d(r)))) if np.size(r) else 0.0
+               for r in res)
+
+
+def frozen_interior(lay, rng):
+    frozen = FrozenLayout(lay)
+    stacks = []
+    for r in lay.runs:
+        G = rng.standard_normal((r.count, r.dim, r.dim))
+        if r.complex:
+            G = G + 1j * rng.standard_normal(G.shape)
+        stacks.append(G @ frozen_H(G) / r.dim + np.eye(r.dim))
+    return frozen.pack(stacks, rng.uniform(0.5, 2.0, lay.nonneg))
+
+
+# ConeLayout arguments: the real layouts above and the Hermitian one,
+# whose runs include a 1 x 1 Hermitian block
+BITWISE = dict(LAYOUTS, hermitian=(HERMITIAN[0], HERMITIAN[2], HERMITIAN[1]))
+
+
+def same(a, b):
+    assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE))
+def test_kernel_matches_frozen_bit_for_bit(name):
+    lay = ConeLayout(*BITWISE[name])
+    frozen = FrozenLayout(lay)
+    rng = np.random.default_rng(29)
+    x, z = frozen_interior(lay, rng), frozen_interior(lay, rng)
+    sc, ref = NTScaling(lay, x, z), FrozenScaling(lay, x, z)
+    assert sc.jitters == ref.jitters == 0
+    for attr in ("R", "Rinv", "Rh", "Rinvh", "lam_psd"):
+        for got, want in zip(getattr(sc, attr), getattr(ref, attr)):
+            same(got, want)
+    same(sc.w_nn, ref.w_nn)
+    same(sc.lam_nn, ref.lam_nn)
+    rows = rng.standard_normal((4, lay.size))
+    for vec in (rows[0], rows):
+        for got, want in zip(lay.unpack(vec), frozen.unpack(vec)):
+            same(got, want)
+        nn = lay.nn_block(vec)
+        same(lay.pack(lay.unpack(vec), nn),
+             frozen.pack(frozen.unpack(vec), nn))
+        same(sc.scale_dual(vec), ref.scale_dual(vec))
+        same(sc.unscale_primal(vec), ref.unscale_primal(vec))
+        same(sc.unscale_dual(vec), ref.unscale_dual(vec))
+    u, g = rows[1], rows[2]
+    dx, dz = sc.unscale(u, g)
+    same(dx, ref.unscale_primal(u))
+    same(dz, ref.unscale_dual(g))
+    same(sc.jordan_prod(u, g), ref.jordan_prod(u, g))
+    for scale in (0.1, 1.0, 10.0):
+        du, dv = scale * rows[2], scale * rows[3]
+        assert sc.max_step(du, dv) == ref.max_step(du, dv)
+    assert sc.max_step(lay.identity(), sc.lambda_sq()) == 1e12
+
+
+def test_residual_norm_matches_frozen():
+    rng = np.random.default_rng(31)
+    r2, rs = rng.standard_normal(9), rng.standard_normal(9)
+    for r1 in (rng.standard_normal(4), np.zeros(0)):
+        for r3, rt in ((0.25, -3.0), (-7.5, 1e-3), (0.0, 0.0)):
+            res = (r2, r1, r3, rs, rt)
+            assert ipm._hsd_res_norm(res) == frozen_res_norm(res)
+            assert ipm._res_norm((r2, r1, rs)) == frozen_res_norm(
+                (r2, r1, rs))
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_one_singular_side_is_the_only_one_jittered(side, monkeypatch):
+    # X and Z are factored as one stack; a singular block on one side
+    # must send only that side through the per-block jitter fallback
+    lay = ConeLayout([3, 3, 3], 0)
+    singular = np.diag([1.0, 1.0, 0.0])
+    blocks = [2.0 * np.eye(3), singular, 3.0 * np.eye(3)]
+    bad = ref_pack(lay, blocks, [])
+    x, z = (bad, lay.identity()) if side == "x" else (lay.identity(), bad)
+    ref = FrozenScaling(lay, x, z)
+    calls = []
+
+    def spy(mat):
+        out = _chol(mat)
+        calls.append((mat, out[1]))
+        return out
+
+    monkeypatch.setattr(cones, "_chol", spy)
+    sc = NTScaling(lay, x, z)
+    assert sc.jitters == ref.jitters == 1
+    # the per-block fallback saw exactly the singular side's blocks, and
+    # jittered only the singular one
+    assert len(calls) == 3
+    for (mat, jittered), want in zip(calls, blocks):
+        same(mat, want)
+        assert jittered == (want is singular)
+    for attr in ("R", "Rinv", "lam_psd"):
+        for got, want in zip(getattr(sc, attr), getattr(ref, attr)):
+            same(got, want)

@@ -1,0 +1,76 @@
+"""Count and fingerprint every conic solve of some scenario runs.
+
+    PYTHONPATH=src python tools/solve_digest.py scenarios/*.json --trials 1
+
+Each scenario file goes through ``experiment.run_sweep`` with
+``cobeam.conic.solve`` and ``cobeam.conic.ipm.solve`` wrapped, as the
+benchmark's tracer wraps them.  The tool prints the number of solves
+and one sha256 over every returned ``ConicSolution``: status,
+iterations, objective, matrix values, scalar values, duals, ``kkt``,
+``stats`` and certificate.  Two versions of the solver that print the
+same digest gave the same answers, bit for bit.
+"""
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from cobeam import conic
+from cobeam.conic import ipm
+from cobeam.experiment import parse_scenario, run_sweep
+
+
+def feed(h, value):
+    """Hash ``value`` exactly: arrays and floats by their bytes."""
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            feed(h, key)
+            feed(h, value[key])
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[")
+        for item in value:
+            feed(h, item)
+        h.update(b"]")
+    elif isinstance(value, (float, np.floating)):
+        h.update(np.float64(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scenarios", nargs="+")
+    parser.add_argument("--trials", type=int, help="override trial count")
+    args = parser.parse_args(argv)
+    digest, count = hashlib.sha256(), 0
+
+    def recorded(solve):
+        def wrapper(*a, **kw):
+            nonlocal count
+            sol = solve(*a, **kw)
+            count += 1
+            feed(digest, [sol.status.value, sol.iterations, sol.objective,
+                          sol.matrix_values, sol.scalar_values, sol.duals,
+                          sol.kkt, sol.stats, sol.certificate])
+            return sol
+        return wrapper
+
+    originals = conic.solve, ipm.solve
+    conic.solve, ipm.solve = map(recorded, originals)
+    try:
+        for path in args.scenarios:
+            config = parse_scenario(path)
+            if args.trials is not None:
+                config.trials = args.trials
+            run_sweep(config)
+    finally:
+        conic.solve, ipm.solve = originals
+    print(f"solves {count} sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
