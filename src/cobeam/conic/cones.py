@@ -20,7 +20,8 @@ kernel unpacks a run into one ``(..., k, d, d)`` stack with a single
 gather and applies every operation (congruence, Cholesky, SVD,
 eigenvalues) to the whole stack at once; a leading batch axis on the
 flat vector carries through, so the m constraint rows are scaled by one
-stacked product.
+stacked product.  :class:`NTScaling` also takes x and z with leading
+problem axes: each problem's results equal its own scaling's bit for bit.
 """
 
 import itertools
@@ -197,11 +198,15 @@ class ConeLayout:
 
     def diag(self, psd, nn):
         """Packed point with diagonal PSD blocks; ``psd`` holds one
-        (k, d) array of diagonals per run."""
-        out = np.zeros(self.size)
-        out[self._diag_pos] = np.concatenate(
-            [np.zeros(0)] + [s.ravel() for s in psd]) * self._diag_scale
-        out[self.nn_offset:] = nn
+        (..., k, d) array of diagonals per run, and ``nn`` (..., nonneg)
+        carries the batch shape."""
+        batch = nn.shape[:-1]
+        out = np.zeros(batch + (self.size,))
+        if psd:
+            out[..., self._diag_pos] = np.concatenate(
+                [s.reshape(batch + (-1,)) for s in psd], axis=-1) \
+                * self._diag_scale
+        out[..., self.nn_offset:] = nn
         return out
 
     def unpack(self, vec):
@@ -235,12 +240,13 @@ class NTScaling:
     ``w = sqrt(x/z)`` and ``lam = sqrt(x z)``.  ``R``, ``Rinv``, their
     adjoints ``Rh``, ``Rinvh`` and ``lam_psd`` hold one stack per run of
     the layout; ``jitters`` counts the blocks whose Cholesky factor
-    needed jitter.
+    needed jitter.  Leading axes of x and z are problems, each with its
+    own factors and its own entry of ``jitters``.
     """
 
     def __init__(self, layout, x, z):
         self.layout = layout
-        self.jitters = 0
+        self.jitters = np.zeros(x.shape[:-1], dtype=int)
         self.R = []
         self.Rinv = []
         self.lam_psd = []
@@ -248,15 +254,19 @@ class NTScaling:
         self._root = []
         # lam o v is elementwise on packed entries: (s_r + s_c)/2 at
         # entry (r, c) of a PSD block, lam on the orthant
-        pair = [np.zeros(0)]
+        pair = []
         # x and z go through one gather and one stacked Cholesky; a
-        # singular block sends each side through its own jitter fallback
+        # singular block sends each side of its problem through its own
+        # jitter fallback
         for r, XZ in zip(layout.runs, layout.unpack(_pair(x, z))):
             try:
                 Lx, Lz = np.linalg.cholesky(XZ)
             except np.linalg.LinAlgError:
-                Lx = self._cholesky(XZ[0])
-                Lz = self._cholesky(XZ[1])
+                L = np.empty_like(XZ)
+                for side, idx in itertools.product(
+                        (0, 1), np.ndindex(self.jitters.shape)):
+                    L[(side,) + idx] = self._cholesky(XZ[(side,) + idx], idx)
+                Lx, Lz = L
             Lzh = _H(Lz)
             U, s, Vh = np.linalg.svd(Lzh @ Lx)
             s = np.maximum(s, 1e-300)
@@ -266,7 +276,9 @@ class NTScaling:
             self.Rinv.append(_H(U / sq) @ Lzh)
             self.lam_psd.append(s)
             self._root.append((root[..., :, None], sq))
-            pair.append((0.5 * (s[:, r.rows] + s[:, r.cols])).ravel())
+            pair.append((0.5 * (s.take(r.rows, axis=-1)
+                                + s.take(r.cols, axis=-1))).reshape(
+                self.jitters.shape + (-1,)))
         self.Rh = [_H(R) for R in self.R]
         self.Rinvh = [_H(Ri) for Ri in self.Rinv]
         xn = layout.nn_block(x)
@@ -274,16 +286,16 @@ class NTScaling:
         self.w_nn = np.sqrt(xn / zn)
         self.lam_nn = np.sqrt(xn * zn)
         pair.append(self.lam_nn)
-        self._lam_pair = np.concatenate(pair)
+        self._lam_pair = np.concatenate(pair, axis=-1)
 
-    def _cholesky(self, stack):
+    def _cholesky(self, stack, idx):
         try:
             return np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
             out = np.empty_like(stack)
             for b, mat in enumerate(stack):
                 out[b], jittered = _chol(mat)
-                self.jitters += jittered
+                self.jitters[idx] += jittered
             return out
 
     # -- maps between original and scaled coordinates (flat in, flat out;
@@ -350,20 +362,25 @@ class NTScaling:
         return lay.pack(mats, lay.nn_block(u) * lay.nn_block(v))
 
     def max_step(self, du_scaled, dv_scaled):
-        """Largest a <= 1e12 keeping lam + a*du and lam + a*dv in the cone."""
+        """Largest a <= 1e12 keeping lam + a*du and lam + a*dv in the cone;
+        a list with one bound per problem when the scaling has a batch."""
         lay = self.layout
-        both = _pair(du_scaled, dv_scaled)
-        bound = 1e12
+        # one problem axis, also for an unbatched scaling; per run and
+        # problem, the least eigenvalue over both directions and blocks
+        both = _pair(du_scaled, dv_scaled).reshape(2, -1, lay.size)
+        bounds = [1e12] * both.shape[1]
         for D, (col, row) in zip(lay.unpack(both), self._root):
-            lo = np.linalg.eigvalsh(D / col / row)[..., 0].min()
-            if lo < 0:
-                bound = min(bound, float(-1.0 / lo))
+            lows = np.linalg.eigvalsh(D / col / row)[..., 0]
+            for p, lo in enumerate(lows.min(axis=(0, -1)).tolist()):
+                if lo < 0:
+                    bounds[p] = min(bounds[p], -1.0 / lo)
         dn = lay.nn_block(both)
         if dn.size:
             steps = np.divide(-self.lam_nn, dn, out=np.full(dn.shape, np.inf),
                               where=dn < 0)
-            bound = min(bound, float(steps.min()))
-        return bound
+            # min(bound, step) keeps the bound against a NaN step
+            bounds = list(map(min, bounds, steps.min(axis=(0, -1)).tolist()))
+        return bounds if self.jitters.ndim else bounds[0]
 
 
 def _chol(mat):

@@ -21,13 +21,15 @@ first iterate that yields a feasible point or a Farkas certificate
 confirmed by direct evaluation.
 
 The iterations' floating-point operations, their operands and their
-order are fixed; the loops only trim the numpy calls around them.  A
-rewrite that keeps the answers keeps them bit for bit, as
-``tools/solve_digest.py`` and the frozen kernel in
-``tests/test_cones.py`` check.
+order are fixed.  Each loop runs a lockstep batch of problems of one
+shape (:func:`solve_batch`; a lone :func:`solve` is a batch of one) and
+stacks only operations that give every problem the bits of its own
+call, as ``tools/solve_digest.py``, ``tests/test_conic.py`` and the
+frozen kernel in ``tests/test_cones.py`` check.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,90 @@ _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"),
 def _require_finite(a):
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+# Dot products and matrix-vector products per problem along any leading
+# axes: each problem gets the BLAS call (dot, gemv) of its own 1-D
+# ``u @ v``.  numpy's vecdot and matvec make one C call; older numpy
+# reaches the same calls through matmul.
+_vecdot = getattr(np, "vecdot", None) \
+    or (lambda u, v: (u[..., None, :] @ v[..., :, None])[..., 0, 0])
+_mv = getattr(np, "matvec", None) \
+    or (lambda M, v: (M @ v[..., :, None])[..., 0])
+
+
+def _dot(u, v):
+    """Per-problem dot products as a list of floats."""
+    return _vecdot(u, v).tolist() if u.ndim > 1 else [float(u @ v)]
+
+
+def _listed(value):
+    """A per-problem list, also of one problem's lone value."""
+    return value if isinstance(value, list) else [value]
+
+
+def _col(values):
+    """Per-problem scalars as a column that scales (P, n) rows; one
+    problem's scalar as itself."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _where(mask, new, old):
+    """Per problem: ``new`` where ``mask``, else ``old``, over sequences
+    of (P, n) arrays, of per-problem lists and of Nones."""
+    rows = np.array(mask)[:, None]
+    return [[a if go else b for go, a, b in zip(mask, n, o)]
+            if isinstance(n, list) else n if n is None
+            else np.where(rows, n, o) for n, o in zip(new, old)]
+
+
+class _Batch:
+    """Compiled data of problems with one layout and row count, stacked
+    along a leading problem axis; a lone problem keeps its own arrays.
+    ``A_blocks`` keep the row axis first, (m, P, k, d, d), so that a
+    batched scaling broadcasts over them."""
+
+    def __init__(self, compiled):
+        self.compiled = compiled
+        self.layout = compiled[0].layout
+        self.single = len(compiled) == 1
+        stack = (lambda arrays, axis=0: arrays[0]) if self.single \
+            else np.stack
+        self.A = stack([c.A for c in compiled])
+        self.At = self.A.swapaxes(-1, -2)
+        self.b = stack([c.b for c in compiled])
+        self.c = stack([c.c for c in compiled])
+        self.qdiag = stack([c.qdiag for c in compiled])
+        self.A_blocks = [stack(run, axis=1)
+                         for run in zip(*(c.A_blocks for c in compiled))]
+        self.nb = [1.0 + np.linalg.norm(c.b) for c in compiled]
+        self.nc = [1.0 + np.linalg.norm(c.c) for c in compiled]
+
+    def rows(self, a):
+        """Each problem's part of a stacked array."""
+        return (a,) if self.single else a
+
+
+def _factor_schur(M):
+    """(Cholesky factor, None, fallback) of a Schur complement, ridged if
+    need be, else (None, pseudo-inverse, "schur_pinv")."""
+    if not M.size:
+        return None, None, None
+    _require_finite(M)
+    ridge = 0.0
+    for _ in range(8):
+        factor, info = _POTRF(M + ridge * np.eye(len(M)) if ridge else M,
+                              lower=1)
+        if info == 0:
+            return factor, None, "schur_ridge" if ridge > 0 else None
+        ridge = max(ridge * 100.0,
+                    1e-14 * max(np.abs(np.diag(M)).max(), 1.0))
+    return None, np.linalg.pinv(M), "schur_pinv"
 
 
 class _KktSolver:
-    """Solves of the KKT system at the current iterate, in scaled space.
+    """Solves of the KKT system at the current iterates, in scaled space.
 
     HSD rows (dkappa and dz eliminated analytically):
 
@@ -78,140 +160,156 @@ class _KktSolver:
     quadratic diagonal; no large-norm operator is ever applied to an
     intermediate vector, and full-level iterative refinement stays
     contractive far below the current gap.
+
+    Scalars are per-problem lists of floats; each problem gets its own
+    Schur factorization, fallback and refinement passes.
     """
 
-    def __init__(self, compiled, scaling, qdiag=None, tau=None, kappa=None):
-        A, b, c = compiled.A, compiled.b, compiled.c
-        self.A, self.b, self.c = A, b, c
+    def __init__(self, data, scaling, qdiag=None, tau=None, kappa=None):
+        self.A, self.b, self.c = data.A, data.b, data.c
+        self.At = data.At
+        self.m = data.A.shape[-2]
+        self.rows = data.rows
         self.scaling = scaling
-        m, n = A.shape
-        # all m scaled rows W'a_k from one stacked congruence per run
-        self.at_scaled = scaling.scale_dual_blocks(
-            compiled.A_blocks, scaling.layout.nn_block(A))
-        self.c_scaled = scaling.scale_dual(c)
+        lay = scaling.layout
+        # all m scaled rows W'a_k from one stacked congruence per run,
+        # rows first so that each problem's factors broadcast
+        nn = lay.nn_block(data.A)
+        if data.single:
+            self.at_scaled = scaling.scale_dual_blocks(data.A_blocks, nn)
+        else:
+            self.at_scaled = np.ascontiguousarray(scaling.scale_dual_blocks(
+                data.A_blocks, nn.swapaxes(0, 1)).swapaxes(0, 1))
+        self.at_scaled_t = self.at_scaled.swapaxes(-1, -2)
+        self.c_scaled = scaling.scale_dual(data.c)
         # NT Hessian in scaled space: identity + quadratic diagonal
         if qdiag is not None:
-            dvec = np.ones(n)
-            dvec[scaling.layout.nn_offset:] += qdiag * scaling.w_nn ** 2
+            dvec = np.ones(data.c.shape)
+            dvec[..., lay.nn_offset:] += qdiag * scaling.w_nn ** 2
             self.dinv = 1.0 / dvec
         else:
             self.dinv = None
         self.qdiag = qdiag
-        self._factor_schur(m)
+        self._build_schur()
         self.tau = tau
         self.kappa = kappa
         if tau is not None:
-            self.p2s, self.u2 = self._saddle(-self.c_scaled, b)
-            self.denom = float(kappa / tau - self.c_scaled @ self.p2s
-                               + b @ self.u2)
+            self.p2s, self.u2 = self._saddle(-self.c_scaled, self.b)
+            self.denom = [k / t - cp + bu for k, t, cp, bu in zip(
+                kappa, tau, _dot(self.c_scaled, self.p2s),
+                _dot(self.b, self.u2))]
 
-    def _factor_schur(self, m):
-        rows = self.at_scaled if self.dinv is None \
-            else self.at_scaled * self.dinv
-        M = rows @ self.at_scaled.T if m else np.zeros((0, 0))
-        M = 0.5 * (M + M.T)
+    def _build_schur(self):
+        at = self.at_scaled
+        # without a quadratic both operands are one array: a syrk
+        rows = at if self.dinv is None else at * self.dinv[..., None, :]
+        M = rows @ self.at_scaled_t
+        M = 0.5 * (M + M.swapaxes(-1, -2))
         self.M = M
-        self._factor = None
-        self._pinv = None
-        self.fallback = None        # "schur_ridge" or "schur_pinv"
-        if m == 0:
-            return
-        _require_finite(M)
-        ridge = 0.0
-        for _ in range(8):
-            factor, info = _POTRF(M + ridge * np.eye(m) if ridge else M,
-                                  lower=1)
-            if info == 0:
-                self._factor = factor
-                if ridge > 0:
-                    self.fallback = "schur_ridge"
-                return
-            ridge = max(ridge * 100.0,
-                        1e-14 * max(np.abs(np.diag(M)).max(), 1.0))
-        self._pinv = np.linalg.pinv(M)
-        self.fallback = "schur_pinv"
+        # per problem: its Schur complement, its Cholesky factor or
+        # pseudo-inverse, and which fallback fired (None, "schur_ridge" or
+        # "schur_pinv")
+        self._solvers = [(Mp,) + _factor_schur(Mp) for Mp in self.rows(M)]
+        self.fallback = [s[3] if self.m else None for s in self._solvers]
 
     def _schur_solve(self, rhs):
-        if self.M.shape[0] == 0:
-            return np.zeros(0)
-        if self._factor is not None:
-            _require_finite(rhs)
-            sol = _POTRS(self._factor, rhs, lower=1)[0]
-            sol += _POTRS(self._factor, rhs - self.M @ sol, lower=1)[0]
-            return sol
-        return self._pinv @ rhs
+        if not self.m:
+            return np.zeros(rhs.shape)
+        sols = []
+        for (M, factor, pinv, _), r in zip(self._solvers, self.rows(rhs)):
+            if factor is None:
+                sols.append(pinv @ r)
+                continue
+            # one refinement step on the Cholesky solve
+            sol = _POTRS(factor, _require_finite(r), lower=1)[0]
+            sol += _POTRS(factor, r - M @ sol, lower=1)[0]
+            sols.append(sol)
+        return sols[0] if len(sols) == 1 else np.array(sols)
 
     def _saddle(self, fd_scaled, f_p):
         """Solve (I+D) dxs - (WA')dy = fd_scaled, (AW) dxs = f_p."""
         t = fd_scaled if self.dinv is None else self.dinv * fd_scaled
-        dy = self._schur_solve(f_p - self.at_scaled @ t)
-        dxs = fd_scaled + (self.at_scaled.T @ dy if dy.size else 0.0)
+        dy = self._schur_solve(f_p - _mv(self.at_scaled, t))
+        dxs = fd_scaled + (_mv(self.at_scaled_t, dy) if self.m else 0.0)
         if self.dinv is not None:
             dxs = self.dinv * dxs
         return dxs, dy
 
+    def _refined(self, once, residual, norm, rhs, refine=REFINE_STEPS):
+        """``once(*rhs)`` polished by iterative refinement.  A problem
+        stops at its residual floor or at its first pass that does not
+        lower its residual norm; later passes give it a zero right-hand
+        side and keep its direction."""
+        best = once(*rhs)
+        res = residual(best, *rhs)
+        best_norm = _listed(norm(res))
+        live = [not bn < 1e-14 for bn in best_norm]
+        for _ in range(refine):
+            if not any(live):
+                break
+            if not all(live):
+                res = _where(live, res, [[0.0] * len(live) if isinstance(
+                    r, list) else 0.0 for r in res])
+            cand = best.plus(once(*res))
+            res = residual(cand, *rhs)
+            cand_norm = _listed(norm(res))
+            better = [go and not cn >= bn
+                      for go, cn, bn in zip(live, cand_norm, best_norm)]
+            if all(better):
+                best, best_norm = cand, cand_norm
+            elif any(better):
+                best = _Dir(*_where(better, vars(cand).values(),
+                                    vars(best).values()))
+                best_norm = [cn if go else bn for go, cn, bn in
+                             zip(better, cand_norm, best_norm)]
+            live = [go and not bn < 1e-14 for go, bn in zip(better, best_norm)]
+        return best
+
     # -- homogeneous variant ------------------------------------------
 
-    def solve_hsd(self, f2, f1, f3, fs, ft, refine=REFINE_STEPS):
-        sol = self._solve_hsd_once(f2, f1, f3, fs, ft)
-        res = self._residual_hsd(sol, f2, f1, f3, fs, ft)
-        best, best_norm = sol, _hsd_res_norm(res)
-        for _ in range(refine):
-            if best_norm < 1e-14:
-                break
-            corr = self._solve_hsd_once(*res)
-            cand = best.plus(corr)
-            res = self._residual_hsd(cand, f2, f1, f3, fs, ft)
-            norm = _hsd_res_norm(res)
-            if norm >= best_norm:
-                break
-            best, best_norm = cand, norm
-        return best
+    def solve_hsd(self, f2, f1, f3, fs, ft):
+        return self._refined(self._solve_hsd_once, self._residual_hsd,
+                             _hsd_res_norm, (f2, f1, f3, fs, ft))
 
     def _solve_hsd_once(self, f2, f1, f3, fs, ft):
         sc = self.scaling
         g = sc.jordan_div(fs)
         fd_scaled = sc.scale_dual(f2) + g
         p1s, u1 = self._saddle(fd_scaled, f1)
-        f_g = f3 + ft / self.tau
-        if abs(self.denom) < 1e-300:
-            dtau = 0.0
-        else:
-            dtau = float(f_g + self.c_scaled @ p1s
-                         - self.b @ u1) / self.denom
-        dxs = p1s + dtau * self.p2s
-        dy = u1 + dtau * self.u2
+        dtau, dkappa = [], []
+        for f, e, t, k, cp, bu, d in zip(
+                f3, ft, self.tau, self.kappa,
+                _dot(self.c_scaled, p1s), _dot(self.b, u1),
+                self.denom):
+            dt = 0.0 if abs(d) < 1e-300 else (f + e / t + cp - bu) / d
+            dtau.append(dt)
+            dkappa.append((e - k * dt) / t)
+        col = _col(dtau)
+        dxs = p1s + col * self.p2s
+        dy = u1 + col * self.u2
         dzs = g - dxs
-        dkappa = (ft - self.kappa * dtau) / self.tau
         dx, dz = sc.unscale(dxs, dzs)
-        return _HsdDir(dx, dy, dz, dtau, dkappa, dxs, dzs)
+        return _Dir(dx, dy, dz, dxs, dzs, dtau, dkappa)
 
     def _residual_hsd(self, sol, f2, f1, f3, fs, ft):
-        at_dy = self.A.T @ sol.dy if sol.dy.size else np.zeros_like(sol.dx)
-        r2 = f2 - (-at_dy + self.c * sol.dtau - sol.dz)
-        r1 = f1 - (self.A @ sol.dx - self.b * sol.dtau)
-        r3 = f3 - (float(self.b @ sol.dy - self.c @ sol.dx) - sol.dkappa)
+        at_dy = _mv(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
+        col = _col(sol.dtau)
+        r2 = f2 - (-at_dy + self.c * col - sol.dz)
+        r1 = f1 - (_mv(self.A, sol.dx) - self.b * col)
+        r3, rt = [], []
+        for f, e, t, k, dt, dk, bdy, cdx in zip(
+                f3, ft, self.tau, self.kappa, sol.dtau, sol.dkappa,
+                _dot(self.b, sol.dy), _dot(self.c, sol.dx)):
+            r3.append(f - ((bdy - cdx) - dk))
+            rt.append(e - (t * dk + k * dt))
         rs = fs - self.scaling.lam_prod(sol.dxs + sol.dzs)
-        rt = ft - (self.tau * sol.dkappa + self.kappa * sol.dtau)
         return r2, r1, r3, rs, rt
 
     # -- plain variant -------------------------------------------------
 
-    def solve_plain(self, f2, f1, fs, refine=REFINE_STEPS):
-        sol = self._solve_plain_once(f2, f1, fs)
-        res = self._residual_plain(sol, f2, f1, fs)
-        best, best_norm = sol, _res_norm(res)
-        for _ in range(refine):
-            if best_norm < 1e-14:
-                break
-            corr = self._solve_plain_once(*res)
-            cand = best.plus(corr)
-            res = self._residual_plain(cand, f2, f1, fs)
-            norm = _res_norm(res)
-            if norm >= best_norm:
-                break
-            best, best_norm = cand, norm
-        return best
+    def solve_plain(self, f2, f1, fs):
+        return self._refined(self._solve_plain_once, self._residual_plain,
+                             _res_norm, (f2, f1, fs))
 
     def _solve_plain_once(self, f2, f1, fs):
         sc = self.scaling
@@ -220,72 +318,81 @@ class _KktSolver:
         dxs, dy = self._saddle(fd_scaled, f1)
         dzs = g - dxs
         dx, dz = sc.unscale(dxs, dzs)
-        return _PlainDir(dx, dy, dz, dxs, dzs)
+        return _Dir(dx, dy, dz, dxs, dzs)
 
     def _residual_plain(self, sol, f2, f1, fs):
-        at_dy = self.A.T @ sol.dy if sol.dy.size else np.zeros_like(sol.dx)
+        at_dy = _mv(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
+        off = self.scaling.layout.nn_offset
         qdx = np.zeros_like(sol.dx)
-        if self.qdiag is not None:
-            off = self.scaling.layout.nn_offset
-            qdx[off:] = self.qdiag * sol.dx[off:]
+        qdx[..., off:] = self.qdiag * sol.dx[..., off:]
         r2 = f2 - (qdx - at_dy - sol.dz)
-        r1 = f1 - self.A @ sol.dx
+        r1 = f1 - _mv(self.A, sol.dx)
         rs = fs - self.scaling.lam_prod(sol.dxs + sol.dzs)
         return r2, r1, rs
 
 
 @dataclass
-class _HsdDir:
-    dx: np.ndarray
-    dy: np.ndarray
-    dz: np.ndarray
-    dtau: float
-    dkappa: float
-    dxs: np.ndarray
-    dzs: np.ndarray
-
-    def plus(self, o):
-        return _HsdDir(self.dx + o.dx, self.dy + o.dy, self.dz + o.dz,
-                       self.dtau + o.dtau, self.dkappa + o.dkappa,
-                       self.dxs + o.dxs, self.dzs + o.dzs)
-
-
-@dataclass
-class _PlainDir:
+class _Dir:
+    """A direction: dx, dy, dz, the scaled dxs and dzs, and on the
+    homogeneous path the per-problem lists dtau and dkappa."""
     dx: np.ndarray
     dy: np.ndarray
     dz: np.ndarray
     dxs: np.ndarray
     dzs: np.ndarray
+    dtau: list = None
+    dkappa: list = None
 
     def plus(self, o):
-        return _PlainDir(self.dx + o.dx, self.dy + o.dy, self.dz + o.dz,
-                         self.dxs + o.dxs, self.dzs + o.dzs)
+        return _Dir(self.dx + o.dx, self.dy + o.dy, self.dz + o.dz,
+                    self.dxs + o.dxs, self.dzs + o.dzs,
+                    self.dtau and list(map(operator.add, self.dtau, o.dtau)),
+                    self.dkappa
+                    and list(map(operator.add, self.dkappa, o.dkappa)))
 
 
-def _res_norm(vectors, scalars=()):
-    """Largest absolute entry over residual vectors and scalars."""
-    return max([float(np.abs(np.concatenate(vectors)).max()),
-                *map(abs, scalars)])
+def _res_norm(vectors):
+    """Largest absolute entry over residual vectors: a list with one norm
+    per problem along a leading axis, else one float."""
+    return np.abs(np.concatenate(vectors, axis=-1)).max(axis=-1).tolist()
 
 
 def _hsd_res_norm(res):
     r2, r1, r3, rs, rt = res
-    return _res_norm((r2, r1, rs), (r3, rt))
+    tops = _res_norm((r2, r1, rs))
+    if not isinstance(r3, list):
+        return max([tops, abs(r3), abs(rt)])
+    return [max([top, abs(a), abs(b)])
+            for top, a, b in zip(_listed(tops), r3, rt)]
 
 
 def _max_step_scalar(v, dv):
     return 1e12 if dv >= 0 else -v / dv
 
 
+def _step_lengths(scaling, d, fraction, tau=None, kappa=None):
+    """Per problem: min(1, fraction * the longest step along direction
+    ``d`` that keeps the iterate in the cone, and tau and kappa
+    nonnegative when given); a fraction of 1.0 leaves the bound as is."""
+    bounds = _listed(scaling.max_step(d.dxs, d.dzs))
+    if tau is None:
+        return [min(1.0, fraction * am) for am in bounds]
+    return [min(1.0, fraction * min(am, _max_step_scalar(t, dt),
+                                    _max_step_scalar(k, dk)))
+            for am, t, dt, k, dk in zip(bounds, tau, d.dtau, kappa, d.dkappa)]
+
+
 def _new_stats():
     return {"chol_jitter": 0, "schur_ridge": 0, "schur_pinv": 0}
 
 
-def _count_fallbacks(stats, scaling, kkt):
-    stats["chol_jitter"] += scaling.jitters
-    if kkt.fallback:
-        stats[kkt.fallback] += 1
+def _count_fallbacks(members, scaling, kkt):
+    if scaling.jitters.any():
+        for mem, jitters in zip(members, scaling.jitters.reshape(-1).tolist()):
+            mem.stats["chol_jitter"] += jitters
+    for mem, fallback in zip(members, kkt.fallback):
+        if fallback:
+            mem.stats[fallback] += 1
 
 
 def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
@@ -293,14 +400,40 @@ def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
     """Solve a :class:`ConicProblem`, returning a :class:`ConicSolution`.
 
     Problems with quadratic scalar terms go through the infeasible-start
-    method; everything else through the homogeneous embedding.
+    method; everything else through the homogeneous embedding.  This is
+    the one-problem case of :func:`solve_batch`.
     """
-    if problem.num_vars() == 0:
-        raise ValueError("problem has no variables")
-    compiled = CompiledProblem(problem)
-    if problem.has_quadratic():
-        return _solve_qp(compiled, tol, accept_tol, max_iter)
-    return _solve_hsd(compiled, tol, accept_tol, max_iter)
+    return solve_batch([problem], tol, accept_tol, max_iter)[0]
+
+
+def solve_batch(problems, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
+                max_iter=MAX_ITER):
+    """Solve several problems in lockstep: the solutions equal
+    ``[solve(p) for p in problems]`` bit for bit, in the same order.
+
+    Problems with one cone layout, row count and variant (quadratic or
+    not) share one interior-point loop, their iterates stacked along a
+    leading axis; only operations whose stacked form gives each problem
+    the bits of its own call are stacked.  Every decision stays per
+    problem, and a finished problem leaves the batch.  When several
+    problems would raise, the error that surfaces may be another's.
+    """
+    groups = {}
+    for i, problem in enumerate(problems):
+        if problem.num_vars() == 0:
+            raise ValueError("problem has no variables")
+        compiled = CompiledProblem(problem)
+        lay = compiled.layout
+        key = (lay.psd_dims, lay.psd_complex, lay.nonneg,
+               len(compiled.b), problem.has_quadratic())
+        groups.setdefault(key, []).append((i, compiled))
+    out = [None] * len(problems)
+    for key, members in groups.items():
+        loop = _solve_qp if key[-1] else _solve_hsd
+        sols = loop([c for _, c in members], tol, accept_tol, max_iter)
+        for (i, _), sol in zip(members, sols):
+            out[i] = sol
+    return out
 
 
 def check_feasibility(problem, tol=DEFAULT_TOL, return_solution=False):
@@ -485,141 +618,196 @@ class _FeasibilityScreens:
             certificate={"weights": weights, "violation": check["violation"]})
 
 
-def _solve_hsd(compiled, tol, accept_tol, max_iter):
-    lay = compiled.layout
-    A, b, c = compiled.A, compiled.b, compiled.c
-    nb = 1.0 + np.linalg.norm(b)
-    nc = 1.0 + np.linalg.norm(c)
+class _Member:
+    """One problem's own state in a lockstep loop: its best iterate,
+    stall count, fallback counts and exit."""
+
+    def __init__(self, compiled, screens=False):
+        self.compiled, self.stats, self.screens = compiled, _new_stats(), None
+        self.best, self.best_err, self.stall = None, np.inf, 0
+        if screens and not compiled.c.any():
+            self.screens = _FeasibilityScreens(compiled)
+            self.stats.update(point_stop=0, farkas_stop=0)
+        self.status, self.iterations = SolveStatus.MAX_ITER, None
+        self.solution = None            # set by an early exit
+
+    def track(self, x, y, tau, pres, dres, relgap, tol, it):
+        """Record the iterate's residuals; True once the problem has
+        converged at ``tol``."""
+        err = max(pres, dres, relgap)
+        if err < self.best_err:
+            self.best_err = err
+            # iterates are rebound, never updated in place
+            self.best = (x, y, tau, (pres, dres, relgap))
+            self.stall = 0
+        else:
+            self.stall += 1
+        if pres <= tol and dres <= tol and relgap <= tol:
+            self.status, self.iterations = SolveStatus.OPTIMAL, it + 1
+            return True
+        return False
+
+    def result(self, accept_tol):
+        """The solution at the best iterate (x/tau, y/tau on the
+        homogeneous path), unless an early exit produced one."""
+        if self.solution is not None:
+            return self.solution
+        comp = self.compiled
+        x, y, tau, (pres, dres, relgap) = self.best
+        if tau is not None:
+            x, y = x / tau, y / tau
+        status = self.status
+        if status is not SolveStatus.OPTIMAL and pres <= accept_tol \
+                and dres <= accept_tol and relgap <= accept_tol:
+            status = SolveStatus.OPTIMAL
+        mats, scalars = comp.extract_point(x)
+        objective = comp.source.evaluate_objective(mats, scalars) \
+            if status is SolveStatus.OPTIMAL else None
+        return ConicSolution(
+            status=status, matrix_values=mats, scalar_values=scalars,
+            duals=comp.user_duals(y), objective=objective,
+            iterations=self.iterations,
+            kkt={"primal": pres, "dual": dres, "gap": relgap},
+            stats=self.stats)
+
+
+def _sigma(mu_aff, mu):
+    """Mehrotra's centering weight, the cube taken in numpy scalars as
+    the serial loop takes it."""
+    return float(min(1.0, max(0.0, np.float64(mu_aff / mu) ** 3)))
+
+
+def _narrow(keep, active, data, values):
+    """The members at batch positions ``keep``, their data and their rows
+    of each per-problem array or list (all as given if none left)."""
+    if len(keep) == len(active):
+        return active, data, values
+    active = [active[p] for p in keep]
+    rows = keep[0] if len(keep) == 1 else keep
+    return active, _Batch([mem.compiled for mem in active]), [
+        [v[p] for p in keep] if isinstance(v, list) else v[rows]
+        for v in values]
+
+
+def _start(group, screens=False):
+    """Data, identity, the start x = z = identity and y = 0, members."""
+    data = _Batch(group)
+    ident = data.layout.identity()
+    x = ident if data.single else np.tile(ident, (len(group), 1))
+    return (data, ident, x, np.zeros(data.b.shape),
+            [_Member(c, screens) for c in group])
+
+
+def _solve_hsd(group, tol, accept_tol, max_iter):
+    """Homogeneous self-dual loop over compiled problems of one shape;
+    returns their solutions in order."""
+    data, ident, x, y, members = _start(group, screens=True)
+    z, active, it = x, members, 0
+    lay, m = data.layout, data.A.shape[-2]
     deg = lay.degree + 1
-
-    ident = lay.identity()
-    x = z = ident
-    y = np.zeros(A.shape[0])
-    tau, kappa = 1.0, 1.0
-
-    best = None
-    best_err = np.inf
-    stats = _new_stats()
-    screens = None if c.any() else _FeasibilityScreens(compiled)
-    if screens is not None:
-        stats.update(point_stop=0, farkas_stop=0)
-    stall = 0
-    status = SolveStatus.MAX_ITER
-    it = 0
+    tau, kappa = [1.0] * len(group), [1.0] * len(group)
 
     for it in range(max_iter):
-        bty, ctx, xtz = b @ y, c @ x, x @ z
-        r1 = A @ x - b * tau
-        r2 = c * tau - (A.T @ y if y.size else 0.0) - z
-        r3 = float(bty - ctx - kappa)
-        mu = (xtz + tau * kappa) / deg
+        A, b, c = data.A, data.b, data.c
+        bty, ctx, xtz = _dot(b, y), _dot(c, x), _dot(x, z)
+        col = _col(tau)
+        r1 = _mv(A, x) - b * col
+        r2 = c * col - (_mv(data.At, y) if m else 0.0) - z
 
-        pres = math.sqrt(r1.dot(r1)) / (tau * nb)
-        dres = math.sqrt(r2.dot(r2)) / (tau * nc)
-        pobj = float(ctx) / tau
-        gap = float(xtz) / tau ** 2
-        relgap = gap / max(1.0, abs(pobj))
-        err = max(pres, dres, relgap)
-        if err < best_err:
-            best_err = err
-            # iterates are rebound, never updated in place
-            best = (x, y, tau, (pres, dres, relgap))
-            stall = 0
-        else:
-            stall += 1
-        if pres <= tol and dres <= tol and relgap <= tol:
-            status = SolveStatus.OPTIMAL
-            break
-
-        if screens is not None:
-            # iterations are counted as on the OPTIMAL and Farkas exits
-            # below
-            early = screens.point(x, tau)
-            if early is not None:
-                stats["point_stop"], early.iterations = 1, it + 1
-            elif bty > 0:
-                early = screens.farkas(y)
+        keep, r3, mu = [], [], []
+        for p, (mem, xp, yp, zp, t, k, bt, ct, xz, rr1, rr2, nb, nc) in \
+                enumerate(zip(active, data.rows(x), data.rows(y),
+                              data.rows(z), tau, kappa, bty, ctx, xtz,
+                              _dot(r1, r1), _dot(r2, r2), data.nb, data.nc)):
+            r3.append(bt - ct - k)
+            mu.append((xz + t * k) / deg)
+            pres = math.sqrt(rr1) / (t * nb)
+            dres = math.sqrt(rr2) / (t * nc)
+            relgap = (xz / t ** 2) / max(1.0, abs(ct / t))
+            if mem.track(xp, yp, t, pres, dres, relgap, tol, it):
+                continue
+            comp = mem.compiled
+            if mem.screens is not None:
+                # iterations are counted as on the OPTIMAL and Farkas
+                # exits below
+                early = mem.screens.point(xp, t)
                 if early is not None:
-                    stats["farkas_stop"], early.iterations = 1, it
-            if early is not None:
-                early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
-                early.stats = stats
-                return early
-
-        if kappa >= tau and it > 0:
-            bty, ctx = float(bty), float(ctx)
-            ny = np.linalg.norm(y)
-            if bty > 0 and ny > 0:
-                if np.linalg.norm(A.T @ y + z) <= accept_tol * bty:
-                    return _infeasible_solution(compiled, y, it, stats)
-            if ctx < 0:
-                if np.linalg.norm(A @ x) <= accept_tol * (-ctx):
-                    return _unbounded_solution(compiled, x, -ctx, it,
-                                               stats)
-
-        if stall >= 12:
-            it += 1
+                    mem.stats["point_stop"], early.iterations = 1, it + 1
+                elif bt > 0:
+                    early = mem.screens.farkas(yp)
+                    if early is not None:
+                        mem.stats["farkas_stop"], early.iterations = 1, it
+                if early is not None:
+                    early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
+                    early.stats = mem.stats
+                    mem.solution = early
+                    continue
+            if k >= t and it > 0:
+                if bt > 0 and np.linalg.norm(yp) > 0 and np.linalg.norm(
+                        comp.A.T @ yp + zp) <= accept_tol * bt:
+                    mem.solution = _infeasible_solution(comp, yp, it,
+                                                        mem.stats)
+                    continue
+                if ct < 0 and np.linalg.norm(comp.A @ xp) \
+                        <= accept_tol * (-ct):
+                    mem.solution = _unbounded_solution(comp, xp, -ct, it,
+                                                       mem.stats)
+                    continue
+            if mem.stall >= 12:
+                mem.iterations = it + 2
+                continue
+            keep.append(p)
+        if not keep:
             break
+        active, data, (x, y, z, tau, kappa, r1, r2, r3, mu) = _narrow(
+            keep, active, data, (x, y, z, tau, kappa, r1, r2, r3, mu))
 
         scaling = NTScaling(lay, x, z)
-        kkt = _KktSolver(compiled, scaling, tau=tau, kappa=kappa)
-        _count_fallbacks(stats, scaling, kkt)
+        kkt = _KktSolver(data, scaling, tau=tau, kappa=kappa)
+        _count_fallbacks(active, scaling, kkt)
 
         lam_sq = scaling.lambda_sq()
-        aff = kkt.solve_hsd(-r2, -r1, -r3, -lam_sq, -tau * kappa)
-        amax = min(scaling.max_step(aff.dxs, aff.dzs),
-                   _max_step_scalar(tau, aff.dtau),
-                   _max_step_scalar(kappa, aff.dkappa))
-        a_aff = min(1.0, amax)
-        mu_aff = ((x + a_aff * aff.dx) @ (z + a_aff * aff.dz)
-                  + (tau + a_aff * aff.dtau)
-                  * (kappa + a_aff * aff.dkappa)) / deg
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+        aff = kkt.solve_hsd(-r2, -r1, [-v for v in r3], -lam_sq,
+                            [-t * k for t, k in zip(tau, kappa)])
+        a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa)
+        col = _col(a_aff)
+        target, rhs_t, eta, eta_r3 = [], [], [], []
+        for xz, t, k, a, dt, dk, mp, v in zip(
+                _dot(x + col * aff.dx, z + col * aff.dz), tau, kappa,
+                a_aff, aff.dtau, aff.dkappa, mu, r3):
+            sigma = _sigma((xz + (t + a * dt) * (k + a * dk)) / deg, mp)
+            target.append(sigma * mp)
+            rhs_t.append(sigma * mp - t * k - dt * dk)
+            eta.append(-(1.0 - sigma))
+            eta_r3.append(eta[-1] * v)
 
-        eta = 1.0 - sigma
-        rhs_s = sigma * mu * ident - lam_sq \
+        rhs_s = _col(target) * ident - lam_sq \
             - scaling.jordan_prod(aff.dxs, aff.dzs)
-        rhs_t = sigma * mu - tau * kappa - aff.dtau * aff.dkappa
-        step = kkt.solve_hsd(-eta * r2, -eta * r1, -eta * r3, rhs_s, rhs_t)
+        col = _col(eta)
+        step = kkt.solve_hsd(col * r2, col * r1, eta_r3, rhs_s, rhs_t)
 
-        amax = min(scaling.max_step(step.dxs, step.dzs),
-                   _max_step_scalar(tau, step.dtau),
-                   _max_step_scalar(kappa, step.dkappa))
-        alpha = min(1.0, STEP_FRACTION * amax)
-        x = x + alpha * step.dx
-        y = y + alpha * step.dy
-        z = z + alpha * step.dz
-        tau += alpha * step.dtau
-        kappa += alpha * step.dkappa
-        if tau < 1e-13 or mu < 1e-18:
-            it += 1
+        alpha = _step_lengths(scaling, step, STEP_FRACTION, tau, kappa)
+        col = _col(alpha)
+        x = x + col * step.dx
+        y = y + col * step.dy
+        z = z + col * step.dz
+        keep, tau, kappa = [], tau[:], kappa[:]
+        for p, (mem, a, dt, dk, mp) in enumerate(zip(
+                active, alpha, step.dtau, step.dkappa, mu)):
+            tau[p] += a * dt
+            kappa[p] += a * dk
+            if tau[p] < 1e-13 or mp < 1e-18:
+                mem.iterations = it + 2
+            else:
+                keep.append(p)
+        if not keep:
             break
-
-    if status is not SolveStatus.OPTIMAL and best is not None:
-        pres, dres, relgap = best[3]
-        if pres <= accept_tol and dres <= accept_tol and relgap <= accept_tol:
-            status = SolveStatus.OPTIMAL
-    x, y, tau, (pres, dres, relgap) = best
-    if status is SolveStatus.OPTIMAL:
-        return _optimal_solution(compiled, x / tau, y / tau,
-                                 (pres, dres, relgap), it + 1, stats)
-    mats, scalars = compiled.extract_point(x / tau)
-    return ConicSolution(
-        status=SolveStatus.MAX_ITER, matrix_values=mats,
-        scalar_values=scalars, duals=compiled.user_duals(y / tau),
-        objective=None, iterations=it + 1,
-        kkt={"primal": pres, "dual": dres, "gap": relgap}, stats=stats)
-
-
-def _optimal_solution(compiled, x, y, residuals, iterations, stats):
-    mats, scalars = compiled.extract_point(x)
-    pres, dres, relgap = residuals
-    return ConicSolution(
-        status=SolveStatus.OPTIMAL, matrix_values=mats,
-        scalar_values=scalars, duals=compiled.user_duals(y),
-        objective=compiled.source.evaluate_objective(mats, scalars),
-        iterations=iterations,
-        kkt={"primal": pres, "dual": dres, "gap": relgap}, stats=stats)
+        active, data, (x, y, z, tau, kappa) = _narrow(
+            keep, active, data, (x, y, z, tau, kappa))
+    else:
+        for mem in active:
+            mem.iterations = it + 1
+    return [mem.result(accept_tol) for mem in members]
 
 
 def _infeasible_solution(compiled, y, iterations, stats):
@@ -641,91 +829,69 @@ def _unbounded_solution(compiled, x, norm, iterations, stats):
         stats=stats)
 
 
-def _solve_qp(compiled, tol, accept_tol, max_iter):
-    lay = compiled.layout
-    A, b, c = compiled.A, compiled.b, compiled.c
-    qdiag = compiled.qdiag
-    nb = 1.0 + np.linalg.norm(b)
-    nc = 1.0 + np.linalg.norm(c)
-    deg = max(lay.degree, 1)
-
-    def q_apply(v):
-        out = np.zeros_like(v)
-        out[lay.nn_offset:] = qdiag * v[lay.nn_offset:]
-        return out
-
-    ident = lay.identity()
-    x = z = ident
-    y = np.zeros(A.shape[0])
-
-    best = None
-    best_err = np.inf
-    stats = _new_stats()
-    stall = 0
-    status = SolveStatus.MAX_ITER
-    it = 0
+def _solve_qp(group, tol, accept_tol, max_iter):
+    """Infeasible-start loop over compiled problems of one shape with
+    quadratic scalar terms; returns their solutions in order."""
+    data, ident, x, y, members = _start(group)
+    z, active, it = x, members, 0
+    lay, m = data.layout, data.A.shape[-2]
+    off, deg = lay.nn_offset, max(lay.degree, 1)
 
     for it in range(max_iter):
-        qx = q_apply(x)
-        r1 = A @ x - b
-        r2 = c + qx - (A.T @ y if y.size else 0.0) - z
-        xtz = x @ z
-        mu = xtz / deg
+        A, b, c, qdiag = data.A, data.b, data.c, data.qdiag
+        qx = np.zeros_like(x)
+        qx[..., off:] = qdiag * x[..., off:]
+        r1 = _mv(A, x) - b
+        r2 = c + qx - (_mv(data.At, y) if m else 0.0) - z
+        xtz = _dot(x, z)
+        mu = [v / deg for v in xtz]
 
-        pres = math.sqrt(r1.dot(r1)) / nb
-        dres = math.sqrt(r2.dot(r2)) / nc
-        pobj = float(c @ x + 0.5 * x @ qx)
-        gap = float(xtz)
-        relgap = gap / max(1.0, abs(pobj))
-        err = max(pres, dres, relgap)
-        if err < best_err:
-            best_err = err
-            best = (x, y, (pres, dres, relgap))
-            stall = 0
-        else:
-            stall += 1
-        if pres <= tol and dres <= tol and relgap <= tol:
-            status = SolveStatus.OPTIMAL
+        keep = []
+        for p, (mem, xp, yp, xz, cx, xqx, rr1, rr2, nb, nc) in enumerate(zip(
+                active, data.rows(x), data.rows(y), xtz, _dot(c, x),
+                _dot(0.5 * x, qx), _dot(r1, r1), _dot(r2, r2), data.nb,
+                data.nc)):
+            pres = math.sqrt(rr1) / nb
+            dres = math.sqrt(rr2) / nc
+            relgap = xz / max(1.0, abs(cx + xqx))
+            if mem.track(xp, yp, None, pres, dres, relgap, tol, it):
+                continue
+            if mem.stall >= 12:
+                mem.iterations = it + 2
+                continue
+            keep.append(p)
+        if not keep:
             break
-        if stall >= 12:
-            it += 1
-            break
+        active, data, (x, y, z, r1, r2, mu) = _narrow(
+            keep, active, data, (x, y, z, r1, r2, mu))
 
         scaling = NTScaling(lay, x, z)
-        kkt = _KktSolver(compiled, scaling, qdiag=qdiag)
-        _count_fallbacks(stats, scaling, kkt)
+        kkt = _KktSolver(data, scaling, qdiag=data.qdiag)
+        _count_fallbacks(active, scaling, kkt)
 
         lam_sq = scaling.lambda_sq()
         aff = kkt.solve_plain(-r2, -r1, -lam_sq)
-        a_aff = min(1.0, scaling.max_step(aff.dxs, aff.dzs))
-        mu_aff = ((x + a_aff * aff.dx) @ (z + a_aff * aff.dz)) / deg
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+        col = _col(_step_lengths(scaling, aff, 1.0))
+        sigma = [_sigma(v / deg, mp) for v, mp in zip(
+            _dot(x + col * aff.dx, z + col * aff.dz), mu)]
 
-        eta = 1.0 - sigma
-        rhs_s = sigma * mu * ident - lam_sq \
+        rhs_s = _col([s * mp for s, mp in zip(sigma, mu)]) * ident - lam_sq \
             - scaling.jordan_prod(aff.dxs, aff.dzs)
-        step = kkt.solve_plain(-eta * r2, -eta * r1, rhs_s)
+        col = _col([-(1.0 - s) for s in sigma])
+        step = kkt.solve_plain(col * r2, col * r1, rhs_s)
 
-        alpha = min(1.0, STEP_FRACTION
-                    * scaling.max_step(step.dxs, step.dzs))
-        x = x + alpha * step.dx
-        y = y + alpha * step.dy
-        z = z + alpha * step.dz
-        if mu < 1e-18:
-            it += 1
+        col = _col(_step_lengths(scaling, step, STEP_FRACTION))
+        x = x + col * step.dx
+        y = y + col * step.dy
+        z = z + col * step.dz
+        keep = [p for p, mp in enumerate(mu) if not mp < 1e-18]
+        for p, mem in enumerate(active):
+            if p not in keep:
+                mem.iterations = it + 2
+        if not keep:
             break
-
-    if status is not SolveStatus.OPTIMAL and best is not None:
-        pres, dres, relgap = best[2]
-        if pres <= accept_tol and dres <= accept_tol and relgap <= accept_tol:
-            status = SolveStatus.OPTIMAL
-    x, y, (pres, dres, relgap) = best
-    if status is SolveStatus.OPTIMAL:
-        return _optimal_solution(compiled, x, y, (pres, dres, relgap),
-                                 it + 1, stats)
-    mats, scalars = compiled.extract_point(x)
-    return ConicSolution(
-        status=SolveStatus.MAX_ITER, matrix_values=mats,
-        scalar_values=scalars, duals=compiled.user_duals(y), objective=None,
-        iterations=it + 1,
-        kkt={"primal": pres, "dual": dres, "gap": relgap}, stats=stats)
+        active, data, (x, y, z) = _narrow(keep, active, data, (x, y, z))
+    else:
+        for mem in active:
+            mem.iterations = it + 1
+    return [mem.result(accept_tol) for mem in members]

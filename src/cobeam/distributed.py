@@ -127,6 +127,21 @@ def assemble_subproblem(b, channels, topology, theta):
     return prob, slot
 
 
+def _solve_cells(assembled, failure):
+    """Solve the per-BS problems of ``assembled`` ({b: (problem, ...)})
+    as one lockstep batch; returns [(assembled[b], solution)] in BS order.
+
+    Raises :class:`InfeasibleTargetsError` with message
+    ``failure(b, status)`` for the first BS whose solve is not optimal,
+    as a BS-by-BS loop would.
+    """
+    sols = conic.solve_batch([parts[0] for parts in assembled.values()])
+    for b, sol in zip(assembled, sols):
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise InfeasibleTargetsError(failure(b, sol.status))
+    return list(zip(assembled.values(), sols))
+
+
 def extract_subgradient(problem, solution, topology, b):
     """Dual prices this BS contributes to the master subgradient.
 
@@ -207,19 +222,15 @@ def run_primal_decomposition(channels, topology, max_iters=100,
         solutions = {}
         grads = {}
         total_power = 0.0
-        for b in range(topology.B):
-            theta_b = {index.pairs[i]: replicas[b][i]
-                       for i in index.touching(b)}
-            prob, slot = assemble_subproblem(b, channels, topology, theta_b)
-            sol = conic.solve(prob)
-            if sol.status is not SolveStatus.OPTIMAL:
-                if r == 0:
-                    raise InfeasibleTargetsError(
-                        f"subproblem of BS {b} infeasible at the initial "
-                        "ICI caps; retry with a larger theta0")
-                raise InfeasibleTargetsError(
-                    f"subproblem of BS {b} became infeasible at iteration "
-                    f"{r} (status {sol.status})")
+        assembled = {b: assemble_subproblem(
+            b, channels, topology,
+            {index.pairs[i]: replicas[b][i] for i in index.touching(b)})
+            for b in range(topology.B)}
+        for b, ((prob, slot), sol) in enumerate(_solve_cells(
+                assembled, lambda b, status: f"subproblem of BS {b} "
+                "infeasible at the initial ICI caps; retry with a larger "
+                "theta0" if r == 0 else f"subproblem of BS {b} became "
+                f"infeasible at iteration {r} (status {status})")):
             solutions[b] = (prob, sol, slot)
             grads[b] = extract_subgradient(prob, sol, topology, b)
             total_power += sol.objective
@@ -407,13 +418,15 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
              theta_floor=None):
     """Distributed power minimization by ADMM consensus.
 
-    Per iteration: local solves (in parallel), one exchange of local
+    Per iteration: the B local solves (one lockstep batch, each BS's
+    solve bit-identical to solving it alone), one exchange of local
     copies, the global average, and the exactly-complementary dual
     update.  Stops when both the consensus residual and the dual
     residual rho * |theta change| fall below ``tol``; the consensus
     residual alone can be small long before the caps stop moving.  The
-    returned solution is restored at the final global ICI values so it
-    is feasible for the true coupled problem.
+    returned solution is restored at the final global ICI values (the B
+    restorations again one batch) so it is feasible for the true coupled
+    problem.
     """
     index = IciIndex(topology)
     npairs = len(index)
@@ -430,18 +443,14 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
     for it in range(max_iters):
         total_power = 0.0
         last_W = {}
-        for b in range(topology.B):
-            nu_b = {}
-            for i in index.touching(b):
-                owner = 0 if index.interferer(i) == b else 1
-                nu_b[i] = nu[owner, i]
-            prob, slot, copy_slot = assemble_admm_local(
-                b, channels, topology, theta, nu_b, rho, index=index)
-            sol = conic.solve(prob)
-            if sol.status is not SolveStatus.OPTIMAL:
-                raise InfeasibleTargetsError(
-                    f"ADMM local problem of BS {b} failed at iteration "
-                    f"{it} (status {sol.status})")
+        assembled = {b: assemble_admm_local(
+            b, channels, topology, theta,
+            {i: nu[0 if index.interferer(i) == b else 1, i]
+             for i in index.touching(b)}, rho, index=index)
+            for b in range(topology.B)}
+        for b, ((_, slot, copy_slot), sol) in enumerate(_solve_cells(
+                assembled, lambda b, status: f"ADMM local problem of BS {b} "
+                f"failed at iteration {it} (status {status})")):
             for g, k in slot.items():
                 last_W[g] = sol.matrix_values[k]
                 total_power += float(np.real(np.trace(sol.matrix_values[k])))
@@ -506,8 +515,7 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
     restore_map = {index.pairs[i]: max(theta[i], theta_floor)
                    for i in range(npairs)}
     restored = {}
-    for b in range(topology.B):
-        part = admm_feasibility_restore(b, channels, topology, restore_map)
+    for part in _restore(range(topology.B), channels, topology, restore_map):
         restored.update(part.W)
     trace.ici = IciState(index=index, theta=theta.copy(),
                          theta_local=copies.copy(), nu=nu.copy())
@@ -524,17 +532,24 @@ def admm_feasibility_restore(b, channels, topology, theta_global):
     Pins the local copies to the global values, which reduces the
     augmented local problem to the fixed-cap subproblem.
     """
-    prob, slot = assemble_subproblem(b, channels, topology, theta_global)
-    sol = conic.solve(prob)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise InfeasibleTargetsError(
-            f"restoration at BS {b} infeasible for the current global ICI "
-            "values")
-    out = BeamformingSolution(objective=sol.objective)
-    for g, k in slot.items():
-        out.W[g] = sol.matrix_values[k]
-        out.rank[g] = conic.numerical_rank(sol.matrix_values[k])
-    return out
+    return _restore([b], channels, topology, theta_global)[0]
+
+
+def _restore(cells, channels, topology, theta_global):
+    """:func:`admm_feasibility_restore` of several BSs, solved as one
+    batch."""
+    parts = []
+    for (_, slot), sol in _solve_cells(
+            {b: assemble_subproblem(b, channels, topology, theta_global)
+             for b in cells},
+            lambda b, _: f"restoration at BS {b} infeasible for the current "
+            "global ICI values"):
+        out = BeamformingSolution(objective=sol.objective)
+        for g, k in slot.items():
+            out.W[g] = sol.matrix_values[k]
+            out.rank[g] = conic.numerical_rank(sol.matrix_values[k])
+        parts.append(out)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +638,13 @@ def solve_fixed_ici(channels, topology, theta_value, gr_count=100, rng=None,
                     rank_tol=RANK_ONE_TOL):
     """One-shot per-cell design with predefined ICI caps, no signaling."""
     theta = dict.fromkeys(topology.ici_pairs(), float(theta_value))
-    combined = {}
-    for b in range(topology.B):
-        prob, slot = assemble_subproblem(b, channels, topology, theta)
-        sol = conic.solve(prob)
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise InfeasibleTargetsError(
-                f"fixed-cap subproblem of BS {b} infeasible at "
-                f"theta={theta_value}")
-        combined.update({g: sol.matrix_values[k] for g, k in slot.items()})
+    solved = _solve_cells(
+        {b: assemble_subproblem(b, channels, topology, theta)
+         for b in range(topology.B)},
+        lambda b, _: f"fixed-cap subproblem of BS {b} infeasible at "
+        f"theta={theta_value}")
+    combined = {g: sol.matrix_values[k] for (_, slot), sol in solved
+                for g, k in slot.items()}
     return _finalize(channels, topology, combined, theta, gr_count, rng,
                      rank_tol)
 
@@ -659,19 +672,21 @@ def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
     Any covariance with exactly zero leakage has its range inside the
     null space, so the reduction is lossless.
     """
-    combined = {}
+    assembled = {}
     for b in range(topology.B):
         basis = _null_space_basis(channels, topology, b)
         if basis.shape[1] == 0:
-            raise InfeasibleTargetsError(
-                f"BS {b} lacks antennas to null all out-of-cell users")
-        prob, slot, _ = sinr_system(channels, topology, cell=b, basis=basis)
-        sol = conic.solve(prob)
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise InfeasibleTargetsError(
-                f"nulling design infeasible at BS {b}")
-        for g, k in slot.items():
-            combined[g] = basis @ sol.matrix_values[k] @ basis.conj().T
+            break
+        assembled[b] = sinr_system(channels, topology, cell=b,
+                                   basis=basis)[:2] + (basis,)
+    # the cells before one that cannot null report their failures first
+    solved = _solve_cells(
+        assembled, lambda b, _: f"nulling design infeasible at BS {b}")
+    if len(assembled) < topology.B:
+        raise InfeasibleTargetsError(f"BS {len(assembled)} lacks antennas "
+                                     "to null all out-of-cell users")
+    combined = {g: basis @ sol.matrix_values[k] @ basis.conj().T
+                for (_, slot, basis), sol in solved for g, k in slot.items()}
     return _finalize(channels, topology, combined,
                      dict.fromkeys(topology.ici_pairs(), 0.0), gr_count, rng,
                      rank_tol)
@@ -690,19 +705,17 @@ def solve_orthogonal(channels, topology, gr_count=100, rng=None):
         B=topology.B, G=topology.G, U=topology.U, A=topology.A,
         gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
         cell_separation=topology.cell_separation)
-    combined = {}
+    assembled = {}
     for b in range(topology.B):
         # no incoming interference, outgoing interference unbounded
         theta = {(j, u): 0.0 for u in topo_orth.users_of_bs(b)
                  for j in range(topo_orth.B) if j != b}
         theta.update({(b, u): 1e9 for u in topo_orth.out_of_cell_users(b)})
-        prob, slot = assemble_subproblem(b, channels, topo_orth, theta)
-        sol = conic.solve(prob)
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise InfeasibleTargetsError(
-                f"orthogonal-access design infeasible at BS {b} "
-                f"(raised target {float(np.max(gamma_orth)):.3g})")
-        combined.update({g: sol.matrix_values[k] for g, k in slot.items()})
+        assembled[b] = assemble_subproblem(b, channels, topo_orth, theta)
+    combined = {g: sol.matrix_values[k] for (_, slot), sol in _solve_cells(
+        assembled, lambda b, _: f"orthogonal-access design infeasible at "
+        f"BS {b} (raised target {float(np.max(gamma_orth)):.3g})")
+        for g, k in slot.items()}
     return _finalize(channels, topo_orth, combined,
                      dict.fromkeys(topo_orth.ici_pairs(), 1e9), gr_count,
                      rng, RANK_ONE_TOL)

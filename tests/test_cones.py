@@ -693,3 +693,41 @@ def test_one_singular_side_is_the_only_one_jittered(side, monkeypatch):
     for attr in ("R", "Rinv", "lam_psd"):
         for got, want in zip(getattr(sc, attr), getattr(ref, attr)):
             same(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE))
+def test_batched_scaling_matches_each_problem_alone(name):
+    # a lockstep batch stacks problems along a leading axis; each
+    # problem's factors, jitter count, maps and step length must be those
+    # of its own scaling, bit for bit, also when only one of them needs
+    # the jitter fallback
+    lay = ConeLayout(*BITWISE[name])
+    rng = np.random.default_rng(37)
+    xs = np.stack([frozen_interior(lay, rng) for _ in range(3)])
+    zs = np.stack([frozen_interior(lay, rng) for _ in range(3)])
+    if lay.runs:
+        run = lay.runs[0]
+        singular = np.zeros((run.dim, run.dim), run.dtype)
+        singular[0, 0] = 1.0
+        xs[1, run.span] = run.pack(np.stack([singular] * run.count))
+    sc = NTScaling(lay, xs, zs)
+    rows = rng.standard_normal((3, lay.size))
+    du, dv = 10.0 * rng.standard_normal((2, 3, lay.size))
+    steps = sc.max_step(du, dv)
+    assert isinstance(steps, list) and len(steps) == 3
+    for p in range(3):
+        ref = NTScaling(lay, xs[p], zs[p])
+        assert sc.jitters[p] == ref.jitters
+        for attr in ("R", "Rinv", "lam_psd"):
+            for got, want in zip(getattr(sc, attr), getattr(ref, attr)):
+                same(got[p], want)
+        same(sc.lambda_sq()[p], ref.lambda_sq())
+        same(sc.scale_dual(rows)[p], ref.scale_dual(rows[p]))
+        same(sc.jordan_div(rows)[p], ref.jordan_div(rows[p]))
+        same(sc.jordan_prod(rows, du)[p], ref.jordan_prod(rows[p], du[p]))
+        for got, want in zip(sc.unscale(rows, dv), ref.unscale(rows[p],
+                                                              dv[p])):
+            same(got[p], want)
+        assert steps[p] == ref.max_step(du[p], dv[p])
+    jittered = lay.runs[0].count if lay.runs else 0
+    assert sc.jitters.tolist() == [0, jittered, 0]

@@ -6,11 +6,12 @@ import pytest
 from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           dump_problem, embed_hermitian, embed_matrix,
                           numerical_rank, principal_eigenpair, psd_sqrt,
-                          solve, unembed_matrix,
+                          solve, solve_batch, unembed_matrix,
                           verify_infeasibility_certificate)
 from cobeam.conic.ipm import point_violation
 from cobeam.balancing import assemble_feasibility, single_user_upper_bound
-from cobeam.distributed import IciIndex, assemble_admm_local
+from cobeam.distributed import (IciIndex, assemble_admm_local,
+                                assemble_subproblem)
 from cobeam.network import build_topology, sample_channels
 from cobeam.power_min import assemble_qos_sdp
 
@@ -490,3 +491,127 @@ class TestRandomHealth:
             sol = solve(prob)
             assert sol.status is SolveStatus.OPTIMAL
             assert max(sol.kkt.values()) <= 1e-7
+
+
+# -- lockstep batches --------------------------------------------------------
+
+def assert_same(got, want):
+    """Equal bit for bit, through dicts, lists and arrays."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+
+def assert_batch_matches_serial(problems):
+    """solve_batch returns the serial solutions, every field, in order."""
+    batch = solve_batch(problems)
+    serial = [solve(p) for p in problems]
+    assert len(batch) == len(serial)
+    for got, want in zip(batch, serial):
+        for field in ("status", "iterations", "objective", "matrix_values",
+                      "scalar_values", "duals", "kkt", "stats",
+                      "certificate"):
+            assert_same(getattr(got, field), getattr(want, field))
+    return serial
+
+
+def pd_pair(seed, scale=1.0):
+    topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                          cell_separation=10 ** 0.1)
+    chans = sample_channels(topo, seed)
+    theta = dict.fromkeys(IciIndex(topo).pairs, scale)
+    return [assemble_subproblem(b, chans, topo, theta)[0] for b in range(2)]
+
+
+def admm_pair(seed):
+    topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                          cell_separation=10 ** 0.1)
+    chans = sample_channels(topo, seed)
+    index = IciIndex(topo)
+    theta = np.full(len(index), 0.5)
+    return [assemble_admm_local(b, chans, topo, theta,
+                                dict.fromkeys(index.touching(b), 0.1), 2.0,
+                                index=index)[0] for b in range(2)]
+
+
+def bound_lp(low, high):
+    """min x s.t. x >= low, x <= high: infeasible when low > high."""
+    prob = ConicProblem()
+    j = prob.add_scalar_var()
+    prob.set_objective(scalar={j: 1.0})
+    prob.add_constraint(scalars={j: 1.0}, rel=">=", rhs=low)
+    prob.add_constraint(scalars={j: 1.0}, rel="<=", rhs=high)
+    return prob
+
+
+def two_rows(second):
+    """min Tr(W) + t s.t. Tr(F W) + t = 3 and Tr(G W) + t = 3; G = F
+    makes the Schur complement singular."""
+    prob = ConicProblem()
+    i = prob.add_psd_var(3, complex=False)
+    j = prob.add_scalar_var()
+    prob.set_objective(matrix={i: np.eye(3)}, scalar={j: 1.0})
+    F = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for G in (F, second):
+        prob.add_constraint(matrix={i: G}, scalars={j: 1.0}, rel="==",
+                            rhs=3.0)
+    return prob
+
+
+class TestSolveBatch:
+    def test_pd_subproblem_pair(self):
+        serial = assert_batch_matches_serial(pd_pair(3))
+        assert all(s.status is SolveStatus.OPTIMAL for s in serial)
+
+    def test_admm_qp_pair(self):
+        problems = admm_pair(4)
+        assert all(p.has_quadratic() for p in problems)
+        serial = assert_batch_matches_serial(problems)
+        assert all(s.status is SolveStatus.OPTIMAL for s in serial)
+
+    def test_members_stop_at_different_iterations(self):
+        for problems in (pd_pair(0, 0.01), admm_pair(1)):
+            serial = assert_batch_matches_serial(problems)
+            assert len({s.iterations for s in serial}) == 2
+
+    def test_feasible_with_infeasible(self):
+        serial = assert_batch_matches_serial(
+            [bound_lp(1.0, 2.0), bound_lp(3.0, 2.0), bound_lp(0.5, 4.0)])
+        assert [s.status for s in serial] == [
+            SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
+
+    def test_zero_objective_pair(self):
+        probe = TestZeroObjectiveStop().bounded_probe
+        serial = assert_batch_matches_serial([probe(2.5), probe(1.5)])
+        assert [s.stats["farkas_stop"] for s in serial] == [1, 0]
+        assert [s.stats["point_stop"] for s in serial] == [0, 1]
+
+    def test_one_member_needs_a_schur_ridge(self):
+        G = np.diag([1.0, 2.0, 3.0])
+        F = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        serial = assert_batch_matches_serial([two_rows(G), two_rows(F)])
+        assert serial[0].stats["schur_ridge"] == 0
+        assert serial[1].stats["schur_ridge"] > 0
+
+    def test_mixed_layouts_keep_order(self):
+        problems = [bound_lp(1.0, 2.0), *pd_pair(5), admm_pair(6)[0],
+                    single_user_qos(np.array([1.0, 1j, 0.5]), 2.0, 1.0),
+                    bound_lp(3.0, 2.0), admm_pair(6)[1]]
+        serial = assert_batch_matches_serial(problems)
+        assert serial[-2].status is SolveStatus.INFEASIBLE
+
+    def test_one_problem_and_none(self):
+        assert_batch_matches_serial(pd_pair(7)[:1])
+        assert solve_batch([]) == []

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cobeam import conic
-from cobeam.errors import CobeamError
-from cobeam.network import (build_topology, evaluate_sinr, sample_channels)
+from cobeam.errors import CobeamError, InfeasibleTargetsError
+from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
+                            sample_channels)
 from cobeam.power_min import gaussian_candidates, solve_centralized
 from cobeam.distributed import (IciIndex, admm_feasibility_restore,
                                 admm_global_update, admm_dual_update,
@@ -450,3 +451,44 @@ class TestSpecialCases:
                                          common_theta=True)
         theta = trace.ici.theta
         assert np.allclose(theta, theta[0])
+
+
+def silenced(channels, links):
+    """The channel set with the given (BS, user) links zeroed, which
+    makes the serving cell's SINR constraint for that user infeasible."""
+    h = np.array(channels.h)
+    for b, u in links:
+        h[b, u] = 0.0
+    return ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h, h.conj()))
+
+
+class TestFirstFailingCell:
+    """Per-BS solves run as one batch, yet each scheme still reports the
+    first BS (in BS order) whose subproblem fails, with the message a
+    BS-by-BS loop gives."""
+
+    # user 1 is served by BS 1 and user 0 by BS 0
+    SCHEMES = {
+        "pd": (lambda chans, topo: run_primal_decomposition(
+            chans, topo, max_iters=3),
+            "subproblem of BS {b} infeasible at the initial ICI caps; "
+            "retry with a larger theta0"),
+        "admm": (lambda chans, topo: run_admm(chans, topo, max_iters=3),
+                 "ADMM local problem of BS {b} failed at iteration 0 "
+                 "(status SolveStatus.MAX_ITER)"),
+        "fixed": (lambda chans, topo: solve_fixed_ici(chans, topo, 0.1),
+                  "fixed-cap subproblem of BS {b} infeasible at "
+                  "theta=0.1"),
+        "nulling": (lambda chans, topo: solve_nulling(chans, topo),
+                    "nulling design infeasible at BS {b}"),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("links, first", [
+        ([(1, 1)], 1), ([(1, 1), (0, 0)], 0)])
+    def test_names_the_first_failing_bs(self, scheme, links, first):
+        topo, chans = small_scenario(40)
+        run, message = self.SCHEMES[scheme]
+        with pytest.raises(InfeasibleTargetsError) as err:
+            run(silenced(chans, links), topo)
+        assert str(err.value) == message.format(b=first)

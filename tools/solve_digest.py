@@ -3,12 +3,16 @@
     PYTHONPATH=src python tools/solve_digest.py scenarios/*.json --trials 1
 
 Each scenario file goes through ``experiment.run_sweep`` with
-``cobeam.conic.solve`` and ``cobeam.conic.ipm.solve`` wrapped, as the
-benchmark's tracer wraps them.  The tool prints the number of solves
-and one sha256 over every returned ``ConicSolution``: status,
-iterations, objective, matrix values, scalar values, duals, ``kkt``,
-``stats`` and certificate.  Two versions of the solver that print the
-same digest gave the same answers, bit for bit.
+``cobeam.conic.solve_batch`` and ``cobeam.conic.ipm.solve_batch``
+wrapped.  ``solve`` is the one-problem case of ``solve_batch`` and calls
+it by its module name, so every solve passes one wrapper once, alone or
+in a batch.  The tool prints the number of solves and one sha256 over
+every returned ``ConicSolution``, in the order the solves return
+(within a batch, its list order, which is the order of a serial loop):
+status, iterations, objective, matrix values, scalar values, duals,
+``kkt``, ``stats`` and certificate.  Two versions of the solver that
+print the same digest gave the same answers, bit for bit; a batched
+version compares directly with one that solves problem by problem.
 """
 
 import argparse
@@ -48,19 +52,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     digest, count = hashlib.sha256(), 0
 
-    def recorded(solve):
+    def recorded(solve_batch):
         def wrapper(*a, **kw):
             nonlocal count
-            sol = solve(*a, **kw)
-            count += 1
-            feed(digest, [sol.status.value, sol.iterations, sol.objective,
-                          sol.matrix_values, sol.scalar_values, sol.duals,
-                          sol.kkt, sol.stats, sol.certificate])
-            return sol
+            sols = solve_batch(*a, **kw)
+            for sol in sols:
+                count += 1
+                feed(digest, [sol.status.value, sol.iterations,
+                              sol.objective, sol.matrix_values,
+                              sol.scalar_values, sol.duals, sol.kkt,
+                              sol.stats, sol.certificate])
+            return sols
         return wrapper
 
-    originals = conic.solve, ipm.solve
-    conic.solve, ipm.solve = map(recorded, originals)
+    originals = conic.solve_batch, ipm.solve_batch
+    conic.solve_batch, ipm.solve_batch = map(recorded, originals)
     try:
         for path in args.scenarios:
             config = parse_scenario(path)
@@ -68,7 +74,7 @@ def main(argv=None):
                 config.trials = args.trials
             run_sweep(config)
     finally:
-        conic.solve, ipm.solve = originals
+        conic.solve_batch, ipm.solve_batch = originals
     print(f"solves {count} sha256 {digest.hexdigest()}")
 
 
