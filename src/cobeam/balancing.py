@@ -5,9 +5,12 @@ problem (per-BS power budgets, all interference coupled); the
 distributed design lets each cell balance its own users against fixed
 incoming-interference assumptions and outgoing caps, with no backhaul
 exchange at all; the uncoordinated baseline ignores interference
-entirely and gets re-evaluated against the truth.
+entirely and gets re-evaluated against the truth.  The bisections and
+pipelines are :func:`conic.driven` solve generators; the per-cell
+designs run their B bisections side by side.
 """
 
+import inspect
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,12 +49,21 @@ class BisectionResult:
     indeterminate: int = 0
 
 
+def _probed(probe, t):
+    """Solve generator of ``probe(t)``: a probe returns (feasible,
+    payload) or a solve generator of it."""
+    out = probe(t)
+    return (yield from out) if inspect.isgenerator(out) else out
+
+
+@conic.driven
 def bisect(lower, upper, epsilon, probe):
     """Generic bisection over a monotone feasibility predicate.
 
-    ``probe(t)`` returns (feasible, payload).  The final interval width
-    is at most ``epsilon`` and the lower end is feasible (by invariant;
-    it is only probed if no interior point ever succeeded).  A probe on
+    ``probe(t)`` returns (feasible, payload), or a solve generator of
+    them.  The final interval width is at most ``epsilon`` and the
+    lower end is feasible (by invariant; it is only probed if no
+    interior point ever succeeded).  A probe on
     the numerical knife edge that cannot be decided counts as
     infeasible and is counted in ``indeterminate``.  Such a probe can
     lower the final level by up to its own step, half the bracket width
@@ -69,7 +81,7 @@ def bisect(lower, upper, epsilon, probe):
     while upper - lower > epsilon:
         mid = 0.5 * (lower + upper)
         try:
-            feasible, pay = probe(mid)
+            feasible, pay = yield from _probed(probe, mid)
         except IndeterminateError:
             feasible, pay = False, None
             result.indeterminate += 1
@@ -80,7 +92,7 @@ def bisect(lower, upper, epsilon, probe):
         else:
             upper = mid
     if payload is None:
-        feasible, payload = probe(lower)
+        feasible, payload = yield from _probed(probe, lower)
         result.extra_calls += 1
         result.probes.append((lower, feasible))
         if not feasible:
@@ -121,7 +133,7 @@ def _verify_or_expand_upper(probe, lower, upper):
     """User-supplied upper bounds must actually be infeasible."""
     extra = 0
     for _ in range(EXPANSION_LIMIT):
-        feasible, _ = probe(upper)
+        feasible, _ = yield from probe(upper)
         extra += 1
         if not feasible:
             return upper, extra
@@ -131,6 +143,7 @@ def _verify_or_expand_upper(probe, lower, upper):
         "initial bracket too small")
 
 
+@conic.driven
 def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON, bounds=None,
                    polish=True):
     """Centralized max-min SINR via bisection on the relaxed problem.
@@ -145,9 +158,8 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON, bounds=None,
     the covariance set whose rank the extraction step then inspects.
     """
     def probe(t):
-        feasible, sol = conic.check_feasibility(
-            assemble_feasibility(channels, topology, t),
-            return_solution=True)
+        feasible, sol = yield from conic.feasibility(
+            assemble_feasibility(channels, topology, t))
         if not feasible:
             return False, None
         return True, {g: sol.matrix_values[g] for g in range(topology.G)}
@@ -157,12 +169,13 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON, bounds=None,
         lower, upper = 0.0, single_user_upper_bound(channels, topology)
     else:
         lower, upper = bounds
-        upper, extra = _verify_or_expand_upper(probe, lower, upper)
-    result = bisect(lower, upper, epsilon, probe)
+        upper, extra = yield from _verify_or_expand_upper(probe, lower,
+                                                          upper)
+    result = yield from conic.solving(bisect, lower, upper, epsilon, probe)
     result.extra_calls += extra
     if polish:
-        sol = conic.solve(sinr_system(channels, topology, level=result.lower,
-                                      budget=True)[0])
+        sol, = yield [sinr_system(channels, topology, level=result.lower,
+                                  budget=True)[0]]
         result.extra_calls += 1
         if sol.status is SolveStatus.OPTIMAL:
             result.payload = {g: sol.matrix_values[g]
@@ -230,29 +243,31 @@ def _cell_caps(topology, theta_cap):
 
 
 def _per_cell_bisect(b, channels, topology, epsilon, theta=None):
-    """Bisection plus extreme-face polish for one cell's SINR system."""
+    """Bisection plus extreme-face polish for one cell's SINR system, as
+    a solve generator."""
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=b, level=t, theta=theta,
                            budget=True, objective=objective)
 
     def probe(t):
         prob, slot, _ = system(t)
-        feasible, sol = conic.check_feasibility(prob, return_solution=True)
+        feasible, sol = yield from conic.feasibility(prob)
         if not feasible:
             return False, None
         return True, {g: sol.matrix_values[k] for g, k in slot.items()}
 
     upper = single_user_upper_bound(channels, topology,
                                     topology.users_of_bs(b))
-    result = bisect(0.0, upper, epsilon, probe)
+    result = yield from conic.solving(bisect, 0.0, upper, epsilon, probe)
     prob, slot, _ = system(result.lower, objective=True)
-    sol = conic.solve(prob)
+    sol, = yield [prob]
     result.extra_calls += 1
     if sol.status is SolveStatus.OPTIMAL:
         result.payload = {g: sol.matrix_values[k] for g, k in slot.items()}
     return result
 
 
+@conic.driven
 def local_balance(b, channels, topology, theta_cap,
                   epsilon=DEFAULT_EPSILON):
     """Per-cell balancing with fixed ICI caps, no backhaul exchange.
@@ -261,8 +276,8 @@ def local_balance(b, channels, topology, theta_cap,
     interference is constrained below it.  ``theta_cap`` is a scalar or
     a dict over directed pairs.
     """
-    return _per_cell_bisect(b, channels, topology, epsilon,
-                            theta=_cell_caps(topology, theta_cap))
+    return (yield from _per_cell_bisect(
+        b, channels, topology, epsilon, theta=_cell_caps(topology, theta_cap)))
 
 
 def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
@@ -282,10 +297,11 @@ def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
     return _best_level(system, groups, upper, epsilon)
 
 
+@conic.driven
 def uncoordinated_balance(b, channels, topology, epsilon=DEFAULT_EPSILON):
     """Interference-blind per-cell balancing (the non-coordinating
     baseline); its optimistic level must be re-checked with true ICI."""
-    return _per_cell_bisect(b, channels, topology, epsilon)
+    return (yield from _per_cell_bisect(b, channels, topology, epsilon))
 
 
 def achieved_min_sinr(channels, solution, topology):
@@ -326,10 +342,12 @@ def _randomize(W, gr_count, rng, score):
     return randomized_solution(sets[idx], powers), t
 
 
+@conic.driven
 def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
                         gr_count=100, rng=None, rank_tol=RANK_ONE_TOL):
     """Full centralized balancing pipeline."""
-    res = bisect_balance(channels, topology, epsilon)
+    res = yield from conic.solving(bisect_balance, channels, topology,
+                                   epsilon)
     rng = np.random.default_rng() if rng is None else rng
 
     def randomize(W):
@@ -345,12 +363,17 @@ def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
 
 def _per_cell_pipeline(channels, topology, solver, epsilon, gr_count, rng,
                        rank_tol, gr_builder):
-    """Shared shell of the distributed and uncoordinated baselines."""
+    """Shared shell of the distributed and uncoordinated baselines: the
+    B bisections ``solver(b)`` side by side, then each cell's tail in
+    turn, which raises what a cell-by-cell loop would raise first."""
     combined = BeamformingSolution(sdr_rank={})
     per_cell_t = {}
     rng = np.random.default_rng() if rng is None else rng
-    for b in range(topology.B):
-        res = solver(b)
+    results = yield from conic.gather([solver(b)
+                                       for b in range(topology.B)])
+    for b, res in enumerate(results):
+        if isinstance(res, Exception):
+            raise res
         per_cell_t[b] = res.t
 
         def randomize(W):
@@ -369,18 +392,21 @@ def _per_cell_pipeline(channels, topology, solver, epsilon, gr_count, rng,
                           per_cell_t=per_cell_t)
 
 
+@conic.driven
 def balance_distributed(channels, topology, theta_cap,
                         epsilon=DEFAULT_EPSILON, gr_count=100, rng=None,
                         rank_tol=RANK_ONE_TOL):
     """Distributed balancing at fixed caps, all cells independent."""
-    return _per_cell_pipeline(
+    return (yield from _per_cell_pipeline(
         channels, topology,
-        lambda b: local_balance(b, channels, topology, theta_cap, epsilon),
+        lambda b: conic.solving(local_balance, b, channels, topology,
+                                theta_cap, epsilon),
         epsilon, gr_count, rng, rank_tol,
         lambda b, sets: local_balance_gr(b, channels, topology, sets,
-                                         theta_cap, epsilon))
+                                         theta_cap, epsilon)))
 
 
+@conic.driven
 def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
                           gr_count=100, rng=None, rank_tol=RANK_ONE_TOL):
     """Interference-blind baseline, re-evaluated with true ICI."""
@@ -395,9 +421,10 @@ def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
             caps[(b, u)] = 1e9
         return caps
 
-    return _per_cell_pipeline(
+    return (yield from _per_cell_pipeline(
         channels, topology,
-        lambda b: uncoordinated_balance(b, channels, topology, epsilon),
+        lambda b: conic.solving(uncoordinated_balance, b, channels,
+                                topology, epsilon),
         epsilon, gr_count, rng, rank_tol,
         lambda b, sets: local_balance_gr(b, channels, topology, sets,
-                                         blind_caps(b), epsilon))
+                                         blind_caps(b), epsilon)))

@@ -1,14 +1,17 @@
-"""Dense conic (SDP/LP) interior-point solver with dual extraction."""
+"""Dense conic (SDP/LP) interior-point solver with dual extraction, and
+the scheduler that batches the solves of several algorithms."""
 
-from .ipm import (check_feasibility, solve, solve_batch,
+from .ipm import (check_feasibility, feasibility, solve, solve_batch,
                   verify_infeasibility_certificate)
 from .linalg import numerical_rank, principal_eigenpair, psd_sqrt
 from .problem import (ConicProblem, ConicSolution, SolveStatus, dump_problem,
                       embed_hermitian, embed_matrix, unembed_matrix)
+from .schedule import drive, driven, gather, solving
 
 __all__ = [
     "ConicProblem", "ConicSolution", "SolveStatus",
-    "solve", "solve_batch", "check_feasibility",
+    "solve", "solve_batch", "check_feasibility", "feasibility",
+    "drive", "driven", "gather", "solving",
     "verify_infeasibility_certificate",
     "principal_eigenpair", "numerical_rank", "psd_sqrt",
     "embed_hermitian", "embed_matrix", "unembed_matrix", "dump_problem",

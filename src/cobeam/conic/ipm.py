@@ -106,7 +106,6 @@ class _Batch:
     batched scaling broadcasts over them."""
 
     def __init__(self, compiled):
-        self.compiled = compiled
         self.layout = compiled[0].layout
         self.single = len(compiled) == 1
         stack = (lambda arrays, axis=0: arrays[0]) if self.single \
@@ -124,6 +123,21 @@ class _Batch:
     def rows(self, a):
         """Each problem's part of a stacked array."""
         return (a,) if self.single else a
+
+    def take(self, keep):
+        """The batch of the problems at positions ``keep`` of a stacked
+        batch, indexed out of its arrays: the values and C layout that
+        stacking those problems anew would give."""
+        out = object.__new__(_Batch)
+        out.layout, out.single = self.layout, len(keep) == 1
+        rows = keep[0] if out.single else keep
+        out.A, out.b, out.c, out.qdiag = (
+            v[rows] for v in (self.A, self.b, self.c, self.qdiag))
+        out.At = out.A.swapaxes(-1, -2)
+        out.A_blocks = [np.ascontiguousarray(blocks[:, rows])
+                        for blocks in self.A_blocks]
+        out.nb, out.nc = ([v[p] for p in keep] for v in (self.nb, self.nc))
+        return out
 
 
 def _factor_schur(M):
@@ -444,16 +458,26 @@ def check_feasibility(problem, tol=DEFAULT_TOL, return_solution=False):
     direct evaluation, and stops at the first; when it ends without
     either, the check raises :class:`IndeterminateError`.
     """
-    stripped = ConicProblem(
+    steps = feasibility(problem)
+    try:
+        steps.send([solve(next(steps)[0], tol=tol)])
+    except StopIteration as stop:
+        feasible, sol = stop.value
+    return (feasible, sol) if return_solution else feasible
+
+
+def feasibility(problem):
+    """Solve generator (:mod:`.schedule`) of
+    ``check_feasibility(problem, return_solution=True)``."""
+    sol, = yield [ConicProblem(
         matrix_vars=problem.matrix_vars,
         num_scalars=problem.num_scalars,
         scalar_names=problem.scalar_names,
-        constraints=problem.constraints)
-    sol = solve(stripped, tol=tol)
+        constraints=problem.constraints)]
     if sol.status is SolveStatus.OPTIMAL:
-        return (True, sol) if return_solution else True
+        return True, sol
     if sol.status is SolveStatus.INFEASIBLE:
-        return (False, sol) if return_solution else False
+        return False, sol
     raise IndeterminateError(
         f"feasibility check inconclusive after {sol.iterations} iterations "
         f"(residuals {sol.kkt})")
@@ -682,9 +706,8 @@ def _narrow(keep, active, data, values):
     of each per-problem array or list (all as given if none left)."""
     if len(keep) == len(active):
         return active, data, values
-    active = [active[p] for p in keep]
     rows = keep[0] if len(keep) == 1 else keep
-    return active, _Batch([mem.compiled for mem in active]), [
+    return [active[p] for p in keep], data.take(keep), [
         [v[p] for p in keep] if isinstance(v, list) else v[rows]
         for v in values]
 

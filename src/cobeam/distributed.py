@@ -12,7 +12,9 @@ Two coordination schemes over per-BS subproblems:
 Both exchange scalars only through the backhaul bus, so logged counts
 are the algorithm's real signaling load.  The special-case designs
 (common cap, fixed caps, interference nulling, orthogonal access) and
-the distributed Gaussian randomization live here too.
+the distributed Gaussian randomization live here too.  Every design is
+a :func:`conic.driven` solve generator: a call solves alone, and its
+``steps`` form shares its per-BS solves with other runs' batches.
 """
 
 import csv
@@ -127,15 +129,16 @@ def assemble_subproblem(b, channels, topology, theta):
     return prob, slot
 
 
-def _solve_cells(assembled, failure):
-    """Solve the per-BS problems of ``assembled`` ({b: (problem, ...)})
-    as one lockstep batch; returns [(assembled[b], solution)] in BS order.
+def _cells(assembled, failure):
+    """Solve generator (:mod:`.conic.schedule`) of the per-BS problems of
+    ``assembled`` ({b: (problem, ...)}); returns [(assembled[b],
+    solution)] in BS order.
 
     Raises :class:`InfeasibleTargetsError` with message
     ``failure(b, status)`` for the first BS whose solve is not optimal,
     as a BS-by-BS loop would.
     """
-    sols = conic.solve_batch([parts[0] for parts in assembled.values()])
+    sols = yield [parts[0] for parts in assembled.values()]
     for b, sol in zip(assembled, sols):
         if sol.status is not SolveStatus.OPTIMAL:
             raise InfeasibleTargetsError(failure(b, sol.status))
@@ -186,6 +189,7 @@ def diminishing_step(initial):
 # primal decomposition (projected subgradient master)
 
 
+@conic.driven
 def run_primal_decomposition(channels, topology, max_iters=100,
                              step=DEFAULT_STEP, theta0=None, tol=1e-6,
                              gr_count=100, rng=None, rank_tol=RANK_ONE_TOL,
@@ -226,11 +230,11 @@ def run_primal_decomposition(channels, topology, max_iters=100,
             b, channels, topology,
             {index.pairs[i]: replicas[b][i] for i in index.touching(b)})
             for b in range(topology.B)}
-        for b, ((prob, slot), sol) in enumerate(_solve_cells(
+        for b, ((prob, slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"subproblem of BS {b} "
                 "infeasible at the initial ICI caps; retry with a larger "
                 "theta0" if r == 0 else f"subproblem of BS {b} became "
-                f"infeasible at iteration {r} (status {status})")):
+                f"infeasible at iteration {r} (status {status})"))):
             solutions[b] = (prob, sol, slot)
             grads[b] = extract_subgradient(prob, sol, topology, b)
             total_power += sol.objective
@@ -413,20 +417,19 @@ def admm_pair_dual_update(nu_pair, copies_pair, rho):
     return np.array([nu_pair[0] + delta, nu_pair[1] - delta])
 
 
+@conic.driven
 def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
              gr_count=100, rng=None, rank_tol=RANK_ONE_TOL,
              theta_floor=None):
     """Distributed power minimization by ADMM consensus.
 
-    Per iteration: the B local solves (one lockstep batch, each BS's
-    solve bit-identical to solving it alone), one exchange of local
-    copies, the global average, and the exactly-complementary dual
-    update.  Stops when both the consensus residual and the dual
-    residual rho * |theta change| fall below ``tol``; the consensus
-    residual alone can be small long before the caps stop moving.  The
-    returned solution is restored at the final global ICI values (the B
-    restorations again one batch) so it is feasible for the true coupled
-    problem.
+    Per iteration: the B local solves, one exchange of local copies,
+    the global average, and the exactly-complementary dual update.
+    Stops when both the consensus residual and the dual residual
+    rho * |theta change| fall below ``tol``; the consensus residual
+    alone can be small long before the caps stop moving.  The
+    returned solution is restored at the final global ICI values so it
+    is feasible for the true coupled problem.
     """
     index = IciIndex(topology)
     npairs = len(index)
@@ -448,9 +451,9 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
             {i: nu[0 if index.interferer(i) == b else 1, i]
              for i in index.touching(b)}, rho, index=index)
             for b in range(topology.B)}
-        for b, ((_, slot, copy_slot), sol) in enumerate(_solve_cells(
+        for b, ((_, slot, copy_slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"ADMM local problem of BS {b} "
-                f"failed at iteration {it} (status {status})")):
+                f"failed at iteration {it} (status {status})"))):
             for g, k in slot.items():
                 last_W[g] = sol.matrix_values[k]
                 total_power += float(np.real(np.trace(sol.matrix_values[k])))
@@ -515,7 +518,8 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
     restore_map = {index.pairs[i]: max(theta[i], theta_floor)
                    for i in range(npairs)}
     restored = {}
-    for part in _restore(range(topology.B), channels, topology, restore_map):
+    for part in (yield from _restore(range(topology.B), channels, topology,
+                                     restore_map)):
         restored.update(part.W)
     trace.ici = IciState(index=index, theta=theta.copy(),
                          theta_local=copies.copy(), nu=nu.copy())
@@ -526,24 +530,24 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
     return trace
 
 
+@conic.driven
 def admm_feasibility_restore(b, channels, topology, theta_global):
     """Feasible BS-b beamformers at the current global ICI values.
 
     Pins the local copies to the global values, which reduces the
     augmented local problem to the fixed-cap subproblem.
     """
-    return _restore([b], channels, topology, theta_global)[0]
+    return (yield from _restore([b], channels, topology, theta_global))[0]
 
 
 def _restore(cells, channels, topology, theta_global):
-    """:func:`admm_feasibility_restore` of several BSs, solved as one
-    batch."""
+    """:func:`admm_feasibility_restore` of several BSs."""
     parts = []
-    for (_, slot), sol in _solve_cells(
+    for (_, slot), sol in (yield from _cells(
             {b: assemble_subproblem(b, channels, topology, theta_global)
              for b in cells},
             lambda b, _: f"restoration at BS {b} infeasible for the current "
-            "global ICI values"):
+            "global ICI values")):
         out = BeamformingSolution(objective=sol.objective)
         for g, k in slot.items():
             out.W[g] = sol.matrix_values[k]
@@ -634,11 +638,12 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
 # special-case designs (fixed caps, nulling, orthogonal access)
 
 
+@conic.driven
 def solve_fixed_ici(channels, topology, theta_value, gr_count=100, rng=None,
                     rank_tol=RANK_ONE_TOL):
     """One-shot per-cell design with predefined ICI caps, no signaling."""
     theta = dict.fromkeys(topology.ici_pairs(), float(theta_value))
-    solved = _solve_cells(
+    solved = yield from _cells(
         {b: assemble_subproblem(b, channels, topology, theta)
          for b in range(topology.B)},
         lambda b, _: f"fixed-cap subproblem of BS {b} infeasible at "
@@ -664,6 +669,7 @@ def _null_space_basis(channels, topology, b):
     return vh[rank:].conj().T
 
 
+@conic.driven
 def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
                   rng=None):
     """Zero-forcing toward other cells: beams in the cross-channel null
@@ -680,7 +686,7 @@ def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
         assembled[b] = sinr_system(channels, topology, cell=b,
                                    basis=basis)[:2] + (basis,)
     # the cells before one that cannot null report their failures first
-    solved = _solve_cells(
+    solved = yield from _cells(
         assembled, lambda b, _: f"nulling design infeasible at BS {b}")
     if len(assembled) < topology.B:
         raise InfeasibleTargetsError(f"BS {len(assembled)} lacks antennas "
@@ -692,6 +698,7 @@ def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
                      rank_tol)
 
 
+@conic.driven
 def solve_orthogonal(channels, topology, gr_count=100, rng=None):
     """Per-cell design with orthogonal (time/frequency) access.
 
@@ -712,10 +719,11 @@ def solve_orthogonal(channels, topology, gr_count=100, rng=None):
                  for j in range(topo_orth.B) if j != b}
         theta.update({(b, u): 1e9 for u in topo_orth.out_of_cell_users(b)})
         assembled[b] = assemble_subproblem(b, channels, topo_orth, theta)
-    combined = {g: sol.matrix_values[k] for (_, slot), sol in _solve_cells(
+    solved = yield from _cells(
         assembled, lambda b, _: f"orthogonal-access design infeasible at "
         f"BS {b} (raised target {float(np.max(gamma_orth)):.3g})")
-        for g, k in slot.items()}
+    combined = {g: sol.matrix_values[k] for (_, slot), sol in solved
+                for g, k in slot.items()}
     return _finalize(channels, topo_orth, combined,
                      dict.fromkeys(topo_orth.ici_pairs(), 1e9), gr_count,
                      rng, RANK_ONE_TOL)

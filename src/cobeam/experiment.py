@@ -3,7 +3,9 @@
 Scenarios are JSON files; dB quantities are converted to linear scale
 here and nowhere else.  Every (sweep point, trial, scheme) run becomes
 one flat record; distributed runs also produce per-iteration trace rows.
-Infeasible trials are recorded, never silently dropped.
+Infeasible trials are recorded, never silently dropped.  All trials and
+schemes of a sweep point run side by side as solve generators
+(:mod:`.conic.schedule`), so their solves share batches.
 """
 
 import csv
@@ -15,6 +17,7 @@ from collections import Counter
 
 import numpy as np
 
+from . import conic
 from .balancing import (balance_centralized, balance_distributed,
                         balance_uncoordinated)
 from .distributed import (diminishing_step, run_admm,
@@ -178,17 +181,25 @@ def run_sweep(config):
 
     Channel draws depend only on (master seed, trial), so a given trial
     sees the same fading across all sweep values; randomization streams
-    are keyed by (sweep point, trial, scheme) and never collide.
+    are keyed by (sweep point, trial, scheme) and never collide.  The
+    runs of one sweep point go to one :func:`conic.drive`; a record's
+    ``wall_time_s`` is its run's share of that drive's wall time.
     """
     records = []
     trace_rows = []
     for gi, gamma_db in enumerate(config.gamma_db):
         for di, d_db in enumerate(config.d_db):
             for pi, p_max in enumerate(config.p_max):
-                for trial in range(config.trials):
-                    point = _SweepPoint(config, gamma_db, d_db, p_max,
-                                        trial, point_key=(gi, di, pi))
-                    recs, traces = point.run()
+                points = [_SweepPoint(config, gamma_db, d_db, p_max, trial,
+                                      point_key=(gi, di, pi))
+                          for trial in range(config.trials)]
+                runs = [(point, k, scheme) for point in points
+                        for k, scheme in enumerate(config.schemes)]
+                seconds = [0.0] * len(runs)
+                for recs, traces in conic.drive(
+                        [point.run(k, scheme, seconds, i)
+                         for i, (point, k, scheme) in enumerate(runs)],
+                        seconds):
                     records.extend(recs)
                     trace_rows.extend(traces)
     records.sort(key=lambda r: (r["gamma_db"], r["d_db"], r["p_max"],
@@ -221,26 +232,41 @@ class _SweepPoint:
             spawn_key=(*self.point_key, self.trial, 1 + scheme_index))
         return np.random.default_rng(seq)
 
-    def run(self):
-        records = []
-        traces = []
-        for k, scheme in enumerate(self.config.schemes):
-            rng = self._scheme_rng(k)
-            start = time.perf_counter()
+    def run(self, k, scheme, seconds, i):
+        """Solve generator of scheme ``k``'s (records, trace rows), run
+        ``i`` of a drive keeping ``seconds``.  A record's wall time is
+        what its run's entry gained since the previous record, plus the
+        current step's time so far."""
+        runner = _RUNNERS[scheme](self, self.config, self._scheme_rng(k))
+        records, traces, sent, done = [], [], None, 0.0
+        resumed = time.perf_counter()
+        while runner is not None:
             try:
-                for rec, trace in _RUNNERS[scheme](self, self.config, rng):
-                    rec["wall_time_s"] = time.perf_counter() - start
-                    records.append(self._finish(rec, scheme))
-                    if trace is not None:
-                        traces.extend(self._trace_rows(scheme, trace))
-                    start = time.perf_counter()
+                item = runner.send(sent)
+            except StopIteration:
+                break
             except (InfeasibleTargetsError, RandomizationFailureError,
                     IndeterminateError) as err:
-                records.append(self._finish(
-                    {"objective": None, "feasible": False,
-                     "wall_time_s": time.perf_counter() - start,
-                     "failure_kind": type(err).__name__}, scheme))
+                item, runner = ({"objective": None, "feasible": False,
+                                 "failure_kind": type(err).__name__},
+                                None), None
+            if isinstance(item, list):
+                sent = yield item
+                resumed = time.perf_counter()
+                continue
+            rec, trace = item
+            now = seconds[i] + time.perf_counter() - resumed
+            rec["wall_time_s"], done, sent = now - done, now, None
+            records.append(self._finish(rec, scheme))
+            if trace is not None:
+                traces.extend(self._trace_rows(scheme, trace))
         return records, traces
+
+    def solving(self, solver, rng, *args, **kwargs):
+        """Solve generator of a scheme's ``solver`` on this trial's draw."""
+        return conic.solving(solver, self.channels, self.topology, *args,
+                             gr_count=self.config.gr_budget, rng=rng,
+                             **kwargs)
 
     def _finish(self, rec, scheme):
         base = {col: None for col in RECORD_COLUMNS}
@@ -291,66 +317,60 @@ class _SweepPoint:
                 "all_rank_one": all_one, "avg_rank": avg}
 
 
-# scheme registry: every runner yields (record, trace) pairs and looks its
-# solver up among this module's globals when it runs
+# scheme registry: every runner is a solve generator that also yields its
+# (record, trace) pairs, and looks its solver up among this module's
+# globals when it runs (conic.solving)
 
 
 def _centralized(pt, cfg, rng):
-    sol = solve_centralized(pt.channels, pt.topology,
-                            gr_count=cfg.gr_budget, rng=rng)
+    sol = yield from pt.solving(solve_centralized, rng)
     yield pt._power_record(sol, sol.sdr_objective), None
 
 
 def _primal_decomposition(pt, cfg, rng, common_theta=False):
-    yield pt._trace_record(run_primal_decomposition(
-        pt.channels, pt.topology, max_iters=cfg.iters, step=cfg.step(),
-        gr_count=cfg.gr_budget, rng=rng, common_theta=common_theta))
+    yield pt._trace_record((yield from pt.solving(
+        run_primal_decomposition, rng, max_iters=cfg.iters, step=cfg.step(),
+        common_theta=common_theta)))
 
 
 def _admm(pt, cfg, rng):
-    yield pt._trace_record(run_admm(
-        pt.channels, pt.topology, max_iters=cfg.iters, rho=cfg.rho,
-        gr_count=cfg.gr_budget, rng=rng))
+    yield pt._trace_record((yield from pt.solving(
+        run_admm, rng, max_iters=cfg.iters, rho=cfg.rho)))
 
 
 def _nulling(pt, cfg, rng):
-    sol = solve_nulling(pt.channels, pt.topology, gr_count=cfg.gr_budget,
-                        rng=rng)
-    yield pt._power_record(sol, None), None
+    yield pt._power_record((yield from pt.solving(solve_nulling, rng)),
+                           None), None
 
 
 def _fixed_theta(pt, cfg, rng):
-    rec = pt._power_record(solve_fixed_ici(
-        pt.channels, pt.topology, cfg.theta_fixed, gr_count=cfg.gr_budget,
-        rng=rng), None)
+    rec = pt._power_record((yield from pt.solving(
+        solve_fixed_ici, rng, cfg.theta_fixed)), None)
     rec["theta_cap"] = cfg.theta_fixed
     yield rec, None
 
 
 def _orthogonal(pt, cfg, rng):
-    sol = solve_orthogonal(pt.channels, pt.topology,
-                           gr_count=cfg.gr_budget, rng=rng)
-    yield pt._power_record(sol, None), None
+    yield pt._power_record((yield from pt.solving(solve_orthogonal, rng)),
+                           None), None
 
 
 def _balance_centralized(pt, cfg, rng):
-    out = balance_centralized(pt.channels, pt.topology, epsilon=cfg.epsilon,
-                              gr_count=cfg.gr_budget, rng=rng)
+    out = yield from pt.solving(balance_centralized, rng,
+                                epsilon=cfg.epsilon)
     yield pt._balance_record(out, None), None
 
 
 def _balance_distributed(pt, cfg, rng):
     for cap in cfg.theta_grid:
-        out = balance_distributed(pt.channels, pt.topology, cap,
-                                  epsilon=cfg.epsilon,
-                                  gr_count=cfg.gr_budget, rng=rng)
+        out = yield from pt.solving(balance_distributed, rng, cap,
+                                    epsilon=cfg.epsilon)
         yield pt._balance_record(out, cap), None
 
 
 def _balance_uncoordinated(pt, cfg, rng):
-    out = balance_uncoordinated(pt.channels, pt.topology,
-                                epsilon=cfg.epsilon,
-                                gr_count=cfg.gr_budget, rng=rng)
+    out = yield from pt.solving(balance_uncoordinated, rng,
+                                epsilon=cfg.epsilon)
     yield pt._balance_record(out, None), None
 
 

@@ -338,6 +338,7 @@ def finalize(W, randomize, rank_tol=RANK_ONE_TOL):
     return solution
 
 
+@conic.driven
 def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
                       rng=None, rank_tol=RANK_ONE_TOL):
     """Full centralized design: SDP relaxation plus rank-one recovery.
@@ -347,8 +348,7 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
     covariance is rank one).  The relaxation optimum itself is attached
     as ``sdr_objective``.
     """
-    sdp = assemble_qos_sdp(channels, topology)
-    sol = conic.solve(sdp)
+    sol, = yield [assemble_qos_sdp(channels, topology)]
     if sol.status is SolveStatus.INFEASIBLE:
         raise InfeasibleTargetsError(
             "SINR targets are infeasible for this channel realization")

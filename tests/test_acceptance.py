@@ -60,11 +60,16 @@ def test_c03_distributed_matches_centralized():
     topo = build_topology(B=2, G=2, U=4, A=6, gamma=GAMMA_1DB,
                           cell_separation=D_1DB)
     worst_pd = worst_admm = 0.0
+    # the seeds' runs share their solves' batches (conic.drive)
+    chans = [sample_channels(topo, seed) for seed in range(10)]
+    runs = conic.drive(
+        [solve_centralized.steps(c, topo) for c in chans]
+        + [run_primal_decomposition.steps(c, topo, max_iters=100, step=0.3)
+           for c in chans]
+        + [run_admm.steps(c, topo, max_iters=100, rho=2.0) for c in chans])
     for seed in range(10):
-        chans = sample_channels(topo, seed)
-        cen = solve_centralized(chans, topo).sdr_objective
-        pd = run_primal_decomposition(chans, topo, max_iters=100, step=0.3)
-        admm = run_admm(chans, topo, max_iters=100, rho=2.0)
+        cen = runs[seed].sdr_objective
+        pd, admm = runs[10 + seed], runs[20 + seed]
         rel_pd = pd.best_power / cen - 1.0
         rel_admm = abs(admm.rows[-1]["sum_power"] / cen - 1.0)
         assert -1e-7 <= rel_pd <= 0.02, (seed, rel_pd)
@@ -127,9 +132,10 @@ def test_c06_admm_identities():
     topo = build_topology(B=2, G=2, U=4, A=6, gamma=GAMMA_1DB,
                           cell_separation=D_1DB)
     worst_cons = 0.0
-    for seed in range(3):
-        chans = sample_channels(topo, seed)
-        trace = run_admm(chans, topo, max_iters=100, rho=2.0)
+    traces = conic.drive([run_admm.steps(sample_channels(topo, seed), topo,
+                                         max_iters=100, rho=2.0)
+                          for seed in range(3)])
+    for trace in traces:
         assert all(e["nu_pair_sum"] == 0.0 for e in trace.extras)
         final_mean = 0.5 * (trace.ici.theta_local[0]
                             + trace.ici.theta_local[1])
@@ -217,17 +223,25 @@ def test_c09_balancing_dominance():
                           cell_separation=D_1DB)
     eps = 1e-3
     compared = 0
-    for seed in range(10):
-        chans = sample_channels(topo, seed)
-        cen = balance_centralized(chans, topo, epsilon=eps)
-        if not all(r == 1 for r in cen.solution.sdr_rank.values()):
-            continue
-        bound = cen.t_relaxed + eps
-        for cap in (0.01, 0.1, 1.0):
-            out = balance_distributed(chans, topo, cap, epsilon=eps)
+    chans = [sample_channels(topo, seed) for seed in range(10)]
+    cens = conic.drive([balance_centralized.steps(c, topo, epsilon=eps)
+                        for c in chans])
+    seeds = [seed for seed, cen in enumerate(cens)
+             if all(r == 1 for r in cen.solution.sdr_rank.values())]
+    caps = (0.01, 0.1, 1.0)
+    outs = iter(conic.drive(
+        [balance_distributed.steps(chans[seed], topo, cap, epsilon=eps)
+         for seed in seeds for cap in caps]
+        + [balance_uncoordinated.steps(chans[seed], topo, epsilon=eps)
+           for seed in seeds]))
+    dist = {(seed, cap): next(outs) for seed in seeds for cap in caps}
+    for seed in seeds:
+        bound = cens[seed].t_relaxed + eps
+        for cap in caps:
+            out = dist[seed, cap]
             assert out.achieved <= bound + 1e-9, (seed, cap, out.achieved,
                                                   bound)
-        unc = balance_uncoordinated(chans, topo, epsilon=eps)
+        unc = next(outs)
         assert unc.achieved <= bound + 1e-9, (seed, unc.achieved, bound)
         compared += 1
     assert compared >= 5, f"only {compared} rank-one centralized draws"

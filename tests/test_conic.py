@@ -586,6 +586,17 @@ class TestSolveBatch:
             serial = assert_batch_matches_serial(problems)
             assert len({s.iterations for s in serial}) == 2
 
+    def test_many_members_leave_at_different_iterations(self):
+        # members leave one or two at a time, so the batch is narrowed
+        # from ten problems down to one through several sizes
+        problems = [p for seed, scale in ((0, 0.01), (1, 1.0), (2, 0.1),
+                                          (3, 3.0), (4, 0.03))
+                    for p in pd_pair(seed, scale)]
+        serial = assert_batch_matches_serial(problems)
+        assert len({s.iterations for s in serial}) >= 4
+        assert_batch_matches_serial(admm_pair(1) + admm_pair(2)
+                                    + admm_pair(3))
+
     def test_feasible_with_infeasible(self):
         serial = assert_batch_matches_serial(
             [bound_lp(1.0, 2.0), bound_lp(3.0, 2.0), bound_lp(0.5, 4.0)])

@@ -1,6 +1,6 @@
 """Count and fingerprint every conic solve of some scenario runs.
 
-    PYTHONPATH=src python tools/solve_digest.py scenarios/*.json --trials 1
+    PYTHONPATH=src python tools/solve_digest.py scenarios/*.json
 
 Each scenario file goes through ``experiment.run_sweep`` with
 ``cobeam.conic.solve_batch`` and ``cobeam.conic.ipm.solve_batch``
@@ -13,6 +13,13 @@ status, iterations, objective, matrix values, scalar values, duals,
 ``kkt``, ``stats`` and certificate.  Two versions of the solver that
 print the same digest gave the same answers, bit for bit; a batched
 version compares directly with one that solves problem by problem.
+
+A second line prints the count and a sha256 over the sorted per-solution
+hashes: it does not depend on the order of the solves, so it also
+compares versions that schedule the same solves differently (such as
+batching them across trials and schemes), where the first line cannot.
+To check the solver of another tree, run this tool with its ``src`` on
+``PYTHONPATH``.
 """
 
 import argparse
@@ -50,18 +57,19 @@ def main(argv=None):
     parser.add_argument("scenarios", nargs="+")
     parser.add_argument("--trials", type=int, help="override trial count")
     args = parser.parse_args(argv)
-    digest, count = hashlib.sha256(), 0
+    digest, hashes = hashlib.sha256(), []
 
     def recorded(solve_batch):
         def wrapper(*a, **kw):
-            nonlocal count
             sols = solve_batch(*a, **kw)
             for sol in sols:
-                count += 1
-                feed(digest, [sol.status.value, sol.iterations,
-                              sol.objective, sol.matrix_values,
-                              sol.scalar_values, sol.duals, sol.kkt,
-                              sol.stats, sol.certificate])
+                fields = [sol.status.value, sol.iterations, sol.objective,
+                          sol.matrix_values, sol.scalar_values, sol.duals,
+                          sol.kkt, sol.stats, sol.certificate]
+                feed(digest, fields)
+                one = hashlib.sha256()
+                feed(one, fields)
+                hashes.append(one.hexdigest())
             return sols
         return wrapper
 
@@ -75,7 +83,9 @@ def main(argv=None):
             run_sweep(config)
     finally:
         conic.solve_batch, ipm.solve_batch = originals
-    print(f"solves {count} sha256 {digest.hexdigest()}")
+    print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
+    print(f"solves {len(hashes)} order-free sha256 "
+          f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
