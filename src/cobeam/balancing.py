@@ -20,7 +20,7 @@ from . import conic
 from .conic import SolveStatus
 from .errors import ConfigurationError, IndeterminateError, StateError
 from .network import BeamformingSolution, evaluate_sinr
-from .power_min import (RANK_ONE_TOL, capped_least_powers,
+from .power_min import (RANK_ONE_TOL, blind_caps, capped_least_powers,
                         direction_system, finalize, gaussian_candidates,
                         randomized_solution, sinr_system)
 
@@ -410,21 +410,10 @@ def balance_distributed(channels, topology, theta_cap,
 def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
                           gr_count=100, rng=None, rank_tol=RANK_ONE_TOL):
     """Interference-blind baseline, re-evaluated with true ICI."""
-    def blind_caps(b):
-        # the cell assumes no incoming interference and caps nothing
-        caps = {}
-        for u in topology.users_of_bs(b):
-            for j in range(topology.B):
-                if j != b:
-                    caps[(j, u)] = 0.0
-        for u in topology.out_of_cell_users(b):
-            caps[(b, u)] = 1e9
-        return caps
-
     return (yield from _per_cell_pipeline(
         channels, topology,
         lambda b: conic.solving(uncoordinated_balance, b, channels,
                                 topology, epsilon),
         epsilon, gr_count, rng, rank_tol,
         lambda b, sets: local_balance_gr(b, channels, topology, sets,
-                                         blind_caps(b), epsilon)))
+                                         blind_caps(topology, b), epsilon)))

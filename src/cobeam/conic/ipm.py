@@ -22,10 +22,12 @@ confirmed by direct evaluation.
 
 The iterations' floating-point operations, their operands and their
 order are fixed.  Each loop runs a lockstep batch of problems of one
-shape (:func:`solve_batch`; a lone :func:`solve` is a batch of one) and
-stacks only operations that give every problem the bits of its own
-call, as ``tools/solve_digest.py``, ``tests/test_conic.py`` and the
-frozen kernel in ``tests/test_cones.py`` check.
+shape (:func:`solve_batch`; a lone :func:`solve` is a batch of one):
+every iterate and every datum carries a leading problem axis, also for
+a lone problem, and per-problem scalars are lists.  The loops stack
+only operations that give every problem the bits of its own call, as
+``tools/solve_digest.py``, ``tests/test_conic.py`` and the frozen
+kernel in ``tests/test_cones.py`` check.
 """
 
 import math
@@ -75,19 +77,13 @@ _mv = getattr(np, "matvec", None) \
 
 
 def _dot(u, v):
-    """Per-problem dot products as a list of floats."""
-    return _vecdot(u, v).tolist() if u.ndim > 1 else [float(u @ v)]
-
-
-def _listed(value):
-    """A per-problem list, also of one problem's lone value."""
-    return value if isinstance(value, list) else [value]
+    """Per-problem dot products of (P, n) rows as a list of floats."""
+    return _vecdot(u, v).tolist()
 
 
 def _col(values):
-    """Per-problem scalars as a column that scales (P, n) rows; one
-    problem's scalar as itself."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+    """Per-problem scalars as a column that scales (P, n) rows."""
+    return np.array(values)[:, None]
 
 
 def _where(mask, new, old):
@@ -101,40 +97,32 @@ def _where(mask, new, old):
 
 class _Batch:
     """Compiled data of problems with one layout and row count, stacked
-    along a leading problem axis; a lone problem keeps its own arrays.
-    ``A_blocks`` keep the row axis first, (m, P, k, d, d), so that a
-    batched scaling broadcasts over them."""
+    along a leading problem axis, also a lone problem.  ``A_blocks`` keep
+    the row axis first, (m, P, k, d, d), so that a batched scaling
+    broadcasts over them."""
 
     def __init__(self, compiled):
         self.layout = compiled[0].layout
-        self.single = len(compiled) == 1
-        stack = (lambda arrays, axis=0: arrays[0]) if self.single \
-            else np.stack
-        self.A = stack([c.A for c in compiled])
+        self.A = np.stack([c.A for c in compiled])
         self.At = self.A.swapaxes(-1, -2)
-        self.b = stack([c.b for c in compiled])
-        self.c = stack([c.c for c in compiled])
-        self.qdiag = stack([c.qdiag for c in compiled])
-        self.A_blocks = [stack(run, axis=1)
+        self.b = np.stack([c.b for c in compiled])
+        self.c = np.stack([c.c for c in compiled])
+        self.qdiag = np.stack([c.qdiag for c in compiled])
+        self.A_blocks = [np.stack(run, axis=1)
                          for run in zip(*(c.A_blocks for c in compiled))]
         self.nb = [1.0 + np.linalg.norm(c.b) for c in compiled]
         self.nc = [1.0 + np.linalg.norm(c.c) for c in compiled]
 
-    def rows(self, a):
-        """Each problem's part of a stacked array."""
-        return (a,) if self.single else a
-
     def take(self, keep):
-        """The batch of the problems at positions ``keep`` of a stacked
-        batch, indexed out of its arrays: the values and C layout that
-        stacking those problems anew would give."""
+        """The batch of the problems at positions ``keep``, indexed out
+        of this batch's arrays: the values and C layout that stacking
+        those problems anew would give."""
         out = object.__new__(_Batch)
-        out.layout, out.single = self.layout, len(keep) == 1
-        rows = keep[0] if out.single else keep
+        out.layout = self.layout
         out.A, out.b, out.c, out.qdiag = (
-            v[rows] for v in (self.A, self.b, self.c, self.qdiag))
+            v[keep] for v in (self.A, self.b, self.c, self.qdiag))
         out.At = out.A.swapaxes(-1, -2)
-        out.A_blocks = [np.ascontiguousarray(blocks[:, rows])
+        out.A_blocks = [np.ascontiguousarray(blocks[:, keep])
                         for blocks in self.A_blocks]
         out.nb, out.nc = ([v[p] for p in keep] for v in (self.nb, self.nc))
         return out
@@ -183,17 +171,12 @@ class _KktSolver:
         self.A, self.b, self.c = data.A, data.b, data.c
         self.At = data.At
         self.m = data.A.shape[-2]
-        self.rows = data.rows
         self.scaling = scaling
         lay = scaling.layout
         # all m scaled rows W'a_k from one stacked congruence per run,
         # rows first so that each problem's factors broadcast
-        nn = lay.nn_block(data.A)
-        if data.single:
-            self.at_scaled = scaling.scale_dual_blocks(data.A_blocks, nn)
-        else:
-            self.at_scaled = np.ascontiguousarray(scaling.scale_dual_blocks(
-                data.A_blocks, nn.swapaxes(0, 1)).swapaxes(0, 1))
+        self.at_scaled = np.ascontiguousarray(scaling.scale_dual_blocks(
+            data.A_blocks, lay.nn_block(data.A).swapaxes(0, 1)).swapaxes(0, 1))
         self.at_scaled_t = self.at_scaled.swapaxes(-1, -2)
         self.c_scaled = scaling.scale_dual(data.c)
         # NT Hessian in scaled space: identity + quadratic diagonal
@@ -223,14 +206,14 @@ class _KktSolver:
         # per problem: its Schur complement, its Cholesky factor or
         # pseudo-inverse, and which fallback fired (None, "schur_ridge" or
         # "schur_pinv")
-        self._solvers = [(Mp,) + _factor_schur(Mp) for Mp in self.rows(M)]
+        self._solvers = [(Mp,) + _factor_schur(Mp) for Mp in M]
         self.fallback = [s[3] if self.m else None for s in self._solvers]
 
     def _schur_solve(self, rhs):
         if not self.m:
             return np.zeros(rhs.shape)
         sols = []
-        for (M, factor, pinv, _), r in zip(self._solvers, self.rows(rhs)):
+        for (M, factor, pinv, _), r in zip(self._solvers, rhs):
             if factor is None:
                 sols.append(pinv @ r)
                 continue
@@ -238,7 +221,7 @@ class _KktSolver:
             sol = _POTRS(factor, _require_finite(r), lower=1)[0]
             sol += _POTRS(factor, r - M @ sol, lower=1)[0]
             sols.append(sol)
-        return sols[0] if len(sols) == 1 else np.array(sols)
+        return np.array(sols)
 
     def _saddle(self, fd_scaled, f_p):
         """Solve (I+D) dxs - (WA')dy = fd_scaled, (AW) dxs = f_p."""
@@ -256,7 +239,7 @@ class _KktSolver:
         side and keep its direction."""
         best = once(*rhs)
         res = residual(best, *rhs)
-        best_norm = _listed(norm(res))
+        best_norm = norm(res)
         live = [not bn < 1e-14 for bn in best_norm]
         for _ in range(refine):
             if not any(live):
@@ -266,7 +249,7 @@ class _KktSolver:
                     r, list) else 0.0 for r in res])
             cand = best.plus(once(*res))
             res = residual(cand, *rhs)
-            cand_norm = _listed(norm(res))
+            cand_norm = norm(res)
             better = [go and not cn >= bn
                       for go, cn, bn in zip(live, cand_norm, best_norm)]
             if all(better):
@@ -366,18 +349,14 @@ class _Dir:
 
 
 def _res_norm(vectors):
-    """Largest absolute entry over residual vectors: a list with one norm
-    per problem along a leading axis, else one float."""
+    """Largest absolute entry over (P, n) residual rows, one per problem."""
     return np.abs(np.concatenate(vectors, axis=-1)).max(axis=-1).tolist()
 
 
 def _hsd_res_norm(res):
     r2, r1, r3, rs, rt = res
-    tops = _res_norm((r2, r1, rs))
-    if not isinstance(r3, list):
-        return max([tops, abs(r3), abs(rt)])
     return [max([top, abs(a), abs(b)])
-            for top, a, b in zip(_listed(tops), r3, rt)]
+            for top, a, b in zip(_res_norm((r2, r1, rs)), r3, rt)]
 
 
 def _max_step_scalar(v, dv):
@@ -388,7 +367,7 @@ def _step_lengths(scaling, d, fraction, tau=None, kappa=None):
     """Per problem: min(1, fraction * the longest step along direction
     ``d`` that keeps the iterate in the cone, and tau and kappa
     nonnegative when given); a fraction of 1.0 leaves the bound as is."""
-    bounds = _listed(scaling.max_step(d.dxs, d.dzs))
+    bounds = scaling.max_step(d.dxs, d.dzs)
     if tau is None:
         return [min(1.0, fraction * am) for am in bounds]
     return [min(1.0, fraction * min(am, _max_step_scalar(t, dt),
@@ -402,7 +381,7 @@ def _new_stats():
 
 def _count_fallbacks(members, scaling, kkt):
     if scaling.jitters.any():
-        for mem, jitters in zip(members, scaling.jitters.reshape(-1).tolist()):
+        for mem, jitters in zip(members, scaling.jitters.tolist()):
             mem.stats["chol_jitter"] += jitters
     for mem, fallback in zip(members, kkt.fallback):
         if fallback:
@@ -706,9 +685,8 @@ def _narrow(keep, active, data, values):
     of each per-problem array or list (all as given if none left)."""
     if len(keep) == len(active):
         return active, data, values
-    rows = keep[0] if len(keep) == 1 else keep
     return [active[p] for p in keep], data.take(keep), [
-        [v[p] for p in keep] if isinstance(v, list) else v[rows]
+        [v[p] for p in keep] if isinstance(v, list) else v[keep]
         for v in values]
 
 
@@ -716,9 +694,8 @@ def _start(group, screens=False):
     """Data, identity, the start x = z = identity and y = 0, members."""
     data = _Batch(group)
     ident = data.layout.identity()
-    x = ident if data.single else np.tile(ident, (len(group), 1))
-    return (data, ident, x, np.zeros(data.b.shape),
-            [_Member(c, screens) for c in group])
+    return (data, ident, np.tile(ident, (len(group), 1)),
+            np.zeros(data.b.shape), [_Member(c, screens) for c in group])
 
 
 def _solve_hsd(group, tol, accept_tol, max_iter):
@@ -739,9 +716,9 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
 
         keep, r3, mu = [], [], []
         for p, (mem, xp, yp, zp, t, k, bt, ct, xz, rr1, rr2, nb, nc) in \
-                enumerate(zip(active, data.rows(x), data.rows(y),
-                              data.rows(z), tau, kappa, bty, ctx, xtz,
-                              _dot(r1, r1), _dot(r2, r2), data.nb, data.nc)):
+                enumerate(zip(active, x, y, z, tau, kappa, bty, ctx, xtz,
+                              _dot(r1, r1), _dot(r2, r2), data.nb,
+                              data.nc)):
             r3.append(bt - ct - k)
             mu.append((xz + t * k) / deg)
             pres = math.sqrt(rr1) / (t * nb)
@@ -871,9 +848,8 @@ def _solve_qp(group, tol, accept_tol, max_iter):
 
         keep = []
         for p, (mem, xp, yp, xz, cx, xqx, rr1, rr2, nb, nc) in enumerate(zip(
-                active, data.rows(x), data.rows(y), xtz, _dot(c, x),
-                _dot(0.5 * x, qx), _dot(r1, r1), _dot(r2, r2), data.nb,
-                data.nc)):
+                active, x, y, xtz, _dot(c, x), _dot(0.5 * x, qx),
+                _dot(r1, r1), _dot(r2, r2), data.nb, data.nc)):
             pres = math.sqrt(rr1) / nb
             dres = math.sqrt(rr2) / nc
             relgap = xz / max(1.0, abs(cx + xqx))

@@ -29,7 +29,7 @@ from .errors import (CobeamError, InfeasibleTargetsError,
                      RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       orthogonal_equivalent_target)
-from .power_min import (RANK_ONE_TOL, capped_least_powers,
+from .power_min import (RANK_ONE_TOL, blind_caps, capped_least_powers,
                         direction_system, extract_rank_one, finalize,
                         gaussian_candidates, randomized_solution,
                         sinr_system)
@@ -398,17 +398,6 @@ def admm_global_update(theta_local_pair):
     return 0.5 * (pair[0] + pair[1])
 
 
-def admm_dual_update(nu, theta_local, theta, rho):
-    """Plain dual ascent nu + rho (theta_local - theta), elementwise.
-
-    The consensus loop uses the algebraically equal pair form
-    nu +/- rho/2 (copy_self - copy_other), which keeps the two owners'
-    duals summing to exactly zero in floating point.
-    """
-    return np.asarray(nu, float) + rho * (np.asarray(theta_local, float)
-                                          - np.asarray(theta, float))
-
-
 def admm_pair_dual_update(nu_pair, copies_pair, rho):
     """Both owners' dual updates at once; pair sums stay exactly zero."""
     nu_pair = np.asarray(nu_pair, dtype=float)
@@ -712,13 +701,9 @@ def solve_orthogonal(channels, topology, gr_count=100, rng=None):
         B=topology.B, G=topology.G, U=topology.U, A=topology.A,
         gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
         cell_separation=topology.cell_separation)
-    assembled = {}
-    for b in range(topology.B):
-        # no incoming interference, outgoing interference unbounded
-        theta = {(j, u): 0.0 for u in topo_orth.users_of_bs(b)
-                 for j in range(topo_orth.B) if j != b}
-        theta.update({(b, u): 1e9 for u in topo_orth.out_of_cell_users(b)})
-        assembled[b] = assemble_subproblem(b, channels, topo_orth, theta)
+    assembled = {b: assemble_subproblem(b, channels, topo_orth,
+                                        blind_caps(topo_orth, b))
+                 for b in range(topology.B)}
     solved = yield from _cells(
         assembled, lambda b, _: f"orthogonal-access design infeasible at "
         f"BS {b} (raised target {float(np.max(gamma_orth)):.3g})")

@@ -101,6 +101,16 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     return prob, slot, copy_slot
 
 
+def blind_caps(topology, b):
+    """ICI values of a cell that ignores the network: no incoming
+    interference (0 on each pair (j, u) into BS b's users) and no cap
+    (1e9 on each pair (b, u) out of BS b)."""
+    caps = {(j, u): 0.0 for u in topology.users_of_bs(b)
+            for j in range(topology.B) if j != b}
+    caps.update({(b, u): 1e9 for u in topology.out_of_cell_users(b)})
+    return caps
+
+
 def assemble_qos_sdp(channels, topology):
     """QoS power-minimization SDP over all groups (:func:`sinr_system`)."""
     return sinr_system(channels, topology)[0]

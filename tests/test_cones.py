@@ -651,17 +651,39 @@ def test_kernel_matches_frozen_bit_for_bit(name):
         du, dv = scale * rows[2], scale * rows[3]
         assert sc.max_step(du, dv) == ref.max_step(du, dv)
     assert sc.max_step(lay.identity(), sc.lambda_sq()) == 1e12
+    # every lone solve runs a (1, n) batch: its results are the frozen
+    # unbatched ones with a leading axis of one
+    one = NTScaling(lay, x[None], z[None])
+    u1, g1 = rows[1:2], rows[2:3]
+    same(one.scale_dual(rows[:1]), ref.scale_dual(rows[0])[None])
+    dx, dz = one.unscale(u1, g1)
+    same(dx, ref.unscale_primal(u)[None])
+    same(dz, ref.unscale_dual(g)[None])
+    same(one.jordan_prod(u1, g1), ref.jordan_prod(u, g)[None])
+    for scale in (0.1, 1.0, 10.0):
+        du, dv = scale * rows[2], scale * rows[3]
+        assert one.max_step(du[None], dv[None]) == [ref.max_step(du, dv)]
 
 
 def test_residual_norm_matches_frozen():
+    # residuals come as (P, n) rows and per-problem lists of scalars, a
+    # lone problem as P = 1; each problem's norm is its frozen one
     rng = np.random.default_rng(31)
-    r2, rs = rng.standard_normal(9), rng.standard_normal(9)
-    for r1 in (rng.standard_normal(4), np.zeros(0)):
-        for r3, rt in ((0.25, -3.0), (-7.5, 1e-3), (0.0, 0.0)):
-            res = (r2, r1, r3, rs, rt)
-            assert ipm._hsd_res_norm(res) == frozen_res_norm(res)
-            assert ipm._res_norm((r2, r1, rs)) == frozen_res_norm(
-                (r2, r1, rs))
+    pairs = ((0.25, -3.0), (-7.5, 1e-3), (0.0, 0.0))
+    for P in (1, 3):
+        r2, rs = rng.standard_normal((P, 9)), rng.standard_normal((P, 9))
+        for r1 in (rng.standard_normal((P, 4)), np.zeros((P, 0))):
+            for shift in range(len(pairs)):
+                r3, rt = map(list, zip(*(pairs[(shift + p) % len(pairs)]
+                                         for p in range(P))))
+                res = (r2, r1, r3, rs, rt)
+                hsd, plain = ipm._hsd_res_norm(res), ipm._res_norm(
+                    (r2, r1, rs))
+                assert len(hsd) == len(plain) == P
+                for p in range(P):
+                    assert hsd[p] == frozen_res_norm(
+                        tuple(r[p] for r in res))
+                    assert plain[p] == frozen_res_norm((r2[p], r1[p], rs[p]))
 
 
 @pytest.mark.parametrize("side", ["x", "z"])

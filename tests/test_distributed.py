@@ -9,9 +9,9 @@ from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
                             sample_channels)
 from cobeam.power_min import gaussian_candidates, solve_centralized
 from cobeam.distributed import (IciIndex, admm_feasibility_restore,
-                                admm_global_update, admm_dual_update,
-                                admm_pair_dual_update, assemble_admm_local,
-                                assemble_subproblem, diminishing_step,
+                                admm_global_update, admm_pair_dual_update,
+                                assemble_admm_local, assemble_subproblem,
+                                diminishing_step,
                                 distributed_gaussian_randomization,
                                 extract_subgradient, master_update,
                                 run_admm, run_primal_decomposition,
@@ -267,10 +267,6 @@ class TestAdmmPieces:
             oracle = grid[np.argmin(val)]
             assert admm_global_update(copies) == pytest.approx(
                 oracle, abs=1e-4)
-
-    def test_dual_update_formula(self):
-        assert admm_dual_update(0.0, 1.0, 1.0, 2.0) == 0.0
-        assert admm_dual_update(1.0, 1.5, 1.0, 2.0) == pytest.approx(2.0)
 
     def test_pair_update_sums_exactly_zero(self):
         rng = np.random.default_rng(15)
