@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
-TAGS = ("dual-lambda", "dual-mu", "local-copy", "rank-bit", "gr-power")
+TAGS = ("dual-lambda", "dual-mu", "local-copy", "rank-bit", "gr-power",
+        "gr-gain")
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,15 @@ def periter_signaling_load(B, U):
             f"per-iteration load formula needs U divisible by B "
             f"(got U={U}, B={B})")
     return 2 * B * (B - 1) * (U // B)
+
+
+def gr_gain_signaling_load(C, U, G):
+    """Scalars of the randomization fallback round: C U G.
+
+    Each BS broadcasts, for each of its C draws, the gain of each of its
+    groups' directions at each of the U users, G gains per user in all.
+    """
+    return C * U * G
 
 
 def verify_exchange_count(log, round_index, expected, tags=None):

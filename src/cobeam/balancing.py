@@ -20,12 +20,11 @@ from . import conic
 from .conic import SolveStatus
 from .errors import ConfigurationError, IndeterminateError, StateError
 from .network import BeamformingSolution, evaluate_sinr
-from .power_min import (RANK_ONE_TOL, blind_caps, capped_least_powers,
+from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
                         direction_system, finalize, gaussian_candidates,
                         randomized_solution, sinr_system)
 
 DEFAULT_EPSILON = 1e-3
-EXPANSION_LIMIT = 60
 
 
 @dataclass
@@ -33,10 +32,10 @@ class BisectionResult:
     """Outcome of one bisection run.
 
     ``probes`` records every (t, feasible) pair in order; ``calls`` only
-    counts the probes of the halving loop, ``extra_calls`` any bound
-    verification or fallback solves around it.  ``indeterminate`` counts
-    the halving probes that raised :class:`IndeterminateError` and were
-    taken as infeasible.
+    counts the probes of the halving loop, ``extra_calls`` the solves
+    around it (a probe of the lower end, the extreme-face polish).
+    ``indeterminate`` counts the halving probes that raised
+    :class:`IndeterminateError` and were taken as infeasible.
     """
 
     t: float
@@ -129,70 +128,72 @@ def single_user_upper_bound(channels, topology, users=None):
     return bound
 
 
-def _verify_or_expand_upper(probe, lower, upper):
-    """User-supplied upper bounds must actually be infeasible."""
-    extra = 0
-    for _ in range(EXPANSION_LIMIT):
-        feasible, _ = yield from probe(upper)
-        extra += 1
-        if not feasible:
-            return upper, extra
-        upper = lower + 2.0 * (upper - lower)
-    raise ConfigurationError(
-        "upper bound still feasible after expansion limit; "
-        "initial bracket too small")
+def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
+    """Bisection over the relaxed SINR system at level t under per-BS
+    budgets, of the network (``cell`` None) or of one cell with ICI
+    values ``theta`` (:func:`sinr_system`), as a solve generator.
 
-
-@conic.driven
-def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON, bounds=None,
-                   polish=True):
-    """Centralized max-min SINR via bisection on the relaxed problem.
-
-    Returns a :class:`BisectionResult` whose payload is the covariance
-    dict at the final feasible level.  With default bounds the upper end
-    is the provably-unreachable matched-filter cap and is not probed.
-
-    Interior-point feasibility solves return central (high-rank) points,
-    so by default one extra power-minimizing solve at the final feasible
-    level replaces the payload with an extreme-face solution; that is
-    the covariance set whose rank the extraction step then inspects.
+    The upper end is the matched-filter cap of the users involved
+    (:func:`single_user_upper_bound`), provably unreachable, so it is
+    not probed.  Interior-point feasibility solves return central
+    (high-rank) points, so one power-minimizing solve at the final
+    feasible level replaces the payload with an extreme-face solution;
+    that is the covariance set whose rank the extraction step inspects.
     """
+    def system(t, objective=False):
+        return sinr_system(channels, topology, cell=cell, level=t,
+                           theta=theta, budget=True, objective=objective)
+
     def probe(t):
-        feasible, sol = yield from conic.feasibility(
-            assemble_feasibility(channels, topology, t))
+        prob, slot, _ = system(t)
+        feasible, sol = yield from conic.feasibility(prob)
         if not feasible:
             return False, None
-        return True, {g: sol.matrix_values[g] for g in range(topology.G)}
+        return True, {g: sol.matrix_values[k] for g, k in slot.items()}
 
-    extra = 0
-    if bounds is None:
-        lower, upper = 0.0, single_user_upper_bound(channels, topology)
-    else:
-        lower, upper = bounds
-        upper, extra = yield from _verify_or_expand_upper(probe, lower,
-                                                          upper)
-    result = yield from conic.solving(bisect, lower, upper, epsilon, probe)
-    result.extra_calls += extra
-    if polish:
-        sol, = yield [sinr_system(channels, topology, level=result.lower,
-                                  budget=True)[0]]
-        result.extra_calls += 1
-        if sol.status is SolveStatus.OPTIMAL:
-            result.payload = {g: sol.matrix_values[g]
-                              for g in range(topology.G)}
+    users = None if cell is None else topology.users_of_bs(cell)
+    result = yield from conic.solving(
+        bisect, 0.0, single_user_upper_bound(channels, topology, users),
+        epsilon, probe)
+    prob, slot, _ = system(result.lower, objective=True)
+    sol, = yield [prob]
+    result.extra_calls += 1
+    if sol.status is SolveStatus.OPTIMAL:
+        result.payload = {g: sol.matrix_values[k] for g, k in slot.items()}
     return result
 
 
-def _best_level(system, groups, upper, epsilon):
+@conic.driven
+def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON):
+    """Centralized max-min SINR via bisection on the relaxed problem.
+
+    Returns a :class:`BisectionResult` whose payload is the covariance
+    dict at the final feasible level, polished to an extreme face
+    (:func:`_sdr_bisect`).
+    """
+    return (yield from _sdr_bisect(channels, topology, epsilon))
+
+
+def _gr_level(channels, topology, candidates, epsilon, cell=None,
+              theta=None):
     """Best balanced level of fixed direction sets: (t, powers, index).
 
-    ``system`` is a :func:`direction_system`.  Each set is scored by a
-    bisection whose probe at level t asks for its least powers at
-    targets t: feasible exactly when they exist and meet the caps (no
-    slack: the caps are inputs, not solver output).  The payload is that
-    least point; ties go to the lowest index.
+    ``candidates`` are direction sets (group -> unit vector) of the
+    network's groups (``cell`` None) or of one cell's groups, which sees
+    the ICI values ``theta`` (:func:`direction_system`).  Each set is
+    scored by a bisection whose probe at level t asks for its least
+    powers at targets t: feasible exactly when they exist and meet the
+    budgets and caps (no slack: the caps are inputs, not solver
+    output).  The payload is that least point; ties go to the lowest
+    index.
     """
-    users, gains, own, noise, cap_gains, caps = system
+    groups = range(topology.G) if cell is None \
+        else topology.groups_of_bs(cell)
+    V = np.reshape([[cand[g] for g in groups] for cand in candidates],
+                   (len(candidates), len(groups), topology.A))
+    users, gains, own, noise, cap_gains, caps = direction_system(
+        channels, topology, V, cell=cell, theta=theta, budget=True)
+    upper = single_user_upper_bound(channels, topology, users)
     best = (0.0, None, -1)
     for c in range(len(gains)):
         def probe(t, c=c):
@@ -209,12 +210,6 @@ def _best_level(system, groups, upper, epsilon):
     return best
 
 
-def _directions(candidates, groups, A):
-    """(C, G, A) stack of direction sets given as group -> unit vector."""
-    return np.reshape([[cand[g] for g in groups] for cand in candidates],
-                      (len(candidates), len(groups), A))
-
-
 def balance_gaussian_randomization(channels, topology, candidates,
                                    epsilon=DEFAULT_EPSILON):
     """Pick the candidate beamformer set with the best balanced level.
@@ -224,11 +219,7 @@ def balance_gaussian_randomization(channels, topology, candidates,
     is its power allocation under the per-BS budgets; the best
     (t, powers, index) wins.
     """
-    groups = range(topology.G)
-    V = _directions(candidates, groups, topology.A)
-    best = _best_level(
-        direction_system(channels, topology, V, budget=True), groups,
-        single_user_upper_bound(channels, topology), epsilon)
+    best = _gr_level(channels, topology, candidates, epsilon)
     if best[0] <= epsilon:
         warnings.warn("every candidate balances essentially to zero; "
                       "returning the least bad one", stacklevel=2)
@@ -242,31 +233,6 @@ def _cell_caps(topology, theta_cap):
     return dict.fromkeys(topology.ici_pairs(), float(theta_cap))
 
 
-def _per_cell_bisect(b, channels, topology, epsilon, theta=None):
-    """Bisection plus extreme-face polish for one cell's SINR system, as
-    a solve generator."""
-    def system(t, objective=False):
-        return sinr_system(channels, topology, cell=b, level=t, theta=theta,
-                           budget=True, objective=objective)
-
-    def probe(t):
-        prob, slot, _ = system(t)
-        feasible, sol = yield from conic.feasibility(prob)
-        if not feasible:
-            return False, None
-        return True, {g: sol.matrix_values[k] for g, k in slot.items()}
-
-    upper = single_user_upper_bound(channels, topology,
-                                    topology.users_of_bs(b))
-    result = yield from conic.solving(bisect, 0.0, upper, epsilon, probe)
-    prob, slot, _ = system(result.lower, objective=True)
-    sol, = yield [prob]
-    result.extra_calls += 1
-    if sol.status is SolveStatus.OPTIMAL:
-        result.payload = {g: sol.matrix_values[k] for g, k in slot.items()}
-    return result
-
-
 @conic.driven
 def local_balance(b, channels, topology, theta_cap,
                   epsilon=DEFAULT_EPSILON):
@@ -276,8 +242,8 @@ def local_balance(b, channels, topology, theta_cap,
     interference is constrained below it.  ``theta_cap`` is a scalar or
     a dict over directed pairs.
     """
-    return (yield from _per_cell_bisect(
-        b, channels, topology, epsilon, theta=_cell_caps(topology, theta_cap)))
+    return (yield from _sdr_bisect(channels, topology, epsilon, cell=b,
+                                   theta=_cell_caps(topology, theta_cap)))
 
 
 def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
@@ -287,21 +253,15 @@ def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
     ``candidates_b`` is a list of direction sets for this cell's groups;
     scoring mirrors :func:`local_balance` with fixed directions.
     """
-    groups = topology.groups_of_bs(b)
-    V = _directions(candidates_b, groups, topology.A)
-    system = direction_system(channels, topology, V, cell=b,
-                              theta=_cell_caps(topology, theta_cap),
-                              budget=True)
-    upper = single_user_upper_bound(channels, topology,
-                                    topology.users_of_bs(b))
-    return _best_level(system, groups, upper, epsilon)
+    return _gr_level(channels, topology, candidates_b, epsilon, cell=b,
+                     theta=_cell_caps(topology, theta_cap))
 
 
 @conic.driven
 def uncoordinated_balance(b, channels, topology, epsilon=DEFAULT_EPSILON):
     """Interference-blind per-cell balancing (the non-coordinating
     baseline); its optimistic level must be re-checked with true ICI."""
-    return (yield from _per_cell_bisect(b, channels, topology, epsilon))
+    return (yield from _sdr_bisect(channels, topology, epsilon, cell=b))
 
 
 def achieved_min_sinr(channels, solution, topology):
@@ -344,7 +304,7 @@ def _randomize(W, gr_count, rng, score):
 
 @conic.driven
 def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
-                        gr_count=100, rng=None, rank_tol=RANK_ONE_TOL):
+                        gr_count=DEFAULT_GR_COUNT, rng=None):
     """Full centralized balancing pipeline."""
     res = yield from conic.solving(bisect_balance, channels, topology,
                                    epsilon)
@@ -355,14 +315,14 @@ def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
                           balance_gaussian_randomization(
                               channels, topology, sets, epsilon))[0]
 
-    sol = finalize(res.payload, randomize, rank_tol)
+    sol = finalize(res.payload, randomize)
     achieved = achieved_min_sinr(channels, sol, topology)
     return BalanceOutcome(t_relaxed=res.t, solution=sol, achieved=achieved,
                           bisection=res)
 
 
-def _per_cell_pipeline(channels, topology, solver, epsilon, gr_count, rng,
-                       rank_tol, gr_builder):
+def _per_cell_pipeline(channels, topology, solver, gr_count, rng,
+                       gr_builder):
     """Shared shell of the distributed and uncoordinated baselines: the
     B bisections ``solver(b)`` side by side, then each cell's tail in
     turn, which raises what a cell-by-cell loop would raise first."""
@@ -382,7 +342,7 @@ def _per_cell_pipeline(channels, topology, solver, epsilon, gr_count, rng,
             per_cell_t[b] = min(per_cell_t[b], t_b)
             return sol
 
-        cell = finalize(res.payload, randomize, rank_tol)
+        cell = finalize(res.payload, randomize)
         combined.used_randomization |= cell.used_randomization
         for part in ("w", "p", "W", "rank", "sdr_rank"):
             getattr(combined, part).update(getattr(cell, part))
@@ -394,26 +354,26 @@ def _per_cell_pipeline(channels, topology, solver, epsilon, gr_count, rng,
 
 @conic.driven
 def balance_distributed(channels, topology, theta_cap,
-                        epsilon=DEFAULT_EPSILON, gr_count=100, rng=None,
-                        rank_tol=RANK_ONE_TOL):
+                        epsilon=DEFAULT_EPSILON, gr_count=DEFAULT_GR_COUNT,
+                        rng=None):
     """Distributed balancing at fixed caps, all cells independent."""
     return (yield from _per_cell_pipeline(
         channels, topology,
         lambda b: conic.solving(local_balance, b, channels, topology,
                                 theta_cap, epsilon),
-        epsilon, gr_count, rng, rank_tol,
+        gr_count, rng,
         lambda b, sets: local_balance_gr(b, channels, topology, sets,
                                          theta_cap, epsilon)))
 
 
 @conic.driven
 def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
-                          gr_count=100, rng=None, rank_tol=RANK_ONE_TOL):
+                          gr_count=DEFAULT_GR_COUNT, rng=None):
     """Interference-blind baseline, re-evaluated with true ICI."""
     return (yield from _per_cell_pipeline(
         channels, topology,
         lambda b: conic.solving(uncoordinated_balance, b, channels,
                                 topology, epsilon),
-        epsilon, gr_count, rng, rank_tol,
+        gr_count, rng,
         lambda b, sets: local_balance_gr(b, channels, topology, sets,
                                          blind_caps(topology, b), epsilon)))

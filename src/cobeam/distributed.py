@@ -29,14 +29,16 @@ from .errors import (CobeamError, InfeasibleTargetsError,
                      RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       orthogonal_equivalent_target)
-from .power_min import (RANK_ONE_TOL, blind_caps, capped_least_powers,
-                        direction_system, extract_rank_one, finalize,
-                        gaussian_candidates, randomized_solution,
-                        sinr_system)
+from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
+                        direction_gains, direction_system, extract_rank_one,
+                        finalize, gaussian_candidates, least_powers,
+                        randomized_solution, sinr_system)
 
 THETA_FLOOR = 1e-10
 DEFAULT_RHO = 2.0
 DEFAULT_STEP = 0.3
+# PD and ADMM stop once their caps (and ADMM's consensus) move less
+STOP_TOL = 1e-6
 # ICI values come out of conic solves whose rows hold to about this
 # relative accuracy, so GR candidates meet the outgoing caps to it too
 CAP_RTOL = 1e-7
@@ -185,30 +187,34 @@ def diminishing_step(initial):
     return lambda r: initial / np.sqrt(r + 1.0)
 
 
+def _theta_floor(topology):
+    """Least ICI cap of PD and ADMM, 1% of the mean noise power: lower
+    caps are physically irrelevant but sit on the boundary singularity
+    of the cap dual, which would destabilize the updates."""
+    return 1e-2 * float(np.mean(topology.sigma2))
+
+
 # ---------------------------------------------------------------------------
 # primal decomposition (projected subgradient master)
 
 
 @conic.driven
 def run_primal_decomposition(channels, topology, max_iters=100,
-                             step=DEFAULT_STEP, theta0=None, tol=1e-6,
-                             gr_count=100, rng=None, rank_tol=RANK_ONE_TOL,
-                             common_theta=False, theta_floor=None):
+                             step=DEFAULT_STEP, theta0=None,
+                             gr_count=DEFAULT_GR_COUNT, rng=None,
+                             common_theta=False):
     """Distributed power minimization by primal decomposition.
 
     Every BS holds a replica of the caps for the pairs it touches; after
     each round of dual exchange both owners apply the same pure update,
     so the replicas never diverge.  The best (lowest master objective)
-    iterate is kept and its beamformers extracted at the end.
-
-    ``theta_floor`` defaults to 1% of the mean noise power: caps below
-    that are physically irrelevant but sit on the boundary singularity
-    of the cap dual, which would destabilize the fixed-step update.
+    iterate is kept and its beamformers extracted at the end.  Caps
+    never fall below :func:`_theta_floor`; the run stops once no cap
+    moves by more than ``STOP_TOL``.
     """
     index = IciIndex(topology)
     npairs = len(index)
-    if theta_floor is None:
-        theta_floor = 1e-2 * float(np.mean(topology.sigma2))
+    theta_floor = _theta_floor(topology)
     theta = np.full(npairs, float(np.mean(topology.sigma2)))
     if theta0 is not None:
         theta = np.broadcast_to(np.asarray(theta0, float), (npairs,)).copy()
@@ -314,51 +320,52 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                   replica_error=replica_err,
                   best_power=best["power"],
                   min_sinr_margin=_rank_one_margin(
-                      channels, topology, current_W, rank_tol))
+                      channels, topology, current_W))
         theta = theta_new
-        if change <= tol:
+        if change <= STOP_TOL:
             break
 
     trace.best_power = best["power"]
     trace.ici = IciState(index=index, theta=best["theta"],
                          lam=best.get("lam"), mu=best.get("mu"))
     theta_map = {index.pairs[i]: best["theta"][i] for i in range(npairs)}
-    trace.solution = _finalize(channels, topology, best["W"], theta_map,
-                               gr_count, rng, rank_tol, bus=bus)
+    trace.solution = _finalize(channels, topology, best["W"],
+                               dict.fromkeys(range(topology.B), theta_map),
+                               gr_count, rng, bus=bus)
     trace.log = bus.log
     return trace
 
 
-def _rank_one_margin(channels, topology, W_by_group, rank_tol):
+def _rank_one_margin(channels, topology, W_by_group):
     """min_u SINR(u)/gamma_u - 1 for eigen-extracted beams, or None."""
     if W_by_group is None:
         return None
     sol = BeamformingSolution()
     for g, W in W_by_group.items():
-        if conic.numerical_rank(W, rank_tol) > 1:
+        if conic.numerical_rank(W) > 1:
             return None
-        sol.w[g] = extract_rank_one(W, rank_tol)
+        sol.w[g] = extract_rank_one(W)
     margins = [evaluate_sinr(channels, sol, u, topology) / topology.gamma[u]
                - 1.0 for u in range(topology.U)]
     return float(min(margins))
 
 
-def _finalize(channels, topology, W, theta, gr_count, rng, rank_tol,
-              bus=None):
-    """Rank-one extraction, else distributed GR at ICI values ``theta``.
+def _finalize(channels, topology, W, theta, gr_count, rng, bus=None):
+    """Rank-one extraction, else distributed GR at each BS b's ICI values
+    ``theta[b]`` (pair -> watts).
 
     With a bus, every BS first broadcasts one bit: whether all of its
     covariances are rank one.  An extracted design reports its sum power.
     """
     if bus is not None:
         for b in range(topology.B):
-            all_one = all(conic.numerical_rank(W[g], rank_tol) == 1
+            all_one = all(conic.numerical_rank(W[g]) == 1
                           for g in topology.groups_of_bs(b))
             bus.post(b, None, "rank-bit", [1.0 if all_one else 0.0])
         bus.deliver()
     rng = np.random.default_rng() if rng is None else rng
     solution = finalize(W, lambda W: distributed_gaussian_randomization(
-        channels, topology, W, theta, gr_count, rng, bus=bus), rank_tol)
+        channels, topology, W, theta, gr_count, rng, bus=bus))
     if not solution.used_randomization:
         solution.objective = sum(solution.p.values())
     return solution
@@ -407,23 +414,21 @@ def admm_pair_dual_update(nu_pair, copies_pair, rho):
 
 
 @conic.driven
-def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
-             gr_count=100, rng=None, rank_tol=RANK_ONE_TOL,
-             theta_floor=None):
+def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
+             gr_count=DEFAULT_GR_COUNT, rng=None):
     """Distributed power minimization by ADMM consensus.
 
     Per iteration: the B local solves, one exchange of local copies,
     the global average, and the exactly-complementary dual update.
     Stops when both the consensus residual and the dual residual
-    rho * |theta change| fall below ``tol``; the consensus residual
+    rho * |theta change| fall below ``STOP_TOL``; the consensus residual
     alone can be small long before the caps stop moving.  The
-    returned solution is restored at the final global ICI values so it
-    is feasible for the true coupled problem.
+    returned solution is restored at the final global ICI values, floored
+    at :func:`_theta_floor`, so it is feasible for the true coupled
+    problem.
     """
     index = IciIndex(topology)
     npairs = len(index)
-    if theta_floor is None:
-        theta_floor = 1e-2 * float(np.mean(topology.sigma2))
     theta = np.full(npairs, float(np.mean(topology.sigma2)))
     # owner rows: 0 interferer, 1 serving BS
     nu = np.zeros((2, npairs))
@@ -499,11 +504,12 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
                   nu_pair_sum=float(np.max(np.abs(nu.sum(axis=0))))
                   if npairs else 0.0)
         theta = theta_new
-        if residual <= tol and dual_residual <= tol:
+        if residual <= STOP_TOL and dual_residual <= STOP_TOL:
             break
 
     # restore a network-feasible solution at the final global values;
     # caps are floored away from the boundary singularity
+    theta_floor = _theta_floor(topology)
     restore_map = {index.pairs[i]: max(theta[i], theta_floor)
                    for i in range(npairs)}
     restored = {}
@@ -512,8 +518,9 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO, tol=1e-6,
         restored.update(part.W)
     trace.ici = IciState(index=index, theta=theta.copy(),
                          theta_local=copies.copy(), nu=nu.copy())
-    trace.solution = _finalize(channels, topology, restored, restore_map,
-                               gr_count, rng, rank_tol, bus=bus)
+    trace.solution = _finalize(channels, topology, restored,
+                               dict.fromkeys(range(topology.B), restore_map),
+                               gr_count, rng, bus=bus)
     trace.log = bus.log
     trace.best_power = trace.solution.objective
     return trace
@@ -578,11 +585,22 @@ def _local_least_powers(b, channels, topology, V, theta):
 
 def distributed_gaussian_randomization(channels, topology, W_star, theta,
                                        count, rng, bus=None):
-    """Network-wide randomization with only per-candidate power exchange.
+    """Network-wide randomization with only per-candidate exchanges.
 
-    Each BS draws candidates from its own covariances, gives each its
-    least local powers, and broadcasts its per-candidate totals; all
-    BSs then pick the same globally cheapest index.
+    ``theta`` maps each BS b to its ICI values (pair -> watts).  Each BS
+    draws candidates from its own covariances, gives each its least
+    local powers at ``theta[b]``, and broadcasts its per-candidate
+    totals (``gr-power``); all BSs then pick the same globally cheapest
+    index.
+
+    When no index is feasible at every BS, the fixed values were too
+    tight for these draws, though the coupled network may still serve
+    some of them.  Then each BS broadcasts the gains |h_{b,u}^H v_g|^2
+    of its draws at every user (``gr-gain``, C U G_b scalars), every BS
+    computes the same coupled least powers (:func:`least_powers`) and
+    they pick the cheapest feasible index, lowest on ties; the solution
+    has ``gr_fallback`` set.  Raises :class:`RandomizationFailureError`
+    only when no index is feasible network-wide.
     """
     if bus is None:
         bus = MessageBus(range(topology.B))
@@ -597,30 +615,39 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
                                                      seeds[b]),
                                  (count, len(W_star[g]))) for g in groups],
                      axis=1)
-        powers = _local_least_powers(b, channels, topology, V, theta)
+        powers = _local_least_powers(b, channels, topology, V, theta[b])
         totals[b] = powers.sum(axis=1)
-        if not np.isfinite(totals[b]).any():
-            raise RandomizationFailureError(
-                f"all {count} candidates infeasible at BS {b}")
         per_bs[b] = (V, powers)
         bus.post(b, None, "gr-power",
                  np.where(np.isfinite(totals[b]), totals[b], 1e300))
     bus.deliver()
 
     network = totals.sum(axis=0)
-    if not np.isfinite(network).any():
-        raise RandomizationFailureError(
-            f"no candidate index feasible at every BS ({count} drawn)")
+    fallback = not np.isfinite(network).any()
+    if fallback:
+        gains = np.zeros((count, topology.U, topology.G))
+        for b, (V, _) in per_bs.items():
+            groups = topology.groups_of_bs(b)
+            gains[:, :, groups] = direction_gains(channels.h[b], V)
+            bus.post(b, None, "gr-gain", gains[:, :, groups].ravel())
+        bus.deliver()
+        coupled = least_powers(gains, topology.group_of_user, topology.gamma,
+                               topology.sigma2)
+        network = coupled.sum(axis=1)
+        if not np.isfinite(network).any():
+            raise RandomizationFailureError(
+                f"no candidate index feasible network-wide ({count} drawn)")
+        per_bs = {b: (V, coupled[:, topology.groups_of_bs(b)])
+                  for b, (V, _) in per_bs.items()}
     pick = int(np.argmin(network))
     directions, powers = {}, {}
     for b in range(topology.B):
         V, P = per_bs[b]
         for i, g in enumerate(topology.groups_of_bs(b)):
             directions[g], powers[g] = V[pick, i], P[pick, i]
-    solution = randomized_solution(directions, powers,
-                                   objective=float(network[pick]))
-    solution.gr_totals = network
-    return solution
+    return randomized_solution(directions, powers,
+                               objective=float(network[pick]),
+                               gr_fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +655,8 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
 
 
 @conic.driven
-def solve_fixed_ici(channels, topology, theta_value, gr_count=100, rng=None,
-                    rank_tol=RANK_ONE_TOL):
+def solve_fixed_ici(channels, topology, theta_value,
+                    gr_count=DEFAULT_GR_COUNT, rng=None):
     """One-shot per-cell design with predefined ICI caps, no signaling."""
     theta = dict.fromkeys(topology.ici_pairs(), float(theta_value))
     solved = yield from _cells(
@@ -639,8 +666,8 @@ def solve_fixed_ici(channels, topology, theta_value, gr_count=100, rng=None,
         f"theta={theta_value}")
     combined = {g: sol.matrix_values[k] for (_, slot), sol in solved
                 for g, k in slot.items()}
-    return _finalize(channels, topology, combined, theta, gr_count, rng,
-                     rank_tol)
+    return _finalize(channels, topology, combined,
+                     dict.fromkeys(range(topology.B), theta), gr_count, rng)
 
 
 def _null_space_basis(channels, topology, b):
@@ -659,8 +686,7 @@ def _null_space_basis(channels, topology, b):
 
 
 @conic.driven
-def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
-                  rng=None):
+def solve_nulling(channels, topology, gr_count=DEFAULT_GR_COUNT, rng=None):
     """Zero-forcing toward other cells: beams in the cross-channel null
     space, then a per-cell QoS design in the reduced space.
 
@@ -682,13 +708,14 @@ def solve_nulling(channels, topology, rank_tol=RANK_ONE_TOL, gr_count=100,
                                      "to null all out-of-cell users")
     combined = {g: basis @ sol.matrix_values[k] @ basis.conj().T
                 for (_, slot, basis), sol in solved for g, k in slot.items()}
+    zero = dict.fromkeys(topology.ici_pairs(), 0.0)
     return _finalize(channels, topology, combined,
-                     dict.fromkeys(topology.ici_pairs(), 0.0), gr_count, rng,
-                     rank_tol)
+                     dict.fromkeys(range(topology.B), zero), gr_count, rng)
 
 
 @conic.driven
-def solve_orthogonal(channels, topology, gr_count=100, rng=None):
+def solve_orthogonal(channels, topology, gr_count=DEFAULT_GR_COUNT,
+                     rng=None):
     """Per-cell design with orthogonal (time/frequency) access.
 
     Each cell optimizes alone with no inter-cell interference, but the
@@ -701,14 +728,12 @@ def solve_orthogonal(channels, topology, gr_count=100, rng=None):
         B=topology.B, G=topology.G, U=topology.U, A=topology.A,
         gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
         cell_separation=topology.cell_separation)
-    assembled = {b: assemble_subproblem(b, channels, topo_orth,
-                                        blind_caps(topo_orth, b))
+    blind = {b: blind_caps(topo_orth, b) for b in range(topology.B)}
+    assembled = {b: assemble_subproblem(b, channels, topo_orth, blind[b])
                  for b in range(topology.B)}
     solved = yield from _cells(
         assembled, lambda b, _: f"orthogonal-access design infeasible at "
         f"BS {b} (raised target {float(np.max(gamma_orth)):.3g})")
     combined = {g: sol.matrix_values[k] for (_, slot), sol in solved
                 for g, k in slot.items()}
-    return _finalize(channels, topo_orth, combined,
-                     dict.fromkeys(topo_orth.ici_pairs(), 1e9), gr_count,
-                     rng, RANK_ONE_TOL)
+    return _finalize(channels, topo_orth, combined, blind, gr_count, rng)

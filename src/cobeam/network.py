@@ -148,6 +148,9 @@ class BeamformingSolution:
     rank: dict = field(default_factory=dict)    # group -> int
     objective: float = None
     used_randomization: bool = False
+    # distributed randomization picked by coupled least powers because
+    # no draw met every BS's fixed ICI values
+    gr_fallback: bool = False
     # relaxation-level diagnostics, populated by the solve pipelines
     sdr_objective: float = None
     sdr_rank: dict = None

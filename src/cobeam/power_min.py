@@ -17,7 +17,6 @@ from .conic import ConicProblem, SolveStatus
 from .errors import InfeasibleTargetsError, RandomizationFailureError
 from .network import BeamformingSolution
 
-RANK_ONE_TOL = 1e-6
 DEFAULT_GR_COUNT = 100
 MAX_POLICY_ROUNDS = 50     # least_powers settles in a handful of rounds
 POLICY_RTOL = 1e-12        # demand margin that switches a binding user
@@ -116,7 +115,7 @@ def assemble_qos_sdp(channels, topology):
     return sinr_system(channels, topology)[0]
 
 
-def extract_rank_one(W, rank_tol=RANK_ONE_TOL):
+def extract_rank_one(W):
     """Principal-component beamformer when W is numerically rank one."""
     val, vec = conic.principal_eigenpair(W)
     return np.sqrt(max(val, 0.0)) * vec
@@ -328,7 +327,7 @@ def randomize_from_covariances(channels, topology, W_star, count, rng,
                                objective=float(totals[pick]))
 
 
-def finalize(W, randomize, rank_tol=RANK_ONE_TOL):
+def finalize(W, randomize):
     """Beamformers from relaxed covariances: principal components when
     every covariance is rank one, else the caller's Gaussian
     randomization step ``randomize(W)``.
@@ -336,11 +335,11 @@ def finalize(W, randomize, rank_tol=RANK_ONE_TOL):
     Every design ends here.  The extracted solution carries no
     objective; the caller states what its design reports.
     """
-    ranks = {g: conic.numerical_rank(M, rank_tol) for g, M in W.items()}
+    ranks = {g: conic.numerical_rank(M) for g, M in W.items()}
     if all(r == 1 for r in ranks.values()):
         solution = BeamformingSolution(W=dict(W), rank=ranks)
         for g, M in W.items():
-            solution.w[g] = extract_rank_one(M, rank_tol)
+            solution.w[g] = extract_rank_one(M)
             solution.p[g] = float(np.linalg.norm(solution.w[g]) ** 2)
     else:
         solution = randomize(W)
@@ -350,7 +349,7 @@ def finalize(W, randomize, rank_tol=RANK_ONE_TOL):
 
 @conic.driven
 def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
-                      rng=None, rank_tol=RANK_ONE_TOL):
+                      rng=None):
     """Full centralized design: SDP relaxation plus rank-one recovery.
 
     Returns a :class:`BeamformingSolution` whose ``objective`` is the
@@ -370,8 +369,7 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
         {g: sol.matrix_values[g] for g in range(topology.G)},
         lambda W: randomize_from_covariances(
             channels, topology, W, gr_count, rng,
-            sdr_objective=sol.objective),
-        rank_tol)
+            sdr_objective=sol.objective))
     if not solution.used_randomization:
         solution.objective = sol.objective
     solution.sdr_objective = sol.objective

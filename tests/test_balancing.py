@@ -117,14 +117,6 @@ class TestCentralizedBalance:
         if all(r == 1 for r in out.solution.sdr_rank.values()):
             assert out.achieved == pytest.approx(out.t_relaxed, abs=2e-3)
 
-    def test_small_upper_bound_expands_or_errors(self):
-        topo = build_topology(B=1, G=1, U=1, A=3, p_max=2.0)
-        chans = sample_channels(topo, 6)
-        closed = 2.0 * np.linalg.norm(chans.vec(0, 0)) ** 2
-        res = bisect_balance(chans, topo, epsilon=1e-3,
-                             bounds=(0.0, closed / 8))
-        assert res.t == pytest.approx(closed, abs=1e-3)
-
     def test_scale_invariance(self):
         # scaling both budgets and noise leaves the level unchanged
         topo1 = build_topology(B=2, G=2, U=4, A=4, p_max=10.0, sigma2=1.0,

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from cobeam import conic
-from cobeam.errors import CobeamError, InfeasibleTargetsError
+from cobeam.backhaul import (MessageBus, gr_gain_signaling_load,
+                             verify_exchange_count)
+from cobeam.errors import (CobeamError, InfeasibleTargetsError,
+                           RandomizationFailureError)
 from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
                             sample_channels)
 from cobeam.power_min import gaussian_candidates, solve_centralized
@@ -343,8 +346,8 @@ class TestDistributedRandomization:
                  for i in range(len(index))}
         exact = {g: np.outer(w, w.conj()) for g, w in pd.solution.w.items()}
         rng = np.random.default_rng(21)
-        gr = distributed_gaussian_randomization(chans, topo, exact, theta,
-                                                10, rng)
+        gr = distributed_gaussian_randomization(
+            chans, topo, exact, dict.fromkeys(range(topo.B), theta), 10, rng)
         assert gr.objective == pytest.approx(pd.solution.objective,
                                              rel=1e-6)
 
@@ -357,8 +360,8 @@ class TestDistributedRandomization:
                  for i in range(len(index))}
         W = {g: pd.solution.W[g] for g in pd.solution.W}
         rng = np.random.default_rng(23)
-        gr = distributed_gaussian_randomization(chans, topo, W, theta, 30,
-                                                rng)
+        gr = distributed_gaussian_randomization(
+            chans, topo, W, dict.fromkeys(range(topo.B), theta), 30, rng)
         assert gr.objective >= cen.sdr_objective - 1e-7
 
     def test_selection_exchange_count(self):
@@ -368,11 +371,11 @@ class TestDistributedRandomization:
         theta = {index.pairs[i]: max(pd.ici.theta[i], 1e-2)
                  for i in range(len(index))}
         W = {g: pd.solution.W[g] for g in pd.solution.W}
-        from cobeam.backhaul import MessageBus
         bus = MessageBus(range(topo.B))
         rng = np.random.default_rng(25)
-        distributed_gaussian_randomization(chans, topo, W, theta, 17, rng,
-                                           bus=bus)
+        distributed_gaussian_randomization(
+            chans, topo, W, dict.fromkeys(range(topo.B), theta), 17, rng,
+            bus=bus)
         assert bus.log.scalars_in_round(0, tags=("gr-power",)) \
             == 17 * topo.B
 
@@ -388,7 +391,8 @@ class TestDistributedRandomization:
              for g in range(topo.G)}
         count = 40
         gr = distributed_gaussian_randomization(
-            chans, topo, W, theta, count, np.random.default_rng(28))
+            chans, topo, W, dict.fromkeys(range(topo.B), theta), count,
+            np.random.default_rng(28))
         seeds = np.random.default_rng(28).spawn(topo.B)
         network = np.zeros(count)
         draws = {}
@@ -413,10 +417,68 @@ class TestDistributedRandomization:
                 network[c] += np.inf if x is None else x.sum()
         assert 0 < np.isfinite(network).sum() < count
         pick = int(np.argmin(network))
+        assert not gr.gr_fallback
         assert gr.objective == pytest.approx(network[pick], rel=1e-7)
         for g in range(topo.G):
             unit = gr.w[g] / np.sqrt(gr.p[g])
             assert np.linalg.norm(unit - draws[g][pick]) < 1e-12
+
+    def test_fallback_matches_coupled_highs_powers(self, highs_powers):
+        # caps far below any draw's leakage: no index meets every BS's
+        # caps, so the BSs exchange gains and pick by coupled powers
+        topo, chans = small_scenario(26, G=4, U=8, A=4, gamma=0.5,
+                                     cell_separation=10.0)
+        theta = dict.fromkeys(topo.ici_pairs(), 1e-9)
+        W = {g: sum(chans.mat(topo.bs_of_group[g], u)
+                    for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
+             for g in range(topo.G)}
+        count = 40
+        bus = MessageBus(range(topo.B))
+        gr = distributed_gaussian_randomization(
+            chans, topo, W, dict.fromkeys(range(topo.B), theta), count,
+            np.random.default_rng(29), bus=bus)
+        assert gr.gr_fallback
+        assert verify_exchange_count(
+            bus.log, 1, gr_gain_signaling_load(count, topo.U, topo.G))
+        seeds = np.random.default_rng(29).spawn(topo.B)
+        draws = {}
+        for b in range(topo.B):
+            draws.update({g: gaussian_candidates(W[g], count, seeds[b])
+                          for g in topo.groups_of_bs(b)})
+        network, powers = np.full(count, np.inf), {}
+        for c in range(count):
+            x = highs_powers(
+                [[abs(np.vdot(chans.vec(topo.bs_of_group[g], u),
+                              draws[g][c])) ** 2 for g in range(topo.G)]
+                 for u in range(topo.U)],
+                list(topo.group_of_user), topo.gamma, topo.sigma2)
+            if x is not None:
+                network[c], powers[c] = x.sum(), x
+        assert np.isfinite(network).any()
+        pick = int(np.argmin(network))
+        assert gr.objective == pytest.approx(network[pick], rel=1e-7)
+        for g in range(topo.G):
+            assert gr.p[g] == pytest.approx(powers[pick][g], rel=1e-7)
+            unit = gr.w[g] / np.sqrt(gr.p[g])
+            assert np.linalg.norm(unit - draws[g][pick]) < 1e-12
+        for u in range(topo.U):
+            assert evaluate_sinr(chans, gr, u, topo) \
+                >= topo.gamma[u] * (1 - 1e-7)
+
+    def test_fallback_raises_only_when_nothing_is_feasible(self):
+        # every user sees user 0's channels, so two co-channel groups at
+        # a target above 0 dB cannot both be served by any directions
+        topo, chans = small_scenario(30)
+        h = np.broadcast_to(chans.h[:, :1], chans.h.shape).copy()
+        chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
+                                                h.conj()))
+        theta = dict.fromkeys(topo.ici_pairs(), 1e-9)
+        W = {g: np.eye(topo.A) for g in range(topo.G)}
+        with pytest.raises(RandomizationFailureError,
+                           match="network-wide"):
+            distributed_gaussian_randomization(
+                chans, topo, W, dict.fromkeys(range(topo.B), theta), 20,
+                np.random.default_rng(31))
 
 
 class TestSpecialCases:

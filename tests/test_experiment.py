@@ -80,6 +80,18 @@ class TestParsing:
         assert cfg.schemes == ["fixed-theta", "common-theta"]
 
 
+def assert_slot_targets_met(chans, topo, sol, raised):
+    """Every user meets ``raised`` in its cell's own slot: in-cell
+    interference only."""
+    for u in range(topo.U):
+        g = topo.group_of_user[u]
+        b = topo.bs_of_group[g]
+        own = abs(np.vdot(chans.vec(b, u), sol.w[g])) ** 2
+        intra = sum(abs(np.vdot(chans.vec(b, u), sol.w[k])) ** 2
+                    for k in topo.groups_of_bs(b) if k != g)
+        assert own / (1.0 + intra) >= raised * (1 - 1e-5)
+
+
 class TestSweep:
     def small_config(self, **overrides):
         params = dict(B=2, G=2, U=4, A=6,
@@ -118,13 +130,36 @@ class TestSweep:
         # each cell alone must deliver (1+1)^2 - 1 = 3 to its users
         raised = orthogonal_equivalent_target(1.0, 2)
         assert raised == 3.0
-        for u in range(topo.U):
-            g = topo.group_of_user[u]
-            b = topo.bs_of_group[g]
-            own = abs(np.vdot(chans.vec(b, u), sol.w[g])) ** 2
-            intra = sum(abs(np.vdot(chans.vec(b, u), sol.w[k])) ** 2
-                        for k in topo.groups_of_bs(b) if k != g)
-            assert own / (1.0 + intra) >= raised * (1 - 1e-5)
+        assert_slot_targets_met(chans, topo, sol, raised)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_orthogonal_randomization_sees_no_ici(self, seed):
+        # these draws relax to rank above one, so the beams come from
+        # randomization, whose cells share no slot and see no ICI
+        gamma = 10 ** 0.1
+        topo = build_topology(B=2, G=2, U=12, A=4, gamma=gamma,
+                              cell_separation=gamma)
+        chans = sample_channels(topo, seed)
+        sol = solve_orthogonal(chans, topo, rng=np.random.default_rng(seed))
+        assert sol.used_randomization
+        assert_slot_targets_met(chans, topo, sol,
+                                orthogonal_equivalent_target(gamma, 2))
+
+    def test_distributed_randomization_falls_back_to_coupled_powers(self):
+        # on this draw no PD or ADMM candidate meets every BS's fixed ICI
+        # caps, yet some are feasible for the coupled network
+        cfg = ScenarioConfig(
+            B=2, G=2, U=4, A=6, schemes=["centralized", "primal-decomp",
+                                         "admm", "nulling", "orthogonal"],
+            gamma_db=1.0, d_db=1.0, iters=5, trials=2, seed=804183656)
+        records, _ = run_sweep(cfg)
+        assert len(records) == 10
+        assert all(rec["feasible"] for rec in records)
+        bound = {rec["trial"]: rec["sdr_bound"] for rec in records
+                 if rec["scheme"] == "centralized"}
+        for rec in records:
+            if rec["scheme"] in ("primal-decomp", "admm"):
+                assert rec["objective"] >= bound[rec["trial"]] * (1 - 1e-7)
 
     def test_centralized_dominates_constrained_schemes(self):
         cfg = self.small_config(trials=3)
