@@ -20,8 +20,7 @@ from .balancing import (achieved_min_sinr, balance_centralized,
                         bisect_balance, local_balance,
                         uncoordinated_balance)
 from .backhaul import (MessageBus, centralized_signaling_load,
-                       periter_signaling_load, run_round,
-                       verify_exchange_count)
+                       periter_signaling_load, verify_exchange_count)
 from .experiment import (ScenarioConfig, emit_results, parse_scenario,
                          run_sweep, summarize)
 
@@ -39,7 +38,7 @@ __all__ = [
     "bisect_balance", "balance_centralized", "balance_distributed",
     "balance_uncoordinated", "local_balance", "uncoordinated_balance",
     "achieved_min_sinr",
-    "MessageBus", "run_round", "centralized_signaling_load",
+    "MessageBus", "centralized_signaling_load",
     "periter_signaling_load", "verify_exchange_count",
     "ScenarioConfig", "parse_scenario", "run_sweep", "emit_results",
     "summarize",

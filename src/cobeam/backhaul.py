@@ -100,19 +100,6 @@ class MessageBus:
         return inboxes
 
 
-def run_round(agents, exchange_plan, bus=None):
-    """Execute one exchange round from an explicit plan.
-
-    ``exchange_plan`` is an iterable of (sender, receiver, tag, values).
-    Returns (inboxes, bus); the bus accumulates the log across calls.
-    """
-    if bus is None:
-        bus = MessageBus(agents)
-    for sender, receiver, tag, values in exchange_plan:
-        bus.post(sender, receiver, tag, values)
-    return bus.deliver(), bus
-
-
 def centralized_signaling_load(B, U, A):
     """Scalar channel coefficients moved to give every BS global CSI.
 

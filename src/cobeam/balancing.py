@@ -104,15 +104,6 @@ def bisect(lower, upper, epsilon, probe):
     return result
 
 
-def assemble_feasibility(channels, topology, t):
-    """Relaxed balancing feasibility problem at a fixed SINR level: the
-    SINR system at level t under per-BS budgets (:func:`sinr_system`)."""
-    if t < 0:
-        raise ConfigurationError("SINR level t must be nonnegative")
-    return sinr_system(channels, topology, level=t, budget=True,
-                       objective=False)[0]
-
-
 def single_user_upper_bound(channels, topology, users=None):
     """Interference-free cap max_u P_b(u) ||h_{b(u),u}||^2 / sigma_u^2.
 

@@ -1,30 +1,28 @@
-"""Dense primal-dual interior-point solvers.
+"""Dense primal-dual interior-point solver.
 
-Two Nesterov-Todd path-following variants share the cone kernel:
+One Nesterov-Todd path-following loop on a homogeneous self-dual
+embedding solves every problem.  It produces Farkas certificates for
+infeasible instances and rays for unbounded ones.  Diagonal quadratic
+objective terms on scalars ride in the embedding itself, as in Clarabel
+(Goulart & Chen, arXiv:2405.12762): the tau row carries x'Qx/tau, and
+the quadratic augments the diagonal of the Newton system.
 
-* a homogeneous self-dual embedding for linear objectives, which
-  produces Farkas certificates for infeasible instances and rays for
-  unbounded ones, and
-* an infeasible-start method for problems with diagonal quadratic
-  objective terms on scalars; the quadratic augments the diagonal of the
-  Newton system, and the method reports Optimal or MaxIter only.
-
-Both run Mehrotra predictor-corrector steps.  The reduced Newton system
-goes through a dense Schur complement; directions are polished by
+The loop runs Mehrotra predictor-corrector steps.  The reduced Newton
+system goes through a dense Schur complement; directions are polished by
 iterative refinement at the full KKT level, where residuals only need
 matrix-vector products and single scaling applications, so they stay
 accurate far below the current duality gap.
 
 A problem whose objective is identically zero only asks whether its
-constraints are feasible, so the homogeneous embedding stops at the
-first iterate that yields a feasible point or a Farkas certificate
-confirmed by direct evaluation.
+constraints are feasible, so the loop stops at the first iterate that
+yields a feasible point or a Farkas certificate confirmed by direct
+evaluation.
 
 The iterations' floating-point operations, their operands and their
-order are fixed.  Each loop runs a lockstep batch of problems of one
+order are fixed.  The loop runs a lockstep batch of problems of one
 shape (:func:`solve_batch`; a lone :func:`solve` is a batch of one):
 every iterate and every datum carries a leading problem axis, also for
-a lone problem, and per-problem scalars are lists.  The loops stack
+a lone problem, and per-problem scalars are lists.  The loop stacks
 only operations that give every problem the bits of its own call, as
 ``tools/solve_digest.py``, ``tests/test_conic.py`` and the frozen
 kernel in ``tests/test_cones.py`` check.
@@ -88,18 +86,19 @@ def _col(values):
 
 def _where(mask, new, old):
     """Per problem: ``new`` where ``mask``, else ``old``, over sequences
-    of (P, n) arrays, of per-problem lists and of Nones."""
+    of (P, n) arrays and of per-problem lists."""
     rows = np.array(mask)[:, None]
     return [[a if go else b for go, a, b in zip(mask, n, o)]
-            if isinstance(n, list) else n if n is None
-            else np.where(rows, n, o) for n, o in zip(new, old)]
+            if isinstance(n, list) else np.where(rows, n, o)
+            for n, o in zip(new, old)]
 
 
 class _Batch:
     """Compiled data of problems with one layout and row count, stacked
     along a leading problem axis, also a lone problem.  ``A_blocks`` keep
     the row axis first, (m, P, k, d, d), so that a batched scaling
-    broadcasts over them."""
+    broadcasts over them.  ``qdiag`` is the quadratic's diagonal on all
+    of x (zero on the PSD part), or None without quadratic terms."""
 
     def __init__(self, compiled):
         self.layout = compiled[0].layout
@@ -107,7 +106,10 @@ class _Batch:
         self.At = self.A.swapaxes(-1, -2)
         self.b = np.stack([c.b for c in compiled])
         self.c = np.stack([c.c for c in compiled])
-        self.qdiag = np.stack([c.qdiag for c in compiled])
+        self.qdiag = None
+        if compiled[0].qdiag.any():
+            self.qdiag = np.zeros(self.c.shape)
+            self.qdiag[:, self.layout.nn_offset:] = [c.qdiag for c in compiled]
         self.A_blocks = [np.stack(run, axis=1)
                          for run in zip(*(c.A_blocks for c in compiled))]
         self.nb = [1.0 + np.linalg.norm(c.b) for c in compiled]
@@ -119,8 +121,8 @@ class _Batch:
         those problems anew would give."""
         out = object.__new__(_Batch)
         out.layout = self.layout
-        out.A, out.b, out.c, out.qdiag = (
-            v[keep] for v in (self.A, self.b, self.c, self.qdiag))
+        out.A, out.b, out.c = (v[keep] for v in (self.A, self.b, self.c))
+        out.qdiag = None if self.qdiag is None else self.qdiag[keep]
         out.At = out.A.swapaxes(-1, -2)
         out.A_blocks = [np.ascontiguousarray(blocks[:, keep])
                         for blocks in self.A_blocks]
@@ -129,11 +131,10 @@ class _Batch:
 
 
 def _factor_schur(M):
-    """(Cholesky factor, None, fallback) of a Schur complement, ridged if
-    need be, else (None, pseudo-inverse, "schur_pinv")."""
+    """(Cholesky factor, None, fallback) of a finite Schur complement,
+    ridged if need be, else (None, pseudo-inverse, "schur_pinv")."""
     if not M.size:
         return None, None, None
-    _require_finite(M)
     ridge = 0.0
     for _ in range(8):
         factor, info = _POTRF(M + ridge * np.eye(len(M)) if ridge else M,
@@ -148,18 +149,35 @@ def _factor_schur(M):
 class _KktSolver:
     """Solves of the KKT system at the current iterates, in scaled space.
 
-    HSD rows (dkappa and dz eliminated analytically):
+    The embedding of min c'x + x'Qx/2 s.t. Ax = b, x in K (Q the
+    diagonal ``qdiag`` on the orthant) asks for x, z in the cone and
+    tau, kappa >= 0 with
 
-        -A'dy + c dtau - dz            = f2
-         A dx - b dtau                 = f1
-         b'dy - c'dx - dkappa          = f3
-         lam o (W^{-1}dx + W' dz)      = fs
-         tau dkappa + kappa dtau       = ft
+        A x - b tau = 0,   c tau + Q x - A'y - z = 0,
+        b'y - c'x - x'Qx/tau - kappa = 0.
 
-    The plain variant drops the tau/kappa rows and adds Q dx to row two.
+    With tau > 0, xi = x/tau and y/tau are primal and dual feasible and
+    their gap c'xi + xi'Q xi - b'y/tau is -kappa/tau, so they are optimal
+    once kappa = 0; x'Qx/tau is convex for tau > 0.  Linearized (dkappa
+    and dz eliminated analytically), with q = Q xi:
+
+        -A'dy + c dtau + Q dx - dz                       = f2
+         A dx - b dtau                                   = f1
+         b'dy - (c + 2q)'dx + xi'Q xi dtau - dkappa      = f3
+         lam o (W^{-1}dx + W' dz)                        = fs
+         tau dkappa + kappa dtau                         = ft
+
+    Rows one and two scaled by W' give the saddle system of
+    :meth:`_saddle` in dxs = W^{-1}dx, whose NT Hessian is the identity
+    plus the diagonal W'QW (its inverse is ``dinv``).  Its solution is
+    affine in dtau, (p1s, u1) + dtau (p2s, u2), so row three with
+    dkappa = (ft - kappa dtau)/tau leaves one scalar equation for dtau,
+    whose cost is ``c_tau_scaled`` = W'(c + 2q) and whose denominator
+    gains xi'Q xi.  Without a quadratic, ``dinv`` is None and the terms
+    of Q are absent.
+
     All elimination happens on scaled quantities (rows W'a_k, directions
-    W^{-1}dx, W'dz), where the NT Hessian is the identity plus the
-    quadratic diagonal; no large-norm operator is ever applied to an
+    W^{-1}dx, W'dz); no large-norm operator is ever applied to an
     intermediate vector, and full-level iterative refinement stays
     contractive far below the current gap.
 
@@ -167,11 +185,12 @@ class _KktSolver:
     Schur factorization, fallback and refinement passes.
     """
 
-    def __init__(self, data, scaling, qdiag=None, tau=None, kappa=None):
+    def __init__(self, data, scaling, x, tau, kappa):
         self.A, self.b, self.c = data.A, data.b, data.c
         self.At = data.At
         self.m = data.A.shape[-2]
         self.scaling = scaling
+        self.tau, self.kappa = tau, kappa
         lay = scaling.layout
         # all m scaled rows W'a_k from one stacked congruence per run,
         # rows first so that each problem's factors broadcast
@@ -179,22 +198,26 @@ class _KktSolver:
             data.A_blocks, lay.nn_block(data.A).swapaxes(0, 1)).swapaxes(0, 1))
         self.at_scaled_t = self.at_scaled.swapaxes(-1, -2)
         self.c_scaled = scaling.scale_dual(data.c)
-        # NT Hessian in scaled space: identity + quadratic diagonal
-        if qdiag is not None:
+        self.qdiag, self.dinv = data.qdiag, None
+        self.c_tau, self.c_tau_scaled = self.c, self.c_scaled
+        self.xqx = [0.0] * len(tau)
+        if self.qdiag is not None:
+            off = lay.nn_offset
+            xi = x / _col(tau)
+            q2 = 2.0 * self.qdiag * xi
+            self.xqx = [0.5 * v for v in _dot(xi, q2)]
+            self.c_tau = self.c + q2
+            # W' is diagonal on the orthant, where all of q lives
+            self.c_tau_scaled = self.c_scaled.copy()
+            self.c_tau_scaled[..., off:] += scaling.w_nn * q2[..., off:]
             dvec = np.ones(data.c.shape)
-            dvec[..., lay.nn_offset:] += qdiag * scaling.w_nn ** 2
+            dvec[..., off:] += self.qdiag[..., off:] * scaling.w_nn ** 2
             self.dinv = 1.0 / dvec
-        else:
-            self.dinv = None
-        self.qdiag = qdiag
         self._build_schur()
-        self.tau = tau
-        self.kappa = kappa
-        if tau is not None:
-            self.p2s, self.u2 = self._saddle(-self.c_scaled, self.b)
-            self.denom = [k / t - cp + bu for k, t, cp, bu in zip(
-                kappa, tau, _dot(self.c_scaled, self.p2s),
-                _dot(self.b, self.u2))]
+        self.p2s, self.u2 = self._saddle(-self.c_scaled, self.b)
+        self.denom = [k / t + qq - cp + bu for k, t, qq, cp, bu in zip(
+            kappa, tau, self.xqx, _dot(self.c_tau_scaled, self.p2s),
+            _dot(self.b, self.u2))]
 
     def _build_schur(self):
         at = self.at_scaled
@@ -202,7 +225,7 @@ class _KktSolver:
         rows = at if self.dinv is None else at * self.dinv[..., None, :]
         M = rows @ self.at_scaled_t
         M = 0.5 * (M + M.swapaxes(-1, -2))
-        self.M = M
+        self.M = _require_finite(M)
         # per problem: its Schur complement, its Cholesky factor or
         # pseudo-inverse, and which fallback fired (None, "schur_ridge" or
         # "schur_pinv")
@@ -212,16 +235,17 @@ class _KktSolver:
     def _schur_solve(self, rhs):
         if not self.m:
             return np.zeros(rhs.shape)
-        sols = []
-        for (M, factor, pinv, _), r in zip(self._solvers, rhs):
-            if factor is None:
-                sols.append(pinv @ r)
-                continue
-            # one refinement step on the Cholesky solve
-            sol = _POTRS(factor, _require_finite(r), lower=1)[0]
-            sol += _POTRS(factor, r - M @ sol, lower=1)[0]
-            sols.append(sol)
-        return np.array(sols)
+        _require_finite(rhs)
+        sols = np.empty(rhs.shape)
+        for p, ((_, factor, pinv, _), r) in enumerate(zip(self._solvers, rhs)):
+            sols[p] = pinv @ r if factor is None \
+                else _POTRS(factor, r, lower=1)[0]
+        # one refinement step on each Cholesky solve
+        res = rhs - _mv(self.M, sols)
+        for p, (_, factor, _, _) in enumerate(self._solvers):
+            if factor is not None:
+                sols[p] += _POTRS(factor, res[p], lower=1)[0]
+        return sols
 
     def _saddle(self, fd_scaled, f_p):
         """Solve (I+D) dxs - (WA')dy = fd_scaled, (AW) dxs = f_p."""
@@ -232,14 +256,15 @@ class _KktSolver:
             dxs = self.dinv * dxs
         return dxs, dy
 
-    def _refined(self, once, residual, norm, rhs, refine=REFINE_STEPS):
-        """``once(*rhs)`` polished by iterative refinement.  A problem
-        stops at its residual floor or at its first pass that does not
-        lower its residual norm; later passes give it a zero right-hand
-        side and keep its direction."""
-        best = once(*rhs)
-        res = residual(best, *rhs)
-        best_norm = norm(res)
+    def solve(self, f2, f1, f3, fs, ft, refine=REFINE_STEPS):
+        """The direction for these right-hand sides, polished by
+        iterative refinement.  A problem stops at its residual floor or at
+        its first pass that does not lower its residual norm; later passes
+        give it a zero right-hand side and keep its direction."""
+        rhs = (f2, f1, f3, fs, ft)
+        best = self._solve_once(*rhs)
+        res = self._residual(best, *rhs)
+        best_norm = _hsd_res_norm(res)
         live = [not bn < 1e-14 for bn in best_norm]
         for _ in range(refine):
             if not any(live):
@@ -247,9 +272,9 @@ class _KktSolver:
             if not all(live):
                 res = _where(live, res, [[0.0] * len(live) if isinstance(
                     r, list) else 0.0 for r in res])
-            cand = best.plus(once(*res))
-            res = residual(cand, *rhs)
-            cand_norm = norm(res)
+            cand = best.plus(self._solve_once(*res))
+            res = self._residual(cand, *rhs)
+            cand_norm = _hsd_res_norm(res)
             better = [go and not cn >= bn
                       for go, cn, bn in zip(live, cand_norm, best_norm)]
             if all(better):
@@ -262,13 +287,7 @@ class _KktSolver:
             live = [go and not bn < 1e-14 for go, bn in zip(better, best_norm)]
         return best
 
-    # -- homogeneous variant ------------------------------------------
-
-    def solve_hsd(self, f2, f1, f3, fs, ft):
-        return self._refined(self._solve_hsd_once, self._residual_hsd,
-                             _hsd_res_norm, (f2, f1, f3, fs, ft))
-
-    def _solve_hsd_once(self, f2, f1, f3, fs, ft):
+    def _solve_once(self, f2, f1, f3, fs, ft):
         sc = self.scaling
         g = sc.jordan_div(fs)
         fd_scaled = sc.scale_dual(f2) + g
@@ -276,7 +295,7 @@ class _KktSolver:
         dtau, dkappa = [], []
         for f, e, t, k, cp, bu, d in zip(
                 f3, ft, self.tau, self.kappa,
-                _dot(self.c_scaled, p1s), _dot(self.b, u1),
+                _dot(self.c_tau_scaled, p1s), _dot(self.b, u1),
                 self.denom):
             dt = 0.0 if abs(d) < 1e-300 else (f + e / t + cp - bu) / d
             dtau.append(dt)
@@ -288,64 +307,41 @@ class _KktSolver:
         dx, dz = sc.unscale(dxs, dzs)
         return _Dir(dx, dy, dz, dxs, dzs, dtau, dkappa)
 
-    def _residual_hsd(self, sol, f2, f1, f3, fs, ft):
+    def _residual(self, sol, f2, f1, f3, fs, ft):
         at_dy = _mv(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
         col = _col(sol.dtau)
-        r2 = f2 - (-at_dy + self.c * col - sol.dz)
+        # c dtau - A'dy equals -A'dy + c dtau bit for bit
+        r2 = f2 - (self.c * col - at_dy - sol.dz)
+        if self.qdiag is not None:
+            r2 -= self.qdiag * sol.dx
         r1 = f1 - (_mv(self.A, sol.dx) - self.b * col)
         r3, rt = [], []
-        for f, e, t, k, dt, dk, bdy, cdx in zip(
+        for f, e, t, k, dt, dk, qq, bdy, cdx in zip(
                 f3, ft, self.tau, self.kappa, sol.dtau, sol.dkappa,
-                _dot(self.b, sol.dy), _dot(self.c, sol.dx)):
-            r3.append(f - ((bdy - cdx) - dk))
+                self.xqx, _dot(self.b, sol.dy), _dot(self.c_tau, sol.dx)):
+            r3.append(f - ((bdy - cdx + qq * dt) - dk))
             rt.append(e - (t * dk + k * dt))
         rs = fs - self.scaling.lam_prod(sol.dxs + sol.dzs)
         return r2, r1, r3, rs, rt
 
-    # -- plain variant -------------------------------------------------
-
-    def solve_plain(self, f2, f1, fs):
-        return self._refined(self._solve_plain_once, self._residual_plain,
-                             _res_norm, (f2, f1, fs))
-
-    def _solve_plain_once(self, f2, f1, fs):
-        sc = self.scaling
-        g = sc.jordan_div(fs)
-        fd_scaled = sc.scale_dual(f2) + g
-        dxs, dy = self._saddle(fd_scaled, f1)
-        dzs = g - dxs
-        dx, dz = sc.unscale(dxs, dzs)
-        return _Dir(dx, dy, dz, dxs, dzs)
-
-    def _residual_plain(self, sol, f2, f1, fs):
-        at_dy = _mv(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
-        off = self.scaling.layout.nn_offset
-        qdx = np.zeros_like(sol.dx)
-        qdx[..., off:] = self.qdiag * sol.dx[..., off:]
-        r2 = f2 - (qdx - at_dy - sol.dz)
-        r1 = f1 - _mv(self.A, sol.dx)
-        rs = fs - self.scaling.lam_prod(sol.dxs + sol.dzs)
-        return r2, r1, rs
-
 
 @dataclass
 class _Dir:
-    """A direction: dx, dy, dz, the scaled dxs and dzs, and on the
-    homogeneous path the per-problem lists dtau and dkappa."""
+    """A direction: dx, dy, dz, the scaled dxs and dzs, and the
+    per-problem lists dtau and dkappa."""
     dx: np.ndarray
     dy: np.ndarray
     dz: np.ndarray
     dxs: np.ndarray
     dzs: np.ndarray
-    dtau: list = None
-    dkappa: list = None
+    dtau: list
+    dkappa: list
 
     def plus(self, o):
         return _Dir(self.dx + o.dx, self.dy + o.dy, self.dz + o.dz,
                     self.dxs + o.dxs, self.dzs + o.dzs,
-                    self.dtau and list(map(operator.add, self.dtau, o.dtau)),
-                    self.dkappa
-                    and list(map(operator.add, self.dkappa, o.dkappa)))
+                    list(map(operator.add, self.dtau, o.dtau)),
+                    list(map(operator.add, self.dkappa, o.dkappa)))
 
 
 def _res_norm(vectors):
@@ -363,16 +359,14 @@ def _max_step_scalar(v, dv):
     return 1e12 if dv >= 0 else -v / dv
 
 
-def _step_lengths(scaling, d, fraction, tau=None, kappa=None):
+def _step_lengths(scaling, d, fraction, tau, kappa):
     """Per problem: min(1, fraction * the longest step along direction
-    ``d`` that keeps the iterate in the cone, and tau and kappa
-    nonnegative when given); a fraction of 1.0 leaves the bound as is."""
-    bounds = scaling.max_step(d.dxs, d.dzs)
-    if tau is None:
-        return [min(1.0, fraction * am) for am in bounds]
+    ``d`` that keeps the iterate in the cone and tau and kappa
+    nonnegative); a fraction of 1.0 leaves the bound as is."""
     return [min(1.0, fraction * min(am, _max_step_scalar(t, dt),
                                     _max_step_scalar(k, dk)))
-            for am, t, dt, k, dk in zip(bounds, tau, d.dtau, kappa, d.dkappa)]
+            for am, t, dt, k, dk in zip(scaling.max_step(d.dxs, d.dzs), tau,
+                                        d.dtau, kappa, d.dkappa)]
 
 
 def _new_stats():
@@ -392,9 +386,7 @@ def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
           max_iter=MAX_ITER):
     """Solve a :class:`ConicProblem`, returning a :class:`ConicSolution`.
 
-    Problems with quadratic scalar terms go through the infeasible-start
-    method; everything else through the homogeneous embedding.  This is
-    the one-problem case of :func:`solve_batch`.
+    This is the one-problem case of :func:`solve_batch`.
     """
     return solve_batch([problem], tol, accept_tol, max_iter)[0]
 
@@ -404,12 +396,14 @@ def solve_batch(problems, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
     """Solve several problems in lockstep: the solutions equal
     ``[solve(p) for p in problems]`` bit for bit, in the same order.
 
-    Problems with one cone layout, row count and variant (quadratic or
-    not) share one interior-point loop, their iterates stacked along a
-    leading axis; only operations whose stacked form gives each problem
-    the bits of its own call are stacked.  Every decision stays per
-    problem, and a finished problem leaves the batch.  When several
-    problems would raise, the error that surfaces may be another's.
+    Problems with one cone layout and row count share one run of the
+    interior-point loop, their iterates stacked along a leading axis;
+    only operations whose stacked form gives each problem the bits of its
+    own call are stacked.  Problems with quadratic terms run apart from
+    those without, whose Schur complement is a plain product of the
+    scaled rows with themselves.  Every decision stays per problem, and
+    a finished problem leaves the batch.  When several problems would
+    raise, the error that surfaces may be another's.
     """
     groups = {}
     for i, problem in enumerate(problems):
@@ -421,9 +415,8 @@ def solve_batch(problems, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
                len(compiled.b), problem.has_quadratic())
         groups.setdefault(key, []).append((i, compiled))
     out = [None] * len(problems)
-    for key, members in groups.items():
-        loop = _solve_qp if key[-1] else _solve_hsd
-        sols = loop([c for _, c in members], tol, accept_tol, max_iter)
+    for members in groups.values():
+        sols = _solve_hsd([c for _, c in members], tol, accept_tol, max_iter)
         for (i, _), sol in zip(members, sols):
             out[i] = sol
     return out
@@ -537,7 +530,8 @@ def verify_infeasibility_certificate(problem, weights, margin=FARKAS_MARGIN,
 
 
 class _FeasibilityScreens:
-    """Early exits of a solve whose objective is identically zero.
+    """Early exits of a solve whose objective, linear and quadratic
+    terms alike, is identically zero.
 
     With nothing to optimize, any feasible point is optimal and any
     Farkas combination settles infeasibility, so each homogeneous
@@ -625,10 +619,10 @@ class _Member:
     """One problem's own state in a lockstep loop: its best iterate,
     stall count, fallback counts and exit."""
 
-    def __init__(self, compiled, screens=False):
+    def __init__(self, compiled):
         self.compiled, self.stats, self.screens = compiled, _new_stats(), None
         self.best, self.best_err, self.stall = None, np.inf, 0
-        if screens and not compiled.c.any():
+        if not compiled.c.any() and not compiled.qdiag.any():
             self.screens = _FeasibilityScreens(compiled)
             self.stats.update(point_stop=0, farkas_stop=0)
         self.status, self.iterations = SolveStatus.MAX_ITER, None
@@ -651,14 +645,13 @@ class _Member:
         return False
 
     def result(self, accept_tol):
-        """The solution at the best iterate (x/tau, y/tau on the
-        homogeneous path), unless an early exit produced one."""
+        """The solution at the best iterate (x/tau, y/tau), unless an
+        early exit produced one."""
         if self.solution is not None:
             return self.solution
         comp = self.compiled
         x, y, tau, (pres, dres, relgap) = self.best
-        if tau is not None:
-            x, y = x / tau, y / tau
+        x, y = x / tau, y / tau
         status = self.status
         if status is not SolveStatus.OPTIMAL and pres <= accept_tol \
                 and dres <= accept_tol and relgap <= accept_tol:
@@ -690,21 +683,17 @@ def _narrow(keep, active, data, values):
         for v in values]
 
 
-def _start(group, screens=False):
-    """Data, identity, the start x = z = identity and y = 0, members."""
+def _solve_hsd(group, tol, accept_tol, max_iter):
+    """Homogeneous self-dual loop over compiled problems of one shape,
+    started at x = z = identity, y = 0 and tau = kappa = 1; returns their
+    solutions in order."""
     data = _Batch(group)
     ident = data.layout.identity()
-    return (data, ident, np.tile(ident, (len(group), 1)),
-            np.zeros(data.b.shape), [_Member(c, screens) for c in group])
-
-
-def _solve_hsd(group, tol, accept_tol, max_iter):
-    """Homogeneous self-dual loop over compiled problems of one shape;
-    returns their solutions in order."""
-    data, ident, x, y, members = _start(group, screens=True)
-    z, active, it = x, members, 0
-    lay, m = data.layout, data.A.shape[-2]
-    deg = lay.degree + 1
+    x = z = np.tile(ident, (len(group), 1))
+    y = np.zeros(data.b.shape)
+    members = active = [_Member(c) for c in group]
+    lay, m, it = data.layout, data.A.shape[-2], 0
+    off, deg = lay.nn_offset, lay.degree + 1
     tau, kappa = [1.0] * len(group), [1.0] * len(group)
 
     for it in range(max_iter):
@@ -713,17 +702,24 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
         col = _col(tau)
         r1 = _mv(A, x) - b * col
         r2 = c * col - (_mv(data.At, y) if m else 0.0) - z
+        # x'Qx, and Q x in the dual residual
+        xqx = [0.0] * len(active)
+        if data.qdiag is not None:
+            qx = data.qdiag * x
+            r2 += qx
+            xqx = _dot(x, qx)
 
         keep, r3, mu = [], [], []
-        for p, (mem, xp, yp, zp, t, k, bt, ct, xz, rr1, rr2, nb, nc) in \
-                enumerate(zip(active, x, y, z, tau, kappa, bty, ctx, xtz,
-                              _dot(r1, r1), _dot(r2, r2), data.nb,
+        for p, (mem, xp, yp, zp, t, k, bt, ct, xq, xz, rr1, rr2, nb, nc) in \
+                enumerate(zip(active, x, y, z, tau, kappa, bty, ctx, xqx,
+                              xtz, _dot(r1, r1), _dot(r2, r2), data.nb,
                               data.nc)):
-            r3.append(bt - ct - k)
+            r3.append(bt - ct - xq / t - k)
             mu.append((xz + t * k) / deg)
             pres = math.sqrt(rr1) / (t * nb)
             dres = math.sqrt(rr2) / (t * nc)
-            relgap = (xz / t ** 2) / max(1.0, abs(ct / t))
+            # the primal objective c'xi + xi'Q xi/2 at xi = x/tau
+            relgap = (xz / t ** 2) / max(1.0, abs(ct / t + 0.5 * xq / t ** 2))
             if mem.track(xp, yp, t, pres, dres, relgap, tol, it):
                 continue
             comp = mem.compiled
@@ -748,8 +744,9 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
                     mem.solution = _infeasible_solution(comp, yp, it,
                                                         mem.stats)
                     continue
-                if ct < 0 and np.linalg.norm(comp.A @ xp) \
-                        <= accept_tol * (-ct):
+                # a ray: A x = 0 and Q x = 0 at negative cost
+                if ct < 0 and max(np.linalg.norm(comp.A @ xp), np.linalg.norm(
+                        comp.qdiag * xp[off:])) <= accept_tol * (-ct):
                     mem.solution = _unbounded_solution(comp, xp, -ct, it,
                                                        mem.stats)
                     continue
@@ -763,11 +760,11 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
             keep, active, data, (x, y, z, tau, kappa, r1, r2, r3, mu))
 
         scaling = NTScaling(lay, x, z)
-        kkt = _KktSolver(data, scaling, tau=tau, kappa=kappa)
+        kkt = _KktSolver(data, scaling, x, tau, kappa)
         _count_fallbacks(active, scaling, kkt)
 
         lam_sq = scaling.lambda_sq()
-        aff = kkt.solve_hsd(-r2, -r1, [-v for v in r3], -lam_sq,
+        aff = kkt.solve(-r2, -r1, [-v for v in r3], -lam_sq,
                             [-t * k for t, k in zip(tau, kappa)])
         a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa)
         col = _col(a_aff)
@@ -784,7 +781,7 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
         rhs_s = _col(target) * ident - lam_sq \
             - scaling.jordan_prod(aff.dxs, aff.dzs)
         col = _col(eta)
-        step = kkt.solve_hsd(col * r2, col * r1, eta_r3, rhs_s, rhs_t)
+        step = kkt.solve(col * r2, col * r1, eta_r3, rhs_s, rhs_t)
 
         alpha = _step_lengths(scaling, step, STEP_FRACTION, tau, kappa)
         col = _col(alpha)
@@ -827,70 +824,3 @@ def _unbounded_solution(compiled, x, norm, iterations, stats):
         status=SolveStatus.UNBOUNDED, iterations=iterations,
         certificate={"ray_matrix_values": mats, "ray_scalar_values": scalars},
         stats=stats)
-
-
-def _solve_qp(group, tol, accept_tol, max_iter):
-    """Infeasible-start loop over compiled problems of one shape with
-    quadratic scalar terms; returns their solutions in order."""
-    data, ident, x, y, members = _start(group)
-    z, active, it = x, members, 0
-    lay, m = data.layout, data.A.shape[-2]
-    off, deg = lay.nn_offset, max(lay.degree, 1)
-
-    for it in range(max_iter):
-        A, b, c, qdiag = data.A, data.b, data.c, data.qdiag
-        qx = np.zeros_like(x)
-        qx[..., off:] = qdiag * x[..., off:]
-        r1 = _mv(A, x) - b
-        r2 = c + qx - (_mv(data.At, y) if m else 0.0) - z
-        xtz = _dot(x, z)
-        mu = [v / deg for v in xtz]
-
-        keep = []
-        for p, (mem, xp, yp, xz, cx, xqx, rr1, rr2, nb, nc) in enumerate(zip(
-                active, x, y, xtz, _dot(c, x), _dot(0.5 * x, qx),
-                _dot(r1, r1), _dot(r2, r2), data.nb, data.nc)):
-            pres = math.sqrt(rr1) / nb
-            dres = math.sqrt(rr2) / nc
-            relgap = xz / max(1.0, abs(cx + xqx))
-            if mem.track(xp, yp, None, pres, dres, relgap, tol, it):
-                continue
-            if mem.stall >= 12:
-                mem.iterations = it + 2
-                continue
-            keep.append(p)
-        if not keep:
-            break
-        active, data, (x, y, z, r1, r2, mu) = _narrow(
-            keep, active, data, (x, y, z, r1, r2, mu))
-
-        scaling = NTScaling(lay, x, z)
-        kkt = _KktSolver(data, scaling, qdiag=data.qdiag)
-        _count_fallbacks(active, scaling, kkt)
-
-        lam_sq = scaling.lambda_sq()
-        aff = kkt.solve_plain(-r2, -r1, -lam_sq)
-        col = _col(_step_lengths(scaling, aff, 1.0))
-        sigma = [_sigma(v / deg, mp) for v, mp in zip(
-            _dot(x + col * aff.dx, z + col * aff.dz), mu)]
-
-        rhs_s = _col([s * mp for s, mp in zip(sigma, mu)]) * ident - lam_sq \
-            - scaling.jordan_prod(aff.dxs, aff.dzs)
-        col = _col([-(1.0 - s) for s in sigma])
-        step = kkt.solve_plain(col * r2, col * r1, rhs_s)
-
-        col = _col(_step_lengths(scaling, step, STEP_FRACTION))
-        x = x + col * step.dx
-        y = y + col * step.dy
-        z = z + col * step.dz
-        keep = [p for p, mp in enumerate(mu) if not mp < 1e-18]
-        for p, mem in enumerate(active):
-            if p not in keep:
-                mem.iterations = it + 2
-        if not keep:
-            break
-        active, data, (x, y, z) = _narrow(keep, active, data, (x, y, z))
-    else:
-        for mem in active:
-            mem.iterations = it + 1
-    return [mem.result(accept_tol) for mem in members]

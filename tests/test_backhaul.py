@@ -3,8 +3,7 @@
 import pytest
 
 from cobeam.backhaul import (MessageBus, centralized_signaling_load,
-                             periter_signaling_load, run_round,
-                             verify_exchange_count)
+                             periter_signaling_load, verify_exchange_count)
 from cobeam.errors import ConfigurationError
 
 
@@ -47,20 +46,30 @@ def pd_round_plan(B, users_per_cell):
     return plan
 
 
+def one_round(agents, plan, bus=None):
+    """Post every (sender, receiver, tag, values) of ``plan`` on the bus
+    (a new one over ``agents`` if none), deliver, and return (inboxes,
+    bus)."""
+    bus = MessageBus(agents) if bus is None else bus
+    for message in plan:
+        bus.post(*message)
+    return bus.deliver(), bus
+
+
 class TestBusRounds:
     def test_alg2_round_count_matches_table(self):
-        inboxes, bus = run_round([0, 1], pd_round_plan(2, 4))
+        inboxes, bus = one_round([0, 1], pd_round_plan(2, 4))
         assert bus.log.scalars_in_round(0) == 16
         assert verify_exchange_count(bus.log, 0,
                                      periter_signaling_load(2, 8))
 
     def test_empty_plan(self):
-        inboxes, bus = run_round([0, 1], [])
+        inboxes, bus = one_round([0, 1], [])
         assert bus.log.scalars_in_round(0) == 0
         assert inboxes == {0: [], 1: []}
 
     def test_tampered_log_detected(self):
-        _, bus = run_round([0, 1], pd_round_plan(2, 4))
+        _, bus = one_round([0, 1], pd_round_plan(2, 4))
         assert not verify_exchange_count(bus.log, 0, 15)
 
     def test_unknown_bs_rejected(self):
@@ -75,31 +84,31 @@ class TestBusRounds:
         # candidate; counted once per value, not per receiver
         candidates, B = 100, 3
         plan = [(b, None, "gr-power", [1.0] * candidates) for b in range(B)]
-        _, bus = run_round(list(range(B)), plan)
+        _, bus = one_round(list(range(B)), plan)
         assert bus.log.scalars_in_round(0, tags=("gr-power",)) \
             == candidates * B
 
     def test_broadcast_reaches_all_others(self):
-        inboxes, _ = run_round([0, 1, 2], [(0, None, "rank-bit", [1.0])])
+        inboxes, _ = one_round([0, 1, 2], [(0, None, "rank-bit", [1.0])])
         assert len(inboxes[1]) == 1 and len(inboxes[2]) == 1
         assert inboxes[0] == []
 
     def test_order_independent_log(self):
         plan = pd_round_plan(2, 4)
-        _, bus1 = run_round([0, 1], plan)
-        _, bus2 = run_round([0, 1], list(reversed(plan)))
+        _, bus1 = one_round([0, 1], plan)
+        _, bus2 = one_round([0, 1], list(reversed(plan)))
         assert bus1.log.records == bus2.log.records
 
     def test_rounds_accumulate(self):
         bus = MessageBus([0, 1])
         for r in range(3):
-            run_round([0, 1], pd_round_plan(2, 2), bus=bus)
+            one_round([0, 1], pd_round_plan(2, 2), bus=bus)
         assert bus.log.rounds() == [0, 1, 2]
         for r in range(3):
             assert bus.log.scalars_in_round(r) == 8
 
     def test_csv_export(self, tmp_path):
-        _, bus = run_round([0, 1], pd_round_plan(2, 2))
+        _, bus = one_round([0, 1], pd_round_plan(2, 2))
         path = tmp_path / "log.csv"
         bus.log.to_csv(path)
         lines = path.read_text().strip().splitlines()

@@ -6,15 +6,15 @@ import pytest
 from cobeam import conic
 from cobeam.errors import ConfigurationError, IndeterminateError, StateError
 from cobeam.network import build_topology, sample_channels
-from cobeam.balancing import (achieved_min_sinr, assemble_feasibility,
-                              balance_centralized, balance_distributed,
+from cobeam.balancing import (achieved_min_sinr, balance_centralized,
+                              balance_distributed,
                               balance_gaussian_randomization,
                               balance_uncoordinated, bisect, bisect_balance,
                               local_balance, local_balance_gr,
                               single_user_upper_bound,
                               uncoordinated_balance)
 from cobeam.power_min import (capped_least_powers, direction_system,
-                              gaussian_candidates)
+                              gaussian_candidates, sinr_system)
 
 
 def two_cell(seed, **overrides):
@@ -71,26 +71,32 @@ class TestBisectHelper:
             bisect(0.0, 1.0, -0.1, lambda t: (True, None))
 
 
+def feasibility_at(chans, topo, t):
+    """The relaxed balancing feasibility problem at SINR level t."""
+    return sinr_system(chans, topo, level=t, budget=True,
+                       objective=False)[0]
+
+
 class TestFeasibilityAssembly:
     def test_zero_level_feasible(self):
         topo, chans = two_cell(0)
         assert conic.check_feasibility(
-            assemble_feasibility(chans, topo, 0.0)) is True
+            feasibility_at(chans, topo, 0.0)) is True
 
     def test_single_user_bound_infeasible(self):
         topo = build_topology(B=1, G=1, U=1, A=3, p_max=2.0)
         chans = sample_channels(topo, 1)
         cap = single_user_upper_bound(chans, topo)
         assert conic.check_feasibility(
-            assemble_feasibility(chans, topo, 1.02 * cap)) is False
+            feasibility_at(chans, topo, 1.02 * cap)) is False
         assert conic.check_feasibility(
-            assemble_feasibility(chans, topo, 0.9 * cap)) is True
+            feasibility_at(chans, topo, 0.9 * cap)) is True
 
     def test_monotone_in_level(self):
         topo, chans = two_cell(2)
         levels = np.linspace(0.1, 3.0, 6)
         flags = [conic.check_feasibility(
-            assemble_feasibility(chans, topo, t)) for t in levels]
+            feasibility_at(chans, topo, t)) for t in levels]
         # once infeasible, stays infeasible
         for a, b in zip(flags, flags[1:]):
             assert a or not b

@@ -9,11 +9,11 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           solve, solve_batch, unembed_matrix,
                           verify_infeasibility_certificate)
 from cobeam.conic.ipm import point_violation
-from cobeam.balancing import assemble_feasibility, single_user_upper_bound
+from cobeam.balancing import single_user_upper_bound
 from cobeam.distributed import (IciIndex, assemble_admm_local,
                                 assemble_subproblem)
 from cobeam.network import build_topology, sample_channels
-from cobeam.power_min import assemble_qos_sdp
+from cobeam.power_min import assemble_qos_sdp, sinr_system
 
 
 def rand_channel(rng, dim):
@@ -322,8 +322,9 @@ class TestHermitianMirror:
     def test_infeasible_matches_embedding(self):
         topo = build_topology(B=2, G=2, U=4, A=4)
         chans = sample_channels(topo, 0)
-        prob = assemble_feasibility(
-            chans, topo, 1.5 * single_user_upper_bound(chans, topo))
+        prob = sinr_system(
+            chans, topo, level=1.5 * single_user_upper_bound(chans, topo),
+            budget=True, objective=False)[0]
         for sol in (solve(prob), solve(embed_hermitian(prob))):
             assert sol.status is SolveStatus.INFEASIBLE
             assert verify_infeasibility_certificate(
@@ -412,6 +413,43 @@ class TestQuadraticObjective:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.scalar_values[0] == pytest.approx(4.0, rel=1e-6)
         assert sol.duals[0] == pytest.approx(2.0, rel=1e-5)
+
+    def test_infeasible_quadratic_has_certificate(self):
+        # y0 + y1 <= -1 has no nonnegative solution, whatever the cost
+        prob = ConicProblem()
+        prob.add_scalar_vars(2)
+        prob.set_objective(scalar={0: 1.0}, scalar_quad={0: 1.0, 1: 2.0})
+        prob.add_constraint(scalars={0: 1.0, 1: 1.0}, rel="<=", rhs=-1.0)
+        sol = solve(prob)
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert verify_infeasibility_certificate(
+            prob, sol.certificate["weights"])["ok"]
+
+    def test_zero_linear_cost_runs_to_optimality(self):
+        # min y^2 s.t. y >= 1 -> y = 1, objective 1, multiplier 2; the
+        # first feasible point is no answer here
+        prob = ConicProblem()
+        j = prob.add_scalar_var()
+        prob.set_objective(scalar_quad={j: 1.0})
+        prob.add_constraint(scalars={j: 1.0}, rel=">=", rhs=1.0)
+        sol = solve(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert "point_stop" not in sol.stats
+        assert sol.scalar_values[0] == pytest.approx(1.0, rel=1e-6)
+        assert sol.objective == pytest.approx(1.0, rel=1e-6)
+        assert sol.duals[0] == pytest.approx(2.0, rel=1e-5)
+
+    def test_unbounded_ray_has_no_quadratic_part(self):
+        # min y0^2 - y1 s.t. y0 + y1 >= 1: y1 grows without bound
+        prob = ConicProblem()
+        prob.add_scalar_vars(2)
+        prob.set_objective(scalar={1: -1.0}, scalar_quad={0: 1.0})
+        prob.add_constraint(scalars={0: 1.0, 1: 1.0}, rel=">=", rhs=1.0)
+        sol = solve(prob)
+        assert sol.status is SolveStatus.UNBOUNDED
+        ray = sol.certificate["ray_scalar_values"]
+        assert ray[1] > 0
+        assert abs(ray[0]) <= 1e-6 * ray[1]
 
     def test_negative_quadratic_rejected(self):
         prob = ConicProblem()

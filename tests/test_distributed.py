@@ -533,7 +533,7 @@ class TestFirstFailingCell:
             "retry with a larger theta0"),
         "admm": (lambda chans, topo: run_admm(chans, topo, max_iters=3),
                  "ADMM local problem of BS {b} failed at iteration 0 "
-                 "(status SolveStatus.MAX_ITER)"),
+                 "(status SolveStatus.INFEASIBLE)"),
         "fixed": (lambda chans, topo: solve_fixed_ici(chans, topo, 0.1),
                   "fixed-cap subproblem of BS {b} infeasible at "
                   "theta=0.1"),
