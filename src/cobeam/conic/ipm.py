@@ -718,7 +718,8 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
             mu.append((xz + t * k) / deg)
             pres = math.sqrt(rr1) / (t * nb)
             dres = math.sqrt(rr2) / (t * nc)
-            # the primal objective c'xi + xi'Q xi/2 at xi = x/tau
+            # the primal objective c'xi + xi'Q xi/2 at xi = x/tau; t ** 2
+            # is libm pow, whose bits t * t does not always give
             relgap = (xz / t ** 2) / max(1.0, abs(ct / t + 0.5 * xq / t ** 2))
             if mem.track(xp, yp, t, pres, dres, relgap, tol, it):
                 continue

@@ -9,12 +9,16 @@ Two coordination schemes over per-BS subproblems:
   touches, penalize disagreement with the global value, average the two
   copies, and update the pair's duals so they stay exact complements.
 
-Both exchange scalars only through the backhaul bus, so logged counts
-are the algorithm's real signaling load.  The special-case designs
-(common cap, fixed caps, interference nulling, orthogonal access) and
-the distributed Gaussian randomization live here too.  Every design is
-a :func:`conic.driven` solve generator: a call solves alone, and its
-``steps`` form shares its per-BS solves with other runs' batches.
+Both run one exchange (:func:`_exchange`): each round every BS sends
+each peer its own values of the pairs the two of them share, through
+the backhaul bus, so logged counts are the algorithm's real signaling
+load.  One canonical state is updated per round; each BS's own update,
+from its values and its inbox alone, is checked against it
+(``replica_error``).  The special-case designs (common cap, fixed caps,
+interference nulling, orthogonal access) and the distributed Gaussian
+randomization live here too.  Every design is a :func:`conic.driven`
+solve generator: a call solves alone, and its ``steps`` form shares its
+per-BS solves with other runs' batches.
 """
 
 import csv
@@ -25,8 +29,8 @@ import numpy as np
 from . import conic
 from .backhaul import MessageBus
 from .conic import SolveStatus
-from .errors import (CobeamError, InfeasibleTargetsError,
-                     RandomizationFailureError)
+from .errors import (CobeamError, ConfigurationError, IndeterminateError,
+                     InfeasibleTargetsError, RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       orthogonal_equivalent_target)
 from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
@@ -61,10 +65,19 @@ class IciIndex:
     def server(self, i):
         return self.topology.serving_bs(self.pairs[i][1])
 
+    def side(self, i, b):
+        """Row of BS b's own value of pair i: 0 interferer, 1 serving BS."""
+        return 0 if self.interferer(i) == b else 1
+
     def touching(self, b):
         """Pair indices BS b participates in (either side)."""
         return [i for i in range(len(self.pairs))
                 if self.interferer(i) == b or self.server(i) == b]
+
+    def shared(self, a, b):
+        """Pair indices owned by BSs a and b, one on each side."""
+        return [i for i in self.touching(a)
+                if b in (self.interferer(i), self.server(i))]
 
 
 @dataclass
@@ -136,15 +149,58 @@ def _cells(assembled, failure):
     ``assembled`` ({b: (problem, ...)}); returns [(assembled[b],
     solution)] in BS order.
 
-    Raises :class:`InfeasibleTargetsError` with message
-    ``failure(b, status)`` for the first BS whose solve is not optimal,
-    as a BS-by-BS loop would.
+    The first BS whose solve is not optimal raises, as a BS-by-BS loop
+    would: :class:`InfeasibleTargetsError` with message
+    ``failure(b, status)`` when it is infeasible, else
+    :class:`IndeterminateError`.
     """
     sols = yield [parts[0] for parts in assembled.values()]
     for b, sol in zip(assembled, sols):
-        if sol.status is not SolveStatus.OPTIMAL:
+        if sol.status is SolveStatus.INFEASIBLE:
             raise InfeasibleTargetsError(failure(b, sol.status))
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise IndeterminateError(
+                f"solve of BS {b} stopped with status {sol.status}")
     return list(zip(assembled.values(), sols))
+
+
+def _exchange(bus, index, own, tags, update, state):
+    """One round of the ICI exchange; returns its scalar count and the
+    largest difference between a BS's own update and the round's state.
+
+    ``own`` (2, npairs) holds every pair's values by owner, row 0 the
+    interferer's and row 1 the serving BS's.  Each BS posts each peer
+    its own values of the pairs the two share, in pair order, one
+    message per tag: ``tags[row]`` carries that row's values.  Each BS
+    then computes ``update(values, pairs)`` over the pairs it touches
+    from its own values and its inbox alone; ``state`` is the round's
+    canonical update of every pair.
+    """
+    def carried(sender, receiver, tag):
+        """(rows, pairs) of the values ``sender`` posts under ``tag``."""
+        pairs = [i for i in index.shared(sender, receiver)
+                 if tags[index.side(i, sender)] == tag]
+        return [index.side(i, sender) for i in pairs], pairs
+
+    for b in bus.agents:
+        for peer in bus.agents:
+            if peer != b:
+                for tag in dict.fromkeys(tags):
+                    bus.post(b, peer, tag, own[carried(b, peer, tag)])
+    inboxes = bus.deliver()
+    errors = []
+    for b in bus.agents:
+        # a value the inbox lacks stays nan, and so does the error
+        view = np.full(own.shape, np.nan)
+        pairs = index.touching(b)
+        mine = ([index.side(i, b) for i in pairs], pairs)
+        view[mine] = own[mine]
+        for sender, tag, values in inboxes[b]:
+            view[carried(sender, b, tag)] = values
+        errors.append(np.max(np.abs(update(view[:, pairs], pairs)
+                                    - state[pairs]), initial=0.0))
+    return (bus.log.scalars_in_round(bus.round - 1),
+            float(np.max(errors, initial=0.0)))
 
 
 def extract_subgradient(problem, solution, topology, b):
@@ -205,13 +261,19 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                              common_theta=False):
     """Distributed power minimization by primal decomposition.
 
-    Every BS holds a replica of the caps for the pairs it touches; after
-    each round of dual exchange both owners apply the same pure update,
-    so the replicas never diverge.  The best (lowest master objective)
-    iterate is kept and its beamformers extracted at the end.  Caps
-    never fall below :func:`_theta_floor`; the run stops once no cap
-    moves by more than ``STOP_TOL``.
+    Each round the BSs solve their subproblems at the caps theta, swap
+    the two prices of every pair they share (:func:`_exchange`), and
+    move the caps by one projected subgradient step.  The best (lowest
+    master objective) iterate is kept and its beamformers extracted at
+    the end.  Caps never fall below :func:`_theta_floor`; the run stops
+    once no cap moves by more than ``STOP_TOL``.  ``common_theta`` moves
+    one cap shared by every pair along the summed prices, which each BS
+    holds only at B = 2; more cells raise :class:`ConfigurationError`.
     """
+    if common_theta and topology.B > 2:
+        raise ConfigurationError(
+            f"common_theta needs B = 2 (got B={topology.B}): no BS "
+            "receives every pair's prices")
     index = IciIndex(topology)
     npairs = len(index)
     theta_floor = _theta_floor(topology)
@@ -221,101 +283,51 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     theta = np.maximum(theta, theta_floor)
     if common_theta and npairs:
         theta[:] = theta[0]
+    users = [u for _, u in index.pairs]
+
+    def direction(prices):
+        s = prices[1] - prices[0]
+        return np.full(s.size, s.sum()) if common_theta else s
 
     bus = MessageBus(range(topology.B))
-    replicas = {b: {i: theta[i] for i in index.touching(b)}
-                for b in range(topology.B)}
     trace = ConvergenceTrace(algorithm="primal-decomposition")
     best = {"power": np.inf, "theta": theta.copy(), "W": None}
 
     for r in range(max_iters):
-        solutions = {}
-        grads = {}
-        total_power = 0.0
         assembled = {b: assemble_subproblem(
             b, channels, topology,
-            {index.pairs[i]: replicas[b][i] for i in index.touching(b)})
+            {index.pairs[i]: theta[i] for i in index.touching(b)})
             for b in range(topology.B)}
+        # prices by owner: row 0 the interferer's cap dual mu, row 1 the
+        # serving BS's lam
+        prices, lam = np.empty((2, npairs)), np.empty(topology.U)
+        total_power, current_W = 0.0, {}
         for b, ((prob, slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"subproblem of BS {b} "
                 "infeasible at the initial ICI caps; retry with a larger "
                 "theta0" if r == 0 else f"subproblem of BS {b} became "
                 f"infeasible at iteration {r} (status {status})"))):
-            solutions[b] = (prob, sol, slot)
-            grads[b] = extract_subgradient(prob, sol, topology, b)
+            grad = extract_subgradient(prob, sol, topology, b)
+            for u, val in grad["lam"].items():
+                lam[u] = val
+            for pair, val in grad["mu"].items():
+                prices[0, index.index[pair]] = val
             total_power += sol.objective
+            current_W.update({g: sol.matrix_values[k]
+                              for g, k in slot.items()})
+        prices[1] = lam[users]
 
-        # exchange: lam for served users to every interferer, mu to the
-        # serving BS of each out-of-cell user
-        for b in range(topology.B):
-            lam = grads[b]["lam"]
-            users_b = topology.users_of_bs(b)
-            for other in range(topology.B):
-                if other == b:
-                    continue
-                bus.post(b, other, "dual-lambda",
-                         [lam[u] for u in users_b])
-            by_server = {}
-            for (j, u), val in grads[b]["mu"].items():
-                by_server.setdefault(topology.serving_bs(u), []).append(
-                    ((j, u), val))
-            for server, items in sorted(by_server.items()):
-                bus.post(b, server, "dual-mu", [v for _, v in items])
-        inboxes = bus.deliver()
-        scalars = bus.log.scalars_in_round(bus.round - 1)
-
-        # each agent rebuilds the two prices of its pairs from its own
-        # solve plus the delivered duals, nothing else
-        lam_view = {b: dict(grads[b]["lam"]) for b in range(topology.B)}
-        mu_view = {b: dict(grads[b]["mu"]) for b in range(topology.B)}
-        for b in range(topology.B):
-            for sender, tag, values in inboxes[b]:
-                if tag == "dual-lambda":
-                    for u, val in zip(topology.users_of_bs(sender), values):
-                        lam_view[b][u] = val
-                elif tag == "dual-mu":
-                    pairs = [(sender, u)
-                             for u in topology.out_of_cell_users(sender)
-                             if topology.serving_bs(u) == b]
-                    for pair, val in zip(pairs, values):
-                        mu_view[b][pair] = val
-
-        # canonical reference update, then both owners apply the same
-        # pure function to their replicas; any divergence is recorded
-        lam_all = {u: grads[topology.serving_bs(u)]["lam"][u]
-                   for u in range(topology.U)}
-        mu_all = {}
-        for b in range(topology.B):
-            mu_all.update(grads[b]["mu"])
-        subgrad = np.array([lam_all[u] - mu_all[(j, u)]
-                            for (j, u) in index.pairs])
-        if common_theta and npairs:
-            subgrad = np.full(npairs, subgrad.sum())
-        theta_new = master_update(theta, subgrad, r, step, theta_floor)
-
-        replica_err = 0.0
-        for b in range(topology.B):
-            local_s = np.array(
-                [lam_view[b][u] - mu_view[b][(j, u)]
-                 for (j, u) in (index.pairs[i] for i in index.touching(b))])
-            if common_theta and local_s.size:
-                local_s = np.full(local_s.size, float(subgrad[0]))
-            for k, i in enumerate(index.touching(b)):
-                local = master_update(
-                    np.array([replicas[b][i]]),
-                    np.array([local_s[k]]), r, step, theta_floor)[0]
-                replicas[b][i] = local
-                replica_err = max(replica_err, abs(local - theta_new[i]))
-
+        theta_new = master_update(theta, direction(prices), r, step,
+                                  theta_floor)
+        scalars, replica_err = _exchange(
+            bus, index, prices, ("dual-mu", "dual-lambda"),
+            lambda own, pairs: master_update(
+                theta[pairs], direction(own), r, step, theta_floor),
+            theta_new)
         change = float(np.max(np.abs(theta_new - theta))) if npairs else 0.0
-        current_W = {g: solutions[b][1].matrix_values[k]
-                     for b in solutions for g, k in solutions[b][2].items()}
         if total_power < best["power"]:
             best = {"power": total_power, "theta": theta.copy(),
-                    "W": current_W,
-                    "lam": np.array([lam_all[u]
-                                     for (_, u) in index.pairs]),
-                    "mu": np.array([mu_all[p] for p in index.pairs])}
+                    "W": current_W, "lam": prices[1], "mu": prices[0]}
         trace.add(r, total_power, change, scalars,
                   replica_error=replica_err,
                   best_power=best["power"],
@@ -436,64 +448,26 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     bus = MessageBus(range(topology.B))
     trace = ConvergenceTrace(algorithm="admm")
 
-    last_W = None
     for it in range(max_iters):
         total_power = 0.0
-        last_W = {}
         assembled = {b: assemble_admm_local(
             b, channels, topology, theta,
-            {i: nu[0 if index.interferer(i) == b else 1, i]
-             for i in index.touching(b)}, rho, index=index)
+            {i: nu[index.side(i, b), i] for i in index.touching(b)}, rho,
+            index=index)
             for b in range(topology.B)}
         for b, ((_, slot, copy_slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"ADMM local problem of BS {b} "
                 f"failed at iteration {it} (status {status})"))):
-            for g, k in slot.items():
-                last_W[g] = sol.matrix_values[k]
+            for k in slot.values():
                 total_power += float(np.real(np.trace(sol.matrix_values[k])))
             for i, j in copy_slot.items():
-                owner = 0 if index.interferer(i) == b else 1
-                copies[owner, i] = sol.scalar_values[j]
-
-        # exchange local copies with the pair's other owner
-        for b in range(topology.B):
-            by_peer = {}
-            for i in index.touching(b):
-                own_side = 0 if index.interferer(i) == b else 1
-                peer = index.server(i) if own_side == 0 \
-                    else index.interferer(i)
-                by_peer.setdefault(peer, []).append(copies[own_side, i])
-            for peer, values in sorted(by_peer.items()):
-                bus.post(b, peer, "local-copy", values)
-        inboxes = bus.deliver()
-        scalars = bus.log.scalars_in_round(bus.round - 1)
-
-        # every agent recovers its partners' copies from its inbox and
-        # runs the averaging + dual step; both owners produce the same
-        # bits, checked below against the canonical arrays
-        partner = {b: {} for b in range(topology.B)}
-        for b in range(topology.B):
-            for sender, tag, values in inboxes[b]:
-                shared = [i for i in index.touching(sender)
-                          if index.interferer(i) == b
-                          or index.server(i) == b]
-                for i, val in zip(shared, values):
-                    partner[b][i] = val
+                copies[index.side(i, b), i] = sol.scalar_values[j]
 
         theta_new = admm_global_update(copies)
-        for i in range(npairs):
-            nu[:, i] = admm_pair_dual_update(nu[:, i], copies[:, i], rho)
-        replica_err = 0.0
-        for b in range(topology.B):
-            for i in index.touching(b):
-                own_side = 0 if index.interferer(i) == b else 1
-                own = copies[own_side, i]
-                agent_theta = admm_global_update(
-                    [own, partner[b][i]] if own_side == 0
-                    else [partner[b][i], own])
-                replica_err = max(replica_err,
-                                  abs(agent_theta - theta_new[i]))
-
+        nu = admm_pair_dual_update(nu, copies, rho)
+        scalars, replica_err = _exchange(
+            bus, index, copies, ("local-copy", "local-copy"),
+            lambda own, _: admm_global_update(own), theta_new)
         residual = float(np.max(np.abs(copies - theta_new[None, :]))) \
             if npairs else 0.0
         dual_residual = rho * float(np.max(np.abs(theta_new - theta))) \
@@ -510,16 +484,13 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     # restore a network-feasible solution at the final global values;
     # caps are floored away from the boundary singularity
     theta_floor = _theta_floor(topology)
-    restore_map = {index.pairs[i]: max(theta[i], theta_floor)
-                   for i in range(npairs)}
-    restored = {}
-    for part in (yield from _restore(range(topology.B), channels, topology,
-                                     restore_map)):
-        restored.update(part.W)
+    theta_by_bs = dict.fromkeys(range(topology.B), {
+        index.pairs[i]: max(theta[i], theta_floor) for i in range(npairs)})
+    restored = yield from _fixed_ici(channels, topology, theta_by_bs,
+                                     _unrestorable)
     trace.ici = IciState(index=index, theta=theta.copy(),
                          theta_local=copies.copy(), nu=nu.copy())
-    trace.solution = _finalize(channels, topology, restored,
-                               dict.fromkeys(range(topology.B), restore_map),
+    trace.solution = _finalize(channels, topology, restored, theta_by_bs,
                                gr_count, rng, bus=bus)
     trace.log = bus.log
     trace.best_power = trace.solution.objective
@@ -533,23 +504,19 @@ def admm_feasibility_restore(b, channels, topology, theta_global):
     Pins the local copies to the global values, which reduces the
     augmented local problem to the fixed-cap subproblem.
     """
-    return (yield from _restore([b], channels, topology, theta_global))[0]
+    ((_, slot), sol), = yield from _cells(
+        {b: assemble_subproblem(b, channels, topology, theta_global)},
+        _unrestorable)
+    out = BeamformingSolution(objective=sol.objective)
+    for g, k in slot.items():
+        out.W[g] = sol.matrix_values[k]
+        out.rank[g] = conic.numerical_rank(sol.matrix_values[k])
+    return out
 
 
-def _restore(cells, channels, topology, theta_global):
-    """:func:`admm_feasibility_restore` of several BSs."""
-    parts = []
-    for (_, slot), sol in (yield from _cells(
-            {b: assemble_subproblem(b, channels, topology, theta_global)
-             for b in cells},
-            lambda b, _: f"restoration at BS {b} infeasible for the current "
-            "global ICI values")):
-        out = BeamformingSolution(objective=sol.objective)
-        for g, k in slot.items():
-            out.W[g] = sol.matrix_values[k]
-            out.rank[g] = conic.numerical_rank(sol.matrix_values[k])
-        parts.append(out)
-    return parts
+def _unrestorable(b, _):
+    return f"restoration at BS {b} infeasible for the current global ICI " \
+        "values"
 
 
 # ---------------------------------------------------------------------------
@@ -658,16 +625,23 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
 def solve_fixed_ici(channels, topology, theta_value,
                     gr_count=DEFAULT_GR_COUNT, rng=None):
     """One-shot per-cell design with predefined ICI caps, no signaling."""
-    theta = dict.fromkeys(topology.ici_pairs(), float(theta_value))
+    theta = dict.fromkeys(range(topology.B), dict.fromkeys(
+        topology.ici_pairs(), float(theta_value)))
+    W = yield from _fixed_ici(
+        channels, topology, theta, lambda b, _: f"fixed-cap subproblem of "
+        f"BS {b} infeasible at theta={theta_value}")
+    return _finalize(channels, topology, W, theta, gr_count, rng)
+
+
+def _fixed_ici(channels, topology, theta_by_bs, failure):
+    """Solve generator of every cell's design at its fixed ICI values
+    ``theta_by_bs[b]`` (pair -> watts, :func:`assemble_subproblem`);
+    returns every group's covariance.  ``failure`` as in :func:`_cells`."""
     solved = yield from _cells(
-        {b: assemble_subproblem(b, channels, topology, theta)
-         for b in range(topology.B)},
-        lambda b, _: f"fixed-cap subproblem of BS {b} infeasible at "
-        f"theta={theta_value}")
-    combined = {g: sol.matrix_values[k] for (_, slot), sol in solved
-                for g, k in slot.items()}
-    return _finalize(channels, topology, combined,
-                     dict.fromkeys(range(topology.B), theta), gr_count, rng)
+        {b: assemble_subproblem(b, channels, topology, theta_by_bs[b])
+         for b in range(topology.B)}, failure)
+    return {g: sol.matrix_values[k] for (_, slot), sol in solved
+            for g, k in slot.items()}
 
 
 def _null_space_basis(channels, topology, b):
@@ -729,11 +703,8 @@ def solve_orthogonal(channels, topology, gr_count=DEFAULT_GR_COUNT,
         gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
         cell_separation=topology.cell_separation)
     blind = {b: blind_caps(topo_orth, b) for b in range(topology.B)}
-    assembled = {b: assemble_subproblem(b, channels, topo_orth, blind[b])
-                 for b in range(topology.B)}
-    solved = yield from _cells(
-        assembled, lambda b, _: f"orthogonal-access design infeasible at "
-        f"BS {b} (raised target {float(np.max(gamma_orth)):.3g})")
-    combined = {g: sol.matrix_values[k] for (_, slot), sol in solved
-                for g, k in slot.items()}
-    return _finalize(channels, topo_orth, combined, blind, gr_count, rng)
+    W = yield from _fixed_ici(
+        channels, topo_orth, blind, lambda b, _: f"orthogonal-access design "
+        f"infeasible at BS {b} (raised target "
+        f"{float(np.max(gamma_orth)):.3g})")
+    return _finalize(channels, topo_orth, W, blind, gr_count, rng)

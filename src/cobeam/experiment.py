@@ -66,6 +66,8 @@ class ScenarioConfig:
             self.schemes.append(canon)
         if not self.schemes:
             raise ConfigurationError("schemes list is empty")
+        if "common-theta" in self.schemes and self.B > 2:
+            raise ConfigurationError("common-theta needs B = 2")
         self.gamma_db = expand_sweep(gamma_db, "gamma_db")
         self.d_db = expand_sweep(d_db, "d_db")
         self.p_max = expand_sweep(p_max, "p_max")

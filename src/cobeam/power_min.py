@@ -14,7 +14,8 @@ import numpy as np
 
 from . import conic
 from .conic import ConicProblem, SolveStatus
-from .errors import InfeasibleTargetsError, RandomizationFailureError
+from .errors import (IndeterminateError, InfeasibleTargetsError,
+                     RandomizationFailureError)
 from .network import BeamformingSolution
 
 DEFAULT_GR_COUNT = 100
@@ -362,8 +363,8 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
         raise InfeasibleTargetsError(
             "SINR targets are infeasible for this channel realization")
     if sol.status is not SolveStatus.OPTIMAL:
-        raise InfeasibleTargetsError(
-            f"relaxation solve failed with status {sol.status}")
+        raise IndeterminateError(
+            f"relaxation solve stopped with status {sol.status}")
     rng = np.random.default_rng() if rng is None else rng
     solution = finalize(
         {g: sol.matrix_values[g] for g in range(topology.G)},

@@ -5,9 +5,9 @@ import pytest
 
 from cobeam import conic
 from cobeam.backhaul import (MessageBus, gr_gain_signaling_load,
-                             verify_exchange_count)
-from cobeam.errors import (CobeamError, InfeasibleTargetsError,
-                           RandomizationFailureError)
+                             periter_signaling_load, verify_exchange_count)
+from cobeam.errors import (CobeamError, ConfigurationError,
+                           InfeasibleTargetsError, RandomizationFailureError)
 from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
                             sample_channels)
 from cobeam.power_min import gaussian_candidates, solve_centralized
@@ -509,6 +509,28 @@ class TestSpecialCases:
                                          common_theta=True)
         theta = trace.ici.theta
         assert np.allclose(theta, theta[0])
+
+
+class TestThreeCells:
+    """B = 3, where no BS holds every pair: each BS's own update from
+    its inbox must still equal the round's state."""
+
+    def scenario(self):
+        return small_scenario(0, B=3, G=3, U=6, A=6)
+
+    @pytest.mark.parametrize("run", [run_primal_decomposition, run_admm])
+    def test_agents_match_state_and_load(self, run):
+        topo, chans = self.scenario()
+        trace = run(chans, topo, max_iters=5)
+        assert trace.iterations == 5
+        assert periter_signaling_load(3, 6) == 24
+        assert all(r["scalars_exchanged"] == 24 for r in trace.rows)
+        assert all(e["replica_error"] == 0.0 for e in trace.extras)
+
+    def test_common_theta_needs_two_cells(self):
+        topo, chans = self.scenario()
+        with pytest.raises(ConfigurationError, match="B = 2"):
+            run_primal_decomposition(chans, topo, common_theta=True)
 
 
 def silenced(channels, links):

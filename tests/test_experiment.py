@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from cobeam import experiment
+from cobeam import conic, experiment
 from cobeam.cli import main
+from cobeam.conic import ipm
 from cobeam.errors import ConfigurationError, IndeterminateError
 from cobeam.experiment import (RECORD_COLUMNS, ScenarioConfig, emit_results,
                                emit_traces, expand_sweep, load_results,
@@ -78,6 +79,10 @@ class TestParsing:
         cfg = ScenarioConfig(B=2, G=2, U=4, A=6,
                              schemes=["fixed-θ", "common-θ"])
         assert cfg.schemes == ["fixed-theta", "common-theta"]
+
+    def test_common_theta_needs_two_cells(self):
+        with pytest.raises(ConfigurationError, match="common-theta"):
+            ScenarioConfig(B=3, G=3, U=6, A=6, schemes=["common-theta"])
 
 
 def assert_slot_targets_met(chans, topo, sol, raised):
@@ -201,6 +206,22 @@ class TestSweep:
         assert rows["nulling"]["randomization_excluded"] == 0
         assert rows["centralized"]["indeterminate_excluded"] == 0
         assert rows["centralized"]["mean_objective"] is not None
+
+    def test_every_stalled_solve_reported_as_stall(self, monkeypatch):
+        # no solve ends optimal or infeasible, so no scheme may report
+        # its failure as infeasibility
+        def stalled(problem, *args, **kwargs):
+            return conic.ConicSolution(status=conic.SolveStatus.MAX_ITER)
+
+        monkeypatch.setattr(ipm, "solve", stalled)
+        monkeypatch.setattr(ipm, "solve_batch", lambda problems, *a, **k:
+                            [stalled(p) for p in problems])
+        schemes = ["centralized", "primal-decomp", "admm", "fixed-theta",
+                   "nulling", "orthogonal"]
+        records, _ = run_sweep(self.small_config(schemes=schemes))
+        assert sorted({rec["scheme"] for rec in records}) == sorted(schemes)
+        assert all(rec["failure_kind"] == "IndeterminateError"
+                   for rec in records)
 
     def test_balancing_as_theta_grid_rows(self):
         cfg = ScenarioConfig(B=2, G=2, U=4, A=4,
