@@ -130,14 +130,21 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     (high-rank) points, so one power-minimizing solve at the final
     feasible level replaces the payload with an extreme-face solution;
     that is the covariance set whose rank the extraction step inspects.
+    Each probe starts from the iterate of the previous one; the polish
+    starts cold.
     """
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=cell, level=t,
                            theta=theta, budget=True, objective=objective)
 
+    last = None
+
     def probe(t):
+        nonlocal last
         prob, slot, _ = system(t)
+        prob.start = last
         feasible, sol = yield from conic.feasibility(prob)
+        last = sol.iterate
         if not feasible:
             return False, None
         return True, {g: sol.matrix_values[k] for g, k in slot.items()}

@@ -18,6 +18,13 @@ constraints are feasible, so the loop stops at the first iterate that
 yields a feasible point or a Farkas certificate confirmed by direct
 evaluation.
 
+Every solution carries its final iterate, and a problem may start from
+an earlier one (``ConicProblem.start``), as in Skajaa, Andersen & Ye
+(Math. Prog. Comp. 2013): x and z at the convex combination
+``WARM_WEIGHT`` of the earlier iterate with the cold start, y at
+``WARM_WEIGHT`` times the earlier y, tau = 1 and kappa centred against
+x'z.  A problem without a start starts cold.
+
 The iterations' floating-point operations, their operands and their
 order are fixed.  The loop runs a lockstep batch of problems of one
 shape (:func:`solve_batch`; a lone :func:`solve` is a batch of one):
@@ -51,6 +58,8 @@ AGGREGATE_ROUNDOFF = 100 * np.finfo(float).eps
 MAX_ITER = 200
 STEP_FRACTION = 0.99
 REFINE_STEPS = 2
+# the weight of the earlier iterate in a warm start
+WARM_WEIGHT = 0.99
 
 # LAPACK Cholesky pair for the Schur complement, looked up once: scipy's
 # cho_factor/cho_solve wrappers re-check finiteness on every call
@@ -369,8 +378,9 @@ def _step_lengths(scaling, d, fraction, tau, kappa):
                                         d.dtau, kappa, d.dkappa)]
 
 
-def _new_stats():
-    return {"chol_jitter": 0, "schur_ridge": 0, "schur_pinv": 0}
+def _new_stats(warm):
+    return {"chol_jitter": 0, "schur_ridge": 0, "schur_pinv": 0,
+            "warm_start": int(warm)}
 
 
 def _count_fallbacks(members, scaling, kkt):
@@ -410,9 +420,7 @@ def solve_batch(problems, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
         if problem.num_vars() == 0:
             raise ValueError("problem has no variables")
         compiled = CompiledProblem(problem)
-        lay = compiled.layout
-        key = (lay.psd_dims, lay.psd_complex, lay.nonneg,
-               len(compiled.b), problem.has_quadratic())
+        key = compiled.shape + (problem.has_quadratic(),)
         groups.setdefault(key, []).append((i, compiled))
     out = [None] * len(problems)
     for members in groups.values():
@@ -445,7 +453,8 @@ def feasibility(problem):
         matrix_vars=problem.matrix_vars,
         num_scalars=problem.num_scalars,
         scalar_names=problem.scalar_names,
-        constraints=problem.constraints)]
+        constraints=problem.constraints,
+        start=problem.start)]
     if sol.status is SolveStatus.OPTIMAL:
         return True, sol
     if sol.status is SolveStatus.INFEASIBLE:
@@ -616,11 +625,13 @@ class _FeasibilityScreens:
 
 
 class _Member:
-    """One problem's own state in a lockstep loop: its best iterate,
-    stall count, fallback counts and exit."""
+    """One problem's own state in a lockstep loop: its start, best
+    iterate, stall count, fallback counts and exit."""
 
     def __init__(self, compiled):
-        self.compiled, self.stats, self.screens = compiled, _new_stats(), None
+        self.compiled, self.screens = compiled, None
+        self.start = compiled.start_point()
+        self.stats = _new_stats(self.start is not None)
         self.best, self.best_err, self.stall = None, np.inf, 0
         if not compiled.c.any() and not compiled.qdiag.any():
             self.screens = _FeasibilityScreens(compiled)
@@ -628,14 +639,23 @@ class _Member:
         self.status, self.iterations = SolveStatus.MAX_ITER, None
         self.solution = None            # set by an early exit
 
-    def track(self, x, y, tau, pres, dres, relgap, tol, it):
+    def initial(self, ident, deg):
+        """The iterate (x, y, z, tau, kappa) this problem starts from."""
+        if self.start is None:
+            return ident, np.zeros(len(self.compiled.b)), ident, 1.0, 1.0
+        x, y, z = self.start
+        x = WARM_WEIGHT * x + (1.0 - WARM_WEIGHT) * ident
+        z = WARM_WEIGHT * z + (1.0 - WARM_WEIGHT) * ident
+        return x, WARM_WEIGHT * y, z, 1.0, float(x @ z) / deg
+
+    def track(self, x, y, z, tau, pres, dres, relgap, tol, it):
         """Record the iterate's residuals; True once the problem has
         converged at ``tol``."""
         err = max(pres, dres, relgap)
         if err < self.best_err:
             self.best_err = err
             # iterates are rebound, never updated in place
-            self.best = (x, y, tau, (pres, dres, relgap))
+            self.best = (x, y, z, tau, (pres, dres, relgap))
             self.stall = 0
         else:
             self.stall += 1
@@ -644,14 +664,21 @@ class _Member:
             return True
         return False
 
+    def stop(self, solution, x, y, z, tau):
+        """Exit early with ``solution``, made at iterate (x, y, z, tau)."""
+        solution.stats = self.stats
+        solution.iterate = self.compiled.source_iterate(x / tau, y / tau,
+                                                        z / tau)
+        self.solution = solution
+
     def result(self, accept_tol):
-        """The solution at the best iterate (x/tau, y/tau), unless an
+        """The solution at the best iterate (x, y, z)/tau, unless an
         early exit produced one."""
         if self.solution is not None:
             return self.solution
         comp = self.compiled
-        x, y, tau, (pres, dres, relgap) = self.best
-        x, y = x / tau, y / tau
+        x, y, z, tau, (pres, dres, relgap) = self.best
+        x, y, z = x / tau, y / tau, z / tau
         status = self.status
         if status is not SolveStatus.OPTIMAL and pres <= accept_tol \
                 and dres <= accept_tol and relgap <= accept_tol:
@@ -664,7 +691,7 @@ class _Member:
             duals=comp.user_duals(y), objective=objective,
             iterations=self.iterations,
             kkt={"primal": pres, "dual": dres, "gap": relgap},
-            stats=self.stats)
+            stats=self.stats, iterate=comp.source_iterate(x, y, z))
 
 
 def _sigma(mu_aff, mu):
@@ -685,16 +712,17 @@ def _narrow(keep, active, data, values):
 
 def _solve_hsd(group, tol, accept_tol, max_iter):
     """Homogeneous self-dual loop over compiled problems of one shape,
-    started at x = z = identity, y = 0 and tau = kappa = 1; returns their
+    each started cold at x = z = identity, y = 0 and tau = kappa = 1, or
+    warm from its start (:meth:`_Member.initial`); returns their
     solutions in order."""
     data = _Batch(group)
-    ident = data.layout.identity()
-    x = z = np.tile(ident, (len(group), 1))
-    y = np.zeros(data.b.shape)
     members = active = [_Member(c) for c in group]
     lay, m, it = data.layout, data.A.shape[-2], 0
     off, deg = lay.nn_offset, lay.degree + 1
-    tau, kappa = [1.0] * len(group), [1.0] * len(group)
+    ident = lay.identity()
+    x, y, z, tau, kappa = zip(*(mem.initial(ident, deg) for mem in members))
+    x, y, z = np.stack(x), np.stack(y), np.stack(z)
+    tau, kappa = list(tau), list(kappa)
 
     for it in range(max_iter):
         A, b, c = data.A, data.b, data.c
@@ -721,9 +749,9 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
             # the primal objective c'xi + xi'Q xi/2 at xi = x/tau; t ** 2
             # is libm pow, whose bits t * t does not always give
             relgap = (xz / t ** 2) / max(1.0, abs(ct / t + 0.5 * xq / t ** 2))
-            if mem.track(xp, yp, t, pres, dres, relgap, tol, it):
+            if mem.track(xp, yp, zp, t, pres, dres, relgap, tol, it):
                 continue
-            comp = mem.compiled
+            comp, early = mem.compiled, None
             if mem.screens is not None:
                 # iterations are counted as on the OPTIMAL and Farkas
                 # exits below
@@ -736,21 +764,18 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
                         mem.stats["farkas_stop"], early.iterations = 1, it
                 if early is not None:
                     early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
-                    early.stats = mem.stats
-                    mem.solution = early
-                    continue
-            if k >= t and it > 0:
+            if early is None and k >= t and it > 0:
                 if bt > 0 and np.linalg.norm(yp) > 0 and np.linalg.norm(
                         comp.A.T @ yp + zp) <= accept_tol * bt:
-                    mem.solution = _infeasible_solution(comp, yp, it,
-                                                        mem.stats)
-                    continue
+                    early = _infeasible_solution(comp, yp, it)
                 # a ray: A x = 0 and Q x = 0 at negative cost
-                if ct < 0 and max(np.linalg.norm(comp.A @ xp), np.linalg.norm(
-                        comp.qdiag * xp[off:])) <= accept_tol * (-ct):
-                    mem.solution = _unbounded_solution(comp, xp, -ct, it,
-                                                       mem.stats)
-                    continue
+                elif ct < 0 and max(np.linalg.norm(comp.A @ xp),
+                                    np.linalg.norm(comp.qdiag * xp[off:])) \
+                        <= accept_tol * (-ct):
+                    early = _unbounded_solution(comp, xp, -ct, it)
+            if early is not None:
+                mem.stop(early, xp, yp, zp, t)
+                continue
             if mem.stall >= 12:
                 mem.iterations = it + 2
                 continue
@@ -808,7 +833,7 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
     return [mem.result(accept_tol) for mem in members]
 
 
-def _infeasible_solution(compiled, y, iterations, stats):
+def _infeasible_solution(compiled, y, iterations):
     weights = compiled.user_duals_signed(y)
     scale = max(np.abs(weights).max(), 1e-300)
     weights = weights / scale
@@ -816,12 +841,11 @@ def _infeasible_solution(compiled, y, iterations, stats):
                      zip(weights, compiled.source.constraints)))
     return ConicSolution(
         status=SolveStatus.INFEASIBLE, iterations=iterations,
-        certificate={"weights": weights, "violation": viol}, stats=stats)
+        certificate={"weights": weights, "violation": viol})
 
 
-def _unbounded_solution(compiled, x, norm, iterations, stats):
+def _unbounded_solution(compiled, x, norm, iterations):
     mats, scalars = compiled.extract_point(x / norm)
     return ConicSolution(
         status=SolveStatus.UNBOUNDED, iterations=iterations,
-        certificate={"ray_matrix_values": mats, "ray_scalar_values": scalars},
-        stats=stats)
+        certificate={"ray_matrix_values": mats, "ray_scalar_values": scalars})

@@ -86,6 +86,9 @@ class ConicProblem:
     obj_scalar: dict = field(default_factory=dict)
     obj_scalar_quad: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
+    # an :class:`Iterate` of an earlier solve to start from, or None for
+    # the cold start
+    start: object = None
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:
@@ -183,6 +186,23 @@ class ConicProblem:
 
 
 @dataclass
+class Iterate:
+    """A solve's final interior-point iterate (x, y, z)/tau in source
+    units, which a later problem of the same ``shape`` may start from.
+
+    The compiled rows carry data-dependent scales (``row_scale``), so
+    the entries they touch are stored without them: ``y`` holds the
+    signed user multipliers and the slack entries of ``x`` and ``z``
+    have the row scale divided out
+    (:meth:`CompiledProblem.source_iterate`).
+    """
+    shape: tuple
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+
+@dataclass
 class ConicSolution:
     status: SolveStatus
     matrix_values: list = None
@@ -197,8 +217,11 @@ class ConicSolution:
     # schur_pinv (Schur complements factored with a ridge / pseudo-inverse);
     # a solve with an identically zero objective also reports point_stop
     # and farkas_stop, 1 when a verified feasible point or Farkas
-    # certificate ended it early
+    # certificate ended it early; warm_start is 1 when the solve started
+    # from its problem's ``start``
     stats: dict = field(default_factory=dict)
+    # the final :class:`Iterate`, a start for a later solve
+    iterate: Iterate = None
 
     @property
     def optimal(self):
@@ -248,7 +271,8 @@ class CompiledProblem:
     ``row_scale`` maps internal equality multipliers back to user-space
     duals.  ``A_blocks`` holds the PSD part of the scaled rows as one
     (m, k, d, d) stack per run of the layout; the PSD columns of ``A``
-    are its packing.
+    are its packing.  ``shape`` is the layout and row count, which the
+    problems of one lockstep batch share, and a problem and its start.
     """
 
     def __init__(self, problem):
@@ -292,6 +316,10 @@ class CompiledProblem:
                 self.A[k, slack] = -1.0 if con.relation == ">=" else 1.0
                 self.slack_col[k] = slack
                 slack += 1
+        # the row scale of each slack column, which multiplies its slack
+        self.slack_scale = scale[[k for k, col in enumerate(self.slack_col)
+                                  if col >= 0]]
+        self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, m)
 
     def _rows(self, matrix_coeffs, scalar_coeffs):
         """Real standard-form rows of the given coefficient dicts (no
@@ -334,6 +362,28 @@ class CompiledProblem:
     def user_duals_signed(self, y_internal):
         """Raw signed multipliers (no <= flip), for Farkas combinations."""
         return y_internal * self.row_scale
+
+    def source_iterate(self, x, y, z):
+        """The :class:`Iterate` of internal (x, y, z), in source units."""
+        x, z = x.copy(), z.copy()
+        x[self.slack_off:] /= self.slack_scale
+        z[self.slack_off:] *= self.slack_scale
+        return Iterate(self.shape, x, self.user_duals_signed(y), z)
+
+    def start_point(self):
+        """The source problem's ``start`` in internal units as (x, y, z),
+        or None without one; raises ValueError when the start has
+        another shape."""
+        start = self.source.start
+        if start is None:
+            return None
+        if start.shape != self.shape:
+            raise ValueError(f"start of shape {start.shape} for a problem "
+                             f"of shape {self.shape}")
+        x, z = start.x.copy(), start.z.copy()
+        x[self.slack_off:] *= self.slack_scale
+        z[self.slack_off:] /= self.slack_scale
+        return x, start.y / self.row_scale, z
 
     def extract_point(self, x):
         """Split an internal point into user matrix/scalar values."""

@@ -14,13 +14,15 @@ import time
 from . import ipm
 
 
-def gather(generators, seconds=None):
+def gather(generators, seconds=None, iterations=None):
     """Solve generator that runs ``generators`` side by side: each step
     yields the pending problems of every live one, in order, and sends
     each its slice.  A generator that raises leaves alone.  Returns the
     results in order, a raised exception in place of a result.
     ``seconds``, a list, gains each generator's wall time: its own steps
-    plus its problem-count share of each step's solve."""
+    plus its problem-count share of each step's solve.  ``iterations``,
+    a list, gains the interior-point iterations of each generator's
+    solves."""
     results = [None] * len(generators)
     sends = dict.fromkeys(range(len(generators)))
     clock = time.perf_counter
@@ -49,15 +51,18 @@ def gather(generators, seconds=None):
                 seconds[i] += share * count
         sends = {i: solutions[start:start + count]
                  for i, start, count in owners}
+        if iterations is not None:
+            for i, sols in sends.items():
+                iterations[i] += sum(sol.iterations for sol in sols)
 
 
-def drive(generators, seconds=None):
+def drive(generators, seconds=None, iterations=None):
     """Run solve generators to their ends; returns their results in
     order, or raises the first exception one raised once the others
     have finished.  Each step's problems go to one :func:`solve_batch`
     call (a lone problem to :func:`solve`), which groups them by shape.
-    ``seconds`` is as in :func:`gather`."""
-    steps = gather(list(generators), seconds)
+    ``seconds`` and ``iterations`` are as in :func:`gather`."""
+    steps = gather(list(generators), seconds, iterations)
     try:
         problems = next(steps)
         while True:

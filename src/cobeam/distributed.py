@@ -144,17 +144,26 @@ def assemble_subproblem(b, channels, topology, theta):
     return prob, slot
 
 
-def _cells(assembled, failure):
+def _cells(assembled, failure, starts=None):
     """Solve generator (:mod:`.conic.schedule`) of the per-BS problems of
     ``assembled`` ({b: (problem, ...)}); returns [(assembled[b],
     solution)] in BS order.
 
-    The first BS whose solve is not optimal raises, as a BS-by-BS loop
-    would: :class:`InfeasibleTargetsError` with message
+    With a dict ``starts``, each BS's problem starts from
+    ``starts.get(b)`` and its solution's iterate replaces that entry, so
+    the next round's solve starts from this one's; without, the solves
+    start cold.  The first BS whose solve is not optimal raises, as a
+    BS-by-BS loop would: :class:`InfeasibleTargetsError` with message
     ``failure(b, status)`` when it is infeasible, else
     :class:`IndeterminateError`.
     """
-    sols = yield [parts[0] for parts in assembled.values()]
+    problems = [parts[0] for parts in assembled.values()]
+    if starts is not None:
+        for b, prob in zip(assembled, problems):
+            prob.start = starts.get(b)
+    sols = yield problems
+    if starts is not None:
+        starts.update(zip(assembled, (sol.iterate for sol in sols)))
     for b, sol in zip(assembled, sols):
         if sol.status is SolveStatus.INFEASIBLE:
             raise InfeasibleTargetsError(failure(b, sol.status))
@@ -261,14 +270,15 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                              common_theta=False):
     """Distributed power minimization by primal decomposition.
 
-    Each round the BSs solve their subproblems at the caps theta, swap
-    the two prices of every pair they share (:func:`_exchange`), and
-    move the caps by one projected subgradient step.  The best (lowest
-    master objective) iterate is kept and its beamformers extracted at
-    the end.  Caps never fall below :func:`_theta_floor`; the run stops
-    once no cap moves by more than ``STOP_TOL``.  ``common_theta`` moves
-    one cap shared by every pair along the summed prices, which each BS
-    holds only at B = 2; more cells raise :class:`ConfigurationError`.
+    Each round the BSs solve their subproblems at the caps theta, each
+    starting from its solve of the round before, swap the two prices of
+    every pair they share (:func:`_exchange`), and move the caps by one
+    projected subgradient step.  The best (lowest master objective)
+    iterate is kept and its beamformers extracted at the end.  Caps never
+    fall below :func:`_theta_floor`; the run stops once no cap moves by
+    more than ``STOP_TOL``.  ``common_theta`` moves one cap shared by
+    every pair along the summed prices, which each BS holds only at
+    B = 2; more cells raise :class:`ConfigurationError`.
     """
     if common_theta and topology.B > 2:
         raise ConfigurationError(
@@ -292,6 +302,7 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     bus = MessageBus(range(topology.B))
     trace = ConvergenceTrace(algorithm="primal-decomposition")
     best = {"power": np.inf, "theta": theta.copy(), "W": None}
+    starts = {}
 
     for r in range(max_iters):
         assembled = {b: assemble_subproblem(
@@ -306,7 +317,7 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                 assembled, lambda b, status: f"subproblem of BS {b} "
                 "infeasible at the initial ICI caps; retry with a larger "
                 "theta0" if r == 0 else f"subproblem of BS {b} became "
-                f"infeasible at iteration {r} (status {status})"))):
+                f"infeasible at iteration {r} (status {status})", starts))):
             grad = extract_subgradient(prob, sol, topology, b)
             for u, val in grad["lam"].items():
                 lam[u] = val
@@ -430,8 +441,9 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
              gr_count=DEFAULT_GR_COUNT, rng=None):
     """Distributed power minimization by ADMM consensus.
 
-    Per iteration: the B local solves, one exchange of local copies,
-    the global average, and the exactly-complementary dual update.
+    Per iteration: the B local solves, each starting from its solve of
+    the iteration before, one exchange of local copies, the global
+    average, and the exactly-complementary dual update.
     Stops when both the consensus residual and the dual residual
     rho * |theta change| fall below ``STOP_TOL``; the consensus residual
     alone can be small long before the caps stop moving.  The
@@ -447,6 +459,7 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     copies = np.zeros((2, npairs))
     bus = MessageBus(range(topology.B))
     trace = ConvergenceTrace(algorithm="admm")
+    starts = {}
 
     for it in range(max_iters):
         total_power = 0.0
@@ -457,7 +470,7 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
             for b in range(topology.B)}
         for b, ((_, slot, copy_slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"ADMM local problem of BS {b} "
-                f"failed at iteration {it} (status {status})"))):
+                f"failed at iteration {it} (status {status})", starts))):
             for k in slot.values():
                 total_power += float(np.real(np.trace(sol.matrix_values[k])))
             for i, j in copy_slot.items():

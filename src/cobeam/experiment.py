@@ -37,7 +37,7 @@ RECORD_COLUMNS = [
     "sigma2", "p_max", "theta_cap", "objective", "objective_kind",
     "sdr_bound", "feasible", "used_randomization", "all_rank_one",
     "avg_rank", "iterations", "scalars_exchanged", "wall_time_s",
-    "failure_kind",
+    "ipm_iterations", "failure_kind",
 ]
 
 TRACE_COLUMNS = ["scheme", "trial", "gamma_db", "d_db", "p_max",
@@ -185,7 +185,9 @@ def run_sweep(config):
     sees the same fading across all sweep values; randomization streams
     are keyed by (sweep point, trial, scheme) and never collide.  The
     runs of one sweep point go to one :func:`conic.drive`; a record's
-    ``wall_time_s`` is its run's share of that drive's wall time.
+    ``wall_time_s`` is its run's share of that drive's wall time, and
+    its ``ipm_iterations`` the interior-point iterations of its run's
+    solves.
     """
     records = []
     trace_rows = []
@@ -197,11 +199,11 @@ def run_sweep(config):
                           for trial in range(config.trials)]
                 runs = [(point, k, scheme) for point in points
                         for k, scheme in enumerate(config.schemes)]
-                seconds = [0.0] * len(runs)
+                seconds, iterations = [0.0] * len(runs), [0] * len(runs)
                 for recs, traces in conic.drive(
-                        [point.run(k, scheme, seconds, i)
+                        [point.run(k, scheme, seconds, iterations, i)
                          for i, (point, k, scheme) in enumerate(runs)],
-                        seconds):
+                        seconds, iterations):
                     records.extend(recs)
                     trace_rows.extend(traces)
     records.sort(key=lambda r: (r["gamma_db"], r["d_db"], r["p_max"],
@@ -234,13 +236,14 @@ class _SweepPoint:
             spawn_key=(*self.point_key, self.trial, 1 + scheme_index))
         return np.random.default_rng(seq)
 
-    def run(self, k, scheme, seconds, i):
+    def run(self, k, scheme, seconds, iterations, i):
         """Solve generator of scheme ``k``'s (records, trace rows), run
-        ``i`` of a drive keeping ``seconds``.  A record's wall time is
-        what its run's entry gained since the previous record, plus the
-        current step's time so far."""
+        ``i`` of a drive keeping ``seconds`` and ``iterations``.  A
+        record's wall time is what its run's entry gained since the
+        previous record, plus the current step's time so far; its IPM
+        iterations are what its run's entry gained since then."""
         runner = _RUNNERS[scheme](self, self.config, self._scheme_rng(k))
-        records, traces, sent, done = [], [], None, 0.0
+        records, traces, sent, done, done_its = [], [], None, 0.0, 0
         resumed = time.perf_counter()
         while runner is not None:
             try:
@@ -259,6 +262,8 @@ class _SweepPoint:
             rec, trace = item
             now = seconds[i] + time.perf_counter() - resumed
             rec["wall_time_s"], done, sent = now - done, now, None
+            rec["ipm_iterations"] = iterations[i] - done_its
+            done_its = iterations[i]
             records.append(self._finish(rec, scheme))
             if trace is not None:
                 traces.extend(self._trace_rows(scheme, trace))

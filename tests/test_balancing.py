@@ -1,5 +1,8 @@
 """Max-min balancing: bisection contracts, oracles, dominance."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,12 @@ from cobeam.balancing import (achieved_min_sinr, balance_centralized,
                               local_balance, local_balance_gr,
                               single_user_upper_bound,
                               uncoordinated_balance)
+from cobeam.conic.ipm import ACCEPT_TOL, point_violation
+from cobeam.experiment import db_to_linear, parse_scenario, run_sweep
 from cobeam.power_min import (capped_least_powers, direction_system,
                               gaussian_candidates, sinr_system)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def two_cell(seed, **overrides):
@@ -477,3 +484,81 @@ class TestProbeEarlyStop:
             assert feasible is feasible0
             assert its <= its0
         assert sum(iterations) < sum(p[2] for p in pinned)
+
+
+class TestWarmProbes:
+    """Each probe of a bisection starts from the previous probe's
+    iterate; it must decide as a cold solve of the same probe does."""
+
+    @staticmethod
+    def warm_probes(monkeypatch, run):
+        """(problem, feasible, solution) of every warm-started probe that
+        ``run()`` solves."""
+        probes = []
+        feasibility = conic.feasibility
+
+        def recording(problem):
+            feasible, sol = yield from feasibility(problem)
+            if problem.start is not None:
+                probes.append((problem, feasible, sol))
+            return feasible, sol
+
+        with monkeypatch.context() as patch:
+            patch.setattr(conic, "feasibility", recording)
+            run()
+        return probes
+
+    @staticmethod
+    def cold(problem):
+        """The decision and solution of ``problem`` started cold."""
+        return conic.check_feasibility(dataclasses.replace(problem,
+                                                           start=None),
+                                       return_solution=True)
+
+    def test_c08_probe_decisions_match_cold(self, monkeypatch):
+        def run():
+            for seed in range(4):
+                topo, chans = two_cell(200 + seed)
+                bisect_balance(chans, topo, epsilon=1e-3)
+                for b in range(topo.B):
+                    local_balance(b, chans, topo, 0.5, epsilon=1e-3)
+
+        probes = self.warm_probes(monkeypatch, run)
+        assert len(probes) > 150
+        for problem, feasible, _ in probes:
+            assert self.cold(problem)[0] is feasible
+
+    def test_scenario_probe_decisions_match_cold(self, monkeypatch):
+        config = parse_scenario(SCENARIOS / "balancing_small.json")
+        config.trials = 1
+        probes = self.warm_probes(monkeypatch, lambda: run_sweep(config))
+        assert len(probes) > 300
+        for problem, feasible, _ in probes:
+            assert self.cold(problem)[0] is feasible
+
+    def test_knife_edge_probe_is_certified(self, monkeypatch):
+        # balancing_small.json's trial 2 has one probe, in cell 1's
+        # interference-blind bisection, that a cold solve accepts with a
+        # point breaking a row by less than ACCEPT_TOL, while a warm one
+        # proves it infeasible by a Farkas certificate: the decisions
+        # differ only where the cold one is within its tolerance
+        config = parse_scenario(SCENARIOS / "balancing_small.json")
+        topo = build_topology(
+            B=config.B, G=config.G, U=config.U, A=config.A,
+            gamma=float(db_to_linear(config.gamma_db[0])),
+            sigma2=config.sigma2, p_max=config.p_max[0])
+        chans = sample_channels(topo, np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(2,))))
+        probes = self.warm_probes(monkeypatch, lambda: uncoordinated_balance(
+            1, chans, topo, epsilon=config.epsilon))
+        differ = []
+        for problem, feasible, sol in probes:
+            cold_feasible, cold_sol = self.cold(problem)
+            if cold_feasible is not feasible:
+                differ.append((problem, feasible, sol, cold_sol))
+        assert len(differ) == 1
+        problem, feasible, sol, cold_sol = differ[0]
+        assert not feasible and sol.stats["farkas_stop"] == 1
+        assert conic.verify_infeasibility_certificate(
+            problem, sol.certificate["weights"])["ok"]
+        assert 0.0 < point_violation(problem, cold_sol) <= ACCEPT_TOL

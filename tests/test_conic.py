@@ -1,5 +1,7 @@
 """Solver-level tests: statuses, duals, certificates, and oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           solve, solve_batch, unembed_matrix,
                           verify_infeasibility_certificate)
 from cobeam.conic.ipm import point_violation
+from cobeam.conic.problem import CompiledProblem
 from cobeam.balancing import single_user_upper_bound
 from cobeam.distributed import (IciIndex, assemble_admm_local,
                                 assemble_subproblem)
@@ -397,9 +400,10 @@ class TestSolverInvariants:
         sol = solve(self.qos_instance(1))
         assert set(sol.kkt) == {"primal", "dual", "gap"}
         assert max(sol.kkt.values()) <= 1e-7
-        # a well-posed instance needs no numerical fallback
+        # a well-posed instance needs no numerical fallback, and a
+        # problem without a start starts cold
         assert sol.stats == {"chol_jitter": 0, "schur_ridge": 0,
-                             "schur_pinv": 0}
+                             "schur_pinv": 0, "warm_start": 0}
 
 
 class TestQuadraticObjective:
@@ -543,6 +547,9 @@ def assert_same(got, want):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert_same(a, b)
+    elif dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        assert_same(vars(got), vars(want))
     elif isinstance(want, np.ndarray):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -560,7 +567,7 @@ def assert_batch_matches_serial(problems):
     for got, want in zip(batch, serial):
         for field in ("status", "iterations", "objective", "matrix_values",
                       "scalar_values", "duals", "kkt", "stats",
-                      "certificate"):
+                      "certificate", "iterate"):
             assert_same(getattr(got, field), getattr(want, field))
     return serial
 
@@ -573,12 +580,12 @@ def pd_pair(seed, scale=1.0):
     return [assemble_subproblem(b, chans, topo, theta)[0] for b in range(2)]
 
 
-def admm_pair(seed):
+def admm_pair(seed, scale=0.5):
     topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
                           cell_separation=10 ** 0.1)
     chans = sample_channels(topo, seed)
     index = IciIndex(topo)
-    theta = np.full(len(index), 0.5)
+    theta = np.full(len(index), scale)
     return [assemble_admm_local(b, chans, topo, theta,
                                 dict.fromkeys(index.touching(b), 0.1), 2.0,
                                 index=index)[0] for b in range(2)]
@@ -664,3 +671,69 @@ class TestSolveBatch:
     def test_one_problem_and_none(self):
         assert_batch_matches_serial(pd_pair(7)[:1])
         assert solve_batch([]) == []
+
+
+def cold(problem):
+    """A copy of ``problem`` without its start."""
+    return dataclasses.replace(problem, start=None)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("pair, scales", [(pd_pair, (1.0, 1.1)),
+                                              (admm_pair, (0.5, 0.55))])
+    def test_warm_cold_warm_batch(self, pair, scales):
+        # the next round's subproblems, their ICI values moved by 10%,
+        # each started from its solve of this round, around a cold one
+        warm = pair(3, scales[1])
+        for problem, sol in zip(warm, solve_batch(pair(3, scales[0]))):
+            problem.start = sol.iterate
+        serial = assert_batch_matches_serial(
+            [warm[0], pair(4, scales[1])[0], warm[1]])
+        assert [s.stats["warm_start"] for s in serial] == [1, 0, 1]
+        for problem, sol in zip(warm, serial[::2]):
+            fresh = solve(cold(problem))
+            assert sol.status is fresh.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(fresh.objective, rel=1e-7)
+            assert sol.iterations < fresh.iterations
+
+    def test_warm_probes_in_a_batch(self):
+        probe = TestZeroObjectiveStop().bounded_probe
+        starts = solve_batch([probe(2.5), probe(1.5)])
+        problems = [probe(2.4), probe(1.6), probe(1.6)]
+        problems[0].start, problems[2].start = (s.iterate for s in starts)
+        serial = assert_batch_matches_serial(problems)
+        assert [s.stats["warm_start"] for s in serial] == [1, 0, 1]
+
+    def test_iterate_in_source_units(self):
+        # rows with large right-hand sides are scaled down in the solve;
+        # the iterate keeps their slacks and multipliers unscaled
+        prob = bound_lp(30.0, 50.0)
+        sol = solve(prob)
+        compiled = CompiledProblem(prob)
+        assert (compiled.row_scale < 1.0).all()
+        x = sol.scalar_values[0]
+        np.testing.assert_allclose(sol.iterate.x[1:], [x - 30.0, 50.0 - x],
+                                   atol=1e-6)
+        np.testing.assert_allclose(sol.iterate.y, sol.duals * [1.0, -1.0])
+        # and a start read in a problem's units gives the iterate back
+        prob.start = sol.iterate
+        back = compiled.source_iterate(*CompiledProblem(prob).start_point())
+        for got, want in zip((back.x, back.y, back.z),
+                             (sol.iterate.x, sol.iterate.y, sol.iterate.z)):
+            np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    def test_start_of_another_shape_raises(self):
+        start = solve(bound_lp(1.0, 2.0)).iterate
+        other_layout = single_user_qos(np.array([1.0, 1j]), 2.0, 1.0)
+        # three orthant entries like bound_lp, but one row instead of two
+        other_rows = ConicProblem()
+        j, k = other_rows.add_scalar_vars(2)
+        other_rows.set_objective(scalar={j: 1.0, k: 1.0})
+        other_rows.add_constraint(scalars={j: 1.0, k: 1.0}, rel=">=",
+                                  rhs=1.0)
+        for problem in (other_layout, other_rows):
+            problem.start = start
+            with pytest.raises(ValueError, match="start of shape"):
+                solve(problem)
+            with pytest.raises(ValueError, match="start of shape"):
+                solve_batch([bound_lp(1.0, 2.0), problem])

@@ -572,3 +572,24 @@ class TestFirstFailingCell:
         with pytest.raises(InfeasibleTargetsError) as err:
             run(silenced(chans, links), topo)
         assert str(err.value) == message.format(b=first)
+
+
+class TestDualityOracle:
+    def test_converged_runs_match_uplink_downlink_duality(
+            self, duality_power):
+        # after 100 rounds ADMM's restored design is optimal; PD's best
+        # round is feasible for the coupled problem, so it lies at or
+        # above the optimum, within its 0.2% subgradient tail
+        topo = build_topology(B=2, G=4, U=4, A=8, gamma=GAMMA_1DB,
+                              cell_separation=GAMMA_1DB)
+        chans = [sample_channels(topo, seed) for seed in range(3)]
+        runs = conic.drive(
+            [run_primal_decomposition.steps(c, topo, max_iters=100, step=0.3)
+             for c in chans]
+            + [run_admm.steps(c, topo, max_iters=100, rho=2.0)
+               for c in chans])
+        for seed, c in enumerate(chans):
+            best = duality_power(c, topo)
+            pd, admm = runs[seed], runs[3 + seed]
+            assert admm.best_power == pytest.approx(best, rel=1e-6), seed
+            assert -1e-7 <= pd.best_power / best - 1.0 <= 2e-3, seed

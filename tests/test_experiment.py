@@ -223,6 +223,27 @@ class TestSweep:
         assert all(rec["failure_kind"] == "IndeterminateError"
                    for rec in records)
 
+    def test_ipm_iterations_add_up(self, monkeypatch):
+        # every solve's iterations land in the record of the run that
+        # asked for it, also when a run yields several records
+        total = 0
+        solve_batch = ipm.solve_batch
+
+        def counting(problems, *args, **kwargs):
+            nonlocal total
+            sols = solve_batch(problems, *args, **kwargs)
+            total += sum(sol.iterations for sol in sols)
+            return sols
+
+        monkeypatch.setattr(ipm, "solve_batch", counting)
+        cfg = self.small_config(
+            schemes=["centralized", "primal-decomp", "balance-distributed"],
+            trials=1, iters=3, theta_grid=[0.1, 1.0])
+        records, _ = run_sweep(cfg)
+        assert len(records) == 4
+        assert all(rec["ipm_iterations"] > 0 for rec in records)
+        assert sum(rec["ipm_iterations"] for rec in records) == total
+
     def test_balancing_as_theta_grid_rows(self):
         cfg = ScenarioConfig(B=2, G=2, U=4, A=4,
                              schemes=["balance-distributed"],

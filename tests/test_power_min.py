@@ -282,3 +282,16 @@ class TestRandomizationSoundness:
         sol = randomize_from_covariances(chans, topo, W_star, 50, rng)
         assert sum_power(sol) == pytest.approx(sol.objective, rel=1e-9)
         assert sum_power(sol) == pytest.approx(sum(sol.p.values()))
+
+
+class TestDualityOracle:
+    def test_sdr_matches_uplink_downlink_duality(self, duality_power):
+        # unicast, so the relaxation is tight and its optimum is the
+        # duality fixed point's
+        topo = build_topology(B=2, G=4, U=4, A=8, gamma=10 ** 0.1,
+                              cell_separation=10 ** 0.1)
+        for seed in range(10):
+            chans = sample_channels(topo, seed)
+            sol = solve_centralized(chans, topo)
+            assert sol.sdr_objective == pytest.approx(
+                duality_power(chans, topo), rel=1e-7), seed

@@ -18,6 +18,8 @@ A second line prints the count and a sha256 over the sorted per-solution
 hashes: it does not depend on the order of the solves, so it also
 compares versions that schedule the same solves differently (such as
 batching them across trials and schemes), where the first line cannot.
+A third line prints the count and the sum of ``iterations`` over every
+solve, which shows how much interior-point work the same solves took.
 To check the solver of another tree, run this tool with its ``src`` on
 ``PYTHONPATH``.
 """
@@ -57,12 +59,14 @@ def main(argv=None):
     parser.add_argument("scenarios", nargs="+")
     parser.add_argument("--trials", type=int, help="override trial count")
     args = parser.parse_args(argv)
-    digest, hashes = hashlib.sha256(), []
+    digest, hashes, iterations = hashlib.sha256(), [], 0
 
     def recorded(solve_batch):
         def wrapper(*a, **kw):
+            nonlocal iterations
             sols = solve_batch(*a, **kw)
             for sol in sols:
+                iterations += sol.iterations
                 fields = [sol.status.value, sol.iterations, sol.objective,
                           sol.matrix_values, sol.scalar_values, sol.duals,
                           sol.kkt, sol.stats, sol.certificate]
@@ -86,6 +90,7 @@ def main(argv=None):
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
+    print(f"solves {len(hashes)} iterations {iterations}")
 
 
 if __name__ == "__main__":
