@@ -18,7 +18,8 @@ import numpy as np
 
 from . import conic
 from .conic import SolveStatus
-from .errors import ConfigurationError, IndeterminateError, StateError
+from .errors import (ConfigurationError, IndeterminateError,
+                     RandomizationFailureError, StateError)
 from .network import BeamformingSolution, evaluate_sinr
 from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
                         direction_system, finalize, gaussian_candidates,
@@ -172,52 +173,53 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON):
     return (yield from _sdr_bisect(channels, topology, epsilon))
 
 
-def _gr_level(channels, topology, candidates, epsilon, cell=None,
-              theta=None):
+def _gr_level(channels, topology, V, epsilon, cell=None, theta=None):
     """Best balanced level of fixed direction sets: (t, powers, index).
 
-    ``candidates`` are direction sets (group -> unit vector) of the
-    network's groups (``cell`` None) or of one cell's groups, which sees
-    the ICI values ``theta`` (:func:`direction_system`).  Each set is
-    scored by a bisection whose probe at level t asks for its least
-    powers at targets t: feasible exactly when they exist and meet the
-    budgets and caps (no slack: the caps are inputs, not solver
-    output).  The payload is that least point; ties go to the lowest
-    index.
+    ``V`` (C, G, A) holds direction sets of the network's groups
+    (``cell`` None) or of one cell's groups in its order, which sees the
+    ICI values ``theta`` (:func:`direction_system`).  Each set's level
+    is bisected as :func:`bisect` would: its probe at level t asks for
+    its least powers at targets t, feasible exactly when they exist and
+    meet the budgets and caps (no slack: the caps are inputs, not solver
+    output).  Each halving probes every live set in one
+    :func:`capped_least_powers` call.  Ties go to the lowest index; the
+    winner's powers are its least point at the lower end of its bracket.
     """
+    if epsilon <= 0:
+        raise ConfigurationError("bisection tolerance must be positive")
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
-    V = np.reshape([[cand[g] for g in groups] for cand in candidates],
-                   (len(candidates), len(groups), topology.A))
     users, gains, own, noise, cap_gains, caps = direction_system(
         channels, topology, V, cell=cell, theta=theta, budget=True)
-    upper = single_user_upper_bound(channels, topology, users)
-    best = (0.0, None, -1)
-    for c in range(len(gains)):
-        def probe(t, c=c):
-            p = capped_least_powers(gains[c:c + 1], own,
-                                    np.full(len(users), t), noise,
-                                    cap_gains[c:c + 1], caps)[0]
-            if not np.isfinite(p).all():
-                return False, None
-            return True, dict(zip(groups, p.tolist()))
 
-        res = bisect(0.0, upper, epsilon, probe)
-        if res.t > best[0] or best[2] < 0:
-            best = (res.t, res.payload, c)
-    return best
+    def least(c, t):
+        return capped_least_powers(gains[c], own, t[:, None], noise,
+                                   cap_gains[c], caps)
+
+    lower = np.zeros(len(V))
+    upper = lower + single_user_upper_bound(channels, topology, users)
+    live = np.flatnonzero(upper - lower > epsilon)
+    while live.size:
+        mid = 0.5 * (lower[live] + upper[live])
+        ok = np.isfinite(least(live, mid)).all(axis=1)
+        lower[live[ok]], upper[live[~ok]] = mid[ok], mid[~ok]
+        live = live[upper[live] - lower[live] > epsilon]
+    t = 0.5 * (lower + upper)
+    idx = int(np.argmax(t))
+    p = least([idx], lower[[idx]])[0]
+    return float(t[idx]), dict(zip(groups, p.tolist())), idx
 
 
-def balance_gaussian_randomization(channels, topology, candidates,
+def balance_gaussian_randomization(channels, topology, V,
                                    epsilon=DEFAULT_EPSILON):
     """Pick the candidate beamformer set with the best balanced level.
 
-    ``candidates`` is a list of full direction sets (group -> unit
-    vector).  Each set is scored by a bisection whose feasibility test
-    is its power allocation under the per-BS budgets; the best
-    (t, powers, index) wins.
+    ``V`` (C, G, A) holds full direction sets.  Each set is scored by a
+    bisection whose feasibility test is its power allocation under the
+    per-BS budgets; the best (t, powers, index) wins.
     """
-    best = _gr_level(channels, topology, candidates, epsilon)
+    best = _gr_level(channels, topology, V, epsilon)
     if best[0] <= epsilon:
         warnings.warn("every candidate balances essentially to zero; "
                       "returning the least bad one", stacklevel=2)
@@ -244,14 +246,14 @@ def local_balance(b, channels, topology, theta_cap,
                                    theta=_cell_caps(topology, theta_cap)))
 
 
-def local_balance_gr(b, channels, topology, candidates_b, theta_cap,
+def local_balance_gr(b, channels, topology, V, theta_cap,
                      epsilon=DEFAULT_EPSILON):
     """Local Gaussian-randomization balancing for one cell.
 
-    ``candidates_b`` is a list of direction sets for this cell's groups;
+    ``V`` (C, G_b, A) holds direction sets of this cell's groups;
     scoring mirrors :func:`local_balance` with fixed directions.
     """
-    return _gr_level(channels, topology, candidates_b, epsilon, cell=b,
+    return _gr_level(channels, topology, V, epsilon, cell=b,
                      theta=_cell_caps(topology, theta_cap))
 
 
@@ -293,11 +295,16 @@ class BalanceOutcome:
 def _randomize(W, gr_count, rng, score):
     """Balancing GR: ``gr_count`` direction sets drawn from the
     covariances W, the one ``score`` ranks best, at its powers; also
-    returns its level."""
-    draws = {g: gaussian_candidates(W[g], gr_count, rng) for g in W}
-    sets = [{g: draws[g][c] for g in W} for c in range(gr_count)]
-    t, powers, idx = score(sets)
-    return randomized_solution(sets[idx], powers), t
+    returns its level.  An empty draw raises
+    :class:`RandomizationFailureError`."""
+    V = np.stack([gaussian_candidates(W[g], gr_count, rng) for g in W],
+                 axis=1)
+    if not len(V):
+        raise RandomizationFailureError(
+            "no randomization candidate drawn",
+            sdr_solution=BeamformingSolution(W=dict(W)))
+    t, powers, idx = score(V)
+    return randomized_solution(W, V[idx], [powers[g] for g in W]), t
 
 
 @conic.driven
@@ -309,9 +316,9 @@ def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
     rng = np.random.default_rng() if rng is None else rng
 
     def randomize(W):
-        return _randomize(W, gr_count, rng, lambda sets:
+        return _randomize(W, gr_count, rng, lambda V:
                           balance_gaussian_randomization(
-                              channels, topology, sets, epsilon))[0]
+                              channels, topology, V, epsilon))[0]
 
     sol = finalize(res.payload, randomize)
     achieved = achieved_min_sinr(channels, sol, topology)
@@ -336,7 +343,7 @@ def _per_cell_pipeline(channels, topology, solver, gr_count, rng,
 
         def randomize(W):
             sol, t_b = _randomize(W, gr_count, rng,
-                                  lambda sets: gr_builder(b, sets))
+                                  lambda V: gr_builder(b, V))
             per_cell_t[b] = min(per_cell_t[b], t_b)
             return sol
 
@@ -360,8 +367,8 @@ def balance_distributed(channels, topology, theta_cap,
         lambda b: conic.solving(local_balance, b, channels, topology,
                                 theta_cap, epsilon),
         gr_count, rng,
-        lambda b, sets: local_balance_gr(b, channels, topology, sets,
-                                         theta_cap, epsilon)))
+        lambda b, V: local_balance_gr(b, channels, topology, V, theta_cap,
+                                      epsilon)))
 
 
 @conic.driven
@@ -373,5 +380,5 @@ def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
         lambda b: conic.solving(uncoordinated_balance, b, channels,
                                 topology, epsilon),
         gr_count, rng,
-        lambda b, sets: local_balance_gr(b, channels, topology, sets,
-                                         blind_caps(topology, b), epsilon)))
+        lambda b, V: local_balance_gr(b, channels, topology, V,
+                                      blind_caps(topology, b), epsilon)))

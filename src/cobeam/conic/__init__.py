@@ -1,12 +1,12 @@
 """Dense conic (SDP/LP) interior-point solver with dual extraction, and
 the scheduler that batches the solves of several algorithms."""
 
-from .ipm import (check_feasibility, feasibility, solve, solve_batch,
+from .ipm import (feasibility, solve, solve_batch,
                   verify_infeasibility_certificate)
 from .linalg import numerical_rank, principal_eigenpair, psd_sqrt
 from .problem import (ConicProblem, ConicSolution, SolveStatus, dump_problem,
                       embed_hermitian, embed_matrix, unembed_matrix)
-from .schedule import drive, driven, gather, solving
+from .schedule import check_feasibility, drive, driven, gather, solving
 
 __all__ = [
     "ConicProblem", "ConicSolution", "SolveStatus",

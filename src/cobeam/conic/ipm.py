@@ -49,6 +49,7 @@ from .problem import CompiledProblem, ConicProblem, ConicSolution, SolveStatus
 DEFAULT_TOL = 1e-8
 ACCEPT_TOL = 1e-7
 FARKAS_MARGIN = 1e-8
+CERTIFICATE_SIGN_TOL = 1e-6
 # a Farkas aggregate counts as nonpositive on the cone when its top
 # eigenvalue (or scalar value) is at most this multiple of
 # sum_k |w_k| ||F_k||_F, the rounding error of forming and factoring it:
@@ -265,7 +266,7 @@ class _KktSolver:
             dxs = self.dinv * dxs
         return dxs, dy
 
-    def solve(self, f2, f1, f3, fs, ft, refine=REFINE_STEPS):
+    def solve(self, f2, f1, f3, fs, ft):
         """The direction for these right-hand sides, polished by
         iterative refinement.  A problem stops at its residual floor or at
         its first pass that does not lower its residual norm; later passes
@@ -275,7 +276,7 @@ class _KktSolver:
         res = self._residual(best, *rhs)
         best_norm = _hsd_res_norm(res)
         live = [not bn < 1e-14 for bn in best_norm]
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             if not any(live):
                 break
             if not all(live):
@@ -392,17 +393,15 @@ def _count_fallbacks(members, scaling, kkt):
             mem.stats[fallback] += 1
 
 
-def solve(problem, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
-          max_iter=MAX_ITER):
+def solve(problem):
     """Solve a :class:`ConicProblem`, returning a :class:`ConicSolution`.
 
     This is the one-problem case of :func:`solve_batch`.
     """
-    return solve_batch([problem], tol, accept_tol, max_iter)[0]
+    return solve_batch([problem])[0]
 
 
-def solve_batch(problems, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
-                max_iter=MAX_ITER):
+def solve_batch(problems):
     """Solve several problems in lockstep: the solutions equal
     ``[solve(p) for p in problems]`` bit for bit, in the same order.
 
@@ -424,31 +423,21 @@ def solve_batch(problems, tol=DEFAULT_TOL, accept_tol=ACCEPT_TOL,
         groups.setdefault(key, []).append((i, compiled))
     out = [None] * len(problems)
     for members in groups.values():
-        sols = _solve_hsd([c for _, c in members], tol, accept_tol, max_iter)
+        sols = _solve_hsd([c for _, c in members])
         for (i, _), sol in zip(members, sols):
             out[i] = sol
     return out
 
 
-def check_feasibility(problem, tol=DEFAULT_TOL, return_solution=False):
-    """Decide feasibility of the constraint system, ignoring objectives.
+def feasibility(problem):
+    """Solve generator (:mod:`.schedule`) of (feasible, solution) for
+    the constraint system of ``problem``, ignoring its objective.
 
     The solve of the objective-free system screens every iterate for a
     feasible point and for a Farkas certificate, each confirmed by
     direct evaluation, and stops at the first; when it ends without
-    either, the check raises :class:`IndeterminateError`.
+    either, the generator raises :class:`IndeterminateError`.
     """
-    steps = feasibility(problem)
-    try:
-        steps.send([solve(next(steps)[0], tol=tol)])
-    except StopIteration as stop:
-        feasible, sol = stop.value
-    return (feasible, sol) if return_solution else feasible
-
-
-def feasibility(problem):
-    """Solve generator (:mod:`.schedule`) of
-    ``check_feasibility(problem, return_solution=True)``."""
     sol, = yield [ConicProblem(
         matrix_vars=problem.matrix_vars,
         num_scalars=problem.num_scalars,
@@ -486,20 +475,20 @@ def point_violation(problem, solution):
     return worst
 
 
-def verify_infeasibility_certificate(problem, weights, margin=FARKAS_MARGIN,
-                                     tol=1e-6):
+def verify_infeasibility_certificate(problem, weights):
     """Check a Farkas certificate by direct evaluation.
 
     ``weights`` holds one signed multiplier per constraint (>= rows
     nonnegative, <= rows nonpositive); a weight of the wrong sign by at
-    most ``tol`` (relative to the largest) counts as zero, a larger one
-    fails the check.  The certificate is valid when the aggregated
-    functional is nonpositive on the cone (no aggregated block has a
-    positive eigenvalue, no scalar aggregate is positive, each up to the
-    rounding error of forming it, see :data:`AGGREGATE_ROUNDOFF`) while
-    the aggregated right-hand side is at least ``margin``.  A functional
-    that is positive on the cone certifies nothing, however small it is,
-    since a large enough feasible point outweighs it.
+    most ``CERTIFICATE_SIGN_TOL`` (relative to the largest) counts as
+    zero, a larger one fails the check.  The certificate is valid when
+    the aggregated functional is nonpositive on the cone (no aggregated
+    block has a positive eigenvalue, no scalar aggregate is positive,
+    each up to the rounding error of forming it, see
+    :data:`AGGREGATE_ROUNDOFF`) while the aggregated right-hand side is
+    at least ``FARKAS_MARGIN``.  A functional that is positive on the
+    cone certifies nothing, however small it is, since a large enough
+    feasible point outweighs it.
     """
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
@@ -509,7 +498,7 @@ def verify_infeasibility_certificate(problem, weights, margin=FARKAS_MARGIN,
         wrong = (con.relation == ">=" and w[k] < 0) \
             or (con.relation == "<=" and w[k] > 0)
         if wrong:
-            sign_ok = sign_ok and abs(w[k]) <= tol
+            sign_ok = sign_ok and abs(w[k]) <= CERTIFICATE_SIGN_TOL
             w[k] = 0.0
     viol = float(sum(w[k] * con.rhs
                      for k, con in enumerate(problem.constraints)))
@@ -533,7 +522,7 @@ def verify_infeasibility_certificate(problem, weights, margin=FARKAS_MARGIN,
         a = sum(terms)
         cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, terms))
         max_cone = max(max_cone, a)
-    ok = sign_ok and viol >= margin and cone_ok
+    ok = sign_ok and viol >= FARKAS_MARGIN and cone_ok
     return {"ok": ok, "violation": viol, "max_cone_value": max_cone,
             "signs_ok": sign_ok}
 
@@ -648,9 +637,9 @@ class _Member:
         z = WARM_WEIGHT * z + (1.0 - WARM_WEIGHT) * ident
         return x, WARM_WEIGHT * y, z, 1.0, float(x @ z) / deg
 
-    def track(self, x, y, z, tau, pres, dres, relgap, tol, it):
+    def track(self, x, y, z, tau, pres, dres, relgap, it):
         """Record the iterate's residuals; True once the problem has
-        converged at ``tol``."""
+        converged at ``DEFAULT_TOL``."""
         err = max(pres, dres, relgap)
         if err < self.best_err:
             self.best_err = err
@@ -659,7 +648,8 @@ class _Member:
             self.stall = 0
         else:
             self.stall += 1
-        if pres <= tol and dres <= tol and relgap <= tol:
+        if pres <= DEFAULT_TOL and dres <= DEFAULT_TOL \
+                and relgap <= DEFAULT_TOL:
             self.status, self.iterations = SolveStatus.OPTIMAL, it + 1
             return True
         return False
@@ -671,7 +661,7 @@ class _Member:
                                                         z / tau)
         self.solution = solution
 
-    def result(self, accept_tol):
+    def result(self):
         """The solution at the best iterate (x, y, z)/tau, unless an
         early exit produced one."""
         if self.solution is not None:
@@ -680,8 +670,8 @@ class _Member:
         x, y, z, tau, (pres, dres, relgap) = self.best
         x, y, z = x / tau, y / tau, z / tau
         status = self.status
-        if status is not SolveStatus.OPTIMAL and pres <= accept_tol \
-                and dres <= accept_tol and relgap <= accept_tol:
+        if status is not SolveStatus.OPTIMAL and pres <= ACCEPT_TOL \
+                and dres <= ACCEPT_TOL and relgap <= ACCEPT_TOL:
             status = SolveStatus.OPTIMAL
         mats, scalars = comp.extract_point(x)
         objective = comp.source.evaluate_objective(mats, scalars) \
@@ -710,7 +700,7 @@ def _narrow(keep, active, data, values):
         for v in values]
 
 
-def _solve_hsd(group, tol, accept_tol, max_iter):
+def _solve_hsd(group):
     """Homogeneous self-dual loop over compiled problems of one shape,
     each started cold at x = z = identity, y = 0 and tau = kappa = 1, or
     warm from its start (:meth:`_Member.initial`); returns their
@@ -724,7 +714,7 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
     x, y, z = np.stack(x), np.stack(y), np.stack(z)
     tau, kappa = list(tau), list(kappa)
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         A, b, c = data.A, data.b, data.c
         bty, ctx, xtz = _dot(b, y), _dot(c, x), _dot(x, z)
         col = _col(tau)
@@ -749,7 +739,7 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
             # the primal objective c'xi + xi'Q xi/2 at xi = x/tau; t ** 2
             # is libm pow, whose bits t * t does not always give
             relgap = (xz / t ** 2) / max(1.0, abs(ct / t + 0.5 * xq / t ** 2))
-            if mem.track(xp, yp, zp, t, pres, dres, relgap, tol, it):
+            if mem.track(xp, yp, zp, t, pres, dres, relgap, it):
                 continue
             comp, early = mem.compiled, None
             if mem.screens is not None:
@@ -766,12 +756,12 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
                     early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
             if early is None and k >= t and it > 0:
                 if bt > 0 and np.linalg.norm(yp) > 0 and np.linalg.norm(
-                        comp.A.T @ yp + zp) <= accept_tol * bt:
+                        comp.A.T @ yp + zp) <= ACCEPT_TOL * bt:
                     early = _infeasible_solution(comp, yp, it)
                 # a ray: A x = 0 and Q x = 0 at negative cost
                 elif ct < 0 and max(np.linalg.norm(comp.A @ xp),
                                     np.linalg.norm(comp.qdiag * xp[off:])) \
-                        <= accept_tol * (-ct):
+                        <= ACCEPT_TOL * (-ct):
                     early = _unbounded_solution(comp, xp, -ct, it)
             if early is not None:
                 mem.stop(early, xp, yp, zp, t)
@@ -830,7 +820,7 @@ def _solve_hsd(group, tol, accept_tol, max_iter):
     else:
         for mem in active:
             mem.iterations = it + 1
-    return [mem.result(accept_tol) for mem in members]
+    return [mem.result() for mem in members]
 
 
 def _infeasible_solution(compiled, y, iterations):

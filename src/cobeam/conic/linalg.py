@@ -5,6 +5,8 @@ import scipy.linalg as sla
 
 from .problem import HERMITIAN_TOL
 
+RANK_TOL = 1e-6
+
 
 def _require_hermitian(mat, tol=HERMITIAN_TOL):
     mat = np.asarray(mat)
@@ -21,14 +23,14 @@ def principal_eigenpair(mat):
     return float(vals[-1]), vecs[:, -1]
 
 
-def numerical_rank(mat, rel_tol=1e-6):
-    """Number of eigenvalues above ``rel_tol`` times the largest one."""
+def numerical_rank(mat):
+    """Number of eigenvalues above ``RANK_TOL`` times the largest one."""
     herm = 0.5 * (np.asarray(mat) + np.asarray(mat).conj().T)
     vals = sla.eigvalsh(herm)
     top = float(vals[-1])
     if top <= 0.0:
         return 0
-    return int(np.sum(vals > rel_tol * top))
+    return int(np.sum(vals > RANK_TOL * top))
 
 
 def psd_sqrt(mat):

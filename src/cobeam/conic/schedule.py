@@ -77,6 +77,12 @@ def drive(generators, seconds=None, iterations=None):
     return results
 
 
+def check_feasibility(problem):
+    """Whether the constraints of ``problem`` are feasible: its
+    :func:`ipm.feasibility` check, solved alone."""
+    return drive([ipm.feasibility(problem)])[0][0]
+
+
 def driven(steps):
     """Decorator: a solve generator function as the function that drives
     it alone; the generator function stays its ``steps`` attribute."""

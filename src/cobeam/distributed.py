@@ -33,9 +33,9 @@ from .errors import (CobeamError, ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       orthogonal_equivalent_target)
-from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
-                        direction_gains, direction_system, extract_rank_one,
-                        finalize, gaussian_candidates, least_powers,
+from .power_min import (DEFAULT_GR_COUNT, blind_caps, direction_gains,
+                        extract_rank_one, finalize, fixed_direction_powers,
+                        gaussian_candidates, least_powers,
                         randomized_solution, sinr_system)
 
 THETA_FLOOR = 1e-10
@@ -43,9 +43,6 @@ DEFAULT_RHO = 2.0
 DEFAULT_STEP = 0.3
 # PD and ADMM stop once their caps (and ADMM's consensus) move less
 STOP_TOL = 1e-6
-# ICI values come out of conic solves whose rows hold to about this
-# relative accuracy, so GR candidates meet the outgoing caps to it too
-CAP_RTOL = 1e-7
 
 
 class IciIndex:
@@ -544,23 +541,11 @@ def local_randomization_lp(b, channels, topology, candidates_b, theta):
     """
     groups = topology.groups_of_bs(b)
     V = np.stack([candidates_b[g] for g in groups])
-    p = _local_least_powers(b, channels, topology, V[None], theta)[0]
+    p = fixed_direction_powers(channels, topology, V[None], cell=b,
+                               theta=theta)[0]
     if not np.isfinite(p).all():
         return None
     return {g: float(p[i]) for i, g in enumerate(groups)}
-
-
-def _local_least_powers(b, channels, topology, V, theta):
-    """Least powers (C, G_b) of BS b's power LPs for candidate sets V.
-
-    In-cell users see their noise raised by the incoming ICI values; a
-    candidate whose least point breaks an outgoing cap by more than
-    ``CAP_RTOL`` is ``inf``.
-    """
-    users, gains, own, noise, cap_gains, caps = direction_system(
-        channels, topology, V, cell=b, theta=theta)
-    return capped_least_powers(gains, own, topology.gamma[users], noise,
-                               cap_gains, caps, CAP_RTOL)
 
 
 def distributed_gaussian_randomization(channels, topology, W_star, theta,
@@ -587,17 +572,16 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     seeds = rng.spawn(topology.B) if hasattr(rng, "spawn") \
         else [np.random.default_rng(rng.integers(2 ** 63))
               for _ in range(topology.B)]
-    per_bs = {}
+    V = np.zeros((count, topology.G, topology.A), dtype=complex)
+    P = np.zeros((count, topology.G))
     totals = np.zeros((topology.B, count))
     for b in range(topology.B):
         groups = topology.groups_of_bs(b)
-        V = np.stack([np.reshape(gaussian_candidates(W_star[g], count,
-                                                     seeds[b]),
-                                 (count, len(W_star[g]))) for g in groups],
-                     axis=1)
-        powers = _local_least_powers(b, channels, topology, V, theta[b])
-        totals[b] = powers.sum(axis=1)
-        per_bs[b] = (V, powers)
+        for g in groups:
+            V[:, g] = gaussian_candidates(W_star[g], count, seeds[b])
+        P[:, groups] = fixed_direction_powers(
+            channels, topology, V[:, groups], cell=b, theta=theta[b])
+        totals[b] = P[:, groups].sum(axis=1)
         bus.post(b, None, "gr-power",
                  np.where(np.isfinite(totals[b]), totals[b], 1e300))
     bus.deliver()
@@ -606,26 +590,19 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     fallback = not np.isfinite(network).any()
     if fallback:
         gains = np.zeros((count, topology.U, topology.G))
-        for b, (V, _) in per_bs.items():
+        for b in range(topology.B):
             groups = topology.groups_of_bs(b)
-            gains[:, :, groups] = direction_gains(channels.h[b], V)
+            gains[:, :, groups] = direction_gains(channels.h[b], V[:, groups])
             bus.post(b, None, "gr-gain", gains[:, :, groups].ravel())
         bus.deliver()
-        coupled = least_powers(gains, topology.group_of_user, topology.gamma,
-                               topology.sigma2)
-        network = coupled.sum(axis=1)
+        P = least_powers(gains, topology.group_of_user, topology.gamma,
+                         topology.sigma2)
+        network = P.sum(axis=1)
         if not np.isfinite(network).any():
             raise RandomizationFailureError(
                 f"no candidate index feasible network-wide ({count} drawn)")
-        per_bs = {b: (V, coupled[:, topology.groups_of_bs(b)])
-                  for b, (V, _) in per_bs.items()}
     pick = int(np.argmin(network))
-    directions, powers = {}, {}
-    for b in range(topology.B):
-        V, P = per_bs[b]
-        for i, g in enumerate(topology.groups_of_bs(b)):
-            directions[g], powers[g] = V[pick, i], P[pick, i]
-    return randomized_solution(directions, powers,
+    return randomized_solution(range(topology.G), V[pick], P[pick],
                                objective=float(network[pick]),
                                gr_fallback=fallback)
 

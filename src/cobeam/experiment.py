@@ -43,6 +43,10 @@ RECORD_COLUMNS = [
 TRACE_COLUMNS = ["scheme", "trial", "gamma_db", "d_db", "p_max",
                  "iteration", "sum_power", "residual", "scalars_exchanged"]
 
+# the failures a sweep records instead of raising
+_FAILURES = (InfeasibleTargetsError, RandomizationFailureError,
+             IndeterminateError)
+
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
@@ -250,11 +254,8 @@ class _SweepPoint:
                 item = runner.send(sent)
             except StopIteration:
                 break
-            except (InfeasibleTargetsError, RandomizationFailureError,
-                    IndeterminateError) as err:
-                item, runner = ({"objective": None, "feasible": False,
-                                 "failure_kind": type(err).__name__},
-                                None), None
+            except _FAILURES as err:
+                item, runner = (_failure(err), None), None
             if isinstance(item, list):
                 sent = yield item
                 resumed = time.perf_counter()
@@ -324,9 +325,15 @@ class _SweepPoint:
                 "all_rank_one": all_one, "avg_rank": avg}
 
 
+def _failure(err, **fields):
+    """Record of a run that raised ``err``, one of :data:`_FAILURES`."""
+    return {"feasible": False, "failure_kind": type(err).__name__, **fields}
+
+
 # scheme registry: every runner is a solve generator that also yields its
 # (record, trace) pairs, and looks its solver up among this module's
-# globals when it runs (conic.solving)
+# globals when it runs (conic.solving); a failure ends a runner, so one
+# with a record per cap records its caps' failures itself
 
 
 def _centralized(pt, cfg, rng):
@@ -351,8 +358,11 @@ def _nulling(pt, cfg, rng):
 
 
 def _fixed_theta(pt, cfg, rng):
-    rec = pt._power_record((yield from pt.solving(
-        solve_fixed_ici, rng, cfg.theta_fixed)), None)
+    try:
+        rec = pt._power_record((yield from pt.solving(
+            solve_fixed_ici, rng, cfg.theta_fixed)), None)
+    except _FAILURES as err:
+        rec = _failure(err)
     rec["theta_cap"] = cfg.theta_fixed
     yield rec, None
 
@@ -370,9 +380,12 @@ def _balance_centralized(pt, cfg, rng):
 
 def _balance_distributed(pt, cfg, rng):
     for cap in cfg.theta_grid:
-        out = yield from pt.solving(balance_distributed, rng, cap,
-                                    epsilon=cfg.epsilon)
-        yield pt._balance_record(out, cap), None
+        try:
+            rec = pt._balance_record((yield from pt.solving(
+                balance_distributed, rng, cap, epsilon=cfg.epsilon)), cap)
+        except _FAILURES as err:
+            rec = _failure(err, theta_cap=cap)
+        yield rec, None
 
 
 def _balance_uncoordinated(pt, cfg, rng):

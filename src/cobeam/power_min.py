@@ -22,6 +22,9 @@ DEFAULT_GR_COUNT = 100
 MAX_POLICY_ROUNDS = 50     # least_powers settles in a handful of rounds
 POLICY_RTOL = 1e-12        # demand margin that switches a binding user
 SINR_RTOL = 1e-9           # slack of the closing SINR check
+# ICI values come out of conic solves whose rows hold to about this
+# relative accuracy, so GR candidates meet the outgoing caps to it too
+CAP_RTOL = 1e-7
 
 
 def sinr_system(channels, topology, cell=None, level=None, theta=None,
@@ -123,15 +126,13 @@ def extract_rank_one(W):
 
 
 def gaussian_candidates(W_star, count, rng):
-    """Unit-norm candidate beamformers drawn from CN(0, W*).
+    """Unit-norm candidate beamformers drawn from CN(0, W*), (count, dim).
 
     Raw draws are L z with L a PSD square root of W* and z standard
     complex normal, then normalized to unit power.  One block of normals
     gives the same stream as drawing each candidate's real part, then its
-    imaginary part, in turn.
+    imaginary part, in turn; an empty draw takes nothing from ``rng``.
     """
-    if count == 0:
-        return []
     L = conic.psd_sqrt(W_star)
     dim = W_star.shape[0]
     z = rng.standard_normal((count, 2, dim))
@@ -141,7 +142,7 @@ def gaussian_candidates(W_star, count, rng):
     dead = norm < 1e-30
     cand[dead] = np.eye(dim)[0]
     norm[dead] = 1.0
-    return list(cand / norm[:, None])
+    return cand / norm[:, None]
 
 
 def direction_gains(H, V):
@@ -165,13 +166,15 @@ def least_powers(gains, own, gamma, noise):
     p_own >= gamma_u (noise_u + sum_{g != own} gains[u, g] p_g) /
     gains[u, own], a standard interference function (Yates 1995).  So
     the feasible powers have a least element, the exact optimum of the
-    sum-power LP.  Policy iteration from p = 0 rises to it: each round
-    solves (I - D) p = c for every group's binding user.  A solution that
-    is not strictly positive where c is, a singular I - D or a zero own
-    gain proves infeasibility (Collatz-Wielandt); a zero target asks for
-    nothing, even of a zero gain.  Returns (C, G) powers with a row
-    of ``inf`` where a candidate is infeasible, unsettled after
-    ``MAX_POLICY_ROUNDS`` or short of a target in the closing check.
+    sum-power LP.  ``gamma`` broadcasts against (C, U): one target per
+    user, or one row of targets per candidate.  Policy iteration from
+    p = 0 rises to it: each round solves (I - D) p = c for every group's
+    binding user.  A solution that is not strictly positive where c is, a
+    singular I - D or a zero own gain proves infeasibility
+    (Collatz-Wielandt); a zero target asks for nothing, even of a zero
+    gain.  Returns (C, G) powers with a row of ``inf`` where a candidate
+    is infeasible, unsettled after ``MAX_POLICY_ROUNDS`` or short of a
+    target in the closing check.
     """
     gains = np.asarray(gains, dtype=float)
     C, U, G = gains.shape
@@ -276,27 +279,30 @@ def candidate_power_lp(channels, topology, candidates):
     met along these directions.
     """
     V = np.stack([candidates[g] for g in range(topology.G)])
-    p = _network_least_powers(channels, topology, V[None])[0]
+    p = fixed_direction_powers(channels, topology, V[None])[0]
     if not np.isfinite(p).all():
         return None
     return {g: float(p[g]) for g in range(topology.G)}
 
 
-def _network_least_powers(channels, topology, V):
-    """Least powers (C, G) of the full network for candidate sets V."""
-    _, gains, own, noise, cap_gains, caps = direction_system(
-        channels, topology, V)
-    return capped_least_powers(gains, own, topology.gamma, noise, cap_gains,
-                               caps)
+def fixed_direction_powers(channels, topology, V, cell=None, theta=None):
+    """Least powers (C, G) at the users' targets of candidate sets V of
+    the network, or of BS ``cell`` at its ICI values ``theta``
+    (:func:`direction_system`); a cell's candidate breaking an outgoing
+    cap by more than ``CAP_RTOL`` is ``inf``."""
+    users, gains, own, noise, cap_gains, caps = direction_system(
+        channels, topology, V, cell=cell, theta=theta)
+    return capped_least_powers(gains, own, topology.gamma[users], noise,
+                               cap_gains, caps, CAP_RTOL)
 
 
-def randomized_solution(directions, powers, **fields):
-    """Rank-one solution sqrt(p_g) v_g from group -> unit direction and
-    group -> power, as Gaussian randomization picks it."""
+def randomized_solution(groups, V, powers, **fields):
+    """Rank-one solution sqrt(p_g) v_g of ``groups`` at unit directions
+    V (G, A) and their powers, as Gaussian randomization picks it."""
     solution = BeamformingSolution(used_randomization=True, **fields)
-    for g, v in directions.items():
-        solution.w[g] = np.sqrt(powers[g]) * v
-        solution.p[g] = float(powers[g])
+    for g, v, p in zip(groups, V, powers):
+        solution.w[g] = np.sqrt(p) * v
+        solution.p[g] = float(p)
         solution.W[g] = np.outer(solution.w[g], solution.w[g].conj())
         solution.rank[g] = 1
     return solution
@@ -312,10 +318,9 @@ def randomize_from_covariances(channels, topology, W_star, count, rng,
     against the budget.
     """
     groups = sorted(W_star.keys())
-    V = np.stack([np.reshape(gaussian_candidates(W_star[g], count, rng),
-                             (count, len(W_star[g]))) for g in groups],
-                 axis=1)
-    powers = _network_least_powers(channels, topology, V)
+    V = np.stack([gaussian_candidates(W_star[g], count, rng)
+                  for g in groups], axis=1)
+    powers = fixed_direction_powers(channels, topology, V)
     totals = powers.sum(axis=1)
     if not np.isfinite(totals).any():
         raise RandomizationFailureError(
@@ -323,8 +328,7 @@ def randomize_from_covariances(channels, topology, W_star, count, rng,
             sdr_solution=BeamformingSolution(
                 W=dict(W_star), objective=sdr_objective))
     pick = int(np.argmin(totals))
-    return randomized_solution(dict(zip(groups, V[pick])),
-                               dict(zip(groups, powers[pick])),
+    return randomized_solution(groups, V[pick], powers[pick],
                                objective=float(totals[pick]))
 
 

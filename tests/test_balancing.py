@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cobeam import conic
-from cobeam.errors import ConfigurationError, IndeterminateError, StateError
+from cobeam.errors import (ConfigurationError, IndeterminateError,
+                           RandomizationFailureError, StateError)
 from cobeam.network import build_topology, sample_channels
 from cobeam.balancing import (achieved_min_sinr, balance_centralized,
                               balance_distributed,
@@ -150,8 +151,9 @@ class TestBalanceRandomization:
         cand = {g: out.solution.w[g]
                 / np.linalg.norm(out.solution.w[g])
                 for g in out.solution.w}
+        V = np.stack([cand[g] for g in range(topo.G)])[None]
         t, powers, idx = balance_gaussian_randomization(
-            chans, topo, [cand], epsilon=1e-3)
+            chans, topo, V, epsilon=1e-3)
         assert idx == 0
         assert t == pytest.approx(out.t_relaxed, abs=2e-3)
 
@@ -163,17 +165,49 @@ class TestBalanceRandomization:
         orth /= np.linalg.norm(orth)
         with pytest.warns(UserWarning):
             t, powers, idx = balance_gaussian_randomization(
-                chans, topo, [{0: orth}], epsilon=1e-3)
+                chans, topo, orth[None, None], epsilon=1e-3)
         assert t <= 1e-3
+
+    def test_equal_zero_levels_pick_first(self):
+        # three directions orthogonal to the one user's channel all
+        # balance to zero: the scorer warns and keeps the first
+        topo = build_topology(B=1, G=1, U=1, A=4, p_max=5.0)
+        chans = sample_channels(topo, 9)
+        h = chans.vec(0, 0)
+        # three unit directions spanning the null space of h^H
+        V = np.linalg.svd(h[None].conj())[2][1:, None].conj()
+        assert np.abs(V @ h.conj()).max() < 1e-12
+        with pytest.warns(UserWarning):
+            t, powers, idx = balance_gaussian_randomization(
+                chans, topo, V, epsilon=1e-3)
+        assert t <= 1e-3
+        assert idx == 0
+
+    def test_empty_draw_raises_with_relaxation(self):
+        # balancing_gr.json's trial 0 relaxes to higher rank; with no
+        # draws the pipeline hands the relaxation back
+        config = parse_scenario(SCENARIOS / "balancing_gr.json")
+        topo = build_topology(
+            B=config.B, G=config.G, U=config.U, A=config.A,
+            gamma=float(db_to_linear(config.gamma_db[0])),
+            sigma2=config.sigma2, p_max=config.p_max[0],
+            cell_separation=float(db_to_linear(config.d_db[0])))
+        chans = sample_channels(topo, np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))))
+        with pytest.raises(RandomizationFailureError) as err:
+            balance_centralized(chans, topo, epsilon=config.epsilon,
+                                gr_count=0)
+        W = err.value.sdr_solution.W
+        assert sorted(W) == list(range(topo.G))
+        assert max(conic.numerical_rank(M) for M in W.values()) > 1
 
     def test_upper_bounded_by_relaxation(self):
         topo, chans = two_cell(10)
         res = bisect_balance(chans, topo, epsilon=1e-3)
         rng = np.random.default_rng(11)
-        draws = {g: gaussian_candidates(res.payload[g], 5, rng)
-                 for g in res.payload}
-        sets = [{g: draws[g][c] for g in res.payload} for c in range(5)]
-        t, powers, idx = balance_gaussian_randomization(chans, topo, sets,
+        V = np.stack([gaussian_candidates(res.payload[g], 5, rng)
+                      for g in res.payload], axis=1)
+        t, powers, idx = balance_gaussian_randomization(chans, topo, V,
                                                         epsilon=1e-3)
         assert t <= res.t + 1e-3
 
@@ -270,11 +304,12 @@ class TestBalancingProbesAgainstHighs:
         theta = {pair: 0.3 for pair in topo.ici_pairs()}
         groups = range(topo.G) if cell is None else topo.groups_of_bs(cell)
         sets = aimed_directions(rng, chans, topo, groups, 12)
+        V = np.array([[cand[g] for g in groups] for cand in sets])
         if cell is None:
-            got = balance_gaussian_randomization(chans, topo, sets, 1e-3)
+            got = balance_gaussian_randomization(chans, topo, V, 1e-3)
             upper = single_user_upper_bound(chans, topo)
         else:
-            got = local_balance_gr(cell, chans, topo, sets, 0.3, 1e-3)
+            got = local_balance_gr(cell, chans, topo, V, 0.3, 1e-3)
             upper = single_user_upper_bound(chans, topo,
                                             topo.users_of_bs(cell))
         best = (0.0, None, -1)
@@ -294,6 +329,30 @@ class TestBalancingProbesAgainstHighs:
         assert got[0] == best[0]
         np.testing.assert_allclose([got[1][g] for g in groups], best[1],
                                    rtol=1e-7)
+
+
+    @pytest.mark.parametrize("cell", [None, 1])
+    def test_repeated_sets_pick_first(self, cell):
+        # a draw of [a, b, a, b] ties each set with its copy: the pick is
+        # the first of the best, at the level and powers it has alone
+        topo, chans = two_cell(231, G=4, U=8)
+        groups = range(topo.G) if cell is None else topo.groups_of_bs(cell)
+        sets = aimed_directions(np.random.default_rng(43), chans, topo,
+                                groups, 2)
+        a, b = np.array([[cand[g] for g in groups] for cand in sets])
+
+        def score(V):
+            if cell is None:
+                return balance_gaussian_randomization(chans, topo, V, 1e-3)
+            return local_balance_gr(cell, chans, topo, V, 0.3, 1e-3)
+
+        alone = [score(v[None]) for v in (a, b)]
+        assert alone[0][0] != alone[1][0]
+        best = int(alone[1][0] > alone[0][0])
+        for first, V in ((best, [a, b, a, b]), (1 - best, [b, a, b, a])):
+            t, powers, idx = score(np.stack(V))
+            assert idx == first
+            assert (t, powers) == alone[best][:2]
 
 
 class TestLocalBalance:
@@ -340,7 +399,8 @@ class TestLocalBalance:
         from cobeam.power_min import extract_rank_one
         cand = {g: extract_rank_one(W) for g, W in cand.items()}
         cand = {g: w / np.linalg.norm(w) for g, w in cand.items()}
-        t_b, powers, idx = local_balance_gr(b, chans, topo, [cand], cap,
+        V = np.stack([cand[g] for g in topo.groups_of_bs(b)])[None]
+        t_b, powers, idx = local_balance_gr(b, chans, topo, V, cap,
                                             epsilon=1e-3)
         assert t_b == pytest.approx(res.t, abs=2e-3)
         for u in topo.out_of_cell_users(b):
@@ -511,9 +571,8 @@ class TestWarmProbes:
     @staticmethod
     def cold(problem):
         """The decision and solution of ``problem`` started cold."""
-        return conic.check_feasibility(dataclasses.replace(problem,
-                                                           start=None),
-                                       return_solution=True)
+        return conic.drive([conic.feasibility(
+            dataclasses.replace(problem, start=None))])[0]
 
     def test_c08_probe_decisions_match_cold(self, monkeypatch):
         def run():

@@ -1,6 +1,7 @@
 """Scenario parsing, sweep mechanics, result emission, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from cobeam import conic, experiment
 from cobeam.cli import main
 from cobeam.conic import ipm
-from cobeam.errors import ConfigurationError, IndeterminateError
+from cobeam.errors import (ConfigurationError, IndeterminateError,
+                           InfeasibleTargetsError)
 from cobeam.experiment import (RECORD_COLUMNS, ScenarioConfig, emit_results,
                                emit_traces, expand_sweep, load_results,
                                parse_scenario, run_sweep, solve_orthogonal,
@@ -16,6 +18,8 @@ from cobeam.experiment import (RECORD_COLUMNS, ScenarioConfig, emit_results,
 from cobeam.network import (build_topology, orthogonal_equivalent_target,
                             sample_channels)
 from cobeam.distributed import solve_fixed_ici, solve_nulling
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, name="scn.json", **overrides):
@@ -243,6 +247,55 @@ class TestSweep:
         assert len(records) == 4
         assert all(rec["ipm_iterations"] > 0 for rec in records)
         assert sum(rec["ipm_iterations"] for rec in records) == total
+
+    def test_failing_cap_keeps_every_cap_record(self, monkeypatch):
+        # a failure at one cap must not drop the later caps' records, and
+        # each failure record names its cap
+        balance = experiment.balance_distributed
+
+        def failing_at_low_cap(channels, topology, theta_cap, **kwargs):
+            if theta_cap == 0.01:
+                raise InfeasibleTargetsError("cap too tight")
+            return balance(channels, topology, theta_cap, **kwargs)
+
+        def failing(*args, **kwargs):
+            raise InfeasibleTargetsError("cap too tight")
+
+        monkeypatch.setattr(experiment, "balance_distributed",
+                            failing_at_low_cap)
+        monkeypatch.setattr(experiment, "solve_fixed_ici", failing)
+        cfg = self.small_config(
+            schemes=["balance-distributed", "fixed-theta"], trials=1,
+            theta_grid=[0.01, 0.1, 1.0])
+        records, _ = run_sweep(cfg)
+        kinds = {(rec["scheme"], rec["theta_cap"]): rec["failure_kind"]
+                 for rec in records}
+        failed = "InfeasibleTargetsError"
+        assert len(records) == 4
+        assert kinds == {("balance-distributed", 0.01): failed,
+                         ("balance-distributed", 0.1): "",
+                         ("balance-distributed", 1.0): "",
+                         ("fixed-theta", 0.1): failed}
+
+    def test_empty_randomization_draw_recorded(self):
+        # every balancing scheme randomizes somewhere in this file; with
+        # no draws each such run records a randomization failure and the
+        # others keep their records
+        config = parse_scenario(SCENARIOS / "balancing_gr.json")
+        full, _ = run_sweep(config)
+        config.gr_budget = 0
+        empty, _ = run_sweep(config)
+        assert {rec["scheme"] for rec in full
+                if rec["used_randomization"]} == set(config.schemes)
+        assert len(empty) == len(full)
+        for rec, ref in zip(empty, full):
+            assert (rec["trial"], rec["scheme"], rec["theta_cap"]) \
+                == (ref["trial"], ref["scheme"], ref["theta_cap"])
+            if ref["used_randomization"]:
+                assert rec["feasible"] is False
+                assert rec["failure_kind"] == "RandomizationFailureError"
+            else:
+                assert rec["objective"] == ref["objective"]
 
     def test_balancing_as_theta_grid_rows(self):
         cfg = ScenarioConfig(B=2, G=2, U=4, A=4,

@@ -123,7 +123,10 @@ class TestGaussianCandidates:
 
     def test_zero_count(self):
         rng = np.random.default_rng(10)
-        assert gaussian_candidates(np.eye(2), 0, rng) == []
+        state = rng.bit_generator.state
+        assert gaussian_candidates(np.eye(2), 0, rng).shape == (0, 2)
+        # an empty draw takes nothing from the stream
+        assert rng.bit_generator.state == state
 
     def test_excluded_direction_stays_out(self):
         # a covariance built orthogonal to h: its roundoff-sized
