@@ -11,7 +11,7 @@ from .network import (BeamformingSolution, ChannelSet, Topology,
                       sum_power)
 from .power_min import (assemble_qos_sdp, candidate_power_lp,
                         gaussian_candidates, solve_centralized)
-from .distributed import (ConvergenceTrace, IciIndex, IciState,
+from .distributed import (ConvergenceTrace, IciState,
                           admm_feasibility_restore, run_admm,
                           run_primal_decomposition, solve_fixed_ici,
                           solve_nulling)
@@ -32,7 +32,7 @@ __all__ = [
     "orthogonal_equivalent_target",
     "assemble_qos_sdp", "solve_centralized", "gaussian_candidates",
     "candidate_power_lp",
-    "IciIndex", "IciState", "ConvergenceTrace",
+    "IciState", "ConvergenceTrace",
     "run_primal_decomposition", "run_admm", "admm_feasibility_restore",
     "solve_fixed_ici", "solve_nulling",
     "bisect_balance", "balance_centralized", "balance_distributed",

@@ -226,13 +226,6 @@ def balance_gaussian_randomization(channels, topology, V,
     return best
 
 
-def _cell_caps(topology, theta_cap):
-    """ICI values per directed pair from a scalar cap or a pair dict."""
-    if hasattr(theta_cap, "__getitem__"):
-        return theta_cap
-    return dict.fromkeys(topology.ici_pairs(), float(theta_cap))
-
-
 @conic.driven
 def local_balance(b, channels, topology, theta_cap,
                   epsilon=DEFAULT_EPSILON):
@@ -240,10 +233,10 @@ def local_balance(b, channels, topology, theta_cap,
 
     Incoming interference is assumed at the cap value; outgoing
     interference is constrained below it.  ``theta_cap`` is a scalar or
-    a dict over directed pairs.
+    a (B, U) ICI grid.
     """
     return (yield from _sdr_bisect(channels, topology, epsilon, cell=b,
-                                   theta=_cell_caps(topology, theta_cap)))
+                                   theta=theta_cap))
 
 
 def local_balance_gr(b, channels, topology, V, theta_cap,
@@ -254,7 +247,7 @@ def local_balance_gr(b, channels, topology, V, theta_cap,
     scoring mirrors :func:`local_balance` with fixed directions.
     """
     return _gr_level(channels, topology, V, epsilon, cell=b,
-                     theta=_cell_caps(topology, theta_cap))
+                     theta=theta_cap)
 
 
 @conic.driven
@@ -381,4 +374,4 @@ def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
                                 topology, epsilon),
         gr_count, rng,
         lambda b, V: local_balance_gr(b, channels, topology, V,
-                                      blind_caps(topology, b), epsilon)))
+                                      blind_caps(topology)[b], epsilon)))

@@ -9,16 +9,19 @@ Two coordination schemes over per-BS subproblems:
   touches, penalize disagreement with the global value, average the two
   copies, and update the pair's duals so they stay exact complements.
 
-Both run one exchange (:func:`_exchange`): each round every BS sends
-each peer its own values of the pairs the two of them share, through
-the backhaul bus, so logged counts are the algorithm's real signaling
-load.  One canonical state is updated per round; each BS's own update,
-from its values and its inbox alone, is checked against it
-(``replica_error``).  The special-case designs (common cap, fixed caps,
-interference nulling, orthogonal access) and the distributed Gaussian
-randomization live here too.  Every design is a :func:`conic.driven`
-solve generator: a call solves alone, and its ``steps`` form shares its
-per-BS solves with other runs' batches.
+ICI values live on (B, U) grids theta[j, u], read only under
+:meth:`Topology.ici_mask`; PD and ADMM keep two owner rows of them,
+(2, B, U), with in-cell entries held at 0.  Both run one exchange
+(:func:`_exchange`): each round every BS sends each peer its own values
+of the pairs the two of them share, through the backhaul bus, so logged
+counts are the algorithm's real signaling load.  One canonical state is
+updated per round; each BS's own update, from its values and its inbox
+alone, is checked against it (``replica_error``).  The special-case
+designs (common cap, fixed caps, interference nulling, orthogonal
+access) and the distributed Gaussian randomization live here too.
+Every design is a :func:`conic.driven` solve generator: a call solves
+alone, and its ``steps`` form shares its per-BS solves with other runs'
+batches.
 """
 
 import csv
@@ -45,49 +48,17 @@ DEFAULT_STEP = 0.3
 STOP_TOL = 1e-6
 
 
-class IciIndex:
-    """Canonical ordering of directed ICI pairs (interferer BS, user)."""
-
-    def __init__(self, topology):
-        self.topology = topology
-        self.pairs = topology.ici_pairs()
-        self.index = {pair: i for i, pair in enumerate(self.pairs)}
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def interferer(self, i):
-        return self.pairs[i][0]
-
-    def server(self, i):
-        return self.topology.serving_bs(self.pairs[i][1])
-
-    def side(self, i, b):
-        """Row of BS b's own value of pair i: 0 interferer, 1 serving BS."""
-        return 0 if self.interferer(i) == b else 1
-
-    def touching(self, b):
-        """Pair indices BS b participates in (either side)."""
-        return [i for i in range(len(self.pairs))
-                if self.interferer(i) == b or self.server(i) == b]
-
-    def shared(self, a, b):
-        """Pair indices owned by BSs a and b, one on each side."""
-        return [i for i in self.touching(a)
-                if b in (self.interferer(i), self.server(i))]
-
-
 @dataclass
 class IciState:
-    """Coupling variables of the distributed algorithms.
+    """Coupling variables of the distributed algorithms, (B, U) grids
+    with in-cell entries 0.
 
-    ``theta`` is the canonical per-pair ICI power; ``theta_local`` holds
-    the two owners' copies (row 0 interferer, row 1 serving BS, ADMM
+    ``theta`` is the canonical ICI power; ``theta_local`` holds the two
+    owners' copies, (2, B, U) (row 0 interferer, row 1 serving BS, ADMM
     only); ``lam`` / ``mu`` are the SINR-side and cap-side dual prices;
     ``nu`` the ADMM consensus duals per owner.
     """
 
-    index: IciIndex
     theta: np.ndarray
     theta_local: np.ndarray = None
     lam: np.ndarray = None
@@ -133,9 +104,9 @@ class ConvergenceTrace:
 def assemble_subproblem(b, channels, topology, theta):
     """BS-local power-minimization SDP at fixed ICI values.
 
-    ``theta`` maps directed pairs (j, u) to watts, covering at least the
-    pairs that touch cell b.  Incoming values enter the SINR right-hand
-    sides, outgoing ones cap this BS's interference (:func:`sinr_system`).
+    ``theta`` is the ICI grid theta[j, u] in watts (a scalar
+    broadcasts).  Incoming values enter the SINR right-hand sides,
+    outgoing ones cap this BS's interference (:func:`sinr_system`).
     """
     prob, slot, _ = sinr_system(channels, topology, cell=b, theta=theta)
     return prob, slot
@@ -170,65 +141,70 @@ def _cells(assembled, failure, starts=None):
     return list(zip(assembled.values(), sols))
 
 
-def _exchange(bus, index, own, tags, update, state):
+def _exchange(bus, topology, own, tags, update, state):
     """One round of the ICI exchange; returns its scalar count and the
     largest difference between a BS's own update and the round's state.
 
-    ``own`` (2, npairs) holds every pair's values by owner, row 0 the
+    ``own`` (2, B, U) holds every pair's values by owner, row 0 the
     interferer's and row 1 the serving BS's.  Each BS posts each peer
     its own values of the pairs the two share, in pair order, one
     message per tag: ``tags[row]`` carries that row's values.  Each BS
-    then computes ``update(values, pairs)`` over the pairs it touches
-    from its own values and its inbox alone; ``state`` is the round's
-    canonical update of every pair.
+    then computes ``update(values, touching)`` over the (B, U) mask of
+    the pairs it touches, from its own values and its inbox alone;
+    ``state`` is the round's canonical (B, U) update.
     """
-    def carried(sender, receiver, tag):
-        """(rows, pairs) of the values ``sender`` posts under ``tag``."""
-        pairs = [i for i in index.shared(sender, receiver)
-                 if tags[index.side(i, sender)] == tag]
-        return [index.side(i, sender) for i in pairs], pairs
-
+    owned = {b: topology.ici_owned(b) for b in bus.agents}
+    # (rows, js, us) of the values each sender posts each receiver under
+    # each tag: a shared pair is in the sender's row 0 exactly when it is
+    # in the receiver's row 1, and (j, u)-major order is pair order
+    carried = {}
     for b in bus.agents:
         for peer in bus.agents:
             if peer != b:
+                shared = owned[b] & owned[peer][::-1]
                 for tag in dict.fromkeys(tags):
-                    bus.post(b, peer, tag, own[carried(b, peer, tag)])
+                    sent = shared & np.array([t == tag for t in tags])[
+                        :, None, None]
+                    js, us, rows = np.nonzero(sent.transpose(1, 2, 0))
+                    carried[b, peer, tag] = rows, js, us
+                    bus.post(b, peer, tag, own[rows, js, us])
     inboxes = bus.deliver()
     errors = []
     for b in bus.agents:
         # a value the inbox lacks stays nan, and so does the error
         view = np.full(own.shape, np.nan)
-        pairs = index.touching(b)
-        mine = ([index.side(i, b) for i in pairs], pairs)
-        view[mine] = own[mine]
+        view[owned[b]] = own[owned[b]]
         for sender, tag, values in inboxes[b]:
-            view[carried(sender, b, tag)] = values
-        errors.append(np.max(np.abs(update(view[:, pairs], pairs)
-                                    - state[pairs]), initial=0.0))
+            view[carried[sender, b, tag]] = values
+        touching = owned[b].any(axis=0)
+        errors.append(np.max(np.abs(update(view[:, touching], touching)
+                                    - state[touching]), initial=0.0))
     return (bus.log.scalars_in_round(bus.round - 1),
             float(np.max(errors, initial=0.0)))
 
 
 def extract_subgradient(problem, solution, topology, b):
-    """Dual prices this BS contributes to the master subgradient.
+    """Dual prices this BS contributes to the master subgradient, as
+    (2, B, U) owner rows that are 0 off BS b's entries
+    (:meth:`Topology.ici_owned`).
 
-    For a pair (j, u): the serving BS supplies lam = gamma_u times the
-    dual of user u's SINR constraint (the sensitivity of its local
-    optimum to any incoming ICI term), the interfering BS supplies mu,
-    the dual of its cap.  s = lam - mu.
+    Row 1 holds, at each pair (j, u) into a user u of BS b, lam =
+    gamma_u times the dual of u's SINR constraint (the sensitivity of
+    the local optimum to any incoming ICI term); row 0 holds, at each
+    pair (b, u) out of it, mu, the dual of its cap.  s = lam - mu.
     """
     if solution.status is not SolveStatus.OPTIMAL or solution.duals is None:
         raise CobeamError("subgradient extraction needs an optimal solution "
                           "with duals")
-    lam = {}
+    mask = topology.ici_mask()
+    prices = np.zeros((2,) + mask.shape)
     for u in topology.users_of_bs(b):
         k = problem.constraint_index(("sinr", u))
-        lam[u] = float(topology.gamma[u] * solution.duals[k])
-    mu = {}
+        prices[1, mask[:, u], u] = topology.gamma[u] * solution.duals[k]
     for u in topology.out_of_cell_users(b):
         k = problem.constraint_index(("cap", (b, u)))
-        mu[(b, u)] = float(solution.duals[k])
-    return {"lam": lam, "mu": mu}
+        prices[0, b, u] = solution.duals[k]
+    return prices
 
 
 def master_update(theta, subgrad, iteration, step, floor=THETA_FLOOR):
@@ -271,9 +247,10 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     starting from its solve of the round before, swap the two prices of
     every pair they share (:func:`_exchange`), and move the caps by one
     projected subgradient step.  The best (lowest master objective)
-    iterate is kept and its beamformers extracted at the end.  Caps never
-    fall below :func:`_theta_floor`; the run stops once no cap moves by
-    more than ``STOP_TOL``.  ``common_theta`` moves one cap shared by
+    iterate is kept and its beamformers extracted at the end.  The caps
+    start at ``theta0``, a scalar or a (B, U) ICI grid (default: the mean
+    noise power), and never fall below :func:`_theta_floor`; the run
+    stops once no cap moves by more than ``STOP_TOL``.  ``common_theta`` moves one cap shared by
     every pair along the summed prices, which each BS holds only at
     B = 2; more cells raise :class:`ConfigurationError`.
     """
@@ -281,16 +258,13 @@ def run_primal_decomposition(channels, topology, max_iters=100,
         raise ConfigurationError(
             f"common_theta needs B = 2 (got B={topology.B}): no BS "
             "receives every pair's prices")
-    index = IciIndex(topology)
-    npairs = len(index)
+    mask = topology.ici_mask()
     theta_floor = _theta_floor(topology)
-    theta = np.full(npairs, float(np.mean(topology.sigma2)))
-    if theta0 is not None:
-        theta = np.broadcast_to(np.asarray(theta0, float), (npairs,)).copy()
-    theta = np.maximum(theta, theta_floor)
-    if common_theta and npairs:
-        theta[:] = theta[0]
-    users = [u for _, u in index.pairs]
+    theta = np.where(mask, topology.ici_grid(float(np.mean(
+        topology.sigma2)) if theta0 is None else theta0), 0.0)
+    theta[mask] = np.maximum(theta[mask], theta_floor)
+    if common_theta and mask.any():
+        theta[mask] = theta[mask][0]
 
     def direction(prices):
         s = prices[1] - prices[0]
@@ -302,37 +276,32 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     starts = {}
 
     for r in range(max_iters):
-        assembled = {b: assemble_subproblem(
-            b, channels, topology,
-            {index.pairs[i]: theta[i] for i in index.touching(b)})
-            for b in range(topology.B)}
+        assembled = {b: assemble_subproblem(b, channels, topology, theta)
+                     for b in range(topology.B)}
         # prices by owner: row 0 the interferer's cap dual mu, row 1 the
         # serving BS's lam
-        prices, lam = np.empty((2, npairs)), np.empty(topology.U)
+        prices = np.zeros((2,) + mask.shape)
         total_power, current_W = 0.0, {}
         for b, ((prob, slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"subproblem of BS {b} "
                 "infeasible at the initial ICI caps; retry with a larger "
                 "theta0" if r == 0 else f"subproblem of BS {b} became "
                 f"infeasible at iteration {r} (status {status})", starts))):
-            grad = extract_subgradient(prob, sol, topology, b)
-            for u, val in grad["lam"].items():
-                lam[u] = val
-            for pair, val in grad["mu"].items():
-                prices[0, index.index[pair]] = val
+            prices += extract_subgradient(prob, sol, topology, b)
             total_power += sol.objective
             current_W.update({g: sol.matrix_values[k]
                               for g, k in slot.items()})
-        prices[1] = lam[users]
 
-        theta_new = master_update(theta, direction(prices), r, step,
-                                  theta_floor)
+        theta_new = np.zeros_like(theta)
+        theta_new[mask] = master_update(theta[mask], direction(
+            prices[:, mask]), r, step, theta_floor)
         scalars, replica_err = _exchange(
-            bus, index, prices, ("dual-mu", "dual-lambda"),
+            bus, topology, prices, ("dual-mu", "dual-lambda"),
             lambda own, pairs: master_update(
                 theta[pairs], direction(own), r, step, theta_floor),
             theta_new)
-        change = float(np.max(np.abs(theta_new - theta))) if npairs else 0.0
+        change = float(np.max(np.abs(theta_new[mask] - theta[mask]),
+                              initial=0.0))
         if total_power < best["power"]:
             best = {"power": total_power, "theta": theta.copy(),
                     "W": current_W, "lam": prices[1], "mu": prices[0]}
@@ -346,11 +315,9 @@ def run_primal_decomposition(channels, topology, max_iters=100,
             break
 
     trace.best_power = best["power"]
-    trace.ici = IciState(index=index, theta=best["theta"],
-                         lam=best.get("lam"), mu=best.get("mu"))
-    theta_map = {index.pairs[i]: best["theta"][i] for i in range(npairs)}
-    trace.solution = _finalize(channels, topology, best["W"],
-                               dict.fromkeys(range(topology.B), theta_map),
+    trace.ici = IciState(theta=best["theta"], lam=best.get("lam"),
+                         mu=best.get("mu"))
+    trace.solution = _finalize(channels, topology, best["W"], best["theta"],
                                gr_count, rng, bus=bus)
     trace.log = bus.log
     return trace
@@ -371,8 +338,8 @@ def _rank_one_margin(channels, topology, W_by_group):
 
 
 def _finalize(channels, topology, W, theta, gr_count, rng, bus=None):
-    """Rank-one extraction, else distributed GR at each BS b's ICI values
-    ``theta[b]`` (pair -> watts).
+    """Rank-one extraction, else distributed GR at the ICI values
+    ``theta`` (:func:`distributed_gaussian_randomization`).
 
     With a bus, every BS first broadcasts one bit: whether all of its
     covariances are rank one.  An extracted design reports its sum power.
@@ -395,24 +362,19 @@ def _finalize(channels, topology, W, theta, gr_count, rng, bus=None):
 # ADMM consensus
 
 
-def assemble_admm_local(b, channels, topology, theta_global, nu_b, rho,
-                        index=None):
+def assemble_admm_local(b, channels, topology, theta_global, nu_b, rho):
     """BS-local augmented-Lagrangian step.
 
     Variables: this BS's covariances plus one nonnegative local copy per
     ICI pair touching the cell (both directions).  The disagreement
     penalty contributes rho/2 per squared copy on the quadratic diagonal
-    and nu - rho * theta_global on the linear part.  Copy variables are
-    keyed by pair index.
+    and nu_b - rho * theta_global on the linear part, where both are
+    (B, U) grids and ``nu_b`` holds this BS's own duals.  Returns the
+    problem, group -> matrix variable and the (B, U) grid of copy
+    variables, -1 off the pairs touching the cell.
     """
-    if index is None:
-        index = IciIndex(topology)
-    copies = {index.pairs[i]: (float(nu_b[i] - rho * theta_global[i]),
-                               rho / 2.0) for i in index.touching(b)}
-    prob, slot, copy_slot = sinr_system(channels, topology, cell=b,
-                                        copies=copies)
-    return prob, slot, {index.index[pair]: j
-                        for pair, j in copy_slot.items()}
+    return sinr_system(channels, topology, cell=b,
+                       copies=(nu_b - rho * theta_global, rho / 2.0))
 
 
 def admm_global_update(theta_local_pair):
@@ -448,12 +410,12 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     at :func:`_theta_floor`, so it is feasible for the true coupled
     problem.
     """
-    index = IciIndex(topology)
-    npairs = len(index)
-    theta = np.full(npairs, float(np.mean(topology.sigma2)))
+    mask = topology.ici_mask()
+    theta = np.where(mask, float(np.mean(topology.sigma2)), 0.0)
     # owner rows: 0 interferer, 1 serving BS
-    nu = np.zeros((2, npairs))
-    copies = np.zeros((2, npairs))
+    nu = np.zeros((2,) + mask.shape)
+    copies = np.zeros((2,) + mask.shape)
+    owned = [topology.ici_owned(b) for b in range(topology.B)]
     bus = MessageBus(range(topology.B))
     trace = ConvergenceTrace(algorithm="admm")
     starts = {}
@@ -461,46 +423,44 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     for it in range(max_iters):
         total_power = 0.0
         assembled = {b: assemble_admm_local(
-            b, channels, topology, theta,
-            {i: nu[index.side(i, b), i] for i in index.touching(b)}, rho,
-            index=index)
-            for b in range(topology.B)}
+            b, channels, topology, theta, np.where(owned[b][0], nu[0], nu[1]),
+            rho) for b in range(topology.B)}
         for b, ((_, slot, copy_slot), sol) in enumerate((yield from _cells(
                 assembled, lambda b, status: f"ADMM local problem of BS {b} "
                 f"failed at iteration {it} (status {status})", starts))):
             for k in slot.values():
                 total_power += float(np.real(np.trace(sol.matrix_values[k])))
-            for i, j in copy_slot.items():
-                copies[index.side(i, b), i] = sol.scalar_values[j]
+            copies[owned[b]] = sol.scalar_values[
+                np.broadcast_to(copy_slot, copies.shape)[owned[b]]]
 
+        # in-cell entries average and update zeros to zeros
         theta_new = admm_global_update(copies)
         nu = admm_pair_dual_update(nu, copies, rho)
         scalars, replica_err = _exchange(
-            bus, index, copies, ("local-copy", "local-copy"),
+            bus, topology, copies, ("local-copy", "local-copy"),
             lambda own, _: admm_global_update(own), theta_new)
-        residual = float(np.max(np.abs(copies - theta_new[None, :]))) \
-            if npairs else 0.0
-        dual_residual = rho * float(np.max(np.abs(theta_new - theta))) \
-            if npairs else 0.0
+        residual = float(np.max(np.abs(copies[:, mask] - theta_new[mask]),
+                                initial=0.0))
+        dual_residual = rho * float(np.max(
+            np.abs(theta_new[mask] - theta[mask]), initial=0.0))
         trace.add(it, total_power, residual, scalars,
                   dual_residual=dual_residual,
                   replica_error=replica_err,
-                  nu_pair_sum=float(np.max(np.abs(nu.sum(axis=0))))
-                  if npairs else 0.0)
+                  nu_pair_sum=float(np.max(np.abs(nu[:, mask].sum(axis=0)),
+                                           initial=0.0)))
         theta = theta_new
         if residual <= STOP_TOL and dual_residual <= STOP_TOL:
             break
 
     # restore a network-feasible solution at the final global values;
     # caps are floored away from the boundary singularity
-    theta_floor = _theta_floor(topology)
-    theta_by_bs = dict.fromkeys(range(topology.B), {
-        index.pairs[i]: max(theta[i], theta_floor) for i in range(npairs)})
-    restored = yield from _fixed_ici(channels, topology, theta_by_bs,
-                                     _unrestorable)
-    trace.ici = IciState(index=index, theta=theta.copy(),
-                         theta_local=copies.copy(), nu=nu.copy())
-    trace.solution = _finalize(channels, topology, restored, theta_by_bs,
+    floored = theta.copy()
+    floored[mask] = np.maximum(theta[mask], _theta_floor(topology))
+    restored, floored = yield from _fixed_ici(channels, topology, floored,
+                                              _unrestorable)
+    trace.ici = IciState(theta=theta.copy(), theta_local=copies.copy(),
+                         nu=nu.copy())
+    trace.solution = _finalize(channels, topology, restored, floored,
                                gr_count, rng, bus=bus)
     trace.log = bus.log
     trace.best_power = trace.solution.objective
@@ -552,9 +512,10 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
                                        count, rng, bus=None):
     """Network-wide randomization with only per-candidate exchanges.
 
-    ``theta`` maps each BS b to its ICI values (pair -> watts).  Each BS
-    draws candidates from its own covariances, gives each its least
-    local powers at ``theta[b]``, and broadcasts its per-candidate
+    ``theta`` holds each BS b's ICI grid: one (B, U) grid, or a scalar,
+    seen by every BS, or one per BS, (B, B, U).  Each BS draws
+    candidates from its own covariances, gives each its least local
+    powers at its grid, and broadcasts its per-candidate
     totals (``gr-power``); all BSs then pick the same globally cheapest
     index.
 
@@ -569,6 +530,7 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     """
     if bus is None:
         bus = MessageBus(range(topology.B))
+    theta = topology.ici_grid(theta, per_bs=True)
     seeds = rng.spawn(topology.B) if hasattr(rng, "spawn") \
         else [np.random.default_rng(rng.integers(2 ** 63))
               for _ in range(topology.B)]
@@ -614,24 +576,28 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
 @conic.driven
 def solve_fixed_ici(channels, topology, theta_value,
                     gr_count=DEFAULT_GR_COUNT, rng=None):
-    """One-shot per-cell design with predefined ICI caps, no signaling."""
-    theta = dict.fromkeys(range(topology.B), dict.fromkeys(
-        topology.ici_pairs(), float(theta_value)))
-    W = yield from _fixed_ici(
-        channels, topology, theta, lambda b, _: f"fixed-cap subproblem of "
-        f"BS {b} infeasible at theta={theta_value}")
+    """One-shot per-cell design with predefined ICI caps, no signaling.
+
+    ``theta_value`` is a scalar or a (B, U) ICI grid shared by every BS,
+    or one grid per BS, (B, B, U)."""
+    W, theta = yield from _fixed_ici(
+        channels, topology, theta_value, lambda b, _: f"fixed-cap "
+        f"subproblem of BS {b} infeasible at theta={theta_value}")
     return _finalize(channels, topology, W, theta, gr_count, rng)
 
 
-def _fixed_ici(channels, topology, theta_by_bs, failure):
-    """Solve generator of every cell's design at its fixed ICI values
-    ``theta_by_bs[b]`` (pair -> watts, :func:`assemble_subproblem`);
-    returns every group's covariance.  ``failure`` as in :func:`_cells`."""
+def _fixed_ici(channels, topology, theta, failure):
+    """Solve generator of every cell's design at its fixed ICI grid, of
+    ``theta`` as in :func:`distributed_gaussian_randomization`
+    (:func:`assemble_subproblem`).  Returns every group's covariance and
+    the (B, B, U) grids, for :func:`_finalize`.  ``failure`` as in
+    :func:`_cells`."""
+    theta = topology.ici_grid(theta, per_bs=True)
     solved = yield from _cells(
-        {b: assemble_subproblem(b, channels, topology, theta_by_bs[b])
+        {b: assemble_subproblem(b, channels, topology, theta[b])
          for b in range(topology.B)}, failure)
     return {g: sol.matrix_values[k] for (_, slot), sol in solved
-            for g, k in slot.items()}
+            for g, k in slot.items()}, theta
 
 
 def _null_space_basis(channels, topology, b):
@@ -672,9 +638,7 @@ def solve_nulling(channels, topology, gr_count=DEFAULT_GR_COUNT, rng=None):
                                      "to null all out-of-cell users")
     combined = {g: basis @ sol.matrix_values[k] @ basis.conj().T
                 for (_, slot, basis), sol in solved for g, k in slot.items()}
-    zero = dict.fromkeys(topology.ici_pairs(), 0.0)
-    return _finalize(channels, topology, combined,
-                     dict.fromkeys(range(topology.B), zero), gr_count, rng)
+    return _finalize(channels, topology, combined, 0.0, gr_count, rng)
 
 
 @conic.driven
@@ -692,9 +656,8 @@ def solve_orthogonal(channels, topology, gr_count=DEFAULT_GR_COUNT,
         B=topology.B, G=topology.G, U=topology.U, A=topology.A,
         gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
         cell_separation=topology.cell_separation)
-    blind = {b: blind_caps(topo_orth, b) for b in range(topology.B)}
-    W = yield from _fixed_ici(
-        channels, topo_orth, blind, lambda b, _: f"orthogonal-access design "
+    W, blind = yield from _fixed_ici(
+        channels, topo_orth, blind_caps(topo_orth), lambda b, _: f"orthogonal-access design "
         f"infeasible at BS {b} (raised target "
         f"{float(np.max(gamma_orth)):.3g})")
     return _finalize(channels, topo_orth, W, blind, gr_count, rng)

@@ -90,6 +90,11 @@ class ScenarioConfig:
         self.gr_budget = int(gr_budget)
         self.theta_grid = [float(v) for v in theta_grid]
         self.theta_fixed = float(theta_fixed)
+        for name, caps in (("theta_grid", self.theta_grid),
+                           ("theta_fixed", [self.theta_fixed])):
+            if not all(np.isfinite(v) and v >= 0 for v in caps):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0 (ICI caps in watts)")
         for name, val in (("sigma2", self.sigma2), ("rho", self.rho),
                           ("epsilon", self.epsilon)):
             if val <= 0:

@@ -52,10 +52,37 @@ class Topology:
     def out_of_cell_users(self, b):
         return [u for u in range(self.U) if self.serving_bs(u) != b]
 
-    def ici_pairs(self):
-        """Directed (interfering BS, user) pairs, lexicographic order."""
-        return [(b, u) for b in range(self.B)
-                for u in range(self.U) if self.serving_bs(u) != b]
+    def ici_mask(self):
+        """(B, U) bool, True at the directed ICI pairs (j, u) where BS j
+        is not user u's serving BS; row-major order is lexicographic.
+
+        ICI values live on a float (B, U) grid theta[j, u]; only its
+        entries under this mask are ever read.
+        """
+        serving = np.take(self.bs_of_group, self.group_of_user)
+        return np.arange(self.B)[:, None] != serving
+
+    def ici_grid(self, theta, per_bs=False):
+        """ICI values as a read-only float (B, U) grid, a scalar
+        broadcast; with ``per_bs`` one grid per BS, (B, B, U), which a
+        scalar or one (B, U) grid fills for every BS.  Other shapes
+        raise :class:`ConfigurationError`."""
+        theta = np.asarray(theta, dtype=float)
+        accepted = [(), (self.B, self.U)]
+        accepted += [(self.B,) + accepted[1]] if per_bs else []
+        if theta.shape not in accepted:
+            raise ConfigurationError(f"ICI values of shape {theta.shape}; "
+                                     f"expected one of {accepted}")
+        return np.broadcast_to(theta, accepted[-1])
+
+    def ici_owned(self, b):
+        """(2, B, U) bool: BS b's ICI pairs by its role, row 0 the pairs
+        (b, u) it interferes on, row 1 the pairs (j, u) into its users.
+        A pair touches BS b when either row holds it."""
+        mask = self.ici_mask()
+        owned = np.stack([np.zeros_like(mask), mask & ~mask[b]])
+        owned[0, b] = mask[b]
+        return owned
 
 
 def build_topology(B, G, U, A, gamma=1.0, sigma2=1.0, p_max=1.0,
@@ -123,11 +150,7 @@ def sample_channels(topology, seed):
     B, U, A = topology.B, topology.U, topology.A
     h = (rng.standard_normal((B, U, A))
          + 1j * rng.standard_normal((B, U, A))) / np.sqrt(2.0)
-    atten = np.sqrt(1.0 / topology.cell_separation)
-    for b in range(B):
-        for u in range(U):
-            if topology.serving_bs(u) != b:
-                h[b, u] *= atten
+    h[topology.ici_mask()] *= np.sqrt(1.0 / topology.cell_separation)
     outer = np.einsum("bui,buj->buij", h, h.conj())
     h.setflags(write=False)
     outer.setflags(write=False)

@@ -39,32 +39,42 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
 
     ``cell`` None spans the network, each group seen through its own BS;
     ``cell`` b keeps BS b's groups and users.  ``level`` replaces every
-    target gamma_u by one balancing level.  For a cell, ``theta`` maps
-    directed pairs (j, u) to ICI values: incoming ones raise the noise,
-    outgoing ones cap Tr(H_{b,u} sum_g W_g) <= theta_{b,u}.  ``copies``
-    maps the same pairs to ADMM (linear, quadratic) objective weights and
-    makes their ICI values local scalar variables instead.  ``budget``
-    adds sum_g Tr(W_g) <= p_max per BS; ``objective`` minimizes the sum
-    of traces (else the problem is a feasibility check); ``basis``
-    confines a cell's covariances to span(basis) by projecting channels.
-    Rows come in the order SINR, cap, budget.  Returns the problem,
-    group -> matrix variable and pair -> copy variable.
+    target gamma_u by one balancing level.  For a cell, ``theta`` is the
+    ICI grid theta[j, u] (a scalar broadcasts): incoming values raise the
+    noise, outgoing ones cap Tr(H_{b,u} sum_g W_g) <= theta[b, u].
+    ``copies`` (a (B, U) grid of linear weights, one quadratic weight)
+    instead makes every ICI value touching the cell a local scalar
+    variable with those ADMM objective weights, one per pair in
+    row-major order.  ``budget`` adds sum_g Tr(W_g) <= p_max per BS;
+    ``objective`` minimizes the sum of traces (else the problem is a
+    feasibility check); ``basis`` confines a cell's covariances to
+    span(basis) by projecting channels.  Rows come in the order SINR,
+    cap, budget.  Returns the problem, group -> matrix variable and the
+    (B, U) grid of copy variables, -1 where a pair has none.
     """
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
     users = range(topology.U) if cell is None else topology.users_of_bs(cell)
     dim = topology.A if basis is None else basis.shape[1]
+    peers = [j for j in range(topology.B) if j != cell]
     prob = ConicProblem()
     slot = {g: prob.add_psd_var(dim, name=f"W{g}") for g in groups}
-    copies = copies or {}
-    copy_slot = {pair: prob.add_scalar_var(name=f"theta~{pair}")
-                 for pair in copies}
+    copy_slot = np.full((topology.B, topology.U), -1)
+    linear, quadratic = {}, {}
+    if copies is not None:
+        js, us = np.nonzero(topology.ici_owned(cell).any(axis=0))
+        for j, u, w in zip(js.tolist(), us.tolist(),
+                           copies[0][js, us].tolist()):
+            k = prob.add_scalar_var(name=f"theta~({j}, {u})")
+            copy_slot[j, u] = k
+            linear[k], quadratic[k] = w, copies[1]
     if objective:
-        prob.set_objective(
-            matrix={slot[g]: np.eye(dim) for g in groups},
-            scalar={copy_slot[pair]: w[0] for pair, w in copies.items()},
-            scalar_quad={copy_slot[pair]: w[1]
-                         for pair, w in copies.items()})
+        prob.set_objective(matrix={slot[g]: np.eye(dim) for g in groups},
+                           scalar=linear, scalar_quad=quadratic)
+    # nested lists: the rows below read single entries
+    slots = copy_slot.tolist()
+    if theta is not None:
+        theta = topology.ici_grid(theta).tolist()
 
     def channel(b, u):
         if basis is None:
@@ -72,29 +82,28 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
         h = basis.conj().T @ channels.vec(b, u)
         return np.outer(h, h.conj())
 
-    ici = cell is not None and (theta is not None or bool(copies))
+    ici = cell is not None and (theta is not None or copies is not None)
     for u in users:
         t = topology.gamma[u] if level is None else level
-        into = [(j, u) for j in range(topology.B) if j != cell] if ici else []
         mats = {}
         for g in groups:
             H = channel(topology.bs_of_group[g], u)
             mats[slot[g]] = H if g == topology.group_of_user[u] else -t * H
-        if copies:
-            scalars, incoming = {copy_slot[pair]: -t for pair in into}, 0
+        if copies is not None:
+            scalars, incoming = {slots[j][u]: -t for j in peers}, 0
         else:
-            scalars, incoming = None, sum(theta[pair] for pair in into)
+            scalars = None
+            incoming = sum(theta[j][u] for j in peers) if ici else 0
         prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
                             rhs=t * (topology.sigma2[u] + incoming),
                             label=("sinr", u))
     if ici:
         for u in topology.out_of_cell_users(cell):
-            pair = (cell, u)
-            scalars, cap = ({copy_slot[pair]: -1.0}, 0.0) if copies \
-                else (None, theta[pair])
+            scalars, cap = ({slots[cell][u]: -1.0}, 0.0) \
+                if copies is not None else (None, theta[cell][u])
             prob.add_constraint(
                 matrix={slot[g]: channel(cell, u) for g in groups},
-                scalars=scalars, rel="<=", rhs=cap, label=("cap", pair))
+                scalars=scalars, rel="<=", rhs=cap, label=("cap", (cell, u)))
     if budget:
         for b in range(topology.B) if cell is None else [cell]:
             prob.add_constraint(
@@ -104,14 +113,13 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     return prob, slot, copy_slot
 
 
-def blind_caps(topology, b):
-    """ICI values of a cell that ignores the network: no incoming
-    interference (0 on each pair (j, u) into BS b's users) and no cap
-    (1e9 on each pair (b, u) out of BS b)."""
-    caps = {(j, u): 0.0 for u in topology.users_of_bs(b)
-            for j in range(topology.B) if j != b}
-    caps.update({(b, u): 1e9 for u in topology.out_of_cell_users(b)})
-    return caps
+def blind_caps(topology):
+    """ICI grids of cells that ignore the network, (B, B, U): BS b's grid
+    assumes no incoming interference (0) and caps nothing (1e9 on row
+    b, the pairs out of BS b)."""
+    B = topology.B
+    return np.broadcast_to(np.where(np.eye(B, dtype=bool)[:, :, None],
+                                    1e9, 0.0), (B, B, topology.U))
 
 
 def assemble_qos_sdp(channels, topology):
@@ -244,8 +252,9 @@ def direction_system(channels, topology, V, cell=None, theta=None,
     or of BS ``cell``'s groups, returns the users, their gains (C, U, G),
     served-group columns and noise, and the cap rows, the arguments of
     :func:`capped_least_powers` bar the targets.  A cell's noise rises by
-    its incoming ``theta`` and its outgoing ``theta`` values cap it;
-    ``budget`` adds one row sum_g p_g <= p_max per BS.
+    its incoming values on the ICI grid ``theta`` (a scalar broadcasts)
+    and its outgoing ones cap it; ``budget`` adds one row sum_g p_g <=
+    p_max per BS.
     """
     if cell is None:
         groups, users = range(topology.G), list(range(topology.U))
@@ -259,11 +268,12 @@ def direction_system(channels, topology, V, cell=None, theta=None,
         own = [groups.index(topology.group_of_user[u]) for u in users]
         h = channels.h[cell]
         gains = direction_gains(h[users], V)
+        theta = topology.ici_grid(theta)
         noise = topology.sigma2[users] + [
-            sum(theta[(j, u)] for j in range(topology.B) if j != cell)
+            sum(theta[j, u] for j in range(topology.B) if j != cell)
             for u in users]
         cap_gains = direction_gains(h[others], V)
-        caps = [theta[(cell, u)] for u in others]
+        caps = theta[cell, others].tolist()
     if budget:
         member = [[topology.bs_of_group[g] == b for g in groups] for b in bss]
         cap_gains = np.concatenate([cap_gains, np.broadcast_to(

@@ -15,7 +15,7 @@ from cobeam.balancing import (balance_centralized, balance_distributed,
                               local_balance, single_user_upper_bound)
 from cobeam.conic import (ConicProblem, SolveStatus, solve,
                           verify_infeasibility_certificate)
-from cobeam.distributed import (IciIndex, assemble_subproblem,
+from cobeam.distributed import (assemble_subproblem,
                                 extract_subgradient, run_admm,
                                 run_primal_decomposition)
 from cobeam.network import (build_topology, evaluate_sinr, sample_channels)
@@ -155,11 +155,13 @@ def test_c07_subgradient_finite_differences():
         topo = build_topology(B=2, G=2, U=4, A=5, gamma=GAMMA_1DB,
                               cell_separation=1.5)
         chans = sample_channels(topo, 100 + seed)
-        index = IciIndex(topo)
+        mask = topo.ici_mask()
+        pairs = list(zip(*np.nonzero(mask)))
         rng = np.random.default_rng(seed)
 
         def master(vec):
-            theta = {index.pairs[i]: vec[i] for i in range(len(index))}
+            theta = np.zeros(mask.shape)
+            theta[mask] = vec
             total = 0.0
             comps = []
             for b in range(topo.B):
@@ -171,16 +173,13 @@ def test_c07_subgradient_finite_differences():
             return total, comps
 
         for _ in range(3):
-            vec = rng.uniform(0.4, 1.6, size=len(index))
+            vec = rng.uniform(0.4, 1.6, size=len(pairs))
             _, comps = master(vec)
-            lam, mu = {}, {}
-            for b in range(topo.B):
-                parts = extract_subgradient(*comps[b], topo, b)
-                lam.update(parts["lam"])
-                mu.update(parts["mu"])
+            mu, lam = sum(extract_subgradient(*comps[b], topo, b)
+                          for b in range(topo.B))
             h = 1e-5
-            for i, (b, u) in enumerate(index.pairs):
-                s = lam[u] - mu[(b, u)]
+            for i, (b, u) in enumerate(pairs):
+                s = lam[b, u] - mu[b, u]
                 up, dn = vec.copy(), vec.copy()
                 up[i] += h
                 dn[i] -= h

@@ -241,9 +241,9 @@ def highs_rows(chans, topo, cand, b=None, theta=None):
                                                                  len(groups))
 
     noise = [topo.sigma2[u] + (0.0 if b is None else sum(
-        theta[(j, u)] for j in range(topo.B) if j != b)) for u in users]
+        theta[j, u] for j in range(topo.B) if j != b)) for u in users]
     others = [] if b is None else topo.out_of_cell_users(b)
-    caps = [theta[(b, u)] for u in others] + [topo.p_max[j] for j in bss]
+    caps = [theta[b, u] for u in others] + [topo.p_max[j] for j in bss]
     cap_rows = np.vstack([gain_rows(others), [
         [float(topo.bs_of_group[g] == j) for g in groups] for j in bss]])
     own = [list(groups).index(topo.group_of_user[u]) for u in users]
@@ -292,8 +292,11 @@ class TestBalancingProbesAgainstHighs:
     def test_per_cell_form(self, highs_powers):
         def theta(rng, topo):
             # incoming ICI assumed into cell 0, outgoing caps out of it
-            return {(j, u): float(10 ** rng.uniform(-2, 0.5))
-                    for (j, u) in topo.ici_pairs()}
+            mask = topo.ici_mask()
+            theta = np.zeros(mask.shape)
+            theta[mask] = [10 ** rng.uniform(-2, 0.5)
+                           for _ in range(mask.sum())]
+            return theta
 
         self.check_probes(highs_powers, b=0, make_theta=theta)
 
@@ -301,7 +304,7 @@ class TestBalancingProbesAgainstHighs:
     def test_pick_matches_highs_bisection(self, highs_powers, cell):
         topo, chans = two_cell(230, G=4, U=8)
         rng = np.random.default_rng(42)
-        theta = {pair: 0.3 for pair in topo.ici_pairs()}
+        theta = np.full((topo.B, topo.U), 0.3)
         groups = range(topo.G) if cell is None else topo.groups_of_bs(cell)
         sets = aimed_directions(rng, chans, topo, groups, 12)
         V = np.array([[cand[g] for g in groups] for cand in sets])
@@ -408,6 +411,23 @@ class TestLocalBalance:
                                                cand[g])) ** 2
                        for g in powers)
             assert leak <= cap + 1e-8
+
+    def test_numpy_scalar_cap_broadcasts(self):
+        # a cap that randomizes in cell 0, so both the relaxation and the
+        # randomization see it
+        topo = build_topology(B=2, G=4, U=8, A=3, p_max=10.0,
+                              cell_separation=10 ** 0.1)
+        chans = sample_channels(topo, 0)
+        outs = [balance_distributed(chans, topo, cap, epsilon=1e-2,
+                                    gr_count=20, rng=np.random.default_rng(0))
+                for cap in (0.1, np.float64(0.1))]
+        assert outs[0].solution.used_randomization
+        assert outs[0].t_relaxed == outs[1].t_relaxed
+        assert outs[0].achieved == outs[1].achieved
+        assert outs[0].per_cell_t == outs[1].per_cell_t
+        for g in range(topo.G):
+            assert np.array_equal(outs[0].solution.w[g],
+                                  outs[1].solution.w[g])
 
     def test_level_nondecreasing_in_budget(self):
         topo1 = build_topology(B=2, G=2, U=4, A=4, p_max=5.0,

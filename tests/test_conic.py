@@ -13,8 +13,7 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
 from cobeam.conic.ipm import point_violation
 from cobeam.conic.problem import CompiledProblem
 from cobeam.balancing import single_user_upper_bound
-from cobeam.distributed import (IciIndex, assemble_admm_local,
-                                assemble_subproblem)
+from cobeam.distributed import assemble_admm_local, assemble_subproblem
 from cobeam.network import build_topology, sample_channels
 from cobeam.power_min import assemble_qos_sdp, sinr_system
 
@@ -336,12 +335,13 @@ class TestHermitianMirror:
     def test_quadratic_matches_embedding(self):
         # an ADMM local step: rho/2 theta^2 terms take the QP variant
         topo = build_topology(B=2, G=2, U=4, A=6)
-        index = IciIndex(topo)
+        mask = topo.ici_mask()
         rng = np.random.default_rng(3)
-        prob = assemble_admm_local(
-            0, sample_channels(topo, 3), topo,
-            rng.uniform(0.1, 1.0, len(index)),
-            rng.uniform(-0.5, 0.5, len(index)), 1.0, index)[0]
+        theta, nu = np.zeros((2,) + mask.shape)
+        theta[mask] = rng.uniform(0.1, 1.0, mask.sum())
+        nu[mask] = rng.uniform(-0.5, 0.5, mask.sum())
+        prob = assemble_admm_local(0, sample_channels(topo, 3), topo, theta,
+                                   nu, 1.0)[0]
         assert prob.has_quadratic()
         native, emb = solve(prob), solve(embed_hermitian(prob))
         assert native.status is emb.status is SolveStatus.OPTIMAL
@@ -576,19 +576,16 @@ def pd_pair(seed, scale=1.0):
     topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
                           cell_separation=10 ** 0.1)
     chans = sample_channels(topo, seed)
-    theta = dict.fromkeys(IciIndex(topo).pairs, scale)
-    return [assemble_subproblem(b, chans, topo, theta)[0] for b in range(2)]
+    return [assemble_subproblem(b, chans, topo, scale)[0] for b in range(2)]
 
 
 def admm_pair(seed, scale=0.5):
     topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
                           cell_separation=10 ** 0.1)
     chans = sample_channels(topo, seed)
-    index = IciIndex(topo)
-    theta = np.full(len(index), scale)
-    return [assemble_admm_local(b, chans, topo, theta,
-                                dict.fromkeys(index.touching(b), 0.1), 2.0,
-                                index=index)[0] for b in range(2)]
+    grid = np.ones((topo.B, topo.U))
+    return [assemble_admm_local(b, chans, topo, scale * grid, 0.1 * grid,
+                                2.0)[0] for b in range(2)]
 
 
 def bound_lp(low, high):

@@ -11,7 +11,7 @@ from cobeam.errors import (CobeamError, ConfigurationError,
 from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
                             sample_channels)
 from cobeam.power_min import gaussian_candidates, solve_centralized
-from cobeam.distributed import (IciIndex, admm_feasibility_restore,
+from cobeam.distributed import (admm_feasibility_restore,
                                 admm_global_update, admm_pair_dual_update,
                                 assemble_admm_local, assemble_subproblem,
                                 diminishing_step,
@@ -31,11 +31,20 @@ def small_scenario(seed, **overrides):
     return topo, sample_channels(topo, seed)
 
 
-def solve_master(channels, topo, theta_map):
+def on_pairs(topo, values):
+    """The (B, U) ICI grid holding ``values`` at the directed pairs in
+    row-major order, 0 in-cell."""
+    mask = topo.ici_mask()
+    theta = np.zeros(mask.shape)
+    theta[mask] = values
+    return theta
+
+
+def solve_master(channels, topo, theta):
     total = 0.0
     pieces = {}
     for b in range(topo.B):
-        prob, _ = assemble_subproblem(b, channels, topo, theta_map)
+        prob, _ = assemble_subproblem(b, channels, topo, theta)
         sol = conic.solve(prob)
         assert sol.status is conic.SolveStatus.OPTIMAL
         total += sol.objective
@@ -46,19 +55,16 @@ def solve_master(channels, topo, theta_map):
 class TestSubproblem:
     def test_single_cell_reduces_to_centralized(self):
         topo, chans = small_scenario(0, B=1)
-        prob, _ = assemble_subproblem(0, chans, topo, {})
+        prob, _ = assemble_subproblem(0, chans, topo, 0.0)
         sol = conic.solve(prob)
         cen = solve_centralized(chans, topo)
         assert sol.objective == pytest.approx(cen.sdr_objective, rel=1e-7)
 
     def test_huge_caps_relax(self):
         topo, chans = small_scenario(1)
-        index = IciIndex(topo)
-        tight = {p: 0.4 for p in index.pairs}
-        loose = dict(tight)
-        for (b, u) in index.pairs:
-            if b == 0:
-                loose[(b, u)] = 1e6
+        tight = on_pairs(topo, 0.4)
+        loose = tight.copy()
+        loose[0][topo.ici_mask()[0]] = 1e6
         p_t, _ = assemble_subproblem(0, chans, topo, tight)
         p_l, _ = assemble_subproblem(0, chans, topo, loose)
         tight_obj = conic.solve(p_t).objective
@@ -67,9 +73,7 @@ class TestSubproblem:
 
     def test_zero_caps_mean_nulling_rows(self):
         topo, chans = small_scenario(2)
-        index = IciIndex(topo)
-        theta = {p: 0.0 for p in index.pairs}
-        prob, _ = assemble_subproblem(0, chans, topo, theta)
+        prob, _ = assemble_subproblem(0, chans, topo, on_pairs(topo, 0.0))
         caps = [c for c in prob.constraints if c.relation == "<="]
         assert caps and all(c.rhs == 0.0 for c in caps)
 
@@ -77,59 +81,48 @@ class TestSubproblem:
 class TestSubgradient:
     def test_inactive_cap_gives_nonnegative_pair_price(self):
         topo, chans = small_scenario(3)
-        index = IciIndex(topo)
-        theta = {p: 50.0 for p in index.pairs}  # caps far from active
+        theta = on_pairs(topo, 50.0)  # caps far from active
         _, pieces = solve_master(chans, topo, theta)
         for b in range(topo.B):
             prob, sol = pieces[b]
-            comp = extract_subgradient(prob, sol, topo, b)
-            for val in comp["mu"].values():
+            mu, lam = extract_subgradient(prob, sol, topo, b)
+            for val in mu[b][topo.ici_mask()[b]]:
                 assert abs(val) <= 1e-6
-            for val in comp["lam"].values():
+            for val in lam[topo.ici_mask()]:
                 assert val >= -1e-9
 
     def test_single_cell_empty(self):
         topo, chans = small_scenario(4, B=1)
-        prob, _ = assemble_subproblem(0, chans, topo, {})
+        prob, _ = assemble_subproblem(0, chans, topo, 0.0)
         sol = conic.solve(prob)
         comp = extract_subgradient(prob, sol, topo, 0)
-        assert comp["mu"] == {}
+        assert comp.shape == (2, 1, topo.U) and not comp.any()
 
     def test_requires_optimal_solution(self):
         topo, chans = small_scenario(5)
-        index = IciIndex(topo)
-        theta = {p: 1.0 for p in index.pairs}
-        prob, _ = assemble_subproblem(0, chans, topo, theta)
+        prob, _ = assemble_subproblem(0, chans, topo, on_pairs(topo, 1.0))
         bad = conic.ConicSolution(status=conic.SolveStatus.MAX_ITER)
         with pytest.raises(CobeamError):
             extract_subgradient(prob, bad, topo, 0)
 
     def test_matches_finite_differences(self):
         topo, chans = small_scenario(6)
-        index = IciIndex(topo)
+        pairs = list(zip(*np.nonzero(topo.ici_mask())))
         rng = np.random.default_rng(60)
         for _ in range(2):
-            vec = rng.uniform(0.4, 1.4, size=len(index))
-            theta = {index.pairs[i]: vec[i] for i in range(len(index))}
-            _, pieces = solve_master(chans, topo, theta)
-            lam, mu = {}, {}
-            for b in range(topo.B):
-                comp = extract_subgradient(*pieces[b], topo, b)
-                lam.update(comp["lam"])
-                mu.update(comp["mu"])
+            vec = rng.uniform(0.4, 1.4, size=len(pairs))
+            _, pieces = solve_master(chans, topo, on_pairs(topo, vec))
+            mu, lam = sum(extract_subgradient(*pieces[b], topo, b)
+                          for b in range(topo.B))
             h = 1e-5
-            for i, (b, u) in enumerate(index.pairs):
-                s = lam[u] - mu[(b, u)]
+            for i, (b, u) in enumerate(pairs):
+                s = lam[b, u] - mu[b, u]
                 up = vec.copy()
                 up[i] += h
                 dn = vec.copy()
                 dn[i] -= h
-                f_up, _ = solve_master(
-                    chans, topo,
-                    {index.pairs[k]: up[k] for k in range(len(index))})
-                f_dn, _ = solve_master(
-                    chans, topo,
-                    {index.pairs[k]: dn[k] for k in range(len(index))})
+                f_up, _ = solve_master(chans, topo, on_pairs(topo, up))
+                f_dn, _ = solve_master(chans, topo, on_pairs(topo, dn))
                 assert s == pytest.approx((f_up - f_dn) / (2 * h), abs=1e-3)
 
 
@@ -195,10 +188,13 @@ class TestPrimalDecomposition:
         topo, chans = small_scenario(9)
         trace = run_primal_decomposition(chans, topo, max_iters=10)
         state = trace.ici
-        npairs = len(state.index)
-        assert state.theta.shape == (npairs,)
-        assert state.lam.shape == (npairs,)
-        assert state.mu.shape == (npairs,)
+        grid = (topo.B, topo.U)
+        assert state.theta.shape == grid
+        assert state.lam.shape == grid
+        assert state.mu.shape == grid
+        in_cell = ~topo.ici_mask()
+        assert not (state.theta[in_cell].any() or state.lam[in_cell].any()
+                    or state.mu[in_cell].any())
         assert np.all(state.lam >= -1e-9)
         assert np.all(state.mu >= -1e-9)
 
@@ -214,40 +210,39 @@ class TestPrimalDecomposition:
 class TestAdmmPieces:
     def test_local_copies_track_global_for_huge_rho(self):
         topo, chans = small_scenario(11)
-        index = IciIndex(topo)
-        theta = np.full(len(index), 0.8)
-        nu = {i: 0.0 for i in index.touching(0)}
+        theta = on_pairs(topo, 0.8)
         prob, _, copy_slot = assemble_admm_local(
-            0, chans, topo, theta, nu, rho=1e6, index=index)
+            0, chans, topo, theta, np.zeros_like(theta), rho=1e6)
         sol = conic.solve(prob)
         assert sol.status is conic.SolveStatus.OPTIMAL
-        for i, j in copy_slot.items():
-            assert abs(sol.scalar_values[j] - theta[i]) <= 1e-3
+        touching = copy_slot >= 0
+        assert touching.sum() == topo.ici_mask().sum()
+        for value, k in zip(theta[touching], copy_slot[touching]):
+            assert abs(sol.scalar_values[k] - value) <= 1e-3
 
     def test_zero_penalty_pull_matches_unconstrained_local(self):
         # nu = 0 and a vanishing penalty: the copies are effectively
         # free, so the power part matches the local design that assumes
         # no incoming interference and has unbounded outgoing caps
         topo, chans = small_scenario(12)
-        index = IciIndex(topo)
-        nu = {i: 0.0 for i in index.touching(0)}
         prob, slot, _ = assemble_admm_local(
-            0, chans, topo, np.full(len(index), 1.0), nu, rho=1e-9,
-            index=index)
+            0, chans, topo, on_pairs(topo, 1.0), on_pairs(topo, 0.0),
+            rho=1e-9)
         sol = conic.solve(prob)
         power = sum(float(np.real(np.trace(sol.matrix_values[k])))
                     for k in slot.values())
-        theta_ref = {p: (1e6 if p[0] == 0 else 0.0) for p in index.pairs}
+        theta_ref = np.zeros((topo.B, topo.U))
+        theta_ref[0][topo.ici_mask()[0]] = 1e6
         loose, _ = assemble_subproblem(0, chans, topo, theta_ref)
         ref = conic.solve(loose).objective
         assert power == pytest.approx(ref, rel=1e-4)
 
     def test_single_cell_has_no_copies(self):
         topo, chans = small_scenario(13, B=1)
-        index = IciIndex(topo)
         prob, _, copy_slot = assemble_admm_local(
-            0, chans, topo, np.zeros(0), {}, rho=2.0, index=index)
-        assert copy_slot == {}
+            0, chans, topo, np.zeros((1, topo.U)), np.zeros((1, topo.U)),
+            rho=2.0)
+        assert (copy_slot == -1).all() and prob.num_scalars == 0
         sol = conic.solve(prob)
         cen = solve_centralized(chans, topo)
         assert sol.objective == pytest.approx(cen.sdr_objective, rel=1e-7)
@@ -317,9 +312,8 @@ class TestAdmmRun:
 
         topo, chans = small_scenario(18)
         trace = run_admm(chans, topo, max_iters=5)
-        index = trace.ici.index
-        theta = {index.pairs[i]: max(trace.ici.theta[i], 1e-2)
-                 for i in range(len(index))}
+        theta = on_pairs(topo, np.maximum(
+            trace.ici.theta[topo.ici_mask()], 1e-2))
         merged = {}
         for b in range(topo.B):
             merged.update(admm_feasibility_restore(
@@ -332,7 +326,7 @@ class TestAdmmRun:
 
     def test_restore_single_cell_identity(self):
         topo, chans = small_scenario(19, B=1)
-        part = admm_feasibility_restore(0, chans, topo, {})
+        part = admm_feasibility_restore(0, chans, topo, 0.0)
         cen = solve_centralized(chans, topo)
         assert part.objective == pytest.approx(cen.sdr_objective, rel=1e-7)
 
@@ -341,13 +335,12 @@ class TestDistributedRandomization:
     def test_degenerate_rank_one(self):
         topo, chans = small_scenario(20)
         pd = run_primal_decomposition(chans, topo, max_iters=20)
-        index = pd.ici.index
-        theta = {index.pairs[i]: max(pd.ici.theta[i], 1e-2)
-                 for i in range(len(index))}
+        theta = on_pairs(topo, np.maximum(pd.ici.theta[topo.ici_mask()],
+                                          1e-2))
         exact = {g: np.outer(w, w.conj()) for g, w in pd.solution.w.items()}
         rng = np.random.default_rng(21)
         gr = distributed_gaussian_randomization(
-            chans, topo, exact, dict.fromkeys(range(topo.B), theta), 10, rng)
+            chans, topo, exact, theta, 10, rng)
         assert gr.objective == pytest.approx(pd.solution.objective,
                                              rel=1e-6)
 
@@ -355,26 +348,24 @@ class TestDistributedRandomization:
         topo, chans = small_scenario(22)
         cen = solve_centralized(chans, topo)
         pd = run_primal_decomposition(chans, topo, max_iters=30)
-        index = pd.ici.index
-        theta = {index.pairs[i]: max(pd.ici.theta[i], 1e-2)
-                 for i in range(len(index))}
+        theta = on_pairs(topo, np.maximum(pd.ici.theta[topo.ici_mask()],
+                                          1e-2))
         W = {g: pd.solution.W[g] for g in pd.solution.W}
         rng = np.random.default_rng(23)
         gr = distributed_gaussian_randomization(
-            chans, topo, W, dict.fromkeys(range(topo.B), theta), 30, rng)
+            chans, topo, W, theta, 30, rng)
         assert gr.objective >= cen.sdr_objective - 1e-7
 
     def test_selection_exchange_count(self):
         topo, chans = small_scenario(24)
         pd = run_primal_decomposition(chans, topo, max_iters=10)
-        index = pd.ici.index
-        theta = {index.pairs[i]: max(pd.ici.theta[i], 1e-2)
-                 for i in range(len(index))}
+        theta = on_pairs(topo, np.maximum(pd.ici.theta[topo.ici_mask()],
+                                          1e-2))
         W = {g: pd.solution.W[g] for g in pd.solution.W}
         bus = MessageBus(range(topo.B))
         rng = np.random.default_rng(25)
         distributed_gaussian_randomization(
-            chans, topo, W, dict.fromkeys(range(topo.B), theta), 17, rng,
+            chans, topo, W, theta, 17, rng,
             bus=bus)
         assert bus.log.scalars_in_round(0, tags=("gr-power",)) \
             == 17 * topo.B
@@ -383,15 +374,15 @@ class TestDistributedRandomization:
         topo, chans = small_scenario(26, G=4, U=8, A=4, gamma=0.5,
                                      cell_separation=10.0)
         rng = np.random.default_rng(27)
-        theta = {pair: float(10 ** rng.uniform(-1, 1))
-                 for pair in topo.ici_pairs()}
+        theta = on_pairs(topo, [float(10 ** rng.uniform(-1, 1))
+                                for _ in range(topo.ici_mask().sum())])
         # full-rank covariances leaning toward each group's own users
         W = {g: sum(chans.mat(topo.bs_of_group[g], u)
                     for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
              for g in range(topo.G)}
         count = 40
         gr = distributed_gaussian_randomization(
-            chans, topo, W, dict.fromkeys(range(topo.B), theta), count,
+            chans, topo, W, theta, count,
             np.random.default_rng(28))
         seeds = np.random.default_rng(28).spawn(topo.B)
         network = np.zeros(count)
@@ -402,7 +393,7 @@ class TestDistributedRandomization:
             draws.update({g: gaussian_candidates(W[g], count, seeds[b])
                           for g in groups})
             noise = topo.sigma2[users] + [
-                sum(theta[(j, u)] for j in range(topo.B) if j != b)
+                sum(theta[j, u] for j in range(topo.B) if j != b)
                 for u in users]
             for c in range(count):
                 def rows(us):
@@ -413,7 +404,7 @@ class TestDistributedRandomization:
                     rows(users),
                     [groups.index(topo.group_of_user[u]) for u in users],
                     topo.gamma[users], noise, cap_gains=rows(others),
-                    caps=[theta[(b, u)] for u in others])
+                    caps=[theta[b, u] for u in others])
                 network[c] += np.inf if x is None else x.sum()
         assert 0 < np.isfinite(network).sum() < count
         pick = int(np.argmin(network))
@@ -428,14 +419,14 @@ class TestDistributedRandomization:
         # caps, so the BSs exchange gains and pick by coupled powers
         topo, chans = small_scenario(26, G=4, U=8, A=4, gamma=0.5,
                                      cell_separation=10.0)
-        theta = dict.fromkeys(topo.ici_pairs(), 1e-9)
+        theta = 1e-9
         W = {g: sum(chans.mat(topo.bs_of_group[g], u)
                     for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
              for g in range(topo.G)}
         count = 40
         bus = MessageBus(range(topo.B))
         gr = distributed_gaussian_randomization(
-            chans, topo, W, dict.fromkeys(range(topo.B), theta), count,
+            chans, topo, W, theta, count,
             np.random.default_rng(29), bus=bus)
         assert gr.gr_fallback
         assert verify_exchange_count(
@@ -472,12 +463,12 @@ class TestDistributedRandomization:
         h = np.broadcast_to(chans.h[:, :1], chans.h.shape).copy()
         chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
                                                 h.conj()))
-        theta = dict.fromkeys(topo.ici_pairs(), 1e-9)
+        theta = 1e-9
         W = {g: np.eye(topo.A) for g in range(topo.G)}
         with pytest.raises(RandomizationFailureError,
                            match="network-wide"):
             distributed_gaussian_randomization(
-                chans, topo, W, dict.fromkeys(range(topo.B), theta), 20,
+                chans, topo, W, theta, 20,
                 np.random.default_rng(31))
 
 
@@ -507,8 +498,32 @@ class TestSpecialCases:
         topo, chans = small_scenario(28)
         trace = run_primal_decomposition(chans, topo, max_iters=15,
                                          common_theta=True)
-        theta = trace.ici.theta
+        theta = trace.ici.theta[topo.ici_mask()]
         assert np.allclose(theta, theta[0])
+
+    def test_pair_vector_is_not_a_grid(self):
+        # at B = 2 the pair count equals U, so a pair-ordered vector
+        # would broadcast along the rows of a (B, U) grid
+        topo, chans = small_scenario(28)
+        pairs = np.full(topo.ici_mask().sum(), 0.1)
+        assert pairs.shape == (topo.U,)
+        W = {g: np.eye(topo.A) for g in range(topo.G)}
+        for run in [
+                lambda: run_primal_decomposition(chans, topo, max_iters=1,
+                                                 theta0=pairs),
+                lambda: solve_fixed_ici(chans, topo, pairs),
+                lambda: assemble_subproblem(0, chans, topo, pairs),
+                lambda: distributed_gaussian_randomization(
+                    chans, topo, W, pairs, 2, np.random.default_rng(0))]:
+            with pytest.raises(ConfigurationError, match="shape"):
+                run()
+
+    def test_grid_theta0_matches_scalar(self):
+        topo, chans = small_scenario(28)
+        runs = [run_primal_decomposition(chans, topo, max_iters=3,
+                                         theta0=theta0)
+                for theta0 in [0.2, np.full((topo.B, topo.U), 0.2)]]
+        assert runs[0].rows == runs[1].rows
 
 
 class TestThreeCells:

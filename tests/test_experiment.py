@@ -84,6 +84,17 @@ class TestParsing:
                              schemes=["fixed-θ", "common-θ"])
         assert cfg.schemes == ["fixed-theta", "common-theta"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta_grid", [-0.1]), ("theta_grid", [0.1, float("inf")]),
+        ("theta_fixed", -1.0), ("theta_fixed", float("nan"))])
+    def test_bad_caps_named(self, tmp_path, capsys, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioConfig(B=2, G=2, U=4, A=4, schemes=["fixed-theta"],
+                           **{field: value})
+        path = write_scenario(tmp_path, **{field: value})
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_common_theta_needs_two_cells(self):
         with pytest.raises(ConfigurationError, match="common-theta"):
             ScenarioConfig(B=3, G=3, U=6, A=6, schemes=["common-theta"])

@@ -134,9 +134,10 @@ class TestLocalLp:
             chans = sample_channels(topo, 100 + trial)
             for b in range(topo.B):
                 # outgoing caps of BS b, and the other BS's ICI into b
-                theta = {(j, u): float(10 ** (rng.uniform(0, 1.5) if j == b
-                                              else rng.uniform(-2, 0)))
-                         for (j, u) in topo.ici_pairs()}
+                theta = np.zeros((topo.B, topo.U))
+                for j, u in zip(*np.nonzero(topo.ici_mask())):
+                    theta[j, u] = 10 ** (rng.uniform(0, 1.5) if j == b
+                                         else rng.uniform(-2, 0))
                 groups = topo.groups_of_bs(b)
                 cand = {}
                 for g in groups:
@@ -155,11 +156,11 @@ class TestLocalLp:
                 lp = (gain_rows(users),
                       [groups.index(topo.group_of_user[u]) for u in users],
                       topo.gamma[users],
-                      topo.sigma2[users] + [sum(theta[(j, u)]
+                      topo.sigma2[users] + [sum(theta[j, u]
                                                 for j in range(topo.B)
                                                 if j != b) for u in users])
                 x = highs_powers(*lp, cap_gains=gain_rows(others),
-                                 caps=[theta[(b, u)] for u in others])
+                                 caps=[theta[b, u] for u in others])
                 got = local_randomization_lp(b, chans, topo, cand, theta)
                 if x is None:
                     assert got is None

@@ -18,7 +18,7 @@ class TestTopology:
     def test_trivial_single_cell(self):
         topo = build_topology(B=1, G=1, U=1, A=2)
         assert topo.serving_bs(0) == 0
-        assert topo.ici_pairs() == []
+        assert not topo.ici_mask().any()
 
     def test_indivisible_counts_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -41,7 +41,32 @@ class TestTopology:
 
     def test_ici_pair_count(self):
         topo = build_topology(B=2, G=2, U=8, A=4)
-        assert len(topo.ici_pairs()) == 2 * 8 - 8
+        assert topo.ici_mask().shape == (2, 8)
+        assert topo.ici_mask().sum() == 2 * 8 - 8
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (2, 4, 8), (3, 3, 6)])
+    def test_ici_mask_order_is_pair_order(self, shape):
+        B, G, U = shape
+        topo = build_topology(B=B, G=G, U=U, A=2)
+        pairs = [(j, u) for j in range(B) for u in range(U)
+                 if topo.serving_bs(u) != j]
+        assert list(zip(*np.nonzero(topo.ici_mask()))) == pairs
+
+    def test_ici_grid_shapes(self):
+        topo = build_topology(B=2, G=2, U=4, A=2)
+        grid = np.arange(8.0).reshape(2, 4)
+        assert np.array_equal(topo.ici_grid(0.5), np.full((2, 4), 0.5))
+        assert np.array_equal(topo.ici_grid(np.float64(0.5)),
+                              np.full((2, 4), 0.5))
+        assert np.array_equal(topo.ici_grid(grid), grid)
+        assert np.array_equal(topo.ici_grid(grid, per_bs=True),
+                              np.stack([grid, grid]))
+        per_bs = np.arange(16.0).reshape(2, 2, 4)
+        assert np.array_equal(topo.ici_grid(per_bs, per_bs=True), per_bs)
+        for bad, flag in [(np.ones(4), False), (np.ones(4), True),
+                          (per_bs, False), (np.ones((4, 2)), True)]:
+            with pytest.raises(ConfigurationError, match="shape"):
+                topo.ici_grid(bad, per_bs=flag)
 
 
 class TestChannels:

@@ -20,6 +20,10 @@ compares versions that schedule the same solves differently (such as
 batching them across trials and schemes), where the first line cannot.
 A third line prints the count and the sum of ``iterations`` over every
 solve, which shows how much interior-point work the same solves took.
+A fourth line prints the number of records and trace rows of the runs
+and one sha256 over the records, ``wall_time_s`` left out, and then the
+trace rows: it also covers what no conic solve returns, such as the
+Gaussian randomization picks and their least powers.
 To check the solver of another tree, run this tool with its ``src`` on
 ``PYTHONPATH``.
 """
@@ -60,6 +64,7 @@ def main(argv=None):
     parser.add_argument("--trials", type=int, help="override trial count")
     args = parser.parse_args(argv)
     digest, hashes, iterations = hashlib.sha256(), [], 0
+    results, nrecords, nrows = hashlib.sha256(), 0, 0
 
     def recorded(solve_batch):
         def wrapper(*a, **kw):
@@ -84,13 +89,20 @@ def main(argv=None):
             config = parse_scenario(path)
             if args.trials is not None:
                 config.trials = args.trials
-            run_sweep(config)
+            records, trace_rows = run_sweep(config)
+            feed(results, [{k: v for k, v in rec.items()
+                            if k != "wall_time_s"} for rec in records])
+            feed(results, trace_rows)
+            nrecords += len(records)
+            nrows += len(trace_rows)
     finally:
         conic.solve_batch, ipm.solve_batch = originals
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
     print(f"solves {len(hashes)} iterations {iterations}")
+    print(f"records {nrecords} trace rows {nrows} sha256 "
+          f"{results.hexdigest()}")
 
 
 if __name__ == "__main__":
