@@ -26,8 +26,8 @@ print(f"achieved sum power : {sum_power(sol):.6f} W "
       f"(randomized: {sol.used_randomization})")
 print(f"covariance ranks   : {sol.sdr_rank}")
 print("\nper-group transmit powers:")
-for g in sorted(sol.p):
-    print(f"  group {g} (BS {topo.bs_of_group[g]}): {sol.p[g]:.4f} W")
+for g, p in enumerate(sol.p):
+    print(f"  group {g} (BS {topo.bs_of_group[g]}): {p:.4f} W")
 
 print("\nachieved SINR vs target (should meet with equality):")
 for u in range(topo.U):

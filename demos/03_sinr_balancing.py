@@ -23,11 +23,13 @@ for d_db in (0.0, 5.0, 10.0, 15.0):
                           cell_separation=10 ** (d_db / 10))
     for seed in SEEDS:
         chans = sample_channels(topo, seed)
-        cen.append(balance_centralized(chans, topo).achieved)
+        cen.append(balance_centralized(
+            chans, topo, rng=np.random.default_rng(seed)).achieved)
         for cap in CAPS:
-            dist[cap].append(
-                balance_distributed(chans, topo, cap).achieved)
-        unc.append(balance_uncoordinated(chans, topo).achieved)
+            dist[cap].append(balance_distributed(
+                chans, topo, cap, rng=np.random.default_rng(seed)).achieved)
+        unc.append(balance_uncoordinated(
+            chans, topo, rng=np.random.default_rng(seed)).achieved)
     row = f"{d_db:>7.1f} {10 * np.log10(np.mean(cen)):>12.3f} "
     row += "".join(f"{10 * np.log10(np.mean(dist[c])):>10.3f}"
                    for c in CAPS)

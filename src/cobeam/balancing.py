@@ -19,8 +19,8 @@ import numpy as np
 from . import conic
 from .conic import SolveStatus
 from .errors import (ConfigurationError, IndeterminateError,
-                     RandomizationFailureError, StateError)
-from .network import BeamformingSolution, evaluate_sinr
+                     RandomizationFailureError)
+from .network import BeamformingSolution, evaluate_sinr, network_stack
 from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
                         direction_system, finalize, gaussian_candidates,
                         randomized_solution, sinr_system)
@@ -32,9 +32,13 @@ DEFAULT_EPSILON = 1e-3
 class BisectionResult:
     """Outcome of one bisection run.
 
-    ``probes`` records every (t, feasible) pair in order; ``calls`` only
-    counts the probes of the halving loop, ``extra_calls`` the solves
-    around it (a probe of the lower end, the extreme-face polish).
+    ``payload`` is what the probe returned at the final feasible level;
+    in the SDR bisections (:func:`_sdr_bisect`) the covariance stack
+    (n, A, A) of the groups in scope, a cell's in
+    :meth:`Topology.groups_of_bs` order.  ``probes`` records every (t,
+    feasible) pair in order; ``calls`` only counts the probes of the
+    halving loop, ``extra_calls`` the solves around it (a probe of the
+    lower end, the extreme-face polish).
     ``indeterminate`` counts the halving probes that raised
     :class:`IndeterminateError` and were taken as infeasible.
     """
@@ -142,23 +146,23 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
 
     def probe(t):
         nonlocal last
-        prob, slot, _ = system(t)
+        prob, _ = system(t)
         prob.start = last
         feasible, sol = yield from conic.feasibility(prob)
         last = sol.iterate
         if not feasible:
             return False, None
-        return True, {g: sol.matrix_values[k] for g, k in slot.items()}
+        return True, np.stack(sol.matrix_values)
 
     users = None if cell is None else topology.users_of_bs(cell)
     result = yield from conic.solving(
         bisect, 0.0, single_user_upper_bound(channels, topology, users),
         epsilon, probe)
-    prob, slot, _ = system(result.lower, objective=True)
+    prob, _ = system(result.lower, objective=True)
     sol, = yield [prob]
     result.extra_calls += 1
     if sol.status is SolveStatus.OPTIMAL:
-        result.payload = {g: sol.matrix_values[k] for g, k in slot.items()}
+        result.payload = np.stack(sol.matrix_values)
     return result
 
 
@@ -167,14 +171,15 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON):
     """Centralized max-min SINR via bisection on the relaxed problem.
 
     Returns a :class:`BisectionResult` whose payload is the covariance
-    dict at the final feasible level, polished to an extreme face
-    (:func:`_sdr_bisect`).
+    stack (G, A, A) at the final feasible level, polished to an extreme
+    face (:func:`_sdr_bisect`).
     """
     return (yield from _sdr_bisect(channels, topology, epsilon))
 
 
 def _gr_level(channels, topology, V, epsilon, cell=None, theta=None):
-    """Best balanced level of fixed direction sets: (t, powers, index).
+    """Best balanced level of fixed direction sets: (t, powers, index),
+    the powers one per direction of the set.
 
     ``V`` (C, G, A) holds direction sets of the network's groups
     (``cell`` None) or of one cell's groups in its order, which sees the
@@ -188,8 +193,6 @@ def _gr_level(channels, topology, V, epsilon, cell=None, theta=None):
     """
     if epsilon <= 0:
         raise ConfigurationError("bisection tolerance must be positive")
-    groups = range(topology.G) if cell is None \
-        else topology.groups_of_bs(cell)
     users, gains, own, noise, cap_gains, caps = direction_system(
         channels, topology, V, cell=cell, theta=theta, budget=True)
 
@@ -207,8 +210,7 @@ def _gr_level(channels, topology, V, epsilon, cell=None, theta=None):
         live = live[upper[live] - lower[live] > epsilon]
     t = 0.5 * (lower + upper)
     idx = int(np.argmax(t))
-    p = least([idx], lower[[idx]])[0]
-    return float(t[idx]), dict(zip(groups, p.tolist())), idx
+    return float(t[idx]), least([idx], lower[[idx]])[0], idx
 
 
 def balance_gaussian_randomization(channels, topology, V,
@@ -258,15 +260,10 @@ def uncoordinated_balance(b, channels, topology, epsilon=DEFAULT_EPSILON):
 
 
 def achieved_min_sinr(channels, solution, topology):
-    """Network-wide minimum achieved SINR under full cross interference."""
-    w_of = solution.w if isinstance(solution, BeamformingSolution) \
-        else dict(solution)
-    missing = [g for g in range(topology.G) if w_of.get(g) is None]
-    if missing:
-        raise StateError(f"groups {missing} lack beamformers; balancing "
-                         "needs every cell's solution")
-    sol = BeamformingSolution(w=w_of)
-    return min(evaluate_sinr(channels, sol, u, topology)
+    """Network-wide minimum achieved SINR under full cross interference,
+    of a :class:`BeamformingSolution` or (G, A) beams; beams of fewer
+    groups raise :class:`StateError`."""
+    return min(evaluate_sinr(channels, solution, u, topology)
                for u in range(topology.U))
 
 
@@ -287,17 +284,16 @@ class BalanceOutcome:
 
 def _randomize(W, gr_count, rng, score):
     """Balancing GR: ``gr_count`` direction sets drawn from the
-    covariances W, the one ``score`` ranks best, at its powers; also
-    returns its level.  An empty draw raises
+    covariances W (n, A, A), the one ``score`` ranks best, at its
+    powers; also returns its level.  An empty draw raises
     :class:`RandomizationFailureError`."""
-    V = np.stack([gaussian_candidates(W[g], gr_count, rng) for g in W],
-                 axis=1)
+    V = np.stack([gaussian_candidates(M, gr_count, rng) for M in W], axis=1)
     if not len(V):
         raise RandomizationFailureError(
             "no randomization candidate drawn",
-            sdr_solution=BeamformingSolution(W=dict(W)))
+            sdr_solution=BeamformingSolution(W=W))
     t, powers, idx = score(V)
-    return randomized_solution(W, V[idx], [powers[g] for g in W]), t
+    return randomized_solution(V[idx], powers), t
 
 
 @conic.driven
@@ -323,8 +319,9 @@ def _per_cell_pipeline(channels, topology, solver, gr_count, rng,
                        gr_builder):
     """Shared shell of the distributed and uncoordinated baselines: the
     B bisections ``solver(b)`` side by side, then each cell's tail in
-    turn, which raises what a cell-by-cell loop would raise first."""
-    combined = BeamformingSolution(sdr_rank={})
+    turn, which raises what a cell-by-cell loop would raise first.  The
+    cells' solutions join into one of the network's groups."""
+    cells = []
     per_cell_t = {}
     rng = np.random.default_rng() if rng is None else rng
     results = yield from conic.gather([solver(b)
@@ -340,10 +337,12 @@ def _per_cell_pipeline(channels, topology, solver, gr_count, rng,
             per_cell_t[b] = min(per_cell_t[b], t_b)
             return sol
 
-        cell = finalize(res.payload, randomize)
-        combined.used_randomization |= cell.used_randomization
-        for part in ("w", "p", "W", "rank", "sdr_rank"):
-            getattr(combined, part).update(getattr(cell, part))
+        cells.append(finalize(res.payload, randomize))
+    combined = BeamformingSolution(used_randomization=any(
+        cell.used_randomization for cell in cells))
+    for part in ("W", "w", "p", "rank", "sdr_rank"):
+        setattr(combined, part, network_stack(
+            topology, [getattr(cell, part) for cell in cells]))
     achieved = achieved_min_sinr(channels, combined, topology)
     return BalanceOutcome(t_relaxed=min(per_cell_t.values()),
                           solution=combined, achieved=achieved,

@@ -8,29 +8,34 @@ from .problem import HERMITIAN_TOL
 RANK_TOL = 1e-6
 
 
+def _adjoint(mat):
+    return np.swapaxes(mat.conj(), -1, -2)
+
+
 def _require_hermitian(mat, tol=HERMITIAN_TOL):
     mat = np.asarray(mat)
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.conj().T).max() > tol * scale:
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    if (np.abs(mat - _adjoint(mat)).max(axis=(-2, -1)) > tol * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + _adjoint(mat))
 
 
 def principal_eigenpair(mat):
-    """Largest eigenvalue and a unit-norm eigenvector of a Hermitian matrix."""
-    herm = _require_hermitian(mat)
-    vals, vecs = sla.eigh(herm)
-    return float(vals[-1]), vecs[:, -1]
+    """Largest eigenvalue and a unit-norm eigenvector of a Hermitian
+    matrix, or of each matrix of a stack (..., n, n), with the bits of
+    its own call."""
+    vals, vecs = sla.eigh(_require_hermitian(mat))
+    return vals[..., -1], vecs[..., -1]
 
 
 def numerical_rank(mat):
-    """Number of eigenvalues above ``RANK_TOL`` times the largest one."""
-    herm = 0.5 * (np.asarray(mat) + np.asarray(mat).conj().T)
-    vals = sla.eigvalsh(herm)
-    top = float(vals[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.sum(vals > RANK_TOL * top))
+    """Number of eigenvalues above ``RANK_TOL`` times the largest one
+    (none when it is not positive): an int, or ints for each matrix of a
+    stack, as :func:`principal_eigenpair` takes them."""
+    mat = np.asarray(mat)
+    vals = sla.eigvalsh(0.5 * (mat + _adjoint(mat)))
+    rank = np.sum(vals > RANK_TOL * vals[..., -1:], axis=-1)
+    return rank if rank.ndim else int(rank)
 
 
 def psd_sqrt(mat):

@@ -35,7 +35,7 @@ from .conic import SolveStatus
 from .errors import (CobeamError, ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
-                      orthogonal_equivalent_target)
+                      network_stack, orthogonal_equivalent_target)
 from .power_min import (DEFAULT_GR_COUNT, blind_caps, direction_gains,
                         extract_rank_one, finalize, fixed_direction_powers,
                         gaussian_candidates, least_powers,
@@ -108,14 +108,12 @@ def assemble_subproblem(b, channels, topology, theta):
     broadcasts).  Incoming values enter the SINR right-hand sides,
     outgoing ones cap this BS's interference (:func:`sinr_system`).
     """
-    prob, slot, _ = sinr_system(channels, topology, cell=b, theta=theta)
-    return prob, slot
+    return sinr_system(channels, topology, cell=b, theta=theta)[0]
 
 
-def _cells(assembled, failure, starts=None):
-    """Solve generator (:mod:`.conic.schedule`) of the per-BS problems of
-    ``assembled`` ({b: (problem, ...)}); returns [(assembled[b],
-    solution)] in BS order.
+def _cells(problems, failure, starts=None):
+    """Solve generator (:mod:`.conic.schedule`) of the per-BS problems
+    ``problems`` ({b: problem}); returns their solutions in BS order.
 
     With a dict ``starts``, each BS's problem starts from
     ``starts.get(b)`` and its solution's iterate replaces that entry, so
@@ -125,20 +123,19 @@ def _cells(assembled, failure, starts=None):
     ``failure(b, status)`` when it is infeasible, else
     :class:`IndeterminateError`.
     """
-    problems = [parts[0] for parts in assembled.values()]
     if starts is not None:
-        for b, prob in zip(assembled, problems):
+        for b, prob in problems.items():
             prob.start = starts.get(b)
-    sols = yield problems
+    sols = yield list(problems.values())
     if starts is not None:
-        starts.update(zip(assembled, (sol.iterate for sol in sols)))
-    for b, sol in zip(assembled, sols):
+        starts.update(zip(problems, (sol.iterate for sol in sols)))
+    for b, sol in zip(problems, sols):
         if sol.status is SolveStatus.INFEASIBLE:
             raise InfeasibleTargetsError(failure(b, sol.status))
         if sol.status is not SolveStatus.OPTIMAL:
             raise IndeterminateError(
                 f"solve of BS {b} stopped with status {sol.status}")
-    return list(zip(assembled.values(), sols))
+    return sols
 
 
 def _exchange(bus, topology, own, tags, update, state):
@@ -276,21 +273,22 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     starts = {}
 
     for r in range(max_iters):
-        assembled = {b: assemble_subproblem(b, channels, topology, theta)
-                     for b in range(topology.B)}
+        problems = {b: assemble_subproblem(b, channels, topology, theta)
+                    for b in range(topology.B)}
+        sols = yield from _cells(
+            problems, lambda b, status: f"subproblem of BS {b} "
+            "infeasible at the initial ICI caps; retry with a larger "
+            "theta0" if r == 0 else f"subproblem of BS {b} became "
+            f"infeasible at iteration {r} (status {status})", starts)
         # prices by owner: row 0 the interferer's cap dual mu, row 1 the
         # serving BS's lam
         prices = np.zeros((2,) + mask.shape)
-        total_power, current_W = 0.0, {}
-        for b, ((prob, slot), sol) in enumerate((yield from _cells(
-                assembled, lambda b, status: f"subproblem of BS {b} "
-                "infeasible at the initial ICI caps; retry with a larger "
-                "theta0" if r == 0 else f"subproblem of BS {b} became "
-                f"infeasible at iteration {r} (status {status})", starts))):
+        total_power = 0.0
+        for b, (prob, sol) in enumerate(zip(problems.values(), sols)):
             prices += extract_subgradient(prob, sol, topology, b)
             total_power += sol.objective
-            current_W.update({g: sol.matrix_values[k]
-                              for g, k in slot.items()})
+        current_W = network_stack(
+            topology, [np.stack(sol.matrix_values) for sol in sols])
 
         theta_new = np.zeros_like(theta)
         theta_new[mask] = master_update(theta[mask], direction(
@@ -323,38 +321,37 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     return trace
 
 
-def _rank_one_margin(channels, topology, W_by_group):
-    """min_u SINR(u)/gamma_u - 1 for eigen-extracted beams, or None."""
-    if W_by_group is None:
+def _rank_one_margin(channels, topology, W):
+    """min_u SINR(u)/gamma_u - 1 for beams eigen-extracted from the
+    covariances W (G, A, A), or None when one is not rank one."""
+    if W is None or (conic.numerical_rank(W) > 1).any():
         return None
-    sol = BeamformingSolution()
-    for g, W in W_by_group.items():
-        if conic.numerical_rank(W) > 1:
-            return None
-        sol.w[g] = extract_rank_one(W)
-    margins = [evaluate_sinr(channels, sol, u, topology) / topology.gamma[u]
+    w = extract_rank_one(W)
+    margins = [evaluate_sinr(channels, w, u, topology) / topology.gamma[u]
                - 1.0 for u in range(topology.U)]
     return float(min(margins))
 
 
 def _finalize(channels, topology, W, theta, gr_count, rng, bus=None):
-    """Rank-one extraction, else distributed GR at the ICI values
-    ``theta`` (:func:`distributed_gaussian_randomization`).
+    """Rank-one extraction from the covariances W (G, A, A), else
+    distributed GR at the ICI values ``theta``
+    (:func:`distributed_gaussian_randomization`).
 
     With a bus, every BS first broadcasts one bit: whether all of its
-    covariances are rank one.  An extracted design reports its sum power.
+    covariances are rank one.  An extracted design reports its sum power,
+    added up cell by cell.
     """
     if bus is not None:
+        ones = conic.numerical_rank(W) == 1
         for b in range(topology.B):
-            all_one = all(conic.numerical_rank(W[g]) == 1
-                          for g in topology.groups_of_bs(b))
-            bus.post(b, None, "rank-bit", [1.0 if all_one else 0.0])
+            bus.post(b, None, "rank-bit",
+                     [float(ones[topology.groups_of_bs(b)].all())])
         bus.deliver()
     rng = np.random.default_rng() if rng is None else rng
     solution = finalize(W, lambda W: distributed_gaussian_randomization(
         channels, topology, W, theta, gr_count, rng, bus=bus))
     if not solution.used_randomization:
-        solution.objective = sum(solution.p.values())
+        solution.objective = sum(solution.p[topology.cell_order()].tolist())
     return solution
 
 
@@ -370,8 +367,8 @@ def assemble_admm_local(b, channels, topology, theta_global, nu_b, rho):
     penalty contributes rho/2 per squared copy on the quadratic diagonal
     and nu_b - rho * theta_global on the linear part, where both are
     (B, U) grids and ``nu_b`` holds this BS's own duals.  Returns the
-    problem, group -> matrix variable and the (B, U) grid of copy
-    variables, -1 off the pairs touching the cell.
+    problem and the (B, U) grid of copy variables, -1 off the pairs
+    touching the cell.
     """
     return sinr_system(channels, topology, cell=b,
                        copies=(nu_b - rho * theta_global, rho / 2.0))
@@ -422,14 +419,16 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
 
     for it in range(max_iters):
         total_power = 0.0
-        assembled = {b: assemble_admm_local(
+        assembled = [assemble_admm_local(
             b, channels, topology, theta, np.where(owned[b][0], nu[0], nu[1]),
-            rho) for b in range(topology.B)}
-        for b, ((_, slot, copy_slot), sol) in enumerate((yield from _cells(
-                assembled, lambda b, status: f"ADMM local problem of BS {b} "
-                f"failed at iteration {it} (status {status})", starts))):
-            for k in slot.values():
-                total_power += float(np.real(np.trace(sol.matrix_values[k])))
+            rho) for b in range(topology.B)]
+        sols = yield from _cells(
+            {b: prob for b, (prob, _) in enumerate(assembled)},
+            lambda b, status: f"ADMM local problem of BS {b} failed at "
+            f"iteration {it} (status {status})", starts)
+        for b, ((_, copy_slot), sol) in enumerate(zip(assembled, sols)):
+            for W in sol.matrix_values:
+                total_power += float(np.real(np.trace(W)))
             copies[owned[b]] = sol.scalar_values[
                 np.broadcast_to(copy_slot, copies.shape)[owned[b]]]
 
@@ -472,16 +471,16 @@ def admm_feasibility_restore(b, channels, topology, theta_global):
     """Feasible BS-b beamformers at the current global ICI values.
 
     Pins the local copies to the global values, which reduces the
-    augmented local problem to the fixed-cap subproblem.
+    augmented local problem to the fixed-cap subproblem.  The solution
+    holds BS b's covariances and their ranks, in
+    :meth:`Topology.groups_of_bs` order.
     """
-    ((_, slot), sol), = yield from _cells(
+    sol, = yield from _cells(
         {b: assemble_subproblem(b, channels, topology, theta_global)},
         _unrestorable)
-    out = BeamformingSolution(objective=sol.objective)
-    for g, k in slot.items():
-        out.W[g] = sol.matrix_values[k]
-        out.rank[g] = conic.numerical_rank(sol.matrix_values[k])
-    return out
+    W = np.stack(sol.matrix_values)
+    return BeamformingSolution(W=W, rank=conic.numerical_rank(W),
+                               objective=sol.objective)
 
 
 def _unrestorable(b, _):
@@ -496,16 +495,14 @@ def _unrestorable(b, _):
 def local_randomization_lp(b, channels, topology, candidates_b, theta):
     """Power LP of one BS for one candidate set, ICI values fixed.
 
-    Returns per-group powers or None when this draw cannot meet the
-    targets under the caps.
+    ``candidates_b`` (G_b, A) holds a unit direction per group of BS b,
+    in :meth:`Topology.groups_of_bs` order.  Returns their (G_b,) powers
+    or None when this draw cannot meet the targets under the caps.
     """
-    groups = topology.groups_of_bs(b)
-    V = np.stack([candidates_b[g] for g in groups])
-    p = fixed_direction_powers(channels, topology, V[None], cell=b,
+    p = fixed_direction_powers(channels, topology,
+                               np.asarray(candidates_b)[None], cell=b,
                                theta=theta)[0]
-    if not np.isfinite(p).all():
-        return None
-    return {g: float(p[i]) for i, g in enumerate(groups)}
+    return p if np.isfinite(p).all() else None
 
 
 def distributed_gaussian_randomization(channels, topology, W_star, theta,
@@ -514,10 +511,10 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
 
     ``theta`` holds each BS b's ICI grid: one (B, U) grid, or a scalar,
     seen by every BS, or one per BS, (B, B, U).  Each BS draws
-    candidates from its own covariances, gives each its least local
-    powers at its grid, and broadcasts its per-candidate
-    totals (``gr-power``); all BSs then pick the same globally cheapest
-    index.
+    candidates from its own rows of the covariances W_star (G, A, A),
+    gives each its least local powers at its grid, and broadcasts its
+    per-candidate totals (``gr-power``); all BSs then pick the same
+    globally cheapest index.
 
     When no index is feasible at every BS, the fixed values were too
     tight for these draws, though the coupled network may still serve
@@ -564,7 +561,7 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
             raise RandomizationFailureError(
                 f"no candidate index feasible network-wide ({count} drawn)")
     pick = int(np.argmin(network))
-    return randomized_solution(range(topology.G), V[pick], P[pick],
+    return randomized_solution(V[pick], P[pick],
                                objective=float(network[pick]),
                                gr_fallback=fallback)
 
@@ -589,15 +586,15 @@ def solve_fixed_ici(channels, topology, theta_value,
 def _fixed_ici(channels, topology, theta, failure):
     """Solve generator of every cell's design at its fixed ICI grid, of
     ``theta`` as in :func:`distributed_gaussian_randomization`
-    (:func:`assemble_subproblem`).  Returns every group's covariance and
-    the (B, B, U) grids, for :func:`_finalize`.  ``failure`` as in
+    (:func:`assemble_subproblem`).  Returns the covariances (G, A, A)
+    and the (B, B, U) grids, for :func:`_finalize`; ``failure`` as in
     :func:`_cells`."""
     theta = topology.ici_grid(theta, per_bs=True)
-    solved = yield from _cells(
+    sols = yield from _cells(
         {b: assemble_subproblem(b, channels, topology, theta[b])
          for b in range(topology.B)}, failure)
-    return {g: sol.matrix_values[k] for (_, slot), sol in solved
-            for g, k in slot.items()}, theta
+    return network_stack(topology, [np.stack(sol.matrix_values)
+                                    for sol in sols]), theta
 
 
 def _null_space_basis(channels, topology, b):
@@ -623,22 +620,24 @@ def solve_nulling(channels, topology, gr_count=DEFAULT_GR_COUNT, rng=None):
     Any covariance with exactly zero leakage has its range inside the
     null space, so the reduction is lossless.
     """
-    assembled = {}
+    problems, bases = {}, []
     for b in range(topology.B):
         basis = _null_space_basis(channels, topology, b)
         if basis.shape[1] == 0:
             break
-        assembled[b] = sinr_system(channels, topology, cell=b,
-                                   basis=basis)[:2] + (basis,)
+        problems[b] = sinr_system(channels, topology, cell=b,
+                                  basis=basis)[0]
+        bases.append(basis)
     # the cells before one that cannot null report their failures first
-    solved = yield from _cells(
-        assembled, lambda b, _: f"nulling design infeasible at BS {b}")
-    if len(assembled) < topology.B:
-        raise InfeasibleTargetsError(f"BS {len(assembled)} lacks antennas "
+    sols = yield from _cells(
+        problems, lambda b, _: f"nulling design infeasible at BS {b}")
+    if len(problems) < topology.B:
+        raise InfeasibleTargetsError(f"BS {len(problems)} lacks antennas "
                                      "to null all out-of-cell users")
-    combined = {g: basis @ sol.matrix_values[k] @ basis.conj().T
-                for (_, slot, basis), sol in solved for g, k in slot.items()}
-    return _finalize(channels, topology, combined, 0.0, gr_count, rng)
+    W = network_stack(topology, [
+        basis @ np.stack(sol.matrix_values) @ basis.conj().T
+        for basis, sol in zip(bases, sols)])
+    return _finalize(channels, topology, W, 0.0, gr_count, rng)
 
 
 @conic.driven

@@ -179,11 +179,11 @@ def parse_scenario(path):
 
 
 def _rank_stats(solution, G):
-    ranks = solution.sdr_rank or {}
-    if not ranks:
+    ranks = solution.sdr_rank
+    if ranks is None:
         return None, None
-    all_one = all(r == 1 for r in ranks.values())
-    avg = None if all_one else sum(ranks.values()) / G
+    all_one = bool((ranks == 1).all())
+    avg = None if all_one else sum(ranks.tolist()) / G
     return all_one, avg
 
 

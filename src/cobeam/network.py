@@ -7,7 +7,7 @@ throughout.  All quantities are linear scale; dB conversion happens at
 the CLI boundary only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,11 @@ class Topology:
 
     def groups_of_bs(self, b):
         return [g for g in range(self.G) if self.bs_of_group[g] == b]
+
+    def cell_order(self):
+        """The groups cell by cell: BS 0's :meth:`groups_of_bs`, then
+        BS 1's, and so on."""
+        return np.argsort(self.bs_of_group, kind="stable")
 
     def users_of_group(self, g):
         return [u for u in range(self.U) if self.group_of_user[u] == g]
@@ -159,59 +164,53 @@ def sample_channels(topology, seed):
 
 @dataclass
 class BeamformingSolution:
-    """Per-group covariances and (when extracted) rank-one beamformers.
+    """Per-group covariances and (when extracted) rank-one beamformers,
+    stacked over n groups: ``W`` (n, A, A) PSD, ``w`` (n, A), ``p`` (n,)
+    watts, ``rank`` (n,) ints; None where not computed.  A scheme's
+    solution has the G groups in group order, a cell's its own in
+    :meth:`Topology.groups_of_bs` order (:func:`network_stack`)."""
 
-    Partial solutions (one BS's groups only) simply omit the other
-    groups from the dictionaries.
-    """
-
-    W: dict = field(default_factory=dict)       # group -> (A, A) PSD
-    w: dict = field(default_factory=dict)       # group -> (A,) vector
-    p: dict = field(default_factory=dict)       # group -> watts
-    rank: dict = field(default_factory=dict)    # group -> int
+    W: np.ndarray = None
+    w: np.ndarray = None
+    p: np.ndarray = None
+    rank: np.ndarray = None
     objective: float = None
     used_randomization: bool = False
     # distributed randomization picked by coupled least powers because
     # no draw met every BS's fixed ICI values
     gr_fallback: bool = False
-    # relaxation-level diagnostics, populated by the solve pipelines
+    # relaxation-level diagnostics, populated by the solve pipelines:
+    # the relaxation optimum and the (n,) ranks of its covariances
     sdr_objective: float = None
-    sdr_rank: dict = None
+    sdr_rank: np.ndarray = None
 
-    def beamformer(self, g):
-        vec = self.w.get(g)
-        if vec is None:
-            raise StateError(f"group {g} has no extracted beamformer")
-        return vec
 
-    def groups(self):
-        return sorted(self.W.keys() | self.w.keys())
+def network_stack(topology, cells):
+    """The network's stack, in group order, of per-cell stacks:
+    ``cells[b]`` holds BS b's groups in :meth:`Topology.groups_of_bs`
+    order."""
+    return np.concatenate(cells)[np.argsort(topology.cell_order())]
 
 
 def evaluate_sinr(channels, solution, u, topology):
-    """Achieved SINR of user u under extracted beamformers.
+    """Achieved SINR of user u under extracted beamformers, those of a
+    :class:`BeamformingSolution` or a (G, A) array.
 
     Numerator |h_{b,u}^H w_g|^2 over noise plus every other group's
     beam, intra- and inter-cell alike.
     """
-    w_of = solution.w if isinstance(solution, BeamformingSolution) \
+    w = solution.w if isinstance(solution, BeamformingSolution) \
         else solution
+    if w is None or len(w) != topology.G:
+        raise StateError("SINR needs an extracted beamformer per group")
     g_serv = topology.group_of_user[u]
-    b_serv = topology.serving_bs(u)
-    desired = None
-    interference = 0.0
-    for g in range(topology.G):
-        w = w_of.get(g) if hasattr(w_of, "get") else w_of[g]
-        if w is None:
-            raise StateError(f"group {g} has no extracted beamformer")
-        b = topology.bs_of_group[g]
-        gain = abs(np.vdot(channels.vec(b, u), w)) ** 2
+    desired, interference = None, 0.0
+    for g, (b, v) in enumerate(zip(topology.bs_of_group, w)):
+        gain = abs(np.vdot(channels.vec(b, u), v)) ** 2
         if g == g_serv:
             desired = gain
         else:
             interference += gain
-    if b_serv != topology.bs_of_group[g_serv]:
-        raise StateError("inconsistent topology indexing")
     return desired / (topology.sigma2[u] + interference)
 
 
@@ -225,15 +224,10 @@ def orthogonal_equivalent_target(gamma, B):
 
 
 def sum_power(solution):
-    """Total transmit power: sum of Tr(W_g), or ||w_g||^2 once extracted."""
-    total = 0.0
-    groups = solution.groups()
-    if not groups:
-        return 0.0
-    for g in groups:
-        W = solution.W.get(g)
-        if W is not None:
-            total += float(np.real(np.trace(W)))
-        else:
-            total += float(np.linalg.norm(solution.w[g]) ** 2)
-    return total
+    """Total transmit power: sum of Tr(W_g), or of ||w_g||^2 when only
+    beams are given."""
+    if solution.W is not None:
+        return sum(float(np.real(np.trace(W))) for W in solution.W)
+    if solution.w is not None:
+        return sum(float(np.linalg.norm(w) ** 2) for w in solution.w)
+    return 0.0

@@ -48,8 +48,10 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     row-major order.  ``budget`` adds sum_g Tr(W_g) <= p_max per BS;
     ``objective`` minimizes the sum of traces (else the problem is a
     feasibility check); ``basis`` confines a cell's covariances to
-    span(basis) by projecting channels.  Rows come in the order SINR,
-    cap, budget.  Returns the problem, group -> matrix variable and the
+    span(basis) by projecting channels.  The matrix variables are the
+    groups in scope in :meth:`Topology.groups_of_bs` order, so a
+    solution's covariances are ``np.stack(sol.matrix_values)``.  Rows
+    come in the order SINR, cap, budget.  Returns the problem and the
     (B, U) grid of copy variables, -1 where a pair has none.
     """
     groups = range(topology.G) if cell is None \
@@ -58,7 +60,8 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     dim = topology.A if basis is None else basis.shape[1]
     peers = [j for j in range(topology.B) if j != cell]
     prob = ConicProblem()
-    slot = {g: prob.add_psd_var(dim, name=f"W{g}") for g in groups}
+    for g in groups:
+        prob.add_psd_var(dim, name=f"W{g}")
     copy_slot = np.full((topology.B, topology.U), -1)
     linear, quadratic = {}, {}
     if copies is not None:
@@ -69,7 +72,8 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
             copy_slot[j, u] = k
             linear[k], quadratic[k] = w, copies[1]
     if objective:
-        prob.set_objective(matrix={slot[g]: np.eye(dim) for g in groups},
+        prob.set_objective(matrix={k: np.eye(dim)
+                                   for k in range(len(groups))},
                            scalar=linear, scalar_quad=quadratic)
     # nested lists: the rows below read single entries
     slots = copy_slot.tolist()
@@ -86,9 +90,9 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     for u in users:
         t = topology.gamma[u] if level is None else level
         mats = {}
-        for g in groups:
+        for k, g in enumerate(groups):
             H = channel(topology.bs_of_group[g], u)
-            mats[slot[g]] = H if g == topology.group_of_user[u] else -t * H
+            mats[k] = H if g == topology.group_of_user[u] else -t * H
         if copies is not None:
             scalars, incoming = {slots[j][u]: -t for j in peers}, 0
         else:
@@ -102,15 +106,15 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
             scalars, cap = ({slots[cell][u]: -1.0}, 0.0) \
                 if copies is not None else (None, theta[cell][u])
             prob.add_constraint(
-                matrix={slot[g]: channel(cell, u) for g in groups},
+                matrix={k: channel(cell, u) for k in range(len(groups))},
                 scalars=scalars, rel="<=", rhs=cap, label=("cap", (cell, u)))
     if budget:
         for b in range(topology.B) if cell is None else [cell]:
             prob.add_constraint(
-                matrix={slot[g]: np.eye(dim)
-                        for g in topology.groups_of_bs(b)},
+                matrix={k: np.eye(dim) for k, g in enumerate(groups)
+                        if topology.bs_of_group[g] == b},
                 rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
-    return prob, slot, copy_slot
+    return prob, copy_slot
 
 
 def blind_caps(topology):
@@ -128,9 +132,10 @@ def assemble_qos_sdp(channels, topology):
 
 
 def extract_rank_one(W):
-    """Principal-component beamformer when W is numerically rank one."""
+    """Principal-component beamformer when W is numerically rank one, or
+    one per covariance of a stack."""
     val, vec = conic.principal_eigenpair(W)
-    return np.sqrt(max(val, 0.0)) * vec
+    return np.sqrt(np.maximum(val, 0.0))[..., None] * vec
 
 
 def gaussian_candidates(W_star, count, rng):
@@ -283,16 +288,15 @@ def direction_system(channels, topology, V, cell=None, theta=None,
 
 
 def candidate_power_lp(channels, topology, candidates):
-    """Power allocation for fixed unit-norm directions (one per group).
+    """Power allocation for fixed unit-norm directions, (G, A), one per
+    group.
 
-    Returns the per-group power dict, or None when the targets cannot be
-    met along these directions.
+    Returns the (G,) powers, or None when the targets cannot be met
+    along these directions.
     """
-    V = np.stack([candidates[g] for g in range(topology.G)])
-    p = fixed_direction_powers(channels, topology, V[None])[0]
-    if not np.isfinite(p).all():
-        return None
-    return {g: float(p[g]) for g in range(topology.G)}
+    p = fixed_direction_powers(channels, topology,
+                               np.asarray(candidates)[None])[0]
+    return p if np.isfinite(p).all() else None
 
 
 def fixed_direction_powers(channels, topology, V, cell=None, theta=None):
@@ -306,56 +310,54 @@ def fixed_direction_powers(channels, topology, V, cell=None, theta=None):
                                cap_gains, caps, CAP_RTOL)
 
 
-def randomized_solution(groups, V, powers, **fields):
-    """Rank-one solution sqrt(p_g) v_g of ``groups`` at unit directions
-    V (G, A) and their powers, as Gaussian randomization picks it."""
-    solution = BeamformingSolution(used_randomization=True, **fields)
-    for g, v, p in zip(groups, V, powers):
-        solution.w[g] = np.sqrt(p) * v
-        solution.p[g] = float(p)
-        solution.W[g] = np.outer(solution.w[g], solution.w[g].conj())
-        solution.rank[g] = 1
-    return solution
+def randomized_solution(V, powers, **fields):
+    """Rank-one solution sqrt(p_g) v_g at unit directions V (n, A) and
+    their (n,) powers, as Gaussian randomization picks it."""
+    p = np.asarray(powers, dtype=float)
+    w = np.sqrt(p)[:, None] * V
+    return BeamformingSolution(
+        W=w[:, :, None] * w.conj()[:, None, :], w=w, p=p,
+        rank=np.ones(len(p), dtype=int), used_randomization=True, **fields)
 
 
 def randomize_from_covariances(channels, topology, W_star, count, rng,
                                sdr_objective=None):
-    """Gaussian randomization for a full-network covariance set.
+    """Gaussian randomization for the network's covariances W_star
+    (G, A, A).
 
     Draws ``count`` candidate direction sets, allocates each its least
     feasible powers, and keeps the feasible set with the lowest sum
     power (ties broken by candidate index).  Infeasible draws count
     against the budget.
     """
-    groups = sorted(W_star.keys())
-    V = np.stack([gaussian_candidates(W_star[g], count, rng)
-                  for g in groups], axis=1)
+    V = np.stack([gaussian_candidates(W, count, rng) for W in W_star],
+                 axis=1)
     powers = fixed_direction_powers(channels, topology, V)
     totals = powers.sum(axis=1)
     if not np.isfinite(totals).any():
         raise RandomizationFailureError(
             f"all {count} randomization candidates were infeasible",
             sdr_solution=BeamformingSolution(
-                W=dict(W_star), objective=sdr_objective))
+                W=W_star, objective=sdr_objective))
     pick = int(np.argmin(totals))
-    return randomized_solution(groups, V[pick], powers[pick],
+    return randomized_solution(V[pick], powers[pick],
                                objective=float(totals[pick]))
 
 
 def finalize(W, randomize):
-    """Beamformers from relaxed covariances: principal components when
-    every covariance is rank one, else the caller's Gaussian
-    randomization step ``randomize(W)``.
+    """Beamformers from relaxed covariances, a stack W (n, A, A):
+    principal components when every covariance is rank one, else the
+    caller's Gaussian randomization step ``randomize(W)``.
 
     Every design ends here.  The extracted solution carries no
     objective; the caller states what its design reports.
     """
-    ranks = {g: conic.numerical_rank(M) for g, M in W.items()}
-    if all(r == 1 for r in ranks.values()):
-        solution = BeamformingSolution(W=dict(W), rank=ranks)
-        for g, M in W.items():
-            solution.w[g] = extract_rank_one(M)
-            solution.p[g] = float(np.linalg.norm(solution.w[g]) ** 2)
+    ranks = conic.numerical_rank(W)
+    if (ranks == 1).all():
+        w = extract_rank_one(W)
+        # one norm per beam: the stacked norm differs in the last bits
+        p = np.array([float(np.linalg.norm(v) ** 2) for v in w])
+        solution = BeamformingSolution(W=W, w=w, p=p, rank=ranks)
     else:
         solution = randomize(W)
     solution.sdr_rank = ranks
@@ -381,7 +383,7 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
             f"relaxation solve stopped with status {sol.status}")
     rng = np.random.default_rng() if rng is None else rng
     solution = finalize(
-        {g: sol.matrix_values[g] for g in range(topology.G)},
+        np.stack(sol.matrix_values),
         lambda W: randomize_from_covariances(
             channels, topology, W, gr_count, rng,
             sdr_objective=sol.objective))

@@ -576,7 +576,7 @@ def pd_pair(seed, scale=1.0):
     topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
                           cell_separation=10 ** 0.1)
     chans = sample_channels(topo, seed)
-    return [assemble_subproblem(b, chans, topo, scale)[0] for b in range(2)]
+    return [assemble_subproblem(b, chans, topo, scale) for b in range(2)]
 
 
 def admm_pair(seed, scale=0.5):

@@ -44,7 +44,7 @@ def solve_master(channels, topo, theta):
     total = 0.0
     pieces = {}
     for b in range(topo.B):
-        prob, _ = assemble_subproblem(b, channels, topo, theta)
+        prob = assemble_subproblem(b, channels, topo, theta)
         sol = conic.solve(prob)
         assert sol.status is conic.SolveStatus.OPTIMAL
         total += sol.objective
@@ -55,7 +55,7 @@ def solve_master(channels, topo, theta):
 class TestSubproblem:
     def test_single_cell_reduces_to_centralized(self):
         topo, chans = small_scenario(0, B=1)
-        prob, _ = assemble_subproblem(0, chans, topo, 0.0)
+        prob = assemble_subproblem(0, chans, topo, 0.0)
         sol = conic.solve(prob)
         cen = solve_centralized(chans, topo)
         assert sol.objective == pytest.approx(cen.sdr_objective, rel=1e-7)
@@ -65,15 +65,15 @@ class TestSubproblem:
         tight = on_pairs(topo, 0.4)
         loose = tight.copy()
         loose[0][topo.ici_mask()[0]] = 1e6
-        p_t, _ = assemble_subproblem(0, chans, topo, tight)
-        p_l, _ = assemble_subproblem(0, chans, topo, loose)
+        p_t = assemble_subproblem(0, chans, topo, tight)
+        p_l = assemble_subproblem(0, chans, topo, loose)
         tight_obj = conic.solve(p_t).objective
         loose_obj = conic.solve(p_l).objective
         assert loose_obj <= tight_obj + 1e-8
 
     def test_zero_caps_mean_nulling_rows(self):
         topo, chans = small_scenario(2)
-        prob, _ = assemble_subproblem(0, chans, topo, on_pairs(topo, 0.0))
+        prob = assemble_subproblem(0, chans, topo, on_pairs(topo, 0.0))
         caps = [c for c in prob.constraints if c.relation == "<="]
         assert caps and all(c.rhs == 0.0 for c in caps)
 
@@ -93,14 +93,14 @@ class TestSubgradient:
 
     def test_single_cell_empty(self):
         topo, chans = small_scenario(4, B=1)
-        prob, _ = assemble_subproblem(0, chans, topo, 0.0)
+        prob = assemble_subproblem(0, chans, topo, 0.0)
         sol = conic.solve(prob)
         comp = extract_subgradient(prob, sol, topo, 0)
         assert comp.shape == (2, 1, topo.U) and not comp.any()
 
     def test_requires_optimal_solution(self):
         topo, chans = small_scenario(5)
-        prob, _ = assemble_subproblem(0, chans, topo, on_pairs(topo, 1.0))
+        prob = assemble_subproblem(0, chans, topo, on_pairs(topo, 1.0))
         bad = conic.ConicSolution(status=conic.SolveStatus.MAX_ITER)
         with pytest.raises(CobeamError):
             extract_subgradient(prob, bad, topo, 0)
@@ -211,7 +211,7 @@ class TestAdmmPieces:
     def test_local_copies_track_global_for_huge_rho(self):
         topo, chans = small_scenario(11)
         theta = on_pairs(topo, 0.8)
-        prob, _, copy_slot = assemble_admm_local(
+        prob, copy_slot = assemble_admm_local(
             0, chans, topo, theta, np.zeros_like(theta), rho=1e6)
         sol = conic.solve(prob)
         assert sol.status is conic.SolveStatus.OPTIMAL
@@ -225,21 +225,20 @@ class TestAdmmPieces:
         # free, so the power part matches the local design that assumes
         # no incoming interference and has unbounded outgoing caps
         topo, chans = small_scenario(12)
-        prob, slot, _ = assemble_admm_local(
+        prob, _ = assemble_admm_local(
             0, chans, topo, on_pairs(topo, 1.0), on_pairs(topo, 0.0),
             rho=1e-9)
         sol = conic.solve(prob)
-        power = sum(float(np.real(np.trace(sol.matrix_values[k])))
-                    for k in slot.values())
+        power = sum(float(np.real(np.trace(W))) for W in sol.matrix_values)
         theta_ref = np.zeros((topo.B, topo.U))
         theta_ref[0][topo.ici_mask()[0]] = 1e6
-        loose, _ = assemble_subproblem(0, chans, topo, theta_ref)
+        loose = assemble_subproblem(0, chans, topo, theta_ref)
         ref = conic.solve(loose).objective
         assert power == pytest.approx(ref, rel=1e-4)
 
     def test_single_cell_has_no_copies(self):
         topo, chans = small_scenario(13, B=1)
-        prob, _, copy_slot = assemble_admm_local(
+        prob, copy_slot = assemble_admm_local(
             0, chans, topo, np.zeros((1, topo.U)), np.zeros((1, topo.U)),
             rho=2.0)
         assert (copy_slot == -1).all() and prob.num_scalars == 0
@@ -307,21 +306,18 @@ class TestAdmmRun:
             == adm.rows[0]["scalars_exchanged"]
 
     def test_restore_mid_iteration_feasible(self):
-        from cobeam.network import BeamformingSolution
+        from cobeam.network import network_stack
         from cobeam.power_min import extract_rank_one
 
         topo, chans = small_scenario(18)
         trace = run_admm(chans, topo, max_iters=5)
         theta = on_pairs(topo, np.maximum(
             trace.ici.theta[topo.ici_mask()], 1e-2))
-        merged = {}
-        for b in range(topo.B):
-            merged.update(admm_feasibility_restore(
-                b, chans, topo, theta).W)
-        sol = BeamformingSolution(
-            w={g: extract_rank_one(W) for g, W in merged.items()})
+        W = network_stack(topo, [admm_feasibility_restore(
+            b, chans, topo, theta).W for b in range(topo.B)])
+        w = extract_rank_one(W)
         for u in range(topo.U):
-            assert evaluate_sinr(chans, sol, u, topo) \
+            assert evaluate_sinr(chans, w, u, topo) \
                 >= topo.gamma[u] * (1 - 1e-5)
 
     def test_restore_single_cell_identity(self):
@@ -337,7 +333,7 @@ class TestDistributedRandomization:
         pd = run_primal_decomposition(chans, topo, max_iters=20)
         theta = on_pairs(topo, np.maximum(pd.ici.theta[topo.ici_mask()],
                                           1e-2))
-        exact = {g: np.outer(w, w.conj()) for g, w in pd.solution.w.items()}
+        exact = np.array([np.outer(w, w.conj()) for w in pd.solution.w])
         rng = np.random.default_rng(21)
         gr = distributed_gaussian_randomization(
             chans, topo, exact, theta, 10, rng)
@@ -350,7 +346,7 @@ class TestDistributedRandomization:
         pd = run_primal_decomposition(chans, topo, max_iters=30)
         theta = on_pairs(topo, np.maximum(pd.ici.theta[topo.ici_mask()],
                                           1e-2))
-        W = {g: pd.solution.W[g] for g in pd.solution.W}
+        W = pd.solution.W
         rng = np.random.default_rng(23)
         gr = distributed_gaussian_randomization(
             chans, topo, W, theta, 30, rng)
@@ -361,7 +357,7 @@ class TestDistributedRandomization:
         pd = run_primal_decomposition(chans, topo, max_iters=10)
         theta = on_pairs(topo, np.maximum(pd.ici.theta[topo.ici_mask()],
                                           1e-2))
-        W = {g: pd.solution.W[g] for g in pd.solution.W}
+        W = pd.solution.W
         bus = MessageBus(range(topo.B))
         rng = np.random.default_rng(25)
         distributed_gaussian_randomization(
@@ -377,9 +373,9 @@ class TestDistributedRandomization:
         theta = on_pairs(topo, [float(10 ** rng.uniform(-1, 1))
                                 for _ in range(topo.ici_mask().sum())])
         # full-rank covariances leaning toward each group's own users
-        W = {g: sum(chans.mat(topo.bs_of_group[g], u)
-                    for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
-             for g in range(topo.G)}
+        W = np.array([sum(chans.mat(topo.bs_of_group[g], u)
+                          for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
+                      for g in range(topo.G)])
         count = 40
         gr = distributed_gaussian_randomization(
             chans, topo, W, theta, count,
@@ -420,9 +416,9 @@ class TestDistributedRandomization:
         topo, chans = small_scenario(26, G=4, U=8, A=4, gamma=0.5,
                                      cell_separation=10.0)
         theta = 1e-9
-        W = {g: sum(chans.mat(topo.bs_of_group[g], u)
-                    for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
-             for g in range(topo.G)}
+        W = np.array([sum(chans.mat(topo.bs_of_group[g], u)
+                          for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
+                      for g in range(topo.G)])
         count = 40
         bus = MessageBus(range(topo.B))
         gr = distributed_gaussian_randomization(
@@ -464,7 +460,7 @@ class TestDistributedRandomization:
         chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
                                                 h.conj()))
         theta = 1e-9
-        W = {g: np.eye(topo.A) for g in range(topo.G)}
+        W = np.broadcast_to(np.eye(topo.A), (topo.G, topo.A, topo.A))
         with pytest.raises(RandomizationFailureError,
                            match="network-wide"):
             distributed_gaussian_randomization(
@@ -476,7 +472,7 @@ class TestSpecialCases:
     def test_nulling_leaks_nothing(self):
         topo, chans = small_scenario(26)
         sol = solve_nulling(chans, topo)
-        for g, w in sol.w.items():
+        for g, w in enumerate(sol.w):
             b = topo.bs_of_group[g]
             for u in topo.out_of_cell_users(b):
                 assert abs(np.vdot(chans.vec(b, u), w)) ** 2 <= 1e-18
@@ -507,7 +503,7 @@ class TestSpecialCases:
         topo, chans = small_scenario(28)
         pairs = np.full(topo.ici_mask().sum(), 0.1)
         assert pairs.shape == (topo.U,)
-        W = {g: np.eye(topo.A) for g in range(topo.G)}
+        W = np.broadcast_to(np.eye(topo.A), (topo.G, topo.A, topo.A))
         for run in [
                 lambda: run_primal_decomposition(chans, topo, max_iters=1,
                                                  theta0=pairs),
@@ -590,12 +586,17 @@ class TestFirstFailingCell:
 
 
 class TestDualityOracle:
+    # B = 3 keeps two groups per BS and A = 8; each BS's groups are then
+    # strided by 3, so the cells' covariances interleave in group order
+    @pytest.mark.parametrize("B, G, pd_tail", [(2, 4, 2e-3), (3, 6, 1e-2)],
+                             ids=["B2", "B3"])
     def test_converged_runs_match_uplink_downlink_duality(
-            self, duality_power):
+            self, duality_power, B, G, pd_tail):
         # after 100 rounds ADMM's restored design is optimal; PD's best
         # round is feasible for the coupled problem, so it lies at or
-        # above the optimum, within its 0.2% subgradient tail
-        topo = build_topology(B=2, G=4, U=4, A=8, gamma=GAMMA_1DB,
+        # above the optimum, within its subgradient tail (0.2% at B = 2,
+        # up to 0.53% at B = 3)
+        topo = build_topology(B=B, G=G, U=G, A=8, gamma=GAMMA_1DB,
                               cell_separation=GAMMA_1DB)
         chans = [sample_channels(topo, seed) for seed in range(3)]
         runs = conic.drive(
@@ -607,4 +608,4 @@ class TestDualityOracle:
             best = duality_power(c, topo)
             pd, admm = runs[seed], runs[3 + seed]
             assert admm.best_power == pytest.approx(best, rel=1e-6), seed
-            assert -1e-7 <= pd.best_power / best - 1.0 <= 2e-3, seed
+            assert -1e-7 <= pd.best_power / best - 1.0 <= pd_tail, seed

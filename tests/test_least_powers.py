@@ -161,13 +161,14 @@ class TestLocalLp:
                                                 if j != b) for u in users])
                 x = highs_powers(*lp, cap_gains=gain_rows(others),
                                  caps=[theta[b, u] for u in others])
-                got = local_randomization_lp(b, chans, topo, cand, theta)
+                got = local_randomization_lp(
+                    b, chans, topo, np.array([cand[g] for g in groups]),
+                    theta)
                 if x is None:
                     assert got is None
                     outcomes.add("in-cell" if highs_powers(*lp) is None
                                  else "caps")
                 else:
-                    np.testing.assert_allclose(
-                        [got[g] for g in groups], x, rtol=1e-7)
+                    np.testing.assert_allclose(got, x, rtol=1e-7)
                     outcomes.add("feasible")
         assert outcomes == {"in-cell", "caps", "feasible"}

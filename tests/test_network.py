@@ -135,7 +135,7 @@ class TestSinrEvaluation:
         chans = sample_channels(topo, 1)
         h = chans.vec(0, 0)
         w = 2.0 * h / np.linalg.norm(h)
-        sol = BeamformingSolution(w={0: w})
+        sol = BeamformingSolution(w=w[None])
         expected = abs(np.vdot(h, w)) ** 2
         assert evaluate_sinr(chans, sol, 0, topo) == pytest.approx(expected)
 
@@ -147,8 +147,8 @@ class TestSinrEvaluation:
         w1 = np.array([-h[1].conj(), h[0].conj()])
         w1 = w1 / np.linalg.norm(w1)
         assert abs(np.vdot(h, w1)) < 1e-12
-        sol = BeamformingSolution(w={0: w0, 1: w1})
-        alone = BeamformingSolution(w={0: w0, 1: np.zeros(2)})
+        sol = BeamformingSolution(w=np.array([w0, w1]))
+        alone = BeamformingSolution(w=np.array([w0, np.zeros(2)]))
         assert evaluate_sinr(chans, sol, 0, topo) == pytest.approx(
             evaluate_sinr(chans, alone, 0, topo))
 
@@ -156,8 +156,7 @@ class TestSinrEvaluation:
         topo = build_topology(B=2, G=2, U=4, A=3, cell_separation=1.5)
         chans = sample_channels(topo, 9)
         rng = np.random.default_rng(10)
-        beams = {g: rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                 for g in range(2)}
+        beams = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         sol = BeamformingSolution(w=beams)
         for u in range(4):
             assert evaluate_sinr(chans, sol, u, topo) == pytest.approx(
@@ -167,10 +166,8 @@ class TestSinrEvaluation:
         topo = build_topology(B=1, G=2, U=2, A=3)
         chans = sample_channels(topo, 11)
         rng = np.random.default_rng(12)
-        beams = {g: rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                 for g in range(2)}
-        rotated = {g: np.exp(1j * rng.uniform(0, 2 * np.pi)) * w
-                   for g, w in beams.items()}
+        beams = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        rotated = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 1))) * beams
         for u in range(2):
             assert evaluate_sinr(chans, BeamformingSolution(w=beams), u,
                                  topo) == pytest.approx(
@@ -181,8 +178,7 @@ class TestSinrEvaluation:
         topo = build_topology(B=1, G=2, U=2, A=3, sigma2=1.0)
         chans = sample_channels(topo, 13)
         rng = np.random.default_rng(14)
-        beams = {g: rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                 for g in range(2)}
+        beams = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         sol = BeamformingSolution(w=beams)
         base = evaluate_sinr(chans, sol, 0, topo)
         scaled_chans = sample_channels(topo, 13)
@@ -205,24 +201,21 @@ class TestScalarHelpers:
         assert orthogonal_equivalent_target(3.0, 3) == pytest.approx(63.0)
 
     def test_sum_power_traces(self):
-        sol = BeamformingSolution(W={0: np.diag([1.0, 0.5]),
-                                     1: np.diag([2.0, 0.5])})
+        sol = BeamformingSolution(W=np.array([np.diag([1.0, 0.5]),
+                                              np.diag([2.0, 0.5])]))
         assert sum_power(sol) == pytest.approx(4.0)
 
     def test_sum_power_rank_one_agreement(self):
         rng = np.random.default_rng(15)
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        with_mat = BeamformingSolution(W={0: np.outer(w, w.conj())})
-        with_vec = BeamformingSolution(w={0: w})
+        with_mat = BeamformingSolution(W=np.outer(w, w.conj())[None])
+        with_vec = BeamformingSolution(w=w[None])
         assert sum_power(with_mat) == pytest.approx(sum_power(with_vec))
 
     def test_sum_power_random_oracle(self):
         rng = np.random.default_rng(16)
-        mats = {}
-        expected = 0.0
-        for g in range(3):
-            q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            mats[g] = q @ q.conj().T
-            expected += sum(np.linalg.eigvalsh(mats[g]))
+        q = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        mats = q @ q.conj().transpose(0, 2, 1)
+        expected = np.linalg.eigvalsh(mats).sum()
         assert sum_power(BeamformingSolution(W=mats)) == pytest.approx(
             expected)

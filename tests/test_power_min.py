@@ -5,9 +5,11 @@ import pytest
 
 from cobeam import conic
 from cobeam.errors import RandomizationFailureError
-from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
-                            sample_channels, sum_power)
+from cobeam.network import (BeamformingSolution, ChannelSet,
+                            build_topology, evaluate_sinr, sample_channels,
+                            sum_power)
 from cobeam.power_min import (assemble_qos_sdp, candidate_power_lp,
+                              extract_rank_one, finalize,
                               gaussian_candidates, randomize_from_covariances,
                               solve_centralized)
 
@@ -55,7 +57,7 @@ class TestCentralizedSolve:
             topo = build_topology(B=2, G=4, U=4, A=8, gamma=10 ** 0.1)
             chans = sample_channels(topo, seed)
             sol = solve_centralized(chans, topo)
-            if all(r == 1 for r in sol.sdr_rank.values()):
+            if (sol.sdr_rank == 1).all():
                 hits += 1
         assert hits == 10
 
@@ -69,7 +71,7 @@ class TestCentralizedSolve:
         topo = build_topology(B=2, G=2, U=4, A=6, gamma=1.2)
         chans = sample_channels(topo, 5)
         sol = solve_centralized(chans, topo)
-        assert all(r == 1 for r in sol.sdr_rank.values())
+        assert (sol.sdr_rank == 1).all()
         for u in range(topo.U):
             sinr = evaluate_sinr(chans, sol, u, topo)
             assert sinr == pytest.approx(1.2, rel=1e-5)
@@ -92,7 +94,7 @@ class TestCentralizedSolve:
         sol2 = solve_centralized(chans, topo2)
         assert sol2.sdr_objective == pytest.approx(3.0 * sol1.sdr_objective,
                                                    rel=1e-6)
-        for g in sol1.w:
+        for g in range(topo1.G):
             d1 = sol1.w[g] / np.linalg.norm(sol1.w[g])
             d2 = sol2.w[g] / np.linalg.norm(sol2.w[g])
             assert abs(abs(np.vdot(d1, d2)) - 1) < 1e-4
@@ -169,12 +171,41 @@ class TestGaussianCandidates:
             np.testing.assert_allclose(new, old, rtol=0, atol=4e-16)
 
 
+class TestStackedFinalize:
+    def test_matches_per_matrix_bits(self):
+        # finalize takes the ranks and principal eigenpairs of a whole
+        # stack in one scipy call; each covariance must keep the bits of
+        # its own call, or every design's beams and digests would move
+        rng = np.random.default_rng(60)
+        seen = set()
+        for _ in range(200):
+            G, A = int(rng.integers(1, 7)), int(rng.integers(2, 13))
+            factors = [rng.standard_normal((A, r))
+                       + 1j * rng.standard_normal((A, r))
+                       for r in (1 if rng.random() < 0.8
+                                 else int(rng.integers(2, A + 1))
+                                 for _ in range(G))]
+            W = np.stack([f @ f.conj().T for f in factors])
+            sol = finalize(W, lambda W: BeamformingSolution(
+                used_randomization=True))
+            assert sol.sdr_rank.tolist() == [conic.numerical_rank(M)
+                                             for M in W]
+            seen.add(sol.used_randomization)
+            if sol.used_randomization:
+                continue
+            for M, w, p in zip(W, sol.w, sol.p):
+                ref = extract_rank_one(M)
+                assert w.tobytes() == ref.tobytes()
+                assert p == float(np.linalg.norm(ref) ** 2)
+        assert seen == {False, True}
+
+
 class TestCandidatePowerLp:
     def test_matched_filter_direction(self):
         topo = build_topology(B=1, G=1, U=1, A=3, gamma=1.8, sigma2=2.0)
         chans = sample_channels(topo, 11)
         h = chans.vec(0, 0)
-        powers = candidate_power_lp(chans, topo, {0: h / np.linalg.norm(h)})
+        powers = candidate_power_lp(chans, topo, [h / np.linalg.norm(h)])
         assert powers is not None
         assert powers[0] == pytest.approx(1.8 * 2.0 / np.linalg.norm(h) ** 2,
                                           rel=1e-6)
@@ -185,7 +216,7 @@ class TestCandidatePowerLp:
         h = chans.vec(0, 0)
         orth = np.array([-h[1].conj(), h[0].conj()])
         orth = orth / np.linalg.norm(orth)
-        assert candidate_power_lp(chans, topo, {0: orth}) is None
+        assert candidate_power_lp(chans, topo, [orth]) is None
 
     def test_isolated_cells_decouple(self):
         # d huge: network LP decomposes into independent per-cell LPs
@@ -193,7 +224,7 @@ class TestCandidatePowerLp:
                               cell_separation=1e12)
         chans = sample_channels(topo, 13)
         rng = np.random.default_rng(14)
-        cands = {}
+        cands = np.zeros((2, 4), dtype=complex)
         for g in range(2):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             # keep candidates useful: bias toward the served users
@@ -223,8 +254,8 @@ class TestRandomizationSoundness:
             sol = conic.solve(sdp)
             if sol.status is not conic.SolveStatus.OPTIMAL:
                 continue
-            W = {g: sol.matrix_values[g] for g in range(topo.G)}
-            if any(conic.numerical_rank(Wg) > 1 for Wg in W.values()):
+            W = np.stack(sol.matrix_values)
+            if (conic.numerical_rank(W) > 1).any():
                 return topo, chans, W, sol.objective
         raise AssertionError("no higher-rank instance found")
 
@@ -270,21 +301,20 @@ class TestRandomizationSoundness:
         h = np.stack([e[0] + e[1], e[2], e[0] - 2j * e[1], e[3]])[None]
         chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
                                                 h.conj()))
-        W = {0: np.diag([0, 0, 1.0, 1.0]), 1: np.diag([1.0, 1.0, 0, 0])}
+        W = np.array([np.diag([0, 0, 1.0, 1.0]), np.diag([1.0, 1.0, 0, 0])])
         with pytest.raises(RandomizationFailureError) as err:
             randomize_from_covariances(chans, topo, W, 20,
                                        np.random.default_rng(103),
                                        sdr_objective=2.5)
         assert err.value.sdr_solution.objective == 2.5
-        assert set(err.value.sdr_solution.W) == {0, 1}
-        np.testing.assert_array_equal(err.value.sdr_solution.W[0], W[0])
+        np.testing.assert_array_equal(err.value.sdr_solution.W, W)
 
     def test_sum_power_consistency(self):
         topo, chans, W_star, sdr_obj = self.higher_rank_instance()
         rng = np.random.default_rng(101)
         sol = randomize_from_covariances(chans, topo, W_star, 50, rng)
         assert sum_power(sol) == pytest.approx(sol.objective, rel=1e-9)
-        assert sum_power(sol) == pytest.approx(sum(sol.p.values()))
+        assert sum_power(sol) == pytest.approx(sol.p.sum())
 
 
 class TestDualityOracle:
