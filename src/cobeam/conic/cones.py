@@ -328,17 +328,11 @@ class NTScaling:
         np.divide(lay.nn_block(g), self.w_nn, out=nn[1])
         return lay.pack(mats, nn)
 
-    # the solver always needs both maps, so the single ones run through
-    # the pair
-    def unscale_primal(self, u):
-        """W u: scaled-space vector back to a primal-space vector."""
-        return self.unscale(u, u)[0]
-
-    def unscale_dual(self, g):
-        """W^{-H} g: scaled-space vector back to a dual-space vector."""
-        return self.unscale(g, g)[1]
-
     # -- Jordan algebra on scaled-space vectors --
+
+    def lam(self):
+        """The scaled point lam, packed: W^{-1} x = W^H z."""
+        return self.layout.diag(self.lam_psd, self.lam_nn)
 
     def lambda_sq(self):
         return self.layout.diag([s * s for s in self.lam_psd],

@@ -8,10 +8,13 @@ objective terms on scalars ride in the embedding itself, as in Clarabel
 the quadratic augments the diagonal of the Newton system.
 
 The loop runs Mehrotra predictor-corrector steps.  The reduced Newton
-system goes through a dense Schur complement; directions are polished by
-iterative refinement at the full KKT level, where residuals only need
-matrix-vector products and single scaling applications, so they stay
-accurate far below the current duality gap.
+system goes through a dense Schur complement.  The affine predictor only
+picks the centering weight and the second-order term, so it is one
+unrefined pass left in scaled coordinates.  The corrector, the direction
+the step takes, is polished by iterative refinement at the full KKT
+level, where residuals only need matrix-vector products and single
+scaling applications, so it stays accurate far below the current
+duality gap.
 
 A problem whose objective is identically zero only asks whether its
 constraints are feasible, so the loop stops at the first iterate that
@@ -58,6 +61,7 @@ CERTIFICATE_SIGN_TOL = 1e-6
 AGGREGATE_ROUNDOFF = 100 * np.finfo(float).eps
 MAX_ITER = 200
 STEP_FRACTION = 0.99
+# refinement passes of the corrector; the predictor takes none
 REFINE_STEPS = 2
 # the weight of the earlier iterate in a warm start
 WARM_WEIGHT = 0.99
@@ -189,10 +193,12 @@ class _KktSolver:
     All elimination happens on scaled quantities (rows W'a_k, directions
     W^{-1}dx, W'dz); no large-norm operator is ever applied to an
     intermediate vector, and full-level iterative refinement stays
-    contractive far below the current gap.
+    contractive far below the current gap.  Only the corrector is
+    refined (:meth:`solve`); the predictor is one pass of
+    :meth:`solve_scaled`.
 
     Scalars are per-problem lists of floats; each problem gets its own
-    Schur factorization, fallback and refinement passes.
+    Schur factorization, fallback and corrector refinement passes.
     """
 
     def __init__(self, data, scaling, x, tau, kappa):
@@ -268,17 +274,21 @@ class _KktSolver:
 
     def solve(self, f2, f1, f3, fs, ft):
         """The direction for these right-hand sides, polished by
-        iterative refinement.  A problem stops at its residual floor or at
-        its first pass that does not lower its residual norm; later passes
-        give it a zero right-hand side and keep its direction."""
+        iterative refinement: the corrector's solve.  A problem stops at
+        its residual floor or at its first pass that does not lower its
+        residual norm; later passes give it a zero right-hand side and
+        keep its direction.  ``passes`` counts the passes each problem
+        ran."""
         rhs = (f2, f1, f3, fs, ft)
         best = self._solve_once(*rhs)
         res = self._residual(best, *rhs)
         best_norm = _hsd_res_norm(res)
         live = [not bn < 1e-14 for bn in best_norm]
+        self.passes = [0] * len(live)
         for _ in range(REFINE_STEPS):
             if not any(live):
                 break
+            self.passes = list(map(operator.add, self.passes, live))
             if not all(live):
                 res = _where(live, res, [[0.0] * len(live) if isinstance(
                     r, list) else 0.0 for r in res])
@@ -297,7 +307,11 @@ class _KktSolver:
             live = [go and not bn < 1e-14 for go, bn in zip(better, best_norm)]
         return best
 
-    def _solve_once(self, f2, f1, f3, fs, ft):
+    def solve_scaled(self, f2, f1, f3, fs, ft):
+        """One unrefined pass, left in scaled space: the direction's dxs,
+        dzs, dy, dtau and dkappa, with dx and dz None.  Mehrotra's
+        predictor only needs these to pick the centering weight and the
+        second-order term."""
         sc = self.scaling
         g = sc.jordan_div(fs)
         fd_scaled = sc.scale_dual(f2) + g
@@ -313,9 +327,12 @@ class _KktSolver:
         col = _col(dtau)
         dxs = p1s + col * self.p2s
         dy = u1 + col * self.u2
-        dzs = g - dxs
-        dx, dz = sc.unscale(dxs, dzs)
-        return _Dir(dx, dy, dz, dxs, dzs, dtau, dkappa)
+        return _Dir(None, dy, None, dxs, g - dxs, dtau, dkappa)
+
+    def _solve_once(self, f2, f1, f3, fs, ft):
+        d = self.solve_scaled(f2, f1, f3, fs, ft)
+        d.dx, d.dz = self.scaling.unscale(d.dxs, d.dzs)
+        return d
 
     def _residual(self, sol, f2, f1, f3, fs, ft):
         at_dy = _mv(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
@@ -381,7 +398,7 @@ def _step_lengths(scaling, d, fraction, tau, kappa):
 
 def _new_stats(warm):
     return {"chol_jitter": 0, "schur_ridge": 0, "schur_pinv": 0,
-            "warm_start": int(warm)}
+            "refine_passes": 0, "warm_start": int(warm)}
 
 
 def _count_fallbacks(members, scaling, kkt):
@@ -396,7 +413,10 @@ def _count_fallbacks(members, scaling, kkt):
 def solve(problem):
     """Solve a :class:`ConicProblem`, returning a :class:`ConicSolution`.
 
-    This is the one-problem case of :func:`solve_batch`.
+    Each Newton step solves its predictor once, unrefined, and refines
+    only its corrector; ``stats["refine_passes"]`` sums the corrector's
+    refinement passes over the iterations.  This is the one-problem case
+    of :func:`solve_batch`.
     """
     return solve_batch([problem])[0]
 
@@ -779,14 +799,17 @@ def _solve_hsd(group):
         kkt = _KktSolver(data, scaling, x, tau, kappa)
         _count_fallbacks(active, scaling, kkt)
 
-        lam_sq = scaling.lambda_sq()
-        aff = kkt.solve(-r2, -r1, [-v for v in r3], -lam_sq,
-                            [-t * k for t, k in zip(tau, kappa)])
+        # the affine predictor only picks sigma and the second-order
+        # term, so one unrefined pass in scaled space serves: there
+        # (x + a dx)'(z + a dz) is (lam + a dxs)'(lam + a dzs)
+        lam, lam_sq = scaling.lam(), scaling.lambda_sq()
+        aff = kkt.solve_scaled(-r2, -r1, [-v for v in r3], -lam_sq,
+                               [-t * k for t, k in zip(tau, kappa)])
         a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa)
         col = _col(a_aff)
         target, rhs_t, eta, eta_r3 = [], [], [], []
         for xz, t, k, a, dt, dk, mp, v in zip(
-                _dot(x + col * aff.dx, z + col * aff.dz), tau, kappa,
+                _dot(lam + col * aff.dxs, lam + col * aff.dzs), tau, kappa,
                 a_aff, aff.dtau, aff.dkappa, mu, r3):
             sigma = _sigma((xz + (t + a * dt) * (k + a * dk)) / deg, mp)
             target.append(sigma * mp)
@@ -798,6 +821,8 @@ def _solve_hsd(group):
             - scaling.jordan_prod(aff.dxs, aff.dzs)
         col = _col(eta)
         step = kkt.solve(col * r2, col * r1, eta_r3, rhs_s, rhs_t)
+        for mem, passes in zip(active, kkt.passes):
+            mem.stats["refine_passes"] += passes
 
         alpha = _step_lengths(scaling, step, STEP_FRACTION, tau, kappa)
         col = _col(alpha)

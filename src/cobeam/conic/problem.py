@@ -101,10 +101,6 @@ class ConicProblem:
         self.scalar_names.append(name)
         return self.num_scalars - 1
 
-    def add_scalar_vars(self, count, name=""):
-        return [self.add_scalar_var(f"{name}[{i}]" if name else "")
-                for i in range(count)]
-
     def _coeff(self, i, mat, what):
         var = self.matrix_vars[i]
         herm = _as_hermitian(mat, var.dim, what)

@@ -256,7 +256,7 @@ def test_c10_solver_health():
         dims = [int(rng.integers(2, 9)) for _ in range(rng.integers(0, 3))]
         n_scalars = int(rng.integers(1 if not dims else 0, 5))
         vs = [prob.add_psd_var(d) for d in dims]
-        js = prob.add_scalar_vars(n_scalars) if n_scalars else []
+        js = [prob.add_scalar_var() for _ in range(n_scalars)]
         obj = {}
         for i, d in enumerate(dims):
             q = rng.standard_normal((d, d)) + 1j * rng.standard_normal(

@@ -11,6 +11,8 @@ machine precision, not fitted to observed errors.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobeam.conic import ConicProblem, SolveStatus, embed_matrix, solve
 from cobeam.conic import cones, ipm
@@ -194,11 +196,11 @@ def test_unscale_maps_match_per_block(case):
     lay, sc, _, _, rng = case
     u = random_vec(lay, rng)
     Rs, Rinvs = per_block(sc.R), per_block(sc.Rinv)
-    close(sc.unscale_primal(u),
-          ref_congruence(lay, u, Rs, sc.w_nn, outer=True))
-    close(sc.unscale_dual(u), ref_congruence(lay, u, Rinvs, 1.0 / sc.w_nn))
+    dx, dz = sc.unscale(u, u)
+    close(dx, ref_congruence(lay, u, Rs, sc.w_nn, outer=True))
+    close(dz, ref_congruence(lay, u, Rinvs, 1.0 / sc.w_nn))
     # W^{-T} inverts W^T
-    close(sc.unscale_dual(sc.scale_dual(u)), u)
+    close(sc.unscale(u, sc.scale_dual(u))[1], u)
 
 
 def test_jordan_algebra_matches_per_block(case):
@@ -415,8 +417,9 @@ def test_hermitian_lam_psd_listed_twice(herm):
         close(embed_matrix(Wn) if c else Wn, We)
     # and it maps z onto lam and lam onto x
     lam = h.lay.diag(sc.lam_psd, sc.lam_nn)
+    same(sc.lam(), lam)
     close(sc.scale_dual(z), lam)
-    close(sc.unscale_primal(lam), x)
+    close(sc.unscale(lam, lam)[0], x)
     assert sc.jitters == 0
 
 
@@ -441,13 +444,14 @@ def test_hermitian_scaling_maps(herm):
     close(sc.scale_dual_blocks(h.lay.unpack(rows), h.lay.nn_block(rows)),
           scaled)
     # W a W, and W^{-H} inverting W^H
-    close(h.embed(sc.unscale_primal(scaled)), ref.unscale_primal(scaled_e))
-    close(sc.unscale_dual(scaled), rows)
+    waw, back = sc.unscale(scaled, scaled)
+    close(h.embed(waw), ref.unscale(scaled_e, scaled_e)[0])
+    close(back, rows)
     # (A W B + B W A)/2 from the scaled-space Jordan product
     a, b = scaled[0], scaled[1]
     a_e, b_e = scaled_e[0], scaled_e[1]
-    close(h.embed(sc.unscale_dual(sc.jordan_prod(a, b))),
-          ref.unscale_dual(ref.jordan_prod(a_e, b_e)))
+    ab, ab_e = sc.jordan_prod(a, b), ref.jordan_prod(a_e, b_e)
+    close(h.embed(sc.unscale(ab, ab)[1]), ref.unscale(ab_e, ab_e)[1])
     # lam o v and its inverse
     lam = h.lay.diag(sc.lam_psd, sc.lam_nn)
     close(sc.lam_prod(a), sc.jordan_prod(lam, a))
@@ -640,8 +644,9 @@ def test_kernel_matches_frozen_bit_for_bit(name):
         same(lay.pack(lay.unpack(vec), nn),
              frozen.pack(frozen.unpack(vec), nn))
         same(sc.scale_dual(vec), ref.scale_dual(vec))
-        same(sc.unscale_primal(vec), ref.unscale_primal(vec))
-        same(sc.unscale_dual(vec), ref.unscale_dual(vec))
+        dx, dz = sc.unscale(vec, vec)
+        same(dx, ref.unscale_primal(vec))
+        same(dz, ref.unscale_dual(vec))
     u, g = rows[1], rows[2]
     dx, dz = sc.unscale(u, g)
     same(dx, ref.unscale_primal(u))
@@ -753,3 +758,28 @@ def test_batched_scaling_matches_each_problem_alone(name):
         assert steps[p] == ref.max_step(du[p], dv[p])
     jittered = lay.runs[0].count if lay.runs else 0
     assert sc.jitters.tolist() == [0, jittered, 0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(BITWISE)),
+       batch=st.sampled_from([None, 1, 3]),
+       seed=st.integers(0, 2 ** 32 - 1), alpha=st.floats(0.0, 1.0))
+def test_scaled_affine_complementarity(name, batch, seed, alpha):
+    # the predictor's (x + a dx)'(z + a dz), taken in scaled space as
+    # (lam + a dxs)'(lam + a dzs), on a lone or a stacked scaling
+    lay = ConeLayout(*BITWISE[name])
+    rng = np.random.default_rng(seed)
+    shape = (batch or 1,)
+    x = np.stack([frozen_interior(lay, rng) for _ in range(shape[0])])
+    z = np.stack([frozen_interior(lay, rng) for _ in range(shape[0])])
+    dxs, dzs = rng.standard_normal((2,) + shape + (lay.size,))
+    if batch is None:
+        x, z, dxs, dzs = x[0], z[0], dxs[0], dzs[0]
+    sc = NTScaling(lay, x, z)
+    dx, dz = sc.unscale(dxs, dzs)
+    u, v = sc.lam() + alpha * dxs, sc.lam() + alpha * dzs
+    scaled = ipm._vecdot(u, v)
+    plain = ipm._vecdot(x + alpha * dx, z + alpha * dz)
+    # relative to the Cauchy-Schwarz bound of the products' terms
+    scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+    assert (np.abs(scaled - plain) <= 1e-12 * scale).all()

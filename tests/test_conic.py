@@ -1,5 +1,6 @@
 """Solver-level tests: statuses, duals, certificates, and oracles."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           numerical_rank, principal_eigenpair, psd_sqrt,
                           solve, solve_batch, unembed_matrix,
                           verify_infeasibility_certificate)
+from cobeam.conic import ipm
 from cobeam.conic.ipm import point_violation
 from cobeam.conic.problem import CompiledProblem
 from cobeam.balancing import single_user_upper_bound
@@ -403,7 +405,54 @@ class TestSolverInvariants:
         # a well-posed instance needs no numerical fallback, and a
         # problem without a start starts cold
         assert sol.stats == {"chol_jitter": 0, "schur_ridge": 0,
-                             "schur_pinv": 0, "warm_start": 0}
+                             "schur_pinv": 0, "refine_passes": 7,
+                             "warm_start": 0}
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_only_the_corrector_is_refined(self, count, monkeypatch):
+        # per Newton step (one KKT solver): the predictor is one scaled
+        # pass, with no residual and no unscale; the corrector is one
+        # refined solve of at most 1 + REFINE_STEPS passes
+        kkt_cls = ipm._KktSolver
+        steps, phase = [], ["predictor"]
+        orig_init, orig_solve = kkt_cls.__init__, kkt_cls.solve
+
+        def init(self, *args):
+            steps.append(collections.Counter())
+            phase[0] = "predictor"
+            orig_init(self, *args)
+
+        def corrector(self, *rhs):
+            phase[0] = "corrector"
+            steps[-1]["corrector", "solve"] += 1
+            return orig_solve(self, *rhs)
+
+        def counted(cls, name):
+            orig = getattr(cls, name)
+
+            def wrapper(*args):
+                steps[-1][phase[0], name] += 1
+                return orig(*args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        monkeypatch.setattr(kkt_cls, "__init__", init)
+        monkeypatch.setattr(kkt_cls, "solve", corrector)
+        counted(kkt_cls, "solve_scaled")
+        counted(kkt_cls, "_residual")
+        counted(ipm.NTScaling, "unscale")
+        sols = solve_batch([self.qos_instance(seed) for seed in range(count)])
+        assert all(s.status is SolveStatus.OPTIMAL for s in sols)
+        assert len(steps) == max(s.iterations for s in sols) - 1
+        for step in steps:
+            assert step["predictor", "solve_scaled"] == 1
+            assert step["predictor", "_residual"] == 0
+            assert step["predictor", "unscale"] == 0
+            assert step["corrector", "solve"] == 1
+            assert 1 <= step["corrector", "solve_scaled"] \
+                <= 1 + ipm.REFINE_STEPS
+        if count == 1:
+            assert sols[0].stats["refine_passes"] == sum(
+                step["corrector", "solve_scaled"] - 1 for step in steps)
 
 
 class TestQuadraticObjective:
@@ -421,7 +470,8 @@ class TestQuadraticObjective:
     def test_infeasible_quadratic_has_certificate(self):
         # y0 + y1 <= -1 has no nonnegative solution, whatever the cost
         prob = ConicProblem()
-        prob.add_scalar_vars(2)
+        prob.add_scalar_var()
+        prob.add_scalar_var()
         prob.set_objective(scalar={0: 1.0}, scalar_quad={0: 1.0, 1: 2.0})
         prob.add_constraint(scalars={0: 1.0, 1: 1.0}, rel="<=", rhs=-1.0)
         sol = solve(prob)
@@ -446,7 +496,8 @@ class TestQuadraticObjective:
     def test_unbounded_ray_has_no_quadratic_part(self):
         # min y0^2 - y1 s.t. y0 + y1 >= 1: y1 grows without bound
         prob = ConicProblem()
-        prob.add_scalar_vars(2)
+        prob.add_scalar_var()
+        prob.add_scalar_var()
         prob.set_objective(scalar={1: -1.0}, scalar_quad={0: 1.0})
         prob.add_constraint(scalars={0: 1.0, 1: 1.0}, rel=">=", rhs=1.0)
         sol = solve(prob)
@@ -480,7 +531,7 @@ class TestConstruction:
 
     def test_nan_right_hand_side(self):
         prob = ConicProblem()
-        js = prob.add_scalar_vars(2)
+        js = [prob.add_scalar_var(), prob.add_scalar_var()]
         prob.set_objective(scalar={j: 1.0 for j in js})
         prob.add_constraint(scalars={j: 1.0 for j in js}, rel=">=",
                             rhs=float("nan"))
@@ -504,7 +555,7 @@ class TestRandomHealth:
                     for _ in range(rng.integers(0, 3))]
             n_sc = int(rng.integers(1 if not dims else 0, 5))
             vs = [prob.add_psd_var(d) for d in dims]
-            js = prob.add_scalar_vars(n_sc) if n_sc else []
+            js = [prob.add_scalar_var() for _ in range(n_sc)]
             obj = {}
             for i, d in enumerate(dims):
                 q = rng.standard_normal((d, d)) \
@@ -724,7 +775,7 @@ class TestWarmStart:
         other_layout = single_user_qos(np.array([1.0, 1j]), 2.0, 1.0)
         # three orthant entries like bound_lp, but one row instead of two
         other_rows = ConicProblem()
-        j, k = other_rows.add_scalar_vars(2)
+        j, k = other_rows.add_scalar_var(), other_rows.add_scalar_var()
         other_rows.set_objective(scalar={j: 1.0, k: 1.0})
         other_rows.add_constraint(scalars={j: 1.0, k: 1.0}, rel=">=",
                                   rhs=1.0)

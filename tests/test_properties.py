@@ -45,7 +45,7 @@ def _build(seed, blocks, n_scalars, n_rows, feasible):
     rng = np.random.default_rng(seed)
     prob = ConicProblem()
     mats = [prob.add_psd_var(d, complex=c) for d, c in blocks]
-    scalars = prob.add_scalar_vars(n_scalars)
+    scalars = [prob.add_scalar_var() for _ in range(n_scalars)]
     obj = {}
     for i, (d, c) in zip(mats, blocks):
         G = _hermitian(rng, d, c)

@@ -19,8 +19,10 @@ hashes: it does not depend on the order of the solves, so it also
 compares versions that schedule the same solves differently (such as
 batching them across trials and schemes), where the first line cannot.
 A third line prints the count and the sum of ``iterations`` over every
-solve, which shows how much interior-point work the same solves took.
-A fourth line prints the number of records and trace rows of the runs
+solve, which shows how much interior-point work the same solves took,
+and a fourth the sum of ``stats["refine_passes"]``, the corrector's
+refinement passes (nan for a solver that does not count them).
+A fifth line prints the number of records and trace rows of the runs
 and one sha256 over the records, ``wall_time_s`` left out, and then the
 trace rows: it also covers what no conic solve returns, such as the
 Gaussian randomization picks and their least powers.
@@ -30,6 +32,7 @@ To check the solver of another tree, run this tool with its ``src`` on
 
 import argparse
 import hashlib
+import math
 
 import numpy as np
 
@@ -63,15 +66,16 @@ def main(argv=None):
     parser.add_argument("scenarios", nargs="+")
     parser.add_argument("--trials", type=int, help="override trial count")
     args = parser.parse_args(argv)
-    digest, hashes, iterations = hashlib.sha256(), [], 0
+    digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
     results, nrecords, nrows = hashlib.sha256(), 0, 0
 
     def recorded(solve_batch):
         def wrapper(*a, **kw):
-            nonlocal iterations
+            nonlocal iterations, passes
             sols = solve_batch(*a, **kw)
             for sol in sols:
                 iterations += sol.iterations
+                passes += sol.stats.get("refine_passes", math.nan)
                 fields = [sol.status.value, sol.iterations, sol.objective,
                           sol.matrix_values, sol.scalar_values, sol.duals,
                           sol.kkt, sol.stats, sol.certificate]
@@ -101,6 +105,7 @@ def main(argv=None):
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
     print(f"solves {len(hashes)} iterations {iterations}")
+    print(f"solves {len(hashes)} refine passes {passes}")
     print(f"records {nrecords} trace rows {nrows} sha256 "
           f"{results.hexdigest()}")
 
