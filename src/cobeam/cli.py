@@ -39,6 +39,8 @@ def cmd_run(args):
             raise ConfigurationError("--trials must be >= 1")
         config.trials = args.trials
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigurationError("--seed must be >= 0")
         config.seed = args.seed
     records, trace_rows = run_sweep(config)
     if args.out:

@@ -40,6 +40,7 @@ kernel in ``tests/test_cones.py`` check.
 
 import math
 import operator
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,8 +433,10 @@ def solve_batch(problems):
     those without, whose Schur complement is a plain product of the
     scaled rows with themselves.  Every decision stays per problem, and
     a finished problem leaves the batch.  When several problems would
-    raise, the error that surfaces may be another's.
+    raise, the error that surfaces may be another's.  Each solution's
+    ``time_s`` is the call's wall time divided by the problem count.
     """
+    start = time.perf_counter()
     groups = {}
     for i, problem in enumerate(problems):
         if problem.num_vars() == 0:
@@ -446,6 +449,9 @@ def solve_batch(problems):
         sols = _solve_hsd([c for _, c in members])
         for (i, _), sol in zip(members, sols):
             out[i] = sol
+    elapsed = time.perf_counter() - start
+    for sol in out:
+        sol.time_s = elapsed / len(out)
     return out
 
 

@@ -6,10 +6,10 @@ optional nonnegative diagonal quadratic terms on the scalars, and linear
 trace-form constraints with relation <=, >= or ==.
 
 A complex Hermitian variable stays one d x d Hermitian cone block through
-compilation and the solve (see :mod:`.cones`).  The real 2d x 2d
-embedding ``[[Re, -Im], [Im, Re]]`` of :func:`embed_hermitian` rewrites a
-problem into an equivalent all-real one; the solver does not use it, and
-it serves as an independent check of the Hermitian blocks.
+compilation and the solve (see :mod:`.cones`).  The tests rewrite
+problems into equivalent all-real ones through the real 2d x 2d
+embedding ``[[Re, -Im], [Im, Re]]``, an independent check of the
+Hermitian blocks; the solver does not use it.
 """
 
 from dataclasses import dataclass, field
@@ -38,25 +38,6 @@ def _as_hermitian(mat, dim, what):
     if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL * scale:
         raise ValueError(f"{what}: matrix is not Hermitian")
     return 0.5 * (mat + mat.conj().T)
-
-
-def embed_matrix(mat):
-    """Real symmetric 2d x 2d embedding of a Hermitian matrix (or of each
-    matrix in a stack)."""
-    re, im = np.real(mat), np.imag(mat)
-    return np.block([[re, -im], [im, re]])
-
-
-def unembed_matrix(emb):
-    """Recover the Hermitian matrix from (a perturbation of) its embedding.
-
-    The returned matrix is the structured projection, so PSD-ness and all
-    trace terms against Hermitian coefficient data are preserved.
-    """
-    d = emb.shape[0] // 2
-    re = 0.5 * (emb[:d, :d] + emb[d:, d:])
-    im = 0.5 * (emb[d:, :d] - emb[:d, d:])
-    return re + 1j * im
 
 
 @dataclass
@@ -218,40 +199,13 @@ class ConicSolution:
     stats: dict = field(default_factory=dict)
     # the final :class:`Iterate`, a start for a later solve
     iterate: Iterate = None
+    # wall seconds: this solution's share, by problem count, of the
+    # solve_batch call that returned it
+    time_s: float = 0.0
 
     @property
     def optimal(self):
         return self.status is SolveStatus.OPTIMAL
-
-
-def embed_hermitian(problem):
-    """Rewrite complex-Hermitian matrix variables as real 2d x 2d blocks.
-
-    Every Hermitian coefficient H becomes embed(H)/2, which keeps all
-    trace products (hence objective and constraint values) identical.
-    Real problems pass through block-duplicated but otherwise unchanged.
-    """
-    out = ConicProblem()
-    for var in problem.matrix_vars:
-        if var.complex:
-            out.add_psd_var(2 * var.dim, complex=False, name=var.name)
-        else:
-            out.add_psd_var(var.dim, complex=False, name=var.name)
-    out.num_scalars = problem.num_scalars
-    out.scalar_names = list(problem.scalar_names)
-
-    def lower(i, H):
-        return 0.5 * embed_matrix(H) if problem.matrix_vars[i].complex \
-            else np.real(H)
-
-    out.obj_matrix = {i: lower(i, C) for i, C in problem.obj_matrix.items()}
-    out.obj_scalar = dict(problem.obj_scalar)
-    out.obj_scalar_quad = dict(problem.obj_scalar_quad)
-    for con in problem.constraints:
-        out.constraints.append(Constraint(
-            {i: lower(i, F) for i, F in con.matrix_coeffs.items()},
-            dict(con.scalar_coeffs), con.relation, con.rhs, con.label))
-    return out
 
 
 class CompiledProblem:
@@ -262,8 +216,9 @@ class CompiledProblem:
     coefficients halved, so that packed inner products (twice the real
     trace) keep objective and constraint values.  Inequalities get one
     orthant slack each; rows are scaled by the inverse max-abs
-    coefficient of the row as it reads under the real embedding of
-    :func:`embed_hermitian`, so both forms take the same path.
+    coefficient of the row as it reads under the real 2d x 2d embedding
+    of its Hermitian blocks, so a problem and its embedding take the
+    same path.
     ``row_scale`` maps internal equality multipliers back to user-space
     duals.  ``A_blocks`` holds the PSD part of the scaled rows as one
     (m, k, d, d) stack per run of the layout; the PSD columns of ``A``

@@ -9,25 +9,19 @@ does not depend on what it shares its batches with.
 """
 
 import functools
-import time
 
 from . import ipm
 
 
-def gather(generators, seconds=None, iterations=None):
+def gather(generators):
     """Solve generator that runs ``generators`` side by side: each step
     yields the pending problems of every live one, in order, and sends
     each its slice.  A generator that raises leaves alone.  Returns the
-    results in order, a raised exception in place of a result.
-    ``seconds``, a list, gains each generator's wall time: its own steps
-    plus its problem-count share of each step's solve.  ``iterations``,
-    a list, gains the interior-point iterations of each generator's
-    solves."""
+    results in order, a raised exception in place of a result."""
     results = [None] * len(generators)
     sends = dict.fromkeys(range(len(generators)))
-    clock = time.perf_counter
     while True:
-        problems, owners, last = [], [], clock()
+        problems, owners = [], []
         for i, sent in sends.items():
             try:
                 batch = generators[i].send(sent)
@@ -38,31 +32,19 @@ def gather(generators, seconds=None, iterations=None):
             else:
                 owners.append((i, len(problems), len(batch)))
                 problems.extend(batch)
-            if seconds is not None:
-                now = clock()
-                seconds[i] += now - last
-                last = now
         if not owners:
             return results
         solutions = yield problems
-        if seconds is not None and problems:
-            share = (clock() - last) / len(problems)
-            for i, _, count in owners:
-                seconds[i] += share * count
         sends = {i: solutions[start:start + count]
                  for i, start, count in owners}
-        if iterations is not None:
-            for i, sols in sends.items():
-                iterations[i] += sum(sol.iterations for sol in sols)
 
 
-def drive(generators, seconds=None, iterations=None):
+def drive(generators):
     """Run solve generators to their ends; returns their results in
     order, or raises the first exception one raised once the others
     have finished.  Each step's problems go to one :func:`solve_batch`
-    call (a lone problem to :func:`solve`), which groups them by shape.
-    ``seconds`` and ``iterations`` are as in :func:`gather`."""
-    steps = gather(list(generators), seconds, iterations)
+    call (a lone problem to :func:`solve`), which groups them by shape."""
+    steps = gather(list(generators))
     try:
         problems = next(steps)
         while True:

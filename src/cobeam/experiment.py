@@ -10,7 +10,9 @@ schemes of a sweep point run side by side as solve generators
 
 import csv
 import functools
+import inspect
 import json
+import math
 import re
 import time
 from collections import Counter
@@ -32,6 +34,9 @@ from .power_min import solve_centralized
 _SCHEME_ALIASES = {"fixed-θ": "fixed-theta",
                    "common-θ": "common-theta"}
 
+# a scenario file's "topology" fields; the other parameters are top-level
+_TOPOLOGY = ("B", "G", "U", "A")
+
 RECORD_COLUMNS = [
     "trial", "seed", "scheme", "B", "G", "U", "A", "gamma_db", "d_db",
     "sigma2", "p_max", "theta_cap", "objective", "objective_kind",
@@ -52,6 +57,18 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
+def _number(name, value, kind=float):
+    """``value`` as a finite ``kind`` (int or float), which it must equal."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not (math.isfinite(out) and out == value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return out
+
+
 class ScenarioConfig:
     """Validated experiment description."""
 
@@ -60,41 +77,43 @@ class ScenarioConfig:
                  step_size=0.3, step_schedule="fixed", rho=2.0,
                  epsilon=1e-3, gr_budget=100, theta_grid=(0.01, 0.1, 1.0),
                  theta_fixed=0.1):
-        self.B, self.G, self.U, self.A = int(B), int(G), int(U), int(A)
+        self.B, self.G, self.U, self.A = (_number(name, val, int) for name, val
+                                          in zip(_TOPOLOGY, (B, G, U, A)))
+        if not isinstance(schemes, (list, tuple)) or not schemes:
+            raise ConfigurationError("schemes must be a non-empty list")
         self.schemes = []
         for name in schemes:
-            canon = _SCHEME_ALIASES.get(name, name)
+            canon = _SCHEME_ALIASES.get(name, name) \
+                if isinstance(name, str) else None
             if canon not in SCHEMES:
                 raise ConfigurationError(
                     f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}")
             self.schemes.append(canon)
-        if not self.schemes:
-            raise ConfigurationError("schemes list is empty")
         if "common-theta" in self.schemes and self.B > 2:
             raise ConfigurationError("common-theta needs B = 2")
         self.gamma_db = expand_sweep(gamma_db, "gamma_db")
         self.d_db = expand_sweep(d_db, "d_db")
         self.p_max = expand_sweep(p_max, "p_max")
-        self.sigma2 = float(sigma2)
-        self.iters = int(iters)
-        self.trials = int(trials)
-        self.seed = int(seed)
-        self.step_size = float(step_size)
+        self.sigma2 = _number("sigma2", sigma2)
+        self.iters = _number("iters", iters, int)
+        self.trials = _number("trials", trials, int)
+        self.seed = _number("seed", seed, int)
+        self.step_size = _number("step_size", step_size)
         if step_schedule not in ("fixed", "diminishing"):
             raise ConfigurationError(
                 f"step_schedule must be fixed or diminishing, "
                 f"got {step_schedule!r}")
         self.step_schedule = step_schedule
-        self.rho = float(rho)
-        self.epsilon = float(epsilon)
-        self.gr_budget = int(gr_budget)
-        self.theta_grid = [float(v) for v in theta_grid]
-        self.theta_fixed = float(theta_fixed)
+        self.rho = _number("rho", rho)
+        self.epsilon = _number("epsilon", epsilon)
+        self.gr_budget = _number("gr_budget", gr_budget, int)
+        self.theta_grid = expand_sweep(theta_grid, "theta_grid")
+        self.theta_fixed = _number("theta_fixed", theta_fixed)
         for name, caps in (("theta_grid", self.theta_grid),
                            ("theta_fixed", [self.theta_fixed])):
-            if not all(np.isfinite(v) and v >= 0 for v in caps):
+            if any(v < 0 for v in caps):
                 raise ConfigurationError(
-                    f"{name} must be finite and >= 0 (ICI caps in watts)")
+                    f"{name} must be >= 0 (ICI caps in watts)")
         for name, val in (("sigma2", self.sigma2), ("rho", self.rho),
                           ("epsilon", self.epsilon)):
             if val <= 0:
@@ -102,6 +121,8 @@ class ScenarioConfig:
         if self.trials < 1 or self.iters < 1 or self.gr_budget < 0:
             raise ConfigurationError("trials, iters must be >= 1 and "
                                      "gr_budget >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if any(v < 0 for v in self.d_db):
             raise ConfigurationError("d_db must be >= 0 (d >= 1 linear)")
 
@@ -114,9 +135,8 @@ class ScenarioConfig:
 def expand_sweep(value, name):
     """Scalars, lists, or 'start:step:stop' strings (inclusive stop)."""
     if isinstance(value, str):
-        match = re.fullmatch(
-            r"\s*(-?[\d.]+)\s*:\s*(-?[\d.]+)\s*:\s*(-?[\d.]+)\s*(dB)?\s*",
-            value)
+        number = r"\s*(-?(?:\d+\.?\d*|\.\d+))\s*"
+        match = re.fullmatch(rf"{number}:{number}:{number}(dB)?\s*", value)
         if not match:
             raise ConfigurationError(
                 f"{name}: cannot parse sweep {value!r}; expected "
@@ -131,8 +151,8 @@ def expand_sweep(value, name):
             v += step
         return out
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(value)]
+        return [_number(name, v) for v in value]
+    return [_number(name, value)]
 
 
 def parse_scenario(path):
@@ -145,32 +165,35 @@ def parse_scenario(path):
         raise ConfigurationError(
             f"{path}: line {err.lineno}: invalid JSON ({err.msg})") from err
 
-    def line_of(key):
+    def where(key):
+        """Message prefix naming the line of ``key``'s first mention."""
         match = re.search(rf'"{re.escape(key)}"', text)
-        if match:
-            return text.count("\n", 0, match.start()) + 1
-        return None
+        if match is None:
+            return ""
+        line = text.count("\n", 0, match.start()) + 1
+        return f"line {line}: "
 
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: top level must be a JSON object")
     topo = raw.get("topology")
     if not isinstance(topo, dict):
         raise ConfigurationError(f"{path}: missing 'topology' object")
-    for field in ("B", "G", "U", "A"):
+    for field in _TOPOLOGY:
         if field not in topo:
-            line = line_of("topology")
-            where = f"line {line}: " if line else ""
+            raise ConfigurationError(f"{path}: {where('topology')}topology "
+                                     f"is missing field {field!r}")
+    for key in topo:
+        if key not in _TOPOLOGY:
             raise ConfigurationError(
-                f"{path}: {where}topology is missing field {field!r}")
+                f"{path}: {where(key)}unknown topology field {key!r}")
     if "schemes" not in raw:
         raise ConfigurationError(f"{path}: missing 'schemes' list")
-    known = {"topology", "schemes", "gamma_db", "d_db", "sigma2", "p_max",
-             "iters", "trials", "seed", "step_size", "step_schedule",
-             "rho", "epsilon", "gr_budget", "theta_grid", "theta_fixed"}
+    known = {"topology", *inspect.signature(ScenarioConfig).parameters}
+    known.difference_update(_TOPOLOGY)
     for key in raw:
         if key not in known:
-            line = line_of(key)
-            where = f"line {line}: " if line else ""
             raise ConfigurationError(
-                f"{path}: {where}unknown field {key!r}")
+                f"{path}: {where(key)}unknown field {key!r}")
     kwargs = {k: v for k, v in raw.items() if k != "topology"}
     try:
         return ScenarioConfig(**topo, **kwargs)
@@ -193,10 +216,7 @@ def run_sweep(config):
     Channel draws depend only on (master seed, trial), so a given trial
     sees the same fading across all sweep values; randomization streams
     are keyed by (sweep point, trial, scheme) and never collide.  The
-    runs of one sweep point go to one :func:`conic.drive`; a record's
-    ``wall_time_s`` is its run's share of that drive's wall time, and
-    its ``ipm_iterations`` the interior-point iterations of its run's
-    solves.
+    runs of one sweep point go to one :func:`conic.drive`.
     """
     records = []
     trace_rows = []
@@ -206,13 +226,9 @@ def run_sweep(config):
                 points = [_SweepPoint(config, gamma_db, d_db, p_max, trial,
                                       point_key=(gi, di, pi))
                           for trial in range(config.trials)]
-                runs = [(point, k, scheme) for point in points
-                        for k, scheme in enumerate(config.schemes)]
-                seconds, iterations = [0.0] * len(runs), [0] * len(runs)
                 for recs, traces in conic.drive(
-                        [point.run(k, scheme, seconds, iterations, i)
-                         for i, (point, k, scheme) in enumerate(runs)],
-                        seconds, iterations):
+                        point.run(k, scheme) for point in points
+                        for k, scheme in enumerate(config.schemes)):
                     records.extend(recs)
                     trace_rows.extend(traces)
     records.sort(key=lambda r: (r["gamma_db"], r["d_db"], r["p_max"],
@@ -245,31 +261,31 @@ class _SweepPoint:
             spawn_key=(*self.point_key, self.trial, 1 + scheme_index))
         return np.random.default_rng(seq)
 
-    def run(self, k, scheme, seconds, iterations, i):
-        """Solve generator of scheme ``k``'s (records, trace rows), run
-        ``i`` of a drive keeping ``seconds`` and ``iterations``.  A
-        record's wall time is what its run's entry gained since the
-        previous record, plus the current step's time so far; its IPM
-        iterations are what its run's entry gained since then."""
+    def run(self, k, scheme):
+        """Solve generator of scheme ``k``'s (records, trace rows).  A
+        record's ``wall_time_s`` is the time of the scheme's own steps
+        since the previous record plus the ``time_s`` of the solutions
+        they were sent; its ``ipm_iterations`` are those solutions'
+        iterations."""
         runner = _RUNNERS[scheme](self, self.config, self._scheme_rng(k))
-        records, traces, sent, done, done_its = [], [], None, 0.0, 0
-        resumed = time.perf_counter()
+        records, traces, sent, seconds, iterations = [], [], None, 0.0, 0
         while runner is not None:
+            start = time.perf_counter()
             try:
                 item = runner.send(sent)
             except StopIteration:
                 break
             except _FAILURES as err:
                 item, runner = (_failure(err), None), None
+            seconds += time.perf_counter() - start
             if isinstance(item, list):
                 sent = yield item
-                resumed = time.perf_counter()
+                seconds += sum(sol.time_s for sol in sent)
+                iterations += sum(sol.iterations for sol in sent)
                 continue
             rec, trace = item
-            now = seconds[i] + time.perf_counter() - resumed
-            rec["wall_time_s"], done, sent = now - done, now, None
-            rec["ipm_iterations"] = iterations[i] - done_its
-            done_its = iterations[i]
+            rec["wall_time_s"], rec["ipm_iterations"] = seconds, iterations
+            seconds, iterations, sent = 0.0, 0, None
             records.append(self._finish(rec, scheme))
             if trace is not None:
                 traces.extend(self._trace_rows(scheme, trace))

@@ -96,10 +96,10 @@ def build_topology(B, G, U, A, gamma=1.0, sigma2=1.0, p_max=1.0,
 
     ``gamma``, ``sigma2`` broadcast over users and ``p_max`` over BSs
     when given as scalars.  Raises :class:`ConfigurationError` for
-    non-divisible counts or out-of-range parameters.
+    non-divisible counts or out-of-range or non-finite parameters.
     """
     for name, val in (("B", B), ("G", G), ("U", U), ("A", A)):
-        if int(val) != val or val < 1:
+        if not 1 <= val < np.inf or int(val) != val:
             raise ConfigurationError(f"{name} must be a positive integer")
     B, G, U, A = int(B), int(G), int(U), int(A)
     if G % B != 0:
@@ -111,16 +111,15 @@ def build_topology(B, G, U, A, gamma=1.0, sigma2=1.0, p_max=1.0,
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (U,)).copy()
     sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (U,)).copy()
     p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (B,)).copy()
-    if np.any(gamma <= 0):
-        raise ConfigurationError("gamma must be positive (linear ratio)")
-    if np.any(sigma2 <= 0):
-        raise ConfigurationError("sigma2 must be positive")
-    if np.any(p_max <= 0):
-        raise ConfigurationError("p_max must be positive")
-    if cell_separation < 1.0:
-        raise ConfigurationError("cell separation d must be >= 1 (linear)")
-    for arr in (gamma, sigma2, p_max):
+    for name, arr in (("gamma", gamma), ("sigma2", sigma2),
+                      ("p_max", p_max)):
+        if not np.all(np.isfinite(arr) & (arr > 0)):
+            raise ConfigurationError(f"{name} must be finite and positive "
+                                     "(linear scale)")
         arr.setflags(write=False)
+    if not 1.0 <= cell_separation < np.inf:
+        raise ConfigurationError(
+            "cell separation d must be finite and >= 1 (linear)")
     return Topology(
         B=B, A=A, G=G, U=U,
         group_of_user=tuple(u % G for u in range(U)),

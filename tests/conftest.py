@@ -4,6 +4,59 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cobeam.conic import ConicProblem
+from cobeam.conic.problem import Constraint
+
+
+def embed_matrix(mat):
+    """Real symmetric 2d x 2d embedding of a Hermitian matrix (or of each
+    matrix in a stack)."""
+    re, im = np.real(mat), np.imag(mat)
+    return np.block([[re, -im], [im, re]])
+
+
+def unembed_matrix(emb):
+    """Recover the Hermitian matrix from (a perturbation of) its embedding.
+
+    The returned matrix is the structured projection, so PSD-ness and all
+    trace terms against Hermitian coefficient data are preserved.
+    """
+    d = emb.shape[0] // 2
+    re = 0.5 * (emb[:d, :d] + emb[d:, d:])
+    im = 0.5 * (emb[d:, :d] - emb[:d, d:])
+    return re + 1j * im
+
+
+def embed_hermitian(problem):
+    """Rewrite complex-Hermitian matrix variables as real 2d x 2d blocks,
+    the independent check of the solver's native Hermitian blocks.
+
+    Every Hermitian coefficient H becomes embed(H)/2, which keeps all
+    trace products (hence objective and constraint values) identical.
+    Real problems pass through block-duplicated but otherwise unchanged.
+    """
+    out = ConicProblem()
+    for var in problem.matrix_vars:
+        if var.complex:
+            out.add_psd_var(2 * var.dim, complex=False, name=var.name)
+        else:
+            out.add_psd_var(var.dim, complex=False, name=var.name)
+    out.num_scalars = problem.num_scalars
+    out.scalar_names = list(problem.scalar_names)
+
+    def lower(i, H):
+        return 0.5 * embed_matrix(H) if problem.matrix_vars[i].complex \
+            else np.real(H)
+
+    out.obj_matrix = {i: lower(i, C) for i, C in problem.obj_matrix.items()}
+    out.obj_scalar = dict(problem.obj_scalar)
+    out.obj_scalar_quad = dict(problem.obj_scalar_quad)
+    for con in problem.constraints:
+        out.constraints.append(Constraint(
+            {i: lower(i, F) for i, F in con.matrix_coeffs.items()},
+            dict(con.scalar_coeffs), con.relation, con.rhs, con.label))
+    return out
+
 
 def _highs_powers(gains, own, gamma, noise, cap_gains=None, caps=None):
     """Sum-power LP of one fixed-direction problem, solved by HiGHS.

@@ -14,10 +14,11 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobeam.conic import ConicProblem, SolveStatus, embed_matrix, solve
+from cobeam.conic import ConicProblem, SolveStatus, solve
 from cobeam.conic import cones, ipm
 from cobeam.conic.cones import (ConeLayout, NTScaling, _chol, _svec_index,
                                 svec_len)
+from conftest import embed_matrix
 
 EPS = np.finfo(float).eps
 RTOL = 1e4 * EPS        # products of well-conditioned 2..5-dim blocks

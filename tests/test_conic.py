@@ -2,14 +2,14 @@
 
 import collections
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
-                          dump_problem, embed_hermitian, embed_matrix,
-                          numerical_rank, principal_eigenpair, psd_sqrt,
-                          solve, solve_batch, unembed_matrix,
+                          dump_problem, numerical_rank, principal_eigenpair,
+                          psd_sqrt, solve, solve_batch,
                           verify_infeasibility_certificate)
 from cobeam.conic import ipm
 from cobeam.conic.ipm import point_violation
@@ -18,6 +18,7 @@ from cobeam.balancing import single_user_upper_bound
 from cobeam.distributed import assemble_admm_local, assemble_subproblem
 from cobeam.network import build_topology, sample_channels
 from cobeam.power_min import assemble_qos_sdp, sinr_system
+from conftest import embed_hermitian, embed_matrix, unembed_matrix
 
 
 def rand_channel(rng, dim):
@@ -719,6 +720,14 @@ class TestSolveBatch:
     def test_one_problem_and_none(self):
         assert_batch_matches_serial(pd_pair(7)[:1])
         assert solve_batch([]) == []
+
+    def test_solutions_share_the_call_time(self):
+        problems = pd_pair(8) + admm_pair(8) + [bound_lp(3.0, 2.0)]
+        start = time.perf_counter()
+        sols = solve_batch(problems)
+        wall = time.perf_counter() - start
+        assert all(sol.time_s > 0 for sol in sols)
+        assert sum(sol.time_s for sol in sols) <= wall
 
 
 def cold(problem):

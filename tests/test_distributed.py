@@ -523,7 +523,7 @@ class TestSpecialCases:
 
 
 class TestThreeCells:
-    """B = 3, where no BS holds every pair: each BS's own update from
+    """B = 3 and B = 4, where no BS holds every pair: each BS's own update from
     its inbox must still equal the round's state."""
 
     def scenario(self):
@@ -531,12 +531,14 @@ class TestThreeCells:
 
     @pytest.mark.parametrize("run", [run_primal_decomposition, run_admm])
     def test_agents_match_state_and_load(self, run):
-        topo, chans = self.scenario()
-        trace = run(chans, topo, max_iters=5)
-        assert trace.iterations == 5
-        assert periter_signaling_load(3, 6) == 24
-        assert all(r["scalars_exchanged"] == 24 for r in trace.rows)
-        assert all(e["replica_error"] == 0.0 for e in trace.extras)
+        # and at B = 4, where each BS exchanges with three peers
+        for B, U, load in ((3, 6, 24), (4, 8, 48)):
+            topo, chans = small_scenario(0, B=B, G=B, U=U, A=6)
+            trace = run(chans, topo, max_iters=5)
+            assert trace.iterations == 5
+            assert periter_signaling_load(B, U) == load
+            assert all(r["scalars_exchanged"] == load for r in trace.rows)
+            assert all(e["replica_error"] == 0.0 for e in trace.extras)
 
     def test_common_theta_needs_two_cells(self):
         topo, chans = self.scenario()

@@ -95,6 +95,30 @@ class TestParsing:
         assert main(["run", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, args", [
+        ('"gamma_db": NaN', []), ('"d_db": NaN', []), ('"sigma2": NaN', []),
+        ('"topology": {"B": 2.5, "G": 2, "U": 4, "A": 6}', []),
+        ('"topology": {"B": 2, "G": 2, "U": 4, "A": 6, "C": 1}', []),
+        ('"trials": 1.7', []), ('"gamma_db": "0:1..5:2"', []),
+        ('"gamma_db": [1, "x"]', []), ('"schemes": "centralized"', []),
+        ('"schemes": [["centralized"]]', []),
+        ('"seed": -1', []), (None, []), ("", ["--seed", "-1"])])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, text, args):
+        path = write_scenario(tmp_path)
+        if text is None:  # the scenario inside a top-level array
+            path.write_text("[" + path.read_text() + "]")
+        elif text:
+            # the last duplicate key wins in Python's json
+            path.write_text(path.read_text()[:-2] + ",\n " + text + "\n}")
+        assert main(["run", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+        if args:
+            return
+        with pytest.raises(ConfigurationError):
+            parse_scenario(path)
+
     def test_common_theta_needs_two_cells(self):
         with pytest.raises(ConfigurationError, match="common-theta"):
             ScenarioConfig(B=3, G=3, U=6, A=6, schemes=["common-theta"])

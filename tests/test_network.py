@@ -38,6 +38,13 @@ class TestTopology:
             build_topology(B=1, G=1, U=1, A=2, gamma=0.0)
         with pytest.raises(ConfigurationError):
             build_topology(B=1, G=1, U=1, A=2, cell_separation=0.5)
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"gamma": nan}, {"sigma2": nan}, {"p_max": nan},
+                    {"gamma": inf}, {"sigma2": [1.0, inf]},
+                    {"cell_separation": nan}, {"cell_separation": inf},
+                    {"A": nan}, {"A": inf}):
+            with pytest.raises(ConfigurationError):
+                build_topology(**{"B": 1, "G": 1, "U": 2, "A": 2, **bad})
 
     def test_ici_pair_count(self):
         topo = build_topology(B=2, G=2, U=8, A=4)
