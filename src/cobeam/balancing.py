@@ -21,7 +21,7 @@ from .conic import SolveStatus
 from .errors import (ConfigurationError, IndeterminateError,
                      RandomizationFailureError)
 from .network import BeamformingSolution, evaluate_sinr, network_stack
-from .power_min import (DEFAULT_GR_COUNT, blind_caps, capped_least_powers,
+from .power_min import (DEFAULT_GR_COUNT, capped_least_powers,
                         direction_system, finalize, gaussian_candidates,
                         randomized_solution, sinr_system)
 
@@ -246,7 +246,8 @@ def local_balance_gr(b, channels, topology, V, theta_cap,
     """Local Gaussian-randomization balancing for one cell.
 
     ``V`` (C, G_b, A) holds direction sets of this cell's groups;
-    scoring mirrors :func:`local_balance` with fixed directions.
+    scoring mirrors :func:`local_balance` with fixed directions, or
+    :func:`uncoordinated_balance` at ``theta_cap`` None (no ICI).
     """
     return _gr_level(channels, topology, V, epsilon, cell=b,
                      theta=theta_cap)
@@ -255,7 +256,8 @@ def local_balance_gr(b, channels, topology, V, theta_cap,
 @conic.driven
 def uncoordinated_balance(b, channels, topology, epsilon=DEFAULT_EPSILON):
     """Interference-blind per-cell balancing (the non-coordinating
-    baseline); its optimistic level must be re-checked with true ICI."""
+    baseline, ``theta`` None); its optimistic level must be re-checked
+    with true ICI."""
     return (yield from _sdr_bisect(channels, topology, epsilon, cell=b))
 
 
@@ -372,5 +374,5 @@ def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
         lambda b: conic.solving(uncoordinated_balance, b, channels,
                                 topology, epsilon),
         gr_count, rng,
-        lambda b, V: local_balance_gr(b, channels, topology, V,
-                                      blind_caps(topology)[b], epsilon)))
+        lambda b, V: local_balance_gr(b, channels, topology, V, None,
+                                      epsilon)))

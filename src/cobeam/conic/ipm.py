@@ -80,18 +80,13 @@ def _require_finite(a):
 
 
 # Dot products and matrix-vector products per problem along any leading
-# axes: each problem gets the BLAS call (dot, gemv) of its own 1-D
-# ``u @ v``.  numpy's vecdot and matvec make one C call; older numpy
-# reaches the same calls through matmul.
-_vecdot = getattr(np, "vecdot", None) \
-    or (lambda u, v: (u[..., None, :] @ v[..., :, None])[..., 0, 0])
-_mv = getattr(np, "matvec", None) \
-    or (lambda M, v: (M @ v[..., :, None])[..., 0])
+# axes (np.vecdot, np.matvec): each problem gets the BLAS call (dot,
+# gemv) of its own 1-D ``u @ v``, all in one C call.
 
 
 def _dot(u, v):
     """Per-problem dot products of (P, n) rows as a list of floats."""
-    return _vecdot(u, v).tolist()
+    return np.vecdot(u, v).tolist()
 
 
 def _col(values):
@@ -258,7 +253,7 @@ class _KktSolver:
             sols[p] = pinv @ r if factor is None \
                 else _POTRS(factor, r, lower=1)[0]
         # one refinement step on each Cholesky solve
-        res = rhs - _mv(self.M, sols)
+        res = rhs - np.matvec(self.M, sols)
         for p, (_, factor, _, _) in enumerate(self._solvers):
             if factor is not None:
                 sols[p] += _POTRS(factor, res[p], lower=1)[0]
@@ -267,8 +262,8 @@ class _KktSolver:
     def _saddle(self, fd_scaled, f_p):
         """Solve (I+D) dxs - (WA')dy = fd_scaled, (AW) dxs = f_p."""
         t = fd_scaled if self.dinv is None else self.dinv * fd_scaled
-        dy = self._schur_solve(f_p - _mv(self.at_scaled, t))
-        dxs = fd_scaled + (_mv(self.at_scaled_t, dy) if self.m else 0.0)
+        dy = self._schur_solve(f_p - np.matvec(self.at_scaled, t))
+        dxs = fd_scaled + (np.matvec(self.at_scaled_t, dy) if self.m else 0.0)
         if self.dinv is not None:
             dxs = self.dinv * dxs
         return dxs, dy
@@ -336,13 +331,13 @@ class _KktSolver:
         return d
 
     def _residual(self, sol, f2, f1, f3, fs, ft):
-        at_dy = _mv(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
+        at_dy = np.matvec(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
         col = _col(sol.dtau)
         # c dtau - A'dy equals -A'dy + c dtau bit for bit
         r2 = f2 - (self.c * col - at_dy - sol.dz)
         if self.qdiag is not None:
             r2 -= self.qdiag * sol.dx
-        r1 = f1 - (_mv(self.A, sol.dx) - self.b * col)
+        r1 = f1 - (np.matvec(self.A, sol.dx) - self.b * col)
         r3, rt = [], []
         for f, e, t, k, dt, dk, qq, bdy, cdx in zip(
                 f3, ft, self.tau, self.kappa, sol.dtau, sol.dkappa,
@@ -744,8 +739,8 @@ def _solve_hsd(group):
         A, b, c = data.A, data.b, data.c
         bty, ctx, xtz = _dot(b, y), _dot(c, x), _dot(x, z)
         col = _col(tau)
-        r1 = _mv(A, x) - b * col
-        r2 = c * col - (_mv(data.At, y) if m else 0.0) - z
+        r1 = np.matvec(A, x) - b * col
+        r2 = c * col - (np.matvec(data.At, y) if m else 0.0) - z
         # x'Qx, and Q x in the dual residual
         xqx = [0.0] * len(active)
         if data.qdiag is not None:

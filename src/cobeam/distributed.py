@@ -36,10 +36,9 @@ from .errors import (CobeamError, ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       network_stack, orthogonal_equivalent_target)
-from .power_min import (DEFAULT_GR_COUNT, blind_caps, direction_gains,
-                        extract_rank_one, finalize, fixed_direction_powers,
-                        gaussian_candidates, least_powers,
-                        randomized_solution, sinr_system)
+from .power_min import (DEFAULT_GR_COUNT, direction_gains, extract_rank_one,
+                        finalize, fixed_direction_powers, gaussian_candidates,
+                        least_powers, randomized_solution, sinr_system)
 
 THETA_FLOOR = 1e-10
 DEFAULT_RHO = 2.0
@@ -106,7 +105,8 @@ def assemble_subproblem(b, channels, topology, theta):
 
     ``theta`` is the ICI grid theta[j, u] in watts (a scalar
     broadcasts).  Incoming values enter the SINR right-hand sides,
-    outgoing ones cap this BS's interference (:func:`sinr_system`).
+    outgoing ones cap this BS's interference (:func:`sinr_system`); at
+    ``theta`` None the cell sees no ICI: noise alone and no caps.
     """
     return sinr_system(channels, topology, cell=b, theta=theta)[0]
 
@@ -455,8 +455,8 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     # caps are floored away from the boundary singularity
     floored = theta.copy()
     floored[mask] = np.maximum(theta[mask], _theta_floor(topology))
-    restored, floored = yield from _fixed_ici(channels, topology, floored,
-                                              _unrestorable)
+    restored = yield from _fixed_ici(channels, topology, floored,
+                                     _unrestorable)
     trace.ici = IciState(theta=theta.copy(), theta_local=copies.copy(),
                          nu=nu.copy())
     trace.solution = _finalize(channels, topology, restored, floored,
@@ -509,8 +509,8 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
                                        count, rng, bus=None):
     """Network-wide randomization with only per-candidate exchanges.
 
-    ``theta`` holds each BS b's ICI grid: one (B, U) grid, or a scalar,
-    seen by every BS, or one per BS, (B, B, U).  Each BS draws
+    ``theta`` is the ICI grid every BS sees: a (B, U) grid, a scalar, or
+    None for cells that see no ICI (:func:`direction_system`).  Each BS draws
     candidates from its own rows of the covariances W_star (G, A, A),
     gives each its least local powers at its grid, and broadcasts its
     per-candidate totals (``gr-power``); all BSs then pick the same
@@ -527,10 +527,7 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     """
     if bus is None:
         bus = MessageBus(range(topology.B))
-    theta = topology.ici_grid(theta, per_bs=True)
-    seeds = rng.spawn(topology.B) if hasattr(rng, "spawn") \
-        else [np.random.default_rng(rng.integers(2 ** 63))
-              for _ in range(topology.B)]
+    seeds = rng.spawn(topology.B)
     V = np.zeros((count, topology.G, topology.A), dtype=complex)
     P = np.zeros((count, topology.G))
     totals = np.zeros((topology.B, count))
@@ -539,7 +536,7 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
         for g in groups:
             V[:, g] = gaussian_candidates(W_star[g], count, seeds[b])
         P[:, groups] = fixed_direction_powers(
-            channels, topology, V[:, groups], cell=b, theta=theta[b])
+            channels, topology, V[:, groups], cell=b, theta=theta)
         totals[b] = P[:, groups].sum(axis=1)
         bus.post(b, None, "gr-power",
                  np.where(np.isfinite(totals[b]), totals[b], 1e300))
@@ -575,26 +572,23 @@ def solve_fixed_ici(channels, topology, theta_value,
                     gr_count=DEFAULT_GR_COUNT, rng=None):
     """One-shot per-cell design with predefined ICI caps, no signaling.
 
-    ``theta_value`` is a scalar or a (B, U) ICI grid shared by every BS,
-    or one grid per BS, (B, B, U)."""
-    W, theta = yield from _fixed_ici(
+    ``theta_value`` is a scalar or a (B, U) ICI grid shared by every BS;
+    NaN or negative values raise :class:`ConfigurationError`."""
+    W = yield from _fixed_ici(
         channels, topology, theta_value, lambda b, _: f"fixed-cap "
         f"subproblem of BS {b} infeasible at theta={theta_value}")
-    return _finalize(channels, topology, W, theta, gr_count, rng)
+    return _finalize(channels, topology, W, theta_value, gr_count, rng)
 
 
 def _fixed_ici(channels, topology, theta, failure):
-    """Solve generator of every cell's design at its fixed ICI grid, of
-    ``theta`` as in :func:`distributed_gaussian_randomization`
-    (:func:`assemble_subproblem`).  Returns the covariances (G, A, A)
-    and the (B, B, U) grids, for :func:`_finalize`; ``failure`` as in
-    :func:`_cells`."""
-    theta = topology.ici_grid(theta, per_bs=True)
+    """Solve generator of every cell's design at the fixed ICI values
+    ``theta`` (:func:`assemble_subproblem`); returns the covariances
+    (G, A, A).  ``failure`` as in :func:`_cells`."""
     sols = yield from _cells(
-        {b: assemble_subproblem(b, channels, topology, theta[b])
+        {b: assemble_subproblem(b, channels, topology, theta)
          for b in range(topology.B)}, failure)
     return network_stack(topology, [np.stack(sol.matrix_values)
-                                    for sol in sols]), theta
+                                    for sol in sols])
 
 
 def _null_space_basis(channels, topology, b):
@@ -645,7 +639,7 @@ def solve_orthogonal(channels, topology, gr_count=DEFAULT_GR_COUNT,
                      rng=None):
     """Per-cell design with orthogonal (time/frequency) access.
 
-    Each cell optimizes alone with no inter-cell interference, but the
+    Each cell optimizes alone, at ``theta`` None (no ICI), but the
     SINR targets rise to (1 + gamma)^B - 1 to deliver the same rates in
     a 1/B share of the resources.  The reported objective is the sum of
     the per-slot transmit powers.
@@ -655,8 +649,8 @@ def solve_orthogonal(channels, topology, gr_count=DEFAULT_GR_COUNT,
         B=topology.B, G=topology.G, U=topology.U, A=topology.A,
         gamma=gamma_orth, sigma2=topology.sigma2, p_max=topology.p_max,
         cell_separation=topology.cell_separation)
-    W, blind = yield from _fixed_ici(
-        channels, topo_orth, blind_caps(topo_orth), lambda b, _: f"orthogonal-access design "
+    W = yield from _fixed_ici(
+        channels, topo_orth, None, lambda b, _: f"orthogonal-access design "
         f"infeasible at BS {b} (raised target "
         f"{float(np.max(gamma_orth)):.3g})")
-    return _finalize(channels, topo_orth, W, blind, gr_count, rng)
+    return _finalize(channels, topo_orth, W, None, gr_count, rng)

@@ -115,7 +115,8 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{name} must be >= 0 (ICI caps in watts)")
         for name, val in (("sigma2", self.sigma2), ("rho", self.rho),
-                          ("epsilon", self.epsilon)):
+                          ("epsilon", self.epsilon),
+                          ("step_size", self.step_size)):
             if val <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.trials < 1 or self.iters < 1 or self.gr_budget < 0:
@@ -151,6 +152,8 @@ def expand_sweep(value, name):
             v += step
         return out
     if isinstance(value, (list, tuple)):
+        if not value:
+            raise ConfigurationError(f"{name}: empty sweep list")
         return [_number(name, v) for v in value]
     return [_number(name, value)]
 

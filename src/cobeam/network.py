@@ -67,18 +67,17 @@ class Topology:
         serving = np.take(self.bs_of_group, self.group_of_user)
         return np.arange(self.B)[:, None] != serving
 
-    def ici_grid(self, theta, per_bs=False):
+    def ici_grid(self, theta):
         """ICI values as a read-only float (B, U) grid, a scalar
-        broadcast; with ``per_bs`` one grid per BS, (B, B, U), which a
-        scalar or one (B, U) grid fills for every BS.  Other shapes
-        raise :class:`ConfigurationError`."""
+        broadcast.  Other shapes, and values not finite and nonnegative
+        (``None`` reads as NaN), raise :class:`ConfigurationError`."""
         theta = np.asarray(theta, dtype=float)
-        accepted = [(), (self.B, self.U)]
-        accepted += [(self.B,) + accepted[1]] if per_bs else []
-        if theta.shape not in accepted:
+        if theta.shape not in [(), (self.B, self.U)]:
             raise ConfigurationError(f"ICI values of shape {theta.shape}; "
-                                     f"expected one of {accepted}")
-        return np.broadcast_to(theta, accepted[-1])
+                                     f"expected () or {(self.B, self.U)}")
+        if not np.all(np.isfinite(theta) & (theta >= 0)):
+            raise ConfigurationError("ICI values must be finite and >= 0")
+        return np.broadcast_to(theta, (self.B, self.U))
 
     def ici_owned(self, b):
         """(2, B, U) bool: BS b's ICI pairs by its role, row 0 the pairs

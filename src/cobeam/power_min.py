@@ -41,18 +41,18 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     ``cell`` b keeps BS b's groups and users.  ``level`` replaces every
     target gamma_u by one balancing level.  For a cell, ``theta`` is the
     ICI grid theta[j, u] (a scalar broadcasts): incoming values raise the
-    noise, outgoing ones cap Tr(H_{b,u} sum_g W_g) <= theta[b, u].
-    ``copies`` (a (B, U) grid of linear weights, one quadratic weight)
-    instead makes every ICI value touching the cell a local scalar
-    variable with those ADMM objective weights, one per pair in
-    row-major order.  ``budget`` adds sum_g Tr(W_g) <= p_max per BS;
+    noise, outgoing ones cap Tr(H_{b,u} sum_g W_g) <= theta[b, u]; at None
+    the cell sees no ICI.  ``copies`` (a (B, U) grid of linear weights, one
+    quadratic weight) instead makes every ICI value touching the cell a
+    local scalar variable with those ADMM objective weights, one per pair
+    in row-major order.  ``budget`` adds sum_g Tr(W_g) <= p_max per BS;
     ``objective`` minimizes the sum of traces (else the problem is a
     feasibility check); ``basis`` confines a cell's covariances to
     span(basis) by projecting channels.  The matrix variables are the
-    groups in scope in :meth:`Topology.groups_of_bs` order, so a
-    solution's covariances are ``np.stack(sol.matrix_values)``.  Rows
-    come in the order SINR, cap, budget.  Returns the problem and the
-    (B, U) grid of copy variables, -1 where a pair has none.
+    groups in scope in :meth:`Topology.groups_of_bs` order, so a solution's
+    covariances are ``np.stack(sol.matrix_values)``.  Rows come in the
+    order SINR, cap, budget.  Returns the problem and the (B, U) grid of
+    copy variables, -1 where a pair has none.
     """
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
@@ -115,15 +115,6 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
                         if topology.bs_of_group[g] == b},
                 rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
     return prob, copy_slot
-
-
-def blind_caps(topology):
-    """ICI grids of cells that ignore the network, (B, B, U): BS b's grid
-    assumes no incoming interference (0) and caps nothing (1e9 on row
-    b, the pairs out of BS b)."""
-    B = topology.B
-    return np.broadcast_to(np.where(np.eye(B, dtype=bool)[:, :, None],
-                                    1e9, 0.0), (B, B, topology.U))
 
 
 def assemble_qos_sdp(channels, topology):
@@ -258,26 +249,26 @@ def direction_system(channels, topology, V, cell=None, theta=None,
     served-group columns and noise, and the cap rows, the arguments of
     :func:`capped_least_powers` bar the targets.  A cell's noise rises by
     its incoming values on the ICI grid ``theta`` (a scalar broadcasts)
-    and its outgoing ones cap it; ``budget`` adds one row sum_g p_g <=
-    p_max per BS.
+    and its outgoing ones cap it; at ``theta`` None it sees no ICI.
+    ``budget`` adds one row sum_g p_g <= p_max per BS.
     """
     if cell is None:
         groups, users = range(topology.G), list(range(topology.U))
         bss, own = range(topology.B), topology.group_of_user
         gains = direction_gains(channels.h[list(topology.bs_of_group)], V)
         noise = topology.sigma2
-        cap_gains, caps = np.zeros((len(V), 0, topology.G)), []
     else:
         groups, users = topology.groups_of_bs(cell), topology.users_of_bs(cell)
         others, bss = topology.out_of_cell_users(cell), [cell]
         own = [groups.index(topology.group_of_user[u]) for u in users]
-        h = channels.h[cell]
-        gains = direction_gains(h[users], V)
+        gains = direction_gains(channels.h[cell, users], V)
+        noise = topology.sigma2[users]
+    cap_gains, caps = np.zeros((len(V), 0, len(groups))), []
+    if cell is not None and theta is not None:
         theta = topology.ici_grid(theta)
-        noise = topology.sigma2[users] + [
-            sum(theta[j, u] for j in range(topology.B) if j != cell)
-            for u in users]
-        cap_gains = direction_gains(h[others], V)
+        noise = noise + [sum(theta[j, u] for j in range(topology.B)
+                             if j != cell) for u in users]
+        cap_gains = direction_gains(channels.h[cell, others], V)
         caps = theta[cell, others].tolist()
     if budget:
         member = [[topology.bs_of_group[g] == b for g in groups] for b in bss]

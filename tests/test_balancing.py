@@ -20,7 +20,8 @@ from cobeam.balancing import (achieved_min_sinr, balance_centralized,
 from cobeam.conic.ipm import ACCEPT_TOL, point_violation
 from cobeam.experiment import db_to_linear, parse_scenario, run_sweep
 from cobeam.power_min import (capped_least_powers, direction_system,
-                              gaussian_candidates, sinr_system)
+                              fixed_direction_powers, gaussian_candidates,
+                              sinr_system)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -447,6 +448,32 @@ class TestUncoordinated:
         out = balance_uncoordinated(chans, topo, epsilon=1e-3)
         blind = min(out.per_cell_t.values())
         assert out.achieved <= blind + 1e-6
+
+    @pytest.mark.parametrize("G, U", [(2, 4), (4, 8)])
+    def test_no_ici_is_the_blind_grid(self, G, U):
+        # theta=None scores a cell alone exactly as a grid with no
+        # incoming ICI and a cap far above any leakage on its own row
+        rng = np.random.default_rng(7)
+        for seed in range(3):
+            topo, chans = two_cell(seed, G=G, U=U)
+            for b in range(topo.B):
+                blind = np.zeros((topo.B, topo.U))
+                blind[b] = 1e9
+                n = len(topo.groups_of_bs(b))
+                V = np.stack([gaussian_candidates(np.eye(topo.A), 30, rng)
+                              for _ in range(n)], axis=1)
+                V[0] = 0.5      # unit norm at A = 4
+                powers = [fixed_direction_powers(chans, topo, V, cell=b,
+                                                 theta=theta)
+                          for theta in (None, blind)]
+                assert np.isfinite(powers[0]).any()
+                assert np.array_equal(powers[0], powers[1])
+                (t, p, idx), want = (
+                    local_balance_gr(b, chans, topo, V, theta, 1e-3)
+                    for theta in (None, blind))
+                assert t == want[0] and idx == want[2]
+                assert np.array_equal(p, want[1])
+                assert np.isfinite(p).all()
 
 
 class TestUncoordinatedBudgetDip:

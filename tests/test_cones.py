@@ -779,8 +779,8 @@ def test_scaled_affine_complementarity(name, batch, seed, alpha):
     sc = NTScaling(lay, x, z)
     dx, dz = sc.unscale(dxs, dzs)
     u, v = sc.lam() + alpha * dxs, sc.lam() + alpha * dzs
-    scaled = ipm._vecdot(u, v)
-    plain = ipm._vecdot(x + alpha * dx, z + alpha * dz)
+    scaled = np.vecdot(u, v)
+    plain = np.vecdot(x + alpha * dx, z + alpha * dz)
     # relative to the Cauchy-Schwarz bound of the products' terms
     scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
     assert (np.abs(scaled - plain) <= 1e-12 * scale).all()

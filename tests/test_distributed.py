@@ -490,6 +490,15 @@ class TestSpecialCases:
                 assert evaluate_sinr(chans, sol, u, topo) \
                     >= topo.gamma[u] * (1 - 1e-5)
 
+    def test_bad_caps_are_input_errors(self):
+        # not an infeasible solve, nor a ValueError from inside the IPM
+        topo, chans = small_scenario(27)
+        grid = np.full((topo.B, topo.U), 0.3)
+        grid[1, 0] = np.nan
+        for theta in (np.nan, -1.0, grid):
+            with pytest.raises(ConfigurationError, match="finite"):
+                solve_fixed_ici(chans, topo, theta)
+
     def test_common_theta_variant_runs(self):
         topo, chans = small_scenario(28)
         trace = run_primal_decomposition(chans, topo, max_iters=15,

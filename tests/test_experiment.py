@@ -102,7 +102,10 @@ class TestParsing:
         ('"trials": 1.7', []), ('"gamma_db": "0:1..5:2"', []),
         ('"gamma_db": [1, "x"]', []), ('"schemes": "centralized"', []),
         ('"schemes": [["centralized"]]', []),
-        ('"seed": -1', []), (None, []), ("", ["--seed", "-1"])])
+        ('"seed": -1', []), (None, []), ("", ["--seed", "-1"]),
+        ('"gamma_db": []', []), ('"d_db": []', []), ('"p_max": []', []),
+        ('"theta_grid": []', []), ('"step_size": 0.0', []),
+        ('"step_size": -0.3', [])])
     def test_malformed_input_exits_2(self, tmp_path, capsys, text, args):
         path = write_scenario(tmp_path)
         if text is None:  # the scenario inside a top-level array

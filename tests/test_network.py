@@ -66,14 +66,14 @@ class TestTopology:
         assert np.array_equal(topo.ici_grid(np.float64(0.5)),
                               np.full((2, 4), 0.5))
         assert np.array_equal(topo.ici_grid(grid), grid)
-        assert np.array_equal(topo.ici_grid(grid, per_bs=True),
-                              np.stack([grid, grid]))
-        per_bs = np.arange(16.0).reshape(2, 2, 4)
-        assert np.array_equal(topo.ici_grid(per_bs, per_bs=True), per_bs)
-        for bad, flag in [(np.ones(4), False), (np.ones(4), True),
-                          (per_bs, False), (np.ones((4, 2)), True)]:
+        stack = np.arange(16.0).reshape(2, 2, 4)
+        for bad in [np.ones(4), stack, np.ones((4, 2))]:
             with pytest.raises(ConfigurationError, match="shape"):
-                topo.ici_grid(bad, per_bs=flag)
+                topo.ici_grid(bad)
+        # a cell that sees no ICI is theta=None to a design, never a grid
+        for bad in [np.nan, np.inf, -0.1, None, np.where(grid > 6, -1, grid)]:
+            with pytest.raises(ConfigurationError, match="finite"):
+                topo.ici_grid(bad)
 
 
 class TestChannels:
