@@ -45,9 +45,6 @@ class MessageLog:
         return sum(r.count for r in self.records
                    if tags is None or r.tag in tags)
 
-    def rounds(self):
-        return sorted({r.round for r in self.records})
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -4,10 +4,11 @@ The centralized design runs a bisection over the relaxed feasibility
 problem (per-BS power budgets, all interference coupled); the
 distributed design lets each cell balance its own users against fixed
 incoming-interference assumptions and outgoing caps, with no backhaul
-exchange at all; the uncoordinated baseline ignores interference
-entirely and gets re-evaluated against the truth.  The bisections and
-pipelines are :func:`conic.driven` solve generators; the per-cell
-designs run their B bisections side by side.
+exchange at all; the uncoordinated baseline is the distributed design
+at ``theta`` None, each cell blind to interference, re-evaluated
+against the truth.  The bisections and pipelines are
+:func:`conic.driven` solve generators; the per-cell designs run their
+B bisections side by side.
 """
 
 import inspect
@@ -234,8 +235,8 @@ def local_balance(b, channels, topology, theta_cap,
     """Per-cell balancing with fixed ICI caps, no backhaul exchange.
 
     Incoming interference is assumed at the cap value; outgoing
-    interference is constrained below it.  ``theta_cap`` is a scalar or
-    a (B, U) ICI grid.
+    interference is constrained below it.  ``theta_cap`` is a scalar, a
+    (B, U) ICI grid, or None: the cell alone, blind to ICI.
     """
     return (yield from _sdr_bisect(channels, topology, epsilon, cell=b,
                                    theta=theta_cap))
@@ -246,8 +247,7 @@ def local_balance_gr(b, channels, topology, V, theta_cap,
     """Local Gaussian-randomization balancing for one cell.
 
     ``V`` (C, G_b, A) holds direction sets of this cell's groups;
-    scoring mirrors :func:`local_balance` with fixed directions, or
-    :func:`uncoordinated_balance` at ``theta_cap`` None (no ICI).
+    scoring mirrors :func:`local_balance` with fixed directions.
     """
     return _gr_level(channels, topology, V, epsilon, cell=b,
                      theta=theta_cap)
@@ -255,9 +255,9 @@ def local_balance_gr(b, channels, topology, V, theta_cap,
 
 @conic.driven
 def uncoordinated_balance(b, channels, topology, epsilon=DEFAULT_EPSILON):
-    """Interference-blind per-cell balancing (the non-coordinating
-    baseline, ``theta`` None); its optimistic level must be re-checked
-    with true ICI."""
+    """Interference-blind per-cell balancing: :func:`local_balance` at
+    ``theta_cap`` None; its optimistic level must be re-checked with
+    true ICI."""
     return (yield from _sdr_bisect(channels, topology, epsilon, cell=b))
 
 
@@ -317,25 +317,26 @@ def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
                           bisection=res)
 
 
-def _per_cell_pipeline(channels, topology, solver, gr_count, rng,
-                       gr_builder):
-    """Shared shell of the distributed and uncoordinated baselines: the
-    B bisections ``solver(b)`` side by side, then each cell's tail in
-    turn, which raises what a cell-by-cell loop would raise first.  The
-    cells' solutions join into one of the network's groups."""
+def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
+    """Per-cell balancing at the ICI values ``theta`` (None: each cell
+    blind to ICI): the B :func:`local_balance` bisections side by side,
+    then each cell's tail in turn, which raises what a cell-by-cell loop
+    would raise first.  The cells' solutions join into one of the
+    network's groups."""
     cells = []
     per_cell_t = {}
     rng = np.random.default_rng() if rng is None else rng
-    results = yield from conic.gather([solver(b)
-                                       for b in range(topology.B)])
+    results = yield from conic.gather([
+        conic.solving(local_balance, b, channels, topology, theta, epsilon)
+        for b in range(topology.B)])
     for b, res in enumerate(results):
         if isinstance(res, Exception):
             raise res
         per_cell_t[b] = res.t
 
         def randomize(W):
-            sol, t_b = _randomize(W, gr_count, rng,
-                                  lambda V: gr_builder(b, V))
+            sol, t_b = _randomize(W, gr_count, rng, lambda V: local_balance_gr(
+                b, channels, topology, V, theta, epsilon))
             per_cell_t[b] = min(per_cell_t[b], t_b)
             return sol
 
@@ -356,23 +357,14 @@ def balance_distributed(channels, topology, theta_cap,
                         epsilon=DEFAULT_EPSILON, gr_count=DEFAULT_GR_COUNT,
                         rng=None):
     """Distributed balancing at fixed caps, all cells independent."""
-    return (yield from _per_cell_pipeline(
-        channels, topology,
-        lambda b: conic.solving(local_balance, b, channels, topology,
-                                theta_cap, epsilon),
-        gr_count, rng,
-        lambda b, V: local_balance_gr(b, channels, topology, V, theta_cap,
-                                      epsilon)))
+    return (yield from _per_cell_pipeline(channels, topology, theta_cap,
+                                          epsilon, gr_count, rng))
 
 
 @conic.driven
 def balance_uncoordinated(channels, topology, epsilon=DEFAULT_EPSILON,
                           gr_count=DEFAULT_GR_COUNT, rng=None):
-    """Interference-blind baseline, re-evaluated with true ICI."""
-    return (yield from _per_cell_pipeline(
-        channels, topology,
-        lambda b: conic.solving(uncoordinated_balance, b, channels,
-                                topology, epsilon),
-        gr_count, rng,
-        lambda b, V: local_balance_gr(b, channels, topology, V, None,
-                                      epsilon)))
+    """Interference-blind baseline, re-evaluated with true ICI: the
+    distributed design at ``theta_cap`` None."""
+    return (yield from _per_cell_pipeline(channels, topology, None, epsilon,
+                                          gr_count, rng))

@@ -68,9 +68,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        parser.error(f"unknown command {args.command}")
+        return cmd_run(args)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -203,10 +203,6 @@ class ConicSolution:
     # solve_batch call that returned it
     time_s: float = 0.0
 
-    @property
-    def optimal(self):
-        return self.status is SolveStatus.OPTIMAL
-
 
 class CompiledProblem:
     """Standard form min c'x + x'Qx/2 s.t. Ax = b, x in K (real packed

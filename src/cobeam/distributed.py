@@ -40,7 +40,6 @@ from .power_min import (DEFAULT_GR_COUNT, direction_gains, extract_rank_one,
                         finalize, fixed_direction_powers, gaussian_candidates,
                         least_powers, randomized_solution, sinr_system)
 
-THETA_FLOOR = 1e-10
 DEFAULT_RHO = 2.0
 DEFAULT_STEP = 0.3
 # PD and ADMM stop once their caps (and ADMM's consensus) move less
@@ -204,13 +203,13 @@ def extract_subgradient(problem, solution, topology, b):
     return prices
 
 
-def master_update(theta, subgrad, iteration, step, floor=THETA_FLOOR):
+def master_update(theta, subgrad, iteration, step, floor):
     """Projected subgradient step on the ICI caps.
 
     ``step`` is either a fixed size or a callable schedule step(r); the
-    projection clamps onto the (numerically) positive orthant at
-    ``floor``.  The consensus loops raise the floor well above 1e-10:
-    the cap dual grows like 1/sqrt(theta) at the boundary, so iterates
+    projection clamps onto the positive orthant at ``floor``.  Primal
+    decomposition passes :func:`_theta_floor`, well away from zero: the
+    cap dual grows like 1/sqrt(theta) at the boundary, so iterates
     touching a near-zero cap would pick up enormous subgradients.
     """
     size = step(iteration) if callable(step) else float(step)

@@ -206,8 +206,6 @@ def parse_scenario(path):
 
 def _rank_stats(solution, G):
     ranks = solution.sdr_rank
-    if ranks is None:
-        return None, None
     all_one = bool((ranks == 1).all())
     avg = None if all_one else sum(ranks.tolist()) / G
     return all_one, avg
@@ -234,9 +232,9 @@ def run_sweep(config):
                         for k, scheme in enumerate(config.schemes)):
                     records.extend(recs)
                     trace_rows.extend(traces)
+    # a scheme's caps are all None or all numbers, so the keys compare
     records.sort(key=lambda r: (r["gamma_db"], r["d_db"], r["p_max"],
-                                r["trial"], r["scheme"],
-                                str(r["theta_cap"])))
+                                r["trial"], r["scheme"], r["theta_cap"]))
     return records, trace_rows
 
 
@@ -434,16 +432,12 @@ _RUNNERS = {
 SCHEMES = tuple(_RUNNERS)
 
 
-def emit_results(records, path, format="csv", columns=None):
+def emit_results(records, path, format="csv", columns=RECORD_COLUMNS):
     """Write records with a stable column order.
 
     CSV prints floats at 9 significant digits with blanks for missing
     values; JSON keeps native types so a load round-trips exactly.
     """
-    if columns is None:
-        columns = RECORD_COLUMNS if records and "objective_kind" \
-            in records[0] else (list(records[0].keys()) if records
-                                else RECORD_COLUMNS)
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -458,11 +452,6 @@ def emit_results(records, path, format="csv", columns=None):
     else:
         raise ConfigurationError(f"unknown output format {format!r}")
     return path
-
-
-def load_results(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _fmt(value):
@@ -493,7 +482,7 @@ def summarize(records):
                rec["theta_cap"])
         groups.setdefault(key, []).append(rec)
     rows = []
-    for key in sorted(groups, key=str):
+    for key in sorted(groups):  # caps compare as in run_sweep
         recs = groups[key]
         values = [r["objective"] for r in recs if r["feasible"]]
         kinds = Counter(r["failure_kind"] for r in recs

@@ -103,7 +103,7 @@ class TestBusRounds:
         bus = MessageBus([0, 1])
         for r in range(3):
             one_round([0, 1], pd_round_plan(2, 2), bus=bus)
-        assert bus.log.rounds() == [0, 1, 2]
+        assert sorted({r.round for r in bus.log.records}) == [0, 1, 2]
         for r in range(3):
             assert bus.log.scalars_in_round(r) == 8
 

@@ -475,6 +475,31 @@ class TestUncoordinated:
                 assert np.array_equal(p, want[1])
                 assert np.isfinite(p).all()
 
+    def test_is_distributed_at_no_ici(self):
+        # balancing_gr.json's shape and draws: the blind baseline is the
+        # distributed design at theta None, field for field, through
+        # trial 1's Gaussian randomization too
+        topo = build_topology(B=2, G=2, U=8, A=4, gamma=1.0, sigma2=1.0,
+                              p_max=10.0,
+                              cell_separation=float(db_to_linear(1.0)))
+        for trial in range(3):
+            chans = sample_channels(topo, np.random.default_rng(
+                np.random.SeedSequence(entropy=5, spawn_key=(trial,))))
+            unc, dist = (
+                balance_uncoordinated(chans, topo, epsilon=1e-3,
+                                      rng=np.random.default_rng(11)),
+                balance_distributed(chans, topo, None, epsilon=1e-3,
+                                    rng=np.random.default_rng(11)))
+            assert unc.solution.used_randomization is (trial == 1)
+            assert dist.achieved == unc.achieved
+            assert dist.t_relaxed == unc.t_relaxed
+            assert dist.per_cell_t == unc.per_cell_t
+            assert dist.solution.used_randomization \
+                is unc.solution.used_randomization
+            for part in ("W", "w", "p", "rank", "sdr_rank"):
+                assert np.array_equal(getattr(dist.solution, part),
+                                      getattr(unc.solution, part)), part
+
 
 class TestUncoordinatedBudgetDip:
     def test_average_level_non_monotone_in_budget(self):

@@ -128,16 +128,18 @@ class TestSubgradient:
 
 class TestMasterUpdate:
     def test_plain_step(self):
-        out = master_update(np.array([1.0]), np.array([2.0]), 0, 0.3)
+        out = master_update(np.array([1.0]), np.array([2.0]), 0, 0.3,
+                            1e-10)
         assert out[0] == pytest.approx(0.4)
 
     def test_clamp_to_floor(self):
-        out = master_update(np.array([0.1]), np.array([10.0]), 0, 0.3)
+        out = master_update(np.array([0.1]), np.array([10.0]), 0, 0.3,
+                            1e-10)
         assert out[0] == 1e-10
 
     def test_zero_subgradient_fixed_point(self):
         theta = np.array([0.7, 0.2])
-        out = master_update(theta, np.zeros(2), 3, 0.3)
+        out = master_update(theta, np.zeros(2), 3, 0.3, 1e-10)
         assert np.array_equal(out, theta)
 
     def test_diminishing_schedule(self):

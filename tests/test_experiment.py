@@ -12,9 +12,8 @@ from cobeam.conic import ipm
 from cobeam.errors import (ConfigurationError, IndeterminateError,
                            InfeasibleTargetsError)
 from cobeam.experiment import (RECORD_COLUMNS, ScenarioConfig, emit_results,
-                               emit_traces, expand_sweep, load_results,
-                               parse_scenario, run_sweep, solve_orthogonal,
-                               summarize)
+                               emit_traces, expand_sweep, parse_scenario,
+                               run_sweep, solve_orthogonal, summarize)
 from cobeam.network import (build_topology, orthogonal_equivalent_target,
                             sample_channels)
 from cobeam.distributed import solve_fixed_ici, solve_nulling
@@ -345,6 +344,19 @@ class TestSweep:
         assert all(rec["objective_kind"] == "min_sinr_linear"
                    for rec in records)
 
+    def test_sweep_values_sort_as_numbers(self):
+        # records and summary rows follow d_db and theta_cap as numbers:
+        # as strings, 10 would sort before 2 and 5
+        cfg = ScenarioConfig(B=2, G=2, U=4, A=4,
+                             schemes=["balance-distributed"],
+                             gamma_db=1.0, d_db="0:5:10", trials=1, seed=7,
+                             epsilon=1e-2, theta_grid=[0.5, 2, 10])
+        records, _ = run_sweep(cfg)
+        want = [(d, cap) for d in (0, 5, 10) for cap in (0.5, 2, 10)]
+        assert [(rec["d_db"], rec["theta_cap"]) for rec in records] == want
+        assert [(row["d_db"], row["theta_cap"])
+                for row in summarize(records)] == want
+
 
 class TestEmission:
     def test_header_only_csv(self, tmp_path):
@@ -360,7 +372,7 @@ class TestEmission:
         records, _ = run_sweep(cfg)
         path = tmp_path / "out.json"
         emit_results(records, path, "json")
-        loaded = load_results(path)
+        loaded = json.loads(path.read_text())
         assert loaded == [{col: rec.get(col) for col in RECORD_COLUMNS}
                           for rec in records]
 
@@ -412,4 +424,4 @@ class TestCli:
         code = main(["run", str(scenario), "--out", str(out),
                      "--format", "json"])
         assert code == 0
-        assert isinstance(load_results(out), list)
+        assert isinstance(json.loads(out.read_text()), list)

@@ -66,6 +66,8 @@ def main(argv=None):
     parser.add_argument("scenarios", nargs="+")
     parser.add_argument("--trials", type=int, help="override trial count")
     args = parser.parse_args(argv)
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be >= 1")
     digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
     results, nrecords, nrows = hashlib.sha256(), 0, 0
 
