@@ -41,9 +41,8 @@ class MessageLog:
                    if r.round == round_index
                    and (tags is None or r.tag in tags))
 
-    def total_scalars(self, tags=None):
-        return sum(r.count for r in self.records
-                   if tags is None or r.tag in tags)
+    def total_scalars(self):
+        return sum(r.count for r in self.records)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -41,14 +41,14 @@ kernel in ``tests/test_cones.py`` check.
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
 from ..errors import IndeterminateError
 from .cones import NTScaling
-from .problem import CompiledProblem, ConicProblem, ConicSolution, SolveStatus
+from .problem import CompiledProblem, ConicSolution, SolveStatus
 
 DEFAULT_TOL = 1e-8
 ACCEPT_TOL = 1e-7
@@ -124,20 +124,6 @@ class _Batch:
                          for run in zip(*(c.A_blocks for c in compiled))]
         self.nb = [1.0 + np.linalg.norm(c.b) for c in compiled]
         self.nc = [1.0 + np.linalg.norm(c.c) for c in compiled]
-
-    def take(self, keep):
-        """The batch of the problems at positions ``keep``, indexed out
-        of this batch's arrays: the values and C layout that stacking
-        those problems anew would give."""
-        out = object.__new__(_Batch)
-        out.layout = self.layout
-        out.A, out.b, out.c = (v[keep] for v in (self.A, self.b, self.c))
-        out.qdiag = None if self.qdiag is None else self.qdiag[keep]
-        out.At = out.A.swapaxes(-1, -2)
-        out.A_blocks = [np.ascontiguousarray(blocks[:, keep])
-                        for blocks in self.A_blocks]
-        out.nb, out.nc = ([v[p] for p in keep] for v in (self.nb, self.nc))
-        return out
 
 
 def _factor_schur(M):
@@ -437,7 +423,7 @@ def solve_batch(problems):
         if problem.num_vars() == 0:
             raise ValueError("problem has no variables")
         compiled = CompiledProblem(problem)
-        key = compiled.shape + (problem.has_quadratic(),)
+        key = compiled.shape + (bool(compiled.qdiag.any()),)
         groups.setdefault(key, []).append((i, compiled))
     out = [None] * len(problems)
     for members in groups.values():
@@ -459,12 +445,8 @@ def feasibility(problem):
     direct evaluation, and stops at the first; when it ends without
     either, the generator raises :class:`IndeterminateError`.
     """
-    sol, = yield [ConicProblem(
-        matrix_vars=problem.matrix_vars,
-        num_scalars=problem.num_scalars,
-        scalar_names=problem.scalar_names,
-        constraints=problem.constraints,
-        start=problem.start)]
+    sol, = yield [replace(problem, obj_matrix={}, obj_scalar={},
+                          obj_scalar_quad={})]
     if sol.status is SolveStatus.OPTIMAL:
         return True, sol
     if sol.status is SolveStatus.INFEASIBLE:
@@ -712,11 +694,13 @@ def _sigma(mu_aff, mu):
 
 
 def _narrow(keep, active, data, values):
-    """The members at batch positions ``keep``, their data and their rows
-    of each per-problem array or list (all as given if none left)."""
+    """The members at batch positions ``keep``, their data stacked anew
+    and their rows of each per-problem array or list (all as given if
+    none left)."""
     if len(keep) == len(active):
         return active, data, values
-    return [active[p] for p in keep], data.take(keep), [
+    kept = [active[p] for p in keep]
+    return kept, _Batch([mem.compiled for mem in kept]), [
         [v[p] for p in keep] if isinstance(v, list) else v[keep]
         for v in values]
 

@@ -135,9 +135,6 @@ class ConicProblem:
                 return k
         raise KeyError(f"no constraint labeled {label!r}")
 
-    def has_quadratic(self):
-        return any(v > 0 for v in self.obj_scalar_quad.values())
-
     def num_vars(self):
         return len(self.matrix_vars) + self.num_scalars
 
@@ -226,7 +223,9 @@ class CompiledProblem:
         self.source = problem
         cons = problem.constraints
         m = len(cons)
-        self.n_slack = sum(1 for c in cons if c.relation != "==")
+        # the rows with a slack, in the order of their slack columns
+        slacked = [k for k, con in enumerate(cons) if con.relation != "=="]
+        self.n_slack = len(slacked)
         self.layout = ConeLayout([v.dim for v in problem.matrix_vars],
                                  problem.num_scalars + self.n_slack,
                                  [v.complex for v in problem.matrix_vars])
@@ -256,16 +255,10 @@ class CompiledProblem:
         self.A_blocks = [blk * scale[:, None, None, None] for blk in blocks]
         self.b = rhs * scale
         self.row_scale = scale
-        self.slack_col = [-1] * m
-        slack = self.slack_off
-        for k, con in enumerate(cons):
-            if con.relation != "==":
-                self.A[k, slack] = -1.0 if con.relation == ">=" else 1.0
-                self.slack_col[k] = slack
-                slack += 1
+        for col, k in enumerate(slacked, self.slack_off):
+            self.A[k, col] = -1.0 if cons[k].relation == ">=" else 1.0
         # the row scale of each slack column, which multiplies its slack
-        self.slack_scale = scale[[k for k, col in enumerate(self.slack_col)
-                                  if col >= 0]]
+        self.slack_scale = scale[slacked]
         self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, m)
 
     def _rows(self, matrix_coeffs, scalar_coeffs):

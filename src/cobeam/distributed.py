@@ -203,22 +203,15 @@ def extract_subgradient(problem, solution, topology, b):
     return prices
 
 
-def master_update(theta, subgrad, iteration, step, floor):
-    """Projected subgradient step on the ICI caps.
+def master_update(theta, subgrad, step, floor):
+    """Projected subgradient step of fixed size ``step`` on the ICI caps.
 
-    ``step`` is either a fixed size or a callable schedule step(r); the
-    projection clamps onto the positive orthant at ``floor``.  Primal
+    The projection clamps onto the positive orthant at ``floor``.  Primal
     decomposition passes :func:`_theta_floor`, well away from zero: the
     cap dual grows like 1/sqrt(theta) at the boundary, so iterates
     touching a near-zero cap would pick up enormous subgradients.
     """
-    size = step(iteration) if callable(step) else float(step)
-    return np.maximum(theta - size * subgrad, floor)
-
-
-def diminishing_step(initial):
-    """Nonsummable diminishing schedule initial / sqrt(r + 1)."""
-    return lambda r: initial / np.sqrt(r + 1.0)
+    return np.maximum(theta - float(step) * subgrad, floor)
 
 
 def _theta_floor(topology):
@@ -291,11 +284,11 @@ def run_primal_decomposition(channels, topology, max_iters=100,
 
         theta_new = np.zeros_like(theta)
         theta_new[mask] = master_update(theta[mask], direction(
-            prices[:, mask]), r, step, theta_floor)
+            prices[:, mask]), step, theta_floor)
         scalars, replica_err = _exchange(
             bus, topology, prices, ("dual-mu", "dual-lambda"),
             lambda own, pairs: master_update(
-                theta[pairs], direction(own), r, step, theta_floor),
+                theta[pairs], direction(own), step, theta_floor),
             theta_new)
         change = float(np.max(np.abs(theta_new[mask] - theta[mask]),
                               initial=0.0))

@@ -22,17 +22,12 @@ import numpy as np
 from . import conic
 from .balancing import (balance_centralized, balance_distributed,
                         balance_uncoordinated)
-from .distributed import (diminishing_step, run_admm,
-                          run_primal_decomposition, solve_fixed_ici,
-                          solve_nulling, solve_orthogonal)
+from .distributed import (run_admm, run_primal_decomposition,
+                          solve_fixed_ici, solve_nulling, solve_orthogonal)
 from .errors import (ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
 from .network import build_topology, sample_channels
 from .power_min import solve_centralized
-
-# unicode spellings map onto the ascii scheme names
-_SCHEME_ALIASES = {"fixed-θ": "fixed-theta",
-                   "common-θ": "common-theta"}
 
 # a scenario file's "topology" fields; the other parameters are top-level
 _TOPOLOGY = ("B", "G", "U", "A")
@@ -58,9 +53,10 @@ def db_to_linear(db):
 
 
 def _number(name, value, kind=float):
-    """``value`` as a finite ``kind`` (int or float), which it must equal."""
+    """``value`` as a finite ``kind`` (int or float), which it must equal;
+    a boolean is no number, though True == 1."""
     try:
-        out = kind(value)
+        out = math.nan if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
     if not (math.isfinite(out) and out == value):
@@ -74,21 +70,19 @@ class ScenarioConfig:
 
     def __init__(self, B, G, U, A, schemes, gamma_db=1.0, d_db=1.0,
                  sigma2=1.0, p_max=10.0, iters=100, trials=20, seed=1,
-                 step_size=0.3, step_schedule="fixed", rho=2.0,
-                 epsilon=1e-3, gr_budget=100, theta_grid=(0.01, 0.1, 1.0),
-                 theta_fixed=0.1):
+                 step_size=0.3, rho=2.0, epsilon=1e-3, gr_budget=100,
+                 theta_grid=(0.01, 0.1, 1.0), theta_fixed=0.1):
         self.B, self.G, self.U, self.A = (_number(name, val, int) for name, val
                                           in zip(_TOPOLOGY, (B, G, U, A)))
         if not isinstance(schemes, (list, tuple)) or not schemes:
             raise ConfigurationError("schemes must be a non-empty list")
-        self.schemes = []
         for name in schemes:
-            canon = _SCHEME_ALIASES.get(name, name) \
-                if isinstance(name, str) else None
-            if canon not in SCHEMES:
+            if not isinstance(name, str) or name not in SCHEMES:
                 raise ConfigurationError(
                     f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}")
-            self.schemes.append(canon)
+            if schemes.count(name) > 1:
+                raise ConfigurationError(f"scheme {name!r} is listed twice")
+        self.schemes = list(schemes)
         if "common-theta" in self.schemes and self.B > 2:
             raise ConfigurationError("common-theta needs B = 2")
         self.gamma_db = expand_sweep(gamma_db, "gamma_db")
@@ -99,11 +93,6 @@ class ScenarioConfig:
         self.trials = _number("trials", trials, int)
         self.seed = _number("seed", seed, int)
         self.step_size = _number("step_size", step_size)
-        if step_schedule not in ("fixed", "diminishing"):
-            raise ConfigurationError(
-                f"step_schedule must be fixed or diminishing, "
-                f"got {step_schedule!r}")
-        self.step_schedule = step_schedule
         self.rho = _number("rho", rho)
         self.epsilon = _number("epsilon", epsilon)
         self.gr_budget = _number("gr_budget", gr_budget, int)
@@ -114,10 +103,10 @@ class ScenarioConfig:
             if any(v < 0 for v in caps):
                 raise ConfigurationError(
                     f"{name} must be >= 0 (ICI caps in watts)")
-        for name, val in (("sigma2", self.sigma2), ("rho", self.rho),
-                          ("epsilon", self.epsilon),
-                          ("step_size", self.step_size)):
-            if val <= 0:
+        for name, vals in (("sigma2", [self.sigma2]), ("p_max", self.p_max),
+                           ("rho", [self.rho]), ("epsilon", [self.epsilon]),
+                           ("step_size", [self.step_size])):
+            if any(v <= 0 for v in vals):
                 raise ConfigurationError(f"{name} must be positive")
         if self.trials < 1 or self.iters < 1 or self.gr_budget < 0:
             raise ConfigurationError("trials, iters must be >= 1 and "
@@ -126,11 +115,6 @@ class ScenarioConfig:
             raise ConfigurationError("seed must be >= 0")
         if any(v < 0 for v in self.d_db):
             raise ConfigurationError("d_db must be >= 0 (d >= 1 linear)")
-
-    def step(self):
-        if self.step_schedule == "diminishing":
-            return diminishing_step(self.step_size)
-        return self.step_size
 
 
 def expand_sweep(value, name):
@@ -365,8 +349,8 @@ def _centralized(pt, cfg, rng):
 
 def _primal_decomposition(pt, cfg, rng, common_theta=False):
     yield pt._trace_record((yield from pt.solving(
-        run_primal_decomposition, rng, max_iters=cfg.iters, step=cfg.step(),
-        common_theta=common_theta)))
+        run_primal_decomposition, rng, max_iters=cfg.iters,
+        step=cfg.step_size, common_theta=common_theta)))
 
 
 def _admm(pt, cfg, rng):

@@ -128,6 +128,20 @@ class TestFeasibility:
         assert check_feasibility(prob) is True
 
 
+    def test_probe_keeps_every_field_but_the_objective(self):
+        prob = admm_pair(4)[0]
+        prob.start = solve(prob).iterate
+        assert prob.start is not None and prob.scalar_names
+        assert prob.obj_scalar and prob.obj_scalar_quad
+        probe, = next(ipm.feasibility(prob))
+        objective = {"obj_matrix", "obj_scalar", "obj_scalar_quad"}
+        for field in dataclasses.fields(ConicProblem):
+            if field.name in objective:
+                assert getattr(probe, field.name) == {}
+            else:
+                assert getattr(probe, field.name) is getattr(prob, field.name)
+        assert prob.obj_scalar and prob.obj_scalar_quad
+
 class TestZeroObjectiveStop:
     """A solve with nothing to optimize stops at its first verified
     feasible point or Farkas certificate and says which one."""
@@ -345,7 +359,7 @@ class TestHermitianMirror:
         nu[mask] = rng.uniform(-0.5, 0.5, mask.sum())
         prob = assemble_admm_local(0, sample_channels(topo, 3), topo, theta,
                                    nu, 1.0)[0]
-        assert prob.has_quadratic()
+        assert CompiledProblem(prob).qdiag.any()
         native, emb = solve(prob), solve(embed_hermitian(prob))
         assert native.status is emb.status is SolveStatus.OPTIMAL
         assert native.iterations == emb.iterations
@@ -671,7 +685,7 @@ class TestSolveBatch:
 
     def test_admm_qp_pair(self):
         problems = admm_pair(4)
-        assert all(p.has_quadratic() for p in problems)
+        assert all(CompiledProblem(p).qdiag.any() for p in problems)
         serial = assert_batch_matches_serial(problems)
         assert all(s.status is SolveStatus.OPTIMAL for s in serial)
 

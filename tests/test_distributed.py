@@ -14,7 +14,6 @@ from cobeam.power_min import gaussian_candidates, solve_centralized
 from cobeam.distributed import (admm_feasibility_restore,
                                 admm_global_update, admm_pair_dual_update,
                                 assemble_admm_local, assemble_subproblem,
-                                diminishing_step,
                                 distributed_gaussian_randomization,
                                 extract_subgradient, master_update,
                                 run_admm, run_primal_decomposition,
@@ -128,24 +127,17 @@ class TestSubgradient:
 
 class TestMasterUpdate:
     def test_plain_step(self):
-        out = master_update(np.array([1.0]), np.array([2.0]), 0, 0.3,
-                            1e-10)
+        out = master_update(np.array([1.0]), np.array([2.0]), 0.3, 1e-10)
         assert out[0] == pytest.approx(0.4)
 
     def test_clamp_to_floor(self):
-        out = master_update(np.array([0.1]), np.array([10.0]), 0, 0.3,
-                            1e-10)
+        out = master_update(np.array([0.1]), np.array([10.0]), 0.3, 1e-10)
         assert out[0] == 1e-10
 
     def test_zero_subgradient_fixed_point(self):
         theta = np.array([0.7, 0.2])
-        out = master_update(theta, np.zeros(2), 3, 0.3, 1e-10)
+        out = master_update(theta, np.zeros(2), 0.3, 1e-10)
         assert np.array_equal(out, theta)
-
-    def test_diminishing_schedule(self):
-        sched = diminishing_step(0.5)
-        assert sched(0) == pytest.approx(0.5)
-        assert sched(3) == pytest.approx(0.25)
 
 
 class TestPrimalDecomposition:

@@ -78,10 +78,45 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             expand_sweep("nonsense", "x")
 
-    def test_unicode_scheme_spellings(self):
-        cfg = ScenarioConfig(B=2, G=2, U=4, A=6,
-                             schemes=["fixed-θ", "common-θ"])
-        assert cfg.schemes == ["fixed-theta", "common-theta"]
+    def test_unicode_scheme_spelling_unknown(self, tmp_path):
+        path = write_scenario(tmp_path, schemes=["fixed-θ"])
+        with pytest.raises(ConfigurationError,
+                           match="unknown scheme 'fixed-θ'; valid: .*"
+                                 "fixed-theta"):
+            parse_scenario(path)
+
+    def test_step_schedule_is_unknown_field(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, step_schedule="diminishing")
+        with pytest.raises(ConfigurationError,
+                           match=r"line \d+: unknown field 'step_schedule'"):
+            parse_scenario(path)
+        assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("trials", {"trials": True}), ("iters", {"iters": True}),
+        ("B", {"topology": {"B": True, "G": 2, "U": 4, "A": 6}}),
+        ("sigma2", {"sigma2": True}), ("gamma_db", {"gamma_db": False}),
+        ("gamma_db", {"gamma_db": [1.0, True]})])
+    def test_boolean_is_no_number(self, tmp_path, capsys, field, overrides):
+        path = write_scenario(tmp_path, **overrides)
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            parse_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_repeated_scheme_rejected(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, schemes=["centralized", "nulling",
+                                                 "centralized"])
+        with pytest.raises(ConfigurationError,
+                           match="'centralized' is listed twice"):
+            parse_scenario(path)
+        assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("p_max", [0, [10, 0], -1])
+    def test_nonpositive_p_max_rejected(self, tmp_path, p_max):
+        path = write_scenario(tmp_path, p_max=p_max)
+        with pytest.raises(ConfigurationError, match="p_max must be positive"):
+            parse_scenario(path)
 
     @pytest.mark.parametrize("field, value", [
         ("theta_grid", [-0.1]), ("theta_grid", [0.1, float("inf")]),
