@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, IndeterminateError,
 from .network import BeamformingSolution, evaluate_sinr, network_stack
 from .power_min import (DEFAULT_GR_COUNT, capped_least_powers,
                         direction_system, finalize, gaussian_candidates,
-                        randomized_solution, sinr_system)
+                        randomized_solution, sinr_system, sinr_update)
 
 DEFAULT_EPSILON = 1e-3
 
@@ -137,17 +137,22 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     feasible level replaces the payload with an extreme-face solution;
     that is the covariance set whose rank the extraction step inspects.
     Each probe starts from the iterate of the previous one; the polish
-    starts cold.
+    starts cold.  A cell of one group reads the level in its right-hand
+    sides alone, so its probes share one compile (:func:`sinr_update`);
+    other probes build their own.
     """
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=cell, level=t,
-                           theta=theta, budget=True, objective=objective)
+                           theta=theta, budget=True, objective=objective)[0]
 
     last = None
+    kept = conic.compile_once(system(0.0)) if cell is not None and len(
+        topology.groups_of_bs(cell)) == 1 else None
 
     def probe(t):
         nonlocal last
-        prob, _ = system(t)
+        prob = system(t) if kept is None else sinr_update(
+            kept, topology, cell, level=t, theta=theta)
         prob.start = last
         feasible, sol = yield from conic.feasibility(prob)
         last = sol.iterate
@@ -159,8 +164,7 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     result = yield from conic.solving(
         bisect, 0.0, single_user_upper_bound(channels, topology, users),
         epsilon, probe)
-    prob, _ = system(result.lower, objective=True)
-    sol, = yield [prob]
+    sol, = yield [system(result.lower, objective=True)]
     result.extra_calls += 1
     if sol.status is SolveStatus.OPTIMAL:
         result.payload = np.stack(sol.matrix_values)

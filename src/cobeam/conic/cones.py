@@ -24,6 +24,7 @@ stacked product.  :class:`NTScaling` also takes x and z with leading
 problem axes: each problem's results equal its own scaling's bit for bit.
 """
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -195,6 +196,12 @@ class ConeLayout:
 
     def identity(self):
         return self._identity.copy()
+
+    @staticmethod
+    @functools.cache
+    def of(psd_dims, nonneg, psd_complex):
+        """The read-only layout every problem of this shape shares."""
+        return ConeLayout(psd_dims, nonneg, psd_complex)
 
     def diag(self, psd, nn):
         """Packed point with diagonal PSD blocks; ``psd`` holds one

@@ -422,7 +422,8 @@ def solve_batch(problems):
     for i, problem in enumerate(problems):
         if problem.num_vars() == 0:
             raise ValueError("problem has no variables")
-        compiled = CompiledProblem(problem)
+        compiled = CompiledProblem(problem) if problem.compiled is None \
+            else problem.compiled.updated(problem)
         key = compiled.shape + (bool(compiled.qdiag.any()),)
         groups.setdefault(key, []).append((i, compiled))
     out = [None] * len(problems)
@@ -436,6 +437,14 @@ def solve_batch(problems):
     return out
 
 
+def compile_once(problem):
+    """A copy of ``problem`` whose solves, and those of its
+    :meth:`ConicProblem.updated` copies, share one compile of its rows."""
+    kept = replace(problem)
+    kept.compiled = CompiledProblem(problem)
+    return kept
+
+
 def feasibility(problem):
     """Solve generator (:mod:`.schedule`) of (feasible, solution) for
     the constraint system of ``problem``, ignoring its objective.
@@ -445,8 +454,11 @@ def feasibility(problem):
     direct evaluation, and stops at the first; when it ends without
     either, the generator raises :class:`IndeterminateError`.
     """
-    sol, = yield [replace(problem, obj_matrix={}, obj_scalar={},
-                          obj_scalar_quad={})]
+    # a copy would compile anew, so an objective-free problem goes as it is
+    if problem.obj_matrix or problem.obj_scalar or problem.obj_scalar_quad:
+        problem = replace(problem, obj_matrix={}, obj_scalar={},
+                          obj_scalar_quad={})
+    sol, = yield [problem]
     if sol.status is SolveStatus.OPTIMAL:
         return True, sol
     if sol.status is SolveStatus.INFEASIBLE:

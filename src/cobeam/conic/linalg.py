@@ -24,8 +24,14 @@ def principal_eigenpair(mat):
     """Largest eigenvalue and a unit-norm eigenvector of a Hermitian
     matrix, or of each matrix of a stack (..., n, n), with the bits of
     its own call."""
-    vals, vecs = sla.eigh(_require_hermitian(mat))
-    return vals[..., -1], vecs[..., -1]
+    herm = _require_hermitian(mat)
+    flat = herm.reshape((-1,) + herm.shape[-2:])
+    vals, vecs = np.empty(flat.shape[:-1]), np.empty_like(flat)
+    # one call per matrix: scipy's stacked call loops in Python, slower
+    for i, one in enumerate(flat):
+        vals[i], vecs[i] = sla.eigh(one)
+    return (vals[:, -1].reshape(herm.shape[:-2]),
+            vecs[..., -1].reshape(herm.shape[:-1]))
 
 
 def numerical_rank(mat):
@@ -33,7 +39,9 @@ def numerical_rank(mat):
     (none when it is not positive): an int, or ints for each matrix of a
     stack, as :func:`principal_eigenpair` takes them."""
     mat = np.asarray(mat)
-    vals = sla.eigvalsh(0.5 * (mat + _adjoint(mat)))
+    herm = 0.5 * (mat + _adjoint(mat))
+    vals = np.array([sla.eigvalsh(one) for one in herm.reshape(
+        (-1,) + mat.shape[-2:])]).reshape(mat.shape[:-1])
     rank = np.sum(vals > RANK_TOL * vals[..., -1:], axis=-1)
     return rank if rank.ndim else int(rank)
 

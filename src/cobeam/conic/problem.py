@@ -12,7 +12,8 @@ embedding ``[[Re, -Im], [Im, Re]]``, an independent check of the
 Hermitian blocks; the solver does not use it.
 """
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -70,6 +71,12 @@ class ConicProblem:
     # an :class:`Iterate` of an earlier solve to start from, or None for
     # the cold start
     start: object = None
+    # a :class:`CompiledProblem` of a problem with these coefficients
+    # (``conic.compile_once``), from which a solve derives this one's at
+    # its own right-hand sides and linear costs; None, also in a copy by
+    # ``dataclasses.replace``, compiles it anew
+    compiled: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:
@@ -124,6 +131,18 @@ class ConicProblem:
         self.constraints.append(
             Constraint(mcoef, scoef, rel, float(rhs), label))
         return len(self.constraints) - 1
+
+    def updated(self, rhs=(), scalar=None):
+        """A copy at new right-hand sides ``rhs`` of the first
+        ``len(rhs)`` constraints and new linear scalar costs ``scalar``
+        ({j: c_j}), sharing every coefficient and ``compiled``."""
+        new = replace(self, obj_scalar=dict(self.obj_scalar), constraints=[
+            replace(con, rhs=float(value))
+            for con, value in zip(self.constraints, rhs)]
+            + self.constraints[len(rhs):])
+        new.set_objective(scalar=scalar)
+        new.compiled = self.compiled
+        return new
 
     def _check_scalar(self, j):
         if not 0 <= j < self.num_scalars:
@@ -217,18 +236,22 @@ class CompiledProblem:
     (m, k, d, d) stack per run of the layout; the PSD columns of ``A``
     are its packing.  ``shape`` is the layout and row count, which the
     problems of one lockstep batch share, and a problem and its start.
+    The unscaled rows and their max-abs values are built once, and
+    :meth:`updated` shares them with a problem that differs only in its
+    right-hand sides and linear scalar costs.
     """
 
     def __init__(self, problem):
         self.source = problem
         cons = problem.constraints
-        m = len(cons)
         # the rows with a slack, in the order of their slack columns
-        slacked = [k for k, con in enumerate(cons) if con.relation != "=="]
-        self.n_slack = len(slacked)
-        self.layout = ConeLayout([v.dim for v in problem.matrix_vars],
-                                 problem.num_scalars + self.n_slack,
-                                 [v.complex for v in problem.matrix_vars])
+        self.slacked = [k for k, con in enumerate(cons)
+                        if con.relation != "=="]
+        self.n_slack = len(self.slacked)
+        self.layout = ConeLayout.of(
+            tuple(v.dim for v in problem.matrix_vars),
+            problem.num_scalars + self.n_slack,
+            tuple(v.complex for v in problem.matrix_vars))
         lay = self.layout
         self.scalar_off = lay.nn_offset
         self.slack_off = lay.nn_offset + problem.num_scalars
@@ -239,27 +262,45 @@ class CompiledProblem:
         for j, q in problem.obj_scalar_quad.items():
             self.qdiag[j] = 2.0 * q  # objective carries q*y^2 = (1/2) x'Qx
 
-        rows, blocks = self._rows([con.matrix_coeffs for con in cons],
-                                   [con.scalar_coeffs for con in cons])
-        rhs = np.array([con.rhs for con in cons], dtype=float)
+        self.rows, self.blocks = self._rows(
+            [con.matrix_coeffs for con in cons],
+            [con.scalar_coeffs for con in cons])
         # a Hermitian block's packed entries are sqrt(2) times those of
         # its embedding
         embedded = np.ones(lay.size)
         for run in lay.runs:
             if run.complex:
                 embedded[run.span] = 1.0 / np.sqrt(2.0)
-        norm = np.maximum((np.abs(rows) * embedded).max(axis=1),
-                          np.abs(rhs))
+        self.row_max = (np.abs(self.rows) * embedded).max(axis=1)
+        self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, len(cons))
+        self._scale()
+
+    def updated(self, source):
+        """This compiled form of ``source``, a problem with the same
+        coefficients bar its right-hand sides and linear scalar costs."""
+        new = copy.copy(self)
+        new.source, new.c = source, self.c.copy()
+        new._scale()
+        return new
+
+    def _scale(self):
+        """Scaled rows, ``b`` and ``c`` at the source's right-hand sides
+        and linear scalar costs."""
+        cons = self.source.constraints
+        for j, a in self.source.obj_scalar.items():
+            self.c[self.scalar_off + j] = a
+        rhs = np.array([con.rhs for con in cons], dtype=float)
+        norm = np.maximum(self.row_max, np.abs(rhs))
         scale = np.where(norm > 1.0, 1.0 / norm, 1.0)
-        self.A = rows * scale[:, None]
-        self.A_blocks = [blk * scale[:, None, None, None] for blk in blocks]
+        self.A = self.rows * scale[:, None]
+        self.A_blocks = [blk * scale[:, None, None, None]
+                         for blk in self.blocks]
         self.b = rhs * scale
         self.row_scale = scale
-        for col, k in enumerate(slacked, self.slack_off):
+        for col, k in enumerate(self.slacked, self.slack_off):
             self.A[k, col] = -1.0 if cons[k].relation == ">=" else 1.0
         # the row scale of each slack column, which multiplies its slack
-        self.slack_scale = scale[slacked]
-        self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, m)
+        self.slack_scale = scale[self.slacked]
 
     def _rows(self, matrix_coeffs, scalar_coeffs):
         """Real standard-form rows of the given coefficient dicts (no

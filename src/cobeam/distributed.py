@@ -38,7 +38,8 @@ from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       network_stack, orthogonal_equivalent_target)
 from .power_min import (DEFAULT_GR_COUNT, direction_gains, extract_rank_one,
                         finalize, fixed_direction_powers, gaussian_candidates,
-                        least_powers, randomized_solution, sinr_system)
+                        least_powers, randomized_solution, sinr_system,
+                        sinr_update)
 
 DEFAULT_RHO = 2.0
 DEFAULT_STEP = 0.3
@@ -137,8 +138,9 @@ def _cells(problems, failure, starts=None):
     return sols
 
 
-def _exchange(bus, topology, own, tags, update, state):
-    """One round of the ICI exchange; returns its scalar count and the
+def _exchange(bus, topology, tags):
+    """The ICI exchange of a run, indexed once: a function of one round,
+    ``(own, update, state)``, that returns its scalar count and the
     largest difference between a BS's own update and the round's state.
 
     ``own`` (2, B, U) holds every pair's values by owner, row 0 the
@@ -163,20 +165,24 @@ def _exchange(bus, topology, own, tags, update, state):
                         :, None, None]
                     js, us, rows = np.nonzero(sent.transpose(1, 2, 0))
                     carried[b, peer, tag] = rows, js, us
-                    bus.post(b, peer, tag, own[rows, js, us])
-    inboxes = bus.deliver()
-    errors = []
-    for b in bus.agents:
-        # a value the inbox lacks stays nan, and so does the error
-        view = np.full(own.shape, np.nan)
-        view[owned[b]] = own[owned[b]]
-        for sender, tag, values in inboxes[b]:
-            view[carried[sender, b, tag]] = values
-        touching = owned[b].any(axis=0)
-        errors.append(np.max(np.abs(update(view[:, touching], touching)
-                                    - state[touching]), initial=0.0))
-    return (bus.log.scalars_in_round(bus.round - 1),
-            float(np.max(errors, initial=0.0)))
+    scalars = sum(len(rows) for rows, _, _ in carried.values())
+
+    def exchange_round(own, update, state):
+        for (b, peer, tag), (rows, js, us) in carried.items():
+            bus.post(b, peer, tag, own[rows, js, us])
+        inboxes = bus.deliver()
+        errors = []
+        for b in bus.agents:
+            # a value the inbox lacks stays nan, and so does the error
+            view = np.full(own.shape, np.nan)
+            view[owned[b]] = own[owned[b]]
+            for sender, tag, values in inboxes[b]:
+                view[carried[sender, b, tag]] = values
+            touching = owned[b].any(axis=0)
+            errors.append(np.max(np.abs(update(view[:, touching], touching)
+                                        - state[touching]), initial=0.0))
+        return scalars, float(np.max(errors, initial=0.0))
+    return exchange_round
 
 
 def extract_subgradient(problem, solution, topology, b):
@@ -260,13 +266,18 @@ def run_primal_decomposition(channels, topology, max_iters=100,
         return np.full(s.size, s.sum()) if common_theta else s
 
     bus = MessageBus(range(topology.B))
+    exchange = _exchange(bus, topology, ("dual-mu", "dual-lambda"))
     trace = ConvergenceTrace(algorithm="primal-decomposition")
     best = {"power": np.inf, "theta": theta.copy(), "W": None}
     starts = {}
+    # each cell is built once; a round moves its caps
+    cells = {b: conic.compile_once(assemble_subproblem(b, channels, topology,
+                                                       theta))
+             for b in range(topology.B)}
 
     for r in range(max_iters):
-        problems = {b: assemble_subproblem(b, channels, topology, theta)
-                    for b in range(topology.B)}
+        problems = {b: sinr_update(prob, topology, b, theta=theta)
+                    for b, prob in cells.items()}
         sols = yield from _cells(
             problems, lambda b, status: f"subproblem of BS {b} "
             "infeasible at the initial ICI caps; retry with a larger "
@@ -285,11 +296,9 @@ def run_primal_decomposition(channels, topology, max_iters=100,
         theta_new = np.zeros_like(theta)
         theta_new[mask] = master_update(theta[mask], direction(
             prices[:, mask]), step, theta_floor)
-        scalars, replica_err = _exchange(
-            bus, topology, prices, ("dual-mu", "dual-lambda"),
-            lambda own, pairs: master_update(
-                theta[pairs], direction(own), step, theta_floor),
-            theta_new)
+        scalars, replica_err = exchange(
+            prices, lambda own, pairs: master_update(
+                theta[pairs], direction(own), step, theta_floor), theta_new)
         change = float(np.max(np.abs(theta_new[mask] - theta[mask]),
                               initial=0.0))
         if total_power < best["power"]:
@@ -406,19 +415,23 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     copies = np.zeros((2,) + mask.shape)
     owned = [topology.ici_owned(b) for b in range(topology.B)]
     bus = MessageBus(range(topology.B))
+    exchange = _exchange(bus, topology, ("local-copy", "local-copy"))
     trace = ConvergenceTrace(algorithm="admm")
     starts = {}
 
+    # each cell is built once; an iteration moves its copy weights
+    cells = [assemble_admm_local(b, channels, topology, theta, nu[0], rho)
+             for b in range(topology.B)]
+    cells = [(conic.compile_once(prob), slot) for prob, slot in cells]
     for it in range(max_iters):
         total_power = 0.0
-        assembled = [assemble_admm_local(
-            b, channels, topology, theta, np.where(owned[b][0], nu[0], nu[1]),
-            rho) for b in range(topology.B)]
         sols = yield from _cells(
-            {b: prob for b, (prob, _) in enumerate(assembled)},
+            {b: sinr_update(prob, topology, b, copies=(np.where(
+                owned[b][0], nu[0], nu[1]) - rho * theta, rho / 2.0))
+             for b, (prob, _) in enumerate(cells)},
             lambda b, status: f"ADMM local problem of BS {b} failed at "
             f"iteration {it} (status {status})", starts)
-        for b, ((_, copy_slot), sol) in enumerate(zip(assembled, sols)):
+        for b, ((_, copy_slot), sol) in enumerate(zip(cells, sols)):
             for W in sol.matrix_values:
                 total_power += float(np.real(np.trace(W)))
             copies[owned[b]] = sol.scalar_values[
@@ -427,9 +440,8 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
         # in-cell entries average and update zeros to zeros
         theta_new = admm_global_update(copies)
         nu = admm_pair_dual_update(nu, copies, rho)
-        scalars, replica_err = _exchange(
-            bus, topology, copies, ("local-copy", "local-copy"),
-            lambda own, _: admm_global_update(own), theta_new)
+        scalars, replica_err = exchange(
+            copies, lambda own, _: admm_global_update(own), theta_new)
         residual = float(np.max(np.abs(copies[:, mask] - theta_new[mask]),
                                 initial=0.0))
         dual_residual = rho * float(np.max(

@@ -52,7 +52,8 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     groups in scope in :meth:`Topology.groups_of_bs` order, so a solution's
     covariances are ``np.stack(sol.matrix_values)``.  Rows come in the
     order SINR, cap, budget.  Returns the problem and the (B, U) grid of
-    copy variables, -1 where a pair has none.
+    copy variables, -1 where a pair has none.  :func:`sinr_update` gives
+    a built cell new ``level``, ``theta`` or ``copies``.
     """
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
@@ -63,22 +64,18 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     for g in groups:
         prob.add_psd_var(dim, name=f"W{g}")
     copy_slot = np.full((topology.B, topology.U), -1)
-    linear, quadratic = {}, {}
+    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
     if copies is not None:
-        js, us = np.nonzero(topology.ici_owned(cell).any(axis=0))
-        for j, u, w in zip(js.tolist(), us.tolist(),
-                           copies[0][js, us].tolist()):
-            k = prob.add_scalar_var(name=f"theta~({j}, {u})")
-            copy_slot[j, u] = k
-            linear[k], quadratic[k] = w, copies[1]
+        for j, u in zip(*np.nonzero(topology.ici_owned(cell).any(axis=0))):
+            copy_slot[j, u] = prob.add_scalar_var(name=f"theta~({j}, {u})")
     if objective:
         prob.set_objective(matrix={k: np.eye(dim)
                                    for k in range(len(groups))},
-                           scalar=linear, scalar_quad=quadratic)
+                           scalar=linear,
+                           scalar_quad=dict.fromkeys(linear, copies[1])
+                           if copies is not None else None)
     # nested lists: the rows below read single entries
     slots = copy_slot.tolist()
-    if theta is not None:
-        theta = topology.ici_grid(theta).tolist()
 
     def channel(b, u):
         if basis is None:
@@ -86,28 +83,23 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
         h = basis.conj().T @ channels.vec(b, u)
         return np.outer(h, h.conj())
 
-    ici = cell is not None and (theta is not None or copies is not None)
+    rhs = iter(rhs)
     for u in users:
         t = topology.gamma[u] if level is None else level
         mats = {}
         for k, g in enumerate(groups):
             H = channel(topology.bs_of_group[g], u)
             mats[k] = H if g == topology.group_of_user[u] else -t * H
-        if copies is not None:
-            scalars, incoming = {slots[j][u]: -t for j in peers}, 0
-        else:
-            scalars = None
-            incoming = sum(theta[j][u] for j in peers) if ici else 0
+        scalars = {slots[j][u]: -t for j in peers} \
+            if copies is not None else None
         prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
-                            rhs=t * (topology.sigma2[u] + incoming),
-                            label=("sinr", u))
-    if ici:
-        for u in topology.out_of_cell_users(cell):
-            scalars, cap = ({slots[cell][u]: -1.0}, 0.0) \
-                if copies is not None else (None, theta[cell][u])
-            prob.add_constraint(
-                matrix={k: channel(cell, u) for k in range(len(groups))},
-                scalars=scalars, rel="<=", rhs=cap, label=("cap", (cell, u)))
+                            rhs=next(rhs), label=("sinr", u))
+    # one cap row per right-hand side left, none without ICI
+    for u, cap in zip(topology.out_of_cell_users(cell), rhs):
+        prob.add_constraint(
+            matrix={k: channel(cell, u) for k in range(len(groups))},
+            scalars={slots[cell][u]: -1.0} if copies is not None else None,
+            rel="<=", rhs=cap, label=("cap", (cell, u)))
     if budget:
         for b in range(topology.B) if cell is None else [cell]:
             prob.add_constraint(
@@ -115,6 +107,36 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
                         if topology.bs_of_group[g] == b},
                 rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
     return prob, copy_slot
+
+
+def _sinr_data(topology, cell, level, theta, copies):
+    """The right-hand sides of :func:`sinr_system`'s SINR and cap rows,
+    in order, and its copy variables' linear weights {slot: weight}."""
+    users = range(topology.U) if cell is None else topology.users_of_bs(cell)
+    peers = [j for j in range(topology.B) if j != cell]
+    ici = cell is not None and (theta is not None or copies is not None)
+    grid = topology.ici_grid(theta).tolist() \
+        if ici and copies is None else None
+    rhs = []
+    for u in users:
+        t = topology.gamma[u] if level is None else level
+        incoming = sum(grid[j][u] for j in peers) if grid else 0
+        rhs.append(t * (topology.sigma2[u] + incoming))
+    if ici:
+        rhs += [0.0 if grid is None else grid[cell][u]
+                for u in topology.out_of_cell_users(cell)]
+    if copies is None:
+        return rhs, {}
+    js, us = np.nonzero(topology.ici_owned(cell).any(axis=0))
+    return rhs, dict(enumerate(copies[0][js, us].tolist()))
+
+
+def sinr_update(prob, topology, cell, level=None, theta=None, copies=None):
+    """BS ``cell``'s problem ``prob`` of :func:`sinr_system` at new
+    ``level``, ``theta`` or ``copies``, whose right-hand sides and linear
+    costs alone change (:meth:`ConicProblem.updated`); a level also
+    scales the -t H blocks of a cell of several groups."""
+    return prob.updated(*_sinr_data(topology, cell, level, theta, copies))
 
 
 def assemble_qos_sdp(channels, topology):
@@ -256,20 +278,17 @@ def direction_system(channels, topology, V, cell=None, theta=None,
         groups, users = range(topology.G), list(range(topology.U))
         bss, own = range(topology.B), topology.group_of_user
         gains = direction_gains(channels.h[list(topology.bs_of_group)], V)
-        noise = topology.sigma2
     else:
         groups, users = topology.groups_of_bs(cell), topology.users_of_bs(cell)
-        others, bss = topology.out_of_cell_users(cell), [cell]
+        bss = [cell]
         own = [groups.index(topology.group_of_user[u]) for u in users]
         gains = direction_gains(channels.h[cell, users], V)
-        noise = topology.sigma2[users]
-    cap_gains, caps = np.zeros((len(V), 0, len(groups))), []
-    if cell is not None and theta is not None:
-        theta = topology.ici_grid(theta)
-        noise = noise + [sum(theta[j, u] for j in range(topology.B)
-                             if j != cell) for u in users]
-        cap_gains = direction_gains(channels.h[cell, others], V)
-        caps = theta[cell, others].tolist()
+    # at level 1 the SINR rows' right-hand sides are the noise plus ICI
+    rhs = _sinr_data(topology, cell, 1.0, theta, None)[0]
+    noise, caps = np.array(rhs[:len(users)]), rhs[len(users):]
+    cap_gains = direction_gains(channels.h[
+        cell, topology.out_of_cell_users(cell)], V) if caps \
+        else np.zeros((len(V), 0, len(groups)))
     if budget:
         member = [[topology.bs_of_group[g] == b for g in groups] for b in bss]
         cap_gains = np.concatenate([cap_gains, np.broadcast_to(
