@@ -473,7 +473,7 @@ def point_violation(problem, solution):
     worst = 0.0
     for i, mat in enumerate(solution.matrix_values):
         scale = max(1.0, float(np.real(np.trace(mat))))
-        low = float(sla.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+        low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
         worst = max(worst, -low / scale)
     if solution.scalar_values is not None and solution.scalar_values.size:
         worst = max(worst, -float(solution.scalar_values.min()))
@@ -528,7 +528,7 @@ def verify_infeasibility_certificate(problem, weights):
                 P = P + w[k] * F
                 norm = max(norm, np.abs(F).max())
                 size += abs(w[k]) * np.linalg.norm(F)
-        top = float(sla.eigvalsh(0.5 * (P + P.conj().T))[-1])
+        top = float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[-1])
         cone_ok = cone_ok and top <= AGGREGATE_ROUNDOFF * size
         max_cone = max(max_cone, top / max(1.0, norm))
     for j in range(problem.num_scalars):

@@ -27,7 +27,8 @@ def principal_eigenpair(mat):
     herm = _require_hermitian(mat)
     flat = herm.reshape((-1,) + herm.shape[-2:])
     vals, vecs = np.empty(flat.shape[:-1]), np.empty_like(flat)
-    # one call per matrix: scipy's stacked call loops in Python, slower
+    # scipy's eigh, one call per matrix: numpy's eigh gives other bits,
+    # and scipy's stacked call loops in Python, slower
     for i, one in enumerate(flat):
         vals[i], vecs[i] = sla.eigh(one)
     return (vals[:, -1].reshape(herm.shape[:-2]),
@@ -40,8 +41,8 @@ def numerical_rank(mat):
     stack, as :func:`principal_eigenpair` takes them."""
     mat = np.asarray(mat)
     herm = 0.5 * (mat + _adjoint(mat))
-    vals = np.array([sla.eigvalsh(one) for one in herm.reshape(
-        (-1,) + mat.shape[-2:])]).reshape(mat.shape[:-1])
+    # numpy's stacked eigvalsh: the bits of scipy's call per matrix
+    vals = np.linalg.eigvalsh(herm)
     rank = np.sum(vals > RANK_TOL * vals[..., -1:], axis=-1)
     return rank if rank.ndim else int(rank)
 

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           dump_problem, numerical_rank, principal_eigenpair,
@@ -13,6 +14,7 @@ from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility,
                           verify_infeasibility_certificate)
 from cobeam.conic import ipm
 from cobeam.conic.ipm import point_violation
+from cobeam.conic.linalg import RANK_TOL
 from cobeam.conic.problem import CompiledProblem
 from cobeam.balancing import single_user_upper_bound
 from cobeam.distributed import assemble_admm_local, assemble_subproblem
@@ -275,6 +277,26 @@ class TestEigenHelpers:
         v = rand_channel(rng, 3)
         mat = np.outer(w, w.conj()) + 1e-9 * np.outer(v, v.conj())
         assert numerical_rank(mat) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_rank_is_per_matrix_scipy_rank(self, seed):
+        # the one stacked numpy call against scipy's call per matrix,
+        # on real and Hermitian stacks of mixed rank, with tails of
+        # eigenvalues around the threshold
+        rng = np.random.default_rng(seed)
+        for dim in (1, 2, 6, 12):
+            for cplx in (False, True):
+                q = rng.standard_normal((5, dim, dim))
+                if cplx:
+                    q = q + 1j * rng.standard_normal((5, dim, dim))
+                mats = q * np.logspace(0, -9, dim) @ q.conj().swapaxes(1, 2)
+                mats[0] = np.outer(q[0, 0], q[0, 0].conj())
+                want = []
+                for mat in mats:
+                    vals = sla.eigvalsh(0.5 * (mat + mat.conj().T))
+                    want.append(np.sum(vals > RANK_TOL * vals[-1]))
+                assert numerical_rank(mats).tolist() == want
+                assert [numerical_rank(mat) for mat in mats] == want
 
     def test_psd_sqrt_roundtrip(self):
         rng = np.random.default_rng(9)
