@@ -8,13 +8,15 @@ objective terms on scalars ride in the embedding itself, as in Clarabel
 the quadratic augments the diagonal of the Newton system.
 
 The loop runs Mehrotra predictor-corrector steps.  The reduced Newton
-system goes through a dense Schur complement.  The affine predictor only
-picks the centering weight and the second-order term, so it is one
-unrefined pass left in scaled coordinates.  The corrector, the direction
-the step takes, is polished by iterative refinement at the full KKT
-level, where residuals only need matrix-vector products and single
-scaling applications, so it stays accurate far below the current
-duality gap.
+system goes through a dense Schur complement, solved once per Cholesky
+factor.  The affine predictor only picks the centering weight and the
+second-order term, so it is one unrefined pass left in scaled
+coordinates.  The corrector, the direction the step takes, is polished
+by iterative refinement at the full KKT level, where residuals only
+need matrix-vector products and single scaling applications, so it
+stays accurate far below the current duality gap.  As in Clarabel, a
+problem refines only while its residual is at least ``DEFAULT_TOL``
+times its right-hand side's norm.
 
 A problem whose objective is identically zero only asks whether its
 constraints are feasible, so the loop stops at the first iterate that
@@ -62,7 +64,7 @@ CERTIFICATE_SIGN_TOL = 1e-6
 AGGREGATE_ROUNDOFF = 100 * np.finfo(float).eps
 MAX_ITER = 200
 STEP_FRACTION = 0.99
-# refinement passes of the corrector; the predictor takes none
+# the most refinement passes of a corrector; the predictor takes none
 REFINE_STEPS = 2
 # the weight of the earlier iterate in a warm start
 WARM_WEIGHT = 0.99
@@ -176,8 +178,8 @@ class _KktSolver:
     W^{-1}dx, W'dz); no large-norm operator is ever applied to an
     intermediate vector, and full-level iterative refinement stays
     contractive far below the current gap.  Only the corrector is
-    refined (:meth:`solve`); the predictor is one pass of
-    :meth:`solve_scaled`.
+    refined (:meth:`solve`), which also corrects the error of the
+    Schur solve; the predictor is one pass of :meth:`solve_scaled`.
 
     Scalars are per-problem lists of floats; each problem gets its own
     Schur factorization, fallback and corrector refinement passes.
@@ -222,27 +224,20 @@ class _KktSolver:
         # without a quadratic both operands are one array: a syrk
         rows = at if self.dinv is None else at * self.dinv[..., None, :]
         M = rows @ self.at_scaled_t
-        M = 0.5 * (M + M.swapaxes(-1, -2))
-        self.M = _require_finite(M)
-        # per problem: its Schur complement, its Cholesky factor or
-        # pseudo-inverse, and which fallback fired (None, "schur_ridge" or
-        # "schur_pinv")
-        self._solvers = [(Mp,) + _factor_schur(Mp) for Mp in M]
-        self.fallback = [s[3] if self.m else None for s in self._solvers]
+        M = _require_finite(0.5 * (M + M.swapaxes(-1, -2)))
+        # per problem: its Cholesky factor or pseudo-inverse, and which
+        # fallback fired (None, "schur_ridge" or "schur_pinv")
+        self._solvers = [_factor_schur(Mp) for Mp in M]
+        self.fallback = [s[2] for s in self._solvers]
 
     def _schur_solve(self, rhs):
         if not self.m:
             return np.zeros(rhs.shape)
         _require_finite(rhs)
         sols = np.empty(rhs.shape)
-        for p, ((_, factor, pinv, _), r) in enumerate(zip(self._solvers, rhs)):
+        for p, ((factor, pinv, _), r) in enumerate(zip(self._solvers, rhs)):
             sols[p] = pinv @ r if factor is None \
                 else _POTRS(factor, r, lower=1)[0]
-        # one refinement step on each Cholesky solve
-        res = rhs - np.matvec(self.M, sols)
-        for p, (_, factor, _, _) in enumerate(self._solvers):
-            if factor is not None:
-                sols[p] += _POTRS(factor, res[p], lower=1)[0]
         return sols
 
     def _saddle(self, fd_scaled, f_p):
@@ -256,16 +251,18 @@ class _KktSolver:
 
     def solve(self, f2, f1, f3, fs, ft):
         """The direction for these right-hand sides, polished by
-        iterative refinement: the corrector's solve.  A problem stops at
-        its residual floor or at its first pass that does not lower its
-        residual norm; later passes give it a zero right-hand side and
-        keep its direction.  ``passes`` counts the passes each problem
-        ran."""
+        iterative refinement: the corrector's solve.  A problem stops
+        once its residual norm is below ``DEFAULT_TOL`` times its
+        right-hand side's (1e-14 at the least), or at its first pass
+        that does not lower it; later passes give it a zero right-hand
+        side and keep its direction.  ``passes`` counts the passes each
+        problem ran."""
         rhs = (f2, f1, f3, fs, ft)
+        floor = [max(1e-14, DEFAULT_TOL * n) for n in _hsd_res_norm(rhs)]
         best = self._solve_once(*rhs)
         res = self._residual(best, *rhs)
         best_norm = _hsd_res_norm(res)
-        live = [not bn < 1e-14 for bn in best_norm]
+        live = [not bn < fl for bn, fl in zip(best_norm, floor)]
         self.passes = [0] * len(live)
         for _ in range(REFINE_STEPS):
             if not any(live):
@@ -286,7 +283,8 @@ class _KktSolver:
                                     vars(best).values()))
                 best_norm = [cn if go else bn for go, cn, bn in
                              zip(better, cand_norm, best_norm)]
-            live = [go and not bn < 1e-14 for go, bn in zip(better, best_norm)]
+            live = [go and not bn < fl
+                    for go, bn, fl in zip(better, best_norm, floor)]
         return best
 
     def solve_scaled(self, f2, f1, f3, fs, ft):

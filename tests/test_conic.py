@@ -442,8 +442,20 @@ class TestSolverInvariants:
         # a well-posed instance needs no numerical fallback, and a
         # problem without a start starts cold
         assert sol.stats == {"chol_jitter": 0, "schur_ridge": 0,
-                             "schur_pinv": 0, "refine_passes": 7,
+                             "schur_pinv": 0, "refine_passes": 4,
                              "warm_start": 0}
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_refinement_runs_where_a_direction_is_inaccurate(self, b):
+        # a per-BS subproblem at a near-zero ICI cap: its corrector stays
+        # short of its right-hand side's accuracy, so it refines (BS 1
+        # ends MAX_ITER without refinement)
+        topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                              cell_separation=10 ** 0.1)
+        chans = sample_channels(topo, 8)
+        sol = solve(assemble_subproblem(b, chans, topo, 1e-7))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.stats["refine_passes"] > 0
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_only_the_corrector_is_refined(self, count, monkeypatch):

@@ -9,8 +9,12 @@ runs the scenario on both trees, alternating which tree runs first from
 call to call, and keeps each tree's best of ``--best-of`` runs.  The
 tool prints each tree's total over the calls and the median and
 quartiles of the per-call ratios, the other tree's time over this
-tree's (above 1: this tree is faster).  It asserts that both trees
-return the same records, ``wall_time_s`` left out, and trace rows.
+tree's (above 1: this tree is faster).  It then compares the trees'
+records, ``wall_time_s`` left out, and trace rows.  When they differ,
+as after a change of the solver's floating-point path, every call is
+still timed, and the tool prints the largest relative difference of a
+record's objective and each record whose ``feasible``, ``failure_kind``
+or ``used_randomization`` differs, and exits non-zero.
 """
 
 import argparse
@@ -39,6 +43,10 @@ def load_tree(root, name="cobeam_base"):
     return importlib.import_module(f"{name}.experiment")
 
 
+# the fields of a record that say whether and how it succeeded
+FLAGS = ("feasible", "failure_kind", "used_randomization")
+
+
 def best_time(experiment, path, trials, runs):
     """Best wall time of ``runs`` sweeps of the scenario at ``path``,
     and the last sweep's records without their times, and trace rows."""
@@ -53,7 +61,24 @@ def best_time(experiment, path, trials, runs):
         best = min(best, time.perf_counter() - start)
     kept = [{k: v for k, v in rec.items() if k != "wall_time_s"}
             for rec in records]
-    return best, repr((kept, rows))
+    return best, (kept, rows)
+
+
+def compare(base, this):
+    """The largest relative difference of a record's objective between
+    two runs' records, and a line for each record whose ``FLAGS``
+    differ."""
+    worst, flipped = 0.0, []
+    for i, (a, b) in enumerate(zip(base, this)):
+        if a["objective"] is not None and b["objective"] is not None:
+            scale = max(abs(a["objective"]), abs(b["objective"]))
+            if scale > 0:
+                worst = max(worst, abs(a["objective"] - b["objective"]) / scale)
+        changed = [f"{f} {a[f]!r} -> {b[f]!r}" for f in FLAGS if a[f] != b[f]]
+        if changed:
+            flipped.append(f"record {i} ({a['scheme']}, trial {a['trial']}): "
+                           + ", ".join(changed))
+    return worst, flipped
 
 
 def main(argv=None):
@@ -68,7 +93,7 @@ def main(argv=None):
             or args.trials is not None and args.trials < 1:
         parser.error("--calls, --best-of and --trials must be >= 1")
     sides = {"base": load_tree(args.base), "this": cobeam.experiment}
-    totals, ratios = dict.fromkeys(sides, 0.0), []
+    totals, ratios, differ = dict.fromkeys(sides, 0.0), [], 0
     for call in range(args.calls):
         order = list(sides) if call % 2 == 0 else list(sides)[::-1]
         times, results = {}, {}
@@ -76,8 +101,8 @@ def main(argv=None):
             times[side], results[side] = best_time(
                 sides[side], args.scenario, args.trials, args.best_of)
             totals[side] += times[side]
-        if results["base"] != results["this"]:
-            sys.exit(f"call {call}: the trees' records differ")
+        if repr(results["base"]) != repr(results["this"]):
+            differ += 1
         ratios.append(times["base"] / times["this"])
         print(f"call {call} ({order[0]} first): base {times['base']:.3f} s, "
               f"this {times['this']:.3f} s, ratio {ratios[-1]:.3f}")
@@ -87,6 +112,17 @@ def main(argv=None):
     print(f"ratio base/this: median {median:.3f}, quartiles {q1:.3f} - "
           f"{q3:.3f}, this tree faster in "
           f"{sum(r > 1 for r in ratios)}/{args.calls} calls")
+    if differ:
+        (base, base_rows), (this, this_rows) = results["base"], results["this"]
+        worst, flipped = compare(base, this)
+        print(f"the trees' records or trace rows differ in {differ}/"
+              f"{args.calls} calls; last call: largest relative objective "
+              f"difference {worst:.3g}, {len(flipped)} of {len(base)} "
+              f"records with other {'/'.join(FLAGS)}, trace rows "
+              f"{'equal' if repr(base_rows) == repr(this_rows) else 'differ'}")
+        for line in flipped:
+            print(f"  {line}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":
