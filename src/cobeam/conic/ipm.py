@@ -8,8 +8,8 @@ objective terms on scalars ride in the embedding itself, as in Clarabel
 the quadratic augments the diagonal of the Newton system.
 
 The loop runs Mehrotra predictor-corrector steps.  The reduced Newton
-system goes through a dense Schur complement, solved once per Cholesky
-factor.  The affine predictor only picks the centering weight and the
+system goes through a dense Schur complement, with no refinement of its
+own.  The affine predictor only picks the centering weight and the
 second-order term, so it is one unrefined pass left in scaled
 coordinates.  The corrector, the direction the step takes, is polished
 by iterative refinement at the full KKT level, where residuals only

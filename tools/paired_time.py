@@ -70,10 +70,9 @@ def compare(base, this):
     differ."""
     worst, flipped = 0.0, []
     for i, (a, b) in enumerate(zip(base, this)):
-        if a["objective"] is not None and b["objective"] is not None:
-            scale = max(abs(a["objective"]), abs(b["objective"]))
-            if scale > 0:
-                worst = max(worst, abs(a["objective"] - b["objective"]) / scale)
+        x, y = a["objective"], b["objective"]
+        if x is not None and y is not None and max(abs(x), abs(y)) > 0:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
         changed = [f"{f} {a[f]!r} -> {b[f]!r}" for f in FLAGS if a[f] != b[f]]
         if changed:
             flipped.append(f"record {i} ({a['scheme']}, trial {a['trial']}): "
