@@ -30,15 +30,20 @@ class SolveStatus(Enum):
     MAX_ITER = "max_iter"
 
 
-def _as_hermitian(mat, dim, what):
-    mat = np.asarray(mat)
-    if mat.shape != (dim, dim):
+def _as_hermitian(mats, dim, what):
+    """The Hermitian parts of a (n, dim, dim) stack of coefficients, each
+    checked to be Hermitian within ``HERMITIAN_TOL`` times its largest
+    entry (at least 1)."""
+    mats = np.asarray(mats)
+    if mats.shape[1:] != (dim, dim):
         raise ValueError(
-            f"{what}: expected shape {(dim, dim)}, got {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL * scale:
+            f"{what}: expected shape {(dim, dim)}, got {mats.shape[1:]}")
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    adjoint = mats.conj().swapaxes(-1, -2)
+    if (np.abs(mats - adjoint).max(axis=(-2, -1))
+            > HERMITIAN_TOL * scale).any():
         raise ValueError(f"{what}: matrix is not Hermitian")
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mats + adjoint)
 
 
 @dataclass
@@ -89,10 +94,13 @@ class ConicProblem:
         self.scalar_names.append(name)
         return self.num_scalars - 1
 
-    def _coeff(self, i, mat, what):
+    def _coeffs(self, i, mats, what):
+        """Matrix variable i's validated coefficients from a stack."""
+        if not 0 <= i < len(self.matrix_vars):
+            raise ValueError(f"no matrix variable {i}")
         var = self.matrix_vars[i]
-        herm = _as_hermitian(mat, var.dim, what)
-        if not var.complex and np.abs(np.imag(herm)).max() > 0:
+        herm = _as_hermitian(mats, var.dim, what)
+        if not var.complex and np.abs(np.imag(herm)).max(initial=0.0) > 0:
             raise ValueError(f"{what}: complex coefficient for a real "
                              "matrix variable")
         return np.real(herm) if not var.complex else herm
@@ -101,7 +109,8 @@ class ConicProblem:
         """Minimize sum_i Tr(C_i X_i) + sum_j (c_j y_j + q_j y_j^2)."""
         if matrix:
             for i, C in matrix.items():
-                self.obj_matrix[i] = self._coeff(i, C, f"objective[{i}]")
+                self.obj_matrix[i] = self._coeffs(
+                    i, [C], f"objective[{i}]")[0]
         if scalar:
             for j, v in scalar.items():
                 self._check_scalar(j)
@@ -115,22 +124,44 @@ class ConicProblem:
 
     def add_constraint(self, matrix=None, scalars=None, rel=">=", rhs=0.0,
                        label=None):
+        """Add the row sum_i Tr(F_i X_i) + sum_j a_j y_j ``rel`` ``rhs``
+        from ``matrix`` {i: F_i} and ``scalars`` {j: a_j}; returns its
+        index.  The one-row case of :meth:`add_constraints`."""
+        return self.add_constraints(
+            matrix={i: ([0], [F]) for i, F in (matrix or {}).items()},
+            scalars={j: ([0], [a]) for j, a in (scalars or {}).items()},
+            rel=rel, rhs=[rhs], labels=[label])
+
+    def add_constraints(self, matrix=None, scalars=None, rel=">=", rhs=(),
+                        labels=None):
+        """Add one row per entry of ``rhs``, all of relation ``rel``, from
+        stacked coefficients: ``matrix`` maps a matrix variable i to
+        (rows, F), the positions among the new rows of those that read
+        X_i and their (len(rows), d, d) stack of coefficients, and
+        ``scalars`` maps a scalar variable j to (rows, a) in the same way.
+        Each stack is validated once.  ``labels`` gives the rows' labels
+        in order (default None).  Returns the index of the first row."""
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
-        mcoef = {}
-        if matrix:
-            for i, F in matrix.items():
-                if not 0 <= i < len(self.matrix_vars):
-                    raise ValueError(f"no matrix variable {i}")
-                mcoef[i] = self._coeff(i, F, f"constraint coeff[{i}]")
-        scoef = {}
-        if scalars:
-            for j, a in scalars.items():
-                self._check_scalar(j)
-                scoef[j] = float(a)
-        self.constraints.append(
-            Constraint(mcoef, scoef, rel, float(rhs), label))
-        return len(self.constraints) - 1
+        rhs = [float(v) for v in rhs]
+        m = len(rhs)
+        mcoef = [{} for _ in rhs]
+        for i, (rows, F) in (matrix or {}).items():
+            herm = self._coeffs(i, F, f"constraint coeff[{i}]")
+            for r, H in zip(self._positions(rows, m), herm, strict=True):
+                mcoef[r][i] = H
+        scoef = [{} for _ in rhs]
+        for j, (rows, a) in (scalars or {}).items():
+            self._check_scalar(j)
+            for r, v in zip(self._positions(rows, m),
+                            np.asarray(a, dtype=float).tolist(), strict=True):
+                scoef[r][j] = v
+        first = len(self.constraints)
+        self.constraints += [
+            Constraint(mc, sc, rel, v, label) for mc, sc, v, label in zip(
+                mcoef, scoef, rhs,
+                [None] * m if labels is None else labels, strict=True)]
+        return first
 
     def updated(self, rhs=(), scalar=None):
         """A copy at new right-hand sides ``rhs`` of the first
@@ -143,6 +174,14 @@ class ConicProblem:
         new.set_objective(scalar=scalar)
         new.compiled = self.compiled
         return new
+
+    @staticmethod
+    def _positions(rows, m):
+        """Row positions as a list, checked to lie in 0..m-1."""
+        rows = np.asarray(rows, dtype=int)
+        if rows.size and not 0 <= rows.min() <= rows.max() < m:
+            raise ValueError(f"row positions {rows} outside 0..{m - 1}")
+        return rows.tolist()
 
     def _check_scalar(self, j):
         if not 0 <= j < self.num_scalars:

@@ -306,9 +306,7 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                     "W": current_W, "lam": prices[1], "mu": prices[0]}
         trace.add(r, total_power, change, scalars,
                   replica_error=replica_err,
-                  best_power=best["power"],
-                  min_sinr_margin=_rank_one_margin(
-                      channels, topology, current_W))
+                  best_power=best["power"], W=current_W)
         theta = theta_new
         if change <= STOP_TOL:
             break
@@ -324,7 +322,8 @@ def run_primal_decomposition(channels, topology, max_iters=100,
 
 def _rank_one_margin(channels, topology, W):
     """min_u SINR(u)/gamma_u - 1 for beams eigen-extracted from the
-    covariances W (G, A, A), or None when one is not rank one."""
+    covariances W (G, A, A), such as a PD round's ``W`` extra, or None
+    when one is not rank one."""
     if W is None or (conic.numerical_rank(W) > 1).any():
         return None
     w = extract_rank_one(W)

@@ -57,7 +57,8 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     """
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
-    users = range(topology.U) if cell is None else topology.users_of_bs(cell)
+    users = list(range(topology.U)) if cell is None \
+        else topology.users_of_bs(cell)
     dim = topology.A if basis is None else basis.shape[1]
     peers = [j for j in range(topology.B) if j != cell]
     prob = ConicProblem()
@@ -74,38 +75,50 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
                            scalar=linear,
                            scalar_quad=dict.fromkeys(linear, copies[1])
                            if copies is not None else None)
+
+    def channels_to(b, us):
+        """The (len(us), dim, dim) stack of BS b's channel outer products
+        toward the users ``us``."""
+        if basis is None:
+            return channels.outer[b, us]
+        h = np.matvec(basis.conj().T, channels.h[b, us])
+        return h[:, :, None] * h.conj()[:, None, :]
+
+    # the SINR rows, one per user: a served group's block is H, any
+    # other's -t H
+    t = topology.gamma[users] if level is None \
+        else np.full(len(users), level, dtype=float)
+    serving = np.take(topology.group_of_user, users)[:, None, None]
+    mats = {}
+    for k, g in enumerate(groups):
+        H = channels_to(topology.bs_of_group[g], users)
+        mats[k] = (range(len(users)),
+                   np.where(serving == g, H, -t[:, None, None] * H))
     # nested lists: the rows below read single entries
     slots = copy_slot.tolist()
-
-    def channel(b, u):
-        if basis is None:
-            return channels.mat(b, u)
-        h = basis.conj().T @ channels.vec(b, u)
-        return np.outer(h, h.conj())
-
-    rhs = iter(rhs)
-    for u in users:
-        t = topology.gamma[u] if level is None else level
-        mats = {}
-        for k, g in enumerate(groups):
-            H = channel(topology.bs_of_group[g], u)
-            mats[k] = H if g == topology.group_of_user[u] else -t * H
-        scalars = {slots[j][u]: -t for j in peers} \
-            if copies is not None else None
-        prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
-                            rhs=next(rhs), label=("sinr", u))
+    scalars = {slots[j][u]: ([r], [-t[r]]) for r, u in enumerate(users)
+               for j in peers} if copies is not None else None
+    prob.add_constraints(matrix=mats, scalars=scalars, rel=">=",
+                         rhs=rhs[:len(users)],
+                         labels=[("sinr", u) for u in users])
     # one cap row per right-hand side left, none without ICI
-    for u, cap in zip(topology.out_of_cell_users(cell), rhs):
-        prob.add_constraint(
-            matrix={k: channel(cell, u) for k in range(len(groups))},
-            scalars={slots[cell][u]: -1.0} if copies is not None else None,
-            rel="<=", rhs=cap, label=("cap", (cell, u)))
+    if len(rhs) > len(users):
+        out = topology.out_of_cell_users(cell)
+        prob.add_constraints(
+            matrix=dict.fromkeys(range(len(groups)),
+                                 (range(len(out)), channels_to(cell, out))),
+            scalars={slots[cell][u]: ([r], [-1.0])
+                     for r, u in enumerate(out)}
+            if copies is not None else None,
+            rel="<=", rhs=rhs[len(users):],
+            labels=[("cap", (cell, u)) for u in out])
     if budget:
-        for b in range(topology.B) if cell is None else [cell]:
-            prob.add_constraint(
-                matrix={k: np.eye(dim) for k, g in enumerate(groups)
-                        if topology.bs_of_group[g] == b},
-                rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
+        bss = range(topology.B) if cell is None else [cell]
+        prob.add_constraints(
+            matrix={k: ([bss.index(topology.bs_of_group[g])],
+                        np.eye(dim)[None]) for k, g in enumerate(groups)},
+            rel="<=", rhs=topology.p_max[list(bss)],
+            labels=[("power", b) for b in bss])
     return prob, copy_slot
 
 
@@ -134,8 +147,14 @@ def _sinr_data(topology, cell, level, theta, copies):
 def sinr_update(prob, topology, cell, level=None, theta=None, copies=None):
     """BS ``cell``'s problem ``prob`` of :func:`sinr_system` at new
     ``level``, ``theta`` or ``copies``, whose right-hand sides and linear
-    costs alone change (:meth:`ConicProblem.updated`); a level also
-    scales the -t H blocks of a cell of several groups."""
+    costs alone change (:meth:`ConicProblem.updated`).  A level also
+    scales the -t H blocks of the network and of a cell of several
+    groups, and the -t weights of a cell's copies, so with those it
+    raises ValueError: rebuild such a problem instead."""
+    if level is not None and (cell is None or copies is not None or len(
+            topology.groups_of_bs(cell)) > 1):
+        raise ValueError("a level changes this problem's coefficients, "
+                         "not only its right-hand sides")
     return prob.updated(*_sinr_data(topology, cell, level, theta, copies))
 
 

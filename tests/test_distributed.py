@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cobeam import conic
+from cobeam import conic, distributed
 from cobeam.backhaul import (MessageBus, gr_gain_signaling_load,
                              periter_signaling_load, verify_exchange_count)
 from cobeam.errors import (CobeamError, ConfigurationError,
@@ -196,8 +196,9 @@ class TestPrimalDecomposition:
         # fixed caps per iterate guarantee the coupled constraints
         topo, chans = small_scenario(10)
         trace = run_primal_decomposition(chans, topo, max_iters=15)
-        margins = [e["min_sinr_margin"] for e in trace.extras
-                   if e["min_sinr_margin"] is not None]
+        margins = [distributed._rank_one_margin(chans, topo, e["W"])
+                   for e in trace.extras]
+        margins = [m for m in margins if m is not None]
         assert margins and all(m >= -1e-5 for m in margins)
 
 
