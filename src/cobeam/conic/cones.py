@@ -362,17 +362,29 @@ class NTScaling:
             mats.append(0.5 * (UV + _H(UV)))
         return lay.pack(mats, lay.nn_block(u) * lay.nn_block(v))
 
-    def max_step(self, du_scaled, dv_scaled):
+    def max_step(self, du_scaled, dv_scaled, affine=False):
         """Largest a <= 1e12 keeping lam + a*du and lam + a*dv in the cone;
-        a list with one bound per problem when the scaling has a batch."""
+        a list with one bound per problem when the scaling has a batch.
+
+        ``affine`` marks the predictor's direction, whose dv is -lam - du
+        on every PSD block (up to the rounding of lam^2 / lam).  There
+        lam + a*dv = (1 - a) lam - a*du, so the least and largest
+        eigenvalues l and h of lam^-1/2 du lam^-1/2 bound both sides, by
+        -1/l and by 1/(1 + h), from one eigensolve of du per block; the
+        orthant reads dv as given.
+        """
         lay = self.layout
         # one problem axis, also for an unbatched scaling; per run and
         # problem, the least eigenvalue over both directions and blocks
         both = _pair(du_scaled, dv_scaled).reshape(2, -1, lay.size)
         bounds = [1e12] * both.shape[1]
-        for D, (col, row) in zip(lay.unpack(both), self._root):
-            lows = np.linalg.eigvalsh(D / col / row)[..., 0]
-            for p, lo in enumerate(lows.min(axis=(0, -1)).tolist()):
+        for D, (col, row) in zip(lay.unpack(both[:1] if affine else both),
+                                 self._root):
+            eig = np.linalg.eigvalsh(D / col / row)
+            # the dual side's bound 1/(1 + h) as a least eigenvalue
+            low = np.minimum(eig[..., 0], -1.0 - eig[..., -1]) if affine \
+                else eig[..., 0]
+            for p, lo in enumerate(low.min(axis=(0, -1)).tolist()):
                 if lo < 0:
                     bounds[p] = min(bounds[p], -1.0 / lo)
         dn = lay.nn_block(both)

@@ -11,10 +11,14 @@ The loop runs Mehrotra predictor-corrector steps.  The reduced Newton
 system goes through a dense Schur complement, with no refinement of its
 own.  The affine predictor only picks the centering weight and the
 second-order term, so it is one unrefined pass left in scaled
-coordinates.  The corrector, the direction the step takes, is polished
-by iterative refinement at the full KKT level, where residuals only
-need matrix-vector products and single scaling applications, so it
-stays accurate far below the current duality gap.  As in Clarabel, a
+coordinates.  Its direction has dzs = -lam - dxs on every PSD block,
+so one eigensolve per block bounds its step on both sides: the least
+and largest eigenvalues of lam^-1/2 dxs lam^-1/2 give the primal and
+the dual bound (``NTScaling.max_step``).  The corrector, the direction
+the step takes, is polished by iterative refinement at the full KKT
+level, where residuals only need matrix-vector products and single
+scaling applications, so it stays accurate far below the current
+duality gap.  As in Clarabel, a
 problem refines only while its residual is at least ``DEFAULT_TOL``
 times its right-hand side's norm.
 
@@ -366,14 +370,16 @@ def _max_step_scalar(v, dv):
     return 1e12 if dv >= 0 else -v / dv
 
 
-def _step_lengths(scaling, d, fraction, tau, kappa):
+def _step_lengths(scaling, d, fraction, tau, kappa, affine=False):
     """Per problem: min(1, fraction * the longest step along direction
     ``d`` that keeps the iterate in the cone and tau and kappa
-    nonnegative); a fraction of 1.0 leaves the bound as is."""
+    nonnegative); a fraction of 1.0 leaves the bound as is.  ``affine``
+    marks the predictor's direction (:meth:`NTScaling.max_step`)."""
     return [min(1.0, fraction * min(am, _max_step_scalar(t, dt),
                                     _max_step_scalar(k, dk)))
-            for am, t, dt, k, dk in zip(scaling.max_step(d.dxs, d.dzs), tau,
-                                        d.dtau, kappa, d.dkappa)]
+            for am, t, dt, k, dk in zip(
+                scaling.max_step(d.dxs, d.dzs, affine), tau, d.dtau, kappa,
+                d.dkappa)]
 
 
 def _new_stats(warm):
@@ -800,7 +806,7 @@ def _solve_hsd(group):
         lam, lam_sq = scaling.lam(), scaling.lambda_sq()
         aff = kkt.solve_scaled(-r2, -r1, [-v for v in r3], -lam_sq,
                                [-t * k for t, k in zip(tau, kappa)])
-        a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa)
+        a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa, affine=True)
         col = _col(a_aff)
         target, rhs_t, eta, eta_r3 = [], [], [], []
         for xz, t, k, a, dt, dk, mp, v in zip(

@@ -784,3 +784,38 @@ def test_scaled_affine_complementarity(name, batch, seed, alpha):
     # relative to the Cauchy-Schwarz bound of the products' terms
     scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
     assert (np.abs(scaled - plain) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE))
+def test_affine_max_step_matches_two_sided(name):
+    # the predictor's dzs is jordan_div(-lam^2) - dxs, as solve_scaled
+    # forms it: -lam - dxs on every PSD block up to rounding, so one
+    # eigensolve of dxs bounds both sides
+    lay = ConeLayout(*BITWISE[name])
+    rng = np.random.default_rng(41)
+    x = np.stack([frozen_interior(lay, rng) for _ in range(4)])
+    z = np.stack([frozen_interior(lay, rng) for _ in range(4)])
+    sc = NTScaling(lay, x, z)
+    lam, g = sc.lam(), sc.jordan_div(-sc.lambda_sq())
+    nn = slice(lay.nn_offset, None)
+    noise = rng.standard_normal((4, lay.size))
+    psd_noise = noise.copy()
+    psd_noise[:, nn] = 0.0
+    directions = [scale * noise for scale in (0.1, 1.0, 10.0)] + [
+        # lam^-1/2 dxs lam^-1/2 below -I on every block: 1 + h <= 0,
+        # so the dual side takes no bound
+        -1.5 * lam + 0.01 * psd_noise,
+        -3.0 * lam + 0.2 * psd_noise]
+    for dxs in directions:
+        dzs = g - dxs
+        got = sc.max_step(dxs, dzs, affine=True)
+        assert got == pytest.approx(sc.max_step(dxs, dzs), rel=1e-12)
+    # the orthant binds: a small step on the PSD blocks, a long way
+    # down on the orthant
+    dxs = 0.01 * psd_noise
+    dxs[:, nn] = -20.0 * lam[:, nn]
+    dzs = g - dxs
+    got = sc.max_step(dxs, dzs, affine=True)
+    assert got == pytest.approx(sc.max_step(dxs, dzs), rel=1e-12)
+    if lay.nonneg:
+        assert got == (-lam[:, nn] / dxs[:, nn]).min(axis=-1).tolist()
