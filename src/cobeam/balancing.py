@@ -22,7 +22,7 @@ from .conic import SolveStatus
 from .errors import (ConfigurationError, IndeterminateError,
                      RandomizationFailureError)
 from .network import BeamformingSolution, evaluate_sinr, network_stack
-from .power_min import (DEFAULT_GR_COUNT, capped_least_powers,
+from .power_min import (DEFAULT_GR_COUNT, capped_least_powers, covariances,
                         direction_system, finalize, gaussian_candidates,
                         randomized_solution, sinr_system, sinr_update)
 
@@ -158,16 +158,17 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         last = sol.iterate
         if not feasible:
             return False, None
-        return True, np.stack(sol.matrix_values)
+        return True, covariances(prob, sol)
 
     users = None if cell is None else topology.users_of_bs(cell)
     result = yield from conic.solving(
         bisect, 0.0, single_user_upper_bound(channels, topology, users),
         epsilon, probe)
-    sol, = yield [system(result.lower, objective=True)]
+    polish = system(result.lower, objective=True)
+    sol, = yield [polish]
     result.extra_calls += 1
     if sol.status is SolveStatus.OPTIMAL:
-        result.payload = np.stack(sol.matrix_values)
+        result.payload = covariances(polish, sol)
     return result
 
 

@@ -201,7 +201,9 @@ class _KktSolver:
         self.at_scaled = np.ascontiguousarray(scaling.scale_dual_blocks(
             data.A_blocks, lay.nn_block(data.A).swapaxes(0, 1)).swapaxes(0, 1))
         self.at_scaled_t = self.at_scaled.swapaxes(-1, -2)
-        self.c_scaled = scaling.scale_dual(data.c)
+        # a zero objective, as in every feasibility probe, scales to zero
+        self.c_scaled = scaling.scale_dual(data.c) if data.c.any() \
+            else np.zeros_like(data.c)
         self.qdiag, self.dinv = data.qdiag, None
         self.c_tau, self.c_tau_scaled = self.c, self.c_scaled
         self.xqx = [0.0] * len(tau)

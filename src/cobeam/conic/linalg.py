@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg as sla
 
-from .problem import HERMITIAN_TOL
+from .problem import _as_hermitian
 
 RANK_TOL = 1e-6
 
@@ -12,19 +12,11 @@ def _adjoint(mat):
     return np.swapaxes(mat.conj(), -1, -2)
 
 
-def _require_hermitian(mat, tol=HERMITIAN_TOL):
-    mat = np.asarray(mat)
-    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    if (np.abs(mat - _adjoint(mat)).max(axis=(-2, -1)) > tol * scale).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return 0.5 * (mat + _adjoint(mat))
-
-
 def principal_eigenpair(mat):
     """Largest eigenvalue and a unit-norm eigenvector of a Hermitian
     matrix, or of each matrix of a stack (..., n, n), with the bits of
     its own call."""
-    herm = _require_hermitian(mat)
+    herm = _as_hermitian(mat)
     flat = herm.reshape((-1,) + herm.shape[-2:])
     vals, vecs = np.empty(flat.shape[:-1]), np.empty_like(flat)
     # scipy's eigh, one call per matrix: numpy's eigh gives other bits,

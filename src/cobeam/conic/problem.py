@@ -30,16 +30,20 @@ class SolveStatus(Enum):
     MAX_ITER = "max_iter"
 
 
-def _as_hermitian(mats, dim, what):
-    """The Hermitian parts of a (n, dim, dim) stack of coefficients, each
+def _as_hermitian(mats, dim=None, what="matrix"):
+    """The Hermitian parts of a stack (..., d, d), or of one matrix, each
     checked to be Hermitian within ``HERMITIAN_TOL`` times its largest
-    entry (at least 1)."""
+    entry (at least 1); ``dim`` checks d.  An exactly Hermitian stack,
+    such as the channel outer products, is its own Hermitian part and
+    comes back as it is."""
     mats = np.asarray(mats)
-    if mats.shape[1:] != (dim, dim):
+    if dim is not None and mats.shape[-2:] != (dim, dim):
         raise ValueError(
-            f"{what}: expected shape {(dim, dim)}, got {mats.shape[1:]}")
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+            f"{what}: expected shape {(dim, dim)}, got {mats.shape[-2:]}")
     adjoint = mats.conj().swapaxes(-1, -2)
+    if (mats == adjoint).all():
+        return mats
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
     if (np.abs(mats - adjoint).max(axis=(-2, -1))
             > HERMITIAN_TOL * scale).any():
         raise ValueError(f"{what}: matrix is not Hermitian")
@@ -82,6 +86,10 @@ class ConicProblem:
     # ``dataclasses.replace``, compiles it anew
     compiled: object = field(default=None, init=False, repr=False,
                              compare=False)
+    # per matrix variable, a basis Q (n, dim) with orthonormal columns
+    # when the variable X stands for Q X Q^H of a larger space, else None
+    # (``power_min.covariances`` lifts); a solve never reads it
+    bases: list = field(default=None, repr=False, compare=False)
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:

@@ -36,8 +36,9 @@ from .errors import (CobeamError, ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
 from .network import (BeamformingSolution, build_topology, evaluate_sinr,
                       network_stack, orthogonal_equivalent_target)
-from .power_min import (DEFAULT_GR_COUNT, direction_gains, extract_rank_one,
-                        finalize, fixed_direction_powers, gaussian_candidates,
+from .power_min import (DEFAULT_GR_COUNT, channel_span, covariances,
+                        direction_gains, extract_rank_one, finalize,
+                        fixed_direction_powers, gaussian_candidates,
                         least_powers, randomized_solution, sinr_system,
                         sinr_update)
 
@@ -290,8 +291,9 @@ def run_primal_decomposition(channels, topology, max_iters=100,
         for b, (prob, sol) in enumerate(zip(problems.values(), sols)):
             prices += extract_subgradient(prob, sol, topology, b)
             total_power += sol.objective
-        current_W = network_stack(
-            topology, [np.stack(sol.matrix_values) for sol in sols])
+        current_W = network_stack(topology, [
+            covariances(prob, sol) for prob, sol in zip(problems.values(),
+                                                        sols)])
 
         theta_new = np.zeros_like(theta)
         theta_new[mask] = master_update(theta[mask], direction(
@@ -431,6 +433,7 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
             lambda b, status: f"ADMM local problem of BS {b} failed at "
             f"iteration {it} (status {status})", starts)
         for b, ((_, copy_slot), sol) in enumerate(zip(cells, sols)):
+            # a trace is the same in any basis
             for W in sol.matrix_values:
                 total_power += float(np.real(np.trace(W)))
             copies[owned[b]] = sol.scalar_values[
@@ -478,10 +481,9 @@ def admm_feasibility_restore(b, channels, topology, theta_global):
     holds BS b's covariances and their ranks, in
     :meth:`Topology.groups_of_bs` order.
     """
-    sol, = yield from _cells(
-        {b: assemble_subproblem(b, channels, topology, theta_global)},
-        _unrestorable)
-    W = np.stack(sol.matrix_values)
+    prob = assemble_subproblem(b, channels, topology, theta_global)
+    sol, = yield from _cells({b: prob}, _unrestorable)
+    W = covariances(prob, sol)
     return BeamformingSolution(W=W, rank=conic.numerical_rank(W),
                                objective=sol.objective)
 
@@ -587,11 +589,11 @@ def _fixed_ici(channels, topology, theta, failure):
     """Solve generator of every cell's design at the fixed ICI values
     ``theta`` (:func:`assemble_subproblem`); returns the covariances
     (G, A, A).  ``failure`` as in :func:`_cells`."""
-    sols = yield from _cells(
-        {b: assemble_subproblem(b, channels, topology, theta)
-         for b in range(topology.B)}, failure)
-    return network_stack(topology, [np.stack(sol.matrix_values)
-                                    for sol in sols])
+    problems = {b: assemble_subproblem(b, channels, topology, theta)
+                for b in range(topology.B)}
+    sols = yield from _cells(problems, failure)
+    return network_stack(topology, [
+        covariances(prob, sol) for prob, sol in zip(problems.values(), sols)])
 
 
 def _null_space_basis(channels, topology, b):
@@ -603,9 +605,7 @@ def _null_space_basis(channels, topology, b):
     rows = [channels.vec(b, u).conj() for u in topology.out_of_cell_users(b)]
     if not rows:
         return np.eye(topology.A, dtype=complex)
-    stack = np.array(rows)
-    _, s, vh = np.linalg.svd(stack)
-    rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
+    vh, rank = channel_span(np.array(rows))
     return vh[rank:].conj().T
 
 
@@ -617,14 +617,13 @@ def solve_nulling(channels, topology, gr_count=DEFAULT_GR_COUNT, rng=None):
     Any covariance with exactly zero leakage has its range inside the
     null space, so the reduction is lossless.
     """
-    problems, bases = {}, []
+    problems = {}
     for b in range(topology.B):
         basis = _null_space_basis(channels, topology, b)
         if basis.shape[1] == 0:
             break
         problems[b] = sinr_system(channels, topology, cell=b,
                                   basis=basis)[0]
-        bases.append(basis)
     # the cells before one that cannot null report their failures first
     sols = yield from _cells(
         problems, lambda b, _: f"nulling design infeasible at BS {b}")
@@ -632,8 +631,7 @@ def solve_nulling(channels, topology, gr_count=DEFAULT_GR_COUNT, rng=None):
         raise InfeasibleTargetsError(f"BS {len(problems)} lacks antennas "
                                      "to null all out-of-cell users")
     W = network_stack(topology, [
-        basis @ np.stack(sol.matrix_values) @ basis.conj().T
-        for basis, sol in zip(bases, sols)])
+        covariances(prob, sol) for prob, sol in zip(problems.values(), sols)])
     return _finalize(channels, topology, W, 0.0, gr_count, rng)
 
 

@@ -25,6 +25,9 @@ SINR_RTOL = 1e-9           # slack of the closing SINR check
 # ICI values come out of conic solves whose rows hold to about this
 # relative accuracy, so GR candidates meet the outgoing caps to it too
 CAP_RTOL = 1e-7
+# singular values of a channel stack below this times the largest are
+# roundoff (:func:`channel_span`)
+SPAN_RTOL = 1e-12
 
 
 def sinr_system(channels, topology, cell=None, level=None, theta=None,
@@ -48,40 +51,56 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     in row-major order.  ``budget`` adds sum_g Tr(W_g) <= p_max per BS;
     ``objective`` minimizes the sum of traces (else the problem is a
     feasibility check); ``basis`` confines a cell's covariances to
-    span(basis) by projecting channels.  The matrix variables are the
-    groups in scope in :meth:`Topology.groups_of_bs` order, so a solution's
-    covariances are ``np.stack(sol.matrix_values)``.  Rows come in the
-    order SINR, cap, budget.  Returns the problem and the (B, U) grid of
-    copy variables, -1 where a pair has none.  :func:`sinr_update` gives
-    a built cell new ``level``, ``theta`` or ``copies``.
+    span(basis) by projecting channels.
+
+    Each BS's groups are also confined to the span of its channels toward
+    the users whose rows read them, when those users are fewer than the
+    dimensions (:func:`_span_basis`): every user for the network, a
+    cell's own users and, with cap rows, its out-of-cell users.  A
+    covariance enters the rows only through those channels and its trace,
+    so projecting it onto their span keeps every row and lowers no trace
+    bound: the feasible levels, the optimum and the ranks stay.  The
+    problem's ``bases`` hold each variable's basis, and
+    :func:`covariances` lifts a solution back to antenna space.
+
+    The matrix variables are the groups in scope in
+    :meth:`Topology.groups_of_bs` order.  Rows come in the order SINR,
+    cap, budget.  Returns the problem and the (B, U) grid of copy
+    variables, -1 where a pair has none.  :func:`sinr_update` gives a
+    built cell new ``level``, ``theta`` or ``copies``.
     """
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
     users = list(range(topology.U)) if cell is None \
         else topology.users_of_bs(cell)
-    dim = topology.A if basis is None else basis.shape[1]
     peers = [j for j in range(topology.B) if j != cell]
-    prob = ConicProblem()
-    for g in groups:
+    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
+    # one cap row per right-hand side left, none without ICI
+    out = topology.out_of_cell_users(cell) if len(rhs) > len(users) else []
+    span = {b: _span_basis(channels.h[b, users + out], basis)
+            for b in {topology.bs_of_group[g] for g in groups}}
+    prob = ConicProblem(bases=[span[topology.bs_of_group[g]]
+                               for g in groups])
+    dims = [topology.A if Q is None else Q.shape[1] for Q in prob.bases]
+    for g, dim in zip(groups, dims):
         prob.add_psd_var(dim, name=f"W{g}")
     copy_slot = np.full((topology.B, topology.U), -1)
-    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
     if copies is not None:
         for j, u in zip(*np.nonzero(topology.ici_owned(cell).any(axis=0))):
             copy_slot[j, u] = prob.add_scalar_var(name=f"theta~({j}, {u})")
     if objective:
         prob.set_objective(matrix={k: np.eye(dim)
-                                   for k in range(len(groups))},
+                                   for k, dim in enumerate(dims)},
                            scalar=linear,
                            scalar_quad=dict.fromkeys(linear, copies[1])
                            if copies is not None else None)
 
     def channels_to(b, us):
-        """The (len(us), dim, dim) stack of BS b's channel outer products
-        toward the users ``us``."""
-        if basis is None:
+        """The (len(us), d, d) stack of BS b's channel outer products
+        toward the users ``us``, in its basis."""
+        if span[b] is None:
             return channels.outer[b, us]
-        h = np.matvec(basis.conj().T, channels.h[b, us])
+        h = np.matvec(span[b].conj().T, channels.h[b, us])
         return h[:, :, None] * h.conj()[:, None, :]
 
     # the SINR rows, one per user: a served group's block is H, any
@@ -101,9 +120,7 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     prob.add_constraints(matrix=mats, scalars=scalars, rel=">=",
                          rhs=rhs[:len(users)],
                          labels=[("sinr", u) for u in users])
-    # one cap row per right-hand side left, none without ICI
-    if len(rhs) > len(users):
-        out = topology.out_of_cell_users(cell)
+    if out:
         prob.add_constraints(
             matrix=dict.fromkeys(range(len(groups)),
                                  (range(len(out)), channels_to(cell, out))),
@@ -116,10 +133,45 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
         bss = range(topology.B) if cell is None else [cell]
         prob.add_constraints(
             matrix={k: ([bss.index(topology.bs_of_group[g])],
-                        np.eye(dim)[None]) for k, g in enumerate(groups)},
+                        np.eye(dim)[None])
+                    for k, (g, dim) in enumerate(zip(groups, dims))},
             rel="<=", rhs=topology.p_max[list(bss)],
             labels=[("power", b) for b in bss])
     return prob, copy_slot
+
+
+def channel_span(rows):
+    """The right singular vectors vh of stacked channel rows (n, A) and
+    their numerical rank r, the count of singular values above
+    ``SPAN_RTOL`` times the largest: vh[:r] spans the rows, vh[r:] is
+    orthogonal to them."""
+    _, s, vh = np.linalg.svd(rows)
+    return vh, int(np.sum(s > SPAN_RTOL * (s[0] if s.size else 1.0)))
+
+
+def _span_basis(h, basis=None):
+    """The basis of a BS's covariances: ``basis`` (A, k), the identity
+    at None, narrowed to the span of its channels h (n, A) seen through
+    it when they are fewer than k (:func:`channel_span`; zero channels
+    narrow nothing).  Each channel is a combination of the rows vh[:r],
+    so their span has the orthonormal basis vh[:r].T, not its
+    conjugate."""
+    if basis is not None:
+        h = np.matvec(basis.conj().T, h)
+    if len(h) >= h.shape[1]:
+        return basis
+    vh, rank = channel_span(h)
+    if rank == 0:
+        return basis
+    return vh[:rank].T if basis is None else basis @ vh[:rank].T
+
+
+def covariances(prob, sol):
+    """The covariance stack (n, A, A) of a solution ``sol`` of a
+    :func:`sinr_system` problem ``prob``: each variable X lifted to
+    Q X Q^H at its basis Q."""
+    return np.stack([X if Q is None else Q @ X @ Q.conj().T
+                     for X, Q in zip(sol.matrix_values, prob.bases)])
 
 
 def _sinr_data(topology, cell, level, theta, copies):
@@ -403,7 +455,8 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
     covariance is rank one).  The relaxation optimum itself is attached
     as ``sdr_objective``.
     """
-    sol, = yield [assemble_qos_sdp(channels, topology)]
+    prob = assemble_qos_sdp(channels, topology)
+    sol, = yield [prob]
     if sol.status is SolveStatus.INFEASIBLE:
         raise InfeasibleTargetsError(
             "SINR targets are infeasible for this channel realization")
@@ -412,7 +465,7 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
             f"relaxation solve stopped with status {sol.status}")
     rng = np.random.default_rng() if rng is None else rng
     solution = finalize(
-        np.stack(sol.matrix_values),
+        covariances(prob, sol),
         lambda W: randomize_from_covariances(
             channels, topology, W, gr_count, rng,
             sdr_objective=sol.objective))

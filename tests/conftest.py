@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 from cobeam.conic import ConicProblem
 from cobeam.conic.problem import Constraint
+from cobeam.power_min import _sinr_data
 
 
 def embed_matrix(mat):
@@ -56,6 +57,69 @@ def embed_hermitian(problem):
             {i: lower(i, F) for i, F in con.matrix_coeffs.items()},
             dict(con.scalar_coeffs), con.relation, con.rhs, con.label))
     return out
+
+
+def loop_sinr_system(channels, topology, cell=None, level=None, theta=None,
+                     copies=None, budget=False, objective=True, bases=None):
+    """:func:`power_min.sinr_system` row by row and block by block, the
+    oracle of its stacked build.
+
+    Each group's covariance lives in antenna space, or with ``bases`` (a
+    basis (A, d) or None per group in scope, in
+    :meth:`Topology.groups_of_bs` order) in the span of its basis: the
+    builder's problem at those bases, or at the full dimension.
+    """
+    groups = range(topology.G) if cell is None \
+        else topology.groups_of_bs(cell)
+    users = range(topology.U) if cell is None else topology.users_of_bs(cell)
+    bases = [None] * len(groups) if bases is None else bases
+    dims = [topology.A if Q is None else Q.shape[1] for Q in bases]
+    peers = [j for j in range(topology.B) if j != cell]
+    prob = ConicProblem(bases=list(bases))
+    for g, dim in zip(groups, dims):
+        prob.add_psd_var(dim, name=f"W{g}")
+    copy_slot = np.full((topology.B, topology.U), -1)
+    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
+    if copies is not None:
+        for j, u in zip(*np.nonzero(topology.ici_owned(cell).any(axis=0))):
+            copy_slot[j, u] = prob.add_scalar_var(name=f"theta~({j}, {u})")
+    if objective:
+        prob.set_objective(matrix={k: np.eye(dim)
+                                   for k, dim in enumerate(dims)},
+                           scalar=linear,
+                           scalar_quad=dict.fromkeys(linear, copies[1])
+                           if copies is not None else None)
+    slots = copy_slot.tolist()
+
+    def channel(b, u, k):
+        if bases[k] is None:
+            return channels.mat(b, u)
+        h = bases[k].conj().T @ channels.vec(b, u)
+        return np.outer(h, h.conj())
+
+    rhs = iter(rhs)
+    for u in users:
+        t = topology.gamma[u] if level is None else level
+        mats = {}
+        for k, g in enumerate(groups):
+            H = channel(topology.bs_of_group[g], u, k)
+            mats[k] = H if g == topology.group_of_user[u] else -t * H
+        scalars = {slots[j][u]: -t for j in peers} \
+            if copies is not None else None
+        prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
+                            rhs=next(rhs), label=("sinr", u))
+    for u, cap in zip(topology.out_of_cell_users(cell), rhs):
+        prob.add_constraint(
+            matrix={k: channel(cell, u, k) for k in range(len(groups))},
+            scalars={slots[cell][u]: -1.0} if copies is not None else None,
+            rel="<=", rhs=cap, label=("cap", (cell, u)))
+    if budget:
+        for b in range(topology.B) if cell is None else [cell]:
+            prob.add_constraint(
+                matrix={k: np.eye(dims[k]) for k, g in enumerate(groups)
+                        if topology.bs_of_group[g] == b},
+                rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
+    return prob, copy_slot
 
 
 def _highs_powers(gains, own, gamma, noise, cap_gains=None, caps=None):

@@ -1,76 +1,30 @@
-"""The stacked SINR-system builder against the loop builder it replaced.
+"""The stacked SINR-system builder against the loop builder it replaced,
+and its channel spans against the full antenna space.
 
-``loop_sinr_system`` adds one row at a time, one (user, group) block at
-a time, through :meth:`ConicProblem.add_constraint`.  It is the oracle
-of :func:`power_min.sinr_system`, which builds each row family as one
-stack through :meth:`ConicProblem.add_constraints`: the two problems
-must carry equal entries and compile to equal rows, bit for bit.
+``loop_sinr_system`` (conftest) adds one row at a time, one (user,
+group) block at a time, through :meth:`ConicProblem.add_constraint`.  It
+is the oracle of :func:`power_min.sinr_system`, which builds each row
+family as one stack through :meth:`ConicProblem.add_constraints`: at the
+bases the builder chose, the two problems must carry equal entries and
+compile to equal rows, bit for bit.  Where a BS's in-scope users are
+fewer than the dimensions, the builder confines its covariances to their
+channel span; :class:`TestChannelSpan` checks the reduced problems
+against the oracle's full-dimension ones by solving both.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from conftest import loop_sinr_system
 
-from cobeam.conic import ConicProblem
+from cobeam import conic
+from cobeam.balancing import bisect, single_user_upper_bound
+from cobeam.conic import SolveStatus
 from cobeam.conic.problem import CompiledProblem
-from cobeam.network import build_topology, sample_channels
-from cobeam.power_min import _sinr_data, sinr_system, sinr_update
-
-
-def loop_sinr_system(channels, topology, cell=None, level=None, theta=None,
-                     copies=None, budget=False, objective=True, basis=None):
-    """:func:`power_min.sinr_system` row by row and block by block."""
-    groups = range(topology.G) if cell is None \
-        else topology.groups_of_bs(cell)
-    users = range(topology.U) if cell is None else topology.users_of_bs(cell)
-    dim = topology.A if basis is None else basis.shape[1]
-    peers = [j for j in range(topology.B) if j != cell]
-    prob = ConicProblem()
-    for g in groups:
-        prob.add_psd_var(dim, name=f"W{g}")
-    copy_slot = np.full((topology.B, topology.U), -1)
-    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
-    if copies is not None:
-        for j, u in zip(*np.nonzero(topology.ici_owned(cell).any(axis=0))):
-            copy_slot[j, u] = prob.add_scalar_var(name=f"theta~({j}, {u})")
-    if objective:
-        prob.set_objective(matrix={k: np.eye(dim)
-                                   for k in range(len(groups))},
-                           scalar=linear,
-                           scalar_quad=dict.fromkeys(linear, copies[1])
-                           if copies is not None else None)
-    slots = copy_slot.tolist()
-
-    def channel(b, u):
-        if basis is None:
-            return channels.mat(b, u)
-        h = basis.conj().T @ channels.vec(b, u)
-        return np.outer(h, h.conj())
-
-    rhs = iter(rhs)
-    for u in users:
-        t = topology.gamma[u] if level is None else level
-        mats = {}
-        for k, g in enumerate(groups):
-            H = channel(topology.bs_of_group[g], u)
-            mats[k] = H if g == topology.group_of_user[u] else -t * H
-        scalars = {slots[j][u]: -t for j in peers} \
-            if copies is not None else None
-        prob.add_constraint(matrix=mats, scalars=scalars, rel=">=",
-                            rhs=next(rhs), label=("sinr", u))
-    for u, cap in zip(topology.out_of_cell_users(cell), rhs):
-        prob.add_constraint(
-            matrix={k: channel(cell, u) for k in range(len(groups))},
-            scalars={slots[cell][u]: -1.0} if copies is not None else None,
-            rel="<=", rhs=cap, label=("cap", (cell, u)))
-    if budget:
-        for b in range(topology.B) if cell is None else [cell]:
-            prob.add_constraint(
-                matrix={k: np.eye(dim) for k, g in enumerate(groups)
-                        if topology.bs_of_group[g] == b},
-                rel="<=", rhs=float(topology.p_max[b]), label=("power", b))
-    return prob, copy_slot
+from cobeam.distributed import _null_space_basis
+from cobeam.network import ChannelSet, build_topology, sample_channels
+from cobeam.power_min import covariances, sinr_system, sinr_update
 
 
 def assert_same_problem(got, want):
@@ -97,12 +51,53 @@ def assert_same_problem(got, want):
     assert got.shape == want.shape
 
 
+def seen_users(topo, cell=None, theta=None, copies=None):
+    """The users whose rows read the covariances of ``cell`` (None: the
+    network): a cell's own, and every user once it has cap rows."""
+    if cell is None or theta is not None or copies is not None:
+        return list(range(topo.U))
+    return topo.users_of_bs(cell)
+
+
+def span_projector(chans, b, users, basis=None):
+    """The orthogonal projector onto the span of BS b's channels toward
+    ``users`` seen through ``basis``, from a QR factorization of the
+    channels as columns."""
+    h = chans.h[b, users].T
+    if basis is not None:
+        h = basis @ (basis.conj().T @ h)
+    q, _ = np.linalg.qr(h)
+    return q @ q.conj().T
+
+
+def assert_span_rule(prob, chans, topo, cell=None, theta=None, copies=None,
+                     basis=None, **_):
+    """Each group's basis is ``basis`` when its BS's in-scope users are
+    at least its dimensions, else orthonormal columns spanning their
+    channels seen through ``basis``."""
+    users = seen_users(topo, cell, theta, copies)
+    groups = range(topo.G) if cell is None else topo.groups_of_bs(cell)
+    full = topo.A if basis is None else basis.shape[1]
+    assert len(prob.bases) == len(groups)
+    for g, Q in zip(groups, prob.bases):
+        if len(users) >= full:
+            assert Q is basis
+            continue
+        assert Q.shape == (topo.A, len(users))
+        assert np.abs(Q.conj().T @ Q - np.eye(len(users))).max() <= 1e-12
+        P = span_projector(chans, topo.bs_of_group[g], users, basis)
+        assert np.linalg.norm(Q - P @ Q) <= 1e-12
+
+
 GAMMA_1DB = 10 ** 0.1
-# two groups per cell, and three cells of one group each
-TOPOLOGIES = [dict(B=2, G=4, U=8, A=4), dict(B=3, G=3, U=6, A=5)]
+# two groups per cell, three cells of one group each, and a network whose
+# users are fewer than its antennas
+TOPOLOGIES = [dict(B=2, G=4, U=8, A=4), dict(B=3, G=3, U=6, A=5),
+              dict(B=2, G=2, U=4, A=6)]
+IDS = ["B2G4", "B3G3", "U4A6"]
 
 
-@pytest.mark.parametrize("shape", TOPOLOGIES, ids=["B2G4", "B3G3"])
+@pytest.mark.parametrize("shape", TOPOLOGIES, ids=IDS)
 @pytest.mark.parametrize("level", [None, 2.5])
 def test_network_matches_loop_builder(shape, level):
     topo = build_topology(gamma=GAMMA_1DB, cell_separation=GAMMA_1DB,
@@ -111,12 +106,14 @@ def test_network_matches_loop_builder(shape, level):
     for budget, objective in itertools.product([False, True], repeat=2):
         kwargs = dict(level=level, budget=budget, objective=objective)
         got, slot = sinr_system(chans, topo, **kwargs)
-        want, want_slot = loop_sinr_system(chans, topo, **kwargs)
+        assert_span_rule(got, chans, topo)
+        want, want_slot = loop_sinr_system(chans, topo, bases=got.bases,
+                                           **kwargs)
         assert np.array_equal(slot, want_slot)
         assert_same_problem(got, want)
 
 
-@pytest.mark.parametrize("shape", TOPOLOGIES, ids=["B2G4", "B3G3"])
+@pytest.mark.parametrize("shape", TOPOLOGIES, ids=IDS)
 @pytest.mark.parametrize("level", [None, 2.5])
 @pytest.mark.parametrize("theta", ["none", "scalar", "grid"])
 def test_cell_matches_loop_builder(shape, level, theta):
@@ -136,9 +133,116 @@ def test_cell_matches_loop_builder(shape, level, theta):
         kwargs = dict(cell=cell, level=level, theta=theta, copies=copy,
                       budget=budget, objective=objective, basis=basis)
         got, slot = sinr_system(chans, topo, **kwargs)
-        want, want_slot = loop_sinr_system(chans, topo, **kwargs)
+        assert_span_rule(got, chans, topo, **kwargs)
+        del kwargs["basis"]
+        want, want_slot = loop_sinr_system(chans, topo, bases=got.bases,
+                                           **kwargs)
         assert np.array_equal(slot, want_slot)
         assert_same_problem(got, want)
+
+
+class TestChannelSpan:
+    """Random instances whose in-scope users are fewer than the
+    antennas: the builder's reduced problem against the oracle's
+    full-dimension one, solved."""
+
+    SHAPES = [dict(B=2, G=2, U=4, A=6), dict(B=2, G=2, U=2, A=6),
+              dict(B=3, G=3, U=3, A=5)]
+    SHAPE_IDS = ["U4A6", "U2A6", "B3U3A5"]
+    CASES = ["network", "cell-none", "cell-scalar", "cell-grid", "copies",
+             "nulling"]
+
+    @staticmethod
+    def instance(shape, case, seed):
+        """(topology, channels, builder keywords) of one case."""
+        topo = build_topology(gamma=GAMMA_1DB, cell_separation=GAMMA_1DB,
+                              p_max=3.0, **shape)
+        chans = sample_channels(topo, seed)
+        rng = np.random.default_rng(seed)
+        grid = np.where(topo.ici_mask(),
+                        rng.uniform(0.05, 2.0, (topo.B, topo.U)), 0.0)
+        cell = rng.integers(topo.B)
+        kwargs = {
+            "network": {},
+            "cell-none": dict(cell=cell),
+            "cell-scalar": dict(cell=cell, theta=0.3),
+            "cell-grid": dict(cell=cell, theta=grid),
+            "copies": dict(cell=cell, copies=(
+                rng.normal(size=(topo.B, topo.U)), 1.7)),
+            "nulling": dict(cell=cell, basis=_null_space_basis(
+                chans, topo, cell)),
+        }[case]
+        return topo, chans, kwargs
+
+    @staticmethod
+    def both(chans, topo, **kwargs):
+        """The builder's problem and the oracle's at the full dimension,
+        or at the nulling basis alone."""
+        got = sinr_system(chans, topo, **kwargs)[0]
+        full = dict(kwargs)
+        basis = full.pop("basis", None)
+        want = loop_sinr_system(chans, topo, bases=None if basis is None
+                                else [basis] * len(got.bases), **full)[0]
+        assert all(g.dim < w.dim for g, w in zip(got.matrix_vars,
+                                                 want.matrix_vars))
+        return got, want
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_optimum_and_span(self, shape, case):
+        for seed, budget in itertools.product([21, 22], [False, True]):
+            topo, chans, kwargs = self.instance(shape, case, seed)
+            got, want = self.both(chans, topo, budget=budget, **kwargs)
+            assert_span_rule(got, chans, topo, **kwargs)
+            sol, ref = conic.solve(got), conic.solve(want)
+            assert sol.status is ref.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-7)
+            # the lifted covariances have no component off the span
+            cell = kwargs.get("cell")
+            users = seen_users(topo, cell, kwargs.get("theta"),
+                               kwargs.get("copies"))
+            groups = range(topo.G) if cell is None \
+                else topo.groups_of_bs(cell)
+            for g, W in zip(groups, covariances(got, sol)):
+                P = span_projector(chans, topo.bs_of_group[g], users,
+                                   kwargs.get("basis"))
+                assert np.linalg.norm(W - P @ W @ P) \
+                    <= 1e-12 * np.linalg.norm(W)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_feasible_levels(self, shape, case):
+        topo, chans, kwargs = self.instance(shape, case, 23)
+        cell = kwargs.get("cell")
+        upper = single_user_upper_bound(
+            chans, topo, None if cell is None else topo.users_of_bs(cell))
+
+        def decide(t):
+            got, want = self.both(chans, topo, level=t, budget=True,
+                                  objective=False, **kwargs)
+            feasible = conic.check_feasibility(want)
+            assert conic.check_feasibility(got) is feasible, t
+            return feasible, None
+
+        # the full system's balanced level to 1e-3, then random levels
+        # within a factor two of it
+        level = bisect(0.0, upper, 1e-3 * upper, decide).t
+        rng = np.random.default_rng(24)
+        decisions = [decide(t)[0]
+                     for t in level * 2.0 ** rng.uniform(-1.0, 1.0, 6)]
+        assert True in decisions and False in decisions
+
+    def test_zero_channels_keep_the_antenna_space(self):
+        # the only user of cell 1 hears nothing from its BS: no span to
+        # narrow to, and no way to serve it
+        topo = build_topology(B=2, G=2, U=2, A=6, gamma=GAMMA_1DB)
+        h = np.array(sample_channels(topo, 25).h)
+        h[1, 1] = 0.0
+        chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
+                                                h.conj()))
+        prob = sinr_system(chans, topo, cell=1)[0]
+        assert prob.bases == [None]
+        assert conic.solve(prob).status is SolveStatus.INFEASIBLE
 
 
 class TestSinrUpdateLevel:

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import loop_sinr_system
 
-from cobeam import conic
+from cobeam import balancing, conic
 from cobeam.errors import (ConfigurationError, IndeterminateError,
                            RandomizationFailureError, StateError)
 from cobeam.network import build_topology, sample_channels
@@ -666,7 +667,10 @@ class TestWarmProbes:
         # interference-blind bisection, that a cold solve accepts with a
         # point breaking a row by less than ACCEPT_TOL, while a warm one
         # proves it infeasible by a Farkas certificate: the decisions
-        # differ only where the cold one is within its tolerance
+        # differ only where the cold one is within its tolerance.  The
+        # probes are built at the full dimension, by the row-by-row
+        # oracle: the builder's channel span gives another path
+        monkeypatch.setattr(balancing, "sinr_system", loop_sinr_system)
         config = parse_scenario(SCENARIOS / "balancing_small.json")
         topo = build_topology(
             B=config.B, G=config.G, U=config.U, A=config.A,

@@ -21,8 +21,11 @@ batching them across trials and schemes), where the first line cannot.
 A third line prints the count and the sum of ``iterations`` over every
 solve, which shows how much interior-point work the same solves took,
 and a fourth the sum of ``stats["refine_passes"]``, the corrector's
-refinement passes (nan for a solver that does not count them).
-A fifth line prints the number of records and trace rows of the runs
+refinement passes (nan for a solver that does not count them).  A
+fifth line prints the sum over every solve of its PSD block orders, the
+dimensions of its matrix variables: how large the solved systems were,
+such as how far ``sinr_system``'s channel spans shrank them.  The last
+line prints the number of records and trace rows of the runs
 and one sha256 over the records, ``wall_time_s`` left out, and then the
 trace rows: it also covers what no conic solve returns, such as the
 Gaussian randomization picks and their least powers.
@@ -69,12 +72,15 @@ def main(argv=None):
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be >= 1")
     digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
+    orders = 0
     results, nrecords, nrows = hashlib.sha256(), 0, 0
 
     def recorded(solve_batch):
-        def wrapper(*a, **kw):
-            nonlocal iterations, passes
-            sols = solve_batch(*a, **kw)
+        def wrapper(problems):
+            nonlocal iterations, passes, orders
+            sols = solve_batch(problems)
+            orders += sum(var.dim for prob in problems
+                          for var in prob.matrix_vars)
             for sol in sols:
                 iterations += sol.iterations
                 passes += sol.stats.get("refine_passes", math.nan)
@@ -108,6 +114,7 @@ def main(argv=None):
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
     print(f"solves {len(hashes)} iterations {iterations}")
     print(f"solves {len(hashes)} refine passes {passes}")
+    print(f"solves {len(hashes)} psd block orders {orders}")
     print(f"records {nrecords} trace rows {nrows} sha256 "
           f"{results.hexdigest()}")
 
