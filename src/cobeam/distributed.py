@@ -34,10 +34,13 @@ from .backhaul import MessageBus
 from .conic import SolveStatus
 from .errors import (CobeamError, ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
-from .network import (BeamformingSolution, build_topology, evaluate_sinr,
-                      network_stack, orthogonal_equivalent_target)
+# evaluate_sinr is no longer called here; perfbench's traced runs still
+# wrap distributed.evaluate_sinr, so the name stays until they drop it
+from .network import (BeamformingSolution, build_topology,  # noqa: F401
+                      evaluate_sinr, network_stack,
+                      orthogonal_equivalent_target)
 from .power_min import (DEFAULT_GR_COUNT, channel_span, covariances,
-                        direction_gains, extract_rank_one, finalize,
+                        direction_gains, finalize,
                         fixed_direction_powers, gaussian_candidates,
                         least_powers, randomized_solution, sinr_system,
                         sinr_update)
@@ -320,18 +323,6 @@ def run_primal_decomposition(channels, topology, max_iters=100,
                                gr_count, rng, bus=bus)
     trace.log = bus.log
     return trace
-
-
-def _rank_one_margin(channels, topology, W):
-    """min_u SINR(u)/gamma_u - 1 for beams eigen-extracted from the
-    covariances W (G, A, A), such as a PD round's ``W`` extra, or None
-    when one is not rank one."""
-    if W is None or (conic.numerical_rank(W) > 1).any():
-        return None
-    w = extract_rank_one(W)
-    margins = [evaluate_sinr(channels, w, u, topology) / topology.gamma[u]
-               - 1.0 for u in range(topology.U)]
-    return float(min(margins))
 
 
 def _finalize(channels, topology, W, theta, gr_count, rng, bus=None):

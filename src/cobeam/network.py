@@ -138,9 +138,6 @@ class ChannelSet:
     def vec(self, b, u):
         return self.h[b, u]
 
-    def mat(self, b, u):
-        return self.outer[b, u]
-
 
 def sample_channels(topology, seed):
     """Draw i.i.d. CN(0, 1) channels, attenuating cross-cell links.

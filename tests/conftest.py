@@ -93,7 +93,7 @@ def loop_sinr_system(channels, topology, cell=None, level=None, theta=None,
 
     def channel(b, u, k):
         if bases[k] is None:
-            return channels.mat(b, u)
+            return channels.outer[b, u]
         h = bases[k].conj().T @ channels.vec(b, u)
         return np.outer(h, h.conj())
 

@@ -378,7 +378,7 @@ class TestLocalBalance:
         for b in range(2):
             res = local_balance(b, chans, topo, cap, epsilon=1e-3)
             for u in topo.out_of_cell_users(b):
-                leak = sum(float(np.real(np.trace(chans.mat(b, u) @ W)))
+                leak = sum(float(np.real(np.trace(chans.outer[b, u] @ W)))
                            for W in res.payload)
                 assert leak <= cap + 1e-7
 

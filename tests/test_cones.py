@@ -108,18 +108,54 @@ def random_vec(lay, rng, *batch):
     return rng.standard_normal(batch + (lay.size,))
 
 
-@pytest.fixture(params=sorted(LAYOUTS))
-def case(request):
-    dims, nonneg = LAYOUTS[request.param]
+def make_case(name):
+    dims, nonneg = LAYOUTS[name]
     lay = ConeLayout(dims, nonneg)
-    rng = np.random.default_rng(sorted(LAYOUTS).index(request.param))
+    rng = np.random.default_rng(sorted(LAYOUTS).index(name))
     x, z = random_interior(lay, rng), random_interior(lay, rng)
     return lay, NTScaling(lay, x, z), x, z, rng
 
 
-def close(a, b):
+@pytest.fixture(params=sorted(LAYOUTS))
+def case(request):
+    return make_case(request.param)
+
+
+# Off-centre pairs X = R0 L R0^H, Z = R0^-H L R0^-1 whose scaled point L
+# spreads s_min/s_max down to SPREAD, in real and Hermitian blocks of one
+# layout.  Their NT scaling matrix is W = R0 R0^H.  W, and the least
+# singular value that an eigensolve of G^H G resolves, are only fixed to
+# about EPS / SPREAD^2 relative by float64 data.
+OFF_CENTRE = ([3, 3, 5, 4, 4, 2], 4, [False] * 3 + [True] * 3)
+SPREAD = 1e-4
+
+
+def off_centre_pair(rng):
+    """(layout, x, z, W and L per block) of an off-centre pair."""
+    dims, nonneg, cplx = OFF_CENTRE
+    lay = ConeLayout(dims, nonneg, cplx)
+    xs, zs, Ws, lams = [], [], [], []
+    for d, c in zip(dims, cplx):
+        R0 = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
+        if c:
+            R0 = R0 + 1j * rng.standard_normal((d, d)) / np.sqrt(d)
+        lam = np.logspace(0, np.log10(SPREAD), d)
+        R0inv = np.linalg.inv(R0)
+        X = R0 @ np.diag(lam) @ R0.conj().T
+        Z = R0inv.conj().T @ np.diag(lam) @ R0inv
+        pack = ref_hvec if c else ref_svec
+        xs.append(pack(0.5 * (X + X.conj().T)))
+        zs.append(pack(0.5 * (Z + Z.conj().T)))
+        Ws.append(R0 @ R0.conj().T)
+        lams.append(lam)
+    x = np.concatenate(xs + [rng.uniform(0.5, 2.0, nonneg)])
+    z = np.concatenate(zs + [rng.uniform(0.5, 2.0, nonneg)])
+    return lay, x, z, Ws, lams
+
+
+def close(a, b, rtol=RTOL):
     scale = max(1.0, float(np.max(np.abs(b))) if np.size(b) else 1.0)
-    np.testing.assert_allclose(a, b, rtol=0, atol=RTOL * scale)
+    np.testing.assert_allclose(a, b, rtol=0, atol=rtol * scale)
 
 
 # -- tests ------------------------------------------------------------------
@@ -160,20 +196,34 @@ def test_identity_and_psd_block(case):
         np.testing.assert_array_equal(lay.psd_block(x, i), want)
 
 
-def test_nt_scaling_reconstructs_pair(case):
-    lay, sc, x, z, _ = case
+@pytest.mark.parametrize("name", sorted(LAYOUTS) + ["off-centre"])
+def test_nt_scaling_reconstructs_pair(name):
+    if name in LAYOUTS:
+        lay, sc, x, z, _ = make_case(name)
+        ref = RefScaling(lay, x, z)
+        Xs, Zs = ref_blocks(lay, x), ref_blocks(lay, z)
+        Ws, lams_ref = [R @ R.T for R in ref.R], ref.lam
+        rtol = RTOL
+    else:
+        lay, x, z, Ws, lams_ref = off_centre_pair(np.random.default_rng(37))
+        sc = NTScaling(lay, x, z)
+        Xs, Zs = (
+            [(ref_hmat if c else ref_smat)(v[off:off + n], d)
+             for d, c, off, n in zip(lay.psd_dims, lay.psd_complex,
+                                     lay.psd_offsets, lay.svec_lens)]
+            for v in (x, z))
+        rtol = EPS / SPREAD ** 2
     Rs, Rinvs = per_block(sc.R), per_block(sc.Rinv)
     lams = per_block(sc.lam_psd)
-    ref = RefScaling(lay, x, z)
-    for R, Rinv, s, X, Z, s_ref, R_ref in zip(
-            Rs, Rinvs, lams, ref_blocks(lay, x), ref_blocks(lay, z),
-            ref.lam, ref.R):
-        close(R @ np.diag(s) @ R.T, X)
-        close(Rinv.T @ np.diag(s) @ Rinv, Z)
-        close(R @ Rinv, np.eye(len(s)))
-        close(s, s_ref)
-        # the NT scaling matrix W = R R' is unique
-        close(R @ R.T, R_ref @ R_ref.T)
+    for R, Rinv, s, X, Z, s_ref, W in zip(Rs, Rinvs, lams, Xs, Zs, lams_ref,
+                                          Ws):
+        Rh, Rinvh = R.conj().T, Rinv.conj().T
+        close(R @ np.diag(s) @ Rh, X)
+        close(Rinvh @ np.diag(s) @ Rinv, Z)
+        close(R @ Rinv, np.eye(len(s)), rtol)
+        close(s, s_ref, rtol)
+        # the NT scaling matrix W = R R^H is unique
+        close(R @ Rh, W, rtol)
     xn, zn = lay.nn_block(x), lay.nn_block(z)
     close(sc.lam_nn * sc.w_nn, xn)
     close(sc.lam_nn / sc.w_nn, zn)
@@ -532,10 +582,13 @@ class FrozenScaling:
         for X, Z in zip(layout.unpack(x), layout.unpack(z)):
             Lx = self._cholesky(X)
             Lz = self._cholesky(Z)
-            U, s, Vh = np.linalg.svd(frozen_H(Lz) @ Lx)
-            s = np.maximum(s, 1e-300)
+            G = frozen_H(Lz) @ Lx
+            s2, V = np.linalg.eigh(frozen_H(G) @ G)
+            s = np.sqrt(np.maximum(s2[..., ::-1], 1e-300))
+            V = V[..., ::-1]
             sq = np.sqrt(s)[..., None, :]
-            self.R.append(Lx @ (frozen_H(Vh) / sq))
+            U = G @ V / s[..., None, :]
+            self.R.append(Lx @ (V / sq))
             self.Rinv.append(frozen_H(U / sq) @ frozen_H(Lz))
             self.lam_psd.append(s)
         self.Rh = [frozen_H(R) for R in self.R]

@@ -442,7 +442,7 @@ class TestSolverInvariants:
         # a well-posed instance needs no numerical fallback, and a
         # problem without a start starts cold
         assert sol.stats == {"chol_jitter": 0, "schur_ridge": 0,
-                             "schur_pinv": 0, "refine_passes": 5,
+                             "schur_pinv": 0, "refine_passes": 4,
                              "warm_start": 0}
 
     @pytest.mark.parametrize("b", [0, 1])

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from cobeam import conic, distributed
+from cobeam import conic
 from cobeam.backhaul import (MessageBus, gr_gain_signaling_load,
                              periter_signaling_load, verify_exchange_count)
 from cobeam.errors import (CobeamError, ConfigurationError,
                            InfeasibleTargetsError, RandomizationFailureError)
 from cobeam.network import (ChannelSet, build_topology, evaluate_sinr,
                             sample_channels)
-from cobeam.power_min import gaussian_candidates, solve_centralized
+from cobeam.power_min import (extract_rank_one, gaussian_candidates,
+                              solve_centralized)
 from cobeam.distributed import (admm_feasibility_restore,
                                 admm_global_update, admm_pair_dual_update,
                                 assemble_admm_local, assemble_subproblem,
@@ -20,6 +21,18 @@ from cobeam.distributed import (admm_feasibility_restore,
                                 solve_fixed_ici, solve_nulling)
 
 GAMMA_1DB = 10 ** 0.1
+
+
+def rank_one_margin(channels, topology, W):
+    """min_u SINR(u)/gamma_u - 1 for beams eigen-extracted from the
+    covariances W (G, A, A), such as a PD round's ``W`` extra, or None
+    when one is not rank one."""
+    if W is None or (conic.numerical_rank(W) > 1).any():
+        return None
+    w = extract_rank_one(W)
+    margins = [evaluate_sinr(channels, w, u, topology) / topology.gamma[u]
+               - 1.0 for u in range(topology.U)]
+    return float(min(margins))
 
 
 def small_scenario(seed, **overrides):
@@ -196,7 +209,7 @@ class TestPrimalDecomposition:
         # fixed caps per iterate guarantee the coupled constraints
         topo, chans = small_scenario(10)
         trace = run_primal_decomposition(chans, topo, max_iters=15)
-        margins = [distributed._rank_one_margin(chans, topo, e["W"])
+        margins = [rank_one_margin(chans, topo, e["W"])
                    for e in trace.extras]
         margins = [m for m in margins if m is not None]
         assert margins and all(m >= -1e-5 for m in margins)
@@ -368,7 +381,7 @@ class TestDistributedRandomization:
         theta = on_pairs(topo, [float(10 ** rng.uniform(-1, 1))
                                 for _ in range(topo.ici_mask().sum())])
         # full-rank covariances leaning toward each group's own users
-        W = np.array([sum(chans.mat(topo.bs_of_group[g], u)
+        W = np.array([sum(chans.outer[topo.bs_of_group[g], u]
                           for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
                       for g in range(topo.G)])
         count = 40
@@ -411,7 +424,7 @@ class TestDistributedRandomization:
         topo, chans = small_scenario(26, G=4, U=8, A=4, gamma=0.5,
                                      cell_separation=10.0)
         theta = 1e-9
-        W = np.array([sum(chans.mat(topo.bs_of_group[g], u)
+        W = np.array([sum(chans.outer[topo.bs_of_group[g], u]
                           for u in topo.users_of_group(g)) + 0.1 * np.eye(4)
                       for g in range(topo.G)])
         count = 40

@@ -113,7 +113,7 @@ class TestChannels:
     def test_outer_products(self):
         topo = build_topology(B=1, G=1, U=1, A=4)
         chans = sample_channels(topo, 3)
-        H = chans.mat(0, 0)
+        H = chans.outer[0, 0]
         h = chans.vec(0, 0)
         assert np.allclose(H, np.outer(h, h.conj()))
         assert np.trace(H).real == pytest.approx(np.linalg.norm(h) ** 2)

@@ -2,6 +2,12 @@
 
     PYTHONPATH=src python tools/solve_digest.py scenarios/*.json
 
+The first line names the OpenBLAS kernel (core) that numpy's and
+scipy's libraries run, as each library's ``get_corename`` reports it
+through ctypes, or ``unknown``: a ``DYNAMIC_ARCH`` build picks its kernel
+from the CPU or from ``OPENBLAS_CORETYPE``, and the kernel's rounding
+moves every hash below, so two sets of lines compare only on one kernel.
+
 Each scenario file goes through ``experiment.run_sweep`` with
 ``cobeam.conic.solve_batch`` and ``cobeam.conic.ipm.solve_batch``
 wrapped.  ``solve`` is the one-problem case of ``solve_batch`` and calls
@@ -34,14 +40,41 @@ To check the solver of another tree, run this tool with its ``src`` on
 """
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import math
+import os
 
 import numpy as np
+import scipy
 
 from cobeam import conic
 from cobeam.conic import ipm
 from cobeam.experiment import parse_scenario, run_sweep
+
+
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_",
+                    "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename")
+
+
+def blas_kernel(package):
+    """OpenBLAS core name of the library bundled with ``package`` (in
+    the wheel's ``<name>.libs`` folder), or ``unknown``."""
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(package.__file__), os.pardir,
+            f"{package.__name__}.libs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return (corename() or b"unknown").decode()
+    return "unknown"
 
 
 def feed(h, value):
@@ -71,6 +104,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be >= 1")
+    print(f"blas numpy {blas_kernel(np)} scipy {blas_kernel(scipy)}")
     digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
     orders = 0
     results, nrecords, nrows = hashlib.sha256(), 0, 0
