@@ -437,13 +437,19 @@ class TestSolverInvariants:
 
     def test_kkt_residuals_reported(self):
         sol = solve(self.qos_instance(1))
+        assert sol.status is SolveStatus.OPTIMAL
         assert set(sol.kkt) == {"primal", "dual", "gap"}
         assert max(sol.kkt.values()) <= 1e-7
         # a well-posed instance needs no numerical fallback, and a
         # problem without a start starts cold
-        assert sol.stats == {"chol_jitter": 0, "schur_ridge": 0,
-                             "schur_pinv": 0, "refine_passes": 4,
-                             "warm_start": 0}
+        stats = dict(sol.stats)
+        passes = stats.pop("refine_passes")
+        assert stats == {"chol_jitter": 0, "schur_ridge": 0,
+                         "schur_pinv": 0, "warm_start": 0}
+        # whether a corrector refines follows the last bits of its
+        # residual, so the count differs between BLAS kernels (4 to 6
+        # here); it stays within the corrector's passes per iteration
+        assert 1 <= passes <= ipm.REFINE_STEPS * sol.iterations
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_refinement_runs_where_a_direction_is_inaccurate(self, b):
