@@ -31,6 +31,13 @@ from collections import namedtuple
 import numpy as np
 
 _SQRT2 = float(np.sqrt(2.0))
+_EPS = np.finfo(float).eps
+
+# The least s_min/s_max of a PSD block whose NT factors come from the
+# eigensolve of G^H G, which resolves s_min to about
+# eps * (s_max/s_min)^2 relative (2e-10 at this spread); a block spread
+# wider takes the SVD of G, which resolves it to eps * s_max/s_min.
+EIGH_SPREAD = 1e-3
 
 # Packing maps of one block.  Per packed entry: its matrix ``rows`` and
 # ``cols``, its ``pack`` scale and its ``flat`` index into the block's
@@ -251,7 +258,9 @@ class NTScaling:
     1998).  L and V come from one eigensolve of ``G^H G = V L^2 V^H`` per
     block and ``U = G V L^-1``: it resolves the least entry of L to about
     eps * (max L / min L)^2 relative, against eps * max L / min L for an
-    SVD, which is below 1e-11 while min L / max L stays above 5e-3.
+    SVD, so a block whose min L / max L is below :data:`EIGH_SPREAD`
+    (such as a jittered one) takes the SVD of G instead.  Each block's
+    factors depend on that block alone.
     ``R``, ``Rinv``, their adjoints ``Rh``, ``Rinvh`` and ``lam_psd``
     hold one stack per run of the layout; ``jitters`` counts the blocks
     whose Cholesky factor needed jitter.  Leading axes of x and z are
@@ -281,15 +290,20 @@ class NTScaling:
                         (0, 1), np.ndindex(self.jitters.shape)):
                     L[(side,) + idx] = self._cholesky(XZ[(side,) + idx], idx)
                 Lx, Lz = L
-            # G^H G = V S^2 V^H in the SVD's descending order
+            # the SVD G = U S V^H from G^H G = V S^2 V^H, in descending
+            # order; a block spread wider than EIGH_SPREAD takes its SVD
             Lzh = _H(Lz)
             G = Lzh @ Lx
             s2, V = np.linalg.eigh(_H(G) @ G)
-            s = np.sqrt(np.maximum(s2[..., ::-1], 1e-300))
+            s = np.sqrt(np.maximum(s2[..., ::-1], _EPS * s2[..., -1:]))
             V = V[..., ::-1]
+            U = G @ V / s[..., None, :]
+            wide = s[..., -1] < EIGH_SPREAD * s[..., 0]
+            if wide.any():
+                U[wide], sw, Vh = np.linalg.svd(G[wide])
+                s[wide], V[wide] = np.maximum(sw, 1e-300), _H(Vh)
             root = np.sqrt(s)
             sq = root[..., None, :]
-            U = G @ V / s[..., None, :]
             self.R.append(Lx @ (V / sq))
             self.Rinv.append(_H(U / sq) @ Lzh)
             self.lam_psd.append(s)

@@ -122,15 +122,17 @@ def case(request):
 
 
 # Off-centre pairs X = R0 L R0^H, Z = R0^-H L R0^-1 whose scaled point L
-# spreads s_min/s_max down to SPREAD, in real and Hermitian blocks of one
-# layout.  Their NT scaling matrix is W = R0 R0^H.  W, and the least
-# singular value that an eigensolve of G^H G resolves, are only fixed to
-# about EPS / SPREAD^2 relative by float64 data.
+# spreads s_min/s_max down to a given spread, in real and Hermitian
+# blocks of one layout.  Their NT scaling matrix is W = R0 R0^H.  W, and
+# the least singular value that an eigensolve of G^H G resolves, are
+# only fixed to about EPS / spread^2 relative by float64 data.  The
+# first spread is below cones.EIGH_SPREAD, so its blocks take the SVD of
+# G; the second is just above it, where the eigensolve is least accurate.
 OFF_CENTRE = ([3, 3, 5, 4, 4, 2], 4, [False] * 3 + [True] * 3)
-SPREAD = 1e-4
+SPREADS = {"off-centre": 1e-4, "off-centre-narrow": 2e-3}
 
 
-def off_centre_pair(rng):
+def off_centre_pair(rng, spread):
     """(layout, x, z, W and L per block) of an off-centre pair."""
     dims, nonneg, cplx = OFF_CENTRE
     lay = ConeLayout(dims, nonneg, cplx)
@@ -139,7 +141,7 @@ def off_centre_pair(rng):
         R0 = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
         if c:
             R0 = R0 + 1j * rng.standard_normal((d, d)) / np.sqrt(d)
-        lam = np.logspace(0, np.log10(SPREAD), d)
+        lam = np.logspace(0, np.log10(spread), d)
         R0inv = np.linalg.inv(R0)
         X = R0 @ np.diag(lam) @ R0.conj().T
         Z = R0inv.conj().T @ np.diag(lam) @ R0inv
@@ -196,7 +198,7 @@ def test_identity_and_psd_block(case):
         np.testing.assert_array_equal(lay.psd_block(x, i), want)
 
 
-@pytest.mark.parametrize("name", sorted(LAYOUTS) + ["off-centre"])
+@pytest.mark.parametrize("name", sorted(LAYOUTS) + sorted(SPREADS))
 def test_nt_scaling_reconstructs_pair(name):
     if name in LAYOUTS:
         lay, sc, x, z, _ = make_case(name)
@@ -205,14 +207,15 @@ def test_nt_scaling_reconstructs_pair(name):
         Ws, lams_ref = [R @ R.T for R in ref.R], ref.lam
         rtol = RTOL
     else:
-        lay, x, z, Ws, lams_ref = off_centre_pair(np.random.default_rng(37))
+        lay, x, z, Ws, lams_ref = off_centre_pair(np.random.default_rng(37),
+                                                  SPREADS[name])
         sc = NTScaling(lay, x, z)
         Xs, Zs = (
             [(ref_hmat if c else ref_smat)(v[off:off + n], d)
              for d, c, off, n in zip(lay.psd_dims, lay.psd_complex,
                                      lay.psd_offsets, lay.svec_lens)]
             for v in (x, z))
-        rtol = EPS / SPREAD ** 2
+        rtol = EPS / SPREADS[name] ** 2
     Rs, Rinvs = per_block(sc.R), per_block(sc.Rinv)
     lams = per_block(sc.lam_psd)
     for R, Rinv, s, X, Z, s_ref, W in zip(Rs, Rinvs, lams, Xs, Zs, lams_ref,
@@ -305,6 +308,29 @@ def test_singular_block_factors_through_jitter():
     L, jittered = _chol(singular)
     assert jittered
     close(L @ L.T, singular + jitter * np.eye(3))
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "hermitian"])
+def test_rotated_singular_block_keeps_its_inverse_factor(cplx):
+    # a singular block off the axes fails the stacked Cholesky; jittered,
+    # its scaled point spreads s_min/s_max to about 8e-8, where the SVD of
+    # G keeps Rinv the inverse of R to about EPS / 8e-8 (an eigensolve of
+    # G^H G would miss by about EPS / 8e-8^2, here 6e-3)
+    lay = ConeLayout([3, 3, 3], 0, [cplx] * 3)
+    n = np.array([1.0, 1j if cplx else 1.0, -1.0]) / np.sqrt(3)
+    singular = np.eye(3) - np.outer(n, n.conj())
+    blocks = np.stack([np.eye(3), singular, 2.0 * np.eye(3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(blocks)
+    x = lay.pack([blocks.astype(lay.runs[0].dtype)], np.empty(0))
+    sc = NTScaling(lay, x, lay.identity())
+    assert sc.jitters == 1
+    for R, Rinv, s, X in zip(per_block(sc.R), per_block(sc.Rinv),
+                             per_block(sc.lam_psd), blocks):
+        Rh, Rinvh = R.conj().T, Rinv.conj().T
+        close(R @ np.diag(s) @ Rh, X)
+        close(Rinvh @ np.diag(s) @ Rinv, np.eye(3))
+        close(R @ Rinv, np.eye(3), 1e-8)
 
 
 def test_duplicated_equality_row_counts_schur_ridge():
@@ -584,10 +610,14 @@ class FrozenScaling:
             Lz = self._cholesky(Z)
             G = frozen_H(Lz) @ Lx
             s2, V = np.linalg.eigh(frozen_H(G) @ G)
-            s = np.sqrt(np.maximum(s2[..., ::-1], 1e-300))
+            s = np.sqrt(np.maximum(s2[..., ::-1], EPS * s2[..., -1:]))
             V = V[..., ::-1]
-            sq = np.sqrt(s)[..., None, :]
             U = G @ V / s[..., None, :]
+            wide = s[..., -1] < cones.EIGH_SPREAD * s[..., 0]
+            if wide.any():
+                U[wide], sw, Vh = np.linalg.svd(G[wide])
+                s[wide], V[wide] = np.maximum(sw, 1e-300), frozen_H(Vh)
+            sq = np.sqrt(s)[..., None, :]
             self.R.append(Lx @ (V / sq))
             self.Rinv.append(frozen_H(U / sq) @ frozen_H(Lz))
             self.lam_psd.append(s)
