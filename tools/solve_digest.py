@@ -54,9 +54,10 @@ from cobeam.conic import ipm
 from cobeam.experiment import parse_scenario, run_sweep
 
 
+# scipy-openblas, which numpy's and scipy's wheels bundle, in its ILP64
+# (numpy) and LP64 (scipy) builds
 CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_",
-                    "scipy_openblas_get_corename",
-                    "openblas_get_corename64_", "openblas_get_corename")
+                    "scipy_openblas_get_corename")
 
 
 def blas_kernel(package):
