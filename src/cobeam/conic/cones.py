@@ -19,8 +19,8 @@ Consecutive PSD blocks of equal dimension and kind form a *run*.  The
 kernel unpacks a run into one ``(..., k, d, d)`` stack with a single
 gather and applies every operation (congruence, Cholesky, Hermitian
 eigendecomposition, eigenvalues) to the whole stack at once; a leading
-batch axis on the flat vector carries through, so the m constraint rows are scaled by one
-stacked product.  :class:`NTScaling` also takes x and z with leading
+batch axis on the flat vector carries through, so the m constraint rows
+are scaled by one stacked product.  :class:`NTScaling` also takes x and z with leading
 problem axes: each problem's results equal its own scaling's bit for bit.
 """
 
