@@ -20,8 +20,9 @@ kernel unpacks a run into one ``(..., k, d, d)`` stack with a single
 gather and applies every operation (congruence, Cholesky, Hermitian
 eigendecomposition, eigenvalues) to the whole stack at once; a leading
 batch axis on the flat vector carries through, so the m constraint rows
-are scaled by one stacked product.  :class:`NTScaling` also takes x and z with leading
-problem axes: each problem's results equal its own scaling's bit for bit.
+are scaled by one stacked product.  :class:`NTScaling` also takes x and
+z with leading problem axes: each problem's results equal its own
+scaling's bit for bit.
 """
 
 import functools
