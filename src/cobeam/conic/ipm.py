@@ -41,7 +41,18 @@ every iterate and every datum carries a leading problem axis, also for
 a lone problem, and per-problem scalars are lists.  The loop stacks
 only operations that give every problem the bits of its own call, as
 ``tools/solve_digest.py``, ``tests/test_conic.py`` and the frozen
-kernel in ``tests/test_cones.py`` check.
+kernel in ``tests/test_cones.py`` check.  A batch may mix problems with
+and without quadratic terms, and each keeps the operations of its own
+solve; without one, that is the syrk Schur product.
+
+A problem with an objective and fewer than ``problem.ORTHANT_FLOOR``
+= 8 orthant entries compiles with inert pads up to the floor
+(:class:`CompiledProblem`), so that a round's PD subproblems share the
+shape of its ADMM local problems.  A pad has zero cost and no row.  The
+loop holds it at x = z = 1 with no direction and leaves it out of x'z,
+mu, sigma and the barrier degree, which stays each problem's own.  The
+dual residual, both complementarity right-hand sides and the
+infeasibility and ray exits leave it out too.
 """
 
 import math
@@ -114,7 +125,10 @@ class _Batch:
     along a leading problem axis, also a lone problem.  ``A_blocks`` keep
     the row axis first, (m, P, k, d, d), so that a batched scaling
     broadcasts over them.  ``qdiag`` is the quadratic's diagonal on all
-    of x (zero on the PSD part), or None without quadratic terms."""
+    of x (zero on the PSD part) and ``quad`` marks the problems that have
+    one, both None when none has.  ``pad`` marks each problem's pad
+    entries, None when none has any, and ``deg`` holds each problem's
+    own barrier degree plus one, for tau and kappa."""
 
     def __init__(self, compiled):
         self.layout = compiled[0].layout
@@ -122,14 +136,25 @@ class _Batch:
         self.At = self.A.swapaxes(-1, -2)
         self.b = np.stack([c.b for c in compiled])
         self.c = np.stack([c.c for c in compiled])
-        self.qdiag = None
-        if compiled[0].qdiag.any():
+        self.qdiag = self.quad = self.pad = None
+        quad = np.array([c.qdiag.any() for c in compiled])
+        if quad.any():
+            self.quad = quad
             self.qdiag = np.zeros(self.c.shape)
             self.qdiag[:, self.layout.nn_offset:] = [c.qdiag for c in compiled]
+        if any(c.n_pad for c in compiled):
+            self.pad = np.zeros(self.c.shape, dtype=bool)
+            for row, c in zip(self.pad, compiled):
+                row[c.size:] = True
+        self.deg = [c.degree + 1 for c in compiled]
         self.A_blocks = [np.stack(run, axis=1)
                          for run in zip(*(c.A_blocks for c in compiled))]
         self.nb = [1.0 + np.linalg.norm(c.b) for c in compiled]
         self.nc = [1.0 + np.linalg.norm(c.c) for c in compiled]
+
+    def own(self, v):
+        """(P, n) rows ``v`` with every pad entry zeroed."""
+        return v if self.pad is None else np.where(self.pad, 0.0, v)
 
 
 def _factor_schur(M):
@@ -176,7 +201,9 @@ class _KktSolver:
     dkappa = (ft - kappa dtau)/tau leaves one scalar equation for dtau,
     whose cost is ``c_tau_scaled`` = W'(c + 2q) and whose denominator
     gains xi'Q xi.  Without a quadratic, ``dinv`` is None and the terms
-    of Q are absent.
+    of Q are absent; in a batch that mixes problems with and without one,
+    a problem without one has ``dinv`` 1 and none of the terms of Q, and
+    its Schur complement is its own syrk.
 
     All elimination happens on scaled quantities (rows W'a_k, directions
     W^{-1}dx, W'dz); no large-norm operator is ever applied to an
@@ -204,18 +231,22 @@ class _KktSolver:
         # a zero objective, as in every feasibility probe, scales to zero
         self.c_scaled = scaling.scale_dual(data.c) if data.c.any() \
             else np.zeros_like(data.c)
-        self.qdiag, self.dinv = data.qdiag, None
+        self.qdiag, self.quad, self.dinv = data.qdiag, data.quad, None
         self.c_tau, self.c_tau_scaled = self.c, self.c_scaled
         self.xqx = [0.0] * len(tau)
         if self.qdiag is not None:
-            off = lay.nn_offset
+            off, quad = lay.nn_offset, self.quad
             xi = x / _col(tau)
             q2 = 2.0 * self.qdiag * xi
-            self.xqx = [0.5 * v for v in _dot(xi, q2)]
-            self.c_tau = self.c + q2
+            self.xqx = [0.5 * v if q else 0.0
+                        for q, v in zip(quad, _dot(xi, q2))]
+            self.c_tau = self.c.copy()
+            self.c_tau[quad] += q2[quad]
             # W' is diagonal on the orthant, where all of q lives
             self.c_tau_scaled = self.c_scaled.copy()
-            self.c_tau_scaled[..., off:] += scaling.w_nn * q2[..., off:]
+            self.c_tau_scaled[quad, off:] += (scaling.w_nn
+                                              * q2[..., off:])[quad]
+            # 1 where a problem has no quadratic
             dvec = np.ones(data.c.shape)
             dvec[..., off:] += self.qdiag[..., off:] * scaling.w_nn ** 2
             self.dinv = 1.0 / dvec
@@ -226,10 +257,16 @@ class _KktSolver:
             _dot(self.b, self.u2))]
 
     def _build_schur(self):
-        at = self.at_scaled
+        at, quad = self.at_scaled, self.quad
         # without a quadratic both operands are one array: a syrk
-        rows = at if self.dinv is None else at * self.dinv[..., None, :]
-        M = rows @ self.at_scaled_t
+        if quad is None:
+            M = at @ self.at_scaled_t
+        else:
+            M = np.empty(at.shape[:-1] + (self.m,))
+            plain, sub = at[~quad], at[quad]
+            M[~quad] = plain @ plain.swapaxes(-1, -2)
+            M[quad] = (sub * self.dinv[quad][..., None, :]) \
+                @ sub.swapaxes(-1, -2)
         M = _require_finite(0.5 * (M + M.swapaxes(-1, -2)))
         # per problem: its Cholesky factor or pseudo-inverse, and which
         # fallback fired (None, "schur_ridge" or "schur_pinv")
@@ -326,7 +363,8 @@ class _KktSolver:
         # c dtau - A'dy equals -A'dy + c dtau bit for bit
         r2 = f2 - (self.c * col - at_dy - sol.dz)
         if self.qdiag is not None:
-            r2 -= self.qdiag * sol.dx
+            np.subtract(r2, self.qdiag * sol.dx, out=r2,
+                        where=self.quad[:, None])
         r1 = f1 - (np.matvec(self.A, sol.dx) - self.b * col)
         r3, rt = [], []
         for f, e, t, k, dt, dk, qq, bdy, cdx in zip(
@@ -413,13 +451,16 @@ def solve_batch(problems):
     """Solve several problems in lockstep: the solutions equal
     ``[solve(p) for p in problems]`` bit for bit, in the same order.
 
-    Problems with one cone layout and row count share one run of the
-    interior-point loop, their iterates stacked along a leading axis;
-    only operations whose stacked form gives each problem the bits of its
-    own call are stacked.  Problems with quadratic terms run apart from
-    those without, whose Schur complement is a plain product of the
-    scaled rows with themselves.  Every decision stays per problem, and
-    a finished problem leaves the batch.  When several problems would
+    Problems of one compiled shape (cone layout, pads included, and row
+    count) share one run of the interior-point loop, their iterates
+    stacked along a leading axis; only operations whose stacked form
+    gives each problem the bits of its own call are stacked.  Problems
+    with and without quadratic terms share a run, and each keeps the
+    operations of its own solve: one without forms its Schur complement
+    as the plain product of its scaled rows with themselves.  Pads
+    (``problem.ORTHANT_FLOOR``) depend on the problem alone, so its lone
+    solve has them too.  Every decision stays per problem, and a
+    finished problem leaves the batch.  When several problems would
     raise, the error that surfaces may be another's.  Each solution's
     ``time_s`` is the call's wall time divided by the problem count.
     """
@@ -430,8 +471,7 @@ def solve_batch(problems):
             raise ValueError("problem has no variables")
         compiled = CompiledProblem(problem) if problem.compiled is None \
             else problem.compiled.updated(problem)
-        key = compiled.shape + (bool(compiled.qdiag.any()),)
-        groups.setdefault(key, []).append((i, compiled))
+        groups.setdefault(compiled.shape, []).append((i, compiled))
     out = [None] * len(problems)
     for members in groups.values():
         sols = _solve_hsd([c for _, c in members])
@@ -649,14 +689,17 @@ class _Member:
         self.status, self.iterations = SolveStatus.MAX_ITER, None
         self.solution = None            # set by an early exit
 
-    def initial(self, ident, deg):
+    def initial(self, ident):
         """The iterate (x, y, z, tau, kappa) this problem starts from."""
+        comp = self.compiled
         if self.start is None:
-            return ident, np.zeros(len(self.compiled.b)), ident, 1.0, 1.0
+            return ident, np.zeros(len(comp.b)), ident, 1.0, 1.0
         x, y, z = self.start
         x = WARM_WEIGHT * x + (1.0 - WARM_WEIGHT) * ident
         z = WARM_WEIGHT * z + (1.0 - WARM_WEIGHT) * ident
-        return x, WARM_WEIGHT * y, z, 1.0, float(x @ z) / deg
+        n = comp.size
+        return x, WARM_WEIGHT * y, z, 1.0, \
+            float(x[:n] @ z[:n]) / (comp.degree + 1)
 
     def track(self, x, y, z, tau, pres, dres, relgap, it):
         """Record the iterate's residuals; True once the problem has
@@ -731,15 +774,15 @@ def _solve_hsd(group):
     data = _Batch(group)
     members = active = [_Member(c) for c in group]
     lay, m, it = data.layout, data.A.shape[-2], 0
-    off, deg = lay.nn_offset, lay.degree + 1
+    off = lay.nn_offset
     ident = lay.identity()
-    x, y, z, tau, kappa = zip(*(mem.initial(ident, deg) for mem in members))
+    x, y, z, tau, kappa = zip(*(mem.initial(ident) for mem in members))
     x, y, z = np.stack(x), np.stack(y), np.stack(z)
     tau, kappa = list(tau), list(kappa)
 
     for it in range(MAX_ITER):
         A, b, c = data.A, data.b, data.c
-        bty, ctx, xtz = _dot(b, y), _dot(c, x), _dot(x, z)
+        bty, ctx, xtz = _dot(b, y), _dot(c, x), _dot(data.own(x), z)
         col = _col(tau)
         r1 = np.matvec(A, x) - b * col
         r2 = c * col - (np.matvec(data.At, y) if m else 0.0) - z
@@ -747,16 +790,17 @@ def _solve_hsd(group):
         xqx = [0.0] * len(active)
         if data.qdiag is not None:
             qx = data.qdiag * x
-            r2 += qx
-            xqx = _dot(x, qx)
+            np.add(r2, qx, out=r2, where=data.quad[:, None])
+            xqx = [v if q else 0.0 for q, v in zip(data.quad, _dot(x, qx))]
+        r2 = data.own(r2)
 
         keep, r3, mu = [], [], []
-        for p, (mem, xp, yp, zp, t, k, bt, ct, xq, xz, rr1, rr2, nb, nc) in \
-                enumerate(zip(active, x, y, z, tau, kappa, bty, ctx, xqx,
-                              xtz, _dot(r1, r1), _dot(r2, r2), data.nb,
-                              data.nc)):
+        for p, (mem, xp, yp, zp, t, k, bt, ct, xq, xz, rr1, rr2, nb, nc,
+                dg) in enumerate(zip(active, x, y, z, tau, kappa, bty, ctx,
+                                     xqx, xtz, _dot(r1, r1), _dot(r2, r2),
+                                     data.nb, data.nc, data.deg)):
             r3.append(bt - ct - xq / t - k)
-            mu.append((xz + t * k) / deg)
+            mu.append((xz + t * k) / dg)
             pres = math.sqrt(rr1) / (t * nb)
             dres = math.sqrt(rr2) / (t * nc)
             # the primal objective c'xi + xi'Q xi/2 at xi = x/tau; t ** 2
@@ -778,12 +822,16 @@ def _solve_hsd(group):
                 if early is not None:
                     early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
             if early is None and k >= t and it > 0:
+                # on the problem's own entries, without pads
+                n = comp.size
+                A_own, x_own = comp.A[:, :n], xp[:n]
                 if bt > 0 and np.linalg.norm(yp) > 0 and np.linalg.norm(
-                        comp.A.T @ yp + zp) <= ACCEPT_TOL * bt:
+                        A_own.T @ yp + zp[:n]) <= ACCEPT_TOL * bt:
                     early = _infeasible_solution(comp, yp, it)
                 # a ray: A x = 0 and Q x = 0 at negative cost
-                elif ct < 0 and max(np.linalg.norm(comp.A @ xp),
-                                    np.linalg.norm(comp.qdiag * xp[off:])) \
+                elif ct < 0 and max(np.linalg.norm(A_own @ x_own),
+                                    np.linalg.norm(comp.qdiag[:n - off]
+                                                   * x_own[off:])) \
                         <= ACCEPT_TOL * (-ct):
                     early = _unbounded_solution(comp, xp, -ct, it)
             if early is not None:
@@ -805,23 +853,25 @@ def _solve_hsd(group):
         # the affine predictor only picks sigma and the second-order
         # term, so one unrefined pass in scaled space serves: there
         # (x + a dx)'(z + a dz) is (lam + a dxs)'(lam + a dzs)
+        # (a pad keeps lam = 1 and gets no direction: the complementarity
+        # right-hand sides and x'z leave it out)
         lam, lam_sq = scaling.lam(), scaling.lambda_sq()
-        aff = kkt.solve_scaled(-r2, -r1, [-v for v in r3], -lam_sq,
+        aff = kkt.solve_scaled(-r2, -r1, [-v for v in r3], -data.own(lam_sq),
                                [-t * k for t, k in zip(tau, kappa)])
         a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa, affine=True)
         col = _col(a_aff)
         target, rhs_t, eta, eta_r3 = [], [], [], []
-        for xz, t, k, a, dt, dk, mp, v in zip(
-                _dot(lam + col * aff.dxs, lam + col * aff.dzs), tau, kappa,
-                a_aff, aff.dtau, aff.dkappa, mu, r3):
-            sigma = _sigma((xz + (t + a * dt) * (k + a * dk)) / deg, mp)
+        for xz, t, k, a, dt, dk, mp, v, dg in zip(
+                _dot(data.own(lam + col * aff.dxs), lam + col * aff.dzs),
+                tau, kappa, a_aff, aff.dtau, aff.dkappa, mu, r3, data.deg):
+            sigma = _sigma((xz + (t + a * dt) * (k + a * dk)) / dg, mp)
             target.append(sigma * mp)
             rhs_t.append(sigma * mp - t * k - dt * dk)
             eta.append(-(1.0 - sigma))
             eta_r3.append(eta[-1] * v)
 
-        rhs_s = _col(target) * ident - lam_sq \
-            - scaling.jordan_prod(aff.dxs, aff.dzs)
+        rhs_s = data.own(_col(target) * ident - lam_sq
+                         - scaling.jordan_prod(aff.dxs, aff.dzs))
         col = _col(eta)
         step = kkt.solve(col * r2, col * r1, eta_r3, rhs_s, rhs_t)
         for mem, passes in zip(active, kkt.passes):

@@ -21,6 +21,11 @@ import numpy as np
 from .cones import ConeLayout, svec
 
 HERMITIAN_TOL = 1e-10
+# the least orthant of a compiled problem with an objective; a smaller
+# one gets inert pad entries up to it, so that problems a few slacks
+# apart, such as PD's subproblems and ADMM's local problems, share one
+# lockstep run (:class:`CompiledProblem`)
+ORTHANT_FLOOR = 8
 
 
 class SolveStatus(Enum):
@@ -282,10 +287,20 @@ class CompiledProblem:
     duals.  ``A_blocks`` holds the PSD part of the scaled rows as one
     (m, k, d, d) stack per run of the layout; the PSD columns of ``A``
     are its packing.  ``shape`` is the layout and row count, which the
-    problems of one lockstep batch share, and a problem and its start.
+    problems of one lockstep batch share.
     The unscaled rows and their max-abs values are built once, and
     :meth:`updated` shares them with a problem that differs only in its
     right-hand sides and linear scalar costs.
+
+    A problem with a nonzero objective and an orthant of fewer than
+    :data:`ORTHANT_FLOOR` entries gets ``n_pad`` pad entries after its
+    slacks, up to the floor: zero cost, zero columns, held at x = z = 1
+    with no direction.  The solver leaves them out of x'z, the barrier
+    ``degree``, the dual residual, the complementarity right-hand sides
+    and the exits, so they change its path by rounding only.  The first
+    ``size`` entries are the problem's own; points, duals and iterates
+    carry no pad, and an iterate's ``shape`` is ``own_shape``, the shape
+    without pads, which a problem and its start share.
     """
 
     def __init__(self, problem):
@@ -295,17 +310,23 @@ class CompiledProblem:
         self.slacked = [k for k, con in enumerate(cons)
                         if con.relation != "=="]
         self.n_slack = len(self.slacked)
+        own = problem.num_scalars + self.n_slack
+        objective = any(np.any(C) for C in problem.obj_matrix.values()) \
+            or any(problem.obj_scalar.values()) \
+            or any(problem.obj_scalar_quad.values())
+        self.n_pad = max(0, ORTHANT_FLOOR - own) if objective else 0
         self.layout = ConeLayout.of(
-            tuple(v.dim for v in problem.matrix_vars),
-            problem.num_scalars + self.n_slack,
+            tuple(v.dim for v in problem.matrix_vars), own + self.n_pad,
             tuple(v.complex for v in problem.matrix_vars))
         lay = self.layout
         self.scalar_off = lay.nn_offset
         self.slack_off = lay.nn_offset + problem.num_scalars
+        self.size = lay.size - self.n_pad
+        self.degree = lay.degree - self.n_pad
 
         c_rows, _ = self._rows([problem.obj_matrix], [problem.obj_scalar])
         self.c = c_rows[0]
-        self.qdiag = np.zeros(problem.num_scalars + self.n_slack)
+        self.qdiag = np.zeros(lay.nonneg)
         for j, q in problem.obj_scalar_quad.items():
             self.qdiag[j] = 2.0 * q  # objective carries q*y^2 = (1/2) x'Qx
 
@@ -320,6 +341,7 @@ class CompiledProblem:
                 embedded[run.span] = 1.0 / np.sqrt(2.0)
         self.row_max = (np.abs(self.rows) * embedded).max(axis=1)
         self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, len(cons))
+        self.own_shape = (lay.psd_dims, lay.psd_complex, own, len(cons))
         self._scale()
 
     def updated(self, source):
@@ -392,25 +414,27 @@ class CompiledProblem:
         return y_internal * self.row_scale
 
     def source_iterate(self, x, y, z):
-        """The :class:`Iterate` of internal (x, y, z), in source units."""
-        x, z = x.copy(), z.copy()
+        """The :class:`Iterate` of internal (x, y, z), in source units
+        and without pads."""
+        x, z = x[:self.size].copy(), z[:self.size].copy()
         x[self.slack_off:] /= self.slack_scale
         z[self.slack_off:] *= self.slack_scale
-        return Iterate(self.shape, x, self.user_duals_signed(y), z)
+        return Iterate(self.own_shape, x, self.user_duals_signed(y), z)
 
     def start_point(self):
         """The source problem's ``start`` in internal units as (x, y, z),
-        or None without one; raises ValueError when the start has
-        another shape."""
+        pads at 1, or None without one; raises ValueError when the start
+        has another shape."""
         start = self.source.start
         if start is None:
             return None
-        if start.shape != self.shape:
+        if start.shape != self.own_shape:
             raise ValueError(f"start of shape {start.shape} for a problem "
-                             f"of shape {self.shape}")
-        x, z = start.x.copy(), start.z.copy()
-        x[self.slack_off:] *= self.slack_scale
-        z[self.slack_off:] /= self.slack_scale
+                             f"of shape {self.own_shape}")
+        x, z = (np.concatenate([v, np.ones(self.n_pad)])
+                for v in (start.x, start.z))
+        x[self.slack_off:self.size] *= self.slack_scale
+        z[self.slack_off:self.size] /= self.slack_scale
         return x, start.y / self.row_scale, z
 
     def extract_point(self, x):

@@ -5,7 +5,11 @@ needs solutions, is sent their :class:`ConicSolution` list in the same
 order, and returns its result.  :func:`drive` runs several side by side
 and solves each step's problems in one :func:`solve_batch` call, which
 gives every problem the bits of its own solve, so a generator's result
-does not depend on what it shares its batches with.
+does not depend on what it shares its batches with.  ``solve_batch``
+runs the problems of one compiled shape in one lockstep loop, with or
+without quadratic terms, and pads a small orthant up to
+``problem.ORTHANT_FLOOR``, so generators driven side by side share loops:
+a round of primal decomposition and one of ADMM run as one.
 """
 
 import functools

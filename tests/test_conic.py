@@ -16,6 +16,7 @@ from cobeam.conic import ipm
 from cobeam.conic.ipm import point_violation
 from cobeam.conic.linalg import RANK_TOL
 from cobeam.conic.problem import CompiledProblem
+from cobeam.conic.problem import ORTHANT_FLOOR
 from cobeam.balancing import single_user_upper_bound
 from cobeam.distributed import assemble_admm_local, assemble_subproblem
 from cobeam.network import build_topology, sample_channels
@@ -848,3 +849,81 @@ class TestWarmStart:
                 solve(problem)
             with pytest.raises(ValueError, match="start of shape"):
                 solve_batch([bound_lp(1.0, 2.0), problem])
+
+
+class TestOrthantFloor:
+    """A problem with an objective and a small orthant is padded up to
+    ``ORTHANT_FLOOR`` with inert entries, so that PD's subproblems share
+    a lockstep run with ADMM's local problems; its answers show no pad."""
+
+    def test_pd_and_admm_rounds_share_one_run(self, monkeypatch):
+        runs = []
+        solve_hsd = ipm._solve_hsd
+
+        def counted(group):
+            runs.append(len(group))
+            return solve_hsd(group)
+
+        monkeypatch.setattr(ipm, "_solve_hsd", counted)
+        # a round's PD subproblems (orthant 4, padded) and ADMM local
+        # problems (orthant 8, with a quadratic), then the next round's,
+        # each started from its solve of this round
+        first = pd_pair(3, 1.0) + admm_pair(3, 0.5)
+        assert [CompiledProblem(p).n_pad for p in first] == [4, 4, 0, 0]
+        assert [bool(CompiledProblem(p).qdiag.any()) for p in first] \
+            == [False, False, True, True]
+        serial = assert_batch_matches_serial(first)
+        assert runs == [4, 1, 1, 1, 1]
+        second = pd_pair(3, 1.1) + admm_pair(3, 0.55)
+        for problem, sol in zip(second, serial):
+            problem.start = sol.iterate
+        runs.clear()
+        serial = assert_batch_matches_serial(second)
+        assert runs == [4, 1, 1, 1, 1]
+        assert [s.stats["warm_start"] for s in serial] == [1, 1, 1, 1]
+        assert all(s.status is SolveStatus.OPTIMAL for s in serial)
+
+    def test_padded_solution_shows_no_pad(self):
+        prob = pd_pair(3)[0]
+        compiled = CompiledProblem(prob)
+        assert compiled.n_pad > 0
+        assert compiled.layout.nonneg == ORTHANT_FLOOR
+        sol = solve(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert [m.shape for m in sol.matrix_values] \
+            == [(v.dim, v.dim) for v in prob.matrix_vars]
+        assert sol.scalar_values.shape == (prob.num_scalars,)
+        assert sol.duals.shape == (len(prob.constraints),)
+        assert sol.objective == prob.evaluate_objective(sol.matrix_values,
+                                                        sol.scalar_values)
+        iterate = sol.iterate
+        assert iterate.shape == compiled.own_shape != compiled.shape
+        assert len(iterate.x) == len(iterate.z) == compiled.size
+        # the iterate reads back as a start, its pads at 1
+        prob.start = iterate
+        warm = CompiledProblem(prob)
+        x, y, z = warm.start_point()
+        assert len(x) == len(z) == warm.layout.size
+        assert (x[warm.size:] == 1.0).all() and (z[warm.size:] == 1.0).all()
+        back = warm.source_iterate(x, y, z)
+        for got, want in zip((back.x, back.y, back.z),
+                             (iterate.x, iterate.y, iterate.z)):
+            np.testing.assert_allclose(got, want, rtol=1e-15)
+        again = solve(prob)
+        assert again.stats["warm_start"] == 1
+        assert again.status is SolveStatus.OPTIMAL
+        assert again.objective == pytest.approx(sol.objective, rel=1e-7)
+        assert again.iterations < sol.iterations
+
+    @pytest.mark.parametrize("target, stop", [(1.5, "point_stop"),
+                                              (2.5, "farkas_stop")])
+    def test_zero_objective_is_not_padded(self, target, stop):
+        probe = TestZeroObjectiveStop().bounded_probe(target)
+        compiled = CompiledProblem(probe)
+        assert compiled.layout.nonneg < ORTHANT_FLOOR
+        assert compiled.n_pad == 0 and compiled.shape == compiled.own_shape
+        sol = solve(probe)
+        assert sol.stats[stop] == 1
+        # the same rows with an objective are padded
+        probe.set_objective(matrix={0: np.eye(3)})
+        assert CompiledProblem(probe).layout.nonneg == ORTHANT_FLOOR

@@ -30,7 +30,11 @@ and a fourth the sum of ``stats["refine_passes"]``, the corrector's
 refinement passes (nan for a solver that does not count them).  A
 fifth line prints the sum over every solve of its PSD block orders, the
 dimensions of its matrix variables: how large the solved systems were,
-such as how far ``sinr_system``'s channel spans shrank them.  The last
+such as how far ``sinr_system``'s channel spans shrank them.  A sixth
+line prints the number of lockstep runs, the calls of ``ipm._solve_hsd``
+that ``solve_batch`` makes, one per group of problems it stacks, and the
+sum of their loop iterations, each run's largest ``iterations``: fewer
+runs for the same solves means more of them shared a loop.  The last
 line prints the number of records and trace rows of the runs
 and one sha256 over the records, ``wall_time_s`` left out, and then the
 trace rows: it also covers what no conic solve returns, such as the
@@ -107,7 +111,7 @@ def main(argv=None):
         parser.error("--trials must be >= 1")
     print(f"blas numpy {blas_kernel(np)} scipy {blas_kernel(scipy)}")
     digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
-    orders = 0
+    orders, runs, loops = 0, 0, 0
     results, nrecords, nrows = hashlib.sha256(), 0, 0
 
     def recorded(solve_batch):
@@ -129,8 +133,18 @@ def main(argv=None):
             return sols
         return wrapper
 
-    originals = conic.solve_batch, ipm.solve_batch
-    conic.solve_batch, ipm.solve_batch = map(recorded, originals)
+    def counted(solve_hsd):
+        def wrapper(group):
+            nonlocal runs, loops
+            sols = solve_hsd(group)
+            runs += 1
+            loops += max(sol.iterations for sol in sols)
+            return sols
+        return wrapper
+
+    originals = conic.solve_batch, ipm.solve_batch, ipm._solve_hsd
+    conic.solve_batch, ipm.solve_batch = map(recorded, originals[:2])
+    ipm._solve_hsd = counted(originals[2])
     try:
         for path in args.scenarios:
             config = parse_scenario(path)
@@ -143,13 +157,14 @@ def main(argv=None):
             nrecords += len(records)
             nrows += len(trace_rows)
     finally:
-        conic.solve_batch, ipm.solve_batch = originals
+        conic.solve_batch, ipm.solve_batch, ipm._solve_hsd = originals
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
     print(f"solves {len(hashes)} iterations {iterations}")
     print(f"solves {len(hashes)} refine passes {passes}")
     print(f"solves {len(hashes)} psd block orders {orders}")
+    print(f"lockstep runs {runs} loop iterations {loops}")
     print(f"records {nrecords} trace rows {nrows} sha256 "
           f"{results.hexdigest()}")
 
