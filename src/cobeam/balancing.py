@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
-from .conic import SolveStatus
+from .conic import ConicSolution, SolveStatus
+from .conic.ipm import ACCEPT_TOL, point_violation
 from .errors import (ConfigurationError, IndeterminateError,
                      RandomizationFailureError)
 from .network import BeamformingSolution, evaluate_sinr, network_stack
@@ -41,7 +42,9 @@ class BisectionResult:
     halving loop, ``extra_calls`` the solves around it (a probe of the
     lower end, the extreme-face polish).
     ``indeterminate`` counts the halving probes that raised
-    :class:`IndeterminateError` and were taken as infeasible.
+    :class:`IndeterminateError` and were taken as infeasible, and
+    ``decided`` the probes an earlier feasible point settled without a
+    solve (:func:`_sdr_bisect`): ``calls`` counts probes, not solves.
     """
 
     t: float
@@ -52,6 +55,7 @@ class BisectionResult:
     extra_calls: int = 0
     probes: list = field(default_factory=list)
     indeterminate: int = 0
+    decided: int = 0
 
 
 def _probed(probe, t):
@@ -74,7 +78,9 @@ def bisect(lower, upper, epsilon, probe):
     lower the final level by up to its own step, half the bracket width
     when it is made, not just by the solver's resolution: one undecided
     probe cost 7e-4 on a level of 13.58 in a per-cell bisection of
-    ``scenarios/balancing_small.json``.
+    ``scenarios/balancing_small.json``.  ``calls`` counts the halving
+    loop's probes, however each was answered: a probe may settle its
+    level without a solve (:func:`_sdr_bisect`).
     """
     if epsilon <= 0:
         raise ConfigurationError("bisection tolerance must be positive")
@@ -125,6 +131,32 @@ def single_user_upper_bound(channels, topology, users=None):
     return bound
 
 
+def _scaled_point(prob, X, t, serving):
+    """The covariances ``X`` of a feasible probe ``prob`` at level
+    ``t`` > 0 (:func:`sinr_system`, in its bases) scaled up uniformly
+    until the tightest cap or budget row holds with equality, by a
+    factor of at least 1, and the highest level whose SINR rows they
+    meet.  ``serving`` gives each SINR row's served variable.
+
+    A SINR row reads the served covariance at H and every other one at
+    -t H, with right-hand side t N.  At scale s its level is therefore
+    t s S / (s C + rhs), with S the served term and C = t I the other
+    terms negated.
+    """
+    terms = [{i: float(np.real(np.vdot(F, X[i])))
+              for i, F in con.matrix_coeffs.items()}
+             for con in prob.constraints]
+    n = len(serving)
+    loads = [(con.rhs, sum(row.values()))
+             for con, row in zip(prob.constraints[n:], terms[n:])]
+    scale = max(1.0, min((rhs / load for rhs, load in loads if load > 0),
+                         default=1.0))
+    level = min(t * scale * row[k]
+                / (scale * (row[k] - sum(row.values())) + con.rhs)
+                for con, row, k in zip(prob.constraints, terms, serving))
+    return [scale * M for M in X], level
+
+
 def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     """Bisection over the relaxed SINR system at level t under per-BS
     budgets, of the network (``cell`` None) or of one cell with ICI
@@ -136,34 +168,61 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     (high-rank) points, so one power-minimizing solve at the final
     feasible level replaces the payload with an extreme-face solution;
     that is the covariance set whose rank the extraction step inspects.
-    Each probe starts from the iterate of the previous one; the polish
-    starts cold.  A cell of one group reads the level in its right-hand
-    sides alone, so its probes share one compile (:func:`sinr_update`);
-    other probes build their own.
+    Each solved probe starts from the iterate of the previous solved
+    one; the polish starts cold.  A cell of one group reads the level in
+    its right-hand sides alone, so its probes share one compile
+    (:func:`sinr_update`); other probes build their own.
+
+    The probes of one bisection share their variables' bases, so the
+    last feasible solve's covariances, scaled into the budgets and caps
+    (:func:`_scaled_point`), meet every level up to their own.  A probe
+    at or below that level is settled without a solve when the scaled
+    covariances meet its own rows to ``ACCEPT_TOL``
+    (:func:`point_violation`, as the solver's point screen confirms a
+    point), and they are its payload.  It still counts as a probe, so
+    the bracket and the probe log are those of solving every probe;
+    ``decided`` counts the settled ones.  A cell waits at its gather's
+    barrier (:func:`conic.gather`) before its polish, so the cells of
+    :func:`_per_cell_pipeline` polish in one step.
     """
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=cell, level=t,
                            theta=theta, budget=True, objective=objective)[0]
 
-    last = None
-    kept = conic.compile_once(system(0.0)) if cell is not None and len(
-        topology.groups_of_bs(cell)) == 1 else None
+    groups = list(range(topology.G)) if cell is None \
+        else topology.groups_of_bs(cell)
+    users = range(topology.U) if cell is None else topology.users_of_bs(cell)
+    serving = [groups.index(topology.group_of_user[u]) for u in users]
+    last, scaled, level, settled = None, None, -np.inf, 0
+    kept = conic.compile_once(system(0.0)) \
+        if cell is not None and len(groups) == 1 else None
 
     def probe(t):
-        nonlocal last
+        nonlocal last, scaled, level, settled
         prob = system(t) if kept is None else sinr_update(
             kept, topology, cell, level=t, theta=theta)
+        if t <= level:
+            sol = ConicSolution(SolveStatus.OPTIMAL, matrix_values=scaled)
+            if point_violation(prob, sol) <= ACCEPT_TOL:
+                settled += 1
+                return True, covariances(prob, sol)
         prob.start = last
         feasible, sol = yield from conic.feasibility(prob)
         last = sol.iterate
         if not feasible:
             return False, None
+        # a probe at level 0, the lower end's, is the last of its bisection
+        if t > 0:
+            scaled, level = _scaled_point(prob, sol.matrix_values, t,
+                                          serving)
         return True, covariances(prob, sol)
 
-    users = None if cell is None else topology.users_of_bs(cell)
     result = yield from conic.solving(
         bisect, 0.0, single_user_upper_bound(channels, topology, users),
         epsilon, probe)
+    result.decided = settled
+    if cell is not None:
+        yield []    # the barrier: polish beside the other cells
     polish = system(result.lower, objective=True)
     sol, = yield [polish]
     result.extra_calls += 1
@@ -326,8 +385,9 @@ def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
     """Per-cell balancing at the ICI values ``theta`` (None: each cell
     blind to ICI): the B :func:`local_balance` bisections side by side,
     then each cell's tail in turn, which raises what a cell-by-cell loop
-    would raise first.  The cells' solutions join into one of the
-    network's groups."""
+    would raise first.  A cell whose bisection has ended waits at the
+    gather's barrier, so the B polishes go out in one step.  The cells'
+    solutions join into one of the network's groups."""
     cells = []
     per_cell_t = {}
     rng = np.random.default_rng() if rng is None else rng

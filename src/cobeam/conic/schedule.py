@@ -9,7 +9,11 @@ does not depend on what it shares its batches with.  ``solve_batch``
 runs the problems of one compiled shape in one lockstep loop, with or
 without quadratic terms, and pads a small orthant up to
 ``problem.ORTHANT_FLOOR``, so generators driven side by side share loops:
-a round of primal decomposition and one of ADMM run as one.
+a round of primal decomposition and one of ADMM run as one.  A generator
+that yields an empty list waits at a barrier until every other generator
+of its :func:`gather` waits or has finished, so that work the generators
+reach at different steps, such as the polishes of per-cell balancing
+bisections, shares one step.
 """
 
 import functools
@@ -20,10 +24,15 @@ from . import ipm
 def gather(generators):
     """Solve generator that runs ``generators`` side by side: each step
     yields the pending problems of every live one, in order, and sends
-    each its slice.  A generator that raises leaves alone.  Returns the
-    results in order, a raised exception in place of a result."""
+    each its slice.  A generator that yields an empty list waits at a
+    barrier: once every live one waits or has finished, the waiting
+    ones resume together, each sent an empty list, and their next
+    problems share a step.  So this never yields an empty list.  A
+    generator that raises leaves alone.  Returns the results in order,
+    a raised exception in place of a result."""
     results = [None] * len(generators)
     sends = dict.fromkeys(range(len(generators)))
+    waiting = []
     while True:
         problems, owners = [], []
         for i, sent in sends.items():
@@ -34,10 +43,16 @@ def gather(generators):
             except Exception as err:
                 results[i] = err
             else:
+                if not batch:
+                    waiting.append(i)
+                    continue
                 owners.append((i, len(problems), len(batch)))
                 problems.extend(batch)
         if not owners:
-            return results
+            if not waiting:
+                return results
+            sends, waiting = {i: [] for i in sorted(waiting)}, []
+            continue
         solutions = yield problems
         sends = {i: solutions[start:start + count]
                  for i, start, count in owners}

@@ -691,3 +691,123 @@ class TestWarmProbes:
         assert conic.verify_infeasibility_certificate(
             problem, sol.certificate["weights"])["ok"]
         assert 0.0 < point_violation(problem, cold_sol) <= ACCEPT_TOL
+
+
+def c08_runs():
+    """c08's bisections: the network and each cell at cap 0.5, over its
+    four channel draws."""
+    runs = []
+    for seed in range(4):
+        topo, chans = two_cell(200 + seed)
+        runs.append(lambda topo=topo, chans=chans: bisect_balance(
+            chans, topo, epsilon=1e-3))
+        runs.extend(lambda b=b, topo=topo, chans=chans: local_balance(
+            b, chans, topo, 0.5, epsilon=1e-3) for b in range(topo.B))
+    return runs
+
+
+def workload_draws():
+    """The balancing workload's configuration, B=2, G=2, U=2, A=6 at
+    cell separations of 0 and 10 dB, with two channel draws each."""
+    for seed, d_db in enumerate((0.0, 10.0, 0.0, 10.0)):
+        topo = build_topology(B=2, G=2, U=2, A=6, gamma=1.0, p_max=10.0,
+                              cell_separation=10 ** (d_db / 10))
+        yield topo, sample_channels(topo, 300 + seed)
+
+
+WORKLOAD_CAPS = (0.01, 0.1, 1.0, None)
+
+
+def workload_runs():
+    """The workload's bisections on each draw: the network's and each
+    cell's at every cap of the workload and blind to ICI."""
+    runs = []
+    for topo, chans in workload_draws():
+        runs.append(lambda topo=topo, chans=chans: bisect_balance(
+            chans, topo, epsilon=1e-2))
+        runs.extend(lambda b=b, cap=cap, topo=topo, chans=chans:
+                    local_balance(b, chans, topo, cap, epsilon=1e-2)
+                    for cap in WORKLOAD_CAPS for b in range(topo.B))
+    return runs
+
+
+def workload_pipelines():
+    """The workload's five pipelines on each draw, each from a fresh
+    seeded stream."""
+    runs = []
+    for k, (topo, chans) in enumerate(workload_draws()):
+        def call(cap, topo=topo, chans=chans, k=k):
+            rng = np.random.default_rng(k)
+            if cap == "centralized":
+                return balance_centralized(chans, topo, epsilon=1e-2,
+                                           rng=rng)
+            if cap is None:
+                return balance_uncoordinated(chans, topo, epsilon=1e-2,
+                                             rng=rng)
+            return balance_distributed(chans, topo, cap, epsilon=1e-2,
+                                       rng=rng)
+
+        runs.extend(lambda cap=cap, call=call: call(cap)
+                    for cap in ("centralized",) + WORKLOAD_CAPS)
+    return runs
+
+
+def unsettled(patch):
+    """Patch out the settled probes: no earlier point meets any level."""
+    patch.setattr(balancing, "_scaled_point",
+                  lambda prob, X, t, serving: (X, -np.inf))
+
+
+class TestSettledProbes:
+    """A probe at or below the level of the last feasible solve's
+    covariances, scaled into the budgets and caps, is settled by
+    checking them against its own rows instead of solving it."""
+
+    @pytest.mark.parametrize("runs", [c08_runs, workload_runs],
+                             ids=["c08", "workload"])
+    def test_settled_probes_match_cold(self, monkeypatch, runs):
+        settled = []
+        violation = balancing.point_violation
+
+        def recording(problem, sol):
+            worst = violation(problem, sol)
+            if worst <= ACCEPT_TOL:
+                settled.append(problem)
+            return worst
+
+        with monkeypatch.context() as patch:
+            patch.setattr(balancing, "point_violation", recording)
+            results = [run() for run in runs()]
+        assert len(settled) == sum(res.decided for res in results) > 0
+        for problem in settled:
+            assert TestWarmProbes.cold(problem)[0] is True
+
+    @pytest.mark.parametrize("runs", [c08_runs, workload_runs],
+                             ids=["c08", "workload"])
+    def test_bisections_without_settling(self, monkeypatch, runs):
+        settling = [run() for run in runs()]
+        with monkeypatch.context() as patch:
+            unsettled(patch)
+            solving = [run() for run in runs()]
+        for a, b in zip(settling, solving, strict=True):
+            assert b.decided == 0
+            assert (a.t, a.lower, a.upper, a.calls, a.extra_calls,
+                    a.probes, a.indeterminate) == (
+                b.t, b.lower, b.upper, b.calls, b.extra_calls, b.probes,
+                b.indeterminate)
+            assert a.payload.tobytes() == b.payload.tobytes()
+
+    def test_pipelines_without_settling(self, monkeypatch):
+        settling = [run() for run in workload_pipelines()]
+        with monkeypatch.context() as patch:
+            unsettled(patch)
+            solving = [run() for run in workload_pipelines()]
+        for a, b in zip(settling, solving, strict=True):
+            assert (a.t_relaxed, a.achieved, a.per_cell_t) == (
+                b.t_relaxed, b.achieved, b.per_cell_t)
+            for part in ("W", "w", "p", "rank", "sdr_rank"):
+                assert getattr(a.solution, part).tobytes() \
+                    == getattr(b.solution, part).tobytes()
+        central = [out.bisection for out in settling if out.bisection]
+        assert len(central) == 4
+        assert sum(res.decided for res in central) > 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cobeam import conic, experiment
+from cobeam.conic import ipm
 from cobeam.balancing import balance_distributed, local_balance
 from cobeam.distributed import (run_admm, run_primal_decomposition,
                                 solve_fixed_ici, solve_nulling,
@@ -129,6 +130,91 @@ class TestDrive:
 
         assert conic.drive([plain(), idle()]) == [
             "done", conic.SolveStatus.OPTIMAL]
+
+
+def worker(name, steps):
+    """Solve generator of ``steps`` named problems, then a wait at the
+    barrier and one more problem; returns its name."""
+    for k in range(steps):
+        got, = yield [f"{name}{k}"]
+        assert got == f"solved {name}{k}"
+    assert (yield []) == []
+    got, = yield [f"{name} after"]
+    assert got == f"solved {name} after"
+    return name
+
+
+def failing():
+    yield ["bad"]
+    raise ValueError("bad")
+
+
+def stepped(generators):
+    """Run ``gather(generators)`` by hand, each problem solved to a
+    string: its steps' problem lists and its results."""
+    steps = []
+    gen = conic.gather(generators)
+    try:
+        problems = next(gen)
+        while True:
+            steps.append(problems)
+            problems = gen.send([f"solved {p}" for p in problems])
+    except StopIteration as stop:
+        return steps, stop.value
+
+
+class TestBarrier:
+    def test_waiting_generators_resume_together(self):
+        steps, results = stepped([worker("a", 1), worker("b", 3),
+                                  worker("c", 0)])
+        # a and c wait from the second step on; they resume only once b
+        # waits too, and all three next problems share one step
+        assert steps == [["a0", "b0"], ["b1"], ["b2"],
+                         ["a after", "b after", "c after"]]
+        assert results == ["a", "b", "c"]
+
+    def test_lone_waiting_generator_resumes_at_once(self):
+        steps, results = stepped([worker("a", 2)])
+        assert steps == [["a0"], ["a1"], ["a after"]]
+        assert results == ["a"]
+
+    def test_raising_generator_releases_the_waiting(self):
+        steps, results = stepped([worker("a", 0), failing()])
+        assert steps == [["bad"], ["a after"]]
+        assert results[0] == "a" and isinstance(results[1], ValueError)
+
+    def test_drive_never_receives_an_empty_list(self, monkeypatch):
+        sizes = []
+
+        def solve_batch(problems):
+            sizes.append(len(problems))
+            return [f"solved {p}" for p in problems]
+
+        def idle():
+            assert (yield []) == []
+            assert (yield []) == []
+            return "idle"
+
+        monkeypatch.setattr(ipm, "solve_batch", solve_batch)
+        monkeypatch.setattr(ipm, "solve", lambda p: solve_batch([p])[0])
+        assert conic.drive([worker("a", 2), idle(), worker("b", 0)]) \
+            == ["a", "idle", "b"]
+        assert sizes == [1, 1, 2]
+
+    def test_cell_polishes_share_one_call(self, monkeypatch):
+        # a polish is the one solve of a bisection with an objective; on
+        # this draw the two cells' bisections end at different steps
+        polishes = []
+        solve_batch = ipm.solve_batch
+
+        def recording(problems):
+            polishes.append(sum(bool(p.obj_matrix) for p in problems))
+            return solve_batch(problems)
+
+        monkeypatch.setattr(ipm, "solve_batch", recording)
+        topo, chans = setup(seed=1)
+        balance_distributed(chans, topo, 0.1, epsilon=1e-2)
+        assert [n for n in polishes if n] == [topo.B]
 
 
 def sweep_config(trials=3):

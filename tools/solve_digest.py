@@ -38,7 +38,10 @@ runs for the same solves means more of them shared a loop.  The last
 line prints the number of records and trace rows of the runs
 and one sha256 over the records, ``wall_time_s`` left out, and then the
 trace rows: it also covers what no conic solve returns, such as the
-Gaussian randomization picks and their least powers.
+Gaussian randomization picks and their least powers.  One more line
+prints the same hash with each record's ``ipm_iterations`` also left
+out: a change that moves work between solves, such as one that skips or
+warm-starts other solves, but gives the same answers leaves it as it is.
 To check the solver of another tree, run this tool with its ``src`` on
 ``PYTHONPATH``.
 """
@@ -112,7 +115,8 @@ def main(argv=None):
     print(f"blas numpy {blas_kernel(np)} scipy {blas_kernel(scipy)}")
     digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
     orders, runs, loops = 0, 0, 0
-    results, nrecords, nrows = hashlib.sha256(), 0, 0
+    results, answers = hashlib.sha256(), hashlib.sha256()
+    nrecords, nrows = 0, 0
 
     def recorded(solve_batch):
         def wrapper(problems):
@@ -151,9 +155,11 @@ def main(argv=None):
             if args.trials is not None:
                 config.trials = args.trials
             records, trace_rows = run_sweep(config)
-            feed(results, [{k: v for k, v in rec.items()
-                            if k != "wall_time_s"} for rec in records])
-            feed(results, trace_rows)
+            for h, dropped in ((results, {"wall_time_s"}), (answers, {
+                    "wall_time_s", "ipm_iterations"})):
+                feed(h, [{k: v for k, v in rec.items() if k not in dropped}
+                         for rec in records])
+                feed(h, trace_rows)
             nrecords += len(records)
             nrows += len(trace_rows)
     finally:
@@ -167,6 +173,8 @@ def main(argv=None):
     print(f"lockstep runs {runs} loop iterations {loops}")
     print(f"records {nrecords} trace rows {nrows} sha256 "
           f"{results.hexdigest()}")
+    print(f"records {nrecords} trace rows {nrows} without ipm_iterations "
+          f"sha256 {answers.hexdigest()}")
 
 
 if __name__ == "__main__":
