@@ -169,9 +169,10 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     feasible level replaces the payload with an extreme-face solution;
     that is the covariance set whose rank the extraction step inspects.
     Each solved probe starts from the iterate of the previous solved
-    one; the polish starts cold.  A cell of one group reads the level in
-    its right-hand sides alone, so its probes share one compile
-    (:func:`sinr_update`); other probes build their own.
+    one; the polish starts cold.  The probes share one compile, of the
+    system at level 0, and each is its update to its own level
+    (:func:`sinr_update`): its right-hand sides and, where the level
+    scales -t H blocks, its SINR rows.
 
     The probes of one bisection share their variables' bases, so the
     last feasible solve's covariances, scaled into the budgets and caps
@@ -194,13 +195,12 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     users = range(topology.U) if cell is None else topology.users_of_bs(cell)
     serving = [groups.index(topology.group_of_user[u]) for u in users]
     last, scaled, level, settled = None, None, -np.inf, 0
-    kept = conic.compile_once(system(0.0)) \
-        if cell is not None and len(groups) == 1 else None
+    kept = conic.compile_once(system(0.0))
 
     def probe(t):
         nonlocal last, scaled, level, settled
-        prob = system(t) if kept is None else sinr_update(
-            kept, topology, cell, level=t, theta=theta)
+        prob = sinr_update(kept, channels, topology, cell, level=t,
+                           theta=theta)
         if t <= level:
             sol = ConicSolution(SolveStatus.OPTIMAL, matrix_values=scaled)
             if point_violation(prob, sol) <= ACCEPT_TOL:

@@ -554,21 +554,21 @@ def verify_infeasibility_certificate(problem, weights):
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
-    sign_ok = True
-    for k, con in enumerate(problem.constraints):
+    sign_ok, cons = True, problem.constraints
+    for k, con in enumerate(cons):
         wrong = (con.relation == ">=" and w[k] < 0) \
             or (con.relation == "<=" and w[k] > 0)
         if wrong:
             sign_ok = sign_ok and abs(w[k]) <= CERTIFICATE_SIGN_TOL
             w[k] = 0.0
     viol = float(sum(w[k] * con.rhs
-                     for k, con in enumerate(problem.constraints)))
+                     for k, con in enumerate(cons)))
     cone_ok = True
     max_cone = -np.inf
     for i, var in enumerate(problem.matrix_vars):
         P = np.zeros((var.dim, var.dim), dtype=complex)
         norm = size = 0.0
-        for k, con in enumerate(problem.constraints):
+        for k, con in enumerate(cons):
             F = con.matrix_coeffs.get(i)
             if F is not None:
                 P = P + w[k] * F
@@ -579,7 +579,7 @@ def verify_infeasibility_certificate(problem, weights):
         max_cone = max(max_cone, top / max(1.0, norm))
     for j in range(problem.num_scalars):
         terms = [w[k] * con.scalar_coeffs.get(j, 0.0)
-                 for k, con in enumerate(problem.constraints)]
+                 for k, con in enumerate(cons)]
         a = sum(terms)
         cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, terms))
         max_cone = max(max_cone, a)
@@ -604,11 +604,10 @@ class _FeasibilityScreens:
 
     def __init__(self, compiled):
         self.compiled = compiled
-        rel = [con.relation for con in compiled.source.constraints]
         # +1 on >= rows, -1 on <= rows, 0 on == rows: the sign a row's
         # gap b - a'x and a Farkas weight must carry
         self.sense = np.array([{">=": 1.0, "<=": -1.0, "==": 0.0}[r]
-                               for r in rel])
+                               for r in compiled.relations])
         self.equality = self.sense == 0.0
         # the part of each row's gap normalizer that no iterate changes
         self.row_norm = np.maximum(compiled.row_scale, np.abs(compiled.b))

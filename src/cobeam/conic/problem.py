@@ -13,6 +13,7 @@ Hermitian blocks; the solver does not use it.
 """
 
 import copy
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -62,18 +63,40 @@ class MatrixVar:
     name: str = ""
 
 
-@dataclass
-class Constraint:
-    matrix_coeffs: dict
-    scalar_coeffs: dict
-    relation: str          # one of "<=", ">=", "=="
-    rhs: float
-    label: object = None
+# one row, read from its RowFamily; relation is one of "<=", ">=", "=="
+Constraint = namedtuple(
+    "Constraint", "matrix_coeffs scalar_coeffs relation rhs label")
+
+
+@dataclass(frozen=True)
+class RowFamily:
+    """The rows of one :meth:`ConicProblem.add_constraints` call, the
+    problem's rows ``start`` on: their relation, right-hand sides and
+    labels, and per variable the (rows, coefficients) of the rows that
+    read it, rows counted from ``start``: a (len(rows), d, d) stack F
+    per matrix variable in ``matrix``, a list of floats per scalar in
+    ``scalars``."""
+    start: int
+    relation: str
+    rhs: tuple
+    labels: tuple
+    matrix: dict
+    scalars: dict
+
+    def row(self, r):
+        """The family's row r as a :class:`Constraint`."""
+        def read(coeffs):
+            return {i: c[rows.index(r)] for i, (rows, c) in coeffs.items()
+                    if r in rows}
+        return Constraint(read(self.matrix), read(self.scalars),
+                          self.relation, self.rhs[r], self.labels[r])
 
 
 @dataclass
 class ConicProblem:
-    """Builder for one conic program instance."""
+    """Builder for one conic program instance.  Its rows are kept as
+    :class:`RowFamily` stacks, one per :meth:`add_constraints` call;
+    ``constraints`` reads them row by row."""
 
     matrix_vars: list = field(default_factory=list)
     num_scalars: int = 0
@@ -81,7 +104,7 @@ class ConicProblem:
     obj_matrix: dict = field(default_factory=dict)
     obj_scalar: dict = field(default_factory=dict)
     obj_scalar_quad: dict = field(default_factory=dict)
-    constraints: list = field(default_factory=list)
+    families: list = field(default_factory=list)
     # an :class:`Iterate` of an earlier solve to start from, or None for
     # the cold start
     start: object = None
@@ -95,6 +118,12 @@ class ConicProblem:
     # when the variable X stands for Q X Q^H of a larger space, else None
     # (``power_min.covariances`` lifts); a solve never reads it
     bases: list = field(default=None, repr=False, compare=False)
+
+    @property
+    def constraints(self):
+        """Every row in order, each a read-only :class:`Constraint`."""
+        return tuple(fam.row(r) for fam in self.families
+                     for r in range(len(fam.rhs)))
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:
@@ -147,53 +176,70 @@ class ConicProblem:
 
     def add_constraints(self, matrix=None, scalars=None, rel=">=", rhs=(),
                         labels=None):
-        """Add one row per entry of ``rhs``, all of relation ``rel``, from
-        stacked coefficients: ``matrix`` maps a matrix variable i to
-        (rows, F), the positions among the new rows of those that read
-        X_i and their (len(rows), d, d) stack of coefficients, and
-        ``scalars`` maps a scalar variable j to (rows, a) in the same way.
-        Each stack is validated once.  ``labels`` gives the rows' labels
-        in order (default None).  Returns the index of the first row."""
+        """Add one row family (:class:`RowFamily`), a row per entry of
+        ``rhs``, all of relation ``rel``, from stacked coefficients:
+        ``matrix`` maps a matrix variable i to (rows, F), the positions
+        among the new rows of those that read X_i and their (len(rows),
+        d, d) stack of coefficients, and ``scalars`` maps a scalar
+        variable j to (rows, a) in the same way.  Each stack is validated
+        once and kept whole.  ``labels`` gives the rows' labels in order
+        (default None).  Returns the index of the first row."""
         if rel not in ("<=", ">=", "=="):
             raise ValueError(f"unknown relation {rel!r}")
-        rhs = [float(v) for v in rhs]
-        m = len(rhs)
-        mcoef = [{} for _ in rhs]
-        for i, (rows, F) in (matrix or {}).items():
-            herm = self._coeffs(i, F, f"constraint coeff[{i}]")
-            for r, H in zip(self._positions(rows, m), herm, strict=True):
-                mcoef[r][i] = H
-        scoef = [{} for _ in rhs]
-        for j, (rows, a) in (scalars or {}).items():
-            self._check_scalar(j)
-            for r, v in zip(self._positions(rows, m),
-                            np.asarray(a, dtype=float).tolist(), strict=True):
-                scoef[r][j] = v
-        first = len(self.constraints)
-        self.constraints += [
-            Constraint(mc, sc, rel, v, label) for mc, sc, v, label in zip(
-                mcoef, scoef, rhs,
-                [None] * m if labels is None else labels, strict=True)]
+        rhs = tuple(float(v) for v in rhs)
+        labels = (None,) * len(rhs) if labels is None else tuple(labels)
+        if len(labels) != len(rhs):
+            raise ValueError(f"{len(labels)} labels for {len(rhs)} rows")
+        first = sum(len(fam.rhs) for fam in self.families)
+        self.families.append(RowFamily(first, rel, rhs, labels, *self._stacks(
+            matrix, scalars, len(rhs))))
         return first
 
-    def updated(self, rhs=(), scalar=None):
+    def _stacks(self, matrix, scalars, m):
+        """The validated (rows, coefficients) per variable of a family of
+        m rows, from :meth:`add_constraints`' ``matrix`` and
+        ``scalars``."""
+        mats, scals = {}, {}
+        for i, (rows, F) in (matrix or {}).items():
+            F = self._coeffs(i, F, f"constraint coeff[{i}]")
+            mats[i] = (self._positions(rows, m, F), F)
+        for j, (rows, a) in (scalars or {}).items():
+            self._check_scalar(j)
+            a = np.asarray(a, dtype=float).tolist()
+            scals[j] = (self._positions(rows, m, a), a)
+        return mats, scals
+
+    def updated(self, rhs=(), scalar=None, coeffs=None):
         """A copy at new right-hand sides ``rhs`` of the first
-        ``len(rhs)`` constraints and new linear scalar costs ``scalar``
-        ({j: c_j}), sharing every coefficient and ``compiled``."""
-        new = replace(self, obj_scalar=dict(self.obj_scalar), constraints=[
-            replace(con, rhs=float(value))
-            for con, value in zip(self.constraints, rhs)]
-            + self.constraints[len(rhs):])
+        ``len(rhs)`` rows, new linear scalar costs ``scalar`` ({j: c_j})
+        and new coefficients ``coeffs`` {f: (matrix, scalars)} of family
+        f, in the form of :meth:`add_constraints`.  It shares every other
+        family's coefficients and ``compiled``, whose
+        :meth:`CompiledProblem.updated` packs only the new ones."""
+        rhs, coeffs, families = [float(v) for v in rhs], coeffs or {}, []
+        for f, fam in enumerate(self.families):
+            changes = dict(zip(("matrix", "scalars"), self._stacks(
+                *coeffs[f], len(fam.rhs)))) if f in coeffs else {}
+            head = rhs[fam.start:fam.start + len(fam.rhs)]
+            if head:
+                changes["rhs"] = tuple(head) + fam.rhs[len(head):]
+            families.append(replace(fam, **changes) if changes else fam)
+        new = replace(self, obj_scalar=dict(self.obj_scalar),
+                      families=families)
         new.set_objective(scalar=scalar)
         new.compiled = self.compiled
         return new
 
     @staticmethod
-    def _positions(rows, m):
-        """Row positions as a list, checked to lie in 0..m-1."""
+    def _positions(rows, m, coeffs):
+        """Row positions as a list, checked to lie in 0..m-1 and to pair
+        off with ``coeffs``."""
         rows = np.asarray(rows, dtype=int)
         if rows.size and not 0 <= rows.min() <= rows.max() < m:
             raise ValueError(f"row positions {rows} outside 0..{m - 1}")
+        if len(rows) != len(coeffs):
+            raise ValueError(f"{len(rows)} row positions for "
+                             f"{len(coeffs)} coefficients")
         return rows.tolist()
 
     def _check_scalar(self, j):
@@ -201,9 +247,9 @@ class ConicProblem:
             raise ValueError(f"no scalar variable {j}")
 
     def constraint_index(self, label):
-        for k, con in enumerate(self.constraints):
-            if con.label == label:
-                return k
+        for fam in self.families:
+            if label in fam.labels:
+                return fam.start + fam.labels.index(label)
         raise KeyError(f"no constraint labeled {label!r}")
 
     def num_vars(self):
@@ -211,7 +257,8 @@ class ConicProblem:
 
     def evaluate_constraint(self, k, matrix_values, scalar_values):
         """Left-hand-side value of constraint k at the given point."""
-        con = self.constraints[k]
+        fam = next(f for f in reversed(self.families) if f.start <= k)
+        con = fam.row(k - fam.start)
         val = 0.0
         for i, F in con.matrix_coeffs.items():
             val += float(np.real(np.trace(F @ matrix_values[i])))
@@ -288,9 +335,11 @@ class CompiledProblem:
     (m, k, d, d) stack per run of the layout; the PSD columns of ``A``
     are its packing.  ``shape`` is the layout and row count, which the
     problems of one lockstep batch share.
-    The unscaled rows and their max-abs values are built once, and
-    :meth:`updated` shares them with a problem that differs only in its
-    right-hand sides and linear scalar costs.
+    Each row family's stacks go into the rows whole.  The unscaled rows
+    and their max-abs values are built once, and :meth:`updated` shares
+    them with a problem that differs in its right-hand sides, its linear
+    scalar costs or the coefficients of some families, whose rows alone
+    it packs anew.
 
     A problem with a nonzero objective and an orthant of fewer than
     :data:`ORTHANT_FLOOR` entries gets ``n_pad`` pad entries after its
@@ -305,10 +354,11 @@ class CompiledProblem:
 
     def __init__(self, problem):
         self.source = problem
-        cons = problem.constraints
+        self.relations = [fam.relation for fam in problem.families
+                          for _ in fam.rhs]
         # the rows with a slack, in the order of their slack columns
-        self.slacked = [k for k, con in enumerate(cons)
-                        if con.relation != "=="]
+        self.slacked = [k for k, rel in enumerate(self.relations)
+                        if rel != "=="]
         self.n_slack = len(self.slacked)
         own = problem.num_scalars + self.n_slack
         objective = any(np.any(C) for C in problem.obj_matrix.values()) \
@@ -324,41 +374,60 @@ class CompiledProblem:
         self.size = lay.size - self.n_pad
         self.degree = lay.degree - self.n_pad
 
-        c_rows, _ = self._rows([problem.obj_matrix], [problem.obj_scalar])
-        self.c = c_rows[0]
+        # its scalar costs are set with the right-hand sides (_scale)
+        self.c = self._pack(1, [(0, {i: ([0], C[None]) for i, C in
+                                     problem.obj_matrix.items()}, {})])[0][0]
         self.qdiag = np.zeros(lay.nonneg)
         for j, q in problem.obj_scalar_quad.items():
             self.qdiag[j] = 2.0 * q  # objective carries q*y^2 = (1/2) x'Qx
 
-        self.rows, self.blocks = self._rows(
-            [con.matrix_coeffs for con in cons],
-            [con.scalar_coeffs for con in cons])
+        m = len(self.relations)
+        self.rows, self.blocks = self._pack(m, [
+            (fam.start, fam.matrix, fam.scalars) for fam in problem.families])
         # a Hermitian block's packed entries are sqrt(2) times those of
         # its embedding
-        embedded = np.ones(lay.size)
+        self.embedded = np.ones(lay.size)
         for run in lay.runs:
             if run.complex:
-                embedded[run.span] = 1.0 / np.sqrt(2.0)
-        self.row_max = (np.abs(self.rows) * embedded).max(axis=1)
-        self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, len(cons))
-        self.own_shape = (lay.psd_dims, lay.psd_complex, own, len(cons))
+                self.embedded[run.span] = 1.0 / np.sqrt(2.0)
+        self.row_max = (np.abs(self.rows) * self.embedded).max(axis=1)
+        self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, m)
+        self.own_shape = (lay.psd_dims, lay.psd_complex, own, m)
         self._scale()
 
     def updated(self, source):
-        """This compiled form of ``source``, a problem with the same
-        coefficients bar its right-hand sides and linear scalar costs."""
+        """This compiled form of ``source``, a problem of the same shape
+        whose families differ from those of this one's source in their
+        right-hand sides or coefficients, or that has other linear scalar
+        costs (:meth:`ConicProblem.updated`).  A family with other
+        coefficient stacks has its rows and their max-abs values packed
+        anew, into new arrays: the arrays this compile holds are never
+        written, so several updates of it can be solved at once."""
         new = copy.copy(self)
         new.source, new.c = source, self.c.copy()
+        for fam, old in zip(source.families, self.source.families):
+            if fam.matrix is old.matrix and fam.scalars is old.scalars:
+                continue
+            rows, stacks = new._pack(len(fam.rhs),
+                                     [(0, fam.matrix, fam.scalars)])
+
+            def spliced(whole, part):
+                return np.concatenate([whole[:fam.start], part,
+                                       whole[fam.start + len(part):]])
+            new.rows = spliced(new.rows, rows)
+            new.row_max = spliced(new.row_max,
+                                  (np.abs(rows) * self.embedded).max(axis=1))
+            new.blocks = list(map(spliced, new.blocks, stacks))
         new._scale()
         return new
 
     def _scale(self):
         """Scaled rows, ``b`` and ``c`` at the source's right-hand sides
         and linear scalar costs."""
-        cons = self.source.constraints
         for j, a in self.source.obj_scalar.items():
             self.c[self.scalar_off + j] = a
-        rhs = np.array([con.rhs for con in cons], dtype=float)
+        rhs = np.array([v for fam in self.source.families for v in fam.rhs],
+                       dtype=float)
         norm = np.maximum(self.row_max, np.abs(rhs))
         scale = np.where(norm > 1.0, 1.0 / norm, 1.0)
         self.A = self.rows * scale[:, None]
@@ -367,33 +436,32 @@ class CompiledProblem:
         self.b = rhs * scale
         self.row_scale = scale
         for col, k in enumerate(self.slacked, self.slack_off):
-            self.A[k, col] = -1.0 if cons[k].relation == ">=" else 1.0
+            self.A[k, col] = -1.0 if self.relations[k] == ">=" else 1.0
         # the row scale of each slack column, which multiplies its slack
         self.slack_scale = scale[self.slacked]
 
-    def _rows(self, matrix_coeffs, scalar_coeffs):
-        """Real standard-form rows of the given coefficient dicts (no
-        slacks), and their PSD part as one (m, k, d, d) stack per run."""
+    def _pack(self, m, parts):
+        """Real standard-form rows (no slacks) of m rows from ``parts``,
+        (start, matrix, scalars) triples of :class:`RowFamily` data, and
+        their PSD part as one (m, k, d, d) stack per run."""
         lay = self.layout
-        m = len(matrix_coeffs)
         rows = np.zeros((m, lay.size))
-        stacks = []
-        for run in lay.runs:
-            stack = np.zeros((m, run.count, run.dim, run.dim), run.dtype)
-            for j in range(run.count):
-                i = run.first + j
-                have = [k for k, coeffs in enumerate(matrix_coeffs)
-                        if i in coeffs]
-                if have:
-                    coeffs = np.array([matrix_coeffs[k][i] for k in have])
-                    stack[have, j] = 0.5 * coeffs if run.complex \
-                        else np.real(coeffs)
+        stacks = [np.zeros((m, run.count, run.dim, run.dim), run.dtype)
+                  for run in lay.runs]
+        # each matrix variable's run, by its stack, and place in the run
+        place = {run.first + j: (stack, j, run.complex)
+                 for run, stack in zip(lay.runs, stacks)
+                 for j in range(run.count)}
+        for start, matrix, scalars in parts:
+            for i, (at, F) in matrix.items():
+                stack, j, complex_ = place[i]
+                stack[[start + r for r in at], j] = 0.5 * F if complex_ \
+                    else np.real(F)
+            for j, (at, a) in scalars.items():
+                rows[[start + r for r in at], self.scalar_off + j] = a
+        for run, stack in zip(lay.runs, stacks):
             rows[:, run.span] = svec(stack).reshape(
                 m, run.span.stop - run.span.start)
-            stacks.append(stack)
-        for k, coeffs in enumerate(scalar_coeffs):
-            for j, a in coeffs.items():
-                rows[k, self.scalar_off + j] = a
         return rows, stacks
 
     def user_duals(self, y_internal):
@@ -403,10 +471,10 @@ class CompiledProblem:
         report the nonnegative multiplier whose sensitivity is
         -d(optimum)/d(rhs).
         """
-        duals = np.empty(len(self.source.constraints))
-        for k, con in enumerate(self.source.constraints):
+        duals = np.empty(len(self.relations))
+        for k, rel in enumerate(self.relations):
             v = y_internal[k] * self.row_scale[k]
-            duals[k] = -v if con.relation == "<=" else v
+            duals[k] = -v if rel == "<=" else v
         return duals
 
     def user_duals_signed(self, y_internal):

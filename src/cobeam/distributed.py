@@ -280,7 +280,7 @@ def run_primal_decomposition(channels, topology, max_iters=100,
              for b in range(topology.B)}
 
     for r in range(max_iters):
-        problems = {b: sinr_update(prob, topology, b, theta=theta)
+        problems = {b: sinr_update(prob, channels, topology, b, theta=theta)
                     for b, prob in cells.items()}
         sols = yield from _cells(
             problems, lambda b, status: f"subproblem of BS {b} "
@@ -418,7 +418,7 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     for it in range(max_iters):
         total_power = 0.0
         sols = yield from _cells(
-            {b: sinr_update(prob, topology, b, copies=(np.where(
+            {b: sinr_update(prob, channels, topology, b, copies=(np.where(
                 owned[b][0], nu[0], nu[1]) - rho * theta, rho / 2.0))
              for b, (prob, _) in enumerate(cells)},
             lambda b, status: f"ADMM local problem of BS {b} failed at "

@@ -64,16 +64,18 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     :func:`covariances` lifts a solution back to antenna space.
 
     The matrix variables are the groups in scope in
-    :meth:`Topology.groups_of_bs` order.  Rows come in the order SINR,
-    cap, budget.  Returns the problem and the (B, U) grid of copy
-    variables, -1 where a pair has none.  :func:`sinr_update` gives a
-    built cell new ``level``, ``theta`` or ``copies``.
+    :meth:`Topology.groups_of_bs` order.  Rows come in three row
+    families (:meth:`ConicProblem.add_constraints`), SINR, cap and
+    budget; the SINR family's -t H blocks are formed as -t times H, then
+    validated (their Hermitian part) and, when compiled, halved and
+    packed.  Returns the problem and the (B, U) grid of copy variables,
+    -1 where a pair has none.  :func:`sinr_update` gives a built problem
+    a new ``level``, ``theta`` or ``copies``.
     """
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
     users = list(range(topology.U)) if cell is None \
         else topology.users_of_bs(cell)
-    peers = [j for j in range(topology.B) if j != cell]
     rhs, linear = _sinr_data(topology, cell, level, theta, copies)
     # one cap row per right-hand side left, none without ICI
     out = topology.out_of_cell_users(cell) if len(rhs) > len(users) else []
@@ -95,36 +97,16 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
                            scalar_quad=dict.fromkeys(linear, copies[1])
                            if copies is not None else None)
 
-    def channels_to(b, us):
-        """The (len(us), d, d) stack of BS b's channel outer products
-        toward the users ``us``, in its basis."""
-        if span[b] is None:
-            return channels.outer[b, us]
-        h = np.matvec(span[b].conj().T, channels.h[b, us])
-        return h[:, :, None] * h.conj()[:, None, :]
-
-    # the SINR rows, one per user: a served group's block is H, any
-    # other's -t H
-    t = topology.gamma[users] if level is None \
-        else np.full(len(users), level, dtype=float)
-    serving = np.take(topology.group_of_user, users)[:, None, None]
-    mats = {}
-    for k, g in enumerate(groups):
-        H = channels_to(topology.bs_of_group[g], users)
-        mats[k] = (range(len(users)),
-                   np.where(serving == g, H, -t[:, None, None] * H))
-    # nested lists: the rows below read single entries
-    slots = copy_slot.tolist()
-    scalars = {slots[j][u]: ([r], [-t[r]]) for r, u in enumerate(users)
-               for j in peers} if copies is not None else None
+    mats, scalars = _sinr_rows(channels, topology, cell, level, prob.bases,
+                               copies)
     prob.add_constraints(matrix=mats, scalars=scalars, rel=">=",
                          rhs=rhs[:len(users)],
                          labels=[("sinr", u) for u in users])
     if out:
         prob.add_constraints(
-            matrix=dict.fromkeys(range(len(groups)),
-                                 (range(len(out)), channels_to(cell, out))),
-            scalars={slots[cell][u]: ([r], [-1.0])
+            matrix=dict.fromkeys(range(len(groups)), (range(len(out)),
+                                 _outer(channels, cell, out, span[cell]))),
+            scalars={copy_slot[cell, u]: ([r], [-1.0])
                      for r, u in enumerate(out)}
             if copies is not None else None,
             rel="<=", rhs=rhs[len(users):],
@@ -138,6 +120,42 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
             rel="<=", rhs=topology.p_max[list(bss)],
             labels=[("power", b) for b in bss])
     return prob, copy_slot
+
+
+def _outer(channels, b, users, basis):
+    """The (len(users), d, d) stack of BS b's channel outer products
+    toward ``users``, in ``basis`` (None: antenna space)."""
+    if basis is None:
+        return channels.outer[b, users]
+    h = np.matvec(basis.conj().T, channels.h[b, users])
+    return h[:, :, None] * h.conj()[:, None, :]
+
+
+def _sinr_rows(channels, topology, cell, level, bases, copies):
+    """The coefficients of :func:`sinr_system`'s SINR family, a row per
+    user in scope, in the variables' ``bases``: a served group's block
+    is H, any other's -t H, and with ``copies`` the user's incoming ICI
+    copies carry -t.  Returns (matrix, scalars) in the form of
+    :meth:`ConicProblem.add_constraints`."""
+    groups = range(topology.G) if cell is None \
+        else topology.groups_of_bs(cell)
+    users = list(range(topology.U)) if cell is None \
+        else topology.users_of_bs(cell)
+    t = topology.gamma[users] if level is None \
+        else np.full(len(users), level, dtype=float)
+    serving = np.take(topology.group_of_user, users)[:, None, None]
+    mats = {}
+    for k, (g, basis) in enumerate(zip(groups, bases)):
+        H = _outer(channels, topology.bs_of_group[g], users, basis)
+        mats[k] = (range(len(users)),
+                   np.where(serving == g, H, -t[:, None, None] * H))
+    if copies is None:
+        return mats, None
+    # the copy variables in sinr_system's order
+    owned = zip(*np.nonzero(topology.ici_owned(cell).any(axis=0)))
+    slot = {pair: s for s, pair in enumerate(owned)}
+    return mats, {slot[j, u]: ([r], [-t[r]]) for r, u in enumerate(users)
+                  for j in range(topology.B) if j != cell}
 
 
 def channel_span(rows):
@@ -196,18 +214,20 @@ def _sinr_data(topology, cell, level, theta, copies):
     return rhs, dict(enumerate(copies[0][js, us].tolist()))
 
 
-def sinr_update(prob, topology, cell, level=None, theta=None, copies=None):
-    """BS ``cell``'s problem ``prob`` of :func:`sinr_system` at new
-    ``level``, ``theta`` or ``copies``, whose right-hand sides and linear
-    costs alone change (:meth:`ConicProblem.updated`).  A level also
-    scales the -t H blocks of the network and of a cell of several
-    groups, and the -t weights of a cell's copies, so with those it
-    raises ValueError: rebuild such a problem instead."""
-    if level is not None and (cell is None or copies is not None or len(
-            topology.groups_of_bs(cell)) > 1):
-        raise ValueError("a level changes this problem's coefficients, "
-                         "not only its right-hand sides")
-    return prob.updated(*_sinr_data(topology, cell, level, theta, copies))
+def sinr_update(prob, channels, topology, cell, level=None, theta=None,
+                copies=None):
+    """The problem ``prob`` of :func:`sinr_system` (BS ``cell``'s, the
+    network's at None) at new ``level``, ``theta`` or ``copies``, with new
+    right-hand sides and linear costs (:meth:`ConicProblem.updated`).
+    Where a level also scales -t H blocks (of several groups) or the -t
+    weights of copies, its SINR family is built anew in ``prob``'s
+    bases, as :func:`sinr_system` builds it; every other family keeps
+    its coefficients, and a kept compile packs only the new family."""
+    coeffs = {0: _sinr_rows(channels, topology, cell, level, prob.bases,
+                            copies)} if level is not None and (
+        len(prob.matrix_vars) > 1 or copies is not None) else None
+    return prob.updated(*_sinr_data(topology, cell, level, theta, copies),
+                        coeffs=coeffs)
 
 
 def assemble_qos_sdp(channels, topology):

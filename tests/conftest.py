@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import linprog
 
 from cobeam.conic import ConicProblem
-from cobeam.conic.problem import Constraint
 from cobeam.power_min import _sinr_data
 
 
@@ -53,9 +52,9 @@ def embed_hermitian(problem):
     out.obj_scalar = dict(problem.obj_scalar)
     out.obj_scalar_quad = dict(problem.obj_scalar_quad)
     for con in problem.constraints:
-        out.constraints.append(Constraint(
+        out.add_constraint(
             {i: lower(i, F) for i, F in con.matrix_coeffs.items()},
-            dict(con.scalar_coeffs), con.relation, con.rhs, con.label))
+            con.scalar_coeffs, con.relation, con.rhs, con.label)
     return out
 
 

@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import loop_sinr_system
+from test_compile_once import assert_same_compile
 
 from cobeam import conic
 from cobeam.balancing import bisect, single_user_upper_bound
@@ -247,29 +248,34 @@ class TestChannelSpan:
 
 class TestSinrUpdateLevel:
     """A level scales the -t H blocks of the network and of a cell of
-    several groups, and the -t weights of a cell's copies, which an
-    update does not touch: such an update raises."""
+    several groups, and the -t weights of a cell's copies: an update of
+    a problem kept at level 0 builds its SINR rows anew, and at every
+    level it equals the loop builder's problem and its compiled form a
+    fresh compile, bit for bit."""
 
-    def test_multi_group_cell_raises(self):
+    @staticmethod
+    def check(chans, topo, cell, **kwargs):
+        kept = conic.compile_once(sinr_system(chans, topo, cell=cell,
+                                              level=0.0, **kwargs)[0])
+        moved = {k: v for k, v in kwargs.items() if k in ("theta", "copies")}
+        for level in (2.5, 0.0, 5.0):
+            got = sinr_update(kept, chans, topo, cell, level=level, **moved)
+            assert_same_problem(got, loop_sinr_system(
+                chans, topo, cell=cell, level=level, bases=kept.bases,
+                **kwargs)[0])
+            assert_same_compile(got, sinr_system(
+                chans, topo, cell=cell, level=level, **kwargs)[0])
+
+    def test_multi_group_cell(self):
         topo = build_topology(B=2, G=4, U=8, A=4, gamma=GAMMA_1DB)
-        chans = sample_channels(topo, 3)
-        kept = sinr_system(chans, topo, cell=0, level=1.0, theta=0.1,
-                           budget=True, objective=False)[0]
-        with pytest.raises(ValueError, match="level"):
-            sinr_update(kept, topo, 0, level=5.0, theta=0.1)
+        self.check(sample_channels(topo, 3), topo, 0, theta=0.1,
+                   budget=True, objective=False)
 
-    def test_network_raises(self):
+    def test_network(self):
         topo = build_topology(B=2, G=4, U=8, A=4, gamma=GAMMA_1DB)
-        chans = sample_channels(topo, 3)
-        kept = sinr_system(chans, topo, level=1.0, budget=True)[0]
-        with pytest.raises(ValueError, match="level"):
-            sinr_update(kept, topo, None, level=5.0)
+        self.check(sample_channels(topo, 3), topo, None, budget=True)
 
-    def test_copies_raise(self):
+    def test_copies(self):
         topo = build_topology(B=2, G=2, U=4, A=4, gamma=GAMMA_1DB)
-        chans = sample_channels(topo, 3)
-        copies = (np.zeros((topo.B, topo.U)), 1.0)
-        kept = sinr_system(chans, topo, cell=0, level=1.0,
-                           copies=copies)[0]
-        with pytest.raises(ValueError, match="level"):
-            sinr_update(kept, topo, 0, level=5.0, copies=copies)
+        self.check(sample_channels(topo, 3), topo, 0,
+                   copies=(np.zeros((topo.B, topo.U)), 1.0))

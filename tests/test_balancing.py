@@ -668,9 +668,14 @@ class TestWarmProbes:
         # point breaking a row by less than ACCEPT_TOL, while a warm one
         # proves it infeasible by a Farkas certificate: the decisions
         # differ only where the cold one is within its tolerance.  The
-        # probes are built at the full dimension, by the row-by-row
+        # probes are built at the full dimension, each by the row-by-row
         # oracle: the builder's channel span gives another path
         monkeypatch.setattr(balancing, "sinr_system", loop_sinr_system)
+        monkeypatch.setattr(
+            balancing, "sinr_update",
+            lambda kept, channels, topology, cell, level, theta:
+            loop_sinr_system(channels, topology, cell=cell, level=level,
+                             theta=theta, budget=True, objective=False)[0])
         config = parse_scenario(SCENARIOS / "balancing_small.json")
         topo = build_topology(
             B=config.B, G=config.G, U=config.U, A=config.A,

@@ -1,13 +1,14 @@
 """Cells compiled once: an updated cell's compiled form equals a fresh
-compile of the problem rebuilt from the channels, bit for bit, and the
-PD and ADMM rounds build each BS's rows once per run."""
+compile of the problem rebuilt from the channels, bit for bit, the PD
+and ADMM rounds build each BS's rows once per run, and a bisection
+compiles its probes once."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from cobeam import conic, distributed
+from cobeam import balancing, conic, distributed
 from cobeam.conic import ipm
 from cobeam.conic.problem import CompiledProblem
 from cobeam.distributed import (assemble_admm_local,
@@ -68,7 +69,7 @@ class TestUpdatedCell:
         cap = kept.constraint_index(("cap", (0, 1)))
         big = 100.0 * (1.0 + kept.compiled.row_max[cap])
         theta[0, 1] = big
-        updated = sinr_update(kept, topo, 0, theta=theta)
+        updated = sinr_update(kept, chans, topo, 0, theta=theta)
         assert compiled_form(updated).row_scale[cap] == 1.0 / big
         assert kept.compiled.row_scale[cap] != 1.0 / big
         assert_same_compile(updated,
@@ -82,8 +83,9 @@ class TestUpdatedCell:
         for _ in range(3):
             theta = grid(topo, rng.uniform(0.01, 3.0,
                                            topo.ici_mask().sum()))
-            assert_same_compile(sinr_update(kept, topo, 1, theta=theta),
-                                assemble_subproblem(1, chans, topo, theta))
+            assert_same_compile(
+                sinr_update(kept, chans, topo, 1, theta=theta),
+                assemble_subproblem(1, chans, topo, theta))
 
     def test_admm_costs(self):
         topo, chans = scenario(5)
@@ -98,7 +100,7 @@ class TestUpdatedCell:
                                                     nu, 2.0)
             assert np.array_equal(slot, fresh_slot)
             assert_same_compile(sinr_update(
-                kept, topo, 1, copies=(nu - 2.0 * theta, 1.0)), fresh)
+                kept, chans, topo, 1, copies=(nu - 2.0 * theta, 1.0)), fresh)
 
     @pytest.mark.parametrize("theta", [None, 0.2])
     def test_probe_levels(self, theta):
@@ -113,7 +115,8 @@ class TestUpdatedCell:
         # max-abs values
         for t in (0.37, 3.1, 250.0, 1e4):
             assert_same_compile(
-                sinr_update(kept, topo, 0, level=t, theta=theta), probe(t))
+                sinr_update(kept, chans, topo, 0, level=t, theta=theta),
+                probe(t))
 
     def test_probe_after_feasibility(self):
         topo, chans = scenario(7, U=2, p_max=10.0)
@@ -123,7 +126,7 @@ class TestUpdatedCell:
                                budget=True, objective=objective)[0]
 
         kept = conic.compile_once(probe(0.0))
-        updated = sinr_update(kept, topo, 1, level=2.5, theta=0.1)
+        updated = sinr_update(kept, chans, topo, 1, level=2.5, theta=0.1)
         # an objective-free problem is solved as it is, compile shared
         yielded, = next(conic.feasibility(updated))
         assert yielded.compiled is kept.compiled
@@ -139,7 +142,7 @@ class TestUpdatedCell:
         topo, chans = scenario(8)
         kept = conic.compile_once(assemble_subproblem(0, chans, topo, 1.0))
         before = [con.rhs for con in kept.constraints]
-        sinr_update(kept, topo, 0, theta=0.25)
+        sinr_update(kept, chans, topo, 0, theta=0.25)
         assert [con.rhs for con in kept.constraints] == before
         assert_same_compile(kept, assemble_subproblem(0, chans, topo, 1.0))
 
@@ -180,3 +183,14 @@ class TestRowsBuiltOnce:
         # the restoration at the final values builds each cell once more
         assert counted == {"copies": topo.B, "caps": topo.B,
                            "compile": 2 * topo.B}
+
+    @pytest.mark.parametrize("G, U, cell", [(2, 4, None), (2, 4, 0),
+                                            (4, 8, 0)],
+                             ids=["network", "one-group", "multi-group"])
+    def test_bisection(self, counted, G, U, cell):
+        # every probe updates the kept problem; the polish is the other
+        topo, chans = scenario(11, G=G, U=U, p_max=10.0)
+        result = balancing.bisect_balance(chans, topo) if cell is None \
+            else balancing.local_balance(cell, chans, topo, 0.1)
+        assert result.calls > 1
+        assert counted["compile"] == 2

@@ -172,7 +172,7 @@ def test_zero_objective_answers_check_out(case):
         matrix_vars=case.problem.matrix_vars,
         num_scalars=case.problem.num_scalars,
         scalar_names=case.problem.scalar_names,
-        constraints=case.problem.constraints)
+        families=case.problem.families)
     sol = solve(stripped)
     assert sol.status is (SolveStatus.OPTIMAL if case.feasible
                           else SolveStatus.INFEASIBLE)

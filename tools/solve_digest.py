@@ -42,7 +42,11 @@ Gaussian randomization picks and their least powers.  One more line
 prints the same hash with each record's ``ipm_iterations`` also left
 out: a change that moves work between solves, such as one that skips or
 warm-starts other solves, but gives the same answers leaves it as it is.
-To check the solver of another tree, run this tool with its ``src`` on
+A last line prints the number of full compiles, the constructions of
+``ipm.CompiledProblem``, and of updated compiles, the calls of
+``CompiledProblem.updated`` that derive a problem's compiled form from
+a kept one (``conic.compile_once``): how often the solves' rows were
+packed from scratch.  To check the solver of another tree, run this tool with its ``src`` on
 ``PYTHONPATH``.
 """
 
@@ -57,7 +61,7 @@ import numpy as np
 import scipy
 
 from cobeam import conic
-from cobeam.conic import ipm
+from cobeam.conic import ipm, problem
 from cobeam.experiment import parse_scenario, run_sweep
 
 
@@ -117,6 +121,7 @@ def main(argv=None):
     orders, runs, loops = 0, 0, 0
     results, answers = hashlib.sha256(), hashlib.sha256()
     nrecords, nrows = 0, 0
+    compiles = {"full": 0, "updated": 0}
 
     def recorded(solve_batch):
         def wrapper(problems):
@@ -146,9 +151,18 @@ def main(argv=None):
             return sols
         return wrapper
 
+    def tallied(kind, compile_):
+        def wrapper(*args):
+            compiles[kind] += 1
+            return compile_(*args)
+        return wrapper
+
     originals = conic.solve_batch, ipm.solve_batch, ipm._solve_hsd
     conic.solve_batch, ipm.solve_batch = map(recorded, originals[:2])
     ipm._solve_hsd = counted(originals[2])
+    compiled = ipm.CompiledProblem, problem.CompiledProblem.updated
+    ipm.CompiledProblem = tallied("full", compiled[0])
+    problem.CompiledProblem.updated = tallied("updated", compiled[1])
     try:
         for path in args.scenarios:
             config = parse_scenario(path)
@@ -164,6 +178,7 @@ def main(argv=None):
             nrows += len(trace_rows)
     finally:
         conic.solve_batch, ipm.solve_batch, ipm._solve_hsd = originals
+        ipm.CompiledProblem, problem.CompiledProblem.updated = compiled
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
@@ -175,6 +190,7 @@ def main(argv=None):
           f"{results.hexdigest()}")
     print(f"records {nrecords} trace rows {nrows} without ipm_iterations "
           f"sha256 {answers.hexdigest()}")
+    print(f"compiles {compiles['full']} full {compiles['updated']} updated")
 
 
 if __name__ == "__main__":
