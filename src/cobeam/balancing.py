@@ -121,12 +121,15 @@ def single_user_upper_bound(channels, topology, users=None):
 
     No user can beat its own matched-filter SINR at full serving-BS
     power, so this always brackets the balanced optimum from above.
+    The gain is a plain sum of squared magnitudes, which calls no BLAS,
+    so its bits, and every probe level, do not depend on the BLAS
+    kernel.
     """
     users = range(topology.U) if users is None else users
     bound = 0.0
     for u in users:
         b = topology.serving_bs(u)
-        gain = float(np.linalg.norm(channels.vec(b, u)) ** 2)
+        gain = float(np.sum(np.abs(channels.vec(b, u)) ** 2))
         bound = max(bound, topology.p_max[b] * gain / topology.sigma2[u])
     return bound
 
