@@ -146,17 +146,17 @@ def _scaled_point(prob, X, t, serving):
     t s S / (s C + rhs), with S the served term and C = t I the other
     terms negated.
     """
+    cons = prob.constraints
     terms = [{i: float(np.real(np.vdot(F, X[i])))
-              for i, F in con.matrix_coeffs.items()}
-             for con in prob.constraints]
+              for i, F in con.matrix_coeffs.items()} for con in cons]
     n = len(serving)
     loads = [(con.rhs, sum(row.values()))
-             for con, row in zip(prob.constraints[n:], terms[n:])]
+             for con, row in zip(cons[n:], terms[n:])]
     scale = max(1.0, min((rhs / load for rhs, load in loads if load > 0),
                          default=1.0))
     level = min(t * scale * row[k]
                 / (scale * (row[k] - sum(row.values())) + con.rhs)
-                for con, row, k in zip(prob.constraints, terms, serving))
+                for con, row, k in zip(cons, terms, serving))
     return [scale * M for M in X], level
 
 
