@@ -523,9 +523,8 @@ def point_violation(problem, solution):
         worst = max(worst, -low / scale)
     if solution.scalar_values is not None and solution.scalar_values.size:
         worst = max(worst, -float(solution.scalar_values.min()))
-    for k, con in enumerate(problem.constraints):
-        val = problem.evaluate_constraint(k, solution.matrix_values,
-                                          solution.scalar_values)
+    for con in problem.constraints:
+        val = con.value(solution.matrix_values, solution.scalar_values)
         if con.relation == ">=":
             gap = con.rhs - val
         elif con.relation == "<=":

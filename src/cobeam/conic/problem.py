@@ -63,9 +63,19 @@ class MatrixVar:
     name: str = ""
 
 
-# one row, read from its RowFamily; relation is one of "<=", ">=", "=="
-Constraint = namedtuple(
-    "Constraint", "matrix_coeffs scalar_coeffs relation rhs label")
+class Constraint(namedtuple(
+        "Constraint", "matrix_coeffs scalar_coeffs relation rhs label")):
+    """One row, read from its :class:`RowFamily`; ``relation`` is one of
+    "<=", ">=", "=="."""
+
+    def value(self, matrix_values, scalar_values):
+        """The row's left-hand-side value at the given point."""
+        val = 0.0
+        for i, F in self.matrix_coeffs.items():
+            val += float(np.real(np.trace(F @ matrix_values[i])))
+        for j, a in self.scalar_coeffs.items():
+            val += a * float(scalar_values[j])
+        return val
 
 
 @dataclass(frozen=True)
@@ -258,13 +268,7 @@ class ConicProblem:
     def evaluate_constraint(self, k, matrix_values, scalar_values):
         """Left-hand-side value of constraint k at the given point."""
         fam = next(f for f in reversed(self.families) if f.start <= k)
-        con = fam.row(k - fam.start)
-        val = 0.0
-        for i, F in con.matrix_coeffs.items():
-            val += float(np.real(np.trace(F @ matrix_values[i])))
-        for j, a in con.scalar_coeffs.items():
-            val += a * float(scalar_values[j])
-        return val
+        return fam.row(k - fam.start).value(matrix_values, scalar_values)
 
     def evaluate_objective(self, matrix_values, scalar_values):
         val = 0.0
