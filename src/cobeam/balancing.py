@@ -25,7 +25,7 @@ from .errors import (ConfigurationError, IndeterminateError,
 from .network import BeamformingSolution, evaluate_sinr, network_stack
 from .power_min import (DEFAULT_GR_COUNT, capped_least_powers, covariances,
                         direction_system, finalize, gaussian_candidates,
-                        randomized_solution, sinr_system, sinr_update)
+                        randomized_solution, sinr_levels, sinr_system)
 
 DEFAULT_EPSILON = 1e-3
 
@@ -43,8 +43,9 @@ class BisectionResult:
     lower end, the extreme-face polish).
     ``indeterminate`` counts the halving probes that raised
     :class:`IndeterminateError` and were taken as infeasible, and
-    ``decided`` the probes an earlier feasible point settled without a
-    solve (:func:`_sdr_bisect`): ``calls`` counts probes, not solves.
+    ``decided`` the probes a point from an earlier solve, feasible or
+    not, settled without a solve (:func:`_sdr_bisect`): ``calls`` counts
+    probes, not solves.
     """
 
     t: float
@@ -135,29 +136,42 @@ def single_user_upper_bound(channels, topology, users=None):
 
 
 def _scaled_point(prob, X, t, serving):
-    """The covariances ``X`` of a feasible probe ``prob`` at level
-    ``t`` > 0 (:func:`sinr_system`, in its bases) scaled up uniformly
-    until the tightest cap or budget row holds with equality, by a
-    factor of at least 1, and the highest level whose SINR rows they
-    meet.  ``serving`` gives each SINR row's served variable.
-
-    A SINR row reads the served covariance at H and every other one at
-    -t H, with right-hand side t N.  At scale s its level is therefore
-    t s S / (s C + rhs), with S the served term and C = t I the other
-    terms negated.
-    """
-    cons = prob.constraints
-    terms = [{i: float(np.real(np.vdot(F, X[i])))
-              for i, F in con.matrix_coeffs.items()} for con in cons]
-    n = len(serving)
-    loads = [(con.rhs, sum(row.values()))
-             for con, row in zip(cons[n:], terms[n:])]
-    scale = max(1.0, min((rhs / load for rhs, load in loads if load > 0),
-                         default=1.0))
-    level = min(t * scale * row[k]
-                / (scale * (row[k] - sum(row.values())) + con.rhs)
-                for con, row, k in zip(cons, terms, serving))
-    return [scale * M for M in X], level
+    """Two candidates from a solve of the probe ``prob`` at level ``t``
+    > 0 (:func:`sinr_system`, in its bases), its point ``X`` (one
+    (k, d, d) stack per run of its variables, :meth:`ConeLayout.unpack`)
+    and that point's principal rank-one part per variable, each scaled
+    uniformly, up or down, until its tightest cap or budget row holds
+    with equality: the one whose SINR rows meet the higher level, as a
+    list of variables, and that level.  ``serving`` gives each SINR
+    row's served variable.  A SINR row reads the served covariance at H
+    and every other one at -t H, with right-hand side t N, so at scale s
+    its level is t s S / (s C + rhs), S the served term and C = t I the
+    other terms negated.  Each row family's stacks are read whole, one
+    contraction per variable for both candidates."""
+    pairs = []
+    for stack in X:
+        lam, vec = np.linalg.eigh(stack)
+        top = vec[..., -1]
+        pairs.append(np.stack([stack, np.einsum(
+            "k,ki,kj->kij", lam[:, -1], top, top.conj())]))
+    X = [pair[:, j] for pair in pairs for j in range(pair.shape[1])]
+    rhs = [v for fam in prob.families for v in fam.rhs]
+    terms = [[[0.0] * len(X) for _ in rhs] for _ in range(2)]
+    for fam in prob.families:
+        for i, (rows, F) in fam.matrix.items():
+            for part, vals in zip(terms, np.einsum(
+                    "rjk,ckj->cr", F, X[i]).real.tolist()):
+                for r, v in zip(rows, vals):
+                    part[fam.start + r][i] = v
+    n, best = len(serving), (None, -np.inf)
+    for c, rows in enumerate(terms):
+        scale = min((cap / sum(row) for cap, row in zip(rhs[n:], rows[n:])
+                     if sum(row) > 0), default=1.0)
+        level = min(t * scale * row[k] / (scale * (row[k] - sum(row)) + b)
+                    for row, k, b in zip(rows, serving, rhs))
+        if level > best[1]:
+            best = [scale * M[c] for M in X], level
+    return best
 
 
 def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
@@ -174,17 +188,20 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     Each solved probe starts from the iterate of the previous solved
     one; the polish starts cold.  The probes share one compile, of the
     system at level 0, and each is its update to its own level
-    (:func:`sinr_update`): its right-hand sides and, where the level
+    (:func:`sinr_levels`): its right-hand sides and, where the level
     scales -t H blocks, its SINR rows.
 
-    The probes of one bisection share their variables' bases, so the
-    last feasible solve's covariances, scaled into the budgets and caps
-    (:func:`_scaled_point`), meet every level up to their own.  A probe
-    at or below that level is settled without a solve when the scaled
-    covariances meet its own rows to ``ACCEPT_TOL``
+    The probes of one bisection share their variables' bases, so every
+    solved probe offers points to the later ones: its final iterate's
+    x/tau blocks, read through the kept compile's layout (a feasible
+    probe's covariances, an infeasible one's last iterate), and their
+    principal rank-one parts, each scaled into the budgets and caps
+    (:func:`_scaled_point`).  The point of the highest level any reaches
+    is kept.  A probe at or below that level is settled without a solve
+    when the kept point meets its own rows to ``ACCEPT_TOL``
     (:func:`point_violation`, as the solver's point screen confirms a
-    point), and they are its payload.  It still counts as a probe, so
-    the bracket and the probe log are those of solving every probe;
+    point), and it is its payload.  It still counts as a probe, so the
+    bracket and the probe log are those of solving every probe;
     ``decided`` counts the settled ones.  A cell waits at its gather's
     barrier (:func:`conic.gather`) before its polish, so the cells of
     :func:`_per_cell_pipeline` polish in one step.
@@ -199,11 +216,11 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     serving = [groups.index(topology.group_of_user[u]) for u in users]
     last, scaled, level, settled = None, None, -np.inf, 0
     kept = conic.compile_once(system(0.0))
+    update = sinr_levels(kept, channels, topology, cell, theta=theta)
 
     def probe(t):
         nonlocal last, scaled, level, settled
-        prob = sinr_update(kept, channels, topology, cell, level=t,
-                           theta=theta)
+        prob = update(t)
         if t <= level:
             sol = ConicSolution(SolveStatus.OPTIMAL, matrix_values=scaled)
             if point_violation(prob, sol) <= ACCEPT_TOL:
@@ -212,13 +229,13 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         prob.start = last
         feasible, sol = yield from conic.feasibility(prob)
         last = sol.iterate
-        if not feasible:
-            return False, None
         # a probe at level 0, the lower end's, is the last of its bisection
         if t > 0:
-            scaled, level = _scaled_point(prob, sol.matrix_values, t,
-                                          serving)
-        return True, covariances(prob, sol)
+            point, at = _scaled_point(
+                prob, kept.compiled.layout.unpack(last.x), t, serving)
+            if at > level:
+                scaled, level = point, at
+        return feasible, covariances(prob, sol) if feasible else None
 
     result = yield from conic.solving(
         bisect, 0.0, single_user_upper_bound(channels, topology, users),

@@ -234,10 +234,10 @@ class ConicProblem:
             if head:
                 changes["rhs"] = tuple(head) + fam.rhs[len(head):]
             families.append(replace(fam, **changes) if changes else fam)
-        new = replace(self, obj_scalar=dict(self.obj_scalar),
-                      families=families)
+        new = object.__new__(ConicProblem)
+        new.__dict__.update(self.__dict__, obj_scalar=dict(self.obj_scalar),
+                            families=families)
         new.set_objective(scalar=scalar)
-        new.compiled = self.compiled
         return new
 
     @staticmethod

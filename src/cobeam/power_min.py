@@ -76,7 +76,8 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
         else topology.groups_of_bs(cell)
     users = list(range(topology.U)) if cell is None \
         else topology.users_of_bs(cell)
-    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
+    rhs, linear = _sinr_data(topology, cell, theta, copies)
+    rhs = rhs(level)
     # one cap row per right-hand side left, none without ICI
     out = topology.out_of_cell_users(cell) if len(rhs) > len(users) else []
     span = {b: _span_basis(channels.h[b, users + out], basis)
@@ -192,22 +193,24 @@ def covariances(prob, sol):
                      for X, Q in zip(sol.matrix_values, prob.bases)])
 
 
-def _sinr_data(topology, cell, level, theta, copies):
+def _sinr_data(topology, cell, theta, copies):
     """The right-hand sides of :func:`sinr_system`'s SINR and cap rows,
-    in order, and its copy variables' linear weights {slot: weight}."""
+    in order, as a function of the level (None: each user's target), and
+    its copy variables' linear weights {slot: weight}; the ICI grid is
+    read once, into each SINR row's noise plus ICI and the caps."""
     users = range(topology.U) if cell is None else topology.users_of_bs(cell)
     peers = [j for j in range(topology.B) if j != cell]
     ici = cell is not None and (theta is not None or copies is not None)
     grid = topology.ici_grid(theta).tolist() \
         if ici and copies is None else None
-    rhs = []
-    for u in users:
-        t = topology.gamma[u] if level is None else level
-        incoming = sum(grid[j][u] for j in peers) if grid else 0
-        rhs.append(t * (topology.sigma2[u] + incoming))
-    if ici:
-        rhs += [0.0 if grid is None else grid[cell][u]
-                for u in topology.out_of_cell_users(cell)]
+    noise = [topology.sigma2[u] + (sum(grid[j][u] for j in peers)
+                                   if grid else 0) for u in users]
+    caps = [0.0 if grid is None else grid[cell][u]
+            for u in topology.out_of_cell_users(cell)] if ici else []
+
+    def rhs(level):
+        return [(topology.gamma[u] if level is None else level) * n
+                for u, n in zip(users, noise)] + caps
     if copies is None:
         return rhs, {}
     js, us = np.nonzero(topology.ici_owned(cell).any(axis=0))
@@ -217,17 +220,27 @@ def _sinr_data(topology, cell, level, theta, copies):
 def sinr_update(prob, channels, topology, cell, level=None, theta=None,
                 copies=None):
     """The problem ``prob`` of :func:`sinr_system` (BS ``cell``'s, the
-    network's at None) at new ``level``, ``theta`` or ``copies``, with new
-    right-hand sides and linear costs (:meth:`ConicProblem.updated`).
-    Where a level also scales -t H blocks (of several groups) or the -t
+    network's at None) at new ``level``, ``theta`` or ``copies``
+    (:func:`sinr_levels`)."""
+    return sinr_levels(prob, channels, topology, cell, theta, copies)(level)
+
+
+def sinr_levels(prob, channels, topology, cell, theta=None, copies=None):
+    """``prob`` of :func:`sinr_system` at ``theta`` or ``copies`` as a
+    function of the level, with new right-hand sides and linear costs
+    (:meth:`ConicProblem.updated`), their fixed part built once.  Where
+    a level also scales -t H blocks (of several groups) or the -t
     weights of copies, its SINR family is built anew in ``prob``'s
     bases, as :func:`sinr_system` builds it; every other family keeps
     its coefficients, and a kept compile packs only the new family."""
-    coeffs = {0: _sinr_rows(channels, topology, cell, level, prob.bases,
-                            copies)} if level is not None and (
-        len(prob.matrix_vars) > 1 or copies is not None) else None
-    return prob.updated(*_sinr_data(topology, cell, level, theta, copies),
-                        coeffs=coeffs)
+    rhs, linear = _sinr_data(topology, cell, theta, copies)
+
+    def at(level):
+        coeffs = {0: _sinr_rows(channels, topology, cell, level, prob.bases,
+                                copies)} if level is not None and (
+            len(prob.matrix_vars) > 1 or copies is not None) else None
+        return prob.updated(rhs(level), linear, coeffs=coeffs)
+    return at
 
 
 def assemble_qos_sdp(channels, topology):
@@ -375,7 +388,7 @@ def direction_system(channels, topology, V, cell=None, theta=None,
         own = [groups.index(topology.group_of_user[u]) for u in users]
         gains = direction_gains(channels.h[cell, users], V)
     # at level 1 the SINR rows' right-hand sides are the noise plus ICI
-    rhs = _sinr_data(topology, cell, 1.0, theta, None)[0]
+    rhs = _sinr_data(topology, cell, theta, None)[0](1.0)
     noise, caps = np.array(rhs[:len(users)]), rhs[len(users):]
     cap_gains = direction_gains(channels.h[
         cell, topology.out_of_cell_users(cell)], V) if caps \

@@ -78,7 +78,7 @@ def loop_sinr_system(channels, topology, cell=None, level=None, theta=None,
     for g, dim in zip(groups, dims):
         prob.add_psd_var(dim, name=f"W{g}")
     copy_slot = np.full((topology.B, topology.U), -1)
-    rhs, linear = _sinr_data(topology, cell, level, theta, copies)
+    rhs, linear = _sinr_data(topology, cell, theta, copies)
     if copies is not None:
         for j, u in zip(*np.nonzero(topology.ici_owned(cell).any(axis=0))):
             copy_slot[j, u] = prob.add_scalar_var(name=f"theta~({j}, {u})")
@@ -96,7 +96,7 @@ def loop_sinr_system(channels, topology, cell=None, level=None, theta=None,
         h = bases[k].conj().T @ channels.vec(b, u)
         return np.outer(h, h.conj())
 
-    rhs = iter(rhs)
+    rhs = iter(rhs(level))
     for u in users:
         t = topology.gamma[u] if level is None else level
         mats = {}

@@ -1,6 +1,7 @@
 """Max-min balancing: bisection contracts, oracles, dominance."""
 
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,8 @@ class TestProbeEarlyStop:
             return sol
 
         monkeypatch.setattr(conic.ipm, "solve", recording)
+        # every probe solved, as when the counts were pinned
+        unsettled(monkeypatch)
         topo, chans = two_cell(200)
         runs = [bisect_balance(chans, topo, epsilon=1e-3)]
         runs += [local_balance(b, chans, topo, 0.5, epsilon=1e-3)
@@ -642,6 +645,10 @@ class TestWarmProbes:
             dataclasses.replace(problem, start=None))])[0]
 
     def test_c08_probe_decisions_match_cold(self, monkeypatch):
+        # every probe solved, so that as many start warm as when the
+        # count was set
+        unsettled(monkeypatch)
+
         def run():
             for seed in range(4):
                 topo, chans = two_cell(200 + seed)
@@ -672,8 +679,8 @@ class TestWarmProbes:
         # oracle: the builder's channel span gives another path
         monkeypatch.setattr(balancing, "sinr_system", loop_sinr_system)
         monkeypatch.setattr(
-            balancing, "sinr_update",
-            lambda kept, channels, topology, cell, level, theta:
+            balancing, "sinr_levels",
+            lambda kept, channels, topology, cell, theta: lambda level:
             loop_sinr_system(channels, topology, cell=cell, level=level,
                              theta=theta, budget=True, objective=False)[0])
         config = parse_scenario(SCENARIOS / "balancing_small.json")
@@ -758,34 +765,97 @@ def workload_pipelines():
 
 
 def unsettled(patch):
-    """Patch out the settled probes: no earlier point meets any level."""
+    """Patch out the settled probes: no candidate of any source (a
+    feasible probe's covariances, an infeasible probe's final iterate,
+    either's principal part) meets any level."""
     patch.setattr(balancing, "_scaled_point",
-                  lambda prob, X, t, serving: (X, -np.inf))
+                  lambda prob, X, t, serving: (None, -np.inf))
 
 
 class TestSettledProbes:
-    """A probe at or below the level of the last feasible solve's
-    covariances, scaled into the budgets and caps, is settled by
-    checking them against its own rows instead of solving it."""
+    """A probe at or below the highest level that a point of an earlier
+    solve reaches, scaled into the budgets and caps, is settled by
+    checking that point against its own rows instead of solving it."""
 
     @pytest.mark.parametrize("runs", [c08_runs, workload_runs],
                              ids=["c08", "workload"])
     def test_settled_probes_match_cold(self, monkeypatch, runs):
-        settled = []
+        settled, decisions, sources = [], [], {}
         violation = balancing.point_violation
+        feasibility = conic.feasibility
+        scaled_point = balancing._scaled_point
+
+        def deciding(problem):
+            feasible, sol = yield from feasibility(problem)
+            decisions.append(feasible)
+            return feasible, sol
+
+        def scaling(prob, X, t, serving):
+            # the source of the point kept: the solve that offered it,
+            # feasible or infeasible, and its form, the solve's point
+            # itself or, when it is no multiple of it, the point's
+            # principal rank-one part
+            point, level = scaled_point(prob, X, t, serving)
+            flat = [M for stack in X for M in stack]
+            whole = all(np.allclose(P, np.trace(P).real / np.trace(M).real
+                                    * M, rtol=1e-12, atol=0.0)
+                        for P, M in zip(point, flat))
+            sources[id(point)] = point, (
+                "feasible" if decisions[-1] else "infeasible",
+                "point" if whole else "principal")
+            return point, level
 
         def recording(problem, sol):
             worst = violation(problem, sol)
             if worst <= ACCEPT_TOL:
-                settled.append(problem)
+                settled.append((problem, sources[id(sol.matrix_values)][1]))
             return worst
 
         with monkeypatch.context() as patch:
+            patch.setattr(conic, "feasibility", deciding)
+            patch.setattr(balancing, "_scaled_point", scaling)
             patch.setattr(balancing, "point_violation", recording)
             results = [run() for run in runs()]
         assert len(settled) == sum(res.decided for res in results) > 0
-        for problem in settled:
+        counts = Counter(source for _, source in settled)
+        # settled by a point an infeasible probe's last iterate offered,
+        # and by a principal part
+        assert sum(n for (solve, _), n in counts.items()
+                   if solve == "infeasible") > 0, counts
+        assert sum(n for (_, form), n in counts.items()
+                   if form == "principal") > 0, counts
+        for problem, _ in settled:
             assert TestWarmProbes.cold(problem)[0] is True
+
+    @pytest.mark.parametrize("a, b", [(3.0, 1.0), (1.0, 3.0), (0.2, 0.1)],
+                             ids=["principal", "point", "scaled-up"])
+    def test_scaled_point_closed_form(self, a, b):
+        # a one-user cell with no ICI: the budget p is its one limit, so
+        # a candidate X reaches s h'Xh / sigma^2 at scale s = p / tr X.
+        # With X = a uu' + b ww' (u along h, w orthogonal to it) the
+        # point reaches p a |h|^2 / ((a + b) sigma^2) and its principal
+        # part, a uu' or b ww', p |h|^2 / sigma^2 or 0
+        p, sigma2 = 2.0, 0.5
+        topo = build_topology(B=1, G=1, U=1, A=3, p_max=p, sigma2=sigma2)
+        chans = sample_channels(topo, 7)
+        h = chans.vec(0, 0)
+        prob = loop_sinr_system(chans, topo, cell=0, level=1.5, budget=True,
+                                objective=False)[0]
+        u = h / np.linalg.norm(h)
+        w = np.random.default_rng(1).standard_normal(3) + 0j
+        w -= np.vdot(u, w) * u
+        w /= np.linalg.norm(w)
+        X = a * np.outer(u, u.conj()) + b * np.outer(w, w.conj())
+        gain = np.linalg.norm(h) ** 2 / sigma2
+        point, level = balancing._scaled_point(prob, [X[None]], 1.5, [0])
+        if a > b:
+            expected = p * np.outer(u, u.conj())
+            assert level == pytest.approx(p * gain, rel=1e-12)
+        else:
+            expected = p / (a + b) * X
+            assert level == pytest.approx(p * a / (a + b) * gain, rel=1e-12)
+        assert np.allclose(point[0], expected, rtol=0.0, atol=1e-12)
+        assert np.trace(point[0]).real == pytest.approx(p, rel=1e-12)
 
     @pytest.mark.parametrize("runs", [c08_runs, workload_runs],
                              ids=["c08", "workload"])

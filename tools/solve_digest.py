@@ -46,8 +46,12 @@ A last line prints the number of full compiles, the constructions of
 ``ipm.CompiledProblem``, and of updated compiles, the calls of
 ``CompiledProblem.updated`` that derive a problem's compiled form from
 a kept one (``conic.compile_once``): how often the solves' rows were
-packed from scratch.  To check the solver of another tree, run this tool with its ``src`` on
-``PYTHONPATH``.
+packed from scratch.  Then, one line per scenario file, the number of
+bisection probes that were settled without a solve: the sum of
+``BisectionResult.decided`` over every ``balancing._sdr_bisect`` run of
+that file, read by wrapping it, so a change that settles more or fewer
+probes shows how many.  To check the solver of another tree, run this
+tool with its ``src`` on ``PYTHONPATH``.
 """
 
 import argparse
@@ -60,7 +64,7 @@ import os
 import numpy as np
 import scipy
 
-from cobeam import conic
+from cobeam import balancing, conic
 from cobeam.conic import ipm, problem
 from cobeam.experiment import parse_scenario, run_sweep
 
@@ -122,6 +126,7 @@ def main(argv=None):
     results, answers = hashlib.sha256(), hashlib.sha256()
     nrecords, nrows = 0, 0
     compiles = {"full": 0, "updated": 0}
+    settled = {}
 
     def recorded(solve_batch):
         def wrapper(problems):
@@ -157,14 +162,24 @@ def main(argv=None):
             return compile_(*args)
         return wrapper
 
+    def deciding(sdr_bisect):
+        def wrapper(*args, **kwargs):
+            result = yield from sdr_bisect(*args, **kwargs)
+            settled[path] += result.decided
+            return result
+        return wrapper
+
     originals = conic.solve_batch, ipm.solve_batch, ipm._solve_hsd
     conic.solve_batch, ipm.solve_batch = map(recorded, originals[:2])
     ipm._solve_hsd = counted(originals[2])
     compiled = ipm.CompiledProblem, problem.CompiledProblem.updated
     ipm.CompiledProblem = tallied("full", compiled[0])
     problem.CompiledProblem.updated = tallied("updated", compiled[1])
+    sdr_bisect = balancing._sdr_bisect
+    balancing._sdr_bisect = deciding(sdr_bisect)
     try:
         for path in args.scenarios:
+            settled[path] = 0
             config = parse_scenario(path)
             if args.trials is not None:
                 config.trials = args.trials
@@ -179,6 +194,7 @@ def main(argv=None):
     finally:
         conic.solve_batch, ipm.solve_batch, ipm._solve_hsd = originals
         ipm.CompiledProblem, problem.CompiledProblem.updated = compiled
+        balancing._sdr_bisect = sdr_bisect
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
@@ -191,6 +207,8 @@ def main(argv=None):
     print(f"records {nrecords} trace rows {nrows} without ipm_iterations "
           f"sha256 {answers.hexdigest()}")
     print(f"compiles {compiles['full']} full {compiles['updated']} updated")
+    for path, count in settled.items():
+        print(f"settled probes {count} in {path}")
 
 
 if __name__ == "__main__":
