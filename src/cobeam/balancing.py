@@ -146,8 +146,8 @@ def _scaled_point(prob, X, t, serving):
     row's served variable.  A SINR row reads the served covariance at H
     and every other one at -t H, with right-hand side t N, so at scale s
     its level is t s S / (s C + rhs), S the served term and C = t I the
-    other terms negated.  Each row family's stacks are read whole, one
-    contraction per variable for both candidates."""
+    other terms negated.  Both candidates' row terms come from one
+    :meth:`ConicProblem.row_terms` call."""
     pairs = []
     for stack in X:
         lam, vec = np.linalg.eigh(stack)
@@ -156,13 +156,7 @@ def _scaled_point(prob, X, t, serving):
             "k,ki,kj->kij", lam[:, -1], top, top.conj())]))
     X = [pair[:, j] for pair in pairs for j in range(pair.shape[1])]
     rhs = [v for fam in prob.families for v in fam.rhs]
-    terms = [[[0.0] * len(X) for _ in rhs] for _ in range(2)]
-    for fam in prob.families:
-        for i, (rows, F) in fam.matrix.items():
-            for part, vals in zip(terms, np.einsum(
-                    "rjk,ckj->cr", F, X[i]).real.tolist()):
-                for r, v in zip(rows, vals):
-                    part[fam.start + r][i] = v
+    terms = prob.row_terms(X).tolist()
     n, best = len(serving), (None, -np.inf)
     for c, rows in enumerate(terms):
         scale = min((cap / sum(row) for cap, row in zip(rhs[n:], rows[n:])

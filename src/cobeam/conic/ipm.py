@@ -523,15 +523,13 @@ def point_violation(problem, solution):
         worst = max(worst, -low / scale)
     if solution.scalar_values is not None and solution.scalar_values.size:
         worst = max(worst, -float(solution.scalar_values.min()))
-    for con in problem.constraints:
-        val = con.value(solution.matrix_values, solution.scalar_values)
-        if con.relation == ">=":
-            gap = con.rhs - val
-        elif con.relation == "<=":
-            gap = val - con.rhs
-        else:
-            gap = abs(val - con.rhs)
-        worst = max(worst, gap / max(1.0, abs(con.rhs), abs(val)))
+    vals = problem.row_terms(solution.matrix_values,
+                             solution.scalar_values).sum(axis=-1).tolist()
+    for fam in problem.families:
+        for rhs, val in zip(fam.rhs, vals[fam.start:]):
+            gap = {">=": rhs - val, "<=": val - rhs,
+                   "==": abs(val - rhs)}[fam.relation]
+            worst = max(worst, gap / max(1.0, abs(rhs), abs(val)))
     return worst
 
 
@@ -553,32 +551,28 @@ def verify_infeasibility_certificate(problem, weights):
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
-    sign_ok, cons = True, problem.constraints
-    for k, con in enumerate(cons):
-        wrong = (con.relation == ">=" and w[k] < 0) \
-            or (con.relation == "<=" and w[k] > 0)
-        if wrong:
-            sign_ok = sign_ok and abs(w[k]) <= CERTIFICATE_SIGN_TOL
-            w[k] = 0.0
-    viol = float(sum(w[k] * con.rhs
-                     for k, con in enumerate(cons)))
-    cone_ok = True
-    max_cone = -np.inf
+    wrong = np.array([{">=": -1.0, "<=": 1.0, "==": 0.0}[fam.relation]
+                      for fam in problem.families for _ in fam.rhs]) * w > 0
+    sign_ok = bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
+    w[wrong] = 0.0
+    viol = float(sum(wk * b for wk, b in zip(
+        w, (b for fam in problem.families for b in fam.rhs))))
+    cone_ok, max_cone = True, -np.inf
     for i, var in enumerate(problem.matrix_vars):
-        P = np.zeros((var.dim, var.dim), dtype=complex)
-        norm = size = 0.0
-        for k, con in enumerate(cons):
-            F = con.matrix_coeffs.get(i)
-            if F is not None:
-                P = P + w[k] * F
-                norm = max(norm, np.abs(F).max())
-                size += abs(w[k]) * np.linalg.norm(F)
+        # every row that reads X_i: its index and its coefficient
+        reads = [(fam.start, *fam.matrix[i]) for fam in problem.families
+                 if i in fam.matrix]
+        at = [start + r for start, rows, _ in reads for r in rows]
+        F = np.concatenate([np.zeros((0, var.dim, var.dim))]
+                           + [stack for _, _, stack in reads])
+        P = np.einsum("r,rjk->jk", w[at], F)
         top = float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[-1])
+        size = np.abs(w[at]) @ np.linalg.norm(F, axis=(1, 2))
         cone_ok = cone_ok and top <= AGGREGATE_ROUNDOFF * size
-        max_cone = max(max_cone, top / max(1.0, norm))
+        max_cone = max(max_cone, top / max(1.0, np.abs(F).max(initial=0.0)))
     for j in range(problem.num_scalars):
-        terms = [w[k] * con.scalar_coeffs.get(j, 0.0)
-                 for k, con in enumerate(cons)]
+        terms = [w[fam.start + r] * a for fam in problem.families
+                 for r, a in zip(*fam.scalars.get(j, ((), ())))]
         a = sum(terms)
         cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, terms))
         max_cone = max(max_cone, a)
@@ -903,8 +897,8 @@ def _infeasible_solution(compiled, y, iterations):
     weights = compiled.user_duals_signed(y)
     scale = max(np.abs(weights).max(), 1e-300)
     weights = weights / scale
-    viol = float(sum(w * con.rhs for w, con in
-                     zip(weights, compiled.source.constraints)))
+    viol = float(sum(w * b for w, b in zip(weights, (
+        b for fam in compiled.source.families for b in fam.rhs))))
     return ConicSolution(
         status=SolveStatus.INFEASIBLE, iterations=iterations,
         certificate={"weights": weights, "violation": viol})

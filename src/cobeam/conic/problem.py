@@ -13,7 +13,6 @@ Hermitian blocks; the solver does not use it.
 """
 
 import copy
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -63,21 +62,6 @@ class MatrixVar:
     name: str = ""
 
 
-class Constraint(namedtuple(
-        "Constraint", "matrix_coeffs scalar_coeffs relation rhs label")):
-    """One row, read from its :class:`RowFamily`; ``relation`` is one of
-    "<=", ">=", "=="."""
-
-    def value(self, matrix_values, scalar_values):
-        """The row's left-hand-side value at the given point."""
-        val = 0.0
-        for i, F in self.matrix_coeffs.items():
-            val += float(np.real(np.trace(F @ matrix_values[i])))
-        for j, a in self.scalar_coeffs.items():
-            val += a * float(scalar_values[j])
-        return val
-
-
 @dataclass(frozen=True)
 class RowFamily:
     """The rows of one :meth:`ConicProblem.add_constraints` call, the
@@ -85,7 +69,8 @@ class RowFamily:
     labels, and per variable the (rows, coefficients) of the rows that
     read it, rows counted from ``start``: a (len(rows), d, d) stack F
     per matrix variable in ``matrix``, a list of floats per scalar in
-    ``scalars``."""
+    ``scalars``.  No row appears twice in one stack.  The stacks are
+    read whole (:meth:`ConicProblem.row_terms`)."""
     start: int
     relation: str
     rhs: tuple
@@ -93,20 +78,12 @@ class RowFamily:
     matrix: dict
     scalars: dict
 
-    def row(self, r):
-        """The family's row r as a :class:`Constraint`."""
-        def read(coeffs):
-            return {i: c[rows.index(r)] for i, (rows, c) in coeffs.items()
-                    if r in rows}
-        return Constraint(read(self.matrix), read(self.scalars),
-                          self.relation, self.rhs[r], self.labels[r])
-
 
 @dataclass
 class ConicProblem:
     """Builder for one conic program instance.  Its rows are kept as
-    :class:`RowFamily` stacks, one per :meth:`add_constraints` call;
-    ``constraints`` reads them row by row."""
+    :class:`RowFamily` stacks, one per :meth:`add_constraints` call, in
+    row order; :meth:`row_terms` evaluates them a family at a time."""
 
     matrix_vars: list = field(default_factory=list)
     num_scalars: int = 0
@@ -128,12 +105,6 @@ class ConicProblem:
     # when the variable X stands for Q X Q^H of a larger space, else None
     # (``power_min.covariances`` lifts); a solve never reads it
     bases: list = field(default=None, repr=False, compare=False)
-
-    @property
-    def constraints(self):
-        """Every row in order, each a read-only :class:`Constraint`."""
-        return tuple(fam.row(r) for fam in self.families
-                     for r in range(len(fam.rhs)))
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:
@@ -242,11 +213,13 @@ class ConicProblem:
 
     @staticmethod
     def _positions(rows, m, coeffs):
-        """Row positions as a list, checked to lie in 0..m-1 and to pair
-        off with ``coeffs``."""
+        """Row positions as a list, checked to lie in 0..m-1, to differ
+        and to pair off with ``coeffs``."""
         rows = np.asarray(rows, dtype=int)
         if rows.size and not 0 <= rows.min() <= rows.max() < m:
             raise ValueError(f"row positions {rows} outside 0..{m - 1}")
+        if len(set(rows.tolist())) < len(rows):
+            raise ValueError(f"repeated row positions {rows}")
         if len(rows) != len(coeffs):
             raise ValueError(f"{len(rows)} row positions for "
                              f"{len(coeffs)} coefficients")
@@ -265,10 +238,26 @@ class ConicProblem:
     def num_vars(self):
         return len(self.matrix_vars) + self.num_scalars
 
-    def evaluate_constraint(self, k, matrix_values, scalar_values):
-        """Left-hand-side value of constraint k at the given point."""
-        fam = next(f for f in reversed(self.families) if f.start <= k)
-        return fam.row(k - fam.start).value(matrix_values, scalar_values)
+    def row_terms(self, matrix_values, scalar_values=None):
+        """The rows' terms at a stack of points, (..., m, n + 1) for m
+        rows and n matrix variables: column i holds Tr(F_i X_i), 0 where
+        a row does not read X_i, and the last the scalar terms sum_j a_j
+        y_j.  ``matrix_values`` holds one (..., d, d) stack per matrix
+        variable, ``scalar_values`` is (..., num_scalars), or None when
+        no row reads a scalar.  One contraction per family and variable."""
+        lead = np.shape(matrix_values[0])[:-2] if matrix_values \
+            else np.shape(scalar_values)[:-1]
+        m = sum(len(fam.rhs) for fam in self.families)
+        out = np.zeros(lead + (m, len(self.matrix_vars) + 1))
+        for fam in self.families:
+            part = out[..., fam.start:fam.start + len(fam.rhs), :]
+            for i, (rows, F) in fam.matrix.items():
+                part[..., rows, i] = np.einsum(
+                    "rjk,...kj->...r", F, matrix_values[i]).real
+            for j, (rows, a) in fam.scalars.items():
+                part[..., rows, -1] += np.multiply.outer(
+                    scalar_values[..., j], a)
+        return out
 
     def evaluate_objective(self, matrix_values, scalar_values):
         val = 0.0
@@ -543,11 +532,14 @@ def dump_problem(problem):
         lines.append(f"  scalar {j} {v:.17g}")
     for j, v in sorted(problem.obj_scalar_quad.items()):
         lines.append(f"  scalar-quad {j} {v:.17g}")
-    for k, con in enumerate(problem.constraints):
-        lines.append(f"constraint {k} rel {con.relation} "
-                     f"rhs {con.rhs:.17g} label {con.label!r}")
-        for i, F in sorted(con.matrix_coeffs.items()):
-            lines.extend(mat_entries("trace", i, F))
-        for j, a in sorted(con.scalar_coeffs.items()):
-            lines.append(f"  scalar {j} {a:.17g}")
+    for fam in problem.families:
+        for r, (rhs, label) in enumerate(zip(fam.rhs, fam.labels)):
+            lines.append(f"constraint {fam.start + r} rel {fam.relation} "
+                         f"rhs {rhs:.17g} label {label!r}")
+            for i, (rows, F) in sorted(fam.matrix.items()):
+                if r in rows:
+                    lines.extend(mat_entries("trace", i, F[rows.index(r)]))
+            for j, (rows, a) in sorted(fam.scalars.items()):
+                if r in rows:
+                    lines.append(f"  scalar {j} {a[rows.index(r)]:.17g}")
     return "\n".join(lines) + "\n"

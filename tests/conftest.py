@@ -27,12 +27,19 @@ def unembed_matrix(emb):
     return re + 1j * im
 
 
+def row_data(problem):
+    """Each row's (relation, right-hand side) in row order, read from
+    the problem's row families."""
+    return [(fam.relation, b) for fam in problem.families for b in fam.rhs]
+
+
 def embed_hermitian(problem):
     """Rewrite complex-Hermitian matrix variables as real 2d x 2d blocks,
     the independent check of the solver's native Hermitian blocks.
 
     Every Hermitian coefficient H becomes embed(H)/2, which keeps all
-    trace products (hence objective and constraint values) identical.
+    trace products (hence objective and constraint values) identical;
+    each row family's stacks are lowered whole.
     Real problems pass through block-duplicated but otherwise unchanged.
     """
     out = ConicProblem()
@@ -51,10 +58,10 @@ def embed_hermitian(problem):
     out.obj_matrix = {i: lower(i, C) for i, C in problem.obj_matrix.items()}
     out.obj_scalar = dict(problem.obj_scalar)
     out.obj_scalar_quad = dict(problem.obj_scalar_quad)
-    for con in problem.constraints:
-        out.add_constraint(
-            {i: lower(i, F) for i, F in con.matrix_coeffs.items()},
-            con.scalar_coeffs, con.relation, con.rhs, con.label)
+    for fam in problem.families:
+        out.add_constraints(
+            {i: (rows, lower(i, F)) for i, (rows, F) in fam.matrix.items()},
+            fam.scalars, fam.relation, fam.rhs, fam.labels)
     return out
 
 

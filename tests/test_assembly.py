@@ -28,6 +28,18 @@ from cobeam.network import ChannelSet, build_topology, sample_channels
 from cobeam.power_min import covariances, sinr_system, sinr_update
 
 
+def rows_of(problem):
+    """Each row's label, relation, right-hand side, scalar coefficients
+    {j: a} and matrix coefficients {i: F}, read from its row family."""
+    def read(fam, r, coeffs):
+        return {i: c[rows.index(r)] for i, (rows, c) in coeffs.items()
+                if r in rows}
+    return [(label, fam.relation, rhs, read(fam, r, fam.scalars),
+             read(fam, r, fam.matrix))
+            for fam in problem.families
+            for r, (label, rhs) in enumerate(zip(fam.labels, fam.rhs))]
+
+
 def assert_same_problem(got, want):
     assert got.matrix_vars == want.matrix_vars
     assert got.scalar_names == want.scalar_names
@@ -36,13 +48,13 @@ def assert_same_problem(got, want):
     assert got.obj_matrix.keys() == want.obj_matrix.keys()
     for i, C in want.obj_matrix.items():
         assert np.array_equal(got.obj_matrix[i], C)
-    assert len(got.constraints) == len(want.constraints)
-    for g, w in zip(got.constraints, want.constraints):
-        assert (g.label, g.relation, g.rhs, g.scalar_coeffs) \
-            == (w.label, w.relation, w.rhs, w.scalar_coeffs)
-        assert g.matrix_coeffs.keys() == w.matrix_coeffs.keys(), w.label
-        for i, F in w.matrix_coeffs.items():
-            assert np.array_equal(g.matrix_coeffs[i], F), (w.label, i)
+    got_rows, want_rows = rows_of(got), rows_of(want)
+    assert len(got_rows) == len(want_rows)
+    for (*g, g_mats), (*w, w_mats) in zip(got_rows, want_rows):
+        assert g == w
+        assert g_mats.keys() == w_mats.keys(), w[0]
+        for i, F in w_mats.items():
+            assert np.array_equal(g_mats[i], F), (w[0], i)
     got, want = CompiledProblem(got), CompiledProblem(want)
     for name in ("A", "b", "c", "qdiag", "row_scale"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name

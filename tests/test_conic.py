@@ -21,7 +21,8 @@ from cobeam.balancing import single_user_upper_bound
 from cobeam.distributed import assemble_admm_local, assemble_subproblem
 from cobeam.network import build_topology, sample_channels
 from cobeam.power_min import assemble_qos_sdp, sinr_system
-from conftest import embed_hermitian, embed_matrix, unembed_matrix
+from conftest import (embed_hermitian, embed_matrix, row_data,
+                      unembed_matrix)
 
 
 def rand_channel(rng, dim):
@@ -414,16 +415,16 @@ class TestSolverInvariants:
             assert sol.status is SolveStatus.OPTIMAL
             # dual objective = sum_k dual_k * rhs_k (with <= rows negated)
             dobj = 0.0
-            for k, con in enumerate(prob.constraints):
-                sgn = -1.0 if con.relation == "<=" else 1.0
-                dobj += sgn * sol.duals[k] * con.rhs
+            for k, (rel, rhs) in enumerate(row_data(prob)):
+                sgn = -1.0 if rel == "<=" else 1.0
+                dobj += sgn * sol.duals[k] * rhs
             assert dobj <= sol.objective + 1e-6 * (1 + abs(sol.objective))
-            for k, con in enumerate(prob.constraints):
-                lhs = prob.evaluate_constraint(
-                    k, sol.matrix_values, sol.scalar_values)
-                slack = lhs - con.rhs
+            lhs = prob.row_terms(sol.matrix_values,
+                                 sol.scalar_values).sum(axis=-1)
+            for k, (rel, rhs) in enumerate(row_data(prob)):
+                slack = lhs[k] - rhs
                 assert abs(sol.duals[k] * slack) <= 1e-6
-                if con.relation in (">=", "<="):
+                if rel in (">=", "<="):
                     assert sol.duals[k] >= -1e-9
 
     def test_objective_scaling(self):
@@ -594,12 +595,143 @@ class TestConstruction:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(prob)
 
+    def test_repeated_row_positions(self):
+        prob = ConicProblem()
+        prob.add_psd_var(2, complex=False)
+        j = prob.add_scalar_var()
+        with pytest.raises(ValueError, match="repeated row positions"):
+            prob.add_constraints(
+                matrix={0: ([0, 0], [np.diag([1.0, 0.0]),
+                                     np.diag([0.0, 1.0])])},
+                rel=">=", rhs=[1.0])
+        with pytest.raises(ValueError, match="repeated row positions"):
+            prob.add_constraints(scalars={j: ([1, 1], [1.0, 2.0])},
+                                 rel="<=", rhs=[1.0, 2.0])
+        assert not prob.families
+
     def test_dump_is_self_describing(self):
         prob = single_user_qos(np.array([1.0, 1j]), 2.0, 1.0)
         text = dump_problem(prob)
         assert "psd-var 0 dim 2" in text
         assert "constraint 0 rel >=" in text
         assert "objective minimize" in text
+
+
+def random_rows(seed):
+    """A problem of three row families, one per relation, over real and
+    Hermitian variables and scalars, each family's stacks reading some
+    of its rows in a random order; also the same rows one
+    :meth:`ConicProblem.add_constraint` call each, and the rows as
+    (relation, rhs, {i: F}, {j: a}) in order."""
+    rng = np.random.default_rng(seed)
+    stacked, single, rows = ConicProblem(), ConicProblem(), []
+    kinds = [(int(rng.integers(1, 4)), bool(rng.integers(2)))
+             for _ in range(rng.integers(1, 4))]
+    n_scalars = int(rng.integers(1, 3))
+    for prob in (stacked, single):
+        for d, herm in kinds:
+            prob.add_psd_var(d, complex=herm)
+        for _ in range(n_scalars):
+            prob.add_scalar_var()
+    for rel in rng.permutation(["<=", ">=", "=="]):
+        m = int(rng.integers(1, 5))
+        rhs = rng.standard_normal(m).tolist()
+        matrix, scalars = {}, {}
+        # the stacks in a shuffled variable order, each single row's
+        # coefficients sorted: dump_problem must print them sorted
+        for i in rng.permutation(len(kinds)).tolist():
+            var = stacked.matrix_vars[i]
+            if rng.random() < 0.7:
+                at = rng.permutation(m)[:rng.integers(1, m + 1)].tolist()
+                M = rng.standard_normal((len(at), var.dim, var.dim))
+                if var.complex:
+                    M = M + 1j * rng.standard_normal(M.shape)
+                matrix[i] = (at, M + M.conj().swapaxes(1, 2))
+        for j in range(n_scalars):
+            if rng.random() < 0.7:
+                at = rng.permutation(m)[:rng.integers(1, m + 1)].tolist()
+                scalars[j] = (at, rng.standard_normal(len(at)).tolist())
+        labels = [f"{rel}{r}" for r in range(m)]
+        stacked.add_constraints(matrix, scalars, rel, rhs, labels)
+        for r in range(m):
+            row = [{i: c[at.index(r)] for i, (at, c) in sorted(
+                part.items()) if r in at} for part in (matrix, scalars)]
+            single.add_constraint(*row, rel, rhs[r], labels[r])
+            rows.append((rel, rhs[r], *row))
+    return stacked, single, rows
+
+
+class TestRowFamilies:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_terms_match_a_row_loop(self, seed):
+        prob, _, rows = random_rows(seed)
+        rng = np.random.default_rng(100 + seed)
+        X = []
+        for var in prob.matrix_vars:
+            M = rng.standard_normal((3, var.dim, var.dim))
+            if var.complex:
+                M = M + 1j * rng.standard_normal(M.shape)
+            X.append(M @ M.conj().swapaxes(1, 2))
+        y = rng.random((3, prob.num_scalars))
+        terms = prob.row_terms(X, y)
+        assert terms.shape == (3, len(rows), len(X) + 1)
+        for p in range(3):
+            want = np.zeros((len(rows), len(X) + 1))
+            for k, (_, _, mats, scalars) in enumerate(rows):
+                for i, F in mats.items():
+                    want[k, i] = np.real(np.trace(F @ X[i][p]))
+                want[k, -1] = sum(a * y[p, j] for j, a in scalars.items())
+            np.testing.assert_allclose(terms[p], want, rtol=1e-12,
+                                       atol=1e-12)
+            one = prob.row_terms([M[p] for M in X], y[p])
+            np.testing.assert_allclose(one, want, rtol=1e-12, atol=1e-12)
+            # the point's violation, read row by row
+            worst = max([0.0] + [max(-np.linalg.eigvalsh(M[p])[0], 0.0)
+                                 / max(1.0, np.trace(M[p]).real)
+                                 for M in X] + [-y[p].min(initial=0.0)])
+            for (rel, rhs, _, _), val in zip(rows, want.sum(axis=1)):
+                gap = {">=": rhs - val, "<=": val - rhs,
+                       "==": abs(val - rhs)}[rel]
+                worst = max(worst, gap / max(1.0, abs(rhs), abs(val)))
+            sol = ipm.ConicSolution(SolveStatus.OPTIMAL,
+                                    matrix_values=[M[p] for M in X],
+                                    scalar_values=y[p])
+            assert point_violation(prob, sol) == pytest.approx(
+                worst, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_certificate_matches_a_row_loop(self, seed):
+        prob, _, rows = random_rows(seed)
+        rng = np.random.default_rng(200 + seed)
+        sense = np.array([{">=": 1.0, "<=": -1.0, "==": 0.0}[rel]
+                          for rel, *_ in rows])
+        w = np.where(sense == 0.0, rng.standard_normal(len(rows)),
+                     sense * rng.random(len(rows)))
+        w[rng.integers(len(rows))] *= -1e-12   # one tiny wrong sign
+        got = verify_infeasibility_certificate(prob, w)
+        w = w / np.abs(w).max()
+        w[sense * w < 0] = 0.0
+        want = [np.real(np.linalg.eigvalsh(sum(
+            (wk * mats[i] for wk, (_, _, mats, _) in zip(w, rows)
+             if i in mats), np.zeros((var.dim, var.dim)))))[-1]
+            / max([1.0] + [np.abs(mats[i]).max() for _, _, mats, _ in rows
+                           if i in mats])
+            for i, var in enumerate(prob.matrix_vars)]
+        want += [sum(wk * scalars.get(j, 0.0)
+                     for wk, (_, _, _, scalars) in zip(w, rows))
+                 for j in range(prob.num_scalars)]
+        assert got["signs_ok"]
+        assert got["violation"] == float(sum(
+            wk * rhs for wk, (_, rhs, _, _) in zip(w, rows)))
+        assert got["max_cone_value"] == pytest.approx(
+            max(want, default=-np.inf), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stacked_dump_is_the_row_by_row_dump(self, seed):
+        stacked, single, rows = random_rows(seed)
+        assert len(stacked.families) == 3
+        assert len(single.families) == len(rows)
+        assert dump_problem(stacked) == dump_problem(single)
 
 
 class TestRandomHealth:
@@ -893,7 +1025,7 @@ class TestOrthantFloor:
         assert [m.shape for m in sol.matrix_values] \
             == [(v.dim, v.dim) for v in prob.matrix_vars]
         assert sol.scalar_values.shape == (prob.num_scalars,)
-        assert sol.duals.shape == (len(prob.constraints),)
+        assert sol.duals.shape == (len(row_data(prob)),)
         assert sol.objective == prob.evaluate_objective(sol.matrix_values,
                                                         sol.scalar_values)
         iterate = sol.iterate

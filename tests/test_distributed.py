@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import row_data
 
 from cobeam import conic
 from cobeam.backhaul import (MessageBus, gr_gain_signaling_load,
@@ -86,8 +87,8 @@ class TestSubproblem:
     def test_zero_caps_mean_nulling_rows(self):
         topo, chans = small_scenario(2)
         prob = assemble_subproblem(0, chans, topo, on_pairs(topo, 0.0))
-        caps = [c for c in prob.constraints if c.relation == "<="]
-        assert caps and all(c.rhs == 0.0 for c in caps)
+        caps = [rhs for rel, rhs in row_data(prob) if rel == "<="]
+        assert caps and all(rhs == 0.0 for rhs in caps)
 
 
 class TestSubgradient:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import row_data
 
 from cobeam import conic
 from cobeam.errors import RandomizationFailureError
@@ -20,21 +21,21 @@ class TestAssembly:
         chans = sample_channels(topo, 0)
         prob = assemble_qos_sdp(chans, topo)
         assert len(prob.matrix_vars) == 1
-        assert len(prob.constraints) == 1
+        assert len(row_data(prob)) == 1
 
     def test_paper_figure_setup(self):
         topo = build_topology(B=2, G=4, U=8, A=12)
         chans = sample_channels(topo, 0)
         prob = assemble_qos_sdp(chans, topo)
         assert len(prob.matrix_vars) == 4
-        assert len(prob.constraints) == 8
+        assert len(row_data(prob)) == 8
 
     def test_one_constraint_per_user(self):
         for (B, G, U) in [(1, 2, 6), (2, 2, 4), (3, 3, 9)]:
             topo = build_topology(B=B, G=G, U=U, A=4)
             chans = sample_channels(topo, 1)
             prob = assemble_qos_sdp(chans, topo)
-            assert len(prob.constraints) == U
+            assert len(row_data(prob)) == U
             for u in range(U):
                 assert prob.constraint_index(("sinr", u)) == u
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import row_data
 from hypothesis import strategies as st
 
 from cobeam.conic import (ConicProblem, SolveStatus, check_feasibility, solve,
@@ -116,8 +117,8 @@ def cases(draw):
 
 def dual_objective(problem, duals):
     """sum_k y_k b_k with the solver's sign convention on <= rows."""
-    return sum((-d if con.relation == "<=" else d) * con.rhs
-               for d, con in zip(duals, problem.constraints))
+    return sum((-d if rel == "<=" else d) * rhs
+               for d, (rel, rhs) in zip(duals, row_data(problem)))
 
 
 @SETTINGS

@@ -28,9 +28,13 @@ A third line prints the count and the sum of ``iterations`` over every
 solve, which shows how much interior-point work the same solves took,
 and a fourth the sum of ``stats["refine_passes"]``, the corrector's
 refinement passes (nan for a solver that does not count them).  A
-fifth line prints the sum over every solve of its PSD block orders, the
+fifth line, ``screen exits <point> point <farkas> farkas``, sums
+``stats["point_stop"]`` and ``stats["farkas_stop"]`` over every solve:
+how many zero-objective solves a confirmed feasible point or Farkas
+certificate ended early, so a moved screen exit shows by its kind.  A
+sixth line prints the sum over every solve of its PSD block orders, the
 dimensions of its matrix variables: how large the solved systems were,
-such as how far ``sinr_system``'s channel spans shrank them.  A sixth
+such as how far ``sinr_system``'s channel spans shrank them.  A seventh
 line prints the number of lockstep runs, the calls of ``ipm._solve_hsd``
 that ``solve_batch`` makes, one per group of problems it stacks, and the
 sum of their loop iterations, each run's largest ``iterations``: fewer
@@ -122,6 +126,7 @@ def main(argv=None):
         parser.error("--trials must be >= 1")
     print(f"blas numpy {blas_kernel(np)} scipy {blas_kernel(scipy)}")
     digest, hashes, iterations, passes = hashlib.sha256(), [], 0, 0
+    stops = {"point_stop": 0, "farkas_stop": 0}
     orders, runs, loops = 0, 0, 0
     results, answers = hashlib.sha256(), hashlib.sha256()
     nrecords, nrows = 0, 0
@@ -137,6 +142,8 @@ def main(argv=None):
             for sol in sols:
                 iterations += sol.iterations
                 passes += sol.stats.get("refine_passes", math.nan)
+                for kind in stops:
+                    stops[kind] += sol.stats.get(kind, 0)
                 fields = [sol.status.value, sol.iterations, sol.objective,
                           sol.matrix_values, sol.scalar_values, sol.duals,
                           sol.kkt, sol.stats, sol.certificate]
@@ -200,6 +207,8 @@ def main(argv=None):
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
     print(f"solves {len(hashes)} iterations {iterations}")
     print(f"solves {len(hashes)} refine passes {passes}")
+    print(f"screen exits {stops['point_stop']} point "
+          f"{stops['farkas_stop']} farkas")
     print(f"solves {len(hashes)} psd block orders {orders}")
     print(f"lockstep runs {runs} loop iterations {loops}")
     print(f"records {nrecords} trace rows {nrows} sha256 "
