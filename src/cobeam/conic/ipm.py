@@ -560,11 +560,12 @@ def verify_infeasibility_certificate(problem, weights):
     cone_ok, max_cone = True, -np.inf
     for i, var in enumerate(problem.matrix_vars):
         # every row that reads X_i: its index and its coefficient
-        reads = [(fam.start, *fam.matrix[i]) for fam in problem.families
-                 if i in fam.matrix]
-        at = [start + r for start, rows, _ in reads for r in rows]
+        reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
+                 for fam in problem.families if i in fam.matrix]
+        at = np.concatenate([np.zeros(0, np.intp)]
+                            + [rows for rows, _ in reads])
         F = np.concatenate([np.zeros((0, var.dim, var.dim))]
-                           + [stack for _, _, stack in reads])
+                           + [stack for _, stack in reads])
         P = np.einsum("r,rjk->jk", w[at], F)
         top = float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[-1])
         size = np.abs(w[at]) @ np.linalg.norm(F, axis=(1, 2))

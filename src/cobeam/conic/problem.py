@@ -67,10 +67,10 @@ class RowFamily:
     """The rows of one :meth:`ConicProblem.add_constraints` call, the
     problem's rows ``start`` on: their relation, right-hand sides and
     labels, and per variable the (rows, coefficients) of the rows that
-    read it, rows counted from ``start``: a (len(rows), d, d) stack F
-    per matrix variable in ``matrix``, a list of floats per scalar in
-    ``scalars``.  No row appears twice in one stack.  The stacks are
-    read whole (:meth:`ConicProblem.row_terms`)."""
+    read it, rows an index array counted from ``start``: a (len(rows),
+    d, d) stack F per matrix variable in ``matrix``, a list of floats
+    per scalar in ``scalars``.  No row appears twice in one stack.  The
+    stacks are read whole (:meth:`ConicProblem.row_terms`)."""
     start: int
     relation: str
     rhs: tuple
@@ -195,9 +195,12 @@ class ConicProblem:
         ``len(rhs)`` rows, new linear scalar costs ``scalar`` ({j: c_j})
         and new coefficients ``coeffs`` {f: (matrix, scalars)} of family
         f, in the form of :meth:`add_constraints`.  It shares every other
-        family's coefficients and ``compiled``, whose
-        :meth:`CompiledProblem.updated` packs only the new ones."""
+        family's coefficients, and ``compiled`` unless ``coeffs`` are
+        given.  More right-hand sides than rows raise ValueError."""
         rhs, coeffs, families = [float(v) for v in rhs], coeffs or {}, []
+        m = sum(len(fam.rhs) for fam in self.families)
+        if len(rhs) > m:
+            raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
         for f, fam in enumerate(self.families):
             changes = dict(zip(("matrix", "scalars"), self._stacks(
                 *coeffs[f], len(fam.rhs)))) if f in coeffs else {}
@@ -207,15 +210,16 @@ class ConicProblem:
             families.append(replace(fam, **changes) if changes else fam)
         new = object.__new__(ConicProblem)
         new.__dict__.update(self.__dict__, obj_scalar=dict(self.obj_scalar),
-                            families=families)
+                            families=families,
+                            compiled=None if coeffs else self.compiled)
         new.set_objective(scalar=scalar)
         return new
 
     @staticmethod
     def _positions(rows, m, coeffs):
-        """Row positions as a list, checked to lie in 0..m-1, to differ
-        and to pair off with ``coeffs``."""
-        rows = np.asarray(rows, dtype=int)
+        """Row positions as an index array, checked to lie in 0..m-1, to
+        differ and to pair off with ``coeffs``."""
+        rows = np.asarray(rows, dtype=np.intp)
         if rows.size and not 0 <= rows.min() <= rows.max() < m:
             raise ValueError(f"row positions {rows} outside 0..{m - 1}")
         if len(set(rows.tolist())) < len(rows):
@@ -223,7 +227,7 @@ class ConicProblem:
         if len(rows) != len(coeffs):
             raise ValueError(f"{len(rows)} row positions for "
                              f"{len(coeffs)} coefficients")
-        return rows.tolist()
+        return rows
 
     def _check_scalar(self, j):
         if not 0 <= j < self.num_scalars:
@@ -330,9 +334,8 @@ class CompiledProblem:
     problems of one lockstep batch share.
     Each row family's stacks go into the rows whole.  The unscaled rows
     and their max-abs values are built once, and :meth:`updated` shares
-    them with a problem that differs in its right-hand sides, its linear
-    scalar costs or the coefficients of some families, whose rows alone
-    it packs anew.
+    them with a problem that differs only in its right-hand sides and
+    linear scalar costs.
 
     A problem with a nonzero objective and an orthant of fewer than
     :data:`ORTHANT_FLOOR` entries gets ``n_pad`` pad entries after its
@@ -368,7 +371,7 @@ class CompiledProblem:
         self.degree = lay.degree - self.n_pad
 
         # its scalar costs are set with the right-hand sides (_scale)
-        self.c = self._pack(1, [(0, {i: ([0], C[None]) for i, C in
+        self.c = self._pack(1, [(0, {i: (np.array([0]), C[None]) for i, C in
                                      problem.obj_matrix.items()}, {})])[0][0]
         self.qdiag = np.zeros(lay.nonneg)
         for j, q in problem.obj_scalar_quad.items():
@@ -379,38 +382,23 @@ class CompiledProblem:
             (fam.start, fam.matrix, fam.scalars) for fam in problem.families])
         # a Hermitian block's packed entries are sqrt(2) times those of
         # its embedding
-        self.embedded = np.ones(lay.size)
+        embedded = np.ones(lay.size)
         for run in lay.runs:
             if run.complex:
-                self.embedded[run.span] = 1.0 / np.sqrt(2.0)
-        self.row_max = (np.abs(self.rows) * self.embedded).max(axis=1)
+                embedded[run.span] = 1.0 / np.sqrt(2.0)
+        self.row_max = (np.abs(self.rows) * embedded).max(axis=1)
         self.shape = (lay.psd_dims, lay.psd_complex, lay.nonneg, m)
         self.own_shape = (lay.psd_dims, lay.psd_complex, own, m)
         self._scale()
 
     def updated(self, source):
-        """This compiled form of ``source``, a problem of the same shape
-        whose families differ from those of this one's source in their
-        right-hand sides or coefficients, or that has other linear scalar
-        costs (:meth:`ConicProblem.updated`).  A family with other
-        coefficient stacks has its rows and their max-abs values packed
-        anew, into new arrays: the arrays this compile holds are never
+        """This compiled form of ``source``, a problem with this one's
+        coefficients at other right-hand sides or linear scalar costs
+        (:meth:`ConicProblem.updated`).  It shares this compile's rows
+        and scales them anew; the arrays this compile holds are never
         written, so several updates of it can be solved at once."""
         new = copy.copy(self)
         new.source, new.c = source, self.c.copy()
-        for fam, old in zip(source.families, self.source.families):
-            if fam.matrix is old.matrix and fam.scalars is old.scalars:
-                continue
-            rows, stacks = new._pack(len(fam.rhs),
-                                     [(0, fam.matrix, fam.scalars)])
-
-            def spliced(whole, part):
-                return np.concatenate([whole[:fam.start], part,
-                                       whole[fam.start + len(part):]])
-            new.rows = spliced(new.rows, rows)
-            new.row_max = spliced(new.row_max,
-                                  (np.abs(rows) * self.embedded).max(axis=1))
-            new.blocks = list(map(spliced, new.blocks, stacks))
         new._scale()
         return new
 
@@ -448,10 +436,9 @@ class CompiledProblem:
         for start, matrix, scalars in parts:
             for i, (at, F) in matrix.items():
                 stack, j, complex_ = place[i]
-                stack[[start + r for r in at], j] = 0.5 * F if complex_ \
-                    else np.real(F)
+                stack[start + at, j] = 0.5 * F if complex_ else np.real(F)
             for j, (at, a) in scalars.items():
-                rows[[start + r for r in at], self.scalar_off + j] = a
+                rows[start + at, self.scalar_off + j] = a
         for run, stack in zip(lay.runs, stacks):
             rows[:, run.span] = svec(stack).reshape(
                 m, run.span.stop - run.span.start)
@@ -537,9 +524,9 @@ def dump_problem(problem):
             lines.append(f"constraint {fam.start + r} rel {fam.relation} "
                          f"rhs {rhs:.17g} label {label!r}")
             for i, (rows, F) in sorted(fam.matrix.items()):
-                if r in rows:
-                    lines.extend(mat_entries("trace", i, F[rows.index(r)]))
+                for k in np.flatnonzero(rows == r):
+                    lines.extend(mat_entries("trace", i, F[k]))
             for j, (rows, a) in sorted(fam.scalars.items()):
-                if r in rows:
-                    lines.append(f"  scalar {j} {a[rows.index(r)]:.17g}")
+                for k in np.flatnonzero(rows == r):
+                    lines.append(f"  scalar {j} {a[k]:.17g}")
     return "\n".join(lines) + "\n"

@@ -251,8 +251,12 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     noise power), and never fall below :func:`_theta_floor`; the run
     stops once no cap moves by more than ``STOP_TOL``.  ``common_theta`` moves one cap shared by
     every pair along the summed prices, which each BS holds only at
-    B = 2; more cells raise :class:`ConfigurationError`.
+    B = 2; more cells raise :class:`ConfigurationError`, as do
+    ``max_iters`` < 1 and ``step`` <= 0.
     """
+    if max_iters < 1 or not step > 0:
+        raise ConfigurationError(f"max_iters must be >= 1 and step > 0 "
+                                 f"(got {max_iters}, {step})")
     if common_theta and topology.B > 2:
         raise ConfigurationError(
             f"common_theta needs B = 2 (got B={topology.B}): no BS "
@@ -398,8 +402,12 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     alone can be small long before the caps stop moving.  The
     returned solution is restored at the final global ICI values, floored
     at :func:`_theta_floor`, so it is feasible for the true coupled
-    problem.
+    problem.  ``max_iters`` < 1 or ``rho`` <= 0 raise
+    :class:`ConfigurationError`.
     """
+    if max_iters < 1 or not rho > 0:
+        raise ConfigurationError(f"max_iters must be >= 1 and rho > 0 "
+                                 f"(got {max_iters}, {rho})")
     mask = topology.ici_mask()
     theta = np.where(mask, float(np.mean(topology.sigma2)), 0.0)
     # owner rows: 0 interferer, 1 serving BS

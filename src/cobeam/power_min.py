@@ -231,8 +231,8 @@ def sinr_levels(prob, channels, topology, cell, theta=None, copies=None):
     (:meth:`ConicProblem.updated`), their fixed part built once.  Where
     a level also scales -t H blocks (of several groups) or the -t
     weights of copies, its SINR family is built anew in ``prob``'s
-    bases, as :func:`sinr_system` builds it; every other family keeps
-    its coefficients, and a kept compile packs only the new family."""
+    bases, as :func:`sinr_system` builds it, and its solve compiles
+    anew; every other family keeps its coefficients."""
     rhs, linear = _sinr_data(topology, cell, theta, copies)
 
     def at(level):

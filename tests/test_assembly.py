@@ -32,8 +32,8 @@ def rows_of(problem):
     """Each row's label, relation, right-hand side, scalar coefficients
     {j: a} and matrix coefficients {i: F}, read from its row family."""
     def read(fam, r, coeffs):
-        return {i: c[rows.index(r)] for i, (rows, c) in coeffs.items()
-                if r in rows}
+        return {i: c[k] for i, (rows, c) in coeffs.items()
+                for k in np.flatnonzero(rows == r)}
     return [(label, fam.relation, rhs, read(fam, r, fam.scalars),
              read(fam, r, fam.matrix))
             for fam in problem.families

@@ -1,7 +1,8 @@
 """Cells compiled once: an updated cell's compiled form equals a fresh
 compile of the problem rebuilt from the channels, bit for bit, the PD
-and ADMM rounds build each BS's rows once per run, and a bisection
-compiles its probes once."""
+and ADMM rounds build each BS's rows once per run, and a one-group
+cell's bisection compiles its probes once, while a probe with a SINR
+family of its own compiles anew."""
 
 import dataclasses
 
@@ -147,6 +148,57 @@ class TestUpdatedCell:
         assert_same_compile(kept, assemble_subproblem(0, chans, topo, 1.0))
 
 
+class TestKeptCompile:
+    """A kept compile serves the coefficients it was compiled from, at
+    any right-hand sides and linear scalar costs."""
+
+    def test_new_coefficients_drop_it(self):
+        topo, chans = scenario(11, p_max=10.0)
+
+        def probe(t):
+            return sinr_system(chans, topo, level=t, budget=True,
+                               objective=False)[0]
+
+        kept = conic.compile_once(probe(0.0))
+        updated = sinr_update(kept, chans, topo, None, level=2.0)
+        assert updated.families[0].matrix is not kept.families[0].matrix
+        assert updated.compiled is None and kept.compiled is not None
+        assert_same_compile(updated, probe(2.0))
+
+    def admm_cell(self):
+        topo, chans = scenario(5)
+        prob, _ = assemble_admm_local(1, chans, topo, grid(topo, 0.3),
+                                      np.zeros((topo.B, topo.U)), 2.0)
+        kept = conic.compile_once(prob)
+        rhs = np.array([v for fam in kept.families for v in fam.rhs])
+        return kept, [kept.updated(rhs=f * rhs, scalar={
+            j: f * c for j, c in kept.obj_scalar.items()})
+            for f in (0.5, 40.0)]
+
+    def test_new_right_hand_sides_and_costs_keep_it(self):
+        kept, updated = self.admm_cell()
+        for prob in updated:
+            assert prob.compiled is kept.compiled
+            assert prob.families[0].matrix is kept.families[0].matrix
+
+    def test_updates_leave_its_arrays_unwritten(self):
+        kept, updated = self.admm_cell()
+        held = [v for v in vars(kept.compiled).values()
+                if isinstance(v, np.ndarray)] \
+            + kept.compiled.blocks + kept.compiled.A_blocks
+        before = [v.copy() for v in held]
+        for v in held:
+            v.flags.writeable = False
+        # two updates of the one compile, solved at once
+        sols = conic.solve_batch(updated)
+        assert all(sol.iterations > 0 for sol in sols)
+        # at 40 times the right-hand sides, some rows scale otherwise
+        assert not np.array_equal(compiled_form(updated[1]).row_scale,
+                                  kept.compiled.row_scale)
+        for got, want in zip(held, before):
+            assert np.array_equal(got, want)
+
+
 class TestRowsBuiltOnce:
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -184,13 +236,17 @@ class TestRowsBuiltOnce:
         assert counted == {"copies": topo.B, "caps": topo.B,
                            "compile": 2 * topo.B}
 
-    @pytest.mark.parametrize("G, U, cell", [(2, 4, None), (2, 4, 0),
-                                            (4, 8, 0)],
-                             ids=["network", "one-group", "multi-group"])
-    def test_bisection(self, counted, G, U, cell):
-        # every probe updates the kept problem; the polish is the other
+    @pytest.mark.parametrize("G, U, cell, rebuilt", [
+        (2, 4, None, True), (2, 4, 0, False), (4, 8, 0, True)],
+        ids=["network", "one-group", "multi-group"])
+    def test_bisection(self, counted, G, U, cell, rebuilt):
+        # the kept system and the polish compile once each; a probe of
+        # several groups builds its SINR family anew at its level, so it
+        # compiles again when it is solved rather than settled, while a
+        # one-group cell's probes rescale the kept compile
         topo, chans = scenario(11, G=G, U=U, p_max=10.0)
         result = balancing.bisect_balance(chans, topo) if cell is None \
             else balancing.local_balance(cell, chans, topo, 0.1)
         assert result.calls > 1
-        assert counted["compile"] == 2
+        solved = len(result.probes) - result.decided
+        assert counted["compile"] == 2 + (solved if rebuilt else 0)

@@ -609,6 +609,16 @@ class TestConstruction:
                                  rel="<=", rhs=[1.0, 2.0])
         assert not prob.families
 
+    def test_right_hand_sides_beyond_the_rows(self):
+        # not dropped: the one-row problem would solve at rhs 2
+        prob = ConicProblem()
+        j = prob.add_scalar_var()
+        prob.set_objective(scalar={j: 1.0})
+        prob.add_constraint(scalars={j: 1.0}, rel=">=", rhs=1.0)
+        with pytest.raises(ValueError, match="3 right-hand sides for 1 "):
+            prob.updated(rhs=[2.0, 5.0, 7.0])
+        assert solve(prob.updated(rhs=[2.0])).objective == pytest.approx(2.0)
+
     def test_dump_is_self_describing(self):
         prob = single_user_qos(np.array([1.0, 1j]), 2.0, 1.0)
         text = dump_problem(prob)
@@ -642,20 +652,21 @@ def random_rows(seed):
         for i in rng.permutation(len(kinds)).tolist():
             var = stacked.matrix_vars[i]
             if rng.random() < 0.7:
-                at = rng.permutation(m)[:rng.integers(1, m + 1)].tolist()
+                at = rng.permutation(m)[:rng.integers(1, m + 1)]
                 M = rng.standard_normal((len(at), var.dim, var.dim))
                 if var.complex:
                     M = M + 1j * rng.standard_normal(M.shape)
                 matrix[i] = (at, M + M.conj().swapaxes(1, 2))
         for j in range(n_scalars):
             if rng.random() < 0.7:
-                at = rng.permutation(m)[:rng.integers(1, m + 1)].tolist()
+                at = rng.permutation(m)[:rng.integers(1, m + 1)]
                 scalars[j] = (at, rng.standard_normal(len(at)).tolist())
         labels = [f"{rel}{r}" for r in range(m)]
         stacked.add_constraints(matrix, scalars, rel, rhs, labels)
         for r in range(m):
-            row = [{i: c[at.index(r)] for i, (at, c) in sorted(
-                part.items()) if r in at} for part in (matrix, scalars)]
+            row = [{i: c[k] for i, (at, c) in sorted(part.items())
+                    for k in np.flatnonzero(at == r)}
+                   for part in (matrix, scalars)]
             single.add_constraint(*row, rel, rhs[r], labels[r])
             rows.append((rel, rhs[r], *row))
     return stacked, single, rows

@@ -508,6 +508,22 @@ class TestSpecialCases:
             with pytest.raises(ConfigurationError, match="finite"):
                 solve_fixed_ici(chans, topo, theta)
 
+    @pytest.mark.parametrize("run, kwargs", [
+        (run_primal_decomposition, {"max_iters": 0}),
+        (run_primal_decomposition, {"step": 0.0}),
+        (run_primal_decomposition, {"step": -0.1}),
+        (run_admm, {"max_iters": 0}),
+        (run_admm, {"rho": 0.0}),
+        (run_admm, {"rho": -1.0})], ids=[
+            "pd-no-rounds", "pd-zero-step", "pd-negative-step",
+            "admm-no-rounds", "admm-zero-rho", "admm-negative-rho"])
+    def test_bad_arguments_are_input_errors(self, run, kwargs):
+        # not a TypeError after no round, an empty trace, a ValueError
+        # from the objective or an ascent
+        topo, chans = small_scenario(28)
+        with pytest.raises(ConfigurationError, match="must be"):
+            run(chans, topo, **kwargs)
+
     def test_common_theta_variant_runs(self):
         topo, chans = small_scenario(28)
         trace = run_primal_decomposition(chans, topo, max_iters=15,

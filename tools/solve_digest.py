@@ -48,13 +48,15 @@ out: a change that moves work between solves, such as one that skips or
 warm-starts other solves, but gives the same answers leaves it as it is.
 A last line prints the number of full compiles, the constructions of
 ``ipm.CompiledProblem``, and of updated compiles, the calls of
-``CompiledProblem.updated`` that derive a problem's compiled form from
-a kept one (``conic.compile_once``): how often the solves' rows were
-packed from scratch.  Then, one line per scenario file, the number of
-bisection probes that were settled without a solve: the sum of
-``BisectionResult.decided`` over every ``balancing._sdr_bisect`` run of
-that file, read by wrapping it, so a change that settles more or fewer
-probes shows how many.  To check the solver of another tree, run this
+``CompiledProblem.updated`` that rescale a kept compile
+(``conic.compile_once``) at a problem's right-hand sides and linear
+costs: how often the solves' rows were packed from scratch.  A problem
+with coefficients of its own, such as a bisection probe whose SINR
+family is built anew at its level, compiles in full.  Then, one line
+per scenario file, the number of bisection probes that were settled
+without a solve: the sum of ``BisectionResult.decided`` over every
+``balancing._sdr_bisect`` run of that file, read by wrapping it, so a
+change that settles more or fewer probes shows how many.  To check the solver of another tree, run this
 tool with its ``src`` on ``PYTHONPATH``.
 """
 
