@@ -40,7 +40,7 @@ class BisectionResult:
     :meth:`Topology.groups_of_bs` order.  ``probes`` records every (t,
     feasible) pair in order; ``calls`` only counts the probes of the
     halving loop, ``extra_calls`` the solves around it (a probe of the
-    lower end, the extreme-face polish).
+    lower end, the extreme-face polish when it runs).
     ``indeterminate`` counts the halving probes that raised
     :class:`IndeterminateError` and were taken as infeasible, and
     ``decided`` the probes a point from an earlier solve, feasible or
@@ -176,11 +176,13 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     The upper end is the matched-filter cap of the users involved
     (:func:`single_user_upper_bound`), provably unreachable, so it is
     not probed.  Interior-point feasibility solves return central
-    (high-rank) points, so one power-minimizing solve at the final
-    feasible level replaces the payload with an extreme-face solution;
-    that is the covariance set whose rank the extraction step inspects.
-    Each solved probe starts from the iterate of the previous solved
-    one; the polish starts cold.  The probes share one compile, of the
+    (high-rank) points, so unless every covariance of the final payload
+    is rank one (:func:`conic.numerical_rank`, as :func:`finalize`
+    tests it), one power-minimizing solve at the final feasible level,
+    the polish, replaces it with an extreme-face solution; that is the
+    covariance set whose rank the extraction step inspects.  Each solved
+    probe starts from the iterate of the previous solved one; the polish
+    starts cold.  The probes share one compile, of the
     system at level 0, and each is its update to its own level
     (:func:`sinr_levels`): its right-hand sides and, where the level
     scales -t H blocks, its SINR rows.
@@ -196,9 +198,11 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     (:func:`point_violation`, as the solver's point screen confirms a
     point), and it is its payload.  It still counts as a probe, so the
     bracket and the probe log are those of solving every probe;
-    ``decided`` counts the settled ones.  A cell waits at its gather's
-    barrier (:func:`conic.gather`) before its polish, so the cells of
-    :func:`_per_cell_pipeline` polish in one step.
+    ``decided`` counts the settled ones.  A settled payload shows only
+    in the design, when it is rank one and so kept.  A cell that
+    polishes waits at its gather's barrier (:func:`conic.gather`)
+    first, so the cells of :func:`_per_cell_pipeline` polish in one
+    step; a cell that skips its polish ends, which counts as past it.
     """
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=cell, level=t,
@@ -235,6 +239,8 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         bisect, 0.0, single_user_upper_bound(channels, topology, users),
         epsilon, probe)
     result.decided = settled
+    if (conic.numerical_rank(result.payload) == 1).all():
+        return result
     if cell is not None:
         yield []    # the barrier: polish beside the other cells
     polish = system(result.lower, objective=True)
@@ -250,8 +256,8 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON):
     """Centralized max-min SINR via bisection on the relaxed problem.
 
     Returns a :class:`BisectionResult` whose payload is the covariance
-    stack (G, A, A) at the final feasible level, polished to an extreme
-    face (:func:`_sdr_bisect`).
+    stack (G, A, A) at the final feasible level: rank one, or polished
+    to an extreme face (:func:`_sdr_bisect`).
     """
     return (yield from _sdr_bisect(channels, topology, epsilon))
 
@@ -399,9 +405,10 @@ def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
     """Per-cell balancing at the ICI values ``theta`` (None: each cell
     blind to ICI): the B :func:`local_balance` bisections side by side,
     then each cell's tail in turn, which raises what a cell-by-cell loop
-    would raise first.  A cell whose bisection has ended waits at the
-    gather's barrier, so the B polishes go out in one step.  The cells'
-    solutions join into one of the network's groups."""
+    would raise first.  A cell whose bisection ends on a payload not of
+    rank one waits at the gather's barrier, so the polishes that run go
+    out in one step.  The cells' solutions join into one of the
+    network's groups."""
     cells = []
     per_cell_t = {}
     rng = np.random.default_rng() if rng is None else rng

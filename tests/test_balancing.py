@@ -19,11 +19,12 @@ from cobeam.balancing import (achieved_min_sinr, balance_centralized,
                               local_balance, local_balance_gr,
                               single_user_upper_bound,
                               uncoordinated_balance)
+from cobeam.conic import ConicSolution, SolveStatus, ipm
 from cobeam.conic.ipm import ACCEPT_TOL, point_violation
 from cobeam.experiment import db_to_linear, parse_scenario, run_sweep
-from cobeam.power_min import (capped_least_powers, direction_system,
-                              fixed_direction_powers, gaussian_candidates,
-                              sinr_system)
+from cobeam.power_min import (capped_least_powers, covariances,
+                              direction_system, fixed_direction_powers,
+                              gaussian_candidates, sinr_system)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -772,6 +773,44 @@ def unsettled(patch):
                   lambda prob, X, t, serving: (None, -np.inf))
 
 
+def polished(result):
+    """Whether a bisection ran its polish: an extra solve beyond its
+    probe of the lower end, which ``probes`` logs and ``calls`` does not
+    count."""
+    return result.extra_calls > len(result.probes) - result.calls
+
+
+def bisections(patch, calls):
+    """The value of each of ``calls`` and, per call, its runs of
+    ``_sdr_bisect`` as they end: each its result and the oracle of its
+    relaxed system at a level (:func:`loop_sinr_system`, no objective)."""
+    sdr_bisect, runs = balancing._sdr_bisect, []
+
+    def recording(channels, topology, epsilon, cell=None, theta=None):
+        result = yield from sdr_bisect(channels, topology, epsilon,
+                                       cell=cell, theta=theta)
+        runs[-1].append((result, lambda level: loop_sinr_system(
+            channels, topology, cell=cell, level=level, theta=theta,
+            budget=True, objective=False)[0]))
+        return result
+
+    patch.setattr(balancing, "_sdr_bisect", recording)
+    values = []
+    for call in calls:
+        runs.append([])
+        values.append(call())
+    return values, runs
+
+
+def assert_kept_payload(result, system):
+    """A bisection that skipped its polish returns a rank-one payload
+    that meets its system's rows at its lower end to ``ACCEPT_TOL``."""
+    assert (conic.numerical_rank(result.payload) == 1).all()
+    point = ConicSolution(SolveStatus.OPTIMAL,
+                          matrix_values=list(result.payload))
+    assert point_violation(system(result.lower), point) <= ACCEPT_TOL
+
+
 class TestSettledProbes:
     """A probe at or below the highest level that a point of an earlier
     solve reaches, scaled into the budgets and caps, is settled by
@@ -860,29 +899,113 @@ class TestSettledProbes:
     @pytest.mark.parametrize("runs", [c08_runs, workload_runs],
                              ids=["c08", "workload"])
     def test_bisections_without_settling(self, monkeypatch, runs):
-        settling = [run() for run in runs()]
+        # settling moves no decision; it moves a payload only where the
+        # payload is rank one and one of the two runs skips its polish
+        with monkeypatch.context() as patch:
+            settling, systems = bisections(patch, runs())
         with monkeypatch.context() as patch:
             unsettled(patch)
             solving = [run() for run in runs()]
-        for a, b in zip(settling, solving, strict=True):
+        kept = 0
+        for a, b, [(_, system)] in zip(settling, solving, systems,
+                                       strict=True):
             assert b.decided == 0
-            assert (a.t, a.lower, a.upper, a.calls, a.extra_calls,
-                    a.probes, a.indeterminate) == (
-                b.t, b.lower, b.upper, b.calls, b.extra_calls, b.probes,
-                b.indeterminate)
-            assert a.payload.tobytes() == b.payload.tobytes()
+            assert (a.t, a.lower, a.upper, a.calls, a.probes,
+                    a.indeterminate) == (b.t, b.lower, b.upper, b.calls,
+                                         b.probes, b.indeterminate)
+            if polished(a) and polished(b):
+                assert a.extra_calls == b.extra_calls
+                assert a.payload.tobytes() == b.payload.tobytes()
+            for res in (a, b):
+                if not polished(res):
+                    kept += 1
+                    assert_kept_payload(res, system)
+        assert 0 < kept < 2 * len(settling)
 
     def test_pipelines_without_settling(self, monkeypatch):
-        settling = [run() for run in workload_pipelines()]
+        with monkeypatch.context() as patch:
+            settling, runs = bisections(patch, workload_pipelines())
         with monkeypatch.context() as patch:
             unsettled(patch)
-            solving = [run() for run in workload_pipelines()]
-        for a, b in zip(settling, solving, strict=True):
-            assert (a.t_relaxed, a.achieved, a.per_cell_t) == (
-                b.t_relaxed, b.achieved, b.per_cell_t)
+            solving, runs_b = bisections(patch, workload_pipelines())
+        alike = 0
+        for a, b, ran, ran_b in zip(settling, solving, runs, runs_b,
+                                    strict=True):
+            assert (a.t_relaxed, a.per_cell_t) == (b.t_relaxed, b.per_cell_t)
+            kept = [(res, system) for res, system in ran + ran_b
+                    if not polished(res)]
+            for res, system in kept:
+                assert_kept_payload(res, system)
+            if kept:
+                continue
+            alike += 1
+            assert a.achieved == b.achieved
             for part in ("W", "w", "p", "rank", "sdr_rank"):
                 assert getattr(a.solution, part).tobytes() \
                     == getattr(b.solution, part).tobytes()
+        assert 0 < alike < len(settling)
         central = [out.bisection for out in settling if out.bisection]
         assert len(central) == 4
         assert sum(res.decided for res in central) > 0
+
+
+class TestPolish:
+    """A bisection ends with a power-minimizing solve at its lower end,
+    the polish, only when its final payload is not rank one."""
+
+    @staticmethod
+    def traced(monkeypatch, run):
+        """``run()``'s bisection result, the payload :func:`bisect` gave
+        it (the object and a copy) and the problems with an objective
+        that were solved."""
+        payloads, objectives = [], []
+        steps, solve_batch = bisect.steps, ipm.solve_batch
+
+        def bisecting(*args):
+            result = yield from steps(*args)
+            payloads.append((result.payload, result.payload.copy()))
+            return result
+
+        def solving(problems):
+            objectives.extend(p for p in problems if p.obj_matrix)
+            return solve_batch(problems)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(balancing, "bisect", conic.driven(bisecting))
+            patch.setattr(ipm, "solve_batch", solving)
+            result = run()
+        return result, payloads, objectives
+
+    def test_rank_one_payload_is_kept(self, monkeypatch):
+        # the one-user cell of test_scaled_point_closed_form: the first
+        # solve's principal part reaches the matched-filter cap, so that
+        # rank-one point settles every later probe
+        topo = build_topology(B=1, G=1, U=1, A=3, p_max=2.0, sigma2=0.5)
+        chans = sample_channels(topo, 7)
+        res, payloads, objectives = self.traced(
+            monkeypatch,
+            lambda: uncoordinated_balance(0, chans, topo, epsilon=1e-3))
+        (payload, copy), = payloads
+        assert res.decided > 0
+        assert conic.numerical_rank(res.payload).tolist() == [1]
+        assert objectives == []
+        assert res.payload is payload
+        assert res.payload.tobytes() == copy.tobytes()
+        assert not polished(res)
+
+    def test_higher_rank_payload_is_polished(self, monkeypatch):
+        # c08's network on its second draw, two users a group: the
+        # bisection ends on a payload of rank above one
+        topo, chans = two_cell(201)
+        res, payloads, objectives = self.traced(
+            monkeypatch, lambda: bisect_balance(chans, topo, epsilon=1e-3))
+        (payload, _), = payloads
+        assert (conic.numerical_rank(payload) > 1).any()
+        assert len(objectives) == 1
+        assert res.extra_calls == len(res.probes) - res.calls + 1
+        # the payload is that of a cold polish at the lower end, solved
+        # alone
+        polish = sinr_system(chans, topo, level=res.lower, budget=True,
+                             objective=True)[0]
+        assert res.payload.tobytes() \
+            == covariances(polish, conic.solve(polish)).tobytes()

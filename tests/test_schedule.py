@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from cobeam import conic, experiment
+from cobeam import balancing, conic, experiment
 from cobeam.conic import ipm
 from cobeam.balancing import balance_distributed, local_balance
 from cobeam.distributed import (run_admm, run_primal_decomposition,
@@ -202,19 +202,33 @@ class TestBarrier:
         assert sizes == [1, 1, 2]
 
     def test_cell_polishes_share_one_call(self, monkeypatch):
-        # a polish is the one solve of a bisection with an objective; on
-        # this draw the two cells' bisections end at different steps
-        polishes = []
-        solve_batch = ipm.solve_batch
+        # a polish is the one solve of a bisection with an objective, and
+        # it runs for the cells whose bisection ends on a payload not of
+        # rank one: one cell on the first draw, both on the second.  On
+        # each draw the two cells' bisections end at different steps
+        polishes, payloads = [], []
+        solve_batch, steps = ipm.solve_batch, balancing.bisect.steps
 
         def recording(problems):
             polishes.append(sum(bool(p.obj_matrix) for p in problems))
             return solve_batch(problems)
 
+        def bisecting(*args):
+            result = yield from steps(*args)
+            payloads.append(result.payload)
+            return result
+
         monkeypatch.setattr(ipm, "solve_batch", recording)
-        topo, chans = setup(seed=1)
-        balance_distributed(chans, topo, 0.1, epsilon=1e-2)
-        assert [n for n in polishes if n] == [topo.B]
+        monkeypatch.setattr(balancing, "bisect", conic.driven(bisecting))
+        for seed, cells in ((1, 1), (0, 2)):
+            polishes.clear()
+            payloads.clear()
+            topo, chans = setup(seed=seed)
+            balance_distributed(chans, topo, 0.1, epsilon=1e-2)
+            assert len(payloads) == topo.B
+            assert sum((conic.numerical_rank(W) != 1).any()
+                       for W in payloads) == cells
+            assert [n for n in polishes if n] == [cells]
 
 
 def sweep_config(trials=3):

@@ -56,8 +56,14 @@ family is built anew at its level, compiles in full.  Then, one line
 per scenario file, the number of bisection probes that were settled
 without a solve: the sum of ``BisectionResult.decided`` over every
 ``balancing._sdr_bisect`` run of that file, read by wrapping it, so a
-change that settles more or fewer probes shows how many.  To check the solver of another tree, run this
-tool with its ``src`` on ``PYTHONPATH``.
+change that settles more or fewer probes shows how many.  And one line
+per scenario file counts those runs' polishes, the power-minimizing
+solves at a bisection's lower end: how many ran and how many were
+skipped because the bisection's final payload was already rank one.  A
+run's polishes are its ``extra_calls`` beyond a probe of the lower end,
+which ``probes`` logs and ``calls`` does not count, so the line reads
+the same on a tree that polishes every bisection.  To check the solver
+of another tree, run this tool with its ``src`` on ``PYTHONPATH``.
 """
 
 import argparse
@@ -133,7 +139,7 @@ def main(argv=None):
     results, answers = hashlib.sha256(), hashlib.sha256()
     nrecords, nrows = 0, 0
     compiles = {"full": 0, "updated": 0}
-    settled = {}
+    settled, polishes = {}, {}
 
     def recorded(solve_batch):
         def wrapper(problems):
@@ -175,6 +181,8 @@ def main(argv=None):
         def wrapper(*args, **kwargs):
             result = yield from sdr_bisect(*args, **kwargs)
             settled[path] += result.decided
+            ran = result.extra_calls - (len(result.probes) - result.calls)
+            polishes[path][0 if ran else 1] += 1
             return result
         return wrapper
 
@@ -188,7 +196,7 @@ def main(argv=None):
     balancing._sdr_bisect = deciding(sdr_bisect)
     try:
         for path in args.scenarios:
-            settled[path] = 0
+            settled[path], polishes[path] = 0, [0, 0]
             config = parse_scenario(path)
             if args.trials is not None:
                 config.trials = args.trials
@@ -220,6 +228,8 @@ def main(argv=None):
     print(f"compiles {compiles['full']} full {compiles['updated']} updated")
     for path, count in settled.items():
         print(f"settled probes {count} in {path}")
+    for path, (ran, skipped) in polishes.items():
+        print(f"polishes {ran} run {skipped} skipped in {path}")
 
 
 if __name__ == "__main__":
