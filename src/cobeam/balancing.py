@@ -83,7 +83,7 @@ def bisect(lower, upper, epsilon, probe):
     loop's probes, however each was answered: a probe may settle its
     level without a solve (:func:`_sdr_bisect`).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigurationError("bisection tolerance must be positive")
     if upper < lower:
         raise ConfigurationError("upper bound below lower bound")
@@ -276,7 +276,7 @@ def _gr_level(channels, topology, V, epsilon, cell=None, theta=None):
     :func:`capped_least_powers` call.  Ties go to the lowest index; the
     winner's powers are its least point at the lower end of its bracket.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigurationError("bisection tolerance must be positive")
     users, gains, own, noise, cap_gains, caps = direction_system(
         channels, topology, V, cell=cell, theta=theta, budget=True)

@@ -42,8 +42,8 @@ a lone problem, and per-problem scalars are lists.  The loop stacks
 only operations that give every problem the bits of its own call, as
 ``tools/solve_digest.py``, ``tests/test_conic.py`` and the frozen
 kernel in ``tests/test_cones.py`` check.  A batch may mix problems with
-and without quadratic terms, and each keeps the operations of its own
-solve; without one, that is the syrk Schur product.
+and without quadratic terms: one without has a zero quadratic, whose
+terms add zero and whose inverse Newton diagonal is 1.
 
 A problem with an objective and fewer than ``problem.ORTHANT_FLOOR``
 = 8 orthant entries compiles with inert pads up to the floor
@@ -125,8 +125,8 @@ class _Batch:
     along a leading problem axis, also a lone problem.  ``A_blocks`` keep
     the row axis first, (m, P, k, d, d), so that a batched scaling
     broadcasts over them.  ``qdiag`` is the quadratic's diagonal on all
-    of x (zero on the PSD part) and ``quad`` marks the problems that have
-    one, both None when none has.  ``pad`` marks each problem's pad
+    of x (zero on the PSD part and for a problem without one), None when
+    no problem has one.  ``pad`` marks each problem's pad
     entries, None when none has any, and ``deg`` holds each problem's
     own barrier degree plus one, for tau and kappa."""
 
@@ -136,10 +136,8 @@ class _Batch:
         self.At = self.A.swapaxes(-1, -2)
         self.b = np.stack([c.b for c in compiled])
         self.c = np.stack([c.c for c in compiled])
-        self.qdiag = self.quad = self.pad = None
-        quad = np.array([c.qdiag.any() for c in compiled])
-        if quad.any():
-            self.quad = quad
+        self.qdiag = self.pad = None
+        if any(c.qdiag.any() for c in compiled):
             self.qdiag = np.zeros(self.c.shape)
             self.qdiag[:, self.layout.nn_offset:] = [c.qdiag for c in compiled]
         if any(c.n_pad for c in compiled):
@@ -200,10 +198,9 @@ class _KktSolver:
     affine in dtau, (p1s, u1) + dtau (p2s, u2), so row three with
     dkappa = (ft - kappa dtau)/tau leaves one scalar equation for dtau,
     whose cost is ``c_tau_scaled`` = W'(c + 2q) and whose denominator
-    gains xi'Q xi.  Without a quadratic, ``dinv`` is None and the terms
-    of Q are absent; in a batch that mixes problems with and without one,
-    a problem without one has ``dinv`` 1 and none of the terms of Q, and
-    its Schur complement is its own syrk.
+    gains xi'Q xi.  Without a quadratic in the batch, ``dinv`` is None
+    and the terms of Q are absent; a problem without one in a batch with
+    one has ``dinv`` exactly 1 and terms of Q that add zero.
 
     All elimination happens on scaled quantities (rows W'a_k, directions
     W^{-1}dx, W'dz); no large-norm operator is ever applied to an
@@ -231,25 +228,20 @@ class _KktSolver:
         # a zero objective, as in every feasibility probe, scales to zero
         self.c_scaled = scaling.scale_dual(data.c) if data.c.any() \
             else np.zeros_like(data.c)
-        self.qdiag, self.quad, self.dinv = data.qdiag, data.quad, None
+        self.qdiag, self.dinv = data.qdiag, None
         self.c_tau, self.c_tau_scaled = self.c, self.c_scaled
         self.xqx = [0.0] * len(tau)
         if self.qdiag is not None:
-            off, quad = lay.nn_offset, self.quad
+            off, w = lay.nn_offset, scaling.w_nn
             xi = x / _col(tau)
             q2 = 2.0 * self.qdiag * xi
-            self.xqx = [0.5 * v if q else 0.0
-                        for q, v in zip(quad, _dot(xi, q2))]
-            self.c_tau = self.c.copy()
-            self.c_tau[quad] += q2[quad]
+            self.xqx = [0.5 * v for v in _dot(xi, q2)]
+            self.c_tau = self.c + q2
             # W' is diagonal on the orthant, where all of q lives
             self.c_tau_scaled = self.c_scaled.copy()
-            self.c_tau_scaled[quad, off:] += (scaling.w_nn
-                                              * q2[..., off:])[quad]
-            # 1 where a problem has no quadratic
-            dvec = np.ones(data.c.shape)
-            dvec[..., off:] += self.qdiag[..., off:] * scaling.w_nn ** 2
-            self.dinv = 1.0 / dvec
+            self.c_tau_scaled[..., off:] += w * q2[..., off:]
+            self.dinv = np.ones(data.c.shape)
+            self.dinv[..., off:] /= 1.0 + self.qdiag[..., off:] * w ** 2
         self._build_schur()
         self.p2s, self.u2 = self._saddle(-self.c_scaled, self.b)
         self.denom = [k / t + qq - cp + bu for k, t, qq, cp, bu in zip(
@@ -257,16 +249,10 @@ class _KktSolver:
             _dot(self.b, self.u2))]
 
     def _build_schur(self):
-        at, quad = self.at_scaled, self.quad
-        # without a quadratic both operands are one array: a syrk
-        if quad is None:
-            M = at @ self.at_scaled_t
-        else:
-            M = np.empty(at.shape[:-1] + (self.m,))
-            plain, sub = at[~quad], at[quad]
-            M[~quad] = plain @ plain.swapaxes(-1, -2)
-            M[quad] = (sub * self.dinv[quad][..., None, :]) \
-                @ sub.swapaxes(-1, -2)
+        # rows times sqrt(dinv), themselves where dinv is 1: one syrk
+        S = self.at_scaled if self.dinv is None \
+            else self.at_scaled * np.sqrt(self.dinv)[..., None, :]
+        M = S @ S.swapaxes(-1, -2)
         M = _require_finite(0.5 * (M + M.swapaxes(-1, -2)))
         # per problem: its Cholesky factor or pseudo-inverse, and which
         # fallback fired (None, "schur_ridge" or "schur_pinv")
@@ -363,8 +349,7 @@ class _KktSolver:
         # c dtau - A'dy equals -A'dy + c dtau bit for bit
         r2 = f2 - (self.c * col - at_dy - sol.dz)
         if self.qdiag is not None:
-            np.subtract(r2, self.qdiag * sol.dx, out=r2,
-                        where=self.quad[:, None])
+            r2 -= self.qdiag * sol.dx
         r1 = f1 - (np.matvec(self.A, sol.dx) - self.b * col)
         r3, rt = [], []
         for f, e, t, k, dt, dk, qq, bdy, cdx in zip(
@@ -455,9 +440,8 @@ def solve_batch(problems):
     count) share one run of the interior-point loop, their iterates
     stacked along a leading axis; only operations whose stacked form
     gives each problem the bits of its own call are stacked.  Problems
-    with and without quadratic terms share a run, and each keeps the
-    operations of its own solve: one without forms its Schur complement
-    as the plain product of its scaled rows with themselves.  Pads
+    with and without quadratic terms share a run; one without has a
+    zero quadratic, which changes none of its bits.  Pads
     (``problem.ORTHANT_FLOOR``) depend on the problem alone, so its lone
     solve has them too.  Every decision stays per problem, and a
     finished problem leaves the batch.  When several problems would
@@ -551,8 +535,7 @@ def verify_infeasibility_certificate(problem, weights):
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
-    wrong = np.array([{">=": -1.0, "<=": 1.0, "==": 0.0}[fam.relation]
-                      for fam in problem.families for _ in fam.rhs]) * w > 0
+    wrong = problem.sense() * w < 0
     sign_ok = bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
     w[wrong] = 0.0
     viol = float(sum(wk * b for wk, b in zip(
@@ -598,11 +581,7 @@ class _FeasibilityScreens:
 
     def __init__(self, compiled):
         self.compiled = compiled
-        # +1 on >= rows, -1 on <= rows, 0 on == rows: the sign a row's
-        # gap b - a'x and a Farkas weight must carry
-        self.sense = np.array([{">=": 1.0, "<=": -1.0, "==": 0.0}[r]
-                               for r in compiled.relations])
-        self.equality = self.sense == 0.0
+        self.equality = compiled.sense == 0.0
         # the part of each row's gap normalizer that no iterate changes
         self.row_norm = np.maximum(compiled.row_scale, np.abs(compiled.b))
         self.A_user = compiled.A[:, :compiled.slack_off]
@@ -622,14 +601,14 @@ class _FeasibilityScreens:
         comp = self.compiled
         val = self.A_user @ (x[:comp.slack_off] / tau)
         diff = comp.b - val
-        gap = np.where(self.equality, np.abs(diff), self.sense * diff)
+        gap = np.where(self.equality, np.abs(diff), comp.sense * diff)
         norm = np.maximum(self.row_norm, np.abs(val))
         if (gap / norm).max(initial=0.0) > ACCEPT_TOL:
             return None
         mats, scalars = comp.extract_point(x / tau)
         sol = ConicSolution(
             status=SolveStatus.OPTIMAL, matrix_values=mats,
-            scalar_values=scalars, duals=np.zeros(len(self.sense)),
+            scalar_values=scalars, duals=np.zeros(len(comp.b)),
             objective=0.0)
         if point_violation(comp.source, sol) > ACCEPT_TOL:
             return None
@@ -639,7 +618,7 @@ class _FeasibilityScreens:
         """INFEASIBLE solution certified by the clipped weights of y, else
         None.  Only called when b'y > 0."""
         comp = self.compiled
-        y = np.where(self.sense * y < 0.0, 0.0, y)
+        y = np.where(comp.sense * y < 0.0, 0.0, y)
         w = comp.user_duals_signed(y)
         scale = np.abs(w).max()
         # b'y = sum_k w_k rhs_k, the certificate's violation
@@ -783,8 +762,8 @@ def _solve_hsd(group):
         xqx = [0.0] * len(active)
         if data.qdiag is not None:
             qx = data.qdiag * x
-            np.add(r2, qx, out=r2, where=data.quad[:, None])
-            xqx = [v if q else 0.0 for q, v in zip(data.quad, _dot(x, qx))]
+            r2 += qx
+            xqx = _dot(x, qx)
         r2 = data.own(r2)
 
         keep, r3, mu = [], [], []

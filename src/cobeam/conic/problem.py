@@ -26,6 +26,8 @@ HERMITIAN_TOL = 1e-10
 # apart, such as PD's subproblems and ADMM's local problems, share one
 # lockstep run (:class:`CompiledProblem`)
 ORTHANT_FLOOR = 8
+# per relation, the sign that a row's gap b - a'x and a Farkas weight carry
+SENSE = {">=": 1.0, "<=": -1.0, "==": 0.0}
 
 
 class SolveStatus(Enum):
@@ -165,7 +167,7 @@ class ConicProblem:
         variable j to (rows, a) in the same way.  Each stack is validated
         once and kept whole.  ``labels`` gives the rows' labels in order
         (default None).  Returns the index of the first row."""
-        if rel not in ("<=", ">=", "=="):
+        if rel not in SENSE:
             raise ValueError(f"unknown relation {rel!r}")
         rhs = tuple(float(v) for v in rhs)
         labels = (None,) * len(rhs) if labels is None else tuple(labels)
@@ -241,6 +243,11 @@ class ConicProblem:
 
     def num_vars(self):
         return len(self.matrix_vars) + self.num_scalars
+
+    def sense(self):
+        """Each row's :data:`SENSE`, in row order."""
+        return np.array([SENSE[fam.relation] for fam in self.families
+                         for _ in fam.rhs])
 
     def row_terms(self, matrix_values, scalar_values=None):
         """The rows' terms at a stack of points, (..., m, n + 1) for m
@@ -350,11 +357,9 @@ class CompiledProblem:
 
     def __init__(self, problem):
         self.source = problem
-        self.relations = [fam.relation for fam in problem.families
-                          for _ in fam.rhs]
+        self.sense = problem.sense()
         # the rows with a slack, in the order of their slack columns
-        self.slacked = [k for k, rel in enumerate(self.relations)
-                        if rel != "=="]
+        self.slacked = np.flatnonzero(self.sense)
         self.n_slack = len(self.slacked)
         own = problem.num_scalars + self.n_slack
         objective = any(np.any(C) for C in problem.obj_matrix.values()) \
@@ -377,7 +382,7 @@ class CompiledProblem:
         for j, q in problem.obj_scalar_quad.items():
             self.qdiag[j] = 2.0 * q  # objective carries q*y^2 = (1/2) x'Qx
 
-        m = len(self.relations)
+        m = len(self.sense)
         self.rows, self.blocks = self._pack(m, [
             (fam.start, fam.matrix, fam.scalars) for fam in problem.families])
         # a Hermitian block's packed entries are sqrt(2) times those of
@@ -416,8 +421,8 @@ class CompiledProblem:
                          for blk in self.blocks]
         self.b = rhs * scale
         self.row_scale = scale
-        for col, k in enumerate(self.slacked, self.slack_off):
-            self.A[k, col] = -1.0 if self.relations[k] == ">=" else 1.0
+        self.A[self.slacked, self.slack_off + np.arange(self.n_slack)] = \
+            -self.sense[self.slacked]
         # the row scale of each slack column, which multiplies its slack
         self.slack_scale = scale[self.slacked]
 
@@ -451,11 +456,8 @@ class CompiledProblem:
         report the nonnegative multiplier whose sensitivity is
         -d(optimum)/d(rhs).
         """
-        duals = np.empty(len(self.relations))
-        for k, rel in enumerate(self.relations):
-            v = y_internal[k] * self.row_scale[k]
-            duals[k] = -v if rel == "<=" else v
-        return duals
+        v = y_internal * self.row_scale
+        return np.where(self.sense < 0, -v, v)
 
     def user_duals_signed(self, y_internal):
         """Raw signed multipliers (no <= flip), for Farkas combinations."""

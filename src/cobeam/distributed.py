@@ -224,6 +224,18 @@ def master_update(theta, subgrad, step, floor):
     return np.maximum(theta - float(step) * subgrad, floor)
 
 
+def _check_run(max_iters, name, value):
+    """Raise :class:`ConfigurationError` unless ``max_iters`` is an int
+    >= 1, not a bool, and ``value`` (``name``) is finite and positive."""
+    if isinstance(max_iters, bool) or not isinstance(
+            max_iters, (int, np.integer)) or max_iters < 1:
+        raise ConfigurationError(
+            f"max_iters must be an integer >= 1 (got {max_iters!r})")
+    if not 0 < value < np.inf:
+        raise ConfigurationError(
+            f"{name} must be finite and positive (got {value!r})")
+
+
 def _theta_floor(topology):
     """Least ICI cap of PD and ADMM, 1% of the mean noise power: lower
     caps are physically irrelevant but sit on the boundary singularity
@@ -251,12 +263,10 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     noise power), and never fall below :func:`_theta_floor`; the run
     stops once no cap moves by more than ``STOP_TOL``.  ``common_theta`` moves one cap shared by
     every pair along the summed prices, which each BS holds only at
-    B = 2; more cells raise :class:`ConfigurationError`, as do
-    ``max_iters`` < 1 and ``step`` <= 0.
+    B = 2; more cells raise :class:`ConfigurationError`, as do bad
+    ``max_iters`` and ``step`` (:func:`_check_run`).
     """
-    if max_iters < 1 or not step > 0:
-        raise ConfigurationError(f"max_iters must be >= 1 and step > 0 "
-                                 f"(got {max_iters}, {step})")
+    _check_run(max_iters, "step", step)
     if common_theta and topology.B > 2:
         raise ConfigurationError(
             f"common_theta needs B = 2 (got B={topology.B}): no BS "
@@ -402,12 +412,10 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     alone can be small long before the caps stop moving.  The
     returned solution is restored at the final global ICI values, floored
     at :func:`_theta_floor`, so it is feasible for the true coupled
-    problem.  ``max_iters`` < 1 or ``rho`` <= 0 raise
-    :class:`ConfigurationError`.
+    problem.  Bad ``max_iters`` and ``rho`` raise
+    :class:`ConfigurationError` (:func:`_check_run`).
     """
-    if max_iters < 1 or not rho > 0:
-        raise ConfigurationError(f"max_iters must be >= 1 and rho > 0 "
-                                 f"(got {max_iters}, {rho})")
+    _check_run(max_iters, "rho", rho)
     mask = topology.ici_mask()
     theta = np.where(mask, float(np.mean(topology.sigma2)), 0.0)
     # owner rows: 0 interferer, 1 serving BS

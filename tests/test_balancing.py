@@ -81,6 +81,23 @@ class TestBisectHelper:
             bisect(1.0, 0.0, 0.1, lambda t: (True, None))
         with pytest.raises(ConfigurationError):
             bisect(0.0, 1.0, -0.1, lambda t: (True, None))
+        with pytest.raises(ConfigurationError):
+            bisect(0.0, 1.0, np.nan, lambda t: (True, None))
+
+    # a NaN tolerance passed a test of epsilon <= 0 and skipped the
+    # halving loop: centralized balancing reported half the matched-filter
+    # bound with 0 achieved, and the scorer a level with zero powers
+
+    def test_nan_tolerance_rejected_by_centralized(self):
+        topo, chans = two_cell(1, U=2, A=6)
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            balance_centralized(chans, topo, epsilon=np.nan)
+
+    def test_nan_tolerance_rejected_by_randomization(self):
+        topo, chans = two_cell(1, U=2, A=6)
+        V = np.full((1, topo.G, topo.A), 1.0 / np.sqrt(topo.A))
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            balance_gaussian_randomization(chans, topo, V, epsilon=np.nan)
 
 
 def feasibility_at(chans, topo, t):

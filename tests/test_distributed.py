@@ -514,15 +514,30 @@ class TestSpecialCases:
         (run_primal_decomposition, {"step": -0.1}),
         (run_admm, {"max_iters": 0}),
         (run_admm, {"rho": 0.0}),
-        (run_admm, {"rho": -1.0})], ids=[
+        (run_admm, {"rho": -1.0}),
+        (run_primal_decomposition, {"max_iters": 2.5}),
+        (run_primal_decomposition, {"max_iters": np.nan}),
+        (run_primal_decomposition, {"max_iters": True}),
+        (run_primal_decomposition, {"step": np.inf}),
+        (run_primal_decomposition, {"step": np.nan}),
+        (run_admm, {"max_iters": 2.5}),
+        (run_admm, {"max_iters": np.nan}),
+        (run_admm, {"rho": np.inf}),
+        (run_admm, {"rho": np.nan})], ids=[
             "pd-no-rounds", "pd-zero-step", "pd-negative-step",
-            "admm-no-rounds", "admm-zero-rho", "admm-negative-rho"])
+            "admm-no-rounds", "admm-zero-rho", "admm-negative-rho",
+            "pd-fractional-rounds", "pd-nan-rounds", "pd-bool-rounds",
+            "pd-infinite-step", "pd-nan-step", "admm-fractional-rounds",
+            "admm-nan-rounds", "admm-infinite-rho", "admm-nan-rho"])
     def test_bad_arguments_are_input_errors(self, run, kwargs):
-        # not a TypeError after no round, an empty trace, a ValueError
-        # from the objective or an ascent
+        # not a TypeError after no round or from range, an empty trace,
+        # a ValueError from the objective or the Schur build, an ascent
+        # or an error about the caps
         topo, chans = small_scenario(28)
-        with pytest.raises(ConfigurationError, match="must be"):
+        with pytest.raises(ConfigurationError, match="must be") as err:
             run(chans, topo, **kwargs)
+        # the message names the argument
+        assert str(err.value).startswith(next(iter(kwargs)))
 
     def test_common_theta_variant_runs(self):
         topo, chans = small_scenario(28)

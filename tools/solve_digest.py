@@ -46,6 +46,9 @@ Gaussian randomization picks and their least powers.  One more line
 prints the same hash with each record's ``ipm_iterations`` also left
 out: a change that moves work between solves, such as one that skips or
 warm-starts other solves, but gives the same answers leaves it as it is.
+Then one line per scheme, ``records <scheme> <n> sha256 <hash>``, hashes
+that scheme's records in order, ``wall_time_s`` left out as above, so a
+change that moves some schemes' answers names them.
 A last line prints the number of full compiles, the constructions of
 ``ipm.CompiledProblem``, and of updated compiles, the calls of
 ``CompiledProblem.updated`` that rescale a kept compile
@@ -138,6 +141,7 @@ def main(argv=None):
     orders, runs, loops = 0, 0, 0
     results, answers = hashlib.sha256(), hashlib.sha256()
     nrecords, nrows = 0, 0
+    schemes = {}
     compiles = {"full": 0, "updated": 0}
     settled, polishes = {}, {}
 
@@ -206,6 +210,12 @@ def main(argv=None):
                 feed(h, [{k: v for k, v in rec.items() if k not in dropped}
                          for rec in records])
                 feed(h, trace_rows)
+            for rec in records:
+                tally = schemes.setdefault(rec["scheme"],
+                                           [0, hashlib.sha256()])
+                tally[0] += 1
+                feed(tally[1], {k: v for k, v in rec.items()
+                                if k != "wall_time_s"})
             nrecords += len(records)
             nrows += len(trace_rows)
     finally:
@@ -225,6 +235,8 @@ def main(argv=None):
           f"{results.hexdigest()}")
     print(f"records {nrecords} trace rows {nrows} without ipm_iterations "
           f"sha256 {answers.hexdigest()}")
+    for scheme, (count, h) in schemes.items():
+        print(f"records {scheme} {count} sha256 {h.hexdigest()}")
     print(f"compiles {compiles['full']} full {compiles['updated']} updated")
     for path, count in settled.items():
         print(f"settled probes {count} in {path}")
