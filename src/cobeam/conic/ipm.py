@@ -23,9 +23,9 @@ problem refines only while its residual is at least ``DEFAULT_TOL``
 times its right-hand side's norm.
 
 A problem whose objective is identically zero only asks whether its
-constraints are feasible, so the loop stops at the first iterate that
-yields a feasible point or a Farkas certificate confirmed by direct
-evaluation.
+constraints are feasible, so the loop stops at an iterate's first
+feasible point (a cheap compiled pre-check, then :func:`point_violation`)
+or Farkas certificate (:func:`verify_infeasibility_certificate`).
 
 Every solution carries its final iterate, and a problem may start from
 an earlier one (``ConicProblem.start``), as in Skajaa, Andersen & Ye
@@ -498,23 +498,32 @@ def feasibility(problem):
         f"(residuals {sol.kkt})")
 
 
+def _row_gap(rhs, val, sense, floor):
+    """The rows' worst normalized gap, 0 without rows: rhs - val on a >=
+    row, val - rhs on a <= row and |rhs - val| on an == row, each over
+    max(floor, |rhs|, |val|), for rows of :data:`problem.SENSE`
+    ``sense``."""
+    diff = rhs - val
+    gap = np.where(sense == 0.0, np.abs(diff), sense * diff)
+    norm = np.maximum(np.maximum(floor, np.abs(rhs)), np.abs(val))
+    return float((gap / norm).max(initial=0.0))
+
+
 def point_violation(problem, solution):
-    """Worst normalized constraint/cone violation of a candidate point."""
+    """Worst normalized constraint/cone violation of a candidate point:
+    each block's least eigenvalue over max(1, its trace), the least
+    scalar and the row gaps at floor 1 (:func:`_row_gap`)."""
     worst = 0.0
-    for i, mat in enumerate(solution.matrix_values):
+    for mat in solution.matrix_values:
         scale = max(1.0, float(np.real(np.trace(mat))))
         low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
         worst = max(worst, -low / scale)
     if solution.scalar_values is not None and solution.scalar_values.size:
         worst = max(worst, -float(solution.scalar_values.min()))
     vals = problem.row_terms(solution.matrix_values,
-                             solution.scalar_values).sum(axis=-1).tolist()
-    for fam in problem.families:
-        for rhs, val in zip(fam.rhs, vals[fam.start:]):
-            gap = {">=": rhs - val, "<=": val - rhs,
-                   "==": abs(val - rhs)}[fam.relation]
-            worst = max(worst, gap / max(1.0, abs(rhs), abs(val)))
-    return worst
+                             solution.scalar_values).sum(axis=-1)
+    rhs = np.array([b for fam in problem.families for b in fam.rhs])
+    return max(worst, _row_gap(rhs, vals, problem.sense(), 1.0))
 
 
 def verify_infeasibility_certificate(problem, weights):
@@ -571,39 +580,28 @@ class _FeasibilityScreens:
 
     With nothing to optimize, any feasible point is optimal and any
     Farkas combination settles infeasibility, so each homogeneous
-    iterate is screened for both on the compiled rows: the point x/tau
-    for its normalized row gaps, the dual iterate y (wrong-sign entries
-    clipped to zero) for an aggregate that is nonpositive on the cone
-    with a positive right-hand side.  A screen that passes is confirmed
-    once on the source problem by :func:`point_violation` or
-    :func:`verify_infeasibility_certificate` before the solve stops.
+    iterate is screened for both, one rule per screen.  The point x/tau
+    passes a cheap pre-check of its row gaps on the compiled rows and is
+    then confirmed on the source problem by :func:`point_violation`.
+    The dual iterate y, its wrong-sign entries clipped to zero, is a
+    certificate when :func:`verify_infeasibility_certificate` accepts
+    its signed weights.
     """
 
     def __init__(self, compiled):
         self.compiled = compiled
-        self.equality = compiled.sense == 0.0
-        # the part of each row's gap normalizer that no iterate changes
-        self.row_norm = np.maximum(compiled.row_scale, np.abs(compiled.b))
         self.A_user = compiled.A[:, :compiled.slack_off]
-        self.A_scalar = compiled.A[:, compiled.scalar_off:compiled.slack_off]
-        self.abs_scalar_t = np.abs(self.A_scalar.T)
-        # (m, k) Frobenius norms of every row's blocks, per run
-        self.block_norms = [np.linalg.norm(blocks, axis=(-2, -1))
-                            for blocks in compiled.A_blocks]
 
     def point(self, x, tau):
         """OPTIMAL solution at x/tau if it satisfies every row, else None.
 
-        The row gaps are those of :func:`point_violation` in compiled
-        units: a row scaled by s has its gap and its normalizer
-        max(1, |rhs|, |value|) scaled by s.
+        The pre-check reads the gaps of :func:`point_violation` in
+        compiled units: a row scaled by s has its gap and its normalizer
+        max(1, |rhs|, |value|) scaled by s, so its floor is s.
         """
         comp = self.compiled
         val = self.A_user @ (x[:comp.slack_off] / tau)
-        diff = comp.b - val
-        gap = np.where(self.equality, np.abs(diff), comp.sense * diff)
-        norm = np.maximum(self.row_norm, np.abs(val))
-        if (gap / norm).max(initial=0.0) > ACCEPT_TOL:
+        if _row_gap(comp.b, val, comp.sense, comp.row_scale) > ACCEPT_TOL:
             return None
         mats, scalars = comp.extract_point(x / tau)
         sol = ConicSolution(
@@ -618,25 +616,10 @@ class _FeasibilityScreens:
         """INFEASIBLE solution certified by the clipped weights of y, else
         None.  Only called when b'y > 0."""
         comp = self.compiled
-        y = np.where(comp.sense * y < 0.0, 0.0, y)
-        w = comp.user_duals_signed(y)
+        w = comp.user_duals_signed(np.where(comp.sense * y < 0.0, 0.0, y))
         scale = np.abs(w).max()
-        # b'y = sum_k w_k rhs_k, the certificate's violation
-        if scale == 0.0 or float(comp.b @ y) < FARKAS_MARGIN * scale:
+        if scale == 0.0:
             return None
-        # the verifier's rule on the compiled rows, which are the source
-        # rows times positive scales
-        abs_y = np.abs(y)
-        if (self.A_scalar.T @ y > AGGREGATE_ROUNDOFF
-                * (self.abs_scalar_t @ abs_y)).any():
-            return None
-        row = y.reshape(1, -1)
-        for blocks, norms in zip(comp.A_blocks, self.block_norms):
-            # the aggregate sum_k y_k F_k, formed as np.tensordot forms it
-            agg = np.dot(row, blocks.reshape(len(y), -1))
-            top = np.linalg.eigvalsh(agg.reshape(blocks.shape[1:]))[..., -1]
-            if (top > AGGREGATE_ROUNDOFF * (abs_y @ norms)).any():
-                return None
         weights = w / scale
         check = verify_infeasibility_certificate(comp.source, weights)
         if not check["ok"]:
