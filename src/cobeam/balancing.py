@@ -155,7 +155,7 @@ def _scaled_point(prob, X, t, serving):
         pairs.append(np.stack([stack, np.einsum(
             "k,ki,kj->kij", lam[:, -1], top, top.conj())]))
     X = [pair[:, j] for pair in pairs for j in range(pair.shape[1])]
-    rhs = [v for fam in prob.families for v in fam.rhs]
+    rhs = prob.rhs().tolist()
     terms = prob.row_terms(X).tolist()
     n, best = len(serving), (None, -np.inf)
     for c, rows in enumerate(terms):

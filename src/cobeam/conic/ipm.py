@@ -522,8 +522,7 @@ def point_violation(problem, solution):
         worst = max(worst, -float(solution.scalar_values.min()))
     vals = problem.row_terms(solution.matrix_values,
                              solution.scalar_values).sum(axis=-1)
-    rhs = np.array([b for fam in problem.families for b in fam.rhs])
-    return max(worst, _row_gap(rhs, vals, problem.sense(), 1.0))
+    return max(worst, _row_gap(problem.rhs(), vals, problem.sense(), 1.0))
 
 
 def verify_infeasibility_certificate(problem, weights):
@@ -547,8 +546,7 @@ def verify_infeasibility_certificate(problem, weights):
     wrong = problem.sense() * w < 0
     sign_ok = bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
     w[wrong] = 0.0
-    viol = float(sum(wk * b for wk, b in zip(
-        w, (b for fam in problem.families for b in fam.rhs))))
+    viol = float(sum(wk * b for wk, b in zip(w, problem.rhs())))
     cone_ok, max_cone = True, -np.inf
     for i, var in enumerate(problem.matrix_vars):
         # every row that reads X_i: its index and its coefficient
@@ -860,8 +858,7 @@ def _infeasible_solution(compiled, y, iterations):
     weights = compiled.user_duals_signed(y)
     scale = max(np.abs(weights).max(), 1e-300)
     weights = weights / scale
-    viol = float(sum(w * b for w, b in zip(weights, (
-        b for fam in compiled.source.families for b in fam.rhs))))
+    viol = float(sum(w * b for w, b in zip(weights, compiled.source.rhs())))
     return ConicSolution(
         status=SolveStatus.INFEASIBLE, iterations=iterations,
         certificate={"weights": weights, "violation": viol})

@@ -249,6 +249,10 @@ class ConicProblem:
         return np.array([SENSE[fam.relation] for fam in self.families
                          for _ in fam.rhs])
 
+    def rhs(self):
+        """Each row's right-hand side, in row order."""
+        return np.array([b for fam in self.families for b in fam.rhs])
+
     def row_terms(self, matrix_values, scalar_values=None):
         """The rows' terms at a stack of points, (..., m, n + 1) for m
         rows and n matrix variables: column i holds Tr(F_i X_i), 0 where
@@ -412,8 +416,7 @@ class CompiledProblem:
         and linear scalar costs."""
         for j, a in self.source.obj_scalar.items():
             self.c[self.scalar_off + j] = a
-        rhs = np.array([v for fam in self.source.families for v in fam.rhs],
-                       dtype=float)
+        rhs = self.source.rhs()
         norm = np.maximum(self.row_max, np.abs(rhs))
         scale = np.where(norm > 1.0, 1.0 / norm, 1.0)
         self.A = self.rows * scale[:, None]
