@@ -510,18 +510,22 @@ def _row_gap(rhs, val, sense, floor):
 
 
 def point_violation(problem, solution):
-    """Worst normalized constraint/cone violation of a candidate point:
-    each block's least eigenvalue over max(1, its trace), the least
-    scalar and the row gaps at floor 1 (:func:`_row_gap`)."""
+    """Worst normalized constraint/cone violation of a candidate point,
+    inf when an entry or a row value is not finite: each block's least
+    eigenvalue over max(1, its trace), the least scalar and the row gaps
+    at floor 1 (:func:`_row_gap`)."""
+    mats, scalars = solution.matrix_values, solution.scalar_values
+    vals = problem.row_terms(mats, scalars).sum(axis=-1)
+    if not all(np.isfinite(v).all() for v in (vals, scalars, *mats)
+               if v is not None):
+        return math.inf
     worst = 0.0
-    for mat in solution.matrix_values:
+    for mat in mats:
         scale = max(1.0, float(np.real(np.trace(mat))))
         low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
         worst = max(worst, -low / scale)
-    if solution.scalar_values is not None and solution.scalar_values.size:
-        worst = max(worst, -float(solution.scalar_values.min()))
-    vals = problem.row_terms(solution.matrix_values,
-                             solution.scalar_values).sum(axis=-1)
+    if scalars is not None and scalars.size:
+        worst = max(worst, -float(scalars.min()))
     return max(worst, _row_gap(problem.rhs(), vals, problem.sense(), 1.0))
 
 

@@ -219,6 +219,33 @@ class TestFarkasVerifier:
             prob, [1.0, 1.0, 1e-3])["ok"]
 
 
+class TestPointViolationNonFinite:
+    """A point with a non-finite entry reads as infinitely violated, so
+    neither the point screen nor a bisection's settling accepts it."""
+
+    @staticmethod
+    def violation(X, y):
+        # Tr X + y >= 5
+        prob = ConicProblem()
+        i = prob.add_psd_var(2)
+        j = prob.add_scalar_var()
+        prob.add_constraint(matrix={i: np.eye(2)}, scalars={j: 1.0},
+                            rel=">=", rhs=5.0)
+        sol = ipm.ConicSolution(
+            SolveStatus.OPTIMAL, matrix_values=[np.full((2, 2), X, complex)],
+            scalar_values=np.array([y]))
+        return point_violation(prob, sol)
+
+    def test_zero_point_reads_its_gap(self):
+        assert self.violation(0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("X, y", [(np.nan, np.nan), (0.0, np.nan),
+                                      (0.0, np.inf)],
+                             ids=["all-nan", "nan-scalar", "inf-scalar"])
+    def test_non_finite_point_reads_inf(self, X, y):
+        assert self.violation(X, y) == np.inf
+
+
 def jacobi_eigenvalues(sym, sweeps=30):
     """Cyclic Jacobi on a real symmetric matrix; test-local oracle."""
     a = np.array(sym, dtype=float)
