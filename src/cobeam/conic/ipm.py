@@ -499,10 +499,9 @@ def feasibility(problem):
 
 
 def _row_gap(rhs, val, sense, floor):
-    """The rows' worst normalized gap, 0 without rows: rhs - val on a >=
-    row, val - rhs on a <= row and |rhs - val| on an == row, each over
-    max(floor, |rhs|, |val|), for rows of :data:`problem.SENSE`
-    ``sense``."""
+    """Worst normalized gap of rows of :data:`.problem.SENSE` ``sense``, 0
+    without rows: rhs - val on >=, val - rhs on <= and |rhs - val| on ==
+    rows, each over max(floor, |rhs|, |val|)."""
     diff = rhs - val
     gap = np.where(sense == 0.0, np.abs(diff), sense * diff)
     norm = np.maximum(np.maximum(floor, np.abs(rhs)), np.abs(val))

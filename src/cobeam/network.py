@@ -130,10 +130,17 @@ def build_topology(B, G, U, A, gamma=1.0, sigma2=1.0, p_max=1.0,
 @dataclass(frozen=True)
 class ChannelSet:
     """Effective channels h[b, u] (cross-cell entries pre-scaled by
-    sqrt(1/d)) and their rank-one outer products."""
+    sqrt(1/d)) and their rank-one outer products, every entry finite."""
 
     h: np.ndarray          # (B, U, A) complex
     outer: np.ndarray      # (B, U, A, A) complex Hermitian
+
+    def __post_init__(self):
+        for name in ("h", "outer"):
+            bad = np.argwhere(~np.isfinite(getattr(self, name)))
+            if len(bad):
+                raise ConfigurationError(
+                    f"channel {name}{bad[0].tolist()} is not finite")
 
     def vec(self, b, u):
         return self.h[b, u]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cobeam import balance_centralized, solve_centralized
 from cobeam.errors import ConfigurationError, StateError
-from cobeam.network import (BeamformingSolution, build_topology,
+from cobeam.network import (BeamformingSolution, ChannelSet, build_topology,
                             evaluate_sinr, orthogonal_equivalent_target,
                             sample_channels, sum_power)
 
@@ -117,6 +118,29 @@ class TestChannels:
         h = chans.vec(0, 0)
         assert np.allclose(H, np.outer(h, h.conj()))
         assert np.trace(H).real == pytest.approx(np.linalg.norm(h) ** 2)
+
+    @pytest.mark.parametrize("design", [solve_centralized,
+                                        balance_centralized])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_channel_is_named(self, design, value):
+        # an inf here hung in the channel span's SVD, and a NaN raised
+        # numpy's LinAlgError from it
+        topo = build_topology(B=2, G=2, U=4, A=6, p_max=10.0,
+                              cell_separation=1.26)
+        h = np.array(sample_channels(topo, 0).h)
+        h[0, 0, 0] = value
+        with pytest.raises(ConfigurationError,
+                           match=r"channel h\[0, 0, 0\] is not finite"):
+            design(ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h,
+                                                   h.conj())), topo)
+
+    def test_non_finite_outer_product_is_named(self):
+        chans = sample_channels(build_topology(B=2, G=2, U=4, A=6), 0)
+        outer = np.array(chans.outer)
+        outer[1, 2, 3, 4] = np.nan
+        with pytest.raises(ConfigurationError,
+                           match=r"channel outer\[1, 2, 3, 4\]"):
+            ChannelSet(h=chans.h, outer=outer)
 
 
 def reference_sinr(channels, beams, u, topo):
