@@ -32,3 +32,25 @@ def test_digest_lines_are_repeatable(capsys):
                         and line.split()[2:4] == ["1", "sha256"])
     assert per_scheme == sorted(schemes)
     assert first == second
+
+
+def test_confirmations_cover_the_screen_exits(capsys, monkeypatch):
+    tool = load_tool()
+    calls = []
+    farkas = tool.ipm._FeasibilityScreens.farkas
+    monkeypatch.setattr(tool.ipm._FeasibilityScreens, "farkas",
+                        lambda self, y: calls.append(y) or farkas(self, y))
+    scenario = ROOT / "scenarios" / "balancing_gr.json"
+    tool.main([str(scenario), "--trials", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    exits = next(line.split() for line in lines
+                 if line.startswith("screen exits "))
+    confirms = [line.split() for line in lines
+                if line.startswith("confirmations ")]
+    assert len(confirms) == 1
+    _, points, _, certificates, _, _, path = confirms[0]
+    assert path == str(scenario)
+    # every screen exit is one accepted confirmation, and the Farkas
+    # screen asks the verifier at most once per call
+    assert int(points) >= int(exits[2])
+    assert 0 < int(exits[4]) <= int(certificates) <= len(calls)

@@ -65,8 +65,15 @@ solves at a bisection's lower end: how many ran and how many were
 skipped because the bisection's final payload was already rank one.  A
 run's polishes are its ``extra_calls`` beyond a probe of the lower end,
 which ``probes`` logs and ``calls`` does not count, so the line reads
-the same on a tree that polishes every bisection.  To check the solver
-of another tree, run this tool with its ``src`` on ``PYTHONPATH``.
+the same on a tree that polishes every bisection.  And one line per
+scenario file, ``confirmations <point> point <farkas> farkas``, counts
+the calls of ``ipm.point_violation`` and of
+``ipm.verify_infeasibility_certificate``, wrapped by their module names
+as the zero-objective screens look them up: what the screens' checks on
+the source rows cost, accepted or not.  ``balancing``'s settling imports
+``point_violation`` by name, so its checks are not counted.  To check
+the solver of another tree, run this tool with its ``src`` on
+``PYTHONPATH``.
 """
 
 import argparse
@@ -143,7 +150,7 @@ def main(argv=None):
     nrecords, nrows = 0, 0
     schemes = {}
     compiles = {"full": 0, "updated": 0}
-    settled, polishes = {}, {}
+    settled, polishes, confirmed = {}, {}, {}
 
     def recorded(solve_batch):
         def wrapper(problems):
@@ -190,6 +197,12 @@ def main(argv=None):
             return result
         return wrapper
 
+    def confirming(kind, check):
+        def wrapper(*args):
+            confirmed[path][kind] += 1
+            return check(*args)
+        return wrapper
+
     originals = conic.solve_batch, ipm.solve_batch, ipm._solve_hsd
     conic.solve_batch, ipm.solve_batch = map(recorded, originals[:2])
     ipm._solve_hsd = counted(originals[2])
@@ -198,9 +211,12 @@ def main(argv=None):
     problem.CompiledProblem.updated = tallied("updated", compiled[1])
     sdr_bisect = balancing._sdr_bisect
     balancing._sdr_bisect = deciding(sdr_bisect)
+    checks = ipm.point_violation, ipm.verify_infeasibility_certificate
+    ipm.point_violation, ipm.verify_infeasibility_certificate = (
+        confirming(kind, check) for kind, check in enumerate(checks))
     try:
         for path in args.scenarios:
-            settled[path], polishes[path] = 0, [0, 0]
+            settled[path], polishes[path], confirmed[path] = 0, [0, 0], [0, 0]
             config = parse_scenario(path)
             if args.trials is not None:
                 config.trials = args.trials
@@ -222,6 +238,7 @@ def main(argv=None):
         conic.solve_batch, ipm.solve_batch, ipm._solve_hsd = originals
         ipm.CompiledProblem, problem.CompiledProblem.updated = compiled
         balancing._sdr_bisect = sdr_bisect
+        ipm.point_violation, ipm.verify_infeasibility_certificate = checks
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
@@ -242,6 +259,9 @@ def main(argv=None):
         print(f"settled probes {count} in {path}")
     for path, (ran, skipped) in polishes.items():
         print(f"polishes {ran} run {skipped} skipped in {path}")
+    for path, (points, certificates) in confirmed.items():
+        print(f"confirmations {points} point {certificates} farkas "
+              f"in {path}")
 
 
 if __name__ == "__main__":
