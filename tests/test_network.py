@@ -123,8 +123,8 @@ class TestChannels:
                                         balance_centralized])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_channel_is_named(self, design, value):
-        # an inf here hung in the channel span's SVD, and a NaN raised
-        # numpy's LinAlgError from it
+        # unchecked, an inf hangs in the channel span's SVD and a NaN
+        # raises numpy's LinAlgError from it
         topo = build_topology(B=2, G=2, U=4, A=6, p_max=10.0,
                               cell_separation=1.26)
         h = np.array(sample_channels(topo, 0).h)
