@@ -24,8 +24,9 @@ times its right-hand side's norm.
 
 A problem whose objective is identically zero only asks whether its
 constraints are feasible, so the loop stops at an iterate's first
-feasible point (a cheap compiled pre-check, then :func:`point_violation`)
-or Farkas certificate (:func:`verify_infeasibility_certificate`).
+feasible point (:func:`_feasible_point`: a cheap compiled pre-check,
+then :func:`point_violation`) or Farkas certificate (:func:`_certified`:
+y clipped to its signs, then :func:`verify_infeasibility_certificate`).
 
 Every solution carries its final iterate, and a problem may start from
 an earlier one (``ConicProblem.start``), as in Skajaa, Andersen & Ye
@@ -216,7 +217,6 @@ class _KktSolver:
     def __init__(self, data, scaling, x, tau, kappa):
         self.A, self.b, self.c = data.A, data.b, data.c
         self.At = data.At
-        self.m = data.A.shape[-2]
         self.scaling = scaling
         self.tau, self.kappa = tau, kappa
         lay = scaling.layout
@@ -260,7 +260,8 @@ class _KktSolver:
         self.fallback = [s[2] for s in self._solvers]
 
     def _schur_solve(self, rhs):
-        if not self.m:
+        # LAPACK's potrs rejects an empty right-hand side
+        if not rhs.size:
             return np.zeros(rhs.shape)
         _require_finite(rhs)
         sols = np.empty(rhs.shape)
@@ -273,7 +274,7 @@ class _KktSolver:
         """Solve (I+D) dxs - (WA')dy = fd_scaled, (AW) dxs = f_p."""
         t = fd_scaled if self.dinv is None else self.dinv * fd_scaled
         dy = self._schur_solve(f_p - np.matvec(self.at_scaled, t))
-        dxs = fd_scaled + (np.matvec(self.at_scaled_t, dy) if self.m else 0.0)
+        dxs = fd_scaled + np.matvec(self.at_scaled_t, dy)
         if self.dinv is not None:
             dxs = self.dinv * dxs
         return dxs, dy
@@ -344,10 +345,9 @@ class _KktSolver:
         return d
 
     def _residual(self, sol, f2, f1, f3, fs, ft):
-        at_dy = np.matvec(self.At, sol.dy) if self.m else np.zeros_like(sol.dx)
         col = _col(sol.dtau)
         # c dtau - A'dy equals -A'dy + c dtau bit for bit
-        r2 = f2 - (self.c * col - at_dy - sol.dz)
+        r2 = f2 - (self.c * col - np.matvec(self.At, sol.dy) - sol.dz)
         if self.qdiag is not None:
             r2 -= self.qdiag * sol.dx
         r1 = f1 - (np.matvec(self.A, sol.dx) - self.b * col)
@@ -575,59 +575,40 @@ def verify_infeasibility_certificate(problem, weights):
             "signs_ok": sign_ok}
 
 
-class _FeasibilityScreens:
-    """Early exits of a solve whose objective, linear and quadratic
-    terms alike, is identically zero.
+def _feasible_point(comp, x, tau):
+    """OPTIMAL solution at x/tau if :func:`point_violation` accepts it,
+    else None.  A pre-check first reads the same row gaps in compiled
+    units: a row scaled by s has its gap and its normalizer max(1,
+    |rhs|, |value|) scaled by s, so its floor is s."""
+    val = comp.A[:, :comp.slack_off] @ (x[:comp.slack_off] / tau)
+    if _row_gap(comp.b, val, comp.sense, comp.row_scale) > ACCEPT_TOL:
+        return None
+    mats, scalars = comp.extract_point(x / tau)
+    sol = ConicSolution(
+        status=SolveStatus.OPTIMAL, matrix_values=mats,
+        scalar_values=scalars, duals=np.zeros(len(comp.b)),
+        objective=0.0)
+    if point_violation(comp.source, sol) > ACCEPT_TOL:
+        return None
+    return sol
 
-    With nothing to optimize, any feasible point is optimal and any
-    Farkas combination settles infeasibility, so each homogeneous
-    iterate is screened for both, one rule per screen.  The point x/tau
-    passes a cheap pre-check of its row gaps on the compiled rows and is
-    then confirmed on the source problem by :func:`point_violation`.
-    The dual iterate y, its wrong-sign entries clipped to zero, is a
-    certificate when :func:`verify_infeasibility_certificate` accepts
-    its signed weights.
-    """
 
-    def __init__(self, compiled):
-        self.compiled = compiled
-        self.A_user = compiled.A[:, :compiled.slack_off]
-
-    def point(self, x, tau):
-        """OPTIMAL solution at x/tau if it satisfies every row, else None.
-
-        The pre-check reads the gaps of :func:`point_violation` in
-        compiled units: a row scaled by s has its gap and its normalizer
-        max(1, |rhs|, |value|) scaled by s, so its floor is s.
-        """
-        comp = self.compiled
-        val = self.A_user @ (x[:comp.slack_off] / tau)
-        if _row_gap(comp.b, val, comp.sense, comp.row_scale) > ACCEPT_TOL:
-            return None
-        mats, scalars = comp.extract_point(x / tau)
-        sol = ConicSolution(
-            status=SolveStatus.OPTIMAL, matrix_values=mats,
-            scalar_values=scalars, duals=np.zeros(len(comp.b)),
-            objective=0.0)
-        if point_violation(comp.source, sol) > ACCEPT_TOL:
-            return None
-        return sol
-
-    def farkas(self, y):
-        """INFEASIBLE solution certified by the clipped weights of y, else
-        None.  Only called when b'y > 0."""
-        comp = self.compiled
-        w = comp.user_duals_signed(np.where(comp.sense * y < 0.0, 0.0, y))
-        scale = np.abs(w).max()
-        if scale == 0.0:
-            return None
-        weights = w / scale
-        check = verify_infeasibility_certificate(comp.source, weights)
-        if not check["ok"]:
-            return None
-        return ConicSolution(
-            status=SolveStatus.INFEASIBLE,
-            certificate={"weights": weights, "violation": check["violation"]})
+def _certified(comp, y, iterations):
+    """INFEASIBLE solution certified by the weights of y, its wrong-sign
+    entries clipped to zero, when every weight is not zero and
+    :func:`verify_infeasibility_certificate` accepts them, else None.
+    Only called when b'y > 0."""
+    w = comp.user_duals_signed(np.where(comp.sense * y < 0.0, 0.0, y))
+    scale = np.abs(w).max()
+    if scale == 0.0:
+        return None
+    weights = w / scale
+    check = verify_infeasibility_certificate(comp.source, weights)
+    if not check["ok"]:
+        return None
+    return ConicSolution(
+        status=SolveStatus.INFEASIBLE, iterations=iterations,
+        certificate={"weights": weights, "violation": check["violation"]})
 
 
 class _Member:
@@ -635,12 +616,14 @@ class _Member:
     iterate, stall count, fallback counts and exit."""
 
     def __init__(self, compiled):
-        self.compiled, self.screens = compiled, None
+        self.compiled = compiled
         self.start = compiled.start_point()
         self.stats = _new_stats(self.start is not None)
         self.best, self.best_err, self.stall = None, np.inf, 0
-        if not compiled.c.any() and not compiled.qdiag.any():
-            self.screens = _FeasibilityScreens(compiled)
+        # an identically zero objective only asks for a feasible point or
+        # a Farkas certificate, so each iterate is screened for both
+        self.screens = not compiled.c.any() and not compiled.qdiag.any()
+        if self.screens:
             self.stats.update(point_stop=0, farkas_stop=0)
         self.status, self.iterations = SolveStatus.MAX_ITER, None
         self.solution = None            # set by an early exit
@@ -729,7 +712,7 @@ def _solve_hsd(group):
     solutions in order."""
     data = _Batch(group)
     members = active = [_Member(c) for c in group]
-    lay, m, it = data.layout, data.A.shape[-2], 0
+    lay, it = data.layout, 0
     off = lay.nn_offset
     ident = lay.identity()
     x, y, z, tau, kappa = zip(*(mem.initial(ident) for mem in members))
@@ -741,7 +724,7 @@ def _solve_hsd(group):
         bty, ctx, xtz = _dot(b, y), _dot(c, x), _dot(data.own(x), z)
         col = _col(tau)
         r1 = np.matvec(A, x) - b * col
-        r2 = c * col - (np.matvec(data.At, y) if m else 0.0) - z
+        r2 = c * col - np.matvec(data.At, y) - z
         # x'Qx, and Q x in the dual residual
         xqx = [0.0] * len(active)
         if data.qdiag is not None:
@@ -765,16 +748,16 @@ def _solve_hsd(group):
             if mem.track(xp, yp, zp, t, pres, dres, relgap, it):
                 continue
             comp, early = mem.compiled, None
-            if mem.screens is not None:
+            if mem.screens:
                 # iterations are counted as on the OPTIMAL and Farkas
                 # exits below
-                early = mem.screens.point(xp, t)
+                early = _feasible_point(comp, xp, t)
                 if early is not None:
                     mem.stats["point_stop"], early.iterations = 1, it + 1
                 elif bt > 0:
-                    early = mem.screens.farkas(yp)
+                    early = _certified(comp, yp, it)
                     if early is not None:
-                        mem.stats["farkas_stop"], early.iterations = 1, it
+                        mem.stats["farkas_stop"] = 1
                 if early is not None:
                     early.kkt = {"primal": pres, "dual": dres, "gap": relgap}
             if early is None and k >= t and it > 0:

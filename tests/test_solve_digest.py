@@ -37,9 +37,10 @@ def test_digest_lines_are_repeatable(capsys):
 def test_confirmations_cover_the_screen_exits(capsys, monkeypatch):
     tool = load_tool()
     calls = []
-    farkas = tool.ipm._FeasibilityScreens.farkas
-    monkeypatch.setattr(tool.ipm._FeasibilityScreens, "farkas",
-                        lambda self, y: calls.append(y) or farkas(self, y))
+    farkas = tool.ipm._certified
+    monkeypatch.setattr(
+        tool.ipm, "_certified",
+        lambda comp, y, it: calls.append(y) or farkas(comp, y, it))
     scenario = ROOT / "scenarios" / "balancing_gr.json"
     tool.main([str(scenario), "--trials", "1"])
     lines = capsys.readouterr().out.splitlines()
