@@ -145,6 +145,15 @@ class ChannelSet:
     def vec(self, b, u):
         return self.h[b, u]
 
+    def check_shape(self, topology):
+        """Raise :class:`ConfigurationError` unless ``h`` has the shape
+        (B, U, A) of ``topology`` and ``outer`` (B, U, A, A)."""
+        h = (topology.B, topology.U, topology.A)
+        if self.h.shape != h or self.outer.shape != h + h[-1:]:
+            raise ConfigurationError(
+                f"channels h {self.h.shape} and outer {self.outer.shape}; "
+                f"expected h {h} and outer {h + h[-1:]}")
+
 
 def sample_channels(topology, seed):
     """Draw i.i.d. CN(0, 1) channels, attenuating cross-cell links.

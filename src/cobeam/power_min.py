@@ -72,6 +72,7 @@ def sinr_system(channels, topology, cell=None, level=None, theta=None,
     -1 where a pair has none.  :func:`sinr_update` gives a built problem
     a new ``level``, ``theta`` or ``copies``.
     """
+    channels.check_shape(topology)
     groups = range(topology.G) if cell is None \
         else topology.groups_of_bs(cell)
     users = list(range(topology.U)) if cell is None \
@@ -378,6 +379,7 @@ def direction_system(channels, topology, V, cell=None, theta=None,
     and its outgoing ones cap it; at ``theta`` None it sees no ICI.
     ``budget`` adds one row sum_g p_g <= p_max per BS.
     """
+    channels.check_shape(topology)
     if cell is None:
         groups, users = range(topology.G), list(range(topology.U))
         bss, own = range(topology.B), topology.group_of_user

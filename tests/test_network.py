@@ -1,9 +1,13 @@
 """Topology, channel sampling, and SINR evaluation tests."""
 
+import re
+
 import numpy as np
 import pytest
 
-from cobeam import balance_centralized, solve_centralized
+from cobeam import (balance_centralized, balance_distributed, run_admm,
+                    run_primal_decomposition, solve_centralized,
+                    solve_nulling)
 from cobeam.errors import ConfigurationError, StateError
 from cobeam.network import (BeamformingSolution, ChannelSet, build_topology,
                             evaluate_sinr, orthogonal_equivalent_target,
@@ -141,6 +145,29 @@ class TestChannels:
         with pytest.raises(ConfigurationError,
                            match=r"channel outer\[1, 2, 3, 4\]"):
             ChannelSet(h=chans.h, outer=outer)
+
+    @pytest.mark.parametrize("design", [
+        solve_centralized, balance_centralized, run_primal_decomposition,
+        run_admm, solve_nulling,
+        lambda chans, topo: balance_distributed(chans, topo, 1.0)],
+        ids=["centralized", "balance-centralized", "primal-decomp", "admm",
+             "nulling", "balance-distributed"])
+    @pytest.mark.parametrize("drawn", [dict(A=5), dict(U=6), dict(B=3)],
+                             ids=["A5", "U6", "B3"])
+    def test_channels_of_another_shape_are_named(self, design, drawn):
+        # unchecked, fewer antennas give beams of that size and more
+        # users or base stations are silently read in part
+        topo = build_topology(B=2, G=2, U=4, A=6, p_max=10.0,
+                              cell_separation=1.26)
+        shape = tuple({"B": 2, "U": 4, "A": 6, **drawn}.values())
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        chans = ChannelSet(h=h, outer=np.einsum("bui,buj->buij", h, h.conj()))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"channels h {chans.h.shape} and outer "
+                f"{chans.outer.shape}; expected h (2, 4, 6) and outer "
+                f"(2, 4, 6, 6)")):
+            design(chans, topo)
 
 
 def reference_sinr(channels, beams, u, topo):
