@@ -942,6 +942,22 @@ class TestSolveBatch:
         serial = assert_batch_matches_serial(problems)
         assert serial[-2].status is SolveStatus.INFEASIBLE
 
+    def test_rowless_problems(self):
+        # min cost y + Tr W over y >= 0 and W PSD, with no rows: 0 at 0,
+        # alone and in a batch whose Schur complements are empty
+        def rowless(cost):
+            prob = ConicProblem()
+            i = prob.add_psd_var(2)
+            j = prob.add_scalar_var()
+            prob.set_objective(matrix={i: np.eye(2)}, scalar={j: cost})
+            return prob
+
+        sol = solve(rowless(1.0))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(0.0, abs=1e-8)
+        serial = assert_batch_matches_serial([rowless(1.0), rowless(2.0)])
+        assert all(s.status is SolveStatus.OPTIMAL for s in serial)
+
     def test_one_problem_and_none(self):
         assert_batch_matches_serial(pd_pair(7)[:1])
         assert solve_batch([]) == []

@@ -55,3 +55,21 @@ def test_confirmations_cover_the_screen_exits(capsys, monkeypatch):
     # screen asks the verifier at most once per call
     assert int(points) >= int(exits[2])
     assert 0 < int(exits[4]) <= int(certificates) <= len(calls)
+
+
+def test_hsd_exits_count_the_unconfirmed_answers(capsys, monkeypatch):
+    tool = load_tool()
+    # with every certificate rejected, the zero-objective solves that
+    # the Farkas screen would end go on to the embedding's own exit
+    verify = tool.ipm.verify_infeasibility_certificate
+    monkeypatch.setattr(tool.ipm, "verify_infeasibility_certificate",
+                        lambda prob, w: {**verify(prob, w), "ok": False})
+    scenario = ROOT / "scenarios" / "balancing_gr.json"
+    tool.main([str(scenario), "--trials", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    exits = [line.split() for line in lines if line.startswith("hsd exits ")]
+    assert len(exits) == 1
+    _, _, infeasible, _, unbounded, _, _, path = exits[0]
+    assert path == str(scenario)
+    # a trace objective is bounded below, so no solve ends on a ray
+    assert int(infeasible) > 0 and int(unbounded) == 0

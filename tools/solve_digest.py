@@ -71,7 +71,12 @@ the calls of ``ipm.point_violation`` and of
 ``ipm.verify_infeasibility_certificate``, wrapped by their module names
 as the zero-objective screens look them up: what the screens' checks on
 the source rows cost, accepted or not.  ``balancing``'s settling imports
-``point_violation`` by name, so its checks are not counted.  To check
+``point_violation`` by name, so its checks are not counted.  And one
+line per scenario file, ``hsd exits <i> infeasible <u> unbounded``,
+counts the calls of ``ipm._infeasible_solution`` and
+``ipm._unbounded_solution``, wrapped by their module names: the solves
+that the homogeneous embedding's own criteria ended INFEASIBLE or
+UNBOUNDED, answers that no check on the source rows confirmed.  To check
 the solver of another tree, run this tool with its ``src`` on
 ``PYTHONPATH``.
 """
@@ -150,7 +155,7 @@ def main(argv=None):
     nrecords, nrows = 0, 0
     schemes = {}
     compiles = {"full": 0, "updated": 0}
-    settled, polishes, confirmed = {}, {}, {}
+    settled, polishes, confirmed, exits = {}, {}, {}, {}
 
     def recorded(solve_batch):
         def wrapper(problems):
@@ -197,10 +202,10 @@ def main(argv=None):
             return result
         return wrapper
 
-    def confirming(kind, check):
+    def counting(tally, kind, call):
         def wrapper(*args):
-            confirmed[path][kind] += 1
-            return check(*args)
+            tally[path][kind] += 1
+            return call(*args)
         return wrapper
 
     originals = conic.solve_batch, ipm.solve_batch, ipm._solve_hsd
@@ -213,10 +218,15 @@ def main(argv=None):
     balancing._sdr_bisect = deciding(sdr_bisect)
     checks = ipm.point_violation, ipm.verify_infeasibility_certificate
     ipm.point_violation, ipm.verify_infeasibility_certificate = (
-        confirming(kind, check) for kind, check in enumerate(checks))
+        counting(confirmed, kind, check)
+        for kind, check in enumerate(checks))
+    hsd = ipm._infeasible_solution, ipm._unbounded_solution
+    ipm._infeasible_solution, ipm._unbounded_solution = (
+        counting(exits, kind, make) for kind, make in enumerate(hsd))
     try:
         for path in args.scenarios:
-            settled[path], polishes[path], confirmed[path] = 0, [0, 0], [0, 0]
+            settled[path], polishes[path] = 0, [0, 0]
+            confirmed[path], exits[path] = [0, 0], [0, 0]
             config = parse_scenario(path)
             if args.trials is not None:
                 config.trials = args.trials
@@ -239,6 +249,7 @@ def main(argv=None):
         ipm.CompiledProblem, problem.CompiledProblem.updated = compiled
         balancing._sdr_bisect = sdr_bisect
         ipm.point_violation, ipm.verify_infeasibility_certificate = checks
+        ipm._infeasible_solution, ipm._unbounded_solution = hsd
     print(f"solves {len(hashes)} sha256 {digest.hexdigest()}")
     print(f"solves {len(hashes)} order-free sha256 "
           f"{hashlib.sha256(''.join(sorted(hashes)).encode()).hexdigest()}")
@@ -261,6 +272,9 @@ def main(argv=None):
         print(f"polishes {ran} run {skipped} skipped in {path}")
     for path, (points, certificates) in confirmed.items():
         print(f"confirmations {points} point {certificates} farkas "
+              f"in {path}")
+    for path, (infeasible, unbounded) in exits.items():
+        print(f"hsd exits {infeasible} infeasible {unbounded} unbounded "
               f"in {path}")
 
 
