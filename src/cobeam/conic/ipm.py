@@ -479,10 +479,13 @@ def feasibility(problem):
     """Solve generator (:mod:`.schedule`) of (feasible, solution) for
     the constraint system of ``problem``, ignoring its objective.
 
-    The solve of the objective-free system screens every iterate for a
-    feasible point and for a Farkas certificate, each confirmed by
-    direct evaluation, and stops at the first; when it ends without
-    either, the generator raises :class:`IndeterminateError`.
+    The solve of the objective-free system stops at an iterate's first
+    feasible point or Farkas certificate that direct evaluation confirms
+    (:func:`_feasible_point`, :func:`_certified`).  The embedding's own
+    criteria may end it first: OPTIMAL at the solver's tolerances, or
+    INFEASIBLE on kappa >= tau and ||A'y + z|| <= ACCEPT_TOL b'y, with a
+    certificate that no check confirmed.  Any other end raises
+    :class:`IndeterminateError`.
     """
     # a copy would compile anew, so an objective-free problem goes as it is
     if problem.obj_matrix or problem.obj_scalar or problem.obj_scalar_quad:
