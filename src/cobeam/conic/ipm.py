@@ -598,7 +598,7 @@ def _feasible_point(comp, x, tau):
 
 def _certified(comp, y, iterations):
     """INFEASIBLE solution certified by the weights of y, its wrong-sign
-    entries clipped to zero, when every weight is not zero and
+    entries clipped to zero, when some weight is nonzero and
     :func:`verify_infeasibility_certificate` accepts them, else None.
     Only called when b'y > 0."""
     w = comp.user_duals_signed(np.where(comp.sense * y < 0.0, 0.0, y))
