@@ -1,11 +1,13 @@
 """Scenario-driven Monte Carlo experiment runner.
 
 Scenarios are JSON files; dB quantities are converted to linear scale
-here and nowhere else.  Every (sweep point, trial, scheme) run becomes
-one flat record; distributed runs also produce per-iteration trace rows.
-Infeasible trials are recorded, never silently dropped.  All trials and
-schemes of a sweep point run side by side as solve generators
-(:mod:`.conic.schedule`), so their solves share batches.
+here and nowhere else.  Each scheme's runner names its solver calls,
+one per ICI cap or one for a scheme without caps, and every call of a
+(sweep point, trial) becomes one flat record; distributed runs also
+produce per-iteration trace rows.  :meth:`_SweepPoint.run` times each
+call on its own and records a failed one, never silently dropping it.
+All trials and schemes of a sweep point run side by side as solve
+generators (:mod:`.conic.schedule`), so their solves share batches.
 """
 
 import csv
@@ -20,10 +22,11 @@ from collections import Counter
 import numpy as np
 
 from . import conic
-from .balancing import (balance_centralized, balance_distributed,
-                        balance_uncoordinated)
-from .distributed import (run_admm, run_primal_decomposition,
-                          solve_fixed_ici, solve_nulling, solve_orthogonal)
+from .balancing import (BalanceOutcome, balance_centralized,
+                        balance_distributed, balance_uncoordinated)
+from .distributed import (ConvergenceTrace, run_admm,
+                          run_primal_decomposition, solve_fixed_ici,
+                          solve_nulling, solve_orthogonal)
 from .errors import (ConfigurationError, IndeterminateError,
                      InfeasibleTargetsError, RandomizationFailureError)
 from .network import build_topology, sample_channels
@@ -188,13 +191,6 @@ def parse_scenario(path):
         raise ConfigurationError(f"{path}: {err}") from err
 
 
-def _rank_stats(solution, G):
-    ranks = solution.sdr_rank
-    all_one = bool((ranks == 1).all())
-    avg = None if all_one else sum(ranks.tolist()) / G
-    return all_one, avg
-
-
 def run_sweep(config):
     """Execute the whole scenario; returns (records, trace_rows).
 
@@ -247,33 +243,35 @@ class _SweepPoint:
         return np.random.default_rng(seq)
 
     def run(self, k, scheme):
-        """Solve generator of scheme ``k``'s (records, trace rows).  A
-        record's ``wall_time_s`` is the time of the scheme's own steps
-        since the previous record plus the ``time_s`` of the solutions
-        they were sent; its ``ipm_iterations`` are those solutions'
-        iterations."""
-        runner = _RUNNERS[scheme](self, self.config, self._scheme_rng(k))
-        records, traces, sent, seconds, iterations = [], [], None, 0.0, 0
-        while runner is not None:
-            start = time.perf_counter()
-            try:
-                item = runner.send(sent)
-            except StopIteration:
-                break
-            except _FAILURES as err:
-                item, runner = (_failure(err), None), None
-            seconds += time.perf_counter() - start
-            if isinstance(item, list):
-                sent = yield item
+        """Solve generator of scheme ``k``'s (records, trace rows).  Its
+        runner's solver calls run one after the other, each timed on its
+        own: a record's ``wall_time_s`` is the time of its call's steps
+        plus the ``time_s`` of the solutions they were sent, and its
+        ``ipm_iterations`` are those solutions' iterations.  This is the
+        one place that catches :data:`_FAILURES`."""
+        records, traces = [], []
+        for cap, steps in _RUNNERS[scheme](self, self.config,
+                                           self._scheme_rng(k)):
+            sent, seconds, iterations = None, 0.0, 0
+            while True:
+                start = time.perf_counter()
+                try:
+                    problems = steps.send(sent)
+                except StopIteration as stop:
+                    outcome = stop.value
+                    break
+                except _FAILURES as err:
+                    outcome = err
+                    break
+                finally:
+                    seconds += time.perf_counter() - start
+                sent = yield problems
                 seconds += sum(sol.time_s for sol in sent)
                 iterations += sum(sol.iterations for sol in sent)
-                continue
-            rec, trace = item
+            rec, rows = self._record(scheme, cap, outcome)
             rec["wall_time_s"], rec["ipm_iterations"] = seconds, iterations
-            seconds, iterations, sent = 0.0, 0, None
-            records.append(self._finish(rec, scheme))
-            if trace is not None:
-                traces.extend(self._trace_rows(scheme, trace))
+            records.append(rec)
+            traces.extend(rows)
         return records, traces
 
     def solving(self, solver, rng, *args, **kwargs):
@@ -282,122 +280,92 @@ class _SweepPoint:
                              gr_count=self.config.gr_budget, rng=rng,
                              **kwargs)
 
-    def _finish(self, rec, scheme):
-        base = {col: None for col in RECORD_COLUMNS}
-        base.update({
+    def _record(self, scheme, cap, outcome):
+        """Record and trace rows of a solver call of ``scheme`` at
+        ``cap``, whose ``outcome`` is the :class:`BeamformingSolution`,
+        :class:`ConvergenceTrace` or :class:`BalanceOutcome` it returned
+        or the error of :data:`_FAILURES` it raised."""
+        rec = dict.fromkeys(RECORD_COLUMNS)
+        rec.update({
             "trial": self.trial, "seed": self.config.seed,
             "scheme": scheme,
             "B": self.topology.B, "G": self.topology.G,
             "U": self.topology.U, "A": self.topology.A,
             "gamma_db": self.gamma_db, "d_db": self.d_db,
             "sigma2": self.config.sigma2, "p_max": self.p_max,
-            "feasible": True, "failure_kind": "",
+            "theta_cap": cap, "feasible": True, "failure_kind": "",
         })
-        base.update(rec)
-        return base
-
-    def _trace_rows(self, scheme, trace):
-        rows = []
-        for row in trace.rows:
-            out = {"scheme": scheme, "trial": self.trial,
-                   "gamma_db": self.gamma_db, "d_db": self.d_db,
-                   "p_max": self.p_max}
-            out.update(row)
-            rows.append(out)
-        return rows
-
-    def _power_record(self, solution, sdr_bound):
-        all_one, avg = _rank_stats(solution, self.topology.G)
-        return {"objective": solution.objective,
-                "objective_kind": "sum_power_w",
-                "sdr_bound": sdr_bound,
-                "used_randomization": solution.used_randomization,
-                "all_rank_one": all_one, "avg_rank": avg}
-
-    def _trace_record(self, trace):
-        """Record of an iterative scheme, with its trace."""
-        rec = self._power_record(trace.solution, trace.best_power)
-        rec["iterations"] = trace.iterations
-        rec["scalars_exchanged"] = trace.log.total_scalars()
-        return rec, trace
-
-    def _balance_record(self, outcome, cap):
-        all_one, avg = _rank_stats(outcome.solution, self.topology.G)
-        return {"objective": outcome.achieved,
-                "objective_kind": "min_sinr_linear",
-                "sdr_bound": outcome.t_relaxed,
-                "theta_cap": cap,
-                "used_randomization": outcome.solution.used_randomization,
-                "all_rank_one": all_one, "avg_rank": avg}
+        if isinstance(outcome, _FAILURES):
+            rec.update(feasible=False, failure_kind=type(outcome).__name__)
+            return rec, []
+        sol = getattr(outcome, "solution", outcome)
+        all_one = bool((sol.sdr_rank == 1).all())
+        rec.update(objective=sol.objective, objective_kind="sum_power_w",
+                   sdr_bound=sol.sdr_objective,
+                   used_randomization=sol.used_randomization,
+                   all_rank_one=all_one, avg_rank=None if all_one
+                   else sum(sol.sdr_rank.tolist()) / self.topology.G)
+        if isinstance(outcome, BalanceOutcome):
+            rec.update(objective=outcome.achieved,
+                       objective_kind="min_sinr_linear",
+                       sdr_bound=outcome.t_relaxed)
+        if not isinstance(outcome, ConvergenceTrace):
+            return rec, []
+        rec.update(sdr_bound=outcome.best_power,
+                   iterations=outcome.iterations,
+                   scalars_exchanged=outcome.log.total_scalars())
+        return rec, [{"scheme": scheme, "trial": self.trial,
+                      "gamma_db": self.gamma_db, "d_db": self.d_db,
+                      "p_max": self.p_max, **row} for row in outcome.rows]
 
 
-def _failure(err, **fields):
-    """Record of a run that raised ``err``, one of :data:`_FAILURES`."""
-    return {"feasible": False, "failure_kind": type(err).__name__, **fields}
-
-
-# scheme registry: every runner is a solve generator that also yields its
-# (record, trace) pairs, and looks its solver up among this module's
-# globals when it runs (conic.solving); a failure ends a runner, so one
-# with a record per cap records its caps' failures itself
+# scheme registry: every runner returns its solver calls as (cap, solve
+# generator) pairs, one with cap None for a scheme without caps, and
+# looks its solver up among this module's globals when it is called
 
 
 def _centralized(pt, cfg, rng):
-    sol = yield from pt.solving(solve_centralized, rng)
-    yield pt._power_record(sol, sol.sdr_objective), None
+    return [(None, pt.solving(solve_centralized, rng))]
 
 
 def _primal_decomposition(pt, cfg, rng, common_theta=False):
-    yield pt._trace_record((yield from pt.solving(
-        run_primal_decomposition, rng, max_iters=cfg.iters,
-        step=cfg.step_size, common_theta=common_theta)))
+    return [(None, pt.solving(run_primal_decomposition, rng,
+                              max_iters=cfg.iters, step=cfg.step_size,
+                              common_theta=common_theta))]
 
 
 def _admm(pt, cfg, rng):
-    yield pt._trace_record((yield from pt.solving(
-        run_admm, rng, max_iters=cfg.iters, rho=cfg.rho)))
+    return [(None, pt.solving(run_admm, rng, max_iters=cfg.iters,
+                              rho=cfg.rho))]
 
 
 def _nulling(pt, cfg, rng):
-    yield pt._power_record((yield from pt.solving(solve_nulling, rng)),
-                           None), None
+    return [(None, pt.solving(solve_nulling, rng))]
 
 
 def _fixed_theta(pt, cfg, rng):
-    try:
-        rec = pt._power_record((yield from pt.solving(
-            solve_fixed_ici, rng, cfg.theta_fixed)), None)
-    except _FAILURES as err:
-        rec = _failure(err)
-    rec["theta_cap"] = cfg.theta_fixed
-    yield rec, None
+    return [(cfg.theta_fixed,
+             pt.solving(solve_fixed_ici, rng, cfg.theta_fixed))]
 
 
 def _orthogonal(pt, cfg, rng):
-    yield pt._power_record((yield from pt.solving(solve_orthogonal, rng)),
-                           None), None
+    return [(None, pt.solving(solve_orthogonal, rng))]
 
 
 def _balance_centralized(pt, cfg, rng):
-    out = yield from pt.solving(balance_centralized, rng,
-                                epsilon=cfg.epsilon)
-    yield pt._balance_record(out, None), None
+    return [(None, pt.solving(balance_centralized, rng,
+                              epsilon=cfg.epsilon))]
 
 
 def _balance_distributed(pt, cfg, rng):
-    for cap in cfg.theta_grid:
-        try:
-            rec = pt._balance_record((yield from pt.solving(
-                balance_distributed, rng, cap, epsilon=cfg.epsilon)), cap)
-        except _FAILURES as err:
-            rec = _failure(err, theta_cap=cap)
-        yield rec, None
+    return [(cap, pt.solving(balance_distributed, rng, cap,
+                             epsilon=cfg.epsilon))
+            for cap in cfg.theta_grid]
 
 
 def _balance_uncoordinated(pt, cfg, rng):
-    out = yield from pt.solving(balance_uncoordinated, rng,
-                                epsilon=cfg.epsilon)
-    yield pt._balance_record(out, None), None
+    return [(None, pt.solving(balance_uncoordinated, rng,
+                              epsilon=cfg.epsilon))]
 
 
 _RUNNERS = {
