@@ -388,7 +388,7 @@ def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
     """Full centralized balancing pipeline."""
     res = yield from conic.solving(bisect_balance, channels, topology,
                                    epsilon)
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
 
     def randomize(W):
         return _randomize(W, gr_count, rng, lambda V:
@@ -411,7 +411,7 @@ def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
     network's groups."""
     cells = []
     per_cell_t = {}
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
     results = yield from conic.gather([
         conic.solving(local_balance, b, channels, topology, theta, epsilon)
         for b in range(topology.B)])

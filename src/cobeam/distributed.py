@@ -354,7 +354,7 @@ def _finalize(channels, topology, W, theta, gr_count, rng, bus=None):
             bus.post(b, None, "rank-bit",
                      [float(ones[topology.groups_of_bs(b)].all())])
         bus.deliver()
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
     solution = finalize(W, lambda W: distributed_gaussian_randomization(
         channels, topology, W, theta, gr_count, rng, bus=bus))
     if not solution.used_randomization:
@@ -540,13 +540,12 @@ def distributed_gaussian_randomization(channels, topology, W_star, theta,
     if bus is None:
         bus = MessageBus(range(topology.B))
     seeds = rng.spawn(topology.B)
-    V = np.zeros((count, topology.G, topology.A), dtype=complex)
+    V = np.stack([gaussian_candidates(W, count, seeds[b]) for W, b
+                  in zip(W_star, topology.bs_of_group)], axis=1)
     P = np.zeros((count, topology.G))
     totals = np.zeros((topology.B, count))
     for b in range(topology.B):
         groups = topology.groups_of_bs(b)
-        for g in groups:
-            V[:, g] = gaussian_candidates(W_star[g], count, seeds[b])
         P[:, groups] = fixed_direction_powers(
             channels, topology, V[:, groups], cell=b, theta=theta)
         totals[b] = P[:, groups].sum(axis=1)

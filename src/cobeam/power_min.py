@@ -14,8 +14,8 @@ import numpy as np
 
 from . import conic
 from .conic import ConicProblem, SolveStatus
-from .errors import (IndeterminateError, InfeasibleTargetsError,
-                     RandomizationFailureError)
+from .errors import (ConfigurationError, IndeterminateError,
+                     InfeasibleTargetsError, RandomizationFailureError)
 from .network import BeamformingSolution
 
 DEFAULT_GR_COUNT = 100
@@ -263,7 +263,12 @@ def gaussian_candidates(W_star, count, rng):
     complex normal, then normalized to unit power.  One block of normals
     gives the same stream as drawing each candidate's real part, then its
     imaginary part, in turn; an empty draw takes nothing from ``rng``.
+    ``count`` is a design's ``gr_count``, an integer >= 0.
     """
+    if isinstance(count, bool) or not isinstance(
+            count, (int, np.integer)) or count < 0:
+        raise ConfigurationError(
+            f"gr_count must be an integer >= 0 (got {count!r})")
     L = conic.psd_sqrt(W_star)
     dim = W_star.shape[0]
     z = rng.standard_normal((count, 2, dim))
@@ -498,7 +503,7 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
     if sol.status is not SolveStatus.OPTIMAL:
         raise IndeterminateError(
             f"relaxation solve stopped with status {sol.status}")
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
     solution = finalize(
         covariances(prob, sol),
         lambda W: randomize_from_covariances(

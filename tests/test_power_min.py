@@ -5,7 +5,10 @@ import pytest
 from conftest import row_data
 
 from cobeam import conic
-from cobeam.errors import RandomizationFailureError
+from cobeam.balancing import balance_centralized, balance_distributed
+from cobeam.distributed import (run_admm, run_primal_decomposition,
+                                solve_fixed_ici)
+from cobeam.errors import ConfigurationError, RandomizationFailureError
 from cobeam.network import (BeamformingSolution, ChannelSet,
                             build_topology, evaluate_sinr, sample_channels,
                             sum_power)
@@ -131,6 +134,15 @@ class TestGaussianCandidates:
         # an empty draw takes nothing from the stream
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("count", [2.5, -1, True, "3", None])
+    def test_bad_count_named(self, count):
+        with pytest.raises(ConfigurationError, match="gr_count"):
+            gaussian_candidates(np.eye(2), count, np.random.default_rng(0))
+
+    def test_numpy_integer_count(self):
+        assert gaussian_candidates(np.eye(2), np.int64(3),
+                                   np.random.default_rng(0)).shape == (3, 2)
+
     def test_excluded_direction_stays_out(self):
         # a covariance built orthogonal to h: its roundoff-sized
         # eigenvalue along h must not turn into a 1e-8 leak toward h
@@ -170,6 +182,50 @@ class TestGaussianCandidates:
             assert len(new) == 50
             # the batched norm sums in another order than BLAS's ddot
             np.testing.assert_allclose(new, old, rtol=0, atol=4e-16)
+
+
+def _randomizing_design(name, **kwargs):
+    """Solution of design ``name`` on a draw whose relaxation is not of
+    rank one, so it goes through Gaussian randomization: the perfbench
+    ``multicast-gr`` shape at channel seed 1, or that of
+    ``scenarios/balancing_gr.json`` at seeds 4 and 1."""
+    if name.startswith("balance"):
+        topo = build_topology(B=2, G=2, U=8, A=4, gamma=1.0,
+                              cell_separation=10 ** 0.1)
+        if name == "balance-centralized":
+            return balance_centralized(sample_channels(topo, 4), topo,
+                                       **kwargs).solution
+        return balance_distributed(sample_channels(topo, 1), topo, 0.1,
+                                   **kwargs).solution
+    topo = build_topology(B=2, G=2, U=20, A=8, gamma=10 ** 0.1,
+                          cell_separation=10 ** 0.6)
+    chans = sample_channels(topo, 1)
+    if name == "centralized":
+        return solve_centralized(chans, topo, **kwargs)
+    if name == "fixed-theta":
+        return solve_fixed_ici(chans, topo, 0.1, **kwargs)
+    run = {"primal-decomp": run_primal_decomposition, "admm": run_admm}
+    return run[name](chans, topo, max_iters=5, **kwargs).solution
+
+
+RANDOMIZING = ["centralized", "primal-decomp", "admm", "fixed-theta",
+               "balance-centralized", "balance-distributed"]
+
+
+class TestRandomizationInputs:
+    @pytest.mark.parametrize("count", [2.5, -1, True])
+    @pytest.mark.parametrize("name", RANDOMIZING)
+    def test_bad_gr_count_named(self, name, count):
+        with pytest.raises(ConfigurationError, match="gr_count"):
+            _randomizing_design(name, gr_count=count)
+
+    @pytest.mark.parametrize("name", RANDOMIZING)
+    def test_int_seed_is_its_generator(self, name):
+        sol = _randomizing_design(name, rng=7)
+        ref = _randomizing_design(name, rng=np.random.default_rng(7))
+        assert sol.used_randomization and ref.used_randomization
+        assert sol.objective == ref.objective
+        assert np.array_equal(sol.w, ref.w)
 
 
 class TestStackedFinalize:
