@@ -37,16 +37,24 @@ class SolveStatus(Enum):
     MAX_ITER = "max_iter"
 
 
+def _check_finite(values, what):
+    """Raise ValueError naming ``what`` unless every entry of ``values``
+    is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what}: non-finite entry")
+
+
 def _as_hermitian(mats, dim=None, what="matrix"):
     """The Hermitian parts of a stack (..., d, d), or of one matrix, each
-    checked to be Hermitian within ``HERMITIAN_TOL`` times its largest
-    entry (at least 1); ``dim`` checks d.  An exactly Hermitian stack,
-    such as the channel outer products, is its own Hermitian part and
-    comes back as it is."""
+    checked to be finite and Hermitian within ``HERMITIAN_TOL`` times its
+    largest entry (at least 1); ``dim`` checks d.  An exactly Hermitian
+    stack, such as the channel outer products, is its own Hermitian part
+    and comes back as it is."""
     mats = np.asarray(mats)
     if dim is not None and mats.shape[-2:] != (dim, dim):
         raise ValueError(
             f"{what}: expected shape {(dim, dim)}, got {mats.shape[-2:]}")
+    _check_finite(mats, what)
     adjoint = mats.conj().swapaxes(-1, -2)
     if (mats == adjoint).all():
         return mats
@@ -139,10 +147,12 @@ class ConicProblem:
         if scalar:
             for j, v in scalar.items():
                 self._check_scalar(j)
+                _check_finite(v, f"objective scalar[{j}]")
                 self.obj_scalar[j] = float(v)
         if scalar_quad:
             for j, v in scalar_quad.items():
                 self._check_scalar(j)
+                _check_finite(v, f"objective scalar_quad[{j}]")
                 if v < 0:
                     raise ValueError("quadratic coefficients must be >= 0")
                 self.obj_scalar_quad[j] = float(v)
@@ -170,6 +180,7 @@ class ConicProblem:
         if rel not in SENSE:
             raise ValueError(f"unknown relation {rel!r}")
         rhs = tuple(float(v) for v in rhs)
+        _check_finite(rhs, "rhs")
         labels = (None,) * len(rhs) if labels is None else tuple(labels)
         if len(labels) != len(rhs):
             raise ValueError(f"{len(labels)} labels for {len(rhs)} rows")
@@ -188,8 +199,9 @@ class ConicProblem:
             mats[i] = (self._positions(rows, m, F), F)
         for j, (rows, a) in (scalars or {}).items():
             self._check_scalar(j)
-            a = np.asarray(a, dtype=float).tolist()
-            scals[j] = (self._positions(rows, m, a), a)
+            a = np.asarray(a, dtype=float)
+            _check_finite(a, f"constraint scalar coeff[{j}]")
+            scals[j] = (self._positions(rows, m, a), a.tolist())
         return mats, scals
 
     def updated(self, rhs=(), scalar=None, coeffs=None):
@@ -200,6 +212,7 @@ class ConicProblem:
         family's coefficients, and ``compiled`` unless ``coeffs`` are
         given.  More right-hand sides than rows raise ValueError."""
         rhs, coeffs, families = [float(v) for v in rhs], coeffs or {}, []
+        _check_finite(rhs, "rhs")
         m = sum(len(fam.rhs) for fam in self.families)
         if len(rhs) > m:
             raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -614,13 +615,49 @@ class TestConstruction:
             solve(ConicProblem())
 
     def test_nan_right_hand_side(self):
+        # named where it enters, not deep in the solve's Schur factor
         prob = ConicProblem()
         js = [prob.add_scalar_var(), prob.add_scalar_var()]
         prob.set_objective(scalar={j: 1.0 for j in js})
-        prob.add_constraint(scalars={j: 1.0 for j in js}, rel=">=",
-                            rhs=float("nan"))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve(prob)
+        with pytest.raises(ValueError, match="rhs: non-finite"):
+            prob.add_constraint(scalars={j: 1.0 for j in js}, rel=">=",
+                                rhs=float("nan"))
+        assert not prob.families
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what, enter", [
+        ("rhs", lambda prob, v: prob.add_constraint(
+            scalars={0: 1.0}, rhs=v)),
+        ("rhs", lambda prob, v: prob.updated(rhs=[v])),
+        ("constraint coeff[0]", lambda prob, v: prob.add_constraint(
+            matrix={0: np.diag([1.0, v])}, rhs=1.0)),
+        ("constraint scalar coeff[0]", lambda prob, v: prob.add_constraint(
+            scalars={0: v}, rhs=1.0)),
+        ("constraint scalar coeff[0]", lambda prob, v: prob.updated(
+            coeffs={0: ({}, {0: ([0], [v])})})),
+        ("objective[0]", lambda prob, v: prob.set_objective(
+            matrix={0: np.diag([v, 1.0])})),
+        ("objective scalar[0]", lambda prob, v: prob.updated(
+            scalar={0: v})),
+        ("objective scalar_quad[0]", lambda prob, v: prob.set_objective(
+            scalar_quad={0: v}))], ids=[
+        "rhs", "updated-rhs", "matrix-coeff", "scalar-coeff",
+        "updated-scalar-coeff", "matrix-cost", "updated-scalar-cost",
+        "quadratic-cost"])
+    def test_non_finite_input_named(self, what, enter, value):
+        prob = ConicProblem()
+        prob.add_psd_var(2, complex=False)
+        prob.add_scalar_var()
+        prob.set_objective(matrix={0: np.eye(2)}, scalar={0: 1.0})
+        prob.add_constraint(matrix={0: np.eye(2)}, scalars={0: 1.0},
+                            rhs=1.0)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{what}: non-finite")):
+            enter(prob, value)
+        # the problem keeps what it held
+        assert len(prob.families) == 1 and not prob.obj_scalar_quad
+        assert prob.obj_scalar == {0: 1.0}
+        assert (prob.obj_matrix[0] == np.eye(2)).all()
 
     def test_repeated_row_positions(self):
         prob = ConicProblem()
@@ -810,6 +847,99 @@ class TestRandomHealth:
             sol = solve(prob)
             assert sol.status is SolveStatus.OPTIMAL
             assert max(sol.kkt.values()) <= 1e-7
+
+
+def qos_seed0():
+    """``scenarios/power_min_small.json``'s QoS SDP at channel seed 0."""
+    topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                          cell_separation=10 ** 0.1)
+    return assemble_qos_sdp(sample_channels(topo, 0), topo)
+
+
+def tracked(monkeypatch):
+    """The (iteration, stall count) of each ``_Member.track`` call, as
+    the solves it patches make them."""
+    calls, track = [], ipm._Member.track
+
+    def spy(self, *args):
+        done = track(self, *args)
+        calls.append((args[-1], self.stall))
+        return done
+
+    monkeypatch.setattr(ipm._Member, "track", spy)
+    return calls
+
+
+class TestRareExits:
+    """Exits and fallbacks of the interior-point loop that well-posed
+    problems at the default settings do not reach."""
+
+    def test_stall_exit(self, monkeypatch):
+        # X00 = 0 and 2 X01 = 1 have no PSD solution, but one within any
+        # distance: the residuals stop improving, and 12 iterations on
+        # the solve ends at its best iterate
+        calls = tracked(monkeypatch)
+        prob = ConicProblem()
+        i = prob.add_psd_var(2, complex=False)
+        prob.set_objective(matrix={i: np.eye(2)})
+        prob.add_constraint(matrix={i: np.diag([1.0, 0.0])}, rel="==",
+                            rhs=0.0)
+        prob.add_constraint(matrix={i: np.array([[0.0, 1.0], [1.0, 0.0]])},
+                            rel="==", rhs=1.0)
+        sol = solve(prob)
+        assert sol.status is SolveStatus.MAX_ITER
+        last, stall = calls[-1]
+        assert stall == 12
+        assert sol.iterations == last + 2 < ipm.MAX_ITER
+
+    def test_breakdown_exit_and_promotion(self, monkeypatch):
+        # no iterate meets a tolerance of 1e-15, so tau or mu collapses
+        # first; the best iterate is within ACCEPT_TOL, so OPTIMAL
+        calls = tracked(monkeypatch)
+        monkeypatch.setattr(ipm, "DEFAULT_TOL", 1e-15)
+        sol = solve(qos_seed0())
+        assert sol.status is SolveStatus.OPTIMAL
+        assert 1e-15 < max(sol.kkt.values()) <= ipm.ACCEPT_TOL
+        last, stall = calls[-1]
+        assert stall < 12
+        assert sol.iterations == last + 2 < ipm.MAX_ITER
+
+    def test_jitter_counted(self, monkeypatch):
+        # the breakdown's last iterates are so near the cone's boundary
+        # that some blocks need jitter to factor
+        jittered = []
+        count = ipm._count_fallbacks
+
+        def spy(members, scaling, kkt):
+            jittered.append(int(scaling.jitters.sum()))
+            count(members, scaling, kkt)
+
+        monkeypatch.setattr(ipm, "_count_fallbacks", spy)
+        monkeypatch.setattr(ipm, "DEFAULT_TOL", 1e-15)
+        sol = solve(qos_seed0())
+        assert sol.stats["chol_jitter"] == sum(jittered) > 0
+
+    def test_promotion_at_accept_tol(self, monkeypatch):
+        # cut off before DEFAULT_TOL but within ACCEPT_TOL: OPTIMAL, with
+        # the objective of the best iterate
+        monkeypatch.setattr(ipm, "MAX_ITER", 8)
+        sol = solve(qos_seed0())
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.iterations == 8
+        assert ipm.DEFAULT_TOL < max(sol.kkt.values()) <= ipm.ACCEPT_TOL
+        ref = solve(qos_seed0())
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
+
+    def test_pinv_fallback(self, monkeypatch):
+        # a Schur complement that no ridge makes factorable is solved
+        # through its pseudo-inverse, to the same optimum
+        ref = solve(qos_seed0())
+        monkeypatch.setattr(ipm, "_POTRF", lambda M, lower: (M, 1))
+        sol = solve(qos_seed0())
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.stats["schur_pinv"] > 0
+        assert sol.stats["schur_ridge"] == 0
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
 
 
 # -- lockstep batches --------------------------------------------------------
