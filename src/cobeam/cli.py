@@ -5,7 +5,9 @@ Usage::
     cobeam run scenario.json [--out results.csv] [--format csv|json]
                [--trials N] [--seed S] [--traces traces.csv]
 
-Exit codes: 0 success, 2 configuration problems, 1 solve failures.
+Exit codes: 0 when the run completes, failed trials included (each is
+recorded with its ``failure_kind``); 2 for configuration problems; 1 when
+a ``CobeamError`` other than a recorded failure escapes the run.
 """
 
 import argparse

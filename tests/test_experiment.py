@@ -10,15 +10,25 @@ from cobeam import conic, experiment
 from cobeam.cli import main
 from cobeam.conic import ipm
 from cobeam.errors import (ConfigurationError, IndeterminateError,
-                           InfeasibleTargetsError)
-from cobeam.experiment import (RECORD_COLUMNS, ScenarioConfig, emit_results,
-                               emit_traces, expand_sweep, parse_scenario,
-                               run_sweep, solve_orthogonal, summarize)
+                           InfeasibleTargetsError, StateError)
+from cobeam.experiment import (RECORD_COLUMNS, SCHEMES, ScenarioConfig,
+                               emit_results, emit_traces, expand_sweep,
+                               parse_scenario, run_sweep, solve_orthogonal,
+                               summarize)
 from cobeam.network import (build_topology, orthogonal_equivalent_target,
                             sample_channels)
-from cobeam.distributed import solve_fixed_ici, solve_nulling
+from cobeam.balancing import (balance_centralized, balance_distributed,
+                              balance_uncoordinated)
+from cobeam.distributed import (run_admm, run_primal_decomposition,
+                                solve_fixed_ici, solve_nulling)
+from cobeam.power_min import solve_centralized
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# the record columns that hold a solver call's answer
+PINNED = ("objective", "objective_kind", "sdr_bound", "theta_cap",
+          "used_randomization", "all_rank_one", "avg_rank", "iterations",
+          "scalars_exchanged")
 
 
 def write_scenario(tmp_path, name="scn.json", **overrides):
@@ -369,6 +379,80 @@ class TestSweep:
             else:
                 assert rec["objective"] == ref["objective"]
 
+    def test_records_match_direct_calls(self):
+        # each record holds what its scheme's solver returns when called
+        # alone on the trial's channels and the scheme's stream: on this
+        # draw some designs randomize, nulling and fixed-theta fail, and
+        # balance-distributed runs its caps in turn on one stream
+        cfg = ScenarioConfig(B=2, G=2, U=8, A=4, schemes=list(SCHEMES),
+                             gamma_db=3.0, d_db=1.0, trials=1, seed=1,
+                             iters=5, theta_grid=[0.0, 0.1, 1.0],
+                             theta_fixed=0.01)
+        records, _ = run_sweep(cfg)
+        point = experiment._SweepPoint(cfg, 3.0, 1.0, cfg.p_max[0], 0,
+                                       point_key=(0, 0, 0))
+        run = (point.channels, point.topology)
+        calls = {
+            "centralized": [(None, solve_centralized, run, {})],
+            "primal-decomp": [(None, run_primal_decomposition, run, dict(
+                max_iters=cfg.iters, step=cfg.step_size))],
+            "admm": [(None, run_admm, run, dict(max_iters=cfg.iters,
+                                                rho=cfg.rho))],
+            "nulling": [(None, solve_nulling, run, {})],
+            "fixed-theta": [(cfg.theta_fixed, solve_fixed_ici,
+                             run + (cfg.theta_fixed,), {})],
+            "common-theta": [(None, run_primal_decomposition, run, dict(
+                max_iters=cfg.iters, step=cfg.step_size,
+                common_theta=True))],
+            "orthogonal": [(None, solve_orthogonal, run, {})],
+            "balance-centralized": [(None, balance_centralized, run, dict(
+                epsilon=cfg.epsilon))],
+            "balance-distributed": [
+                (cap, balance_distributed, run + (cap,),
+                 dict(epsilon=cfg.epsilon)) for cap in cfg.theta_grid],
+            "balance-uncoordinated": [(None, balance_uncoordinated, run,
+                                       dict(epsilon=cfg.epsilon))],
+        }
+        want = []
+        for k, scheme in enumerate(SCHEMES):
+            rng = point._scheme_rng(k)
+            for cap, solver, args, kwargs in calls[scheme]:
+                try:
+                    out = solver(*args, gr_count=cfg.gr_budget, rng=rng,
+                                 **kwargs)
+                except experiment._FAILURES as err:
+                    want.append(dict(dict.fromkeys(PINNED), theta_cap=cap,
+                                     scheme=scheme, feasible=False,
+                                     failure_kind=type(err).__name__))
+                    continue
+                sol = getattr(out, "solution", out)
+                one = bool((sol.sdr_rank == 1).all())
+                rec = dict(dict.fromkeys(PINNED), theta_cap=cap,
+                           scheme=scheme, feasible=True, failure_kind="",
+                           objective=sol.objective,
+                           objective_kind="sum_power_w",
+                           sdr_bound=sol.sdr_objective,
+                           used_randomization=sol.used_randomization,
+                           all_rank_one=one, avg_rank=None if one
+                           else float(sol.sdr_rank.sum()) / cfg.G)
+                if hasattr(out, "achieved"):
+                    rec.update(objective=out.achieved,
+                               objective_kind="min_sinr_linear",
+                               sdr_bound=out.t_relaxed)
+                elif hasattr(out, "best_power"):
+                    rec.update(sdr_bound=out.best_power,
+                               iterations=out.iterations,
+                               scalars_exchanged=out.log.total_scalars())
+                want.append(rec)
+        got = [{col: rec[col] for col in want[0]} for rec in records]
+        assert got == sorted(want, key=lambda rec: rec["scheme"])
+        kinds = {(rec["scheme"], rec["theta_cap"]): rec["failure_kind"]
+                 for rec in got if not rec["feasible"]}
+        assert kinds == {("fixed-theta", 0.01): "InfeasibleTargetsError",
+                         ("nulling", None): "InfeasibleTargetsError"}
+        assert {rec["used_randomization"] for rec in got} == {
+            True, False, None}
+
     def test_balancing_as_theta_grid_rows(self):
         cfg = ScenarioConfig(B=2, G=2, U=4, A=4,
                              schemes=["balance-distributed"],
@@ -452,6 +536,32 @@ class TestCli:
         code = main(["run", str(scenario)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_trials_exit_0(self, tmp_path, capsys):
+        # targets no scheme meets on these draws: every trial fails, and
+        # the failures are recorded, not an error of the run
+        scenario = write_scenario(
+            tmp_path, topology={"B": 2, "G": 2, "U": 4, "A": 2},
+            gamma_db=30.0, d_db=0.0, schemes=["centralized", "nulling"])
+        out = tmp_path / "records.json"
+        assert main(["run", str(scenario), "--out", str(out),
+                     "--format", "json"]) == 0
+        records = json.loads(out.read_text())
+        assert len(records) == 4
+        assert all(rec["feasible"] is False for rec in records)
+        assert all(rec["failure_kind"] == "InfeasibleTargetsError"
+                   for rec in records)
+
+    def test_escaped_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an error that no record stands for ends the run
+        def broken(*args, **kwargs):
+            raise StateError("beamformers missing")
+
+        monkeypatch.setattr(experiment, "solve_nulling", broken)
+        scenario = write_scenario(tmp_path, schemes=["centralized",
+                                                     "nulling"])
+        assert main(["run", str(scenario)]) == 1
+        assert capsys.readouterr().err == "error: beamformers missing\n"
 
     def test_json_output(self, tmp_path):
         scenario = write_scenario(tmp_path, trials=1)
