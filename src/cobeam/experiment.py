@@ -309,14 +309,15 @@ class _SweepPoint:
             rec.update(objective=outcome.achieved,
                        objective_kind="min_sinr_linear",
                        sdr_bound=outcome.t_relaxed)
-        if not isinstance(outcome, ConvergenceTrace):
-            return rec, []
-        rec.update(sdr_bound=outcome.best_power,
-                   iterations=outcome.iterations,
-                   scalars_exchanged=outcome.log.total_scalars())
-        return rec, [{"scheme": scheme, "trial": self.trial,
-                      "gamma_db": self.gamma_db, "d_db": self.d_db,
-                      "p_max": self.p_max, **row} for row in outcome.rows]
+        elif isinstance(outcome, ConvergenceTrace):
+            rec.update(sdr_bound=outcome.best_power,
+                       iterations=outcome.iterations,
+                       scalars_exchanged=outcome.log.total_scalars())
+            return rec, [{"scheme": scheme, "trial": self.trial,
+                          "gamma_db": self.gamma_db, "d_db": self.d_db,
+                          "p_max": self.p_max, **row}
+                         for row in outcome.rows]
+        return rec, []
 
 
 # scheme registry: every runner returns its solver calls as (cap, solve
