@@ -23,9 +23,10 @@ from .conic.ipm import ACCEPT_TOL, point_violation
 from .errors import (ConfigurationError, IndeterminateError,
                      RandomizationFailureError)
 from .network import BeamformingSolution, evaluate_sinr, network_stack
-from .power_min import (DEFAULT_GR_COUNT, capped_least_powers, covariances,
-                        direction_system, finalize, gaussian_candidates,
-                        randomized_solution, sinr_levels, sinr_system)
+from .power_min import (DEFAULT_GR_COUNT, capped_least_powers,
+                        check_gr_count, covariances, direction_system,
+                        finalize, gaussian_candidates, randomized_solution,
+                        sinr_levels, sinr_system)
 
 DEFAULT_EPSILON = 1e-3
 
@@ -386,6 +387,7 @@ def _randomize(W, gr_count, rng, score):
 def balance_centralized(channels, topology, epsilon=DEFAULT_EPSILON,
                         gr_count=DEFAULT_GR_COUNT, rng=None):
     """Full centralized balancing pipeline."""
+    check_gr_count(gr_count)
     res = yield from conic.solving(bisect_balance, channels, topology,
                                    epsilon)
     rng = np.random.default_rng(rng)
@@ -409,6 +411,7 @@ def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
     rank one waits at the gather's barrier, so the polishes that run go
     out in one step.  The cells' solutions join into one of the
     network's groups."""
+    check_gr_count(gr_count)
     cells = []
     per_cell_t = {}
     rng = np.random.default_rng(rng)

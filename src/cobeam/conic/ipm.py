@@ -279,17 +279,18 @@ class _KktSolver:
             dxs = self.dinv * dxs
         return dxs, dy
 
-    def solve(self, f2, f1, f3, fs, ft):
+    def solve(self, f2, f1, f3, fs, ft, f2s):
         """The direction for these right-hand sides, polished by
-        iterative refinement: the corrector's solve.  A problem stops
-        once its residual norm is below ``DEFAULT_TOL`` times its
-        right-hand side's (1e-14 at the least), or at its first pass
-        that does not lower it; later passes give it a zero right-hand
-        side and keep its direction.  ``passes`` counts the passes each
-        problem ran."""
+        iterative refinement: the corrector's solve.  Its first pass
+        takes ``f2s``, which is W'f2, as given; each refinement pass
+        scales its own residual.  A problem stops once its residual
+        norm is below ``DEFAULT_TOL`` times its right-hand side's (1e-14
+        at the least), or at its first pass that does not lower it;
+        later passes give it a zero right-hand side and keep its
+        direction.  ``passes`` counts the passes each problem ran."""
         rhs = (f2, f1, f3, fs, ft)
         floor = [max(1e-14, DEFAULT_TOL * n) for n in _hsd_res_norm(rhs)]
-        best = self._solve_once(*rhs)
+        best = self._unscaled(self.solve_scaled(f2s, f1, f3, fs, ft))
         res = self._residual(best, *rhs)
         best_norm = _hsd_res_norm(res)
         live = [not bn < fl for bn, fl in zip(best_norm, floor)]
@@ -317,14 +318,14 @@ class _KktSolver:
                     for go, bn, fl in zip(better, best_norm, floor)]
         return best
 
-    def solve_scaled(self, f2, f1, f3, fs, ft):
-        """One unrefined pass, left in scaled space: the direction's dxs,
-        dzs, dy, dtau and dkappa, with dx and dz None.  Mehrotra's
-        predictor only needs these to pick the centering weight and the
-        second-order term."""
-        sc = self.scaling
-        g = sc.jordan_div(fs)
-        fd_scaled = sc.scale_dual(f2) + g
+    def solve_scaled(self, f2s, f1, f3, fs, ft):
+        """One unrefined pass, left in scaled space, for the right-hand
+        sides with the dual one already scaled, ``f2s`` = W'f2: the
+        direction's dxs, dzs, dy, dtau and dkappa, with dx and dz None.
+        Mehrotra's predictor only needs these to pick the centering
+        weight and the second-order term."""
+        g = self.scaling.jordan_div(fs)
+        fd_scaled = f2s + g
         p1s, u1 = self._saddle(fd_scaled, f1)
         dtau, dkappa = [], []
         for f, e, t, k, cp, bu, d in zip(
@@ -340,7 +341,10 @@ class _KktSolver:
         return _Dir(None, dy, None, dxs, g - dxs, dtau, dkappa)
 
     def _solve_once(self, f2, f1, f3, fs, ft):
-        d = self.solve_scaled(f2, f1, f3, fs, ft)
+        return self._unscaled(self.solve_scaled(
+            self.scaling.scale_dual(f2), f1, f3, fs, ft))
+
+    def _unscaled(self, d):
         d.dx, d.dz = self.scaling.unscale(d.dxs, d.dzs)
         return d
 
@@ -389,6 +393,20 @@ def _hsd_res_norm(res):
     r2, r1, r3, rs, rt = res
     return [max([top, abs(a), abs(b)])
             for top, a, b in zip(_res_norm((r2, r1, rs)), r3, rt)]
+
+
+def _scaled_dual_residual(data, scaling, kkt, x, y, tau, lam):
+    """W'r2 for the dual residual r2 = c tau - A'y - z + Qx, pads zeroed,
+    from the terms the scaling and the KKT solver already hold: the
+    scaled cost W'c, the scaled rows W'a_k and W'z = lam, plus w_nn Qx
+    on the orthant, where W' is the diagonal w_nn and all of Q lives.
+    It equals ``scaling.scale_dual(r2)`` up to rounding, without the
+    congruences."""
+    r2s = kkt.c_scaled * _col(tau) - np.matvec(kkt.at_scaled_t, y) - lam
+    if data.qdiag is not None:
+        off = data.layout.nn_offset
+        r2s[..., off:] += scaling.w_nn * (data.qdiag[..., off:] * x[..., off:])
+    return data.own(r2s)
 
 
 def _max_step_scalar(v, dv):
@@ -798,7 +816,8 @@ def _solve_hsd(group):
         # (a pad keeps lam = 1 and gets no direction: the complementarity
         # right-hand sides and x'z leave it out)
         lam, lam_sq = scaling.lam(), scaling.lambda_sq()
-        aff = kkt.solve_scaled(-r2, -r1, [-v for v in r3], -data.own(lam_sq),
+        r2s = _scaled_dual_residual(data, scaling, kkt, x, y, tau, lam)
+        aff = kkt.solve_scaled(-r2s, -r1, [-v for v in r3], -data.own(lam_sq),
                                [-t * k for t, k in zip(tau, kappa)])
         a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa, affine=True)
         col = _col(a_aff)
@@ -815,7 +834,7 @@ def _solve_hsd(group):
         rhs_s = data.own(_col(target) * ident - lam_sq
                          - scaling.jordan_prod(aff.dxs, aff.dzs))
         col = _col(eta)
-        step = kkt.solve(col * r2, col * r1, eta_r3, rhs_s, rhs_t)
+        step = kkt.solve(col * r2, col * r1, eta_r3, rhs_s, rhs_t, col * r2s)
         for mem, passes in zip(active, kkt.passes):
             mem.stats["refine_passes"] += passes
 

@@ -1,11 +1,46 @@
 """Small dense Hermitian helpers used across the algorithms."""
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
 
 from .problem import _as_hermitian
 
 RANK_TOL = 1e-6
+
+# scipy.linalg.eigh's default driver and its workspace query, syevr for
+# a real and heevr for a complex matrix, looked up once: eigh looks both
+# up, queries the workspace and checks its input on every call
+_EVR = {False: sla.get_lapack_funcs(("syevr", "syevr_lwork"), (np.empty(0),)),
+        True: sla.get_lapack_funcs(("heevr", "heevr_lwork"),
+                                   (np.empty(0, complex),))}
+
+
+@functools.cache
+def _evr_work(cplx, n):
+    """The workspace sizes eigh queries for an n x n matrix."""
+    *sizes, info = _EVR[cplx][1](n, lower=1)
+    if info:
+        raise ValueError(f"workspace size query failed: {info}")
+    names = ("lwork", "lrwork", "liwork") if cplx else ("lwork", "liwork")
+    return dict(zip(names, (int(v.real) for v in sizes)))
+
+
+def _eigh(mat):
+    """Ascending eigenvalues and eigenvectors of a finite Hermitian
+    float64 or complex128 matrix, bit for bit those of
+    ``scipy.linalg.eigh(mat)``: its driver with its defaults (the lower
+    triangle, vectors, every eigenvalue) and its workspace."""
+    cplx = mat.dtype.kind == "c"
+    driver = _EVR[cplx][0]
+    vals, vecs, _, _, info = driver(mat, compute_v=1, lower=1,
+                                    **_evr_work(cplx, len(mat)))
+    if info:
+        raise np.linalg.LinAlgError(
+            f"{driver.typecode}{'he' if cplx else 'sy'}evr failed: "
+            f"info {info}")
+    return vals, vecs
 
 
 def _adjoint(mat):
@@ -17,12 +52,14 @@ def principal_eigenpair(mat):
     matrix, or of each matrix of a stack (..., n, n), with the bits of
     its own call."""
     herm = _as_hermitian(mat)
+    herm = herm.astype(complex if herm.dtype.kind == "c" else float,
+                       copy=False)
     flat = herm.reshape((-1,) + herm.shape[-2:])
     vals, vecs = np.empty(flat.shape[:-1]), np.empty_like(flat)
-    # scipy's eigh, one call per matrix: numpy's eigh gives other bits,
-    # and scipy's stacked call loops in Python, slower
+    # scipy's eigh driver, one call per matrix: numpy's eigh gives other
+    # bits, and scipy's stacked call loops in Python, slower
     for i, one in enumerate(flat):
-        vals[i], vecs[i] = sla.eigh(one)
+        vals[i], vecs[i] = _eigh(one)
     return (vals[:, -1].reshape(herm.shape[:-2]),
             vecs[..., -1].reshape(herm.shape[:-1]))
 
@@ -45,8 +82,15 @@ def psd_sqrt(mat):
     Robust for rank-deficient inputs: eigenvalues at or below the
     roundoff level dim * eps * lambda_max, negative ones included, are
     clipped to zero, so L has no column along a direction mat excludes.
+    A non-finite entry raises ``ValueError``, as ``scipy.linalg.eigh``
+    does.
     """
-    herm = 0.5 * (np.asarray(mat) + np.asarray(mat).conj().T)
-    vals, vecs = sla.eigh(herm)
+    mat = np.asarray(mat)
+    herm = 0.5 * (mat + mat.conj().T)
+    herm = herm.astype(complex if herm.dtype.kind == "c" else float,
+                       copy=False)
+    if not np.isfinite(herm).all():
+        raise ValueError("array must not contain infs or NaNs")
+    vals, vecs = _eigh(herm)
     floor = len(vals) * np.finfo(float).eps * max(vals[-1], 0.0)
     return vecs * np.sqrt(np.where(vals > floor, vals, 0.0))

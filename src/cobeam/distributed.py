@@ -39,8 +39,8 @@ from .errors import (CobeamError, ConfigurationError, IndeterminateError,
 from .network import (BeamformingSolution, build_topology,  # noqa: F401
                       evaluate_sinr, network_stack,
                       orthogonal_equivalent_target)
-from .power_min import (DEFAULT_GR_COUNT, channel_span, covariances,
-                        direction_gains, finalize,
+from .power_min import (DEFAULT_GR_COUNT, channel_span, check_gr_count,
+                        covariances, direction_gains, finalize,
                         fixed_direction_powers, gaussian_candidates,
                         least_powers, randomized_solution, sinr_system,
                         sinr_update)
@@ -264,9 +264,11 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     stops once no cap moves by more than ``STOP_TOL``.  ``common_theta`` moves one cap shared by
     every pair along the summed prices, which each BS holds only at
     B = 2; more cells raise :class:`ConfigurationError`, as do bad
-    ``max_iters`` and ``step`` (:func:`_check_run`).
+    ``max_iters`` and ``step`` (:func:`_check_run`) and a bad
+    ``gr_count`` (:func:`check_gr_count`).
     """
     _check_run(max_iters, "step", step)
+    check_gr_count(gr_count)
     if common_theta and topology.B > 2:
         raise ConfigurationError(
             f"common_theta needs B = 2 (got B={topology.B}): no BS "
@@ -412,10 +414,12 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     alone can be small long before the caps stop moving.  The
     returned solution is restored at the final global ICI values, floored
     at :func:`_theta_floor`, so it is feasible for the true coupled
-    problem.  Bad ``max_iters`` and ``rho`` raise
-    :class:`ConfigurationError` (:func:`_check_run`).
+    problem.  Bad ``max_iters``, ``rho`` and ``gr_count`` raise
+    :class:`ConfigurationError` (:func:`_check_run`,
+    :func:`check_gr_count`).
     """
     _check_run(max_iters, "rho", rho)
+    check_gr_count(gr_count)
     mask = topology.ici_mask()
     theta = np.where(mask, float(np.mean(topology.sigma2)), 0.0)
     # owner rows: 0 interferer, 1 serving BS
@@ -585,6 +589,7 @@ def solve_fixed_ici(channels, topology, theta_value,
 
     ``theta_value`` is a scalar or a (B, U) ICI grid shared by every BS;
     NaN or negative values raise :class:`ConfigurationError`."""
+    check_gr_count(gr_count)
     W = yield from _fixed_ici(
         channels, topology, theta_value, lambda b, _: f"fixed-cap "
         f"subproblem of BS {b} infeasible at theta={theta_value}")
@@ -623,6 +628,7 @@ def solve_nulling(channels, topology, gr_count=DEFAULT_GR_COUNT, rng=None):
     Any covariance with exactly zero leakage has its range inside the
     null space, so the reduction is lossless.
     """
+    check_gr_count(gr_count)
     problems = {}
     for b in range(topology.B):
         basis = _null_space_basis(channels, topology, b)
@@ -651,6 +657,7 @@ def solve_orthogonal(channels, topology, gr_count=DEFAULT_GR_COUNT,
     a 1/B share of the resources.  The reported objective is the sum of
     the per-slot transmit powers.
     """
+    check_gr_count(gr_count)
     gamma_orth = orthogonal_equivalent_target(topology.gamma, topology.B)
     topo_orth = build_topology(
         B=topology.B, G=topology.G, U=topology.U, A=topology.A,

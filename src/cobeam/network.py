@@ -130,17 +130,24 @@ def build_topology(B, G, U, A, gamma=1.0, sigma2=1.0, p_max=1.0,
 @dataclass(frozen=True)
 class ChannelSet:
     """Effective channels h[b, u] (cross-cell entries pre-scaled by
-    sqrt(1/d)) and their rank-one outer products, every entry finite."""
+    sqrt(1/d)) and their rank-one outer products, every entry finite.
+    Both arrays are read-only; a writable one given is copied first, so
+    a later write to the caller's array cannot undo the check."""
 
     h: np.ndarray          # (B, U, A) complex
     outer: np.ndarray      # (B, U, A, A) complex Hermitian
 
     def __post_init__(self):
         for name in ("h", "outer"):
-            bad = np.argwhere(~np.isfinite(getattr(self, name)))
+            arr = np.asarray(getattr(self, name))
+            bad = np.argwhere(~np.isfinite(arr))
             if len(bad):
                 raise ConfigurationError(
                     f"channel {name}{bad[0].tolist()} is not finite")
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def vec(self, b, u):
         return self.h[b, u]

@@ -256,6 +256,17 @@ def extract_rank_one(W):
     return np.sqrt(np.maximum(val, 0.0))[..., None] * vec
 
 
+def check_gr_count(count):
+    """Raise :class:`ConfigurationError` unless ``count``, a design's
+    ``gr_count``, is an integer >= 0, not a bool.  Every randomizing
+    design checks it where it starts, since a design whose relaxation
+    is rank one never draws."""
+    if isinstance(count, bool) or not isinstance(
+            count, (int, np.integer)) or count < 0:
+        raise ConfigurationError(
+            f"gr_count must be an integer >= 0 (got {count!r})")
+
+
 def gaussian_candidates(W_star, count, rng):
     """Unit-norm candidate beamformers drawn from CN(0, W*), (count, dim).
 
@@ -263,12 +274,9 @@ def gaussian_candidates(W_star, count, rng):
     complex normal, then normalized to unit power.  One block of normals
     gives the same stream as drawing each candidate's real part, then its
     imaginary part, in turn; an empty draw takes nothing from ``rng``.
-    ``count`` is a design's ``gr_count``, an integer >= 0.
+    ``count`` is a design's ``gr_count`` (:func:`check_gr_count`).
     """
-    if isinstance(count, bool) or not isinstance(
-            count, (int, np.integer)) or count < 0:
-        raise ConfigurationError(
-            f"gr_count must be an integer >= 0 (got {count!r})")
+    check_gr_count(count)
     L = conic.psd_sqrt(W_star)
     dim = W_star.shape[0]
     z = rng.standard_normal((count, 2, dim))
@@ -495,6 +503,7 @@ def solve_centralized(channels, topology, gr_count=DEFAULT_GR_COUNT,
     covariance is rank one).  The relaxation optimum itself is attached
     as ``sdr_objective``.
     """
+    check_gr_count(gr_count)
     prob = assemble_qos_sdp(channels, topology)
     sol, = yield [prob]
     if sol.status is SolveStatus.INFEASIBLE:

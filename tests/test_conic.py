@@ -328,6 +328,36 @@ class TestEigenHelpers:
                 assert numerical_rank(mats).tolist() == want
                 assert [numerical_rank(mat) for mat in mats] == want
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_eigh_driver_is_scipy_eigh_bit_for_bit(self, cplx):
+        # principal_eigenpair and psd_sqrt call eigh's LAPACK driver
+        # directly; every bit must stay that of scipy.linalg.eigh, at
+        # full and at deficient rank
+        rng = np.random.default_rng(40 + cplx)
+        eps = np.finfo(float).eps
+        for dim in range(1, 13):
+            for rank in sorted({1, max(1, dim // 2), dim - 1, dim} - {0}):
+                q = rng.standard_normal((dim, rank))
+                if cplx:
+                    q = q + 1j * rng.standard_normal((dim, rank))
+                mat = q @ q.conj().T
+                mat = 0.5 * (mat + mat.conj().T)
+                vals, vecs = sla.eigh(mat)
+                val, vec = principal_eigenpair(mat)
+                assert val == vals[-1]
+                assert vec.tobytes() == vecs[:, -1].tobytes()
+                floor = dim * eps * max(vals[-1], 0.0)
+                want = vecs * np.sqrt(np.where(vals > floor, vals, 0.0))
+                got = psd_sqrt(mat)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_psd_sqrt_rejects_non_finite(self):
+        mat = np.eye(3)
+        mat[1, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            psd_sqrt(mat)
+
     def test_psd_sqrt_roundtrip(self):
         rng = np.random.default_rng(9)
         q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -538,6 +568,95 @@ class TestSolverInvariants:
         if count == 1:
             assert sols[0].stats["refine_passes"] == sum(
                 step["corrector", "solve_scaled"] - 1 for step in steps)
+
+
+def _random_batch(rng, objective, quad):
+    """Compiled problems of one shape: PSD blocks (real or Hermitian) and
+    scalars, random rows of every relation, and a random objective with
+    a quadratic weight on every other problem (``quad``), or none; a
+    problem with an objective is padded to ``ORTHANT_FLOOR``."""
+    dims = rng.integers(1, 5, size=int(rng.integers(1, 3))).tolist()
+    cplx = (rng.random(len(dims)) < 0.7).tolist()
+    n_sc = int(rng.integers(1, 4))
+    rels = rng.choice([">=", "<=", "=="], size=int(rng.integers(1, 5)))
+
+    def herm(var):
+        q = rng.standard_normal((var.dim, var.dim))
+        if var.complex:
+            q = q + 1j * rng.standard_normal(q.shape)
+        return 0.5 * (q + q.conj().T)
+
+    batch = []
+    for p in range(int(rng.integers(1, 4))):
+        prob = ConicProblem()
+        vs = [prob.add_psd_var(d, complex=c) for d, c in zip(dims, cplx)]
+        js = [prob.add_scalar_var() for _ in range(n_sc)]
+        if objective:
+            prob.set_objective(
+                matrix={i: herm(prob.matrix_vars[i]) for i in vs},
+                scalar={j: float(rng.uniform(-1, 1)) for j in js},
+                scalar_quad={js[0]: float(rng.uniform(0.1, 2))}
+                if quad and p % 2 == 0 else None)
+        for rel in rels:
+            prob.add_constraint(
+                matrix={i: herm(prob.matrix_vars[i]) for i in vs},
+                scalars={j: float(rng.standard_normal()) for j in js},
+                rel=rel, rhs=float(rng.standard_normal()))
+        batch.append(CompiledProblem(prob))
+    return batch
+
+
+def _interior(rng, layout, count, pad):
+    """``count`` random interior points of the cone, pads at 1."""
+    stacks = []
+    for run in layout.runs:
+        q = rng.standard_normal((count, run.count, run.dim, run.dim))
+        if run.complex:
+            q = q + 1j * rng.standard_normal(q.shape)
+        stacks.append(q @ q.conj().swapaxes(-1, -2)
+                      + 0.1 * np.eye(run.dim))
+    v = layout.pack(stacks, rng.uniform(0.05, 3.0,
+                                         size=(count, layout.nonneg)))
+    return v if pad is None else np.where(pad, 1.0, v)
+
+
+class TestScaledDualResidual:
+    def test_matches_scale_dual(self):
+        # the loop forms W'r2 from the scaling's terms (W'c, the scaled
+        # rows and W'z = lam); it must agree with the congruence
+        # scale_dual(r2) up to rounding: over these batches, a median of
+        # about 2 ulps of its norm, and at most 9 on the SkylakeX kernel,
+        # 13 on Sandybridge and 16 on Haswell, so 32 bounds it
+        rng = np.random.default_rng(44)
+        eps, kinds = np.finfo(float).eps, set()
+        for _ in range(100):
+            objective = bool(rng.random() < 0.7)
+            quad = objective and bool(rng.random() < 0.5)
+            group = _random_batch(rng, objective, quad)
+            data = ipm._Batch(group)
+            kinds.add((objective, data.qdiag is not None,
+                       data.pad is not None))
+            x = _interior(rng, data.layout, len(group), data.pad)
+            z = _interior(rng, data.layout, len(group), data.pad)
+            y = rng.standard_normal((len(group), len(group[0].b)))
+            tau = rng.uniform(0.1, 2.0, len(group)).tolist()
+            kappa = rng.uniform(0.1, 2.0, len(group)).tolist()
+            scaling = ipm.NTScaling(data.layout, x, z)
+            kkt = ipm._KktSolver(data, scaling, x, tau, kappa)
+            # r2 as the loop forms it, in original units
+            r2 = data.c * ipm._col(tau) - np.matvec(data.At, y) - z
+            if data.qdiag is not None:
+                r2 += data.qdiag * x
+            want = scaling.scale_dual(data.own(r2))
+            got = ipm._scaled_dual_residual(data, scaling, kkt, x, y, tau,
+                                            scaling.lam())
+            if data.pad is not None:
+                assert (got[data.pad] == 0.0).all()
+            assert (np.abs(got - want).max(axis=-1)
+                    <= 32 * eps * np.linalg.norm(want, axis=-1)).all()
+        # zero objectives, padded objectives, and quadratic weights
+        assert kinds == {(False, False, False), (True, False, True),
+                         (True, True, True)}
 
 
 class TestQuadraticObjective:

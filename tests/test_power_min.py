@@ -5,9 +5,11 @@ import pytest
 from conftest import row_data
 
 from cobeam import conic
-from cobeam.balancing import balance_centralized, balance_distributed
+from cobeam.balancing import (balance_centralized, balance_distributed,
+                              balance_uncoordinated)
 from cobeam.distributed import (run_admm, run_primal_decomposition,
-                                solve_fixed_ici)
+                                solve_fixed_ici, solve_nulling,
+                                solve_orthogonal)
 from cobeam.errors import ConfigurationError, RandomizationFailureError
 from cobeam.network import (BeamformingSolution, ChannelSet,
                             build_topology, evaluate_sinr, sample_channels,
@@ -226,6 +228,45 @@ class TestRandomizationInputs:
         assert sol.used_randomization and ref.used_randomization
         assert sol.objective == ref.objective
         assert np.array_equal(sol.w, ref.w)
+
+
+# every design that may randomize, each on power_min_small.json's shape
+# (gamma = d = 1 dB) at channel seed 3, where all of their relaxations
+# are rank one, so none of them ever draws
+RANK_ONE_DESIGNS = {
+    "centralized": solve_centralized,
+    "primal-decomp": lambda *a, **k: run_primal_decomposition(
+        *a, max_iters=2, **k),
+    "admm": lambda *a, **k: run_admm(*a, max_iters=2, **k),
+    "fixed-theta": lambda *a, **k: solve_fixed_ici(*a, 0.1, **k),
+    "nulling": solve_nulling,
+    "orthogonal": solve_orthogonal,
+    "balance-centralized": balance_centralized,
+    "balance-distributed": lambda *a, **k: balance_distributed(
+        *a, 0.1, **k),
+    "balance-uncoordinated": balance_uncoordinated,
+}
+
+
+class TestGrCountAtStart:
+    @pytest.mark.parametrize("count", [2.5, -1, True])
+    @pytest.mark.parametrize("name", RANK_ONE_DESIGNS)
+    def test_bad_gr_count_named_without_a_draw(self, name, count):
+        # a design checks gr_count where it starts, so one that would
+        # extract its beams without a draw rejects it all the same
+        topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                              cell_separation=10 ** 0.1)
+        chans = sample_channels(topo, 3)
+        with pytest.raises(ConfigurationError, match="gr_count"):
+            RANK_ONE_DESIGNS[name](chans, topo, gr_count=count)
+
+    @pytest.mark.parametrize("name", RANK_ONE_DESIGNS)
+    def test_instance_draws_nothing(self, name):
+        topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                              cell_separation=10 ** 0.1)
+        out = RANK_ONE_DESIGNS[name](sample_channels(topo, 3), topo)
+        sol = getattr(out, "solution", out)
+        assert not sol.used_randomization
 
 
 class TestStackedFinalize:
