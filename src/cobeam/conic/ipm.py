@@ -123,9 +123,11 @@ def _where(mask, new, old):
 
 class _Batch:
     """Compiled data of problems with one layout and row count, stacked
-    along a leading problem axis, also a lone problem.  ``A_blocks`` keep
-    the row axis first, (m, P, k, d, d), so that a batched scaling
-    broadcasts over them.  ``qdiag`` is the quadratic's diagonal on all
+    along a leading problem axis, also a lone problem.  ``A_blocks`` and
+    ``A_nn`` hold the PSD and orthant parts of the rows, followed by
+    those of the cost c when some problem has one (``cost_row``), with
+    the row axis first, (m [+ 1], P, k, d, d), so that a batched scaling
+    scales them all at once.  ``qdiag`` is the quadratic's diagonal on all
     of x (zero on the PSD part and for a problem without one), None when
     no problem has one.  ``pad`` marks each problem's pad
     entries, None when none has any, and ``deg`` holds each problem's
@@ -146,8 +148,15 @@ class _Batch:
             for row, c in zip(self.pad, compiled):
                 row[c.size:] = True
         self.deg = [c.degree + 1 for c in compiled]
-        self.A_blocks = [np.stack(run, axis=1)
-                         for run in zip(*(c.A_blocks for c in compiled))]
+        blocks = [np.stack(run, axis=1)
+                  for run in zip(*(c.A_blocks for c in compiled))]
+        nn = self.layout.nn_block(self.A).swapaxes(0, 1)
+        self.cost_row = bool(self.c.any())
+        if self.cost_row:
+            blocks = [np.concatenate((rows, cost[None])) for rows, cost in
+                      zip(blocks, self.layout.unpack(self.c))]
+            nn = np.concatenate((nn, self.layout.nn_block(self.c)[None]))
+        self.A_blocks, self.A_nn = blocks, nn
         self.nb = [1.0 + np.linalg.norm(c.b) for c in compiled]
         self.nc = [1.0 + np.linalg.norm(c.c) for c in compiled]
 
@@ -220,14 +229,16 @@ class _KktSolver:
         self.scaling = scaling
         self.tau, self.kappa = tau, kappa
         lay = scaling.layout
-        # all m scaled rows W'a_k from one stacked congruence per run,
-        # rows first so that each problem's factors broadcast
-        self.at_scaled = np.ascontiguousarray(scaling.scale_dual_blocks(
-            data.A_blocks, lay.nn_block(data.A).swapaxes(0, 1)).swapaxes(0, 1))
+        # all m scaled rows W'a_k and the scaled cost W'c from one
+        # stacked congruence per run, rows first so that each problem's
+        # factors broadcast; a slice of the stack has the bits of its own
+        # congruence
+        scaled = scaling.scale_dual_blocks(data.A_blocks, data.A_nn)
+        m = data.b.shape[-1]
+        self.at_scaled = np.ascontiguousarray(scaled[:m].swapaxes(0, 1))
         self.at_scaled_t = self.at_scaled.swapaxes(-1, -2)
         # a zero objective, as in every feasibility probe, scales to zero
-        self.c_scaled = scaling.scale_dual(data.c) if data.c.any() \
-            else np.zeros_like(data.c)
+        self.c_scaled = scaled[m] if data.cost_row else np.zeros_like(data.c)
         self.qdiag, self.dinv = data.qdiag, None
         self.c_tau, self.c_tau_scaled = self.c, self.c_scaled
         self.xqx = [0.0] * len(tau)
