@@ -11,8 +11,11 @@ The loop runs Mehrotra predictor-corrector steps.  The reduced Newton
 system goes through a dense Schur complement, with no refinement of its
 own.  The affine predictor only picks the centering weight and the
 second-order term, so it is one unrefined pass left in scaled
-coordinates.  Its direction has dzs = -lam - dxs on every PSD block,
-so one eigensolve per block bounds its step on both sides: the least
+coordinates.  It and the corrector's first pass take the scaled dual
+residual W'r2 as the scaling's own terms form it
+(:func:`_scaled_dual_residual`), with no congruence.  The predictor's
+direction has dzs = -lam - dxs on every PSD block, so one eigensolve
+per block bounds its step on both sides: the least
 and largest eigenvalues of lam^-1/2 dxs lam^-1/2 give the primal and
 the dual bound (``NTScaling.max_step``).  The corrector, the direction
 the step takes, is polished by iterative refinement at the full KKT
@@ -406,17 +409,18 @@ def _hsd_res_norm(res):
             for top, a, b in zip(_res_norm((r2, r1, rs)), r3, rt)]
 
 
-def _scaled_dual_residual(data, scaling, kkt, x, y, tau, lam):
+def _scaled_dual_residual(data, kkt, x, y, lam):
     """W'r2 for the dual residual r2 = c tau - A'y - z + Qx, pads zeroed,
-    from the terms the scaling and the KKT solver already hold: the
+    from the terms the KKT solver and its scaling already hold: the
     scaled cost W'c, the scaled rows W'a_k and W'z = lam, plus w_nn Qx
     on the orthant, where W' is the diagonal w_nn and all of Q lives.
     It equals ``scaling.scale_dual(r2)`` up to rounding, without the
     congruences."""
-    r2s = kkt.c_scaled * _col(tau) - np.matvec(kkt.at_scaled_t, y) - lam
+    r2s = kkt.c_scaled * _col(kkt.tau) - np.matvec(kkt.at_scaled_t, y) - lam
     if data.qdiag is not None:
         off = data.layout.nn_offset
-        r2s[..., off:] += scaling.w_nn * (data.qdiag[..., off:] * x[..., off:])
+        r2s[..., off:] += kkt.scaling.w_nn * (data.qdiag[..., off:]
+                                              * x[..., off:])
     return data.own(r2s)
 
 
@@ -827,7 +831,7 @@ def _solve_hsd(group):
         # (a pad keeps lam = 1 and gets no direction: the complementarity
         # right-hand sides and x'z leave it out)
         lam, lam_sq = scaling.lam(), scaling.lambda_sq()
-        r2s = _scaled_dual_residual(data, scaling, kkt, x, y, tau, lam)
+        r2s = _scaled_dual_residual(data, kkt, x, y, lam)
         aff = kkt.solve_scaled(-r2s, -r1, [-v for v in r3], -data.own(lam_sq),
                                [-t * k for t, k in zip(tau, kappa)])
         a_aff = _step_lengths(scaling, aff, 1.0, tau, kappa, affine=True)

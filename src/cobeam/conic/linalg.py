@@ -28,10 +28,9 @@ def _evr_work(cplx, n):
 
 
 def _eigh(mat):
-    """Ascending eigenvalues and eigenvectors of a finite Hermitian
-    float64 or complex128 matrix, bit for bit those of
-    ``scipy.linalg.eigh(mat)``: its driver with its defaults (the lower
-    triangle, vectors, every eigenvalue) and its workspace."""
+    """``scipy.linalg.eigh(mat)`` of a finite Hermitian matrix, bit for
+    bit: its driver with its defaults (the lower triangle, vectors,
+    every eigenvalue) and its workspace."""
     cplx = mat.dtype.kind == "c"
     driver = _EVR[cplx][0]
     vals, vecs, _, _, info = driver(mat, compute_v=1, lower=1,
@@ -52,8 +51,6 @@ def principal_eigenpair(mat):
     matrix, or of each matrix of a stack (..., n, n), with the bits of
     its own call."""
     herm = _as_hermitian(mat)
-    herm = herm.astype(complex if herm.dtype.kind == "c" else float,
-                       copy=False)
     flat = herm.reshape((-1,) + herm.shape[-2:])
     vals, vecs = np.empty(flat.shape[:-1]), np.empty_like(flat)
     # scipy's eigh driver, one call per matrix: numpy's eigh gives other
@@ -85,10 +82,7 @@ def psd_sqrt(mat):
     A non-finite entry raises ``ValueError``, as ``scipy.linalg.eigh``
     does.
     """
-    mat = np.asarray(mat)
-    herm = 0.5 * (mat + mat.conj().T)
-    herm = herm.astype(complex if herm.dtype.kind == "c" else float,
-                       copy=False)
+    herm = 0.5 * (np.asarray(mat) + np.asarray(mat).conj().T)
     if not np.isfinite(herm).all():
         raise ValueError("array must not contain infs or NaNs")
     vals, vecs = _eigh(herm)

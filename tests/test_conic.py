@@ -648,8 +648,7 @@ class TestScaledDualResidual:
             if data.qdiag is not None:
                 r2 += data.qdiag * x
             want = scaling.scale_dual(data.own(r2))
-            got = ipm._scaled_dual_residual(data, scaling, kkt, x, y, tau,
-                                            scaling.lam())
+            got = ipm._scaled_dual_residual(data, kkt, x, y, scaling.lam())
             if data.pad is not None:
                 assert (got[data.pad] == 0.0).all()
             assert (np.abs(got - want).max(axis=-1)
