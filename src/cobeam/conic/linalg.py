@@ -52,7 +52,8 @@ def principal_eigenpair(mat):
     its own call."""
     herm = _as_hermitian(mat)
     flat = herm.reshape((-1,) + herm.shape[-2:])
-    vals, vecs = np.empty(flat.shape[:-1]), np.empty_like(flat)
+    vals = np.empty(flat.shape[:-1])
+    vecs = np.empty(flat.shape, np.result_type(flat, float))
     # scipy's eigh driver, one call per matrix: numpy's eigh gives other
     # bits, and scipy's stacked call loops in Python, slower
     for i, one in enumerate(flat):

@@ -352,6 +352,14 @@ class TestEigenHelpers:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
+    def test_integer_matrix_has_float_eigenvector(self):
+        # scipy's eigh returns float vectors for an integer matrix; a
+        # stack of the input's dtype would truncate them to zeros
+        val, vec = principal_eigenpair(np.array([[2, 1], [1, 2]]))
+        want_vals, want_vecs = sla.eigh(np.array([[2, 1], [1, 2]]))
+        assert val == want_vals[-1]
+        assert vec.tobytes() == want_vecs[:, -1].tobytes()
+
     def test_psd_sqrt_rejects_non_finite(self):
         mat = np.eye(3)
         mat[1, 1] = np.nan
