@@ -119,20 +119,26 @@ def _matrix(dim, where, value, imag):
     return mat
 
 
+def _two(value, row, other=1.0):
+    """Two rows' right-hand sides or coefficients: ``value`` in row
+    ``row``, ``other`` in the other."""
+    return [value, other] if row == 0 else [other, value]
+
+
 # how each input enters a problem: (the name its error gives, a setter
 # of the problem, the drawn value, entry and row, and whether the entry
 # is an imaginary part)
 ENTRIES = {
     "rhs": ("rhs", lambda prob, v, where, row, imag: prob.add_constraints(
-        scalars={0: ([0, 1], [1.0, 1.0])}, rhs=[1.0, v][::1 - 2 * row])),
+        scalars={0: ([0, 1], [1.0, 1.0])}, rhs=_two(v, row))),
     "updated rhs": ("rhs", lambda prob, v, where, row, imag: prob.updated(
-        rhs=[1.0, v][::1 - 2 * row])),
+        rhs=_two(v, row))),
     "matrix coefficient": (
         "constraint coeff[0]",
         lambda prob, v, where, row, imag: prob.add_constraints(
-            matrix={0: ([0, 1], [np.eye(prob.matrix_vars[0].dim),
-                                 _matrix(prob.matrix_vars[0].dim, where, v,
-                                         imag)][::1 - 2 * row])},
+            matrix={0: ([0, 1], _two(
+                _matrix(prob.matrix_vars[0].dim, where, v, imag), row,
+                np.eye(prob.matrix_vars[0].dim)))},
             rhs=[1.0, 1.0])),
     "updated matrix coefficient": (
         "constraint coeff[0]",
@@ -142,7 +148,7 @@ ENTRIES = {
     "scalar coefficient": (
         "constraint scalar coeff[1]",
         lambda prob, v, where, row, imag: prob.add_constraints(
-            scalars={1: ([0, 1], [1.0, v][::1 - 2 * row])}, rhs=[1.0, 1.0])),
+            scalars={1: ([0, 1], _two(v, row))}, rhs=[1.0, 1.0])),
     "updated scalar coefficient": (
         "constraint scalar coeff[0]",
         lambda prob, v, where, row, imag: prob.updated(coeffs={0: (

@@ -249,22 +249,23 @@ RANK_ONE_DESIGNS = {
 
 
 class TestGrCountAtStart:
+    @staticmethod
+    def instance():
+        topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
+                              cell_separation=10 ** 0.1)
+        return sample_channels(topo, 3), topo
+
     @pytest.mark.parametrize("count", [2.5, -1, True])
     @pytest.mark.parametrize("name", RANK_ONE_DESIGNS)
     def test_bad_gr_count_named_without_a_draw(self, name, count):
         # a design checks gr_count where it starts, so one that would
         # extract its beams without a draw rejects it all the same
-        topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
-                              cell_separation=10 ** 0.1)
-        chans = sample_channels(topo, 3)
         with pytest.raises(ConfigurationError, match="gr_count"):
-            RANK_ONE_DESIGNS[name](chans, topo, gr_count=count)
+            RANK_ONE_DESIGNS[name](*self.instance(), gr_count=count)
 
     @pytest.mark.parametrize("name", RANK_ONE_DESIGNS)
     def test_instance_draws_nothing(self, name):
-        topo = build_topology(B=2, G=2, U=4, A=6, gamma=10 ** 0.1,
-                              cell_separation=10 ** 0.1)
-        out = RANK_ONE_DESIGNS[name](sample_channels(topo, 3), topo)
+        out = RANK_ONE_DESIGNS[name](*self.instance())
         sol = getattr(out, "solution", out)
         assert not sol.used_randomization
 
