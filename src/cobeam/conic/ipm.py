@@ -59,6 +59,7 @@ dual residual, both complementarity right-hand sides and the
 infeasibility and ray exits leave it out too.
 """
 
+import functools
 import math
 import operator
 import time
@@ -544,11 +545,13 @@ def _row_gap(rhs, val, sense, floor):
     return float((gap / norm).max(initial=0.0))
 
 
-def point_violation(problem, solution):
+def point_violation(problem, solution, rows=None):
     """Worst normalized constraint/cone violation of a candidate point,
     inf when an entry or a row value is not finite: each block's least
     eigenvalue over max(1, its trace), the least scalar and the row gaps
-    at floor 1 (:func:`_row_gap`)."""
+    at floor 1 (:func:`_row_gap`).  ``rows`` is the problem's (rhs,
+    sense) pair when the caller keeps it, else they are read from its
+    families."""
     mats, scalars = solution.matrix_values, solution.scalar_values
     vals = problem.row_terms(mats, scalars).sum(axis=-1)
     if not all(np.isfinite(v).all() for v in (vals, scalars, *mats)
@@ -561,10 +564,45 @@ def point_violation(problem, solution):
         worst = max(worst, -low / scale)
     if scalars is not None and scalars.size:
         worst = max(worst, -float(scalars.min()))
-    return max(worst, _row_gap(problem.rhs(), vals, problem.sense(), 1.0))
+    rhs, sense = rows or (problem.rhs(), problem.sense())
+    return max(worst, _row_gap(rhs, vals, sense, 1.0))
 
 
-def verify_infeasibility_certificate(problem, weights):
+@dataclass(frozen=True)
+class CertificateTerms:
+    """What :func:`verify_infeasibility_certificate` reads of a problem,
+    whatever the weights: its right-hand sides and :data:`.problem.SENSE`
+    per row, per matrix variable the rows that read it (indices, their
+    coefficient stack F, each coefficient's Frobenius norm and max(1,
+    max |F|)), and per scalar the (row, coefficient) pairs that read
+    it, in family order."""
+    rhs: np.ndarray
+    sense: np.ndarray
+    blocks: list
+    scalars: list
+
+    @classmethod
+    def of(cls, problem, rows=None):
+        """The terms of ``problem``; ``rows`` as in
+        :func:`point_violation`."""
+        rhs, sense = rows or (problem.rhs(), problem.sense())
+        blocks = []
+        for i, var in enumerate(problem.matrix_vars):
+            reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
+                     for fam in problem.families if i in fam.matrix]
+            at = np.concatenate([np.zeros(0, np.intp)]
+                                + [rows for rows, _ in reads])
+            F = np.concatenate([np.zeros((0, var.dim, var.dim))]
+                               + [stack for _, stack in reads])
+            blocks.append((at, F, np.linalg.norm(F, axis=(1, 2)),
+                           max(1.0, np.abs(F).max(initial=0.0))))
+        scalars = [[(fam.start + r, a) for fam in problem.families
+                    for r, a in zip(*fam.scalars.get(j, ((), ())))]
+                   for j in range(problem.num_scalars)]
+        return cls(rhs, sense, blocks, scalars)
+
+
+def verify_infeasibility_certificate(problem, weights, terms=None):
     """Check a Farkas certificate by direct evaluation.
 
     ``weights`` holds one signed multiplier per constraint (>= rows
@@ -577,45 +615,41 @@ def verify_infeasibility_certificate(problem, weights):
     :data:`AGGREGATE_ROUNDOFF`) while the aggregated right-hand side is
     at least ``FARKAS_MARGIN``.  A functional that is positive on the
     cone certifies nothing, however small it is, since a large enough
-    feasible point outweighs it.
+    feasible point outweighs it.  ``terms`` is the problem's
+    :class:`CertificateTerms` when the caller keeps them, else they are
+    built for this call.
     """
+    terms = terms or CertificateTerms.of(problem)
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
-    wrong = problem.sense() * w < 0
+    wrong = terms.sense * w < 0
     sign_ok = bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
     w[wrong] = 0.0
-    viol = float(sum(wk * b for wk, b in zip(w, problem.rhs())))
+    viol = float(sum(wk * b for wk, b in zip(w, terms.rhs)))
     cone_ok, max_cone = True, -np.inf
-    for i, var in enumerate(problem.matrix_vars):
-        # every row that reads X_i: its index and its coefficient
-        reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
-                 for fam in problem.families if i in fam.matrix]
-        at = np.concatenate([np.zeros(0, np.intp)]
-                            + [rows for rows, _ in reads])
-        F = np.concatenate([np.zeros((0, var.dim, var.dim))]
-                           + [stack for _, stack in reads])
+    for at, F, norms, fmax in terms.blocks:
         P = np.einsum("r,rjk->jk", w[at], F)
         top = float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[-1])
-        size = np.abs(w[at]) @ np.linalg.norm(F, axis=(1, 2))
+        size = np.abs(w[at]) @ norms
         cone_ok = cone_ok and top <= AGGREGATE_ROUNDOFF * size
-        max_cone = max(max_cone, top / max(1.0, np.abs(F).max(initial=0.0)))
-    for j in range(problem.num_scalars):
-        terms = [w[fam.start + r] * a for fam in problem.families
-                 for r, a in zip(*fam.scalars.get(j, ((), ())))]
-        a = sum(terms)
-        cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, terms))
+        max_cone = max(max_cone, top / fmax)
+    for reads in terms.scalars:
+        parts = [w[r] * a for r, a in reads]
+        a = sum(parts)
+        cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, parts))
         max_cone = max(max_cone, a)
     ok = sign_ok and viol >= FARKAS_MARGIN and cone_ok
     return {"ok": ok, "violation": viol, "max_cone_value": max_cone,
             "signs_ok": sign_ok}
 
 
-def _feasible_point(comp, x, tau):
-    """OPTIMAL solution at x/tau if :func:`point_violation` accepts it,
-    else None.  A pre-check first reads the same row gaps in compiled
-    units: a row scaled by s has its gap and its normalizer max(1,
-    |rhs|, |value|) scaled by s, so its floor is s."""
+def _feasible_point(comp, x, tau, rows=None):
+    """OPTIMAL solution at x/tau if :func:`point_violation` accepts it
+    (on the source's (rhs, sense) ``rows``), else None.  A pre-check
+    first reads the same row gaps in compiled units: a row scaled by s
+    has its gap and its normalizer max(1, |rhs|, |value|) scaled by s,
+    so its floor is s."""
     val = comp.A[:, :comp.slack_off] @ (x[:comp.slack_off] / tau)
     if _row_gap(comp.b, val, comp.sense, comp.row_scale) > ACCEPT_TOL:
         return None
@@ -624,22 +658,23 @@ def _feasible_point(comp, x, tau):
         status=SolveStatus.OPTIMAL, matrix_values=mats,
         scalar_values=scalars, duals=np.zeros(len(comp.b)),
         objective=0.0)
-    if point_violation(comp.source, sol) > ACCEPT_TOL:
+    if point_violation(comp.source, sol, rows) > ACCEPT_TOL:
         return None
     return sol
 
 
-def _certified(comp, y, iterations):
+def _certified(comp, y, iterations, terms=None):
     """INFEASIBLE solution certified by the weights of y, its wrong-sign
     entries clipped to zero, when some weight is nonzero and
-    :func:`verify_infeasibility_certificate` accepts them, else None.
-    Only called when b'y > 0."""
+    :func:`verify_infeasibility_certificate` accepts them (with the
+    source's :class:`CertificateTerms` ``terms``), else None.  Only
+    called when b'y > 0."""
     w = comp.user_duals_signed(np.where(comp.sense * y < 0.0, 0.0, y))
     scale = np.abs(w).max()
     if scale == 0.0:
         return None
     weights = w / scale
-    check = verify_infeasibility_certificate(comp.source, weights)
+    check = verify_infeasibility_certificate(comp.source, weights, terms)
     if not check["ok"]:
         return None
     return ConicSolution(
@@ -649,7 +684,8 @@ def _certified(comp, y, iterations):
 
 class _Member:
     """One problem's own state in a lockstep loop: its start, best
-    iterate, stall count, fallback counts and exit."""
+    iterate, stall count, fallback counts and exit, and for a screened
+    problem what its screens read of the source rows, built once."""
 
     def __init__(self, compiled):
         self.compiled = compiled
@@ -661,8 +697,15 @@ class _Member:
         self.screens = not compiled.c.any() and not compiled.qdiag.any()
         if self.screens:
             self.stats.update(point_stop=0, farkas_stop=0)
+            self.rows = (compiled.source.rhs(), compiled.sense)
         self.status, self.iterations = SolveStatus.MAX_ITER, None
         self.solution = None            # set by an early exit
+
+    @functools.cached_property
+    def terms(self):
+        """The source's :class:`CertificateTerms`, at the first Farkas
+        screen."""
+        return CertificateTerms.of(self.compiled.source, self.rows)
 
     def initial(self, ident):
         """The iterate (x, y, z, tau, kappa) this problem starts from."""
@@ -787,11 +830,11 @@ def _solve_hsd(group):
             if mem.screens:
                 # iterations are counted as on the OPTIMAL and Farkas
                 # exits below
-                early = _feasible_point(comp, xp, t)
+                early = _feasible_point(comp, xp, t, mem.rows)
                 if early is not None:
                     mem.stats["point_stop"], early.iterations = 1, it + 1
                 elif bt > 0:
-                    early = _certified(comp, yp, it)
+                    early = _certified(comp, yp, it, mem.terms)
                     if early is not None:
                         mem.stats["farkas_stop"] = 1
                 if early is not None:

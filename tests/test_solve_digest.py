@@ -40,7 +40,7 @@ def test_confirmations_cover_the_screen_exits(capsys, monkeypatch):
     farkas = tool.ipm._certified
     monkeypatch.setattr(
         tool.ipm, "_certified",
-        lambda comp, y, it: calls.append(y) or farkas(comp, y, it))
+        lambda comp, y, *rest: calls.append(y) or farkas(comp, y, *rest))
     scenario = ROOT / "scenarios" / "balancing_gr.json"
     tool.main([str(scenario), "--trials", "1"])
     lines = capsys.readouterr().out.splitlines()
@@ -63,7 +63,8 @@ def test_hsd_exits_count_the_unconfirmed_answers(capsys, monkeypatch):
     # the Farkas screen would end go on to the embedding's own exit
     verify = tool.ipm.verify_infeasibility_certificate
     monkeypatch.setattr(tool.ipm, "verify_infeasibility_certificate",
-                        lambda prob, w: {**verify(prob, w), "ok": False})
+                        lambda prob, w, *rest: {**verify(prob, w, *rest),
+                                                "ok": False})
     scenario = ROOT / "scenarios" / "balancing_gr.json"
     tool.main([str(scenario), "--trials", "1"])
     lines = capsys.readouterr().out.splitlines()
