@@ -38,7 +38,10 @@ class BisectionResult:
     ``payload`` is what the probe returned at the final feasible level;
     in the SDR bisections (:func:`_sdr_bisect`) the covariance stack
     (n, A, A) of the groups in scope, a cell's in
-    :meth:`Topology.groups_of_bs` order.  ``probes`` records every (t,
+    :meth:`Topology.groups_of_bs` order, and ``source`` names where it
+    came from: ``"probe"``, the final feasible probe's; ``"kept"``, the
+    rank-one point the bisection kept, at the lower end; ``"polish"``,
+    the power-minimizing solve there.  ``probes`` records every (t,
     feasible) pair in order; ``calls`` only counts the probes of the
     halving loop, ``extra_calls`` the solves around it (a probe of the
     lower end, the extreme-face polish when it runs).
@@ -58,6 +61,7 @@ class BisectionResult:
     probes: list = field(default_factory=list)
     indeterminate: int = 0
     decided: int = 0
+    source: str = "probe"
 
 
 def _probed(probe, t):
@@ -242,13 +246,21 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     result.decided = settled
     if (conic.numerical_rank(result.payload) == 1).all():
         return result
+    if level >= result.lower:
+        prob = update(result.lower)
+        sol = ConicSolution(SolveStatus.OPTIMAL, matrix_values=scaled)
+        if point_violation(prob, sol) <= ACCEPT_TOL:
+            W = covariances(prob, sol)
+            if (conic.numerical_rank(W) == 1).all():
+                result.payload, result.source = W, "kept"
+                return result
     if cell is not None:
         yield []    # the barrier: polish beside the other cells
     polish = system(result.lower, objective=True)
     sol, = yield [polish]
     result.extra_calls += 1
     if sol.status is SolveStatus.OPTIMAL:
-        result.payload = covariances(polish, sol)
+        result.payload, result.source = covariances(polish, sol), "polish"
     return result
 
 

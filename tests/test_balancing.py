@@ -761,11 +761,23 @@ def workload_runs():
     return runs
 
 
-def workload_pipelines():
-    """The workload's five pipelines on each draw, each from a fresh
-    seeded stream."""
+def multicast_draws():
+    """Two channel draws of ``scenarios/balancing_gr.json``'s shape, B=2,
+    G=2, U=8, A=4 at 1 dB cell separation: four users a group, where
+    more bisections end on neither a payload nor a kept point of rank
+    one and polish."""
+    topo = build_topology(B=2, G=2, U=8, A=4, gamma=1.0, p_max=10.0,
+                          cell_separation=10 ** 0.1)
+    for seed in (300, 307):
+        yield topo, sample_channels(topo, seed)
+
+
+def workload_pipelines(draws=None):
+    """The workload's five pipelines on each draw (default
+    :func:`workload_draws`), each from a fresh seeded stream."""
     runs = []
-    for k, (topo, chans) in enumerate(workload_draws()):
+    draws = workload_draws() if draws is None else draws
+    for k, (topo, chans) in enumerate(draws):
         def call(cap, topo=topo, chans=chans, k=k):
             rng = np.random.default_rng(k)
             if cap == "centralized":
@@ -836,10 +848,21 @@ class TestSettledProbes:
     @pytest.mark.parametrize("runs", [c08_runs, workload_runs],
                              ids=["c08", "workload"])
     def test_settled_probes_match_cold(self, monkeypatch, runs):
-        settled, decisions, sources = [], [], {}
+        settled, finals, decisions, sources = [], [], [], {}
         violation = balancing.point_violation
         feasibility = conic.feasibility
         scaled_point = balancing._scaled_point
+        steps, probing = bisect.steps, False
+
+        def bisecting(*args):
+            # the halving loop's probes; a confirmation after it is the
+            # bisection's check of its kept point at the lower end
+            nonlocal probing
+            probing = True
+            try:
+                return (yield from steps(*args))
+            finally:
+                probing = False
 
         def deciding(problem):
             feasible, sol = yield from feasibility(problem)
@@ -864,15 +887,19 @@ class TestSettledProbes:
         def recording(problem, sol):
             worst = violation(problem, sol)
             if worst <= ACCEPT_TOL:
-                settled.append((problem, sources[id(sol.matrix_values)][1]))
+                (settled if probing else finals).append(
+                    (problem, sources[id(sol.matrix_values)][1]))
             return worst
 
         with monkeypatch.context() as patch:
             patch.setattr(conic, "feasibility", deciding)
             patch.setattr(balancing, "_scaled_point", scaling)
             patch.setattr(balancing, "point_violation", recording)
+            patch.setattr(balancing, "bisect", conic.driven(bisecting))
             results = [run() for run in runs()]
         assert len(settled) == sum(res.decided for res in results) > 0
+        # every payload of a kept point passed its check at the lower end
+        assert len(finals) >= sum(res.source == "kept" for res in results) > 0
         counts = Counter(source for _, source in settled)
         # settled by a point an infeasible probe's last iterate offered,
         # and by a principal part
@@ -880,7 +907,7 @@ class TestSettledProbes:
                    if solve == "infeasible") > 0, counts
         assert sum(n for (_, form), n in counts.items()
                    if form == "principal") > 0, counts
-        for problem, _ in settled:
+        for problem, _ in settled + finals:
             assert TestWarmProbes.cold(problem)[0] is True
 
     @pytest.mark.parametrize("a, b", [(3.0, 1.0), (1.0, 3.0), (0.2, 0.1)],
@@ -940,11 +967,14 @@ class TestSettledProbes:
         assert 0 < kept < 2 * len(settling)
 
     def test_pipelines_without_settling(self, monkeypatch):
+        # the workload's draws, where every pipeline keeps some rank-one
+        # payload, and multicast draws, where some polish throughout
+        draws = [*workload_draws(), *multicast_draws()]
         with monkeypatch.context() as patch:
-            settling, runs = bisections(patch, workload_pipelines())
+            settling, runs = bisections(patch, workload_pipelines(draws))
         with monkeypatch.context() as patch:
             unsettled(patch)
-            solving, runs_b = bisections(patch, workload_pipelines())
+            solving, runs_b = bisections(patch, workload_pipelines(draws))
         alike = 0
         for a, b, ran, ran_b in zip(settling, solving, runs, runs_b,
                                     strict=True):
@@ -962,13 +992,14 @@ class TestSettledProbes:
                     == getattr(b.solution, part).tobytes()
         assert 0 < alike < len(settling)
         central = [out.bisection for out in settling if out.bisection]
-        assert len(central) == 4
+        assert len(central) == len(draws)
         assert sum(res.decided for res in central) > 0
 
 
 class TestPolish:
     """A bisection ends with a power-minimizing solve at its lower end,
-    the polish, only when its final payload is not rank one."""
+    the polish, only when neither its final payload nor the point it
+    kept, checked at the lower end, is rank one."""
 
     @staticmethod
     def traced(monkeypatch, run):
@@ -1008,17 +1039,57 @@ class TestPolish:
         assert objectives == []
         assert res.payload is payload
         assert res.payload.tobytes() == copy.tobytes()
-        assert not polished(res)
+        assert not polished(res) and res.source == "probe"
+
+    def test_higher_rank_payload_keeps_its_point(self, monkeypatch):
+        # c08's network on its fourth draw: the bisection ends on a
+        # payload of rank two that its last feasible solve gave, and the
+        # rank-one point it kept reaches the lower end, so that serves
+        topo, chans = two_cell(203)
+        offers, scaled_point = [], balancing._scaled_point
+
+        def scaling(prob, X, t, serving):
+            offers.append(scaled_point(prob, X, t, serving))
+            return offers[-1]
+
+        monkeypatch.setattr(balancing, "_scaled_point", scaling)
+        res, payloads, objectives = self.traced(
+            monkeypatch, lambda: bisect_balance(chans, topo, epsilon=1e-3))
+        (payload, _), = payloads
+        assert (conic.numerical_rank(payload) > 1).any()
+        assert objectives == []
+        assert res.source == "kept" and not polished(res)
+        # the kept point is the first offer of the highest level
+        point, level = max(offers, key=lambda offer: offer[1])
+        assert level >= res.lower
+        at_lower = sinr_system(chans, topo, level=res.lower, budget=True,
+                               objective=False)[0]
+        assert res.payload.tobytes() == covariances(at_lower, ConicSolution(
+            SolveStatus.OPTIMAL, matrix_values=point)).tobytes()
+
+        def full(level):
+            return loop_sinr_system(chans, topo, level=level, budget=True,
+                                    objective=False)[0]
+
+        assert_kept_payload(res, full)
+        # it fills its tightest budget row (the network has no caps)
+        rows = full(res.lower)
+        limits = rows.sense() < 0
+        load = rows.row_terms(list(res.payload)).sum(axis=-1)[limits] \
+            / rows.rhs()[limits]
+        assert load.max() == pytest.approx(1.0, rel=1e-12)
 
     def test_higher_rank_payload_is_polished(self, monkeypatch):
         # c08's network on its second draw, two users a group: the
-        # bisection ends on a payload of rank above one
+        # bisection ends on a payload of rank above one, and the point it
+        # kept, a solve's point itself, is of rank two as well
         topo, chans = two_cell(201)
         res, payloads, objectives = self.traced(
             monkeypatch, lambda: bisect_balance(chans, topo, epsilon=1e-3))
         (payload, _), = payloads
         assert (conic.numerical_rank(payload) > 1).any()
         assert len(objectives) == 1
+        assert res.source == "polish"
         assert res.extra_calls == len(res.probes) - res.calls + 1
         # the payload is that of a cold polish at the lower end, solved
         # alone

@@ -203,10 +203,11 @@ class TestBarrier:
 
     def test_cell_polishes_share_one_call(self, monkeypatch):
         # a polish is the one solve of a bisection with an objective, and
-        # it runs for the cells whose bisection ends on a payload not of
-        # rank one: one cell on the first draw, both on the second.  On
-        # each draw the two cells' bisections end at different steps
-        polishes, payloads = [], []
+        # it runs for the cells whose bisection ends on neither a payload
+        # nor a kept point of rank one: on the multicast topology, one
+        # cell on the first draw, both on the second.  On the second draw
+        # the two cells' bisections end at different steps
+        polishes, results = [], []
         solve_batch, steps = ipm.solve_batch, balancing.bisect.steps
 
         def recording(problems):
@@ -215,20 +216,23 @@ class TestBarrier:
 
         def bisecting(*args):
             result = yield from steps(*args)
-            payloads.append(result.payload)
+            results.append((result, len(polishes)))
             return result
 
         monkeypatch.setattr(ipm, "solve_batch", recording)
         monkeypatch.setattr(balancing, "bisect", conic.driven(bisecting))
-        for seed, cells in ((1, 1), (0, 2)):
+        topo = build_topology(B=2, G=2, U=8, A=6, gamma=10 ** 0.1,
+                              cell_separation=10 ** 0.1)
+        for seed, cells in ((0, 1), (39, 2)):
             polishes.clear()
-            payloads.clear()
-            topo, chans = setup(seed=seed)
-            balance_distributed(chans, topo, 0.1, epsilon=1e-2)
-            assert len(payloads) == topo.B
-            assert sum((conic.numerical_rank(W) != 1).any()
-                       for W in payloads) == cells
+            results.clear()
+            balance_distributed(sample_channels(topo, seed), topo, 0.1,
+                                epsilon=1e-2)
+            assert len(results) == topo.B
+            # the tail names each result's source once its bisection ends
+            assert sum(res.source == "polish" for res, _ in results) == cells
             assert [n for n in polishes if n] == [cells]
+        assert results[0][1] != results[1][1]
 
 
 def sweep_config(trials=3):

@@ -61,11 +61,14 @@ without a solve: the sum of ``BisectionResult.decided`` over every
 ``balancing._sdr_bisect`` run of that file, read by wrapping it, so a
 change that settles more or fewer probes shows how many.  And one line
 per scenario file counts those runs' polishes, the power-minimizing
-solves at a bisection's lower end: how many ran and how many were
-skipped because the bisection's final payload was already rank one.  A
-run's polishes are its ``extra_calls`` beyond a probe of the lower end,
-which ``probes`` logs and ``calls`` does not count, so the line reads
-the same on a tree that polishes every bisection.  And one line per
+solves at a bisection's lower end, ``polishes <r> run <s> skipped (<k>
+on the kept point)``: how many ran, how many were skipped because the
+bisection's final payload or its kept rank-one point served instead,
+and how many of those skips the kept point served
+(``BisectionResult.source``).  A run's polishes are its ``extra_calls``
+beyond a probe of the lower end, which ``probes`` logs and ``calls``
+does not count, so the line reads the same on a tree that polishes
+every bisection.  And one line per
 scenario file, ``confirmations <point> point <farkas> farkas``, counts
 the calls of ``ipm.point_violation`` and of
 ``ipm.verify_infeasibility_certificate``, wrapped by their module names
@@ -199,6 +202,7 @@ def main(argv=None):
             settled[path] += result.decided
             ran = result.extra_calls - (len(result.probes) - result.calls)
             polishes[path][0 if ran else 1] += 1
+            polishes[path][2] += result.source == "kept"
             return result
         return wrapper
 
@@ -225,7 +229,7 @@ def main(argv=None):
         counting(exits, kind, make) for kind, make in enumerate(hsd))
     try:
         for path in args.scenarios:
-            settled[path], polishes[path] = 0, [0, 0]
+            settled[path], polishes[path] = 0, [0, 0, 0]
             confirmed[path], exits[path] = [0, 0], [0, 0]
             config = parse_scenario(path)
             if args.trials is not None:
@@ -268,8 +272,9 @@ def main(argv=None):
     print(f"compiles {compiles['full']} full {compiles['updated']} updated")
     for path, count in settled.items():
         print(f"settled probes {count} in {path}")
-    for path, (ran, skipped) in polishes.items():
-        print(f"polishes {ran} run {skipped} skipped in {path}")
+    for path, (ran, skipped, kept) in polishes.items():
+        print(f"polishes {ran} run {skipped} skipped ({kept} on the kept "
+              f"point) in {path}")
     for path, (points, certificates) in confirmed.items():
         print(f"confirmations {points} point {certificates} farkas "
               f"in {path}")
