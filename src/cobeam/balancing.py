@@ -35,8 +35,9 @@ DEFAULT_EPSILON = 1e-3
 class BisectionResult:
     """Outcome of one bisection run.
 
-    ``payload`` is what the probe returned at the final feasible level;
-    in the SDR bisections (:func:`_sdr_bisect`) the covariance stack
+    ``payload`` is the design at the final feasible level, what the
+    probe there returned unless the SDR bisection replaced it; in the
+    SDR bisections (:func:`_sdr_bisect`) the covariance stack
     (n, A, A) of the groups in scope, a cell's in
     :meth:`Topology.groups_of_bs` order, and ``source`` names where it
     came from: ``"probe"``, the final feasible probe's; ``"kept"``, the
@@ -44,7 +45,8 @@ class BisectionResult:
     the power-minimizing solve there.  ``probes`` records every (t,
     feasible) pair in order; ``calls`` only counts the probes of the
     halving loop, ``extra_calls`` the solves around it (a probe of the
-    lower end, the extreme-face polish when it runs).
+    lower end, the extreme-face polish when it runs); the check of a
+    kept point solves nothing and counts in neither.
     ``indeterminate`` counts the halving probes that raised
     :class:`IndeterminateError` and were taken as infeasible, and
     ``decided`` the probes a point from an earlier solve, feasible or
@@ -181,16 +183,20 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     The upper end is the matched-filter cap of the users involved
     (:func:`single_user_upper_bound`), provably unreachable, so it is
     not probed.  Interior-point feasibility solves return central
-    (high-rank) points, so unless every covariance of the final payload
-    is rank one (:func:`conic.numerical_rank`, as :func:`finalize`
-    tests it), one power-minimizing solve at the final feasible level,
-    the polish, replaces it with an extreme-face solution; that is the
-    covariance set whose rank the extraction step inspects.  Each solved
-    probe starts from the iterate of the previous solved one; the polish
-    starts cold.  The probes share one compile, of the
-    system at level 0, and each is its update to its own level
-    (:func:`sinr_levels`): its right-hand sides and, where the level
-    scales -t H blocks, its SINR rows.
+    (high-rank) points, so the final payload need not be rank one
+    (:func:`conic.numerical_rank`, as :func:`finalize` tests it).  Then
+    the bisection tries the point it kept (below): if that reaches the
+    lower end, meets the probe there to ``ACCEPT_TOL`` and lifts to
+    rank-one covariances, they are the payload, a design that fills its
+    tightest budget or cap row.  Only when neither is rank one does one
+    power-minimizing solve at the lower end, the polish, replace the
+    payload with an extreme-face solution, whose rank the extraction
+    step inspects.  ``source`` on the result names which of the three
+    the payload is.  Each solved probe starts from the iterate of the
+    previous solved one; the polish starts cold.  The probes share one
+    compile, of the system at level 0, and each is its update to its
+    own level (:func:`sinr_levels`): its right-hand sides and, where the
+    level scales -t H blocks, its SINR rows.
 
     The probes of one bisection share their variables' bases, so every
     solved probe offers points to the later ones: its final iterate's
@@ -207,7 +213,8 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     in the design, when it is rank one and so kept.  A cell that
     polishes waits at its gather's barrier (:func:`conic.gather`)
     first, so the cells of :func:`_per_cell_pipeline` polish in one
-    step; a cell that skips its polish ends, which counts as past it.
+    step; a cell that skips its polish, on its payload or its kept
+    point, ends, which counts as past it.
     """
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=cell, level=t,
@@ -269,8 +276,9 @@ def bisect_balance(channels, topology, epsilon=DEFAULT_EPSILON):
     """Centralized max-min SINR via bisection on the relaxed problem.
 
     Returns a :class:`BisectionResult` whose payload is the covariance
-    stack (G, A, A) at the final feasible level: rank one, or polished
-    to an extreme face (:func:`_sdr_bisect`).
+    stack (G, A, A) at the final feasible level: rank one, from a probe
+    or the kept point, or polished to an extreme face
+    (:func:`_sdr_bisect`).
     """
     return (yield from _sdr_bisect(channels, topology, epsilon))
 
@@ -419,10 +427,10 @@ def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
     """Per-cell balancing at the ICI values ``theta`` (None: each cell
     blind to ICI): the B :func:`local_balance` bisections side by side,
     then each cell's tail in turn, which raises what a cell-by-cell loop
-    would raise first.  A cell whose bisection ends on a payload not of
-    rank one waits at the gather's barrier, so the polishes that run go
-    out in one step.  The cells' solutions join into one of the
-    network's groups."""
+    would raise first.  A cell whose bisection ends on neither a payload
+    nor a kept point of rank one waits at the gather's barrier, so the
+    polishes that run go out in one step.  The cells' solutions join
+    into one of the network's groups."""
     check_gr_count(gr_count)
     cells = []
     per_cell_t = {}

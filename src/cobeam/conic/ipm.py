@@ -644,7 +644,7 @@ def verify_infeasibility_certificate(problem, weights, terms=None):
             "signs_ok": sign_ok}
 
 
-def _feasible_point(comp, x, tau, rows=None):
+def _feasible_point(comp, x, tau, rows):
     """OPTIMAL solution at x/tau if :func:`point_violation` accepts it
     (on the source's (rhs, sense) ``rows``), else None.  A pre-check
     first reads the same row gaps in compiled units: a row scaled by s
@@ -663,7 +663,7 @@ def _feasible_point(comp, x, tau, rows=None):
     return sol
 
 
-def _certified(comp, y, iterations, terms=None):
+def _certified(comp, y, iterations, terms):
     """INFEASIBLE solution certified by the weights of y, its wrong-sign
     entries clipped to zero, when some weight is nonzero and
     :func:`verify_infeasibility_certificate` accepts them (with the
