@@ -591,7 +591,7 @@ class CertificateTerms:
             reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
                      for fam in problem.families if i in fam.matrix]
             at = np.concatenate([np.zeros(0, np.intp)]
-                                + [rows for rows, _ in reads])
+                                + [idx for idx, _ in reads])
             F = np.concatenate([np.zeros((0, var.dim, var.dim))]
                                + [stack for _, stack in reads])
             blocks.append((at, F, np.linalg.norm(F, axis=(1, 2)),
