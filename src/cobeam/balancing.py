@@ -19,7 +19,7 @@ import numpy as np
 
 from . import conic
 from .conic import ConicSolution, SolveStatus
-from .conic.ipm import ACCEPT_TOL, point_violation
+from .conic.ipm import ACCEPT_TOL, cone_violation, row_violation
 from .errors import (ConfigurationError, IndeterminateError,
                      RandomizationFailureError)
 from .network import BeamformingSolution, evaluate_sinr, network_stack
@@ -159,7 +159,7 @@ def _scaled_point(prob, X, t, serving):
     for stack in X:
         lam, vec = np.linalg.eigh(stack)
         top = vec[..., -1]
-        pairs.append(np.stack([stack, np.einsum(
+        pairs.append(np.array([stack, np.einsum(
             "k,ki,kj->kij", lam[:, -1], top, top.conj())]))
     X = [pair[:, j] for pair in pairs for j in range(pair.shape[1])]
     rhs = prob.rhs().tolist()
@@ -224,27 +224,32 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         else topology.groups_of_bs(cell)
     users = range(topology.U) if cell is None else topology.users_of_bs(cell)
     serving = [groups.index(topology.group_of_user[u]) for u in users]
-    last, scaled, level, settled = None, None, -np.inf, 0
+    last, point, cone, level, settled = None, None, np.inf, -np.inf, 0
     kept = conic.compile_once(system(0.0))
     update = sinr_levels(kept, channels, topology, cell, theta=theta)
 
+    def meets(prob):
+        # point_violation's decision on the kept point, its cone part
+        # found once, when the point was kept
+        return max(cone, row_violation(prob, point)) <= ACCEPT_TOL
+
     def probe(t):
-        nonlocal last, scaled, level, settled
+        nonlocal last, point, cone, level, settled
         prob = update(t)
-        if t <= level:
-            sol = ConicSolution(SolveStatus.OPTIMAL, matrix_values=scaled)
-            if point_violation(prob, sol) <= ACCEPT_TOL:
-                settled += 1
-                return True, covariances(prob, sol)
+        if t <= level and meets(prob):
+            settled += 1
+            return True, covariances(prob, point)
         prob.start = last
         feasible, sol = yield from conic.feasibility(prob)
         last = sol.iterate
         # a probe at level 0, the lower end's, is the last of its bisection
         if t > 0:
-            point, at = _scaled_point(
+            offer, at = _scaled_point(
                 prob, kept.compiled.layout.unpack(last.x), t, serving)
             if at > level:
-                scaled, level = point, at
+                point = ConicSolution(SolveStatus.OPTIMAL,
+                                      matrix_values=offer)
+                cone, level = cone_violation(point), at
         return feasible, covariances(prob, sol) if feasible else None
 
     result = yield from conic.solving(
@@ -255,9 +260,8 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         return result
     if level >= result.lower:
         prob = update(result.lower)
-        sol = ConicSolution(SolveStatus.OPTIMAL, matrix_values=scaled)
-        if point_violation(prob, sol) <= ACCEPT_TOL:
-            W = covariances(prob, sol)
+        if meets(prob):
+            W = covariances(prob, point)
             if (conic.numerical_rank(W) == 1).all():
                 result.payload, result.source = W, "kept"
                 return result

@@ -59,7 +59,7 @@ dual residual, both complementarity right-hand sides and the
 infeasibility and ray exits leave it out too.
 """
 
-import functools
+import copy
 import math
 import operator
 import time
@@ -139,10 +139,10 @@ class _Batch:
 
     def __init__(self, compiled):
         self.layout = compiled[0].layout
-        self.A = np.stack([c.A for c in compiled])
+        self.A = np.array([c.A for c in compiled])
         self.At = self.A.swapaxes(-1, -2)
-        self.b = np.stack([c.b for c in compiled])
-        self.c = np.stack([c.c for c in compiled])
+        self.b = np.array([c.b for c in compiled])
+        self.c = np.array([c.c for c in compiled])
         self.qdiag = self.pad = None
         if any(c.qdiag.any() for c in compiled):
             self.qdiag = np.zeros(self.c.shape)
@@ -167,6 +167,25 @@ class _Batch:
     def own(self, v):
         """(P, n) rows ``v`` with every pad entry zeroed."""
         return v if self.pad is None else np.where(self.pad, 0.0, v)
+
+    def take(self, keep):
+        """The batch of the problems at positions ``keep``, these stacks
+        indexed.  A quadratic or pad mask left all zero changes no bits,
+        and the cost row leaves with the last nonzero cost, as in a batch
+        stacked anew."""
+        new = copy.copy(self)
+        new.A, new.b, new.c, new.qdiag, new.pad = (
+            None if v is None else v.take(keep, axis=0)
+            for v in (self.A, self.b, self.c, self.qdiag, self.pad))
+        new.At = new.A.swapaxes(-1, -2)
+        new.deg, new.nb, new.nc = ([v[p] for p in keep]
+                                   for v in (self.deg, self.nb, self.nc))
+        new.cost_row = bool(new.c.any())
+        rows = len(self.A_nn) - (self.cost_row and not new.cost_row)
+        new.A_blocks = [blk[:rows].take(keep, axis=1)
+                        for blk in self.A_blocks]
+        new.A_nn = self.A_nn[:rows].take(keep, axis=1)
+        return new
 
 
 def _factor_schur(M):
@@ -521,10 +540,12 @@ def feasibility(problem):
     certificate that no check confirmed.  Any other end raises
     :class:`IndeterminateError`.
     """
-    # a copy would compile anew, so an objective-free problem goes as it is
+    # a copy would compile anew, so an objective-free problem goes as it
+    # is; the copy keeps the coefficients, and so their gathers
     if problem.obj_matrix or problem.obj_scalar or problem.obj_scalar_quad:
-        problem = replace(problem, obj_matrix={}, obj_scalar={},
-                          obj_scalar_quad={})
+        kept, problem = problem, replace(problem, obj_matrix={},
+                                         obj_scalar={}, obj_scalar_quad={})
+        problem._gathered = kept._gathered
     sol, = yield [problem]
     if sol.status is SolveStatus.OPTIMAL:
         return True, sol
@@ -538,23 +559,24 @@ def feasibility(problem):
 def _row_gap(rhs, val, sense, floor):
     """Worst normalized gap of rows of :data:`.problem.SENSE` ``sense``, 0
     without rows: rhs - val on >=, val - rhs on <= and |rhs - val| on ==
-    rows, each over max(floor, |rhs|, |val|)."""
-    diff = rhs - val
-    gap = np.where(sense == 0.0, np.abs(diff), sense * diff)
-    norm = np.maximum(np.maximum(floor, np.abs(rhs)), np.abs(val))
-    return float((gap / norm).max(initial=0.0))
+    rows, each over max(floor, |rhs|, |val|), ``floor`` a number or one
+    per row.  Row by row in floats, the bits of numpy's elementwise
+    operations at a fraction of their calls on a screen's few rows."""
+    floors = [floor] * len(rhs) if isinstance(floor, float) \
+        else floor.tolist()
+    worst = 0.0
+    for b, v, s, f in zip(rhs.tolist(), val.tolist(), sense.tolist(), floors):
+        gap = abs(b - v) if s == 0.0 else s * (b - v)
+        worst = max(worst, gap / max(f, abs(b), abs(v)))
+    return worst
 
 
-def point_violation(problem, solution, rows=None):
-    """Worst normalized constraint/cone violation of a candidate point,
-    inf when an entry or a row value is not finite: each block's least
-    eigenvalue over max(1, its trace), the least scalar and the row gaps
-    at floor 1 (:func:`_row_gap`).  ``rows`` is the problem's (rhs,
-    sense) pair when the caller keeps it, else they are read from its
-    families."""
+def cone_violation(solution):
+    """The cone part of :func:`point_violation` of a candidate point,
+    inf when an entry is not finite: each block's least eigenvalue over
+    max(1, its trace), and the least scalar."""
     mats, scalars = solution.matrix_values, solution.scalar_values
-    vals = problem.row_terms(mats, scalars).sum(axis=-1)
-    if not all(np.isfinite(v).all() for v in (vals, scalars, *mats)
+    if not all(np.isfinite(v).all() for v in (scalars, *mats)
                if v is not None):
         return math.inf
     worst = 0.0
@@ -564,45 +586,34 @@ def point_violation(problem, solution, rows=None):
         worst = max(worst, -low / scale)
     if scalars is not None and scalars.size:
         worst = max(worst, -float(scalars.min()))
+    return worst
+
+
+def row_violation(problem, solution, rows=None):
+    """The rows' part of :func:`point_violation` of a candidate point,
+    inf when a row value is not finite: the row gaps at floor 1
+    (:func:`_row_gap`), the values formed on the problem's
+    :meth:`ConicProblem.gathers`.  ``rows`` is the problem's (rhs,
+    sense) pair when the caller keeps it, else they are read from its
+    families."""
+    vals = problem.row_terms(solution.matrix_values,
+                             solution.scalar_values).sum(axis=-1)
+    if not np.isfinite(vals).all():
+        return math.inf
     rhs, sense = rows or (problem.rhs(), problem.sense())
-    return max(worst, _row_gap(rhs, vals, sense, 1.0))
+    return _row_gap(rhs, vals, sense, 1.0)
 
 
-@dataclass(frozen=True)
-class CertificateTerms:
-    """What :func:`verify_infeasibility_certificate` reads of a problem,
-    whatever the weights: its right-hand sides and :data:`.problem.SENSE`
-    per row, per matrix variable the rows that read it (indices, their
-    coefficient stack F, each coefficient's Frobenius norm and max(1,
-    max |F|)), and per scalar the (row, coefficient) pairs that read
-    it, in family order."""
-    rhs: np.ndarray
-    sense: np.ndarray
-    blocks: list
-    scalars: list
-
-    @classmethod
-    def of(cls, problem, rows=None):
-        """The terms of ``problem``; ``rows`` as in
-        :func:`point_violation`."""
-        rhs, sense = rows or (problem.rhs(), problem.sense())
-        blocks = []
-        for i, var in enumerate(problem.matrix_vars):
-            reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
-                     for fam in problem.families if i in fam.matrix]
-            at = np.concatenate([np.zeros(0, np.intp)]
-                                + [idx for idx, _ in reads])
-            F = np.concatenate([np.zeros((0, var.dim, var.dim))]
-                               + [stack for _, stack in reads])
-            blocks.append((at, F, np.linalg.norm(F, axis=(1, 2)),
-                           max(1.0, np.abs(F).max(initial=0.0))))
-        scalars = [[(fam.start + r, a) for fam in problem.families
-                    for r, a in zip(*fam.scalars.get(j, ((), ())))]
-                   for j in range(problem.num_scalars)]
-        return cls(rhs, sense, blocks, scalars)
+def point_violation(problem, solution, rows=None):
+    """Worst normalized constraint/cone violation of a candidate point,
+    inf when an entry or a row value is not finite: the larger of its
+    :func:`cone_violation` and :func:`row_violation` (``rows`` as
+    there)."""
+    return max(cone_violation(solution),
+               row_violation(problem, solution, rows))
 
 
-def verify_infeasibility_certificate(problem, weights, terms=None):
+def verify_infeasibility_certificate(problem, weights, rows=None):
     """Check a Farkas certificate by direct evaluation.
 
     ``weights`` holds one signed multiplier per constraint (>= rows
@@ -615,27 +626,29 @@ def verify_infeasibility_certificate(problem, weights, terms=None):
     :data:`AGGREGATE_ROUNDOFF`) while the aggregated right-hand side is
     at least ``FARKAS_MARGIN``.  A functional that is positive on the
     cone certifies nothing, however small it is, since a large enough
-    feasible point outweighs it.  ``terms`` is the problem's
-    :class:`CertificateTerms` when the caller keeps them, else they are
-    built for this call.
+    feasible point outweighs it.  The aggregates are formed per
+    variable on the problem's :meth:`ConicProblem.gathers`; ``rows`` is
+    as in :func:`row_violation`.
     """
-    terms = terms or CertificateTerms.of(problem)
+    rhs, sense = rows or (problem.rhs(), problem.sense())
+    blocks, scalars = problem.gathers()
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
-    wrong = terms.sense * w < 0
+    wrong = sense * w < 0
     sign_ok = bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
     w[wrong] = 0.0
-    viol = float(sum(wk * b for wk, b in zip(w, terms.rhs)))
+    viol = float(sum(wk * b for wk, b in zip(w.tolist(), rhs.tolist())))
     cone_ok, max_cone = True, -np.inf
-    for at, F, norms, fmax in terms.blocks:
-        P = np.einsum("r,rjk->jk", w[at], F)
+    for at, F, norms, fmax in blocks:
+        wa = w[at]
+        P = np.einsum("r,rjk->jk", wa, F)
         top = float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[-1])
-        size = np.abs(w[at]) @ norms
+        size = np.abs(wa) @ norms
         cone_ok = cone_ok and top <= AGGREGATE_ROUNDOFF * size
         max_cone = max(max_cone, top / fmax)
-    for reads in terms.scalars:
-        parts = [w[r] * a for r, a in reads]
+    for at, coeffs in scalars:
+        parts = [w[r] * a for r, a in zip(at, coeffs)]
         a = sum(parts)
         cone_ok = cone_ok and a <= AGGREGATE_ROUNDOFF * sum(map(abs, parts))
         max_cone = max(max_cone, a)
@@ -644,9 +657,9 @@ def verify_infeasibility_certificate(problem, weights, terms=None):
             "signs_ok": sign_ok}
 
 
-def _feasible_point(comp, x, tau, rows):
+def _feasible_point(comp, x, tau):
     """OPTIMAL solution at x/tau if :func:`point_violation` accepts it
-    (on the source's (rhs, sense) ``rows``), else None.  A pre-check
+    (on the source rows the compile holds), else None.  A pre-check
     first reads the same row gaps in compiled units: a row scaled by s
     has its gap and its normalizer max(1, |rhs|, |value|) scaled by s,
     so its floor is s."""
@@ -658,23 +671,24 @@ def _feasible_point(comp, x, tau, rows):
         status=SolveStatus.OPTIMAL, matrix_values=mats,
         scalar_values=scalars, duals=np.zeros(len(comp.b)),
         objective=0.0)
-    if point_violation(comp.source, sol, rows) > ACCEPT_TOL:
+    if point_violation(comp.source, sol, (comp.rhs, comp.sense)) \
+            > ACCEPT_TOL:
         return None
     return sol
 
 
-def _certified(comp, y, iterations, terms):
+def _certified(comp, y, iterations):
     """INFEASIBLE solution certified by the weights of y, its wrong-sign
     entries clipped to zero, when some weight is nonzero and
-    :func:`verify_infeasibility_certificate` accepts them (with the
-    source's :class:`CertificateTerms` ``terms``), else None.  Only
-    called when b'y > 0."""
+    :func:`verify_infeasibility_certificate` accepts them (on the source
+    rows the compile holds), else None.  Only called when b'y > 0."""
     w = comp.user_duals_signed(np.where(comp.sense * y < 0.0, 0.0, y))
     scale = np.abs(w).max()
     if scale == 0.0:
         return None
     weights = w / scale
-    check = verify_infeasibility_certificate(comp.source, weights, terms)
+    check = verify_infeasibility_certificate(comp.source, weights,
+                                             (comp.rhs, comp.sense))
     if not check["ok"]:
         return None
     return ConicSolution(
@@ -684,8 +698,7 @@ def _certified(comp, y, iterations, terms):
 
 class _Member:
     """One problem's own state in a lockstep loop: its start, best
-    iterate, stall count, fallback counts and exit, and for a screened
-    problem what its screens read of the source rows, built once."""
+    iterate, stall count, fallback counts and exit."""
 
     def __init__(self, compiled):
         self.compiled = compiled
@@ -697,15 +710,8 @@ class _Member:
         self.screens = not compiled.c.any() and not compiled.qdiag.any()
         if self.screens:
             self.stats.update(point_stop=0, farkas_stop=0)
-            self.rows = (compiled.source.rhs(), compiled.sense)
         self.status, self.iterations = SolveStatus.MAX_ITER, None
         self.solution = None            # set by an early exit
-
-    @functools.cached_property
-    def terms(self):
-        """The source's :class:`CertificateTerms`, at the first Farkas
-        screen."""
-        return CertificateTerms.of(self.compiled.source, self.rows)
 
     def initial(self, ident):
         """The iterate (x, y, z, tau, kappa) this problem starts from."""
@@ -773,13 +779,12 @@ def _sigma(mu_aff, mu):
 
 
 def _narrow(keep, active, data, values):
-    """The members at batch positions ``keep``, their data stacked anew
-    and their rows of each per-problem array or list (all as given if
-    none left)."""
+    """The members at batch positions ``keep``, their data
+    (:meth:`_Batch.take`) and their rows of each per-problem array or
+    list (all as given if none left)."""
     if len(keep) == len(active):
         return active, data, values
-    kept = [active[p] for p in keep]
-    return kept, _Batch([mem.compiled for mem in kept]), [
+    return [active[p] for p in keep], data.take(keep), [
         [v[p] for p in keep] if isinstance(v, list) else v[keep]
         for v in values]
 
@@ -830,11 +835,11 @@ def _solve_hsd(group):
             if mem.screens:
                 # iterations are counted as on the OPTIMAL and Farkas
                 # exits below
-                early = _feasible_point(comp, xp, t, mem.rows)
+                early = _feasible_point(comp, xp, t)
                 if early is not None:
                     mem.stats["point_stop"], early.iterations = 1, it + 1
                 elif bt > 0:
-                    early = _certified(comp, yp, it, mem.terms)
+                    early = _certified(comp, yp, it)
                     if early is not None:
                         mem.stats["farkas_stop"] = 1
                 if early is not None:

@@ -14,7 +14,7 @@ Hermitian blocks; the solver does not use it.
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -84,7 +84,7 @@ class RowFamily:
     read it, rows an index array counted from ``start``: a (len(rows),
     d, d) stack F per matrix variable in ``matrix``, a list of floats
     per scalar in ``scalars``.  No row appears twice in one stack.  The
-    stacks are read whole (:meth:`ConicProblem.row_terms`)."""
+    stacks are read whole (:meth:`ConicProblem.gathers`)."""
     start: int
     relation: str
     rhs: tuple
@@ -97,7 +97,7 @@ class RowFamily:
 class ConicProblem:
     """Builder for one conic program instance.  Its rows are kept as
     :class:`RowFamily` stacks, one per :meth:`add_constraints` call, in
-    row order; :meth:`row_terms` evaluates them a family at a time."""
+    row order; :meth:`row_terms` evaluates them a variable at a time."""
 
     matrix_vars: list = field(default_factory=list)
     num_scalars: int = 0
@@ -119,16 +119,23 @@ class ConicProblem:
     # when the variable X stands for Q X Q^H of a larger space, else None
     # (``power_min.covariances`` lifts); a solve never reads it
     bases: list = field(default=None, repr=False, compare=False)
+    # :meth:`gathers` once built, shared with every :meth:`updated` copy
+    # that keeps the coefficients, and emptied when rows or variables are
+    # added
+    _gathered: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:
             raise ValueError("PSD variable dimension must be >= 1")
         self.matrix_vars.append(MatrixVar(int(dim), bool(complex), name))
+        self._gathered = {}
         return len(self.matrix_vars) - 1
 
     def add_scalar_var(self, name=""):
         self.num_scalars += 1
         self.scalar_names.append(name)
+        self._gathered = {}
         return self.num_scalars - 1
 
     def _coeffs(self, i, mats, what):
@@ -191,6 +198,7 @@ class ConicProblem:
         first = sum(len(fam.rhs) for fam in self.families)
         self.families.append(RowFamily(first, rel, rhs, labels, *self._stacks(
             matrix, scalars, len(rhs))))
+        self._gathered = {}
         return first
 
     def _stacks(self, matrix, scalars, m):
@@ -213,8 +221,9 @@ class ConicProblem:
         ``len(rhs)`` rows, new linear scalar costs ``scalar`` ({j: c_j})
         and new coefficients ``coeffs`` {f: (matrix, scalars)} of family
         f, in the form of :meth:`add_constraints`.  It shares every other
-        family's coefficients, and ``compiled`` unless ``coeffs`` are
-        given.  More right-hand sides than rows raise ValueError."""
+        family's coefficients, and ``compiled`` and :meth:`gathers` unless
+        ``coeffs`` are given.  More right-hand sides than rows raise
+        ValueError."""
         rhs, coeffs, families = [float(v) for v in rhs], coeffs or {}, []
         _check_finite(rhs, "rhs")
         m = sum(len(fam.rhs) for fam in self.families)
@@ -226,11 +235,13 @@ class ConicProblem:
             head = rhs[fam.start:fam.start + len(fam.rhs)]
             if head:
                 changes["rhs"] = tuple(head) + fam.rhs[len(head):]
-            families.append(replace(fam, **changes) if changes else fam)
+            families.append(RowFamily(**{**vars(fam), **changes})
+                            if changes else fam)
         new = object.__new__(ConicProblem)
         new.__dict__.update(self.__dict__, obj_scalar=dict(self.obj_scalar),
-                            families=families,
-                            compiled=None if coeffs else self.compiled)
+                            families=families)
+        if coeffs:
+            new.compiled, new._gathered = None, {}
         new.set_objective(scalar=scalar)
         return new
 
@@ -270,24 +281,52 @@ class ConicProblem:
         """Each row's right-hand side, in row order."""
         return np.array([b for fam in self.families for b in fam.rhs])
 
+    def gathers(self):
+        """The rows' coefficients gathered per variable, in family order:
+        per matrix variable the rows that read it (indices), their
+        coefficient stack F, each coefficient's Frobenius norm and max(1,
+        max |F|); per scalar the rows that read it and their coefficients.
+        Built once for this problem and its :meth:`updated` copies that
+        keep its coefficients."""
+        if not self._gathered:
+            blocks = []
+            for i, var in enumerate(self.matrix_vars):
+                reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
+                         for fam in self.families if i in fam.matrix]
+                at = np.concatenate([np.zeros(0, np.intp)]
+                                    + [idx for idx, _ in reads])
+                F = np.concatenate([np.zeros((0, var.dim, var.dim))]
+                                   + [stack for _, stack in reads])
+                blocks.append((at, F, np.linalg.norm(F, axis=(1, 2)),
+                               max(1.0, np.abs(F).max(initial=0.0))))
+            scalars = []
+            for j in range(self.num_scalars):
+                reads = [(fam.start + r, a) for fam in self.families
+                         for r, a in zip(*fam.scalars.get(j, ((), ())))]
+                rows, coeffs = zip(*reads) if reads else ((), ())
+                scalars.append((np.array(rows, np.intp), list(coeffs)))
+            self._gathered.update(blocks=blocks, scalars=scalars)
+        return self._gathered["blocks"], self._gathered["scalars"]
+
     def row_terms(self, matrix_values, scalar_values=None):
         """The rows' terms at a stack of points, (..., m, n + 1) for m
         rows and n matrix variables: column i holds Tr(F_i X_i), 0 where
         a row does not read X_i, and the last the scalar terms sum_j a_j
         y_j.  ``matrix_values`` holds one (..., d, d) stack per matrix
         variable, ``scalar_values`` is (..., num_scalars), or None when
-        no row reads a scalar.  One contraction per family and variable."""
+        no row reads a scalar.  One contraction per variable, on its
+        :meth:`gathers`."""
         lead = np.shape(matrix_values[0])[:-2] if matrix_values \
             else np.shape(scalar_values)[:-1]
         m = sum(len(fam.rhs) for fam in self.families)
         out = np.zeros(lead + (m, len(self.matrix_vars) + 1))
-        for fam in self.families:
-            part = out[..., fam.start:fam.start + len(fam.rhs), :]
-            for i, (rows, F) in fam.matrix.items():
-                part[..., rows, i] = np.einsum(
-                    "rjk,...kj->...r", F, matrix_values[i]).real
-            for j, (rows, a) in fam.scalars.items():
-                part[..., rows, -1] += np.multiply.outer(
+        blocks, scalars = self.gathers()
+        for i, (rows, F, _, _) in enumerate(blocks):
+            out[..., rows, i] = np.einsum(
+                "rjk,...kj->...r", F, matrix_values[i]).real
+        for j, (rows, a) in enumerate(scalars):
+            if a:
+                out[..., rows, -1] += np.multiply.outer(
                     scalar_values[..., j], a)
         return out
 
@@ -430,10 +469,10 @@ class CompiledProblem:
 
     def _scale(self):
         """Scaled rows, ``b`` and ``c`` at the source's right-hand sides
-        and linear scalar costs."""
+        ``rhs`` and linear scalar costs."""
         for j, a in self.source.obj_scalar.items():
             self.c[self.scalar_off + j] = a
-        rhs = self.source.rhs()
+        self.rhs = rhs = self.source.rhs()
         norm = np.maximum(self.row_max, np.abs(rhs))
         scale = np.where(norm > 1.0, 1.0 / norm, 1.0)
         self.A = self.rows * scale[:, None]

@@ -849,7 +849,7 @@ class TestSettledProbes:
                              ids=["c08", "workload"])
     def test_settled_probes_match_cold(self, monkeypatch, runs):
         settled, finals, decisions, sources = [], [], [], {}
-        violation = balancing.point_violation
+        violation = balancing.row_violation
         feasibility = conic.feasibility
         scaled_point = balancing._scaled_point
         steps, probing = bisect.steps, False
@@ -885,6 +885,8 @@ class TestSettledProbes:
             return point, level
 
         def recording(problem, sol):
+            # the kept point's rows; its cone part was checked once, when
+            # it was kept
             worst = violation(problem, sol)
             if worst <= ACCEPT_TOL:
                 (settled if probing else finals).append(
@@ -894,7 +896,7 @@ class TestSettledProbes:
         with monkeypatch.context() as patch:
             patch.setattr(conic, "feasibility", deciding)
             patch.setattr(balancing, "_scaled_point", scaling)
-            patch.setattr(balancing, "point_violation", recording)
+            patch.setattr(balancing, "row_violation", recording)
             patch.setattr(balancing, "bisect", conic.driven(bisecting))
             results = [run() for run in runs()]
         assert len(settled) == sum(res.decided for res in results) > 0
@@ -1097,3 +1099,105 @@ class TestPolish:
                              objective=True)[0]
         assert res.payload.tobytes() \
             == covariances(polish, conic.solve(polish)).tobytes()
+
+
+def assert_same_gathers(problem, fresh):
+    """``problem``'s :meth:`ConicProblem.gathers`, as a bisection shares
+    them, equal those of ``fresh``, built anew, field by field."""
+    (blocks, scalars), (fresh_blocks, fresh_scalars) = (
+        problem.gathers(), fresh.gathers())
+    assert len(blocks) == len(fresh_blocks)
+    for (at, F, norms, fmax), (at_f, F_f, norms_f, fmax_f) in zip(
+            blocks, fresh_blocks):
+        assert at.tolist() == at_f.tolist()
+        assert F.shape == F_f.shape and F.tobytes() == F_f.tobytes()
+        assert norms.tobytes() == norms_f.tobytes() and fmax == fmax_f
+    assert [(rows.tolist(), coeffs) for rows, coeffs in scalars] \
+        == [(rows.tolist(), coeffs) for rows, coeffs in fresh_scalars]
+
+
+class TestSharedProbeData:
+    """A bisection builds once what its probes share: their rows'
+    gathers, where the coefficients stay, and its kept point's cone
+    part; the solver narrows a lockstep batch by indexing its stacks.
+    At every probe each must equal a fresh build at the probe's level,
+    also in a network bisection, whose SINR family changes with it."""
+
+    def test_reused_data_matches_a_fresh_build(self, monkeypatch):
+        # balancing_gr.json's shape: the network's two groups make its
+        # SINR rows level-dependent; each cell has one group
+        topo = build_topology(B=2, G=2, U=8, A=4, gamma=1.0, p_max=10.0,
+                              cell_separation=10 ** 0.1)
+        levels, cones, counts = {}, {}, Counter()
+        sinr_levels, solve_hsd = balancing.sinr_levels, ipm._solve_hsd
+        narrow, violation = ipm._narrow, balancing.row_violation
+        cone_violation = balancing.cone_violation
+
+        def fresh(prob):
+            level, cell, theta = levels[id(prob)][1:]
+            return sinr_system(chans, topo, cell=cell, level=level,
+                               theta=theta, budget=True, objective=False)[0]
+
+        def leveled(kept, channels, topology, cell, theta=None):
+            at = sinr_levels(kept, channels, topology, cell, theta=theta)
+
+            def update(level):
+                prob = at(level)
+                levels[id(prob)] = (prob, level, cell, theta)
+                return prob
+            return update
+
+        def solving(group):
+            sols = solve_hsd(group)
+            # a probe's problem, not a polish's
+            for comp in (c for c in group if id(c.source) in levels):
+                built = fresh(comp.source)
+                assert comp.rhs.tobytes() == built.rhs().tobytes()
+                assert comp.sense.tobytes() == built.sense().tobytes()
+                assert_same_gathers(comp.source, built)
+                counts["solved"] += 1
+            return sols
+
+        def narrowing(keep, active, data, values):
+            out = narrow(keep, active, data, values)
+            if len(keep) < len(active):
+                anew = ipm._Batch([mem.compiled for mem in out[0]])
+                for name, value in vars(anew).items():
+                    held = getattr(out[1], name)
+                    if isinstance(value, list):
+                        assert len(held) == len(value)
+                        for a, b in zip(held, value):
+                            assert np.array_equal(a, b), name
+                    elif isinstance(value, np.ndarray):
+                        assert held.tobytes() == value.tobytes(), name
+                    else:
+                        assert held == value, name
+                counts["narrowed"] += 1
+            return out
+
+        def keeping(point):
+            cones[id(point)] = point, cone_violation(point)
+            return cones[id(point)][1]
+
+        def settling(prob, point, *rest):
+            worst = violation(prob, point, *rest)
+            built = fresh(prob)
+            assert_same_gathers(prob, built)
+            decided = max(cones[id(point)][1], worst) <= ACCEPT_TOL
+            assert decided == (point_violation(built, point) <= ACCEPT_TOL)
+            counts["settled" if decided else "checked"] += 1
+            return worst
+
+        monkeypatch.setattr(balancing, "sinr_levels", leveled)
+        monkeypatch.setattr(ipm, "_solve_hsd", solving)
+        monkeypatch.setattr(ipm, "_narrow", narrowing)
+        monkeypatch.setattr(balancing, "cone_violation", keeping)
+        monkeypatch.setattr(balancing, "row_violation", settling)
+        for seed in range(3):
+            chans = sample_channels(topo, seed)
+            bisect_balance(chans, topo, epsilon=1e-3)
+            for cap in (0.01, 0.1, 1.0):
+                balance_distributed(chans, topo, cap, epsilon=1e-3)
+        # every check of a kept point here meets its rows: a point scaled
+        # to its level meets every level below it but on a knife edge
+        assert counts["solved"] and counts["settled"] and counts["narrowed"]

@@ -74,7 +74,8 @@ the calls of ``ipm.point_violation`` and of
 ``ipm.verify_infeasibility_certificate``, wrapped by their module names
 as the zero-objective screens look them up: what the screens' checks on
 the source rows cost, accepted or not.  ``balancing``'s settling imports
-``point_violation`` by name, so its checks are not counted.  And one
+``row_violation`` and ``cone_violation`` by name, so its checks are not
+counted.  And one
 line per scenario file, ``hsd exits <i> infeasible <u> unbounded``,
 counts the calls of ``ipm._infeasible_solution`` and
 ``ipm._unbounded_solution``, wrapped by their module names: the solves
