@@ -1201,3 +1201,40 @@ class TestSharedProbeData:
         # every check of a kept point here meets its rows: a point scaled
         # to its level meets every level below it but on a knife edge
         assert counts["solved"] and counts["settled"] and counts["narrowed"]
+
+
+class TestDecomposition:
+    """The paper splits balancing into per-cell problems coupled only by
+    their ICI values.  At the values of the centralized design itself,
+    theta[j, u] = Tr(H_{j,u} sum_{g at j} W_g), the cells' bisections
+    reach the centralized design's achieved level: the split loses
+    nothing but what the caps give away."""
+
+    def test_centralized_caps_reach_the_centralized_level(self):
+        # c09's configuration, on the rank-one draws among seeds 0-5
+        topo = build_topology(B=2, G=6, U=12, A=12, gamma=1.0, p_max=10.0,
+                              cell_separation=10 ** 0.1)
+        eps = 1e-3
+        chans = [sample_channels(topo, seed) for seed in range(6)]
+        cens = conic.drive([balance_centralized.steps(c, topo, epsilon=eps)
+                            for c in chans])
+        rank_one = [(ch, cen) for ch, cen in zip(chans, cens)
+                    if (cen.solution.sdr_rank == 1).all()]
+        assert len(rank_one) >= 3
+
+        def caps(ch, W):
+            theta = np.zeros((topo.B, topo.U))
+            for j in range(topo.B):
+                served = W[topo.groups_of_bs(j)].sum(axis=0)
+                for u in topo.out_of_cell_users(j):
+                    h = ch.vec(j, u)
+                    theta[j, u] = np.vdot(h, served @ h).real
+            return theta
+
+        dists = conic.drive([balance_distributed.steps(
+            ch, topo, caps(ch, cen.solution.W), epsilon=eps)
+            for ch, cen in rank_one])
+        for (_, cen), dist in zip(rank_one, dists):
+            assert dist.achieved >= cen.achieved - eps, (dist.achieved,
+                                                         cen.achieved)
+            assert dist.achieved <= cen.t_relaxed + eps
