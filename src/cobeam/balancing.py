@@ -210,11 +210,7 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     point), and it is its payload.  It still counts as a probe, so the
     bracket and the probe log are those of solving every probe;
     ``decided`` counts the settled ones.  A settled payload shows only
-    in the design, when it is rank one and so kept.  A cell that
-    polishes waits at its gather's barrier (:func:`conic.gather`)
-    first, so the cells of :func:`_per_cell_pipeline` polish in one
-    step; a cell that skips its polish, on its payload or its kept
-    point, ends, which counts as past it.
+    in the design, when it is rank one and so kept.
     """
     def system(t, objective=False):
         return sinr_system(channels, topology, cell=cell, level=t,
@@ -265,8 +261,6 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
             if (conic.numerical_rank(W) == 1).all():
                 result.payload, result.source = W, "kept"
                 return result
-    if cell is not None:
-        yield []    # the barrier: polish beside the other cells
     polish = system(result.lower, objective=True)
     sol, = yield [polish]
     result.extra_calls += 1
@@ -431,10 +425,8 @@ def _per_cell_pipeline(channels, topology, theta, epsilon, gr_count, rng):
     """Per-cell balancing at the ICI values ``theta`` (None: each cell
     blind to ICI): the B :func:`local_balance` bisections side by side,
     then each cell's tail in turn, which raises what a cell-by-cell loop
-    would raise first.  A cell whose bisection ends on neither a payload
-    nor a kept point of rank one waits at the gather's barrier, so the
-    polishes that run go out in one step.  The cells' solutions join
-    into one of the network's groups."""
+    would raise first.  The cells' solutions join into one of the
+    network's groups."""
     check_gr_count(gr_count)
     cells = []
     per_cell_t = {}

@@ -10,10 +10,7 @@ runs the problems of one compiled shape in one lockstep loop, with or
 without quadratic terms, and pads a small orthant up to
 ``problem.ORTHANT_FLOOR``, so generators driven side by side share loops:
 a round of primal decomposition and one of ADMM run as one.  A generator
-that yields an empty list waits at a barrier until every other generator
-of its :func:`gather` waits or has finished, so that work the generators
-reach at different steps, such as the polishes of per-cell balancing
-bisections, shares one step.
+that yields an empty list is answered at once with an empty list.
 """
 
 import functools
@@ -24,35 +21,28 @@ from . import ipm
 def gather(generators):
     """Solve generator that runs ``generators`` side by side: each step
     yields the pending problems of every live one, in order, and sends
-    each its slice.  A generator that yields an empty list waits at a
-    barrier: once every live one waits or has finished, the waiting
-    ones resume together, each sent an empty list, and their next
-    problems share a step.  So this never yields an empty list.  A
+    each its slice.  A generator that yields an empty list is sent an
+    empty list at once, in the same step, so this never yields one.  A
     generator that raises leaves alone.  Returns the results in order,
     a raised exception in place of a result."""
     results = [None] * len(generators)
     sends = dict.fromkeys(range(len(generators)))
-    waiting = []
     while True:
         problems, owners = [], []
         for i, sent in sends.items():
             try:
                 batch = generators[i].send(sent)
+                while not batch:
+                    batch = generators[i].send([])
             except StopIteration as stop:
                 results[i] = stop.value
             except Exception as err:
                 results[i] = err
             else:
-                if not batch:
-                    waiting.append(i)
-                    continue
                 owners.append((i, len(problems), len(batch)))
                 problems.extend(batch)
         if not owners:
-            if not waiting:
-                return results
-            sends, waiting = {i: [] for i in sorted(waiting)}, []
-            continue
+            return results
         solutions = yield problems
         sends = {i: solutions[start:start + count]
                  for i, start, count in owners}

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from cobeam import balancing, conic, experiment
+from cobeam import conic, experiment
 from cobeam.conic import ipm
 from cobeam.balancing import balance_distributed, local_balance
 from cobeam.distributed import (run_admm, run_primal_decomposition,
@@ -133,8 +133,8 @@ class TestDrive:
 
 
 def worker(name, steps):
-    """Solve generator of ``steps`` named problems, then a wait at the
-    barrier and one more problem; returns its name."""
+    """Solve generator of ``steps`` named problems, then an empty yield
+    and one more problem; returns its name."""
     for k in range(steps):
         got, = yield [f"{name}{k}"]
         assert got == f"solved {name}{k}"
@@ -164,24 +164,13 @@ def stepped(generators):
 
 
 class TestBarrier:
-    def test_waiting_generators_resume_together(self):
-        steps, results = stepped([worker("a", 1), worker("b", 3),
-                                  worker("c", 0)])
-        # a and c wait from the second step on; they resume only once b
-        # waits too, and all three next problems share one step
-        assert steps == [["a0", "b0"], ["b1"], ["b2"],
-                         ["a after", "b after", "c after"]]
-        assert results == ["a", "b", "c"]
+    """What is left of the barrier that per-cell polishes once waited
+    at: an empty yield is answered at once, in the same step."""
 
     def test_lone_waiting_generator_resumes_at_once(self):
         steps, results = stepped([worker("a", 2)])
         assert steps == [["a0"], ["a1"], ["a after"]]
         assert results == ["a"]
-
-    def test_raising_generator_releases_the_waiting(self):
-        steps, results = stepped([worker("a", 0), failing()])
-        assert steps == [["bad"], ["a after"]]
-        assert results[0] == "a" and isinstance(results[1], ValueError)
 
     def test_drive_never_receives_an_empty_list(self, monkeypatch):
         sizes = []
@@ -199,40 +188,9 @@ class TestBarrier:
         monkeypatch.setattr(ipm, "solve", lambda p: solve_batch([p])[0])
         assert conic.drive([worker("a", 2), idle(), worker("b", 0)]) \
             == ["a", "idle", "b"]
-        assert sizes == [1, 1, 2]
-
-    def test_cell_polishes_share_one_call(self, monkeypatch):
-        # a polish is the one solve of a bisection with an objective, and
-        # it runs for the cells whose bisection ends on neither a payload
-        # nor a kept point of rank one: on the multicast topology, one
-        # cell on the first draw, both on the second.  On the second draw
-        # the two cells' bisections end at different steps
-        polishes, results = [], []
-        solve_batch, steps = ipm.solve_batch, balancing.bisect.steps
-
-        def recording(problems):
-            polishes.append(sum(bool(p.obj_matrix) for p in problems))
-            return solve_batch(problems)
-
-        def bisecting(*args):
-            result = yield from steps(*args)
-            results.append((result, len(polishes)))
-            return result
-
-        monkeypatch.setattr(ipm, "solve_batch", recording)
-        monkeypatch.setattr(balancing, "bisect", conic.driven(bisecting))
-        topo = build_topology(B=2, G=2, U=8, A=6, gamma=10 ** 0.1,
-                              cell_separation=10 ** 0.1)
-        for seed, cells in ((0, 1), (39, 2)):
-            polishes.clear()
-            results.clear()
-            balance_distributed(sample_channels(topo, seed), topo, 0.1,
-                                epsilon=1e-2)
-            assert len(results) == topo.B
-            # the tail names each result's source once its bisection ends
-            assert sum(res.source == "polish" for res, _ in results) == cells
-            assert [n for n in polishes if n] == [cells]
-        assert results[0][1] != results[1][1]
+        # idle ends in the first step; b's problem after its empty yield
+        # shares that step with a's first, and a's with nothing
+        assert sizes == [2, 1, 1]
 
 
 def sweep_config(trials=3):
