@@ -162,7 +162,7 @@ def _scaled_point(prob, X, t, serving):
         pairs.append(np.array([stack, np.einsum(
             "k,ki,kj->kij", lam[:, -1], top, top.conj())]))
     X = [pair[:, j] for pair in pairs for j in range(pair.shape[1])]
-    rhs = prob.rhs().tolist()
+    rhs = [b for fam in prob.families for b in fam.rhs]
     terms = prob.row_terms(X).tolist()
     n, best = len(serving), (None, -np.inf)
     for c, rows in enumerate(terms):
@@ -196,7 +196,10 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     previous solved one; the polish starts cold.  The probes share one
     compile, of the system at level 0, and each is its update to its
     own level (:func:`sinr_levels`): its right-hand sides and, where the
-    level scales -t H blocks, its SINR rows.
+    level scales -t H blocks, its SINR rows.  Built once per bisection:
+    the compile, and the rows' gathers where no level changes them
+    (:meth:`ConicProblem.gathers`); per probe: the row scaling, a
+    network probe's SINR rows and their gathers.
 
     The probes of one bisection share their variables' bases, so every
     solved probe offers points to the later ones: its final iterate's
@@ -204,10 +207,12 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     probe's covariances, an infeasible one's last iterate), and their
     principal rank-one parts, each scaled into the budgets and caps
     (:func:`_scaled_point`).  The point of the highest level any reaches
-    is kept.  A probe at or below that level is settled without a solve
-    when the kept point meets its own rows to ``ACCEPT_TOL``
-    (:func:`point_violation`, as the solver's point screen confirms a
-    point), and it is its payload.  It still counts as a probe, so the
+    is kept, and its cone part (:func:`cone_violation`) is tested then,
+    once.  A probe at or below that level is settled without a solve
+    when the kept point meets its own rows too, to ``ACCEPT_TOL``
+    (:func:`row_violation`; with the cone part, the decision of
+    :func:`point_violation`, which the solver's point screen takes), and
+    it is its payload.  It still counts as a probe, so the
     bracket and the probe log are those of solving every probe;
     ``decided`` counts the settled ones.  A settled payload shows only
     in the design, when it is rank one and so kept.

@@ -30,6 +30,10 @@ constraints are feasible, so the loop stops at an iterate's first
 feasible point (:func:`_feasible_point`: a cheap compiled pre-check,
 then :func:`point_violation`) or Farkas certificate (:func:`_certified`:
 y clipped to its signs, then :func:`verify_infeasibility_certificate`).
+Both checks read the source's right-hand sides and senses from its
+compile, per problem, and its rows' per-variable gathers, which every
+``updated`` copy with its coefficients shares, such as the probes of
+one bisection (``ConicProblem.gathers``).
 
 Every solution carries its final iterate, and a problem may start from
 an earlier one (``ConicProblem.start``), as in Skajaa, Andersen & Ye
@@ -170,9 +174,8 @@ class _Batch:
 
     def take(self, keep):
         """The batch of the problems at positions ``keep``, these stacks
-        indexed.  A quadratic or pad mask left all zero changes no bits,
-        and the cost row leaves with the last nonzero cost, as in a batch
-        stacked anew."""
+        indexed: a quadratic or pad mask left all zero changes no bits,
+        and the cost row leaves with the last cost, as when stacked anew."""
         new = copy.copy(self)
         new.A, new.b, new.c, new.qdiag, new.pad = (
             None if v is None else v.take(keep, axis=0)
@@ -540,12 +543,11 @@ def feasibility(problem):
     certificate that no check confirmed.  Any other end raises
     :class:`IndeterminateError`.
     """
-    # a copy would compile anew, so an objective-free problem goes as it
-    # is; the copy keeps the coefficients, and so their gathers
+    # a copy would compile anew, so an objective-free problem goes as it is
     if problem.obj_matrix or problem.obj_scalar or problem.obj_scalar_quad:
         kept, problem = problem, replace(problem, obj_matrix={},
                                          obj_scalar={}, obj_scalar_quad={})
-        problem._gathered = kept._gathered
+        problem._gathered = kept._gathered      # the same coefficients
     sol, = yield [problem]
     if sol.status is SolveStatus.OPTIMAL:
         return True, sol
@@ -636,7 +638,8 @@ def verify_infeasibility_certificate(problem, weights, rows=None):
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
     wrong = sense * w < 0
-    sign_ok = bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
+    sign_ok = not wrong.any() \
+        or bool((np.abs(w[wrong]) <= CERTIFICATE_SIGN_TOL).all())
     w[wrong] = 0.0
     viol = float(sum(wk * b for wk, b in zip(w.tolist(), rhs.tolist())))
     cone_ok, max_cone = True, -np.inf
@@ -800,7 +803,7 @@ def _solve_hsd(group):
     off = lay.nn_offset
     ident = lay.identity()
     x, y, z, tau, kappa = zip(*(mem.initial(ident) for mem in members))
-    x, y, z = np.stack(x), np.stack(y), np.stack(z)
+    x, y, z = np.array(x), np.array(y), np.array(z)
     tau, kappa = list(tau), list(kappa)
 
     for it in range(MAX_ITER):

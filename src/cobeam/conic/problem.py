@@ -119,9 +119,8 @@ class ConicProblem:
     # when the variable X stands for Q X Q^H of a larger space, else None
     # (``power_min.covariances`` lifts); a solve never reads it
     bases: list = field(default=None, repr=False, compare=False)
-    # :meth:`gathers` once built, shared with every :meth:`updated` copy
-    # that keeps the coefficients, and emptied when rows or variables are
-    # added
+    # :meth:`gathers` once built, shared by :meth:`updated` copies that
+    # keep the coefficients, emptied when rows or variables are added
     _gathered: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
