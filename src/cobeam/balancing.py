@@ -198,8 +198,8 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     own level (:func:`sinr_levels`): its right-hand sides and, where the
     level scales -t H blocks, its SINR rows.  Built once per bisection:
     the compile, and the rows' gathers where no level changes them
-    (:meth:`ConicProblem.gathers`); per probe: the row scaling, a
-    network probe's SINR rows and their gathers.
+    (:meth:`ConicProblem.gathers`); per probe: the row scaling, and the
+    SINR rows of several groups with their gathers.
 
     The probes of one bisection share their variables' bases, so every
     solved probe offers points to the later ones: its final iterate's
@@ -207,13 +207,13 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     probe's covariances, an infeasible one's last iterate), and their
     principal rank-one parts, each scaled into the budgets and caps
     (:func:`_scaled_point`).  The point of the highest level any reaches
-    is kept, and its cone part (:func:`cone_violation`) is tested then,
-    once.  A probe at or below that level is settled without a solve
-    when the kept point meets its own rows too, to ``ACCEPT_TOL``
-    (:func:`row_violation`; with the cone part, the decision of
-    :func:`point_violation`, which the solver's point screen takes), and
-    it is its payload.  It still counts as a probe, so the
-    bracket and the probe log are those of solving every probe;
+    is kept.  A probe at or below that level is settled without a solve
+    when the kept point meets its own rows to ``ACCEPT_TOL``
+    (:func:`row_violation`) and its cone part does, tested once, at the
+    point's first check (:func:`cone_violation`): the decision of
+    :func:`point_violation`, which the solver's point screen takes; it
+    is the payload.  It still counts as a probe, so the bracket and the
+    probe log are those of solving every probe;
     ``decided`` counts the settled ones.  A settled payload shows only
     in the design, when it is rank one and so kept.
     """
@@ -225,13 +225,15 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         else topology.groups_of_bs(cell)
     users = range(topology.U) if cell is None else topology.users_of_bs(cell)
     serving = [groups.index(topology.group_of_user[u]) for u in users]
-    last, point, cone, level, settled = None, None, np.inf, -np.inf, 0
+    last, point, cone, level, settled = None, None, None, -np.inf, 0
     kept = conic.compile_once(system(0.0))
     update = sinr_levels(kept, channels, topology, cell, theta=theta)
 
     def meets(prob):
         # point_violation's decision on the kept point, its cone part
-        # found once, when the point was kept
+        # found once, at the point's first check
+        nonlocal cone
+        cone = cone_violation(point) if cone is None else cone
         return max(cone, row_violation(prob, point)) <= ACCEPT_TOL
 
     def probe(t):
@@ -250,7 +252,7 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
             if at > level:
                 point = ConicSolution(SolveStatus.OPTIMAL,
                                       matrix_values=offer)
-                cone, level = cone_violation(point), at
+                cone, level = None, at
         return feasible, covariances(prob, sol) if feasible else None
 
     result = yield from conic.solving(
