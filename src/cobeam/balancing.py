@@ -230,8 +230,7 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     update = sinr_levels(kept, channels, topology, cell, theta=theta)
 
     def meets(prob):
-        # point_violation's decision on the kept point, its cone part
-        # found once, at the point's first check
+        # point_violation's decision; the cone part once per kept point
         nonlocal cone
         cone = cone_violation(point) if cone is None else cone
         return max(cone, row_violation(prob, point)) <= ACCEPT_TOL

@@ -30,10 +30,9 @@ constraints are feasible, so the loop stops at an iterate's first
 feasible point (:func:`_feasible_point`: a cheap compiled pre-check,
 then :func:`point_violation`) or Farkas certificate (:func:`_certified`:
 y clipped to its signs, then :func:`verify_infeasibility_certificate`).
-Both checks read the source's right-hand sides and senses from its
-compile, per problem, and its rows' per-variable gathers, which every
-``updated`` copy with its coefficients shares, such as the probes of
-one bisection (``ConicProblem.gathers``).
+Both read the right-hand sides and senses each compile holds, per
+problem, and the rows' per-variable gathers (``ConicProblem.gathers``),
+which the probes of one bisection share where their rows do.
 
 Every solution carries its final iterate, and a problem may start from
 an earlier one (``ConicProblem.start``), as in Skajaa, Andersen & Ye
@@ -561,9 +560,8 @@ def feasibility(problem):
 def _row_gap(rhs, val, sense, floor):
     """Worst normalized gap of rows of :data:`.problem.SENSE` ``sense``, 0
     without rows: rhs - val on >=, val - rhs on <= and |rhs - val| on ==
-    rows, each over max(floor, |rhs|, |val|), ``floor`` a number or one
-    per row.  Row by row in floats, the bits of numpy's elementwise
-    operations at a fraction of their calls on a screen's few rows."""
+    rows, each over max(floor, |rhs|, |val|) (``floor`` one per row or
+    for all), in floats: numpy's bits in a few calls on a few rows."""
     floors = [floor] * len(rhs) if isinstance(floor, float) \
         else floor.tolist()
     worst = 0.0

@@ -96,9 +96,12 @@ def report(path, sweeps):
     """Print one scenario file's lines from its repeated sweeps, each
     its runs' (P, Newton steps, wall seconds), its seconds outside
     ``solve_batch`` and its number of solves."""
-    sizes, counts, seconds = (np.array(column) for column in zip(*(
-        (*run[0][:2], min(r[2] for r in run))
-        for run in zip(*(sweep[0] for sweep in sweeps)))))
+    first = sweeps[0][0]
+    sizes = np.array([p for p, _, _ in first])
+    counts = np.array([n for _, n, _ in first])
+    # the k-th run of every sweep solves the same problems
+    seconds = np.min([[t for _, _, t in runs] for runs, _, _ in sweeps],
+                     axis=0)
     print(f"{path}: lockstep runs {len(sizes)} newton steps {counts.sum()}")
     for p in np.unique(sizes):
         at = sizes == p
