@@ -19,6 +19,7 @@ import numpy as np
 
 from . import conic
 from .conic import ConicSolution, SolveStatus
+from .conic.cones import ConeLayout
 from .conic.ipm import ACCEPT_TOL, cone_violation, row_violation
 from .errors import (ConfigurationError, IndeterminateError,
                      RandomizationFailureError)
@@ -193,17 +194,17 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     payload with an extreme-face solution, whose rank the extraction
     step inspects.  ``source`` on the result names which of the three
     the payload is.  Each solved probe starts from the iterate of the
-    previous solved one; the polish starts cold.  The probes share one
-    compile, of the system at level 0, and each is its update to its
-    own level (:func:`sinr_levels`): its right-hand sides and, where the
-    level scales -t H blocks, its SINR rows.  Built once per bisection:
-    the compile, and the rows' gathers where no level changes them
+    previous solved one; the polish starts cold.  Each probe updates the
+    system at level 0, never compiled, to its level (:func:`sinr_levels`):
+    its right-hand sides and, where the level scales -t H blocks, its
+    SINR rows.  Built once per bisection where no level changes the
+    rows: the compile, at the first solved probe, and the gathers
     (:meth:`ConicProblem.gathers`); per probe: the row scaling, and the
-    SINR rows of several groups with their gathers.
+    SINR rows of several groups with their compile and gathers.
 
     The probes of one bisection share their variables' bases, so every
     solved probe offers points to the later ones: its final iterate's
-    x/tau blocks, read through the kept compile's layout (a feasible
+    x/tau blocks, read through the layout of its shape (a feasible
     probe's covariances, an infeasible one's last iterate), and their
     principal rank-one parts, each scaled into the budgets and caps
     (:func:`_scaled_point`).  The point of the highest level any reaches
@@ -226,8 +227,7 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
     users = range(topology.U) if cell is None else topology.users_of_bs(cell)
     serving = [groups.index(topology.group_of_user[u]) for u in users]
     last, point, cone, level, settled = None, None, None, -np.inf, 0
-    kept = conic.compile_once(system(0.0))
-    update = sinr_levels(kept, channels, topology, cell, theta=theta)
+    update = sinr_levels(system(0.0), channels, topology, cell, theta=theta)
 
     def meets(prob):
         # point_violation's decision; the cone part once per kept point
@@ -246,8 +246,9 @@ def _sdr_bisect(channels, topology, epsilon, cell=None, theta=None):
         last = sol.iterate
         # a probe at level 0, the lower end's, is the last of its bisection
         if t > 0:
-            offer, at = _scaled_point(
-                prob, kept.compiled.layout.unpack(last.x), t, serving)
+            dims, complex_, nonneg, _ = last.shape
+            offer, at = _scaled_point(prob, ConeLayout.of(
+                dims, nonneg, complex_).unpack(last.x), t, serving)
             if at > level:
                 point = ConicSolution(SolveStatus.OPTIMAL,
                                       matrix_values=offer)

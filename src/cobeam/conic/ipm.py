@@ -31,8 +31,9 @@ feasible point (:func:`_feasible_point`: a cheap compiled pre-check,
 then :func:`point_violation`) or Farkas certificate (:func:`_certified`:
 y clipped to its signs, then :func:`verify_infeasibility_certificate`).
 Both read the right-hand sides and senses each compile holds, per
-problem, and the rows' per-variable gathers (``ConicProblem.gathers``),
-which the probes of one bisection share where their rows do.
+problem, and the rows' per-variable gathers (``ConicProblem.gathers``).
+A problem's ``updated`` copies share its gathers and the compile of the
+first solve among them, which each later solve rescales.
 
 Every solution carries its final iterate, and a problem may start from
 an earlier one (``ConicProblem.start``), as in Skajaa, Andersen & Ye
@@ -508,8 +509,12 @@ def solve_batch(problems):
     for i, problem in enumerate(problems):
         if problem.num_vars() == 0:
             raise ValueError("problem has no variables")
-        compiled = CompiledProblem(problem) if problem.compiled is None \
-            else problem.compiled.updated(problem)
+        if "compiled" in problem._derived:
+            compiled = problem._derived["compiled"].updated(problem)
+        else:   # kept without its source, which would make it a cycle
+            compiled = CompiledProblem(problem)
+            problem._derived["compiled"] = kept = copy.copy(compiled)
+            kept.source = None
         groups.setdefault(compiled.shape, []).append((i, compiled))
     out = [None] * len(problems)
     for members in groups.values():
@@ -520,14 +525,6 @@ def solve_batch(problems):
     for sol in out:
         sol.time_s = elapsed / len(out)
     return out
-
-
-def compile_once(problem):
-    """A copy of ``problem`` whose solves, and those of its
-    :meth:`ConicProblem.updated` copies, share one compile of its rows."""
-    kept = replace(problem)
-    kept.compiled = CompiledProblem(problem)
-    return kept
 
 
 def feasibility(problem):
@@ -542,11 +539,10 @@ def feasibility(problem):
     certificate that no check confirmed.  Any other end raises
     :class:`IndeterminateError`.
     """
-    # a copy would compile anew, so an objective-free problem goes as it is
+    # a copy starts a new store, so an objective-free problem goes as is
     if problem.obj_matrix or problem.obj_scalar or problem.obj_scalar_quad:
-        kept, problem = problem, replace(problem, obj_matrix={},
-                                         obj_scalar={}, obj_scalar_quad={})
-        problem._gathered = kept._gathered      # the same coefficients
+        problem = replace(problem, obj_matrix={}, obj_scalar={},
+                          obj_scalar_quad={})
     sol, = yield [problem]
     if sol.status is SolveStatus.OPTIMAL:
         return True, sol
@@ -627,11 +623,15 @@ def verify_infeasibility_certificate(problem, weights, rows=None):
     at least ``FARKAS_MARGIN``.  A functional that is positive on the
     cone certifies nothing, however small it is, since a large enough
     feasible point outweighs it.  The aggregates are formed per
-    variable on the problem's :meth:`ConicProblem.gathers`; ``rows`` is
-    as in :func:`row_violation`.
+    variable on the problem's :meth:`ConicProblem.gathers`, with each
+    coefficient's Frobenius norm and max(1, max |F|), built at its first
+    check; ``rows`` is as in :func:`row_violation`.
     """
     rhs, sense = rows or (problem.rhs(), problem.sense())
     blocks, scalars = problem.gathers()
+    if "norms" not in problem._derived:
+        problem._derived["norms"] = [(np.linalg.norm(F, axis=(1, 2)), max(
+            1.0, np.abs(F).max(initial=0.0))) for _, F in blocks]
     weights = np.asarray(weights, dtype=float)
     scale = max(np.abs(weights).max(), 1e-300)
     w = weights / scale
@@ -641,7 +641,7 @@ def verify_infeasibility_certificate(problem, weights, rows=None):
     w[wrong] = 0.0
     viol = float(sum(wk * b for wk, b in zip(w.tolist(), rhs.tolist())))
     cone_ok, max_cone = True, -np.inf
-    for at, F, norms, fmax in blocks:
+    for (at, F), (norms, fmax) in zip(blocks, problem._derived["norms"]):
         wa = w[at]
         P = np.einsum("r,rjk->jk", wa, F)
         top = float(np.linalg.eigvalsh(0.5 * (P + P.conj().T))[-1])

@@ -97,7 +97,8 @@ class RowFamily:
 class ConicProblem:
     """Builder for one conic program instance.  Its rows are kept as
     :class:`RowFamily` stacks, one per :meth:`add_constraints` call, in
-    row order; :meth:`row_terms` evaluates them a variable at a time."""
+    row order; :meth:`row_terms` evaluates them a variable at a time.
+    Mutators replace, never edit, the containers that copies share."""
 
     matrix_vars: list = field(default_factory=list)
     num_scalars: int = 0
@@ -109,32 +110,29 @@ class ConicProblem:
     # an :class:`Iterate` of an earlier solve to start from, or None for
     # the cold start
     start: object = None
-    # a :class:`CompiledProblem` of a problem with these coefficients
-    # (``conic.compile_once``), from which a solve derives this one's at
-    # its own right-hand sides and linear costs; None, also in a copy by
-    # ``dataclasses.replace``, compiles it anew
-    compiled: object = field(default=None, init=False, repr=False,
-                             compare=False)
     # per matrix variable, a basis Q (n, dim) with orthonormal columns
     # when the variable X stands for Q X Q^H of a larger space, else None
     # (``power_min.covariances`` lifts); a solve never reads it
     bases: list = field(default=None, repr=False, compare=False)
-    # :meth:`gathers` once built, shared by :meth:`updated` copies that
-    # keep the coefficients, emptied when rows or variables are added
-    _gathered: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    # the store of what the row coefficients, costs and pads give, shared
+    # by :meth:`updated` copies, built at first use: the first solve's
+    # :class:`CompiledProblem` ("compiled"), :meth:`gathers` and the Farkas
+    # verifier's norms; a change of those data starts a new one
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def add_psd_var(self, dim, complex=True, name=""):
         if dim < 1:
             raise ValueError("PSD variable dimension must be >= 1")
-        self.matrix_vars.append(MatrixVar(int(dim), bool(complex), name))
-        self._gathered = {}
+        self.matrix_vars = [*self.matrix_vars,
+                            MatrixVar(int(dim), bool(complex), name)]
+        self._derived = {}
         return len(self.matrix_vars) - 1
 
     def add_scalar_var(self, name=""):
         self.num_scalars += 1
-        self.scalar_names.append(name)
-        self._gathered = {}
+        self.scalar_names = [*self.scalar_names, name]
+        self._derived = {}
         return self.num_scalars - 1
 
     def _coeffs(self, i, mats, what):
@@ -150,6 +148,8 @@ class ConicProblem:
 
     def set_objective(self, matrix=None, scalar=None, scalar_quad=None):
         """Minimize sum_i Tr(C_i X_i) + sum_j (c_j y_j + q_j y_j^2)."""
+        self.obj_matrix, self.obj_scalar, self.obj_scalar_quad = map(
+            dict, (self.obj_matrix, self.obj_scalar, self.obj_scalar_quad))
         if matrix:
             for i, C in matrix.items():
                 self.obj_matrix[i] = self._coeffs(
@@ -166,6 +166,7 @@ class ConicProblem:
                 if v < 0:
                     raise ValueError("quadratic coefficients must be >= 0")
                 self.obj_scalar_quad[j] = float(v)
+        self._derived = {}
 
     def add_constraint(self, matrix=None, scalars=None, rel=">=", rhs=0.0,
                        label=None):
@@ -194,10 +195,10 @@ class ConicProblem:
         labels = (None,) * len(rhs) if labels is None else tuple(labels)
         if len(labels) != len(rhs):
             raise ValueError(f"{len(labels)} labels for {len(rhs)} rows")
-        first = sum(len(fam.rhs) for fam in self.families)
-        self.families.append(RowFamily(first, rel, rhs, labels, *self._stacks(
-            matrix, scalars, len(rhs))))
-        self._gathered = {}
+        first, m = sum(len(fam.rhs) for fam in self.families), len(rhs)
+        self.families = [*self.families, RowFamily(
+            first, rel, rhs, labels, *self._stacks(matrix, scalars, m))]
+        self._derived = {}
         return first
 
     def _stacks(self, matrix, scalars, m):
@@ -220,9 +221,9 @@ class ConicProblem:
         ``len(rhs)`` rows, new linear scalar costs ``scalar`` ({j: c_j})
         and new coefficients ``coeffs`` {f: (matrix, scalars)} of family
         f, in the form of :meth:`add_constraints`.  It shares every other
-        family's coefficients, and ``compiled`` and :meth:`gathers` unless
-        ``coeffs`` are given.  More right-hand sides than rows raise
-        ValueError."""
+        family's coefficients, and ``_derived`` unless ``coeffs`` are
+        given or its scalar costs change its pads.  More right-hand sides
+        than rows raise ValueError."""
         rhs, coeffs, families = [float(v) for v in rhs], coeffs or {}, []
         _check_finite(rhs, "rhs")
         m = sum(len(fam.rhs) for fam in self.families)
@@ -237,12 +238,16 @@ class ConicProblem:
             families.append(RowFamily(**{**vars(fam), **changes})
                             if changes else fam)
         new = object.__new__(ConicProblem)
-        new.__dict__.update(self.__dict__, obj_scalar=dict(self.obj_scalar),
-                            families=families)
-        if coeffs:
-            new.compiled, new._gathered = None, {}
+        new.__dict__.update(self.__dict__, families=families)
         new.set_objective(scalar=scalar)
+        if not coeffs and new._has_objective() == self._has_objective():
+            new._derived = self._derived
         return new
+
+    def _has_objective(self):
+        """Whether a cost is nonzero, which pads a compile."""
+        costs = (*self.obj_scalar.values(), *self.obj_scalar_quad.values())
+        return any(costs) or any(map(np.any, self.obj_matrix.values()))
 
     @staticmethod
     def _positions(rows, m, coeffs):
@@ -282,12 +287,10 @@ class ConicProblem:
 
     def gathers(self):
         """The rows' coefficients gathered per variable, in family order:
-        per matrix variable the rows that read it (indices), their
-        coefficient stack F, each coefficient's Frobenius norm and max(1,
-        max |F|); per scalar the rows that read it and their coefficients.
-        Built once for this problem and its :meth:`updated` copies that
-        keep its coefficients."""
-        if not self._gathered:
+        per matrix variable the rows that read it (indices) and their
+        coefficient stack F; per scalar the rows that read it and their
+        coefficients.  Built once per store (``_derived``)."""
+        if "blocks" not in self._derived:
             blocks = []
             for i, var in enumerate(self.matrix_vars):
                 reads = [(fam.start + fam.matrix[i][0], fam.matrix[i][1])
@@ -296,16 +299,15 @@ class ConicProblem:
                                     + [idx for idx, _ in reads])
                 F = np.concatenate([np.zeros((0, var.dim, var.dim))]
                                    + [stack for _, stack in reads])
-                blocks.append((at, F, np.linalg.norm(F, axis=(1, 2)),
-                               max(1.0, np.abs(F).max(initial=0.0))))
+                blocks.append((at, F))
             scalars = []
             for j in range(self.num_scalars):
                 reads = [(fam.start + r, a) for fam in self.families
                          for r, a in zip(*fam.scalars.get(j, ((), ())))]
                 rows, coeffs = zip(*reads) if reads else ((), ())
                 scalars.append((np.array(rows, np.intp), list(coeffs)))
-            self._gathered.update(blocks=blocks, scalars=scalars)
-        return self._gathered["blocks"], self._gathered["scalars"]
+            self._derived.update(blocks=blocks, scalars=scalars)
+        return self._derived["blocks"], self._derived["scalars"]
 
     def row_terms(self, matrix_values, scalar_values=None):
         """The rows' terms at a stack of points, (..., m, n + 1) for m
@@ -320,7 +322,7 @@ class ConicProblem:
         m = sum(len(fam.rhs) for fam in self.families)
         out = np.zeros(lead + (m, len(self.matrix_vars) + 1))
         blocks, scalars = self.gathers()
-        for i, (rows, F, _, _) in enumerate(blocks):
+        for i, (rows, F) in enumerate(blocks):
             out[..., rows, i] = np.einsum(
                 "rjk,...kj->...r", F, matrix_values[i]).real
         for j, (rows, a) in enumerate(scalars):
@@ -421,10 +423,8 @@ class CompiledProblem:
         self.slacked = np.flatnonzero(self.sense)
         self.n_slack = len(self.slacked)
         own = problem.num_scalars + self.n_slack
-        objective = any(np.any(C) for C in problem.obj_matrix.values()) \
-            or any(problem.obj_scalar.values()) \
-            or any(problem.obj_scalar_quad.values())
-        self.n_pad = max(0, ORTHANT_FLOOR - own) if objective else 0
+        self.n_pad = max(0, ORTHANT_FLOOR - own) \
+            if problem._has_objective() else 0
         self.layout = ConeLayout.of(
             tuple(v.dim for v in problem.matrix_vars), own + self.n_pad,
             tuple(v.complex for v in problem.matrix_vars))
@@ -434,9 +434,9 @@ class CompiledProblem:
         self.size = lay.size - self.n_pad
         self.degree = lay.degree - self.n_pad
 
-        # its scalar costs are set with the right-hand sides (_scale)
-        self.c = self._pack(1, [(0, {i: (np.array([0]), C[None]) for i, C in
-                                     problem.obj_matrix.items()}, {})])[0][0]
+        # the matrix costs, to which _scale adds the scalar costs in c
+        self._c0 = self._pack(1, [(0, {i: (np.array([0]), C[None]) for i, C in
+                                      problem.obj_matrix.items()}, {})])[0][0]
         self.qdiag = np.zeros(lay.nonneg)
         for j, q in problem.obj_scalar_quad.items():
             self.qdiag[j] = 2.0 * q  # objective carries q*y^2 = (1/2) x'Qx
@@ -462,13 +462,14 @@ class CompiledProblem:
         and scales them anew; the arrays this compile holds are never
         written, so several updates of it can be solved at once."""
         new = copy.copy(self)
-        new.source, new.c = source, self.c.copy()
+        new.source = source
         new._scale()
         return new
 
     def _scale(self):
         """Scaled rows, ``b`` and ``c`` at the source's right-hand sides
         ``rhs`` and linear scalar costs."""
+        self.c = self._c0.copy()
         for j, a in self.source.obj_scalar.items():
             self.c[self.scalar_off + j] = a
         self.rhs = rhs = self.source.rhs()

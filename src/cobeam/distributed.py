@@ -291,8 +291,7 @@ def run_primal_decomposition(channels, topology, max_iters=100,
     best = {"power": np.inf, "theta": theta.copy(), "W": None}
     starts = {}
     # each cell is built once; a round moves its caps
-    cells = {b: conic.compile_once(assemble_subproblem(b, channels, topology,
-                                                       theta))
+    cells = {b: assemble_subproblem(b, channels, topology, theta)
              for b in range(topology.B)}
 
     for r in range(max_iters):
@@ -434,7 +433,6 @@ def run_admm(channels, topology, max_iters=100, rho=DEFAULT_RHO,
     # each cell is built once; an iteration moves its copy weights
     cells = [assemble_admm_local(b, channels, topology, theta, nu[0], rho)
              for b in range(topology.B)]
-    cells = [(conic.compile_once(prob), slot) for prob, slot in cells]
     for it in range(max_iters):
         total_power = 0.0
         sols = yield from _cells(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cobeam.conic import ConicProblem
+from cobeam import conic
+from cobeam.conic import ConicProblem, ConicSolution, SolveStatus, ipm
+from cobeam.conic.problem import CompiledProblem
 from cobeam.power_min import _sinr_data
 
 
@@ -31,6 +33,42 @@ def row_data(problem):
     """Each row's (relation, right-hand side) in row order, read from
     the problem's row families."""
     return [(fam.relation, b) for fam in problem.families for b in fam.rhs]
+
+
+def compiled_form(problem):
+    """The compiled form a solve of ``problem`` uses, from a
+    ``solve_batch`` call whose lockstep run is left out: the problem's
+    first compile, or its copies', rescaled."""
+    runs, solve_hsd = [], ipm._solve_hsd
+
+    def taken(group):
+        runs.append(group)
+        return [ConicSolution(SolveStatus.MAX_ITER) for _ in group]
+    ipm._solve_hsd = taken
+    try:
+        ipm.solve_batch([problem])
+    finally:
+        ipm._solve_hsd = solve_hsd
+    (compiled,), = runs
+    return compiled
+
+
+def assert_same_compile(updated, fresh):
+    """``updated``'s compiled form equals a fresh compile of ``fresh``
+    bit for bit, its start read in its units included."""
+    got, want = compiled_form(updated), CompiledProblem(fresh)
+    for name in ("A", "b", "c", "qdiag", "row_scale", "slack_scale"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.A_blocks) == len(want.A_blocks)
+    for g, w in zip(got.A_blocks, want.A_blocks):
+        assert np.array_equal(g, w)
+    assert got.shape == want.shape
+    # the same start, read in each problem's own units
+    updated.start = fresh.start = conic.solve(fresh).iterate
+    for g, w in zip(got.start_point(), want.start_point()):
+        assert np.array_equal(g, w)
+    assert row_data(updated) == row_data(fresh)
+    assert updated.obj_scalar == fresh.obj_scalar
 
 
 def embed_hermitian(problem):

@@ -16,8 +16,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import loop_sinr_system
-from test_compile_once import assert_same_compile
+from conftest import assert_same_compile, loop_sinr_system
 
 from cobeam import conic
 from cobeam.balancing import bisect, single_user_upper_bound
@@ -267,8 +266,7 @@ class TestSinrUpdateLevel:
 
     @staticmethod
     def check(chans, topo, cell, **kwargs):
-        kept = conic.compile_once(sinr_system(chans, topo, cell=cell,
-                                              level=0.0, **kwargs)[0])
+        kept = sinr_system(chans, topo, cell=cell, level=0.0, **kwargs)[0]
         moved = {k: v for k, v in kwargs.items() if k in ("theta", "copies")}
         for level in (2.5, 0.0, 5.0):
             got = sinr_update(kept, chans, topo, cell, level=level, **moved)

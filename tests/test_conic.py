@@ -143,6 +143,9 @@ class TestFeasibility:
         for field in dataclasses.fields(ConicProblem):
             if field.name in objective:
                 assert getattr(probe, field.name) == {}
+            elif field.name == "_derived":
+                # a compile of the problem has its costs and pads
+                assert "compiled" in prob._derived and probe._derived == {}
             else:
                 assert getattr(probe, field.name) is getattr(prob, field.name)
         assert prob.obj_scalar and prob.obj_scalar_quad

@@ -22,12 +22,18 @@ def test_lines_add_up(capsys):
              capsys.readouterr().out.splitlines()]
     assert {path for path, _ in lines} == {str(SCENARIO)}
     total, *sizes, outside = (text for _, text in lines)
-    runs, steps = map(int, re.fullmatch(
-        r"lockstep runs (\d+) newton steps (\d+)", total).groups())
+    runs, steps, work = map(int, re.fullmatch(
+        r"lockstep runs (\d+) newton steps (\d+) problem steps (\d+)",
+        total).groups())
     per_size = [re.fullmatch(
-        r"P (\d+): runs (\d+) newton steps (\d+) fixed (-?\d+) us per run, "
-        r"(-?\d+|nan) us per newton step", text).groups() for text in sizes]
+        r"P (\d+): runs (\d+) newton steps (\d+) problem steps (\d+) "
+        r"fixed (-?\d+) us per run, (-?\d+|nan) us per problem step",
+        text).groups() for text in sizes]
     assert sum(int(p[1]) for p in per_size) == runs > 0
     assert sum(int(p[2]) for p in per_size) == steps > 0
+    assert sum(int(p[3]) for p in per_size) == work >= steps
+    # a run of P problems takes at most P problem-steps a Newton step
+    for p, _, newton, problem_steps, *_ in per_size:
+        assert int(newton) <= int(problem_steps) <= int(p) * int(newton)
     assert re.fullmatch(r"solves \d+ outside solve_batch \d+ us per solve",
                         outside)

@@ -51,11 +51,12 @@ that scheme's records in order, ``wall_time_s`` left out as above, so a
 change that moves some schemes' answers names them.
 A last line prints the number of full compiles, the constructions of
 ``ipm.CompiledProblem``, and of updated compiles, the calls of
-``CompiledProblem.updated`` that rescale a kept compile
-(``conic.compile_once``) at a problem's right-hand sides and linear
-costs: how often the solves' rows were packed from scratch.  A problem
-with coefficients of its own, such as a bisection probe whose SINR
-family is built anew at its level, compiles in full.  Then, one line
+``CompiledProblem.updated`` that rescale the compile of the first solve
+among a problem and its ``ConicProblem.updated`` copies at another
+copy's right-hand sides and linear costs: how often the solves' rows
+were packed from scratch.  A problem with coefficients of its own, such
+as a bisection probe whose SINR family is built anew at its level,
+compiles in full.  Then, one line
 per scenario file, the number of bisection probes that were settled
 without a solve: the sum of ``BisectionResult.decided`` over every
 ``balancing._sdr_bisect`` run of that file, read by wrapping it, so a
